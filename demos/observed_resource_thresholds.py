@@ -42,7 +42,9 @@ print(f"sampled picks   : {np.round(stats.p, 4)}  (target {target})")
 print(f"sampled q1      : {stats.q[0]:.4f}  (frontier {frontier.q(0.5):.4f})")
 
 # solve the worst-case problem over threshold strategies
-p_best, value = solve_a1(game, MdConfig(alpha=50.0, T=10_000, seed=0))
+# returns the average iterate, its worst-case value, and that value's standard
+# error (0 here: nobody else observes anything, so the value is exact)
+p_best, value, _ = solve_a1(game, MdConfig(alpha=50.0, T=10_000, seed=0))
 blind = explicit_solution(game.means).value
 print(f"\noptimized p     : {np.round(p_best, 4)}")
 print(f"worst-case value: {value:.4f}  vs {blind:.4f} without the observation")

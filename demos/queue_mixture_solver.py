@@ -36,6 +36,7 @@ print(f"guaranteed gap bound    : {constants.error_bound:.4f}")
 print(f"queue cap per resource  : {np.round(diag.queue_bound, 2)}")
 print(f"cap violations          : {diag.violations}")
 print(f"average realized picks  : {np.round(diag.avg_realized, 4)}")
+print(f"final queues            : {np.round(diag.final_queues, 2)}")
 
 # asymmetric information: A observes resource 1, B observes resource 2
 asym = GameInstance(

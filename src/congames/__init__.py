@@ -15,14 +15,13 @@ from .dpp import (
     BoundConstants,
     DppConfig,
     DppDiagnostics,
-    DppState,
     bound_constants,
     config_for_epsilon,
     queue_bound,
 )
 from .dpp import run as run_dpp
 from .explicit import ExplicitSolution, explicit_solution, no_info_objective
-from .game import GameInstance, Partition, expected_rewards, sample_omega, sample_world
+from .game import GameInstance, Partition, sample_omega, sample_world
 from .gamefile import GameFileError, load_game, load_strategy, parse_game, parse_strategy
 from .md import MdConfig, md_error_bound, run_md
 from .montecarlo import (
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Partition",
     "GameInstance",
-    "expected_rewards",
     "sample_world",
     "sample_omega",
     "Exponential",
@@ -81,7 +79,6 @@ __all__ = [
     "explicit_solution",
     "no_info_objective",
     "DppConfig",
-    "DppState",
     "DppDiagnostics",
     "BoundConstants",
     "run_dpp",

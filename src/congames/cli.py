@@ -8,7 +8,9 @@ Subcommands::
     congames evaluate --game g.txt --strategy s.txt --mode vs-worst-case
 
 Sweeps print a CSV table (or write it with ``--out``); reruns with the same
-flags and seed are byte-identical.  Any flag default can be overridden by an
+flags and seed are byte-identical.  Unset ``--alpha`` and ``--T`` take the
+solver's entry in :data:`congames.experiments.STEP_DEFAULTS` (dpp 4e4 and
+100000, md and a1 50 and 10000).  Any flag default can be overridden by an
 environment variable named CONGAMES_<FLAG> with dashes as underscores, e.g.
 ``CONGAMES_SEED=7``, ``CONGAMES_E1_STEP=0.2``.  Explicit flags beat the
 environment.  Exit status is 0 on success and 2 on any usage, file, or
@@ -27,29 +29,21 @@ from .montecarlo import McConfig
 
 ENV_PREFIX = "CONGAMES_"
 
-# per-solver (alpha, T) defaults; dpp additionally uses V
-SOLVER_DEFAULTS = {
-    "nash": {},
-    "worst-explicit": {},
-    "worst-dpp": {"alpha": 4.0e4, "T": 100_000},
-    "worst-md": {"alpha": 50.0, "T": 10_000},
-    "worst-a1": {"alpha": 50.0, "T": 10_000},
-}
-
 
 def _env(flag: str):
     return os.environ.get(ENV_PREFIX + flag.replace("-", "_").upper())
 
 
 def _opt(parser, flag: str, type_, default, help_):
-    """Add --flag with an environment-overridable default."""
+    """Add --flag with an environment-overridable default (None: per solver)."""
     raw = _env(flag)
     if raw is not None:
         try:
             default = type_(raw)
         except ValueError:
             parser.error(f"environment variable {ENV_PREFIX}{flag.upper()} is not a valid {type_.__name__}")
-    parser.add_argument(f"--{flag}", type=type_, default=default, help=f"{help_} (default {default})")
+    shown = "per solver" if default is None else default
+    parser.add_argument(f"--{flag}", type=type_, default=default, help=f"{help_} (default {shown})")
 
 
 def _sweep_flags(parser, with_solver_params=True):
@@ -63,8 +57,8 @@ def _sweep_flags(parser, with_solver_params=True):
     if with_solver_params:
         _opt(parser, "epsilon", float, 1e-3, "equilibrium threshold (nash)")
         _opt(parser, "V", float, 200.0, "penalty weight (dpp)")
-        _opt(parser, "alpha", float, 0.0, "step parameter; 0 = solver default")
-        _opt(parser, "T", int, 0, "iteration count; 0 = solver default")
+        _opt(parser, "alpha", float, None, "step parameter (dpp / md / a1)")
+        _opt(parser, "T", int, None, "iteration count (dpp / md / a1)")
     parser.add_argument("--out", default=None, help="write the CSV here instead of stdout")
 
 
@@ -108,17 +102,14 @@ def _e1_grid(args) -> tuple[float, ...]:
 
 
 def _run_sweep(solver: str, args) -> int:
-    defaults = SOLVER_DEFAULTS[solver]
-    alpha = args.alpha if args.alpha > 0 else defaults.get("alpha", 4.0e4)
-    iters = args.T if args.T > 0 else defaults.get("T", 100_000)
     spec = preset_spec(
         args.scenario,
         solver,
         _e1_grid(args),
         epsilon=args.epsilon,
         V=args.V,
-        alpha=alpha,
-        T=iters,
+        alpha=args.alpha,
+        T=args.T,
         n_samples=args.samples,
         seed=args.seed,
         repetitions=args.reps,

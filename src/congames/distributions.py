@@ -140,7 +140,7 @@ class PointMass:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:  # also rejects NaN
             raise ValueError(f"support must be non-negative, got {self.value}")
 
     @property
@@ -225,11 +225,11 @@ class Discrete:
 
     def tail_mean(self, p: float) -> float:
         _check_tail_fraction(p)
-        if p == 0.0:
-            return float(self._sorted_values[-1])
-        thresh = self.quantile(1.0 - p)
         vals = np.asarray(self.values, dtype=float)
         pr = np.asarray(self.probs, dtype=float)
+        if p == 0.0:
+            return float(vals[pr > 0].max())  # the largest atom with positive mass
+        thresh = self.quantile(1.0 - p)
         keep = vals >= thresh
         mass = pr[keep].sum()
         return float(np.dot(vals[keep], pr[keep]) / mass)

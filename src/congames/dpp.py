@@ -15,8 +15,11 @@ u_j = E_j on the private block and 1 elsewhere.  Each round t:
 4. update the queues toward the targets:
        Q_j <- max(Q_j + gamma_j - realized x_j, 0).
 
+:func:`run` performs steps 2 and 4 with the kernels
+:func:`sampled_subgradient`, :func:`gamma_step` and :func:`queue_step`.
 The emitted strategy is the equiprobable mixture of the T queue-score
-strategies (the all-zero first one included).  With alpha >= V^2 every queue
+strategies (the all-zero first one included); the final queues and targets
+are returned on :class:`DppDiagnostics`.  With alpha >= V^2 every queue
 stays below (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j, which is what caps the
 mixture's suboptimality at the error bound of :func:`bound_constants`.
 """
@@ -29,13 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameInstance, sample_omega, sample_world
-from .montecarlo import stream_generators
-from .rng import OMEGA_STREAM, WORLD_STREAM
+from .rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture
 
 __all__ = [
     "DppConfig",
-    "DppState",
     "DppDiagnostics",
     "BoundConstants",
     "box_upper",
@@ -80,24 +81,21 @@ class DppConfig:
 
 
 @dataclass(frozen=True)
-class DppState:
-    """Queues, auxiliary targets, and the round index."""
-
-    queues: np.ndarray
-    gamma: np.ndarray
-    t: int
-
-    def __post_init__(self):
-        if np.any(self.queues < 0):
-            raise ValueError("queues must be non-negative")
-
-
-@dataclass(frozen=True)
 class DppDiagnostics:
+    """What a run leaves besides the mixture.
+
+    ``queue_bound`` is the per-resource cap of :func:`queue_bound` and
+    ``violations`` counts (round, resource) pairs whose queue exceeded it
+    after the update.  ``avg_realized`` is the average realized x per round,
+    and ``final_queues`` / ``final_gamma`` are the queues and targets after
+    round T.
+    """
+
     queue_bound: np.ndarray
     violations: int
     avg_realized: np.ndarray
-    final_state: DppState
+    final_queues: np.ndarray
+    final_gamma: np.ndarray
     max_queue: np.ndarray | None = None  # per round, only when recorded
     actions: np.ndarray | None = None
 
@@ -135,38 +133,37 @@ def _base_weights(game: GameInstance) -> np.ndarray:
     return v
 
 
-def sampled_subgradient(gamma, omega, game: GameInstance) -> np.ndarray:
-    """Subgradient of the sampled objective at gamma for one omega draw."""
-    gamma = np.asarray(gamma, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if gamma.shape != (game.n,) or omega.shape != (game.n,):
-        raise ValueError(f"gamma and omega must have shape ({game.n},)")
-    grad = _base_weights(game)
+# The step kernels take float arrays of length n and do no checks; run()
+# passes v, u, V and alpha fixed for the whole run.
+
+
+def sampled_subgradient(gamma, omega, v) -> np.ndarray:
+    """Subgradient of the sampled objective at gamma for one omega draw.
+
+    ``v`` holds the gross gain per unit of x (1 on the A block, E_j
+    elsewhere); the argmax of gamma * omega loses half its omega weight,
+    lowest index on ties.
+    """
+    grad = v.copy()
     top = int(np.argmax(gamma * omega))
     grad[top] -= 0.5 * omega[top]
     return grad
 
 
-def gamma_step(gamma_prev, queues, grad, config: DppConfig, game: GameInstance) -> np.ndarray:
-    """Projected proximal step of the auxiliary target vector."""
-    gamma_prev = np.asarray(gamma_prev, dtype=float)
-    queues = np.asarray(queues, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    step = (queues - config.V * grad) / (2.0 * config.alpha)
-    return np.clip(gamma_prev - step, 0.0, box_upper(game))
+def gamma_step(gamma_prev, queues, grad, V: float, alpha: float, u) -> np.ndarray:
+    """Projected proximal step of the auxiliary target vector onto [0, u]."""
+    return np.clip(gamma_prev - (queues - V * grad) / (2.0 * alpha), 0.0, u)
 
 
-def queue_step(queues, gamma, action: int, world_x) -> np.ndarray:
+def queue_step(queues, gamma, action: int, drain: float) -> np.ndarray:
     """Queue update: add the target, subtract the realized amount, floor at 0.
 
-    ``world_x`` holds the sampled rewards of the A block; picking private
-    resource j drains X_j, picking any other resource drains 1.
+    ``drain`` is what the chosen resource realized: its sampled reward X_j
+    for a resource on the A block, 1 for any other resource.
     """
-    queues = np.asarray(queues, dtype=float)
-    world_x = np.asarray(world_x, dtype=float).reshape(-1)
-    out = queues + np.asarray(gamma, dtype=float)
-    out[action] -= world_x[action] if action < world_x.size else 1.0
-    return np.maximum(out, 0.0)
+    out = queues + gamma
+    out[action] -= drain
+    return np.maximum(out, 0.0, out=out)
 
 
 def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]:
@@ -182,7 +179,7 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     u = box_upper(game)
     v = _base_weights(game)
     bound = queue_bound(game, alpha)
-    two_alpha = 2.0 * alpha
+    limit = bound + QUEUE_BOUND_TOL
 
     queues = np.zeros(n)
     gamma = np.zeros(n)
@@ -193,11 +190,8 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     actions = np.empty(T, dtype=int) if config.record_diagnostics else None
 
     for t in range(T):
-        omega = omega_draws[t]
-        top = int(np.argmax(gamma * omega))
-        grad = v.copy()
-        grad[top] -= 0.5 * omega[top]
-        gamma = np.clip(gamma - (queues - V * grad) / two_alpha, 0.0, u)
+        grad = sampled_subgradient(gamma, omega_draws[t], v)
+        gamma = gamma_step(gamma, queues, grad, V, alpha, u)
 
         scores = queues.copy()
         if a:
@@ -207,11 +201,9 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
 
         drain = x_draws[t, action] if action < a else 1.0
         realized_sum[action] += drain
-        queues = queues + gamma
-        queues[action] -= drain
-        np.maximum(queues, 0.0, out=queues)
+        queues = queue_step(queues, gamma, action, drain)
 
-        violations += int(np.count_nonzero(queues > bound + QUEUE_BOUND_TOL))
+        violations += int(np.count_nonzero(queues > limit))
         if config.record_diagnostics:
             max_queue[t] = q_history[t].max()
             actions[t] = action
@@ -220,7 +212,8 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
         queue_bound=bound,
         violations=violations,
         avg_realized=realized_sum / T,
-        final_state=DppState(queues=queues, gamma=gamma, t=T),
+        final_queues=queues,
+        final_gamma=gamma,
         max_queue=max_queue,
         actions=actions,
     )
@@ -272,7 +265,8 @@ def queue_bound(game: GameInstance, alpha: float) -> np.ndarray:
 
 
 def config_for_epsilon(epsilon: float, seed: int = 0, record_diagnostics: bool = False) -> DppConfig:
-    """Heuristic parameters for a target gap: V = 1/eps, alpha = T = 1/eps^2.
+    """Heuristic parameters for a target gap: V = 1/eps, T = ceil(1/eps^2),
+    and alpha = V^2, the smallest alpha the guarantee allows.
 
     The guarantee constants multiply these rates, so the realized gap is
     O(epsilon) with problem-dependent constants, not epsilon itself.
@@ -280,10 +274,9 @@ def config_for_epsilon(epsilon: float, seed: int = 0, record_diagnostics: bool =
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     V = 1.0 / epsilon
-    alpha = max(V**2, 1.0 / epsilon**2)
     return DppConfig(
         V=V,
-        alpha=alpha,
+        alpha=V**2,
         T=int(math.ceil(1.0 / epsilon**2)),
         seed=seed,
         record_diagnostics=record_diagnostics,

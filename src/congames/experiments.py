@@ -29,13 +29,9 @@ from .game import GameInstance, Partition
 from .md import MdConfig, run_md
 from .montecarlo import McConfig, estimate_stats, expected_utility, simulate_payoff
 from .nash import iterate_best_response
-from .quantile import TailFrontier, solve_a1
+from .quantile import solve_a1
 from .strategies import Strategy
-from .worstcase import (
-    interleave_stats,
-    omega_max_mean,
-    worst_case_utility,
-)
+from .worstcase import interleave_stats, worst_case_objective, worst_case_utility
 
 __all__ = [
     "SCENARIO_PARTITIONS",
@@ -50,10 +46,21 @@ SCENARIO_PARTITIONS = {1: (0, 0, 3, 0), 2: (0, 1, 2, 0), 3: (1, 1, 1, 0)}
 
 SOLVERS = ("nash", "worst-explicit", "worst-dpp", "worst-md", "worst-a1")
 
+# (alpha, T) of each iterative solver when the spec leaves them unset
+STEP_DEFAULTS = {
+    "worst-dpp": (4.0e4, 100_000),
+    "worst-md": (50.0, 10_000),
+    "worst-a1": (50.0, 10_000),
+}
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One sweep: partition, per-resource base distributions, grid, solver."""
+    """One sweep: partition, per-resource base distributions, grid, solver.
+
+    ``alpha`` and ``T`` left as None take the solver's :data:`STEP_DEFAULTS`
+    entry; nash and worst-explicit use neither.
+    """
 
     partition: tuple[int, int, int, int]
     distributions: tuple[RewardDistribution, ...]
@@ -61,8 +68,8 @@ class ScenarioSpec:
     solver: str
     epsilon: float = 1e-3  # nash convergence threshold
     V: float = 200.0  # dpp penalty weight
-    alpha: float = 4.0e4  # dpp / md / a1 step parameter
-    T: int = 100_000  # dpp / md / a1 rounds
+    alpha: float | None = None  # dpp / md / a1 step parameter
+    T: int | None = None  # dpp / md / a1 rounds
     n_samples: int = 100_000
     seed: int = 0
     repetitions: int = 1
@@ -83,6 +90,9 @@ class ScenarioSpec:
             raise ValueError("worst-md requires a == 0")
         if self.solver == "worst-a1" and part.a != 1:
             raise ValueError("worst-a1 requires a == 1")
+        alpha, T = STEP_DEFAULTS.get(self.solver, (None, None))
+        object.__setattr__(self, "alpha", alpha if self.alpha is None else self.alpha)
+        object.__setattr__(self, "T", T if self.T is None else self.T)
 
 
 @dataclass(frozen=True)
@@ -181,40 +191,28 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int):
         seed = _rep_seed(spec, point, rep)
         if spec.solver == "worst-explicit":
             sol = explicit_solution(game.means)
-            values.append(sol.value)
-            stderrs.append(0.0)
-            ps.append(sol.p)
+            p, value, stderr = sol.p, sol.value, 0.0
         elif spec.solver == "worst-dpp":
             mixture, _ = run_dpp(game, DppConfig(spec.V, spec.alpha, spec.T, seed=seed))
             stats = estimate_stats(mixture, game, "A", n_samples=spec.n_samples, rng=seed)
-            x = interleave_stats(stats, game)
-            part = game.partition
-            base = stats.q.sum() + float(
-                np.dot(game.means[part.a_comp], stats.p[part.a_comp])
+            p = stats.p
+            value, stderr = worst_case_objective(
+                interleave_stats(stats, game), game, n_samples=spec.n_samples, rng=seed, with_error=True
             )
-            max_mean, max_err = omega_max_mean(x, game, n_samples=spec.n_samples, rng=seed)
-            values.append(base - 0.5 * max_mean)
-            stderrs.append(0.5 * max_err)
-            ps.append(stats.p)
         elif spec.solver == "worst-md":
             p = run_md(game, MdConfig(alpha=spec.alpha, T=spec.T, seed=seed))
-            max_mean, max_err = omega_max_mean(p, game, n_samples=spec.n_samples, rng=seed)
-            values.append(float(np.dot(game.means, p)) - 0.5 * max_mean)
-            stderrs.append(0.5 * max_err)
-            ps.append(p)
+            value, stderr = worst_case_objective(
+                p, game, n_samples=spec.n_samples, rng=seed, with_error=True
+            )
         else:  # worst-a1
-            p, value = solve_a1(
+            p, value, stderr = solve_a1(
                 game,
                 MdConfig(alpha=spec.alpha, T=spec.T, seed=seed),
                 n_eval_samples=spec.n_samples,
             )
-            frontier = TailFrontier(game.distributions[0])
-            x = p.copy()
-            x[0] = frontier.q(p[0])
-            _, max_err = omega_max_mean(x, game, n_samples=spec.n_samples, rng=seed)
-            values.append(value)
-            stderrs.append(0.5 * max_err)
-            ps.append(p)
+        values.append(value)
+        stderrs.append(stderr)
+        ps.append(p)
     return np.array(values), np.array(stderrs), np.vstack(ps)
 
 

@@ -26,7 +26,6 @@ from .rng import as_generator
 __all__ = [
     "Partition",
     "GameInstance",
-    "expected_rewards",
     "sample_world",
     "sample_omega",
 ]
@@ -141,11 +140,6 @@ class GameInstance:
     def means(self) -> np.ndarray:
         """Conditional mean rewards: z on the AB block, distribution mean elsewhere."""
         return self._means
-
-
-def expected_rewards(game: GameInstance) -> np.ndarray:
-    """Conditional mean reward of every resource (copy of ``game.means``)."""
-    return game.means.copy()
 
 
 def sample_world(game: GameInstance, rng, size: int | None = None) -> np.ndarray:

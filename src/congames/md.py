@@ -16,6 +16,12 @@ unchanged).  The returned vector is the average of the iterates including
 the uniform start; its expected suboptimality is at most
 
     C / (2 alpha) + alpha ln(n) / T,    C = 2 max(E)^2 + E[max_k omega_k^2]/2.
+
+The loop runs the unchecked :func:`mw_update`, which
+:func:`congames.quantile.solve_a1` shares, and checks positivity once, after
+the last round: a zero or NaN entry is absorbing under the update
+(0 * exp(.) stays 0, NaN spreads through the normalization), so it would
+still be there.
 """
 
 from __future__ import annotations
@@ -26,12 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameInstance, deterministic_omega, sample_omega
-from .rng import OMEGA_STREAM, RngSpec
+from .rng import OMEGA_STREAM, as_generator
 
 __all__ = [
     "MdConfig",
     "md_subgradient",
     "md_step",
+    "mw_update",
+    "require_positive",
     "run_md",
     "md_error_bound",
     "omega_sup_sq_mean",
@@ -62,17 +70,27 @@ def md_subgradient(p, omega, means) -> np.ndarray:
     return grad
 
 
-def md_step(p, grad, alpha: float) -> np.ndarray:
-    """One multiplicative-weights update; preserves strict positivity."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
+def require_positive(p: np.ndarray):
+    """Reject an iterate with a zero or NaN entry."""
+    if not np.all(p > 0):
         raise ValueError("mirror-descent iterates must be strictly positive")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    expo = -np.asarray(grad, dtype=float) / alpha
+
+
+def mw_update(p: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarray:
+    """Bare multiplicative-weights update of float arrays, unchecked."""
+    expo = -grad / alpha
     expo -= expo.max()  # value-invariant shift against overflow
     w = p * np.exp(expo)
     return w / w.sum()
+
+
+def md_step(p, grad, alpha: float) -> np.ndarray:
+    """One validated multiplicative-weights update; preserves strict positivity."""
+    p = np.asarray(p, dtype=float)
+    require_positive(p)
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    return mw_update(p, np.asarray(grad, dtype=float), alpha)
 
 
 def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:
@@ -81,14 +99,14 @@ def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:
         raise ValueError("mirror descent applies only when player A has no private block")
     n = game.n
     means = game.means
-    gen = RngSpec(config.seed, OMEGA_STREAM).generator()
-    omegas = sample_omega(game, gen, size=config.T)
+    omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
 
     p = np.full(n, 1.0 / n)
     total = np.zeros(n)
     for t in range(config.T):
         total += p
-        p = md_step(p, md_subgradient(p, omegas[t], means), config.alpha)
+        p = mw_update(p, md_subgradient(p, omegas[t], means), config.alpha)
+    require_positive(p)
     return total / config.T
 
 
@@ -110,9 +128,7 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
         const[k] = 0.0
         m = float(const.max()) if game.n > 1 else 0.0
         return float(game.distributions[k].expected_sq_max_with(m)), 0.0
-    if isinstance(rng, (int, np.integer)):
-        rng = RngSpec(int(rng), OMEGA_STREAM)
-    omegas = sample_omega(game, rng, size=n_samples)
+    omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
     sq = np.max(omegas, axis=1) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))
 

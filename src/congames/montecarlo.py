@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameInstance, sample_world
-from .rng import ACTION_A_STREAM, ACTION_B_STREAM, RngSpec, WORLD_STREAM
+from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture, QuantileThreshold, Score, Simplex, Strategy, batch_actions
 
 __all__ = [
@@ -71,24 +71,6 @@ class StrategyStats:
         q.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-
-def stream_generators(rng, streams) -> list[np.random.Generator]:
-    """One generator per requested stream id, disjoint and reproducible.
-
-    Integer seeds and RngSpecs give seed-stable streams (the common-random-
-    number path); a Generator is split via ``spawn``.
-    """
-    if isinstance(rng, np.random.Generator):
-        return rng.spawn(len(streams))
-    if isinstance(rng, (int, np.integer)):
-        rng = RngSpec(int(rng))
-    if isinstance(rng, RngSpec):
-        return [
-            np.random.default_rng(np.random.SeedSequence(rng.seed, spawn_key=(rng.stream, s)))
-            for s in streams
-        ]
-    raise TypeError(f"cannot interpret {rng!r} as a random generator")
 
 
 def _action_stream(player: str) -> int:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .distributions import RewardDistribution
 from .game import GameInstance, sample_omega
-from .md import MdConfig
-from .rng import OMEGA_STREAM, RngSpec
+from .md import MdConfig, md_subgradient, mw_update, require_positive
+from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold
 from .worstcase import worst_case_objective
 
@@ -116,9 +116,15 @@ def solve_a1(
 
     Runs mirror descent on p with the frontier value q(p0) substituted for
     the resource-0 coordinate, over the simplex restricted to p0 >= delta.
-    Returns (average iterate p, worst-case utility of p) where the utility
-    is g(q(p0), p[1:]) evaluated with ``n_eval_samples`` draws when randomness
-    remains.
+    Each round takes :func:`~congames.md.md_subgradient` at
+    x = (q(p0), p[1:]) with weight 1 on resource 0, scales its first entry
+    by the frontier slope q'(p0) (the chain rule), and applies the shared
+    :func:`~congames.md.mw_update`, followed by the KL projection onto
+    p0 >= delta.
+
+    Returns ``(p, value, stderr)``: the average iterate p, the worst-case
+    utility g(q(p0), p[1:]) of p evaluated with ``n_eval_samples`` draws when
+    randomness remains, and the standard error of that value (0 when exact).
     """
     if game.partition.a != 1:
         raise ValueError("solve_a1 needs exactly one privately observed resource")
@@ -126,9 +132,10 @@ def solve_a1(
         raise ValueError("delta must be in (0, 1/n)")
     frontier = TailFrontier(game.distributions[0])
     n = game.n
-    means = game.means
-    gen = RngSpec(config.seed, OMEGA_STREAM).generator()
-    omegas = sample_omega(game, gen, size=config.T)
+    # gross gain per unit of x: 1 for the rate q(p0), E_k for the other picks
+    weights = game.means.copy()
+    weights[0] = 1.0
+    omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
 
     p = np.full(n, 1.0 / n)
     total = np.zeros(n)
@@ -137,26 +144,21 @@ def solve_a1(
         total += p
         x[0] = frontier.q(p[0])
         x[1:] = p[1:]
-        omega = omegas[t]
-        top = int(np.argmax(x * omega))
-        # minimization-form subgradient of -g(q(p0), p[1:]) in p
-        grad = -means.copy()
-        grad[0] = -frontier.slope(p[0])
-        if top == 0:
-            grad[0] *= 0.5  # omega[0] == 1 on the private coordinate
-        else:
-            grad[top] += 0.5 * omega[top]
-        expo = -grad / config.alpha
-        expo -= expo.max()
-        w = p * np.exp(expo)
-        p = w / w.sum()
-        if p[0] < delta:
+        grad = md_subgradient(x, omegas[t], weights)
+        grad[0] *= frontier.slope(p[0])
+        p = mw_update(p, grad, config.alpha)
+        if not p[0] >= delta:  # NaN fails the comparison, so it lands here too
+            # a zero or NaN entry is absorbing; stop before the frontier sees it
+            require_positive(p[1:])
             # KL projection onto {p0 >= delta}: pin p0, rescale the rest
             p[0] = delta
             p[1:] *= (1.0 - delta) / p[1:].sum()
+    require_positive(p)
     p_avg = total / config.T
 
     x[0] = frontier.q(p_avg[0])
     x[1:] = p_avg[1:]
-    value = worst_case_objective(x, game, n_samples=n_eval_samples, rng=config.seed)
-    return p_avg, value
+    value, stderr = worst_case_objective(
+        x, game, n_samples=n_eval_samples, rng=config.seed, with_error=True
+    )
+    return p_avg, value, stderr

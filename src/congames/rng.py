@@ -32,21 +32,35 @@ class RngSpec:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(ss)
 
-    def with_stream(self, stream: int) -> "RngSpec":
-        return RngSpec(self.seed, stream)
 
+def as_generator(rng, stream: int = 0) -> np.random.Generator:
+    """Coerce an int seed, RngSpec, or Generator into a Generator.
 
-def as_generator(rng) -> np.random.Generator:
-    """Coerce an int seed, RngSpec, or Generator into a Generator."""
+    An int seed selects stream ``stream`` of that seed; RngSpecs and
+    Generators already name their stream and are used as given.
+    """
     if isinstance(rng, np.random.Generator):
         return rng
+    if isinstance(rng, (int, np.integer)):
+        rng = RngSpec(int(rng), stream)
     if isinstance(rng, RngSpec):
         return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RngSpec(int(rng)).generator()
     raise TypeError(f"cannot interpret {rng!r} as a random generator")
 
 
-def substreams(rng, count: int) -> list[np.random.Generator]:
-    """Derive `count` disjoint child generators deterministically."""
-    return as_generator(rng).spawn(count)
+def stream_generators(rng, streams) -> list[np.random.Generator]:
+    """One generator per requested stream id, disjoint and reproducible.
+
+    Integer seeds and RngSpecs give seed-stable streams (the common-random-
+    number path); a Generator is split via ``spawn``.
+    """
+    if isinstance(rng, np.random.Generator):
+        return rng.spawn(len(streams))
+    if isinstance(rng, (int, np.integer)):
+        rng = RngSpec(int(rng))
+    if isinstance(rng, RngSpec):
+        return [
+            np.random.default_rng(np.random.SeedSequence(rng.seed, spawn_key=(rng.stream, s)))
+            for s in streams
+        ]
+    raise TypeError(f"cannot interpret {rng!r} as a random generator")

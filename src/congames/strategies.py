@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameInstance
 from .rng import as_generator
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "Mixture",
     "Strategy",
     "act",
-    "score_for_player",
 ]
 
 SIMPLEX_TOL = 1e-9
@@ -127,11 +125,6 @@ class Mixture:
 
 
 Strategy = Simplex | Score | QuantileThreshold | Mixture
-
-
-def score_for_player(values, game: GameInstance, player: str) -> Score:
-    """Score strategy whose coefficient block is `player`'s private set."""
-    return Score(values, game.partition.private_set(player))
 
 
 def _categorical(p: np.ndarray, gen: np.random.Generator, size: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .game import GameInstance, deterministic_omega, sample_omega
 from .montecarlo import McConfig, StrategyStats, estimate_stats
-from .rng import OMEGA_STREAM, RngSpec
+from .rng import OMEGA_STREAM, as_generator
 from .strategies import Score, Strategy
 
 __all__ = [
@@ -73,9 +73,7 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = 100_000, rng=0):
     if game.partition.b == 0:
         value = float(np.max(deterministic_omega(game) * x))
         return value, 0.0
-    if isinstance(rng, (int, np.integer)):
-        rng = RngSpec(int(rng), OMEGA_STREAM)
-    omegas = sample_omega(game, rng, size=n_samples)
+    omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
     maxima = np.max(omegas * x, axis=1)
     return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))
 
@@ -97,13 +95,18 @@ def worst_case_objective(
         raise ValueError(f"x must have shape ({game.n},)")
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise ValueError("x entries must be finite and non-negative")
+    value, stderr, _ = _objective_terms(x, game, n_samples, rng)
+    if with_error:
+        return value, stderr
+    return value
+
+
+def _objective_terms(x: np.ndarray, game: GameInstance, n_samples: int, rng):
+    """(g(x), standard error of g(x), E[max omega*x]) without input checks."""
     part = game.partition
     base = float(x[part.set_a].sum() + np.dot(game.means[part.a_comp], x[part.a_comp]))
     max_mean, max_stderr = omega_max_mean(x, game, n_samples=n_samples, rng=rng)
-    value = base - 0.5 * max_mean
-    if with_error:
-        return value, 0.5 * max_stderr
-    return value
+    return base - 0.5 * max_mean, 0.5 * max_stderr, max_mean
 
 
 def interleave_stats(stats_a: StrategyStats, game: GameInstance) -> np.ndarray:
@@ -120,13 +123,9 @@ def worst_case_utility(
 ) -> WorstCaseEval:
     """Worst-case expected utility of an A strategy, via its statistics."""
     stats = estimate_stats(strategy_a, game, "A", n_samples=mc.n_samples, rng=mc.seed)
-    x = interleave_stats(stats, game)
-    part = game.partition
-    base = float(stats.q.sum() + np.dot(game.means[part.a_comp], stats.p[part.a_comp]))
-    max_mean, max_stderr = omega_max_mean(x, game, n_samples=mc.n_samples, rng=mc.seed)
+    value, stderr, max_mean = _objective_terms(
+        interleave_stats(stats, game), game, mc.n_samples, mc.seed
+    )
     return WorstCaseEval(
-        value=base - 0.5 * max_mean,
-        mc_samples=mc.n_samples,
-        stderr=0.5 * max_stderr,
-        lambda_max_mean=max_mean,
+        value=value, mc_samples=mc.n_samples, stderr=stderr, lambda_max_mean=max_mean
     )

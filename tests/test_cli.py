@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,50 @@ def test_solvers_agree_on_symmetric_scenario():
     )
     np.testing.assert_allclose(dpp.rows[:, 1], explicit.rows[:, 1], atol=0.05)
     np.testing.assert_allclose(md.rows[:, 1], explicit.rows[:, 1], atol=0.05)
+
+
+# sha256 of the CSV each benchmark smoke sweep prints at seed 0, recorded at
+# the commit that defined the benchmark; any solver refactor must keep them
+SMOKE_SWEEPS = {
+    "worst-dpp-s3": (
+        ["worst", "dpp", "--scenario", "3", "--e1-min", "1.0", "--e1-max", "1.0",
+         "--T", "2000", "--samples", "2000"],
+        "0522a2bca23f4a548f9fc791a52934f88f653026319825086804827cd26e3d49",
+    ),
+    "nash-s3": (
+        ["nash", "--scenario", "3", "--e1-min", "0.5", "--e1-max", "1.5", "--e1-step", "0.5",
+         "--samples", "2000"],
+        "1b76d153de5b1168b8aeda646915a09013006ab7bfd0b5eff6ddf53fb4855276",
+    ),
+    "worst-md-s2": (
+        ["worst", "md", "--scenario", "2", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3",
+         "--T", "500", "--samples", "2000"],
+        "4d956de6db80f2b4e76322b5ee626c1cd028fd5672edb77936ae3803ede0dbe8",
+    ),
+    "worst-a1-s3": (
+        ["worst", "a1", "--scenario", "3", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3",
+         "--T", "500", "--samples", "2000"],
+        "51dbb81817dac7d0f52414033f5695332f96ef0b9de1fe15862c29c639288e2b",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SMOKE_SWEEPS))
+def test_smoke_sweep_csv_is_byte_identical(capsys, workload):
+    argv, expected = SMOKE_SWEEPS[workload]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_step_defaults_per_solver(capsys):
+    assert preset_spec(3, "worst-dpp", [1.0]).alpha == 4.0e4
+    assert preset_spec(3, "worst-dpp", [1.0]).T == 100_000
+    for solver, scenario in (("worst-md", 2), ("worst-a1", 3)):
+        spec = preset_spec(scenario, solver, [1.0])
+        assert (spec.alpha, spec.T) == (50.0, 10_000)
+    assert preset_spec(2, "worst-md", [1.0], alpha=7.0).alpha == 7.0
+    for flag in ("--alpha", "--T"):
+        code, _, err = run_cli(capsys, "worst", "md", "--scenario", "2", flag, "0")
+        assert code == 2
+        assert "must be" in err

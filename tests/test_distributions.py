@@ -51,6 +51,12 @@ def test_point_mass_and_discrete_basics():
     assert d.tail_mean(0.2) == pytest.approx(3.0)
     # at an atom boundary the generalized quantile includes the atom
     assert d.tail_mean(0.25) == pytest.approx(1.5)
+    assert d.tail_mean(0.0) == 3.0
+
+    # a zero-probability atom is never part of the upper tail, even as p -> 0
+    zero_top = Discrete((1.0, 2.0), (1.0, 0.0))
+    assert zero_top.tail_mean(0.0) == 1.0
+    assert zero_top.tail_mean(1e-9) == 1.0
 
 
 @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: type(d).__name__)
@@ -98,6 +104,8 @@ def test_validation_errors():
         Uniform(-1.0, 1.0)
     with pytest.raises(ValueError):
         PointMass(-0.1)
+    with pytest.raises(ValueError):
+        PointMass(float("nan"))
     with pytest.raises(ValueError):
         Discrete((1.0, 2.0), (0.6, 0.6))
     with pytest.raises(ValueError):

@@ -16,60 +16,67 @@ from congames import (
     run_dpp,
     worst_case_objective,
 )
-from congames.dpp import gamma_step, queue_step, sampled_subgradient
+from congames.dpp import _base_weights, box_upper, gamma_step, queue_step, sampled_subgradient
 from congames.game import sample_omega
 from conftest import exp_game, simplex_grid
 
 
+def subgradient(gamma, omega, game):
+    return sampled_subgradient(np.asarray(gamma, float), np.asarray(omega, float), _base_weights(game))
+
+
 def test_subgradient_tie_and_blocks():
     g = exp_game([1.0, 1.0], (1, 0, 1, 0))
-    grad = sampled_subgradient([0.5, 0.5], [1.0, 1.0], g)
+    grad = subgradient([0.5, 0.5], [1.0, 1.0], g)
     np.testing.assert_allclose(grad, [0.5, 1.0])  # tie resolves to index 0
 
 
 def test_subgradient_all_zero_gamma():
     g = exp_game([1.0, 2.0, 1.5], (1, 0, 2, 0))
-    grad = sampled_subgradient(np.zeros(3), np.array([1.0, 0.8, 0.3]), g)
+    grad = subgradient(np.zeros(3), np.array([1.0, 0.8, 0.3]), g)
     assert grad[0] == pytest.approx(1.0 - 0.5)  # index 0 wins the all-tie
     np.testing.assert_allclose(grad[1:], [2.0, 1.5])
 
 
 def test_subgradient_no_private_block():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
-    grad = sampled_subgradient([0.0, 1.0], [1.0, 1.0], g)
+    grad = subgradient([0.0, 1.0], [1.0, 1.0], g)
     np.testing.assert_allclose(grad, [1.0, 0.5])
 
 
 def test_gamma_step_hand_values():
-    g1 = exp_game([1.0], (0, 0, 1, 0))
-    out = gamma_step([0.5], [1.0], [1.0], DppConfig(V=2.0, alpha=2.0, T=1), g1)
+    u1 = box_upper(exp_game([1.0], (0, 0, 1, 0)))
+    one = np.array([1.0])
+    out = gamma_step(np.array([0.5]), one, one, 2.0, 2.0, u1)
     assert out[0] == pytest.approx(0.75)
     # huge queue forces the lower clamp
-    out = gamma_step([0.5], [1e9], [1.0], DppConfig(V=2.0, alpha=2.0, T=1), g1)
+    out = gamma_step(np.array([0.5]), np.array([1e9]), one, 2.0, 2.0, u1)
     assert out[0] == 0.0
     # upper clamp
-    out = gamma_step([1.0], [0.0], [1.0], DppConfig(V=1.0, alpha=1.0, T=1), g1)
+    out = gamma_step(one, np.array([0.0]), one, 1.0, 1.0, u1)
     assert out[0] == 1.0
 
 
 def test_gamma_step_stays_in_box(rng):
-    g = exp_game([2.0, 1.0, 0.5], (1, 1, 1, 0))
-    cfg = DppConfig(V=3.0, alpha=9.0, T=1)
-    upper = np.array([2.0, 1.0, 1.0])
+    upper = box_upper(exp_game([2.0, 1.0, 0.5], (1, 1, 1, 0)))
+    np.testing.assert_array_equal(upper, [2.0, 1.0, 1.0])
     for _ in range(50):
         out = gamma_step(
-            rng.uniform(0, upper), rng.uniform(0, 50, 3), rng.uniform(-3, 3, 3), cfg, g
+            rng.uniform(0, upper), rng.uniform(0, 50, 3), rng.uniform(-3, 3, 3), 3.0, 9.0, upper
         )
         assert np.all(out >= 0) and np.all(out <= upper + 1e-12)
 
 
 def test_queue_step_hand_values():
-    # non-private resource, chosen
-    np.testing.assert_allclose(queue_step([2.0], [0.3], 0, np.zeros(0)), [1.3])
+    # non-private resource, chosen: drains 1
+    np.testing.assert_allclose(queue_step(np.array([2.0]), np.array([0.3]), 0, 1.0), [1.3])
     # clamp at zero
-    np.testing.assert_allclose(queue_step([0.0], [0.0], 0, np.zeros(0)), [0.0])
+    np.testing.assert_allclose(queue_step(np.array([0.0]), np.array([0.0]), 0, 1.0), [0.0])
     # private resource, not chosen: target just accumulates
-    np.testing.assert_allclose(queue_step([1.0, 0.0], [0.5, 0.0], 1, np.array([3.0, 0.0]))[0], 1.5)
+    out = queue_step(np.array([1.0, 0.0]), np.array([0.5, 0.0]), 1, 1.0)
+    assert out[0] == pytest.approx(1.5)
+    # private resource, chosen: drains its observed reward
+    np.testing.assert_allclose(queue_step(np.array([4.0, 1.0]), np.array([0.5, 0.5]), 0, 3.0), [1.5, 1.5])
 
 
 @given(
@@ -81,11 +88,10 @@ def test_queue_step_increase_bounded(qs, action):
     # one step never adds more than the box upper bound u_j
     q = np.asarray(qs)
     action = action % q.size
-    world_x = np.full(1, 5.0)
     u = np.ones(q.size)
     u[0] = 4.0  # pretend resource 0 is private with mean 4
     gamma = np.minimum(u, 0.9 * u)
-    out = queue_step(q, gamma, action, world_x[:1])
+    out = queue_step(q, gamma, action, 5.0 if action == 0 else 1.0)
     assert np.all(out >= 0)
     assert np.all(out <= q + u + 1e-12)
 
@@ -104,7 +110,10 @@ def test_run_deterministic_given_seed():
     m1, d1 = run_dpp(g, DppConfig(V=5.0, alpha=25.0, T=500, seed=21))
     m2, d2 = run_dpp(g, DppConfig(V=5.0, alpha=25.0, T=500, seed=21))
     np.testing.assert_array_equal(m1.values, m2.values)
-    np.testing.assert_array_equal(d1.final_state.queues, d2.final_state.queues)
+    np.testing.assert_array_equal(d1.final_queues, d2.final_queues)
+    np.testing.assert_array_equal(d1.final_gamma, d2.final_gamma)
+    assert np.all(d1.final_queues >= 0)
+    assert np.all((d1.final_gamma >= 0) & (d1.final_gamma <= box_upper(g)))
 
 
 def test_queue_bound_examples():
@@ -161,6 +170,9 @@ def test_config_validation():
     assert not DppConfig(V=2.0, alpha=2.0, T=1).guarantee_holds
     cfg = config_for_epsilon(0.01)
     assert cfg.guarantee_holds and cfg.T == 10_000
+    for epsilon in (1e-4, 3e-4, 1e-3, 0.003, 0.007, 0.03, 0.1, 0.3, 0.9):
+        cfg = config_for_epsilon(epsilon)
+        assert cfg.guarantee_holds and cfg.alpha == cfg.V**2
 
 
 def test_queue_bound_invariant_across_partitions():

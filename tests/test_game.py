@@ -6,7 +6,6 @@ from congames import (
     GameInstance,
     Partition,
     PointMass,
-    expected_rewards,
     sample_omega,
     sample_world,
 )
@@ -31,18 +30,18 @@ def test_partition_layout_and_class_of():
         Partition(0, 0, 0, 0)
 
 
-def test_expected_rewards_examples():
+def test_conditional_means_examples():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
-    np.testing.assert_allclose(expected_rewards(g), [1.0, 1.0])
+    np.testing.assert_allclose(g.means, [1.0, 1.0])
 
     g = GameInstance(Partition(0, 0, 0, 1), (Exponential(1.0),), z=[3.7])
-    np.testing.assert_allclose(expected_rewards(g), [3.7])
+    np.testing.assert_allclose(g.means, [3.7])
 
     g = GameInstance(
         Partition(0, 0, 3, 0),
         (Exponential(0.5), Exponential(1.0), Exponential(1.0)),
     )
-    np.testing.assert_allclose(expected_rewards(g), [2.0, 1.0, 1.0])
+    np.testing.assert_allclose(g.means, [2.0, 1.0, 1.0])
 
 
 def test_game_validation():

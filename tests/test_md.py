@@ -121,3 +121,18 @@ def test_run_with_random_omega_meets_guarantee():
     f_opt = max(value(x) for x in grid)
     stderr = 0.5 * np.max(omegas, axis=1).std(ddof=1) / math.sqrt(omegas.shape[0])
     assert value(p) >= f_opt - md_error_bound(g, cfg.alpha, cfg.T) - 3 * stderr
+
+
+@pytest.mark.parametrize("scenario, solver", [(2, "worst-md"), (3, "worst-a1")])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_tiny_alpha_fails_with_md_error(scenario, solver):
+    # the step size underflows an iterate entry to zero within a few rounds
+    # (numpy warns once the zeros turn into NaN); both loops share the update
+    # and report it with the same error
+    from congames import solve_a1
+    from congames.experiments import preset_spec, scenario_game
+
+    game = scenario_game(preset_spec(scenario, solver, [1.0]), 1.0)
+    solve = run_md if solver == "worst-md" else solve_a1
+    with pytest.raises(ValueError, match="iterates must be strictly positive"):
+        solve(game, MdConfig(alpha=1e-3, T=2000))
