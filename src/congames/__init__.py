@@ -34,7 +34,7 @@ from .montecarlo import (
 from .nash import EquilibriumReport, best_response, iterate_best_response, potential
 from .quantile import TailFrontier, build_strategy_a1, solve_a1, tail_weighted_mean
 from .rng import RngSpec
-from .strategies import Mixture, QuantileThreshold, Score, Simplex, Strategy, act
+from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, act
 from .worstcase import (
     WorstCaseEval,
     worst_case_objective,
@@ -56,7 +56,6 @@ __all__ = [
     "Discrete",
     "RewardDistribution",
     "Simplex",
-    "Score",
     "QuantileThreshold",
     "Mixture",
     "Strategy",

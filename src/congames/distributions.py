@@ -88,8 +88,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not (0 <= self.lo <= self.hi):
-            raise ValueError(f"need 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
+        if not (0 <= self.lo <= self.hi < math.inf):
+            raise ValueError(f"need 0 <= lo <= hi < inf, got [{self.lo}, {self.hi}]")
 
     @property
     def mean(self) -> float:
@@ -140,8 +140,8 @@ class PointMass:
     value: float
 
     def __post_init__(self):
-        if not self.value >= 0:  # also rejects NaN
-            raise ValueError(f"support must be non-negative, got {self.value}")
+        if not 0 <= self.value < math.inf:  # also rejects NaN
+            raise ValueError(f"support must be finite and non-negative, got {self.value}")
 
     @property
     def mean(self) -> float:
@@ -190,9 +190,9 @@ class Discrete:
         pr = np.asarray(self.probs, dtype=float)
         if vals.size == 0 or vals.shape != pr.shape:
             raise ValueError("values and probs must be equal-length and non-empty")
-        if np.any(vals < 0):
-            raise ValueError("support must be non-negative")
-        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-9:
+        if not np.all((vals >= 0) & np.isfinite(vals)):  # also rejects NaN
+            raise ValueError("support must be finite and non-negative")
+        if not (np.all(pr >= 0) and abs(pr.sum() - 1.0) <= 1e-9):
             raise ValueError("probs must be non-negative and sum to 1")
         order = np.argsort(vals, kind="stable")
         object.__setattr__(self, "_sorted_values", vals[order])

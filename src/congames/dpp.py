@@ -16,9 +16,11 @@ u_j = E_j on the private block and 1 elsewhere.  Each round t:
        Q_j <- max(Q_j + gamma_j - realized x_j, 0).
 
 :func:`run` performs steps 2 and 4 with the kernels
-:func:`sampled_subgradient`, :func:`gamma_step` and :func:`queue_step`.
-The emitted strategy is the equiprobable mixture of the T queue-score
-strategies (the all-zero first one included); the final queues and targets
+:func:`congames.worstcase.sampled_subgradient` (the sampled gradient of g,
+shared with mirror descent and A1), :func:`gamma_step` and
+:func:`queue_step`.  The emitted strategy is the equiprobable
+:class:`~congames.strategies.Mixture` of the T queue-score rows (the
+all-zero first one included); the final queues and targets
 are returned on :class:`DppDiagnostics`.  With alpha >= V^2 every queue
 stays below (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j, which is what caps the
 mixture's suboptimality at the error bound of :func:`bound_constants`.
@@ -34,13 +36,13 @@ import numpy as np
 from .game import GameInstance, sample_omega, sample_world
 from .rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture
+from .worstcase import sampled_subgradient
 
 __all__ = [
     "DppConfig",
     "DppDiagnostics",
     "BoundConstants",
     "box_upper",
-    "sampled_subgradient",
     "gamma_step",
     "queue_step",
     "run",
@@ -135,19 +137,6 @@ def _base_weights(game: GameInstance) -> np.ndarray:
 
 # The step kernels take float arrays of length n and do no checks; run()
 # passes v, u, V and alpha fixed for the whole run.
-
-
-def sampled_subgradient(gamma, omega, v) -> np.ndarray:
-    """Subgradient of the sampled objective at gamma for one omega draw.
-
-    ``v`` holds the gross gain per unit of x (1 on the A block, E_j
-    elsewhere); the argmax of gamma * omega loses half its omega weight,
-    lowest index on ties.
-    """
-    grad = v.copy()
-    top = int(np.argmax(gamma * omega))
-    grad[top] -= 0.5 * omega[top]
-    return grad
 
 
 def gamma_step(gamma_prev, queues, grad, V: float, alpha: float, u) -> np.ndarray:

@@ -27,8 +27,9 @@ Strategy files use the same syntax with a ``kind`` selector::
     component: 1 0.5 0.2
     component: 0 1 0
 
-Score/mixture values on the named player's private block multiply the
-observed reward; the rest are constants.
+``kind: score`` is read as a one-component mixture.  Score/mixture values
+on the named player's private block multiply the observed reward; the rest
+are constants.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .distributions import Discrete, Exponential, PointMass, RewardDistribution, Uniform
 from .game import GameInstance, Partition
 from .rng import as_generator
-from .strategies import Mixture, QuantileThreshold, Score, Simplex, Strategy
+from .strategies import Mixture, QuantileThreshold, Simplex, Strategy
 
 __all__ = ["GameFileError", "load_game", "parse_game", "load_strategy", "parse_strategy"]
 
@@ -228,7 +229,7 @@ def parse_strategy(text: str, game: GameInstance) -> Strategy:
         if kind == "score":
             got = single(("player", "values"), {"player", "values"})
             values = _floats(got["values"][1], got["values"][0], "values")
-            return Score(values, private_for(got))
+            return Mixture(values[np.newaxis], private_for(got))
         if kind == "quantile":
             got = single(("tau", "tail"), {"tau", "tail"})
             line_no, raw = got["tau"]

@@ -6,11 +6,13 @@ exactly the probability simplex, and the worst-case objective becomes
     sum_k p_k E_k - 1/2 E[max_k p_k omega_k]
 
 with omega the adversary weight vector.  Each round samples one omega, takes
-the sampled subgradient
+the sampled ascent gradient
 
-    grad_j = -E_j + 1/2 * 1{argmax_k p_k omega_k = j} * omega_j,
+    grad_j = E_j - 1/2 * 1{argmax_k p_k omega_k = j} * omega_j
 
-and applies the entropy-geometry update p_k <- p_k exp(-grad_k / alpha),
+from :func:`congames.worstcase.sampled_subgradient` (the kernel
+drift-plus-penalty and :func:`congames.quantile.solve_a1` use too), and
+applies the entropy-geometry update p_k <- p_k exp(grad_k / alpha),
 renormalized (exponents are max-shifted first, which leaves the value
 unchanged).  The returned vector is the average of the iterates including
 the uniform start; its expected suboptimality is at most
@@ -33,10 +35,10 @@ import numpy as np
 
 from .game import GameInstance, deterministic_omega, sample_omega
 from .rng import OMEGA_STREAM, as_generator
+from .worstcase import sampled_subgradient
 
 __all__ = [
     "MdConfig",
-    "md_subgradient",
     "md_step",
     "mw_update",
     "require_positive",
@@ -59,17 +61,6 @@ class MdConfig:
             raise ValueError("T must be >= 1")
 
 
-def md_subgradient(p, omega, means) -> np.ndarray:
-    """Sampled subgradient of the (minimization-form) objective at p."""
-    p = np.asarray(p, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    means = np.asarray(means, dtype=float)
-    grad = -means.copy()
-    top = int(np.argmax(p * omega))
-    grad[top] += 0.5 * omega[top]
-    return grad
-
-
 def require_positive(p: np.ndarray):
     """Reject an iterate with a zero or NaN entry."""
     if not np.all(p > 0):
@@ -77,15 +68,16 @@ def require_positive(p: np.ndarray):
 
 
 def mw_update(p: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarray:
-    """Bare multiplicative-weights update of float arrays, unchecked."""
-    expo = -grad / alpha
+    """Bare multiplicative-weights ascent step along ``grad``, unchecked."""
+    expo = grad / alpha
     expo -= expo.max()  # value-invariant shift against overflow
     w = p * np.exp(expo)
     return w / w.sum()
 
 
 def md_step(p, grad, alpha: float) -> np.ndarray:
-    """One validated multiplicative-weights update; preserves strict positivity."""
+    """One validated multiplicative-weights ascent step along ``grad``;
+    preserves strict positivity."""
     p = np.asarray(p, dtype=float)
     require_positive(p)
     if not alpha > 0:
@@ -105,7 +97,7 @@ def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:
     total = np.zeros(n)
     for t in range(config.T):
         total += p
-        p = mw_update(p, md_subgradient(p, omegas[t], means), config.alpha)
+        p = mw_update(p, sampled_subgradient(p, omegas[t], means), config.alpha)
     require_positive(p)
     return total / config.T
 

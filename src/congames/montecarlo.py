@@ -10,9 +10,10 @@ matchup:
     utility(A) = sum_A q_A + sum_{A^c} E p_A
                  - 1/2 (sum_A q_A p_B + sum_B p_A q_B + sum_{C+AB} E p_A p_B)
 
-Simplex strategies ignore the world, and any Score strategy of a player with
-no private resources acts deterministically, so both get exact statistics
-without sampling; everything else is averaged over seeded world draws.
+Simplex strategies ignore the world, and a score mixture of a player with no
+private resources picks each row's constant argmax, so both get exact
+statistics without sampling; everything else is averaged over seeded world
+draws.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .game import GameInstance, sample_world
 from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, stream_generators
-from .strategies import Mixture, QuantileThreshold, Score, Simplex, Strategy, batch_actions
+from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, batch_actions
 
 __all__ = [
     "StrategyStats",
@@ -108,8 +109,8 @@ def estimate_stats(
     """Estimate (p, q) for ``strategy`` played by ``player``.
 
     Exact (sample-free) whenever the action cannot depend on the world:
-    Simplex strategies, and Score/Mixture strategies of a player with an
-    empty private block.  Otherwise Monte Carlo over ``n_samples`` worlds,
+    Simplex strategies, and Mixture strategies of a player with an empty
+    private block.  Otherwise Monte Carlo over ``n_samples`` worlds,
     with world draws and action randomization on disjoint streams so that
     repeated calls with one seed share the same worlds.
     """
@@ -122,11 +123,6 @@ def estimate_stats(
     if isinstance(strategy, Simplex):
         p = strategy.p
         return StrategyStats(player, p, means[private] * p[private])
-
-    if isinstance(strategy, Score) and private.size == 0:
-        p = np.zeros(n)
-        p[int(np.argmax(strategy.values))] = 1.0
-        return StrategyStats(player, p, np.zeros(0))
 
     if isinstance(strategy, Mixture) and private.size == 0:
         picks = np.argmax(strategy.values, axis=1)

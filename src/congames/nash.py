@@ -34,7 +34,7 @@ from .montecarlo import (
     estimate_stats,
     expected_utility,
 )
-from .strategies import Score, Simplex, Strategy
+from .strategies import Mixture, Simplex, Strategy
 
 __all__ = [
     "TracePoint",
@@ -65,9 +65,9 @@ class EquilibriumReport:
     converged: bool
 
 
-def best_response(player: str, opp_stats: StrategyStats, game: GameInstance) -> Score:
-    """The score strategy maximizing `player`'s expected utility against
-    an opponent with the given statistics."""
+def best_response(player: str, opp_stats: StrategyStats, game: GameInstance) -> Mixture:
+    """The one-row score strategy maximizing `player`'s expected utility
+    against an opponent with the given statistics."""
     if opp_stats.player == player:
         raise ValueError(f"opponent stats belong to {player}, need the other player")
     part = game.partition
@@ -77,7 +77,7 @@ def best_response(player: str, opp_stats: StrategyStats, game: GameInstance) -> 
     values = means * (1.0 - 0.5 * opp_stats.p)
     values[own] = 1.0 - 0.5 * opp_stats.p[own]  # coefficient on the observed reward
     values[opp] = means[opp] - 0.5 * opp_stats.q
-    return Score(values, own)
+    return Mixture(values[np.newaxis], own)
 
 
 def potential(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance) -> float:

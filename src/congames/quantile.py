@@ -27,10 +27,10 @@ import numpy as np
 
 from .distributions import RewardDistribution
 from .game import GameInstance, sample_omega
-from .md import MdConfig, md_subgradient, mw_update, require_positive
+from .md import MdConfig, mw_update, require_positive
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold
-from .worstcase import worst_case_objective
+from .worstcase import sampled_subgradient, worst_case_objective
 
 __all__ = [
     "TailFrontier",
@@ -116,7 +116,7 @@ def solve_a1(
 
     Runs mirror descent on p with the frontier value q(p0) substituted for
     the resource-0 coordinate, over the simplex restricted to p0 >= delta.
-    Each round takes :func:`~congames.md.md_subgradient` at
+    Each round takes :func:`~congames.worstcase.sampled_subgradient` at
     x = (q(p0), p[1:]) with weight 1 on resource 0, scales its first entry
     by the frontier slope q'(p0) (the chain rule), and applies the shared
     :func:`~congames.md.mw_update`, followed by the KL projection onto
@@ -144,7 +144,7 @@ def solve_a1(
         total += p
         x[0] = frontier.q(p[0])
         x[1:] = p[1:]
-        grad = md_subgradient(x, omegas[t], weights)
+        grad = sampled_subgradient(x, omegas[t], weights)
         grad[0] *= frontier.slope(p[0])
         p = mw_update(p, grad, config.alpha)
         if not p[0] >= delta:  # NaN fails the comparison, so it lands here too

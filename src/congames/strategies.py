@@ -1,24 +1,24 @@
 """Strategy representations and the action rule.
 
-Four strategy forms cover everything the solvers produce:
+Three strategy forms cover everything the solvers produce:
 
 * :class:`Simplex` -- pick resource k with probability p[k], ignoring any
   observation.
-* :class:`Score` -- score every resource and pick the argmax, breaking ties
-  toward the lowest index.  On the acting player's private resources the
-  score is ``values[k] * observed_reward[k]``; elsewhere it is the constant
-  ``values[k]``.  Best responses and the virtual-queue strategies both take
-  this form.
 * :class:`QuantileThreshold` -- for a player observing exactly resource 0:
   pick resource 0 when its reward clears a threshold, otherwise draw from a
   fixed simplex over the remaining resources.
-* :class:`Mixture` -- an equiprobable mixture of Score strategies, stored as
-  one matrix of score vectors.
+* :class:`Mixture` -- draw one row of a score matrix uniformly at random,
+  score every resource by it and pick the argmax, breaking ties toward the
+  lowest index.  On the acting player's private resources the score is
+  ``values[i, k] * observed_reward[k]``; elsewhere it is the constant
+  ``values[i, k]``.  A one-row mixture is deterministic: best responses and
+  the worst-case opponent take that form, and drift-plus-penalty emits the
+  T-row mixture of its virtual-queue strategies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .rng import as_generator
 
 __all__ = [
     "Simplex",
-    "Score",
     "QuantileThreshold",
     "Mixture",
     "Strategy",
@@ -37,7 +36,7 @@ SIMPLEX_TOL = 1e-9
 
 
 def _check_simplex(p: np.ndarray, what: str, tol: float = SIMPLEX_TOL):
-    if np.any(p < 0) or abs(p.sum() - 1.0) > tol:
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= tol):  # also rejects NaN
         raise ValueError(f"{what} must be a probability vector (sum 1 within {tol:g})")
 
 
@@ -54,28 +53,6 @@ class Simplex:
 
 
 @dataclass(frozen=True)
-class Score:
-    """Argmax strategy; ``values[private]`` multiply the observed rewards."""
-
-    values: np.ndarray
-    private: np.ndarray  # global indices of the acting player's private block
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        private = np.asarray(self.private, dtype=int).reshape(-1)
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("score values must be finite and non-negative")
-        if private.size and (private.min() < 0 or private.max() >= values.size):
-            raise ValueError("private indices out of range")
-        values = values.copy()
-        values.setflags(write=False)
-        private = private.copy()
-        private.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "private", private)
-
-
-@dataclass(frozen=True)
 class QuantileThreshold:
     """Pick resource 0 iff its observed reward is >= ``tau``; otherwise draw
     from ``tail``, a simplex over resources 1..n-1."""
@@ -84,6 +61,8 @@ class QuantileThreshold:
     tail: np.ndarray
 
     def __post_init__(self):
+        if np.isnan(self.tau):
+            raise ValueError("QuantileThreshold.tau must not be NaN")
         tail = np.asarray(self.tail, dtype=float).reshape(-1)
         if tail.size:
             _check_simplex(tail, "QuantileThreshold.tail")
@@ -91,17 +70,14 @@ class QuantileThreshold:
         tail.setflags(write=False)
         object.__setattr__(self, "tail", tail)
 
-    @property
-    def private(self) -> np.ndarray:
-        return np.array([0])
-
 
 @dataclass(frozen=True)
 class Mixture:
-    """Equiprobable mixture of Score strategies, one row per component."""
+    """Equiprobable mixture of argmax strategies, one score row per component;
+    ``values[:, private]`` multiply the observed rewards."""
 
     values: np.ndarray  # shape (m, n)
-    private: np.ndarray
+    private: np.ndarray  # global indices of the acting player's private block
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -110,6 +86,8 @@ class Mixture:
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("score values must be finite and non-negative")
         private = np.asarray(self.private, dtype=int).reshape(-1)
+        if private.size and (private.min() < 0 or private.max() >= values.shape[1]):
+            raise ValueError("private indices out of range")
         values = values.copy()
         values.setflags(write=False)
         private = private.copy()
@@ -120,11 +98,8 @@ class Mixture:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def component(self, i: int) -> Score:
-        return Score(self.values[i], self.private)
 
-
-Strategy = Simplex | Score | QuantileThreshold | Mixture
+Strategy = Simplex | QuantileThreshold | Mixture
 
 
 def _categorical(p: np.ndarray, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -158,12 +133,6 @@ def batch_actions(strategy: Strategy, obs: np.ndarray, rng=None) -> np.ndarray:
     rows = obs.shape[0]
     if isinstance(strategy, Simplex):
         return _categorical(strategy.p, _need_generator(rng, strategy), rows)
-    if isinstance(strategy, Score):
-        _check_observation(obs, strategy.private.size, "Score")
-        scores = np.tile(strategy.values, (rows, 1))
-        if strategy.private.size:
-            scores[:, strategy.private] = strategy.values[strategy.private] * obs
-        return np.argmax(scores, axis=1)
     if isinstance(strategy, QuantileThreshold):
         _check_observation(obs, 1, "QuantileThreshold")
         take_first = obs[:, 0] >= strategy.tau
@@ -177,11 +146,14 @@ def batch_actions(strategy: Strategy, obs: np.ndarray, rng=None) -> np.ndarray:
         return actions
     if isinstance(strategy, Mixture):
         _check_observation(obs, strategy.private.size, "Mixture")
-        gen = _need_generator(rng, strategy)
-        comp = gen.integers(len(strategy), size=rows)
-        scores = strategy.values[comp]
+        values = strategy.values
+        if len(strategy) == 1:  # deterministic: no draw, no rng needed
+            scores = np.repeat(values, rows, axis=0)
+        else:
+            comp = _need_generator(rng, strategy).integers(len(strategy), size=rows)
+            scores = np.take(values, comp, axis=0)
         if strategy.private.size:
-            scores[:, strategy.private] = scores[:, strategy.private] * obs
+            scores[:, strategy.private] *= obs
         return np.argmax(scores, axis=1)
     raise TypeError(f"unknown strategy type {type(strategy).__name__}")
 

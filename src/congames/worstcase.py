@@ -16,6 +16,10 @@ with omega the adversary weight vector of :func:`congames.game.sample_omega`.
 g is concave, entry-wise non-decreasing, and Lipschitz with weights 3/2 on
 the A block and 3/2 E_k elsewhere.  The max term is exact when the B block
 is empty and Monte Carlo estimated otherwise.
+
+:func:`sampled_subgradient` is the one sampled (ascent) gradient of g for a
+single omega draw; the drift-plus-penalty, mirror-descent and A1 solvers all
+step along it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from .game import GameInstance, deterministic_omega, sample_omega
 from .montecarlo import McConfig, StrategyStats, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
-from .strategies import Score, Strategy
+from .strategies import Mixture, Strategy
 
 __all__ = [
     "WorstCaseEval",
@@ -35,6 +39,7 @@ __all__ = [
     "worst_case_objective",
     "worst_case_utility",
     "omega_max_mean",
+    "sampled_subgradient",
 ]
 
 
@@ -48,8 +53,9 @@ class WorstCaseEval:
     lambda_max_mean: float  # estimate of E[max_k lambda_k]
 
 
-def worst_case_response(stats_a: StrategyStats, game: GameInstance) -> Score:
-    """The opponent strategy minimizing A's expected utility given A's stats.
+def worst_case_response(stats_a: StrategyStats, game: GameInstance) -> Mixture:
+    """The one-row score strategy of B minimizing A's expected utility given
+    A's stats.
 
     This adversary is granted exact knowledge of A's (p, q); a B player
     without that knowledge may not realize it, so the resulting utility for
@@ -61,7 +67,20 @@ def worst_case_response(stats_a: StrategyStats, game: GameInstance) -> Score:
     values = game.means * stats_a.p
     values[part.set_a] = stats_a.q
     values[part.set_b] = stats_a.p[part.set_b]  # coefficient on B's observed reward
-    return Score(values, part.set_b)
+    return Mixture(values[np.newaxis], part.set_b)
+
+
+def sampled_subgradient(x: np.ndarray, omega: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of w.x - max_k(omega_k x_k)/2 at x for one omega draw.
+
+    ``w`` holds the gross gain per unit of x (1 on the A block, E_k
+    elsewhere, for g itself); the argmax of x * omega loses half its omega
+    weight, lowest index on ties.  Takes float arrays and does no checks.
+    """
+    grad = w.copy()
+    top = int(np.argmax(x * omega))
+    grad[top] -= 0.5 * omega[top]
+    return grad
 
 
 def omega_max_mean(x, game: GameInstance, n_samples: int = 100_000, rng=0):

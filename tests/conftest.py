@@ -7,7 +7,6 @@ from congames import (
     Partition,
     Mixture,
     QuantileThreshold,
-    Score,
     Simplex,
     StrategyStats,
 )
@@ -46,8 +45,8 @@ def random_strategy(game, player, rng, kinds=("simplex", "score", "mixture")):
     kind = kinds[rng.integers(len(kinds))]
     if kind == "simplex":
         return Simplex(random_simplex(game.n, rng))
-    if kind == "score":
-        return Score(rng.uniform(0.05, 2.0, game.n), private)
+    if kind == "score":  # one-row mixture: deterministic given the observation
+        return Mixture(rng.uniform(0.05, 2.0, (1, game.n)), private)
     if kind == "mixture":
         rows = rng.integers(2, 5)
         return Mixture(rng.uniform(0.05, 2.0, (rows, game.n)), private)

@@ -116,6 +116,30 @@ def test_evaluate_modes(tmp_path, capsys):
     assert float(report["utility_a"]) == pytest.approx(0.75, abs=0.02)
 
 
+def test_evaluate_score_file_is_one_row_mixture(tmp_path, capsys):
+    # A observes resource 1 and B resource 2, so both modes sample worlds
+    game = tmp_path / "game.txt"
+    game.write_text(
+        "n: 3\npartition: 1 1 1 0\ndist 1: exponential rate=1.0\n"
+        "dist 2: uniform lo=0.0 hi=2.0\ndist 3: pointmass value=0.8\n"
+    )
+    score = tmp_path / "score.txt"
+    score.write_text("kind: score\nplayer: A\nvalues: 1 0.7 0.75\n")
+    mixture = tmp_path / "mixture.txt"
+    mixture.write_text("kind: mixture\nplayer: A\ncomponent: 1 0.7 0.75\n")
+    for mode in ("stats", "vs-worst-case"):
+        outs = []
+        for strat in (score, mixture):
+            code, out, err = run_cli(
+                capsys, "evaluate", "--game", str(game), "--strategy", str(strat),
+                "--mode", mode, "--samples", "5000", "--seed", "3",
+            )
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].strip()
+
+
 def test_evaluate_parse_error_exit_code(tmp_path, capsys):
     game = tmp_path / "game.txt"
     game.write_text("n: 2\nbogus: 1\n")

@@ -103,12 +103,21 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         Uniform(-1.0, 1.0)
     with pytest.raises(ValueError):
+        Uniform(0.0, math.inf)
+    with pytest.raises(ValueError):
         PointMass(-0.1)
     with pytest.raises(ValueError):
         PointMass(float("nan"))
     with pytest.raises(ValueError):
+        PointMass(math.inf)
+    with pytest.raises(ValueError):
         Discrete((1.0, 2.0), (0.6, 0.6))
     with pytest.raises(ValueError):
         Discrete((-1.0, 2.0), (0.5, 0.5))
+    for bad_atom in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Discrete((bad_atom, 2.0), (0.5, 0.5))
+    with pytest.raises(ValueError):
+        Discrete((1.0, 2.0), (math.nan, 1.0))
     with pytest.raises(ValueError):
         Exponential(1.0).quantile(1.5)

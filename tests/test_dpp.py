@@ -16,8 +16,9 @@ from congames import (
     run_dpp,
     worst_case_objective,
 )
-from congames.dpp import _base_weights, box_upper, gamma_step, queue_step, sampled_subgradient
+from congames.dpp import _base_weights, box_upper, gamma_step, queue_step
 from congames.game import sample_omega
+from congames.worstcase import sampled_subgradient
 from conftest import exp_game, simplex_grid
 
 
@@ -42,6 +43,17 @@ def test_subgradient_no_private_block():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     grad = subgradient([0.0, 1.0], [1.0, 1.0], g)
     np.testing.assert_allclose(grad, [1.0, 0.5])
+
+
+def test_subgradient_examples():
+    # the weights mirror descent passes (w = E) and the ascent sign it uses
+    def kernel(x, omega, w):
+        return sampled_subgradient(*(np.asarray(v, float) for v in (x, omega, w)))
+
+    np.testing.assert_allclose(kernel([1.0, 0.0], [2.0, 1.0], [2.0, 1.0]), [1.0, 1.0])
+    # equal products tie to index 0
+    np.testing.assert_allclose(kernel([0.5, 0.5], [0.8, 0.8], [1.0, 1.0]), [1.0 - 0.4, 1.0])
+    np.testing.assert_allclose(kernel([0.5, 0.5], [0.0, 0.0], [1.0, 2.0]), [1.0, 2.0])
 
 
 def test_gamma_step_hand_values():

@@ -8,7 +8,6 @@ from congames import (
     Mixture,
     PointMass,
     QuantileThreshold,
-    Score,
     Simplex,
     Uniform,
     load_game,
@@ -114,7 +113,8 @@ def test_parse_strategies():
     assert isinstance(s, Simplex)
 
     s = parse_strategy("kind: score\nplayer: A\nvalues: 1.0 0.7 0.75\n", g)
-    assert isinstance(s, Score)
+    assert isinstance(s, Mixture)  # a score file is a one-component mixture
+    np.testing.assert_array_equal(s.values, [[1.0, 0.7, 0.75]])
     np.testing.assert_array_equal(s.private, [0])
 
     s = parse_strategy("kind: score\nplayer: B\nvalues: 1.0 0.7 0.75\n", g)
@@ -136,6 +136,7 @@ def test_parse_strategies():
         ("p: 0.5 0.5 0\n", "missing required key 'kind'"),
         ("kind: simplex\n", "requires key 'p'"),
         ("kind: simplex\np: 0.5 0.6 0\n", "probability vector"),
+        ("kind: simplex\np: nan 1 0\n", "probability vector"),
         ("kind: score\nvalues: 1 1 1\n", "requires key 'player'"),
         ("kind: score\nplayer: Q\nvalues: 1 1 1\n", "player must be A or B"),
         ("kind: simplex\np: 0.5 0.5 0\nextra: 1\n", "unknown key"),

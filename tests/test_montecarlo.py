@@ -6,10 +6,10 @@ import pytest
 from congames import (
     Exponential,
     GameInstance,
+    Mixture,
     Partition,
     PointMass,
     QuantileThreshold,
-    Score,
     Simplex,
     StrategyStats,
     estimate_stats,
@@ -34,7 +34,7 @@ def test_simplex_stats_exact():
 def test_score_dominant_private_resource():
     # coefficient 1 on resource 0, constant 0 elsewhere: resource 0 always wins
     g = exp_game([1.0, 1.0], (1, 0, 1, 0))
-    s = Score([1.0, 0.0], private=[0])
+    s = Mixture([[1.0, 0.0]], private=[0])
     stats = estimate_stats(s, g, "A", n_samples=200_000, rng=2)
     np.testing.assert_allclose(stats.p, [1.0, 0.0])
     assert stats.q[0] == pytest.approx(1.0, abs=0.02)
@@ -52,13 +52,13 @@ def test_quantile_threshold_stats_match_tail_formula():
 
 def test_deterministic_score_exact_when_no_private_block():
     g = exp_game([1.0, 2.0, 0.5], (0, 0, 3, 0))
-    stats = estimate_stats(Score([0.1, 0.9, 0.5], private=[]), g, "A", n_samples=1)
+    stats = estimate_stats(Mixture([[0.1, 0.9, 0.5]], private=[]), g, "A", n_samples=1)
     np.testing.assert_array_equal(stats.p, [0.0, 1.0, 0.0])
 
 
 def test_estimate_stats_player_mismatch():
     g = exp_game([1.0, 1.0], (1, 1, 0, 0))
-    s = Score([1.0, 1.0], private=[0])  # an A strategy
+    s = Mixture([[1.0, 1.0]], private=[0])  # an A strategy
     with pytest.raises(ValueError):
         estimate_stats(s, g, "B")
 
@@ -123,7 +123,7 @@ def test_stats_invariants_on_random_strategies(rng):
 
 def test_estimation_determinism():
     g = exp_game([1.0, 2.0], (1, 0, 1, 0))
-    s = Score([0.9, 1.1], private=[0])
+    s = Mixture([[0.9, 1.1]], private=[0])
     a = estimate_stats(s, g, "A", n_samples=5000, rng=77)
     b = estimate_stats(s, g, "A", n_samples=5000, rng=77)
     np.testing.assert_array_equal(a.p, b.p)
@@ -132,8 +132,8 @@ def test_estimation_determinism():
 
 def test_simulation_determinism():
     g = exp_game([1.0, 2.0], (1, 1, 0, 0))
-    sa = Score([0.9, 1.1], private=[0])
-    sb = Score([1.2, 0.8], private=[1])
+    sa = Mixture([[0.9, 1.1]], private=[0])
+    sb = Mixture([[1.2, 0.8]], private=[1])
     assert simulate_payoff(sa, sb, g, 4000, rng=5) == simulate_payoff(sa, sb, g, 4000, rng=5)
 
 

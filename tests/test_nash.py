@@ -18,7 +18,7 @@ def test_best_response_all_shared():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     opp = StrategyStats("B", [1.0, 0.0], [])
     br = best_response("A", opp, g)
-    np.testing.assert_allclose(br.values, [0.5, 1.0])
+    np.testing.assert_allclose(br.values, [[0.5, 1.0]])  # one deterministic row
     assert br.private.size == 0  # picks resource 2
 
 
@@ -26,14 +26,14 @@ def test_best_response_mixed_blocks():
     g = exp_game([1.0, 1.0], (0, 1, 1, 0))
     opp = StrategyStats("B", [0.5, 0.5], [0.6])
     br = best_response("A", opp, g)
-    np.testing.assert_allclose(br.values, [0.7, 0.75])
+    np.testing.assert_allclose(br.values, [[0.7, 0.75]])
 
 
 def test_best_response_private_coefficient():
     g = exp_game([1.0, 1.0], (1, 0, 1, 0))
     opp = StrategyStats("B", [1.0, 0.0], [])
     br = best_response("A", opp, g)
-    assert br.values[0] == pytest.approx(0.5)
+    assert br.values[0, 0] == pytest.approx(0.5)
     np.testing.assert_array_equal(br.private, [0])
 
 

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congames import Mixture, QuantileThreshold, Score, Simplex, act
+from congames import Mixture, QuantileThreshold, Simplex, act
 from congames.strategies import batch_actions
 
 
 def test_score_constant_argmax():
-    # no private resources: pure constant argmax
-    assert act(Score([1.0, 2.0], private=[]), []) == 1
+    # one-row mixture, no private resources: pure constant argmax, no rng
+    assert act(Mixture([[1.0, 2.0]], private=[]), []) == 1
 
 
 def test_score_coefficient_and_tie():
-    s = Score([1.0, 2.0], private=[0])
+    s = Mixture([[1.0, 2.0]], private=[0])
     assert act(s, [3.0]) == 0  # 3 > 2
     assert act(s, [2.0]) == 0  # tie at 2: lowest index wins
     assert act(s, [1.0]) == 1
@@ -37,7 +37,7 @@ def test_simplex_needs_rng():
 
 
 def test_observation_length_mismatch():
-    s = Score([1.0, 2.0], private=[0])
+    s = Mixture([[1.0, 2.0]], private=[0])
     with pytest.raises(ValueError):
         act(s, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -50,16 +50,25 @@ def test_simplex_validation():
     with pytest.raises(ValueError):
         Simplex([1.5, -0.5])
     with pytest.raises(ValueError):
-        Score([1.0, -1.0], private=[])
+        Simplex([np.nan, 1.0])
+    with pytest.raises(ValueError):
+        Mixture([[1.0, -1.0]], private=[])
     with pytest.raises(ValueError):
         Mixture(np.zeros((0, 2)), private=[])
+    with pytest.raises(ValueError):
+        Mixture([1.0, 2.0], private=[])  # one row is a (1, n) array
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match="private indices"):
+            Mixture([[1.0, 2.0]], private=[bad])
+    with pytest.raises(ValueError):
+        QuantileThreshold(np.nan, [1.0])
+    for tau in (-np.inf, np.inf):
+        assert QuantileThreshold(tau, [1.0]).tau == tau
 
 
 def test_mixture_components_and_uniform_choice():
     mix = Mixture([[1.0, 0.0], [0.0, 1.0]], private=[])
-    comp = mix.component(1)
-    assert isinstance(comp, Score)
-    assert act(comp, []) == 1
+    assert act(Mixture(mix.values[1:], mix.private), []) == 1
     acts = batch_actions(mix, np.zeros((20_000, 0)), rng=4)
     assert abs(np.mean(acts == 0) - 0.5) < 0.02
 
@@ -72,9 +81,10 @@ def test_simplex_action_frequencies():
 
 
 def test_batch_determinism():
-    s = QuantileThreshold(1.0, [0.4, 0.6])
     obs = np.linspace(0, 3, 50).reshape(-1, 1)
-    np.testing.assert_array_equal(batch_actions(s, obs, rng=3), batch_actions(s, obs, rng=3))
+    mix = Mixture([[1.0, 1.5, 0.2], [0.5, 0.1, 1.0], [2.0, 0.0, 0.3]], private=[0])
+    for s in (QuantileThreshold(1.0, [0.4, 0.6]), mix):
+        np.testing.assert_array_equal(batch_actions(s, obs, rng=3), batch_actions(s, obs, rng=3))
 
 
 @given(
@@ -90,6 +100,6 @@ def test_tie_breaking_is_lowest_index(values, i, j):
     top = max(values)
     values[i] = top
     values[j] = top
-    chosen = act(Score(values, private=[]), [])
+    chosen = act(Mixture([values], private=[]), [])
     argmax_set = [k for k, v in enumerate(values) if v == top]
     assert chosen == min(argmax_set)

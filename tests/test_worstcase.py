@@ -19,14 +19,14 @@ from conftest import exp_game, random_simplex, random_strategy
 def test_worst_case_response_all_shared():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     br = worst_case_response(StrategyStats("A", [1.0, 0.0], []), g)
-    np.testing.assert_allclose(br.values, [1.0, 0.0])
+    np.testing.assert_allclose(br.values, [[1.0, 0.0]])  # one deterministic row
     assert act(br, []) == 0  # adversary collides on A's resource
 
 
 def test_worst_case_response_mixed_blocks():
     g = exp_game([1.0, 1.0], (1, 0, 1, 0))
     br = worst_case_response(StrategyStats("A", [0.1, 0.9], [0.2]), g)
-    np.testing.assert_allclose(br.values, [0.2, 0.9])
+    np.testing.assert_allclose(br.values, [[0.2, 0.9]])
     assert act(br, []) == 1
 
 
