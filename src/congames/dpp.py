@@ -18,10 +18,14 @@ u_j = E_j on the private block and 1 elsewhere.  Each round t:
 :func:`run` performs steps 2 and 4 with the kernels
 :func:`congames.worstcase.sampled_subgradient` (the sampled gradient of g,
 shared with mirror descent and A1), :func:`gamma_step` and
-:func:`queue_step`.  The emitted strategy is the equiprobable
-:class:`~congames.strategies.Mixture` of the T queue-score rows (the
-all-zero first one included); the final queues and targets
-are returned on :class:`DppDiagnostics`.  With alpha >= V^2 every queue
+:func:`queue_step`.  The kernels take and return Python lists of floats:
+at n = 3 a numpy call costs more in dispatch than in arithmetic.  Each
+stream's T draws are still sampled in one call and are read as lists a
+chunk of rows at a time (:func:`congames.game.draw_rows`); the queue
+history is kept in a compact float buffer.  The emitted strategy is the
+equiprobable :class:`~congames.strategies.Mixture` of the T queue-score rows
+(the all-zero first one included); the final queues and targets are
+returned on :class:`DppDiagnostics`.  With alpha >= V^2 every queue
 stays below (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j, which is what caps the
 mixture's suboptimality at the error bound of :func:`bound_constants`.
 """
@@ -29,11 +33,12 @@ mixture's suboptimality at the error bound of :func:`bound_constants`.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, sample_omega, sample_world
+from .game import GameInstance, draw_rows, sample_omega, sample_world
 from .rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture
 from .worstcase import sampled_subgradient
@@ -52,6 +57,8 @@ __all__ = [
 ]
 
 QUEUE_BOUND_TOL = 1e-9
+# run() refuses a T whose up-front draws and history would exceed this
+UPFRONT_BUDGET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -135,76 +142,95 @@ def _base_weights(game: GameInstance) -> np.ndarray:
     return v
 
 
-# The step kernels take float arrays of length n and do no checks; run()
-# passes v, u, V and alpha fixed for the whole run.
+# The step kernels take length-n float sequences, return lists and do no
+# checks; run() passes v, u, V and alpha fixed for the whole run.  Each
+# comparison is written so that a -0.0 input comes out as +0.0, as numpy's
+# clip and maximum return it, which keeps the bits of the array version.
 
 
-def gamma_step(gamma_prev, queues, grad, V: float, alpha: float, u) -> np.ndarray:
+def gamma_step(gamma_prev, queues, grad, V: float, alpha: float, u) -> list[float]:
     """Projected proximal step of the auxiliary target vector onto [0, u]."""
-    return np.clip(gamma_prev - (queues - V * grad) / (2.0 * alpha), 0.0, u)
+    out = []
+    for g, q, d, hi in zip(gamma_prev, queues, grad, u):
+        y = g - (q - V * d) / (2.0 * alpha)
+        y = y if y > 0.0 else 0.0
+        out.append(y if y < hi else hi)
+    return out
 
 
-def queue_step(queues, gamma, action: int, drain: float) -> np.ndarray:
+def queue_step(queues, gamma, action: int, drain: float) -> list[float]:
     """Queue update: add the target, subtract the realized amount, floor at 0.
 
     ``drain`` is what the chosen resource realized: its sampled reward X_j
     for a resource on the A block, 1 for any other resource.
     """
-    out = queues + gamma
+    out = [q + g for q, g in zip(queues, gamma)]
     out[action] -= drain
-    return np.maximum(out, 0.0, out=out)
+    return [y if y > 0.0 else 0.0 for y in out]
 
 
 def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]:
-    """Generate the equiprobable mixture of T queue-score strategies."""
+    """Generate the equiprobable mixture of T queue-score strategies.
+
+    Raises ValueError, before drawing anything, when the run's up-front
+    draws and queue history would exceed :data:`UPFRONT_BUDGET_BYTES`.
+    """
     n = game.n
     a = game.partition.a
     V, alpha, T = config.V, config.alpha, config.T
+    # T x n omega draws, T x n world draws when A has a private block, and
+    # the T x n queue history are allocated before the first round
+    need = T * n * 8 * (3 if a else 2)
+    if need > UPFRONT_BUDGET_BYTES:
+        raise ValueError(
+            f"dpp run with T={T}, n={n} needs {need / 2**20:.0f} MiB up front, "
+            f"over the {UPFRONT_BUDGET_BYTES / 2**20:.0f} MiB budget; use a smaller T"
+        )
 
     world_gen, omega_gen = stream_generators(config.seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T)[:, :a] if a else np.zeros((T, 0))
     omega_draws = sample_omega(game, omega_gen, size=T)
 
-    u = box_upper(game)
-    v = _base_weights(game)
+    u = box_upper(game).tolist()
+    v = _base_weights(game).tolist()
     bound = queue_bound(game, alpha)
-    limit = bound + QUEUE_BOUND_TOL
+    record = config.record_diagnostics
 
-    queues = np.zeros(n)
-    gamma = np.zeros(n)
-    q_history = np.empty((T, n))
-    realized_sum = np.zeros(n)
-    violations = 0
-    max_queue = np.empty(T) if config.record_diagnostics else None
-    actions = np.empty(T, dtype=int) if config.record_diagnostics else None
+    queues = [0.0] * n
+    gamma = [0.0] * n
+    history = array("d")
+    realized_sum = [0.0] * n
+    actions = array("q")
 
-    for t in range(T):
-        grad = sampled_subgradient(gamma, omega_draws[t], v)
+    for omega, x in zip(draw_rows(omega_draws), draw_rows(x_draws)):
+        grad = sampled_subgradient(gamma, omega, v)
         gamma = gamma_step(gamma, queues, grad, V, alpha, u)
 
-        scores = queues.copy()
-        if a:
-            scores[:a] = queues[:a] * x_draws[t]
-        action = int(np.argmax(scores))
-        q_history[t] = queues
+        scores = [q * xk for q, xk in zip(queues, x)] + queues[a:]
+        action = scores.index(max(scores))
+        history.extend(queues)
 
-        drain = x_draws[t, action] if action < a else 1.0
+        drain = x[action] if action < a else 1.0
         realized_sum[action] += drain
         queues = queue_step(queues, gamma, action, drain)
+        if record:
+            actions.append(action)
 
-        violations += int(np.count_nonzero(queues > limit))
-        if config.record_diagnostics:
-            max_queue[t] = q_history[t].max()
-            actions[t] = action
-
+    q_history = np.frombuffer(history, dtype=float).reshape(T, n)
+    final_queues = np.array(queues)
+    # the queues after round t are the history row of round t + 1
+    limit = bound + QUEUE_BOUND_TOL
+    violations = int(
+        np.count_nonzero(q_history[1:] > limit) + np.count_nonzero(final_queues > limit)
+    )
     diagnostics = DppDiagnostics(
         queue_bound=bound,
         violations=violations,
-        avg_realized=realized_sum / T,
-        final_queues=queues,
-        final_gamma=gamma,
-        max_queue=max_queue,
-        actions=actions,
+        avg_realized=np.array(realized_sum) / T,
+        final_queues=final_queues,
+        final_gamma=np.array(gamma),
+        max_queue=q_history.max(axis=1) if record else None,
+        actions=np.array(actions, dtype=int) if record else None,
     )
     return Mixture(q_history, game.partition.set_a), diagnostics
 

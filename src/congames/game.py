@@ -28,7 +28,11 @@ __all__ = [
     "GameInstance",
     "sample_world",
     "sample_omega",
+    "draw_rows",
 ]
+
+# rows that draw_rows converts to Python floats at a time
+DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -184,3 +188,13 @@ def deterministic_omega(game: GameInstance) -> np.ndarray:
     out = game.means.copy()
     out[game.partition.set_a] = 1.0
     return out
+
+
+def draw_rows(draws: np.ndarray):
+    """Yield the rows of a ``(T, n)`` draw array as lists of floats.
+
+    The solver loops step on Python floats; rows are converted DRAW_CHUNK at
+    a time, so only one chunk of them exists as Python objects at once.
+    """
+    for start in range(0, len(draws), DRAW_CHUNK):
+        yield from draws[start : start + DRAW_CHUNK].tolist()

@@ -19,6 +19,11 @@ the uniform start; its expected suboptimality is at most
 
     C / (2 alpha) + alpha ln(n) / T,    C = 2 max(E)^2 + E[max_k omega_k^2]/2.
 
+The gradient is taken on Python floats (the iterate as a list, the omega
+draws read a chunk of rows at a time by :func:`congames.game.draw_rows`);
+the update itself stays in numpy on ``np.exp``, whose results differ from
+``math.exp`` in the last bit on some inputs.
+
 The loop runs the unchecked :func:`mw_update`, which
 :func:`congames.quantile.solve_a1` shares, and checks positivity once, after
 the last round: a zero or NaN entry is absorbing under the update
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, deterministic_omega, sample_omega
+from .game import GameInstance, deterministic_omega, draw_rows, sample_omega
 from .rng import OMEGA_STREAM, as_generator
 from .worstcase import sampled_subgradient
 
@@ -67,9 +72,14 @@ def require_positive(p: np.ndarray):
         raise ValueError("mirror-descent iterates must be strictly positive")
 
 
-def mw_update(p: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarray:
-    """Bare multiplicative-weights ascent step along ``grad``, unchecked."""
-    expo = grad / alpha
+def mw_update(p: np.ndarray, grad, alpha: float) -> np.ndarray:
+    """Bare multiplicative-weights ascent step along ``grad``, unchecked.
+
+    ``grad`` may be a list, as :func:`~congames.worstcase.sampled_subgradient`
+    returns it.  The step stays on ``np.exp``: ``math.exp`` differs from it
+    in the last bit on some inputs, which would change every later iterate.
+    """
+    expo = np.asarray(grad, dtype=float) / alpha
     expo -= expo.max()  # value-invariant shift against overflow
     w = p * np.exp(expo)
     return w / w.sum()
@@ -82,7 +92,7 @@ def md_step(p, grad, alpha: float) -> np.ndarray:
     require_positive(p)
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    return mw_update(p, np.asarray(grad, dtype=float), alpha)
+    return mw_update(p, grad, alpha)
 
 
 def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:
@@ -90,14 +100,14 @@ def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:
     if game.partition.a != 0:
         raise ValueError("mirror descent applies only when player A has no private block")
     n = game.n
-    means = game.means
+    means = game.means.tolist()
     omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
 
     p = np.full(n, 1.0 / n)
     total = np.zeros(n)
-    for t in range(config.T):
+    for omega in draw_rows(omegas):
         total += p
-        p = mw_update(p, sampled_subgradient(p, omegas[t], means), config.alpha)
+        p = mw_update(p, sampled_subgradient(p.tolist(), omega, means), config.alpha)
     require_positive(p)
     return total / config.T
 

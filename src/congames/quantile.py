@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import RewardDistribution
-from .game import GameInstance, sample_omega
+from .game import GameInstance, draw_rows, sample_omega
 from .md import MdConfig, mw_update, require_positive
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold
@@ -133,19 +133,17 @@ def solve_a1(
     frontier = TailFrontier(game.distributions[0])
     n = game.n
     # gross gain per unit of x: 1 for the rate q(p0), E_k for the other picks
-    weights = game.means.copy()
+    weights = game.means.tolist()
     weights[0] = 1.0
     omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
 
     p = np.full(n, 1.0 / n)
     total = np.zeros(n)
-    x = np.empty(n)
-    for t in range(config.T):
+    for omega in draw_rows(omegas):
         total += p
-        x[0] = frontier.q(p[0])
-        x[1:] = p[1:]
-        grad = sampled_subgradient(x, omegas[t], weights)
-        grad[0] *= frontier.slope(p[0])
+        p0, *rest = p.tolist()
+        grad = sampled_subgradient([frontier.q(p0), *rest], omega, weights)
+        grad[0] *= frontier.slope(p0)
         p = mw_update(p, grad, config.alpha)
         if not p[0] >= delta:  # NaN fails the comparison, so it lands here too
             # a zero or NaN entry is absorbing; stop before the frontier sees it
@@ -156,8 +154,8 @@ def solve_a1(
     require_positive(p)
     p_avg = total / config.T
 
+    x = p_avg.copy()
     x[0] = frontier.q(p_avg[0])
-    x[1:] = p_avg[1:]
     value, stderr = worst_case_objective(
         x, game, n_samples=n_eval_samples, rng=config.seed, with_error=True
     )

@@ -19,7 +19,9 @@ is empty and Monte Carlo estimated otherwise.
 
 :func:`sampled_subgradient` is the one sampled (ascent) gradient of g for a
 single omega draw; the drift-plus-penalty, mirror-descent and A1 solvers all
-step along it.
+step along it.  It works on Python floats, not numpy arrays: the solvers
+call it once per round on vectors of length n, and numpy's per-call
+dispatch would cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -70,15 +72,17 @@ def worst_case_response(stats_a: StrategyStats, game: GameInstance) -> Mixture:
     return Mixture(values[np.newaxis], part.set_b)
 
 
-def sampled_subgradient(x: np.ndarray, omega: np.ndarray, w: np.ndarray) -> np.ndarray:
+def sampled_subgradient(x, omega, w) -> list[float]:
     """Gradient of w.x - max_k(omega_k x_k)/2 at x for one omega draw.
 
     ``w`` holds the gross gain per unit of x (1 on the A block, E_k
     elsewhere, for g itself); the argmax of x * omega loses half its omega
-    weight, lowest index on ties.  Takes float arrays and does no checks.
+    weight, lowest index on ties.  Takes length-n float sequences, returns a
+    list, and does no checks.
     """
-    grad = w.copy()
-    top = int(np.argmax(x * omega))
+    prods = [xk * ok for xk, ok in zip(x, omega)]
+    top = prods.index(max(prods))
+    grad = list(w)
     grad[top] -= 0.5 * omega[top]
     return grad
 

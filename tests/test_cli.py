@@ -182,6 +182,26 @@ def test_dpp_md_sweeps_run_small(capsys):
     assert vals[-2] <= vals[1] <= vals[-1]  # value within the min/max band
 
 
+def test_dpp_sweep_warns_on_queue_cap_violations(capsys):
+    # alpha = 1000 < V^2 = 40000 voids the queue cap; the warning is a note
+    # and the rows keep the bytes they had before the note was added
+    code, out, _ = run_cli(
+        capsys, "worst", "dpp", "--scenario", "3", "--e1-min", "1", "--e1-max", "1",
+        "--alpha", "1000", "--T", "2000",
+    )
+    assert code == 0
+    notes = [l for l in out.splitlines() if l.startswith("#")]
+    assert "# WARNING: e1=1: 4809 DPP queue-cap violations over 1 reps" in notes[-1]
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows == [
+        "e1,value,stderr,p1,p2,p3,value_min,value_max",
+        "1,1.03507762,0.000122317464,0.26135,0.21907,0.51958,1.03507762,1.03507762",
+    ]
+    # at alpha >= V^2 (the default) the cap holds and no note is added
+    code, out, _ = run_cli(capsys, *SMOKE_SWEEPS["worst-dpp-s3"][0], "--seed", "0")
+    assert code == 0 and "WARNING" not in out
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         preset_spec(4, "nash", [1.0])
@@ -253,6 +273,18 @@ def test_smoke_sweep_csv_is_byte_identical(capsys, workload):
     argv, expected = SMOKE_SWEEPS[workload]
     code, out, _ = run_cli(capsys, *argv, "--seed", "0")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_full_size_dpp_sweep_csv_is_byte_identical(capsys):
+    # the benchmark's worst-dpp-s3 sweep at default flags (T = 100 000); sha256
+    # copied from its csv_sha256_seed0 entry
+    code, out, _ = run_cli(
+        capsys, "worst", "dpp", "--scenario", "3", "--e1-min", "1.0", "--e1-max", "1.0",
+        "--seed", "0",
+    )
+    assert code == 0
+    expected = "c53d3952b0b1c8db4b2f9b9986ac6650450e8e16a0314edf6144c01da2da1cc0"
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 

@@ -1,21 +1,26 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congames import (
     DppConfig,
     Exponential,
     GameInstance,
+    MdConfig,
     Partition,
     bound_constants,
     config_for_epsilon,
     queue_bound,
     run_dpp,
+    run_md,
+    solve_a1,
     worst_case_objective,
 )
+import congames.dpp
 from congames.dpp import _base_weights, box_upper, gamma_step, queue_step
 from congames.game import sample_omega
 from congames.worstcase import sampled_subgradient
@@ -73,9 +78,9 @@ def test_gamma_step_stays_in_box(rng):
     upper = box_upper(exp_game([2.0, 1.0, 0.5], (1, 1, 1, 0)))
     np.testing.assert_array_equal(upper, [2.0, 1.0, 1.0])
     for _ in range(50):
-        out = gamma_step(
+        out = np.asarray(gamma_step(
             rng.uniform(0, upper), rng.uniform(0, 50, 3), rng.uniform(-3, 3, 3), 3.0, 9.0, upper
-        )
+        ))
         assert np.all(out >= 0) and np.all(out <= upper + 1e-12)
 
 
@@ -103,9 +108,82 @@ def test_queue_step_increase_bounded(qs, action):
     u = np.ones(q.size)
     u[0] = 4.0  # pretend resource 0 is private with mean 4
     gamma = np.minimum(u, 0.9 * u)
-    out = queue_step(q, gamma, action, 5.0 if action == 0 else 1.0)
+    out = np.asarray(queue_step(q, gamma, action, 5.0 if action == 0 else 1.0))
     assert np.all(out >= 0)
     assert np.all(out <= q + u + 1e-12)
+
+
+# The array formulas the kernels had before they moved to Python floats: the
+# oracle the list kernels must match bit for bit.
+def numpy_subgradient(x, omega, w):
+    grad = w.copy()
+    top = int(np.argmax(x * omega))
+    grad[top] -= 0.5 * omega[top]
+    return grad
+
+
+def numpy_gamma_step(gamma_prev, queues, grad, V, alpha, u):
+    return np.clip(gamma_prev - (queues - V * grad) / (2.0 * alpha), 0.0, u)
+
+
+def numpy_queue_step(queues, gamma, action, drain):
+    out = queues + gamma
+    out[action] -= drain
+    return np.maximum(out, 0.0, out=out)
+
+
+# few distinct values, so ties and signed zeros are common
+kernel_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+positive_floats = st.floats(min_value=1e-3, max_value=1e6)
+
+
+def vectors(count):
+    """``count`` lists of kernel floats sharing one length n in [1, 5]."""
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(*[st.lists(kernel_floats, min_size=n, max_size=n)] * count)
+    )
+
+
+def assert_same_bits(listed, array):
+    assert isinstance(listed, list)
+    assert np.asarray(listed, dtype=float).tobytes() == array.tobytes()
+
+
+@given(vectors(3))
+@example(([0.0, -0.0, 0.5], [1.0, 1.0, 0.0], [1.0, 2.0, 0.5]))  # 0.0 ties -0.0
+@example(([-0.0, 0.0], [1.0, 1.0], [1.0, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_subgradient_matches_numpy_formula(vs):
+    x, omega, w = vs
+    assert_same_bits(
+        sampled_subgradient(x, omega, w), numpy_subgradient(*(np.array(v) for v in vs))
+    )
+
+
+@given(vectors(4), positive_floats, positive_floats)
+@example(([-0.0, 0.5], [0.0, 0.0], [0.0, 0.0], [1.0, 0.25]), 1.0, 1.0)  # -0.0 clips to +0.0
+@settings(max_examples=200, deadline=None)
+def test_gamma_step_matches_numpy_formula(vs, V, alpha):
+    gamma, queues, grad, u = vs
+    assert_same_bits(
+        gamma_step(gamma, queues, grad, V, alpha, u),
+        numpy_gamma_step(*(np.array(v) for v in (gamma, queues, grad)), V, alpha, np.array(u)),
+    )
+
+
+@given(vectors(2), st.integers(min_value=0, max_value=4), kernel_floats)
+@example(([-0.0, 1.0], [-0.0, 0.0]), 1, 0.0)  # -0.0 floors to +0.0
+@settings(max_examples=200, deadline=None)
+def test_queue_step_matches_numpy_formula(vs, action, drain):
+    queues, gamma = vs
+    action %= len(queues)
+    assert_same_bits(
+        queue_step(queues, gamma, action, drain),
+        numpy_queue_step(np.array(queues), np.array(gamma), action, drain),
+    )
 
 
 def test_run_single_round_mixture():
@@ -251,3 +329,70 @@ def test_guarantee_on_known_instance():
     bc = bound_constants(g, cfg)
     assert value >= 1.0 - bc.error_bound
     assert diag.violations == 0
+
+
+def test_oversized_run_fails_before_sampling(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the run sampled before checking its budget")
+
+    monkeypatch.setattr(congames.dpp, "sample_omega", no_draws)
+    monkeypatch.setattr(congames.dpp, "sample_world", no_draws)
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 6866 MiB"):
+        run_dpp(g, config_for_epsilon(1e-4))
+
+
+def _game(partition, means, z=()):
+    dists = tuple(Exponential(1.0 / m) for m in means)
+    return GameInstance(Partition(*partition), dists, z=np.asarray(z, dtype=float))
+
+
+def _sha256(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# Output bits of the three step solvers at T = 2000, recorded before their
+# kernels moved from numpy arrays to Python floats; a solver change must keep
+# them.  The last DPP case has alpha < V^2 and breaks the queue cap.
+GOLDEN_DPP = [
+    # partition, means, z, V, alpha, seed, sha256, violations
+    ((0, 1, 2, 0), [1.3, 1.0, 1.0], (), 50.0, 2500.0, 1,
+     "0501217cd43559d11539acfd9148488c0d38ee49df4ff1c47c328a566cd1b94b", 0),
+    ((1, 1, 1, 0), [1.5, 1.0, 1.0], (), 200.0, 4.0e4, 2,
+     "76adcf8cad57f0c413e4ba8db72e3377c9a4cde1134ca72a5a3a805179c1f128", 0),
+    ((2, 1, 0, 1), [0.8, 1.7, 1.0, 1.2], (1.2,), 40.0, 1600.0, 3,
+     "05873e0bbb92216c65b3e968efa5c7fe186d4b0bda1841b8a3fab645b18f488b", 0),
+    ((1, 1, 1, 0), [1.0, 1.0, 1.0], (), 200.0, 1000.0, 0,
+     "b87cbb45450209159e2de8ced48d9ac8c5d2413def969292e548946df4985b12", 4981),
+]
+GOLDEN_MD = [
+    ((0, 1, 2, 0), [1.3, 1.0, 1.0], (), 4,
+     "6b91300a3e9ca8965b739b48972c98b89fc99c6b2e29ca77dee0b30a0ae3a2f0"),
+    ((0, 2, 1, 1), [0.9, 1.4, 1.0, 0.7], (0.7,), 5,
+     "86eb56f9acd94ee1803277fae53ac94eb19b8242b3312f44b8657de9178f1ede"),
+]
+GOLDEN_A1 = [
+    ((1, 1, 1, 0), [1.5, 1.0, 1.0], (), 6,
+     "ed390610a2ed64f847405d15c9d544c454e9fc43e085e585c69673ee2a8deab0"),
+    ((1, 2, 1, 0), [1.2, 0.8, 1.0, 1.1], (), 7,
+     "5206bf5f7926e76a7a6f742ba22ed5ea1c9d43f18e089e7eb49c6542bb8f70ca"),
+]
+
+
+def test_solver_outputs_keep_their_bits():
+    for partition, means, z, V, alpha, seed, expected, violations in GOLDEN_DPP:
+        config = DppConfig(V=V, alpha=alpha, T=2000, seed=seed)
+        mixture, diag = run_dpp(_game(partition, means, z), config)
+        digest = _sha256(mixture.values, diag.final_queues, diag.final_gamma, diag.avg_realized)
+        assert (digest, diag.violations) == (expected, violations), partition
+    for partition, means, z, seed, expected in GOLDEN_MD:
+        p = run_md(_game(partition, means, z), MdConfig(alpha=50.0, T=2000, seed=seed))
+        assert _sha256(p) == expected, partition
+    for partition, means, z, seed, expected in GOLDEN_A1:
+        p, value, stderr = solve_a1(
+            _game(partition, means, z), MdConfig(alpha=50.0, T=2000, seed=seed), n_eval_samples=5000
+        )
+        assert _sha256(p, [value, stderr]) == expected, partition
