@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, draw_rows, sample_omega, sample_world
+from .game import GameInstance, draw_rows, runs_in_budget, sample_omega, sample_world
 from .rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture
 from .worstcase import sampled_subgradient
@@ -57,8 +57,6 @@ __all__ = [
 ]
 
 QUEUE_BOUND_TOL = 1e-9
-# run() refuses a T whose up-front draws and history would exceed this
-UPFRONT_BUDGET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -172,20 +170,16 @@ def queue_step(queues, gamma, action: int, drain: float) -> list[float]:
 def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]:
     """Generate the equiprobable mixture of T queue-score strategies.
 
-    Raises ValueError, before drawing anything, when the run's up-front
-    draws and queue history would exceed :data:`UPFRONT_BUDGET_BYTES`.
+    Raises ValueError, before drawing anything, when the run's draws, queue
+    history and mixture would exceed
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
     n = game.n
     a = game.partition.a
     V, alpha, T = config.V, config.alpha, config.T
-    # T x n omega draws, T x n world draws when A has a private block, and
-    # the T x n queue history are allocated before the first round
-    need = T * n * 8 * (3 if a else 2)
-    if need > UPFRONT_BUDGET_BYTES:
-        raise ValueError(
-            f"dpp run with T={T}, n={n} needs {need / 2**20:.0f} MiB up front, "
-            f"over the {UPFRONT_BUDGET_BYTES / 2**20:.0f} MiB budget; use a smaller T"
-        )
+    # T x n omega draws, T x n world draws when A has a private block, the
+    # T x n queue history, and the mixture's copy of that history
+    runs_in_budget("dpp", T, n, 4 if a else 3)
 
     world_gen, omega_gen = stream_generators(config.seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T)[:, :a] if a else np.zeros((T, 0))

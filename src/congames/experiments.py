@@ -9,8 +9,12 @@ resources 2 and 3 pinned at 1; they differ in who observes what:
 
 A sweep varies the mean of resource 1 over a grid, runs the selected solver
 at each point (averaging over ``repetitions`` derived seeds), and emits one
-CSV row per point.  Identical spec + seed reproduces the table byte for
-byte.
+CSV row per point.  Mirror descent runs every (point, repetition) pair of
+the sweep as one batch (:func:`congames.md.run_md_batch`) before the points
+are evaluated; the other solvers run point by point.  Identical spec + seed
+reproduces the table byte for byte.  A point whose DPP runs broke the queue
+cap, or whose best-response runs did not converge, gets a ``WARNING`` note;
+its row is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .dpp import DppConfig
 from .dpp import run as run_dpp
 from .explicit import explicit_solution
 from .game import GameInstance, Partition
-from .md import MdConfig, run_md
+from .md import MdConfig, run_md_batch
 from .montecarlo import McConfig, estimate_stats, expected_utility, simulate_payoff
 from .nash import iterate_best_response
 from .quantile import solve_a1
@@ -166,11 +170,14 @@ def _rep_seed(spec: ScenarioSpec, point: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _nash_row(spec: ScenarioSpec, game: GameInstance, point: int) -> np.ndarray:
+def _nash_row(spec: ScenarioSpec, game: GameInstance, point: int):
+    """The point's averaged row, and how many repetitions did not converge."""
     acc = []
+    unconverged = 0
     for rep in range(spec.repetitions):
         mc = McConfig(n_samples=spec.n_samples, seed=_rep_seed(spec, point, rep))
         report = iterate_best_response(game, spec.epsilon, mc)
+        unconverged += not report.converged
         last = report.trace[-1]
         acc.append(
             np.concatenate(
@@ -181,12 +188,31 @@ def _nash_row(spec: ScenarioSpec, game: GameInstance, point: int) -> np.ndarray:
                 ]
             )
         )
-    return np.mean(acc, axis=0)
+    return np.mean(acc, axis=0), unconverged
 
 
-def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int):
+def _md_solutions(spec: ScenarioSpec, games) -> np.ndarray:
+    """Every (point, rep) mirror-descent run of the sweep, stepped as one
+    batch; entry [point, rep] is that run's average iterate."""
+    seeds = [
+        _rep_seed(spec, point, rep)
+        for point in range(len(games))
+        for rep in range(spec.repetitions)
+    ]
+    ps = run_md_batch(
+        [game for game in games for _ in range(spec.repetitions)],
+        [MdConfig(alpha=spec.alpha, T=spec.T, seed=seed) for seed in seeds],
+    )
+    return ps.reshape(len(games), spec.repetitions, -1)
+
+
+def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int, md_ps=None):
     """Per-repetition (value, stderr, p) for the selected worst-case solver,
-    plus the DPP queue-cap violations summed over repetitions (0 otherwise)."""
+    plus the DPP queue-cap violations summed over repetitions (0 otherwise).
+
+    worst-md only evaluates: ``md_ps`` holds the point's average iterates,
+    one row per repetition, from :func:`_md_solutions`.
+    """
     values, stderrs, ps = [], [], []
     violations = 0
     for rep in range(spec.repetitions):
@@ -203,7 +229,7 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int):
                 interleave_stats(stats, game), game, n_samples=spec.n_samples, rng=seed, with_error=True
             )
         elif spec.solver == "worst-md":
-            p = run_md(game, MdConfig(alpha=spec.alpha, T=spec.T, seed=seed))
+            p = md_ps[rep]
             value, stderr = worst_case_objective(
                 p, game, n_samples=spec.n_samples, rng=seed, with_error=True
             )
@@ -228,12 +254,17 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
             + tuple(f"pa{k}" for k in range(1, n + 1))
             + tuple(f"pb{k}" for k in range(1, n + 1))
         )
-        notes = (f"nash sweep: epsilon={spec.epsilon:g} reps={spec.repetitions} seed={spec.seed}",)
-        rows = [
-            np.concatenate([[e1], _nash_row(spec, scenario_game(spec, e1), i)])
-            for i, e1 in enumerate(spec.e1_values)
-        ]
-        return SweepTable(header, np.vstack(rows), notes)
+        notes = [f"nash sweep: epsilon={spec.epsilon:g} reps={spec.repetitions} seed={spec.seed}"]
+        rows = []
+        for i, e1 in enumerate(spec.e1_values):
+            row, unconverged = _nash_row(spec, scenario_game(spec, e1), i)
+            if unconverged:
+                notes.append(
+                    f"WARNING: e1={e1:.9g}: best response did not converge in "
+                    f"{unconverged} of {spec.repetitions} reps"
+                )
+            rows.append(np.concatenate([[e1], row]))
+        return SweepTable(header, np.vstack(rows), tuple(notes))
 
     header = (
         ("e1", "value", "stderr")
@@ -244,10 +275,11 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
         f"worst-case sweep: solver={spec.solver} reps={spec.repetitions} seed={spec.seed}",
         "value_min/value_max is the min/max over repetitions, not a confidence band",
     ]
+    games = [scenario_game(spec, e1) for e1 in spec.e1_values]
+    md_ps = _md_solutions(spec, games) if spec.solver == "worst-md" else [None] * len(games)
     rows = []
-    for i, e1 in enumerate(spec.e1_values):
-        game = scenario_game(spec, e1)
-        values, stderrs, ps, violations = _worst_point(spec, game, i)
+    for i, (e1, game) in enumerate(zip(spec.e1_values, games)):
+        values, stderrs, ps, violations = _worst_point(spec, game, i, md_ps[i])
         if violations:
             # the cap holds by theorem when alpha >= V^2; a point that broke
             # it has no certified error bound

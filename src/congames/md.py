@@ -19,10 +19,18 @@ the uniform start; its expected suboptimality is at most
 
     C / (2 alpha) + alpha ln(n) / T,    C = 2 max(E)^2 + E[max_k omega_k^2]/2.
 
-The gradient is taken on Python floats (the iterate as a list, the omega
-draws read a chunk of rows at a time by :func:`congames.game.draw_rows`);
-the update itself stays in numpy on ``np.exp``, whose results differ from
-``math.exp`` in the last bit on some inputs.
+All runs of a sweep share alpha, T and n, and are independent, so
+:func:`run_md_batch` steps them together: the iterates are the rows of an
+(R, n) array, and each round makes one row-wise gradient
+(:func:`congames.worstcase.sampled_subgradients`) and one row-wise
+:func:`mw_update` for all R runs.  Every row gets the bits it would get
+alone: the update is elementwise, and the row reductions (max, sum, argmax
+with the lowest index on ties) see one row at a time.  :func:`run_md` is a
+batch of one.  The update stays on ``np.exp``: ``math.exp`` differs from it
+in the last bit on some inputs, which would change every later iterate.
+Each run's omega draws are still sampled in one call of size T from its own
+seed; the batch holds them in one T x R x n array and splits R into chunks
+that fit :data:`congames.game.UPFRONT_BUDGET_BYTES`.
 
 The loop runs the unchecked :func:`mw_update`, which
 :func:`congames.quantile.solve_a1` shares, and checks positivity once, after
@@ -38,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, deterministic_omega, draw_rows, sample_omega
+from .game import GameInstance, deterministic_omega, runs_in_budget, sample_omega
 from .rng import OMEGA_STREAM, as_generator
-from .worstcase import sampled_subgradient
+from .worstcase import sampled_subgradients
 
 __all__ = [
     "MdConfig",
@@ -48,6 +56,7 @@ __all__ = [
     "mw_update",
     "require_positive",
     "run_md",
+    "run_md_batch",
     "md_error_bound",
     "omega_sup_sq_mean",
 ]
@@ -75,14 +84,13 @@ def require_positive(p: np.ndarray):
 def mw_update(p: np.ndarray, grad, alpha: float) -> np.ndarray:
     """Bare multiplicative-weights ascent step along ``grad``, unchecked.
 
-    ``grad`` may be a list, as :func:`~congames.worstcase.sampled_subgradient`
-    returns it.  The step stays on ``np.exp``: ``math.exp`` differs from it
-    in the last bit on some inputs, which would change every later iterate.
+    Works row-wise: ``p`` is one iterate of shape (n,) or a batch of shape
+    (R, n), with ``grad`` of the same shape (a list is accepted).
     """
     expo = np.asarray(grad, dtype=float) / alpha
-    expo -= expo.max()  # value-invariant shift against overflow
+    expo -= expo.max(axis=-1, keepdims=True)  # value-invariant shift against overflow
     w = p * np.exp(expo)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def md_step(p, grad, alpha: float) -> np.ndarray:
@@ -97,19 +105,50 @@ def md_step(p, grad, alpha: float) -> np.ndarray:
 
 def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:
     """Average mirror-descent iterate after T rounds (uniform start included)."""
-    if game.partition.a != 0:
-        raise ValueError("mirror descent applies only when player A has no private block")
-    n = game.n
-    means = game.means.tolist()
-    omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
+    return run_md_batch([game], [config])[0]
 
-    p = np.full(n, 1.0 / n)
-    total = np.zeros(n)
-    for omega in draw_rows(omegas):
+
+def run_md_batch(games, configs) -> np.ndarray:
+    """:func:`run_md` for each (game, config) pair, stepped as one batch.
+
+    Returns the (R, n) average iterates, row r bit-identical to
+    ``run_md(games[r], configs[r])``.  Every run needs a == 0, and all runs
+    must share alpha, T and n.  Raises ValueError, before drawing anything,
+    when one run's T x n draws alone exceed
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
+    """
+    games, configs = list(games), list(configs)
+    if not games or len(games) != len(configs):
+        raise ValueError("need one config per game and at least one run")
+    if any(game.partition.a != 0 for game in games):
+        raise ValueError("mirror descent applies only when player A has no private block")
+    alpha, T, n = configs[0].alpha, configs[0].T, games[0].n
+    if any((c.alpha, c.T, g.n) != (alpha, T, n) for g, c in zip(games, configs)):
+        raise ValueError("batched runs must share alpha, T and n")
+    per_chunk = runs_in_budget("md", T, n)
+    return np.concatenate(
+        [
+            _run_chunk(games[s : s + per_chunk], configs[s : s + per_chunk], alpha, T)
+            for s in range(0, len(games), per_chunk)
+        ]
+    )
+
+
+def _run_chunk(games, configs, alpha: float, T: int) -> np.ndarray:
+    """The mirror-descent loop over the (R, n) iterates of one chunk."""
+    R, n = len(games), games[0].n
+    draws = np.empty((T, R, n))
+    for r, (game, config) in enumerate(zip(games, configs)):
+        draws[:, r] = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=T)
+    means = np.array([game.means for game in games])
+
+    p = np.full((R, n), 1.0 / n)
+    total = np.zeros((R, n))
+    for omega in draws:
         total += p
-        p = mw_update(p, sampled_subgradient(p.tolist(), omega, means), config.alpha)
+        p = mw_update(p, sampled_subgradients(p, omega, means), alpha)
     require_positive(p)
-    return total / config.T
+    return total / T
 
 
 def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):

@@ -17,6 +17,14 @@ restricted to p0 >= delta: the q-term's slope blows up as p0 -> 0 for
 heavy-ish tails (for the exponential it is -ln p0), and the restriction
 keeps the sampled subgradients bounded.  The slope is taken by central
 finite difference, which keeps the solver generic across the catalog.
+
+Unlike :func:`congames.md.run_md_batch`, :func:`solve_a1` steps one run at
+a time, on the list gradient :func:`congames.worstcase.sampled_subgradient`.
+Its frontier makes three scalar ``tail_mean`` calls a round on ``math``
+(``np.log1p``, which a batch would need, differs from ``math.log1p`` in the
+last bit on some inputs).  Like the other solvers it refuses, before
+sampling, a run whose T x n omega draws exceed
+:data:`congames.game.UPFRONT_BUDGET_BYTES`.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import RewardDistribution
-from .game import GameInstance, draw_rows, sample_omega
+from .game import GameInstance, draw_rows, runs_in_budget, sample_omega
 from .md import MdConfig, mw_update, require_positive
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold
@@ -70,7 +78,11 @@ class TailFrontier:
         _require_continuous(self.dist)
 
     def q(self, p1: float) -> float:
-        return tail_weighted_mean(self.dist, p1)
+        """:func:`tail_weighted_mean`, without re-checking the distribution
+        (``__post_init__`` did; ``tail_mean`` still checks p1)."""
+        if p1 == 0.0:
+            return 0.0
+        return p1 * self.dist.tail_mean(p1)
 
     def tau(self, p1: float) -> float:
         return self.dist.quantile(1.0 - p1)
@@ -125,6 +137,8 @@ def solve_a1(
     Returns ``(p, value, stderr)``: the average iterate p, the worst-case
     utility g(q(p0), p[1:]) of p evaluated with ``n_eval_samples`` draws when
     randomness remains, and the standard error of that value (0 when exact).
+    Raises ValueError, before drawing anything, when the T x n omega draws
+    exceed :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
     if game.partition.a != 1:
         raise ValueError("solve_a1 needs exactly one privately observed resource")
@@ -132,6 +146,7 @@ def solve_a1(
         raise ValueError("delta must be in (0, 1/n)")
     frontier = TailFrontier(game.distributions[0])
     n = game.n
+    runs_in_budget("a1", config.T, n)
     # gross gain per unit of x: 1 for the rate q(p0), E_k for the other picks
     weights = game.means.tolist()
     weights[0] = 1.0

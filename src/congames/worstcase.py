@@ -18,10 +18,12 @@ the A block and 3/2 E_k elsewhere.  The max term is exact when the B block
 is empty and Monte Carlo estimated otherwise.
 
 :func:`sampled_subgradient` is the one sampled (ascent) gradient of g for a
-single omega draw; the drift-plus-penalty, mirror-descent and A1 solvers all
-step along it.  It works on Python floats, not numpy arrays: the solvers
-call it once per round on vectors of length n, and numpy's per-call
-dispatch would cost more than the arithmetic.
+single omega draw; the drift-plus-penalty and A1 solvers step along it.  It
+works on Python floats, not numpy arrays: those solvers call it once per
+round of a single run on vectors of length n, and numpy's per-call dispatch
+would cost more than the arithmetic.  :func:`sampled_subgradients` is the
+same gradient row by row over (R, n) arrays, for the batched mirror-descent
+loop, where one numpy call serves all R runs.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "worst_case_utility",
     "omega_max_mean",
     "sampled_subgradient",
+    "sampled_subgradients",
 ]
 
 
@@ -84,6 +87,19 @@ def sampled_subgradient(x, omega, w) -> list[float]:
     top = prods.index(max(prods))
     grad = list(w)
     grad[top] -= 0.5 * omega[top]
+    return grad
+
+
+def sampled_subgradients(x: np.ndarray, omega: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`sampled_subgradient` for each row of (R, n) arrays at once.
+
+    Row r equals ``sampled_subgradient(x[r], omega[r], w[r])`` bit for bit
+    (the argmax takes the lowest index on ties, as ``list.index`` does).
+    """
+    rows = np.arange(len(x))
+    top = (x * omega).argmax(axis=-1)
+    grad = w.copy()
+    grad[rows, top] -= 0.5 * omega[rows, top]
     return grad
 
 

@@ -202,6 +202,25 @@ def test_dpp_sweep_warns_on_queue_cap_violations(capsys):
     assert code == 0 and "WARNING" not in out
 
 
+def test_nash_sweep_warns_when_best_response_does_not_converge(capsys, monkeypatch):
+    # a one-turn budget stops every run before its two quiet turns; the
+    # warning is a note and the rows keep the bytes they had without it
+    monkeypatch.setattr("congames.nash.iteration_cap", lambda game, epsilon: 1)
+    code, out, _ = run_cli(
+        capsys, "nash", "--scenario", "3", "--e1-min", "0.5", "--e1-max", "1.0",
+        "--e1-step", "0.5", "--samples", "2000", "--reps", "2",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "# nash sweep: epsilon=0.001 reps=2 seed=0",
+        "# WARNING: e1=0.5: best response did not converge in 2 of 2 reps",
+        "# WARNING: e1=1: best response did not converge in 2 of 2 reps",
+        "e1,utility_a,utility_b,potential,pa1,pa2,pa3,pb1,pb2,pb3",
+        "0.5,0.883840026,0.656565328,1.71717336,0.13075,0.86925,0,0.333333333,0.333333333,0.333333333",
+        "1,1.12600285,0.77479943,2.12600285,0.36025,0.63975,0,0.333333333,0.333333333,0.333333333",
+    ]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         preset_spec(4, "nash", [1.0])
@@ -285,6 +304,28 @@ def test_full_size_dpp_sweep_csv_is_byte_identical(capsys):
     )
     assert code == 0
     expected = "c53d3952b0b1c8db4b2f9b9986ac6650450e8e16a0314edf6144c01da2da1cc0"
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+# the benchmark's md and a1 sweeps at default flags (T = 10 000, 8 points);
+# sha256 copied from their csv_sha256_seed0 entries
+FULL_SWEEPS = {
+    "worst-md-s2": (
+        ["worst", "md", "--scenario", "2", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3"],
+        "5b41db7333d10a96c81046dc70a12060f465a64a370e804dcc373c7dae970b4d",
+    ),
+    "worst-a1-s3": (
+        ["worst", "a1", "--scenario", "3", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3"],
+        "2ecc61f5744c69116bedcb88eb939e57f868e5a07eb477e64fc6673135c51575",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FULL_SWEEPS))
+def test_full_size_sweep_csv_is_byte_identical(capsys, workload):
+    argv, expected = FULL_SWEEPS[workload]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 

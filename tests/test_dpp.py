@@ -338,7 +338,7 @@ def test_oversized_run_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(congames.dpp, "sample_omega", no_draws)
     monkeypatch.setattr(congames.dpp, "sample_world", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
-    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 6866 MiB"):
+    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 9155 MiB"):
         run_dpp(g, config_for_epsilon(1e-4))
 
 

@@ -2,18 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import congames.game
+import congames.md
+import congames.quantile
 from congames import (
+    Discrete,
     Exponential,
     GameInstance,
     MdConfig,
     Partition,
+    PointMass,
+    Uniform,
     explicit_solution,
     md_error_bound,
     run_md,
+    solve_a1,
     worst_case_objective,
 )
-from congames.md import md_step, omega_sup_sq_mean
+from congames.game import sample_omega
+from congames.md import md_step, omega_sup_sq_mean, run_md_batch
+from congames.rng import OMEGA_STREAM, as_generator
+from congames.worstcase import sampled_subgradient, sampled_subgradients
 from conftest import exp_game
 
 
@@ -128,3 +141,128 @@ def test_tiny_alpha_fails_with_md_error(scenario, solver):
     solve = run_md if solver == "worst-md" else solve_a1
     with pytest.raises(ValueError, match="iterates must be strictly positive"):
         solve(game, MdConfig(alpha=1e-3, T=2000))
+
+
+# -- the batched loop ------------------------------------------------------
+
+LAWS = {
+    "exponential": lambda m: Exponential(1.0 / m),
+    "uniform": lambda m: Uniform(0.0, 2.0 * m),
+    "pointmass": PointMass,
+    "discrete": lambda m: Discrete((0.5 * m, 1.5 * m), (0.5, 0.5)),
+}
+
+
+def lone_md(game, config):
+    """The one-run loop as it stood before batching: the list gradient and
+    a 1-D update, the oracle the batch must match bit for bit."""
+    n = game.n
+    omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
+    p = np.full(n, 1.0 / n)
+    total = np.zeros(n)
+    for omega in omegas.tolist():
+        total += p
+        expo = np.asarray(sampled_subgradient(p.tolist(), omega, game.means.tolist())) / config.alpha
+        expo -= expo.max()
+        w = p * np.exp(expo)
+        p = w / w.sum()
+    return total / config.T
+
+
+@st.composite
+def md_batches(draw):
+    """Games sharing n in [2, 10], each with its own a = 0 partition, laws
+    and distinct seed; the first game has a non-empty AB block."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=5, unique=True))
+    games = []
+    for r in range(len(seeds)):
+        b = draw(st.integers(0, n - 1 if r == 0 else n))
+        d = draw(st.integers(1 if r == 0 else 0, n - b))
+        laws = draw(st.lists(st.sampled_from(sorted(LAWS)), min_size=n, max_size=n))
+        means = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+        z = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
+        dists = tuple(LAWS[law](m) for law, m in zip(laws, means))
+        games.append(GameInstance(Partition(0, b, n - b - d, d), dists, z=np.array(z)))
+    alpha = draw(st.floats(1.0, 100.0))
+    T = draw(st.integers(1, 60))
+    return games, [MdConfig(alpha=alpha, T=T, seed=seed) for seed in seeds]
+
+
+@given(md_batches())
+@settings(max_examples=60, deadline=None)
+def test_batch_matches_each_run_alone(batch):
+    games, configs = batch
+    ps = run_md_batch(games, configs)
+    assert ps.shape == (len(games), games[0].n)
+    for row, game, config in zip(ps, games, configs):
+        assert row.tobytes() == run_md(game, config).tobytes()
+        assert row.tobytes() == lone_md(game, config).tobytes()
+
+
+def _sweep_like_batch():
+    games = [exp_game([e1, 1.0, 1.0], (0, 1, 2, 0)) for e1 in (0.4, 0.9, 1.5, 2.2, 1.0)]
+    configs = [MdConfig(alpha=50.0, T=300, seed=seed) for seed in (3, 1, 4, 15, 9)]
+    return games, configs
+
+
+@pytest.mark.parametrize("runs_per_chunk, chunks", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])
+def test_chunked_batch_matches_unchunked(monkeypatch, runs_per_chunk, chunks):
+    games, configs = _sweep_like_batch()
+    whole = run_md_batch(games, configs)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", runs_per_chunk * 300 * 3 * 8)
+    sizes = []
+    run_chunk = congames.md._run_chunk
+
+    def counted(chunk_games, *args):
+        sizes.append(len(chunk_games))
+        return run_chunk(chunk_games, *args)
+
+    monkeypatch.setattr(congames.md, "_run_chunk", counted)
+    assert run_md_batch(games, configs).tobytes() == whole.tobytes()
+    assert sizes == chunks
+
+
+def test_batch_rejects_mixed_runs():
+    games, configs = _sweep_like_batch()
+    mixed = [
+        (games, configs[:-1] + [MdConfig(alpha=40.0, T=300, seed=9)]),
+        (games, configs[:-1] + [MdConfig(alpha=50.0, T=301, seed=9)]),
+        (games[:-1] + [exp_game([1.0, 1.0], (0, 1, 1, 0))], configs),
+    ]
+    for bad_games, bad_configs in mixed:
+        with pytest.raises(ValueError, match="must share alpha, T and n"):
+            run_md_batch(bad_games, bad_configs)
+    with pytest.raises(ValueError, match="no private block"):
+        run_md_batch(games[:-1] + [exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))], configs)
+    with pytest.raises(ValueError, match="one config per game"):
+        run_md_batch(games, configs[:-1])
+    with pytest.raises(ValueError, match="at least one run"):
+        run_md_batch([], [])
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
+        lambda shape: st.tuples(*[hnp.arrays(float, shape, elements=st.floats(0.0, 5.0))] * 3)
+    )
+)
+@example(tuple(np.array(v) for v in ([[0.5, 0.5, 0.2], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [2.0, 1.0, 3.0]], [[1.0, 2.0, 3.0]] * 2)))
+@settings(max_examples=200, deadline=None)
+def test_row_subgradients_match_the_list_kernel(arrays):
+    # ties take the lowest index in both kernels
+    x, omega, w = arrays
+    expected = [sampled_subgradient(*rows) for rows in zip(x.tolist(), omega.tolist(), w.tolist())]
+    assert sampled_subgradients(x, omega, w).tobytes() == np.array(expected).tobytes()
+
+
+def test_oversized_runs_fail_before_sampling(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the run sampled before checking its budget")
+
+    monkeypatch.setattr(congames.md, "sample_omega", no_draws)
+    monkeypatch.setattr(congames.quantile, "sample_omega", no_draws)
+    config = MdConfig(alpha=50.0, T=10**8)
+    with pytest.raises(ValueError, match=r"md run with T=100000000, n=3 needs 2289 MiB"):
+        run_md(exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)), config)
+    with pytest.raises(ValueError, match=r"a1 run with T=100000000, n=3 needs 2289 MiB"):
+        solve_a1(exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0)), config)

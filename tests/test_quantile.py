@@ -60,6 +60,16 @@ def test_frontier_shape():
         assert np.all(qs[1:-1] >= mid - 1e-9)  # concave on the grid
 
 
+def test_frontier_q_is_the_checked_tail_weighted_mean():
+    # q skips tail_weighted_mean's per-call checks and keeps its bits
+    for dist in (Exponential(0.7), Exponential(2.0), Uniform(0.2, 3.0), Uniform(0.0, 1.0)):
+        frontier = TailFrontier(dist)
+        for p1 in [0.0, 1e-12, 1e-4, 0.3, 0.5, 1.0 - 1e-9, 1.0, *np.linspace(0.0, 1.0, 97).tolist()]:
+            assert frontier.q(p1) == tail_weighted_mean(dist, p1)
+    with pytest.raises(ValueError):
+        TailFrontier(Exponential(1.0)).q(1.5)
+
+
 def test_build_strategy_examples():
     g = exp_game([1.0, 1.0, 1.0], (1, 0, 2, 0))
     s = build_strategy_a1([0.5, 0.3, 0.2], g)
