@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, draw_rows, runs_in_budget, sample_omega, sample_world
+from .game import GameInstance, check_upfront_budget, draw_rows, sample_omega, sample_world
 from .rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture
 from .worstcase import sampled_subgradient
@@ -179,7 +179,7 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     V, alpha, T = config.V, config.alpha, config.T
     # T x n omega draws, T x n world draws when A has a private block, the
     # T x n queue history, and the mixture's copy of that history
-    runs_in_budget("dpp", T, n, 4 if a else 3)
+    check_upfront_budget("dpp", T, n, 4 if a else 3)
 
     world_gen, omega_gen = stream_generators(config.seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T)[:, :a] if a else np.zeros((T, 0))

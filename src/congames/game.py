@@ -30,7 +30,7 @@ __all__ = [
     "sample_omega",
     "draw_rows",
     "UPFRONT_BUDGET_BYTES",
-    "runs_in_budget",
+    "check_upfront_budget",
 ]
 
 # rows that draw_rows converts to Python floats at a time
@@ -205,17 +205,14 @@ def draw_rows(draws: np.ndarray):
         yield from draws[start : start + DRAW_CHUNK].tolist()
 
 
-def runs_in_budget(solver: str, T: int, n: int, arrays: int = 1) -> int:
-    """How many runs, each holding ``arrays`` T x n float64 arrays before its
-    first round, fit :data:`UPFRONT_BUDGET_BYTES` together.
-
-    Raises ValueError naming T, n and the MiB needed when not even one does,
-    so a solver can call it before it samples anything.
-    """
+def check_upfront_budget(solver: str, T: int, n: int, arrays: int = 1):
+    """Raise ValueError naming T, n and the MiB needed when one run's
+    ``arrays`` T x n float64 arrays, allocated before its first round, would
+    exceed :data:`UPFRONT_BUDGET_BYTES`; a solver calls it before it samples
+    anything."""
     need = T * n * 8 * arrays
     if need > UPFRONT_BUDGET_BYTES:
         raise ValueError(
             f"{solver} run with T={T}, n={n} needs {need / 2**20:.0f} MiB up front, "
             f"over the {UPFRONT_BUDGET_BYTES / 2**20:.0f} MiB budget; use a smaller T"
         )
-    return UPFRONT_BUDGET_BYTES // need

@@ -29,8 +29,9 @@ with the lowest index on ties) see one row at a time.  :func:`run_md` is a
 batch of one.  The update stays on ``np.exp``: ``math.exp`` differs from it
 in the last bit on some inputs, which would change every later iterate.
 Each run's omega draws are still sampled in one call of size T from its own
-seed; the batch holds them in one T x R x n array and splits R into chunks
-that fit :data:`congames.game.UPFRONT_BUDGET_BYTES`.
+seed; the batch holds them in one T x R' x n array for a chunk of R' runs
+whose draws fit :data:`BATCH_DRAW_BYTES`, so a sweep's memory stays bounded
+however many points and repetitions it has.
 
 The loop runs the unchecked :func:`mw_update`, which
 :func:`congames.quantile.solve_a1` shares, and checks positivity once, after
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, deterministic_omega, runs_in_budget, sample_omega
+from .game import GameInstance, check_upfront_budget, deterministic_omega, sample_omega
 from .rng import OMEGA_STREAM, as_generator
 from .worstcase import sampled_subgradients
 
@@ -60,6 +61,11 @@ __all__ = [
     "md_error_bound",
     "omega_sup_sq_mean",
 ]
+
+# omega-draw bytes that run_md_batch samples and steps at a time (always at
+# least one run): at T = 10 000, n = 3 about 140 runs, past which the cost
+# per run falls little
+BATCH_DRAW_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,8 @@ def run_md_batch(games, configs) -> np.ndarray:
 
     Returns the (R, n) average iterates, row r bit-identical to
     ``run_md(games[r], configs[r])``.  Every run needs a == 0, and all runs
-    must share alpha, T and n.  Raises ValueError, before drawing anything,
+    must share alpha, T and n.  Runs are stepped in chunks whose draws fit
+    :data:`BATCH_DRAW_BYTES`.  Raises ValueError, before drawing anything,
     when one run's T x n draws alone exceed
     :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
@@ -125,7 +132,8 @@ def run_md_batch(games, configs) -> np.ndarray:
     alpha, T, n = configs[0].alpha, configs[0].T, games[0].n
     if any((c.alpha, c.T, g.n) != (alpha, T, n) for g, c in zip(games, configs)):
         raise ValueError("batched runs must share alpha, T and n")
-    per_chunk = runs_in_budget("md", T, n)
+    check_upfront_budget("md", T, n)
+    per_chunk = max(1, BATCH_DRAW_BYTES // (T * n * 8))
     return np.concatenate(
         [
             _run_chunk(games[s : s + per_chunk], configs[s : s + per_chunk], alpha, T)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import RewardDistribution
-from .game import GameInstance, draw_rows, runs_in_budget, sample_omega
+from .game import GameInstance, check_upfront_budget, draw_rows, sample_omega
 from .md import MdConfig, mw_update, require_positive
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold
@@ -58,16 +58,6 @@ def _require_continuous(dist: RewardDistribution):
         )
 
 
-def tail_weighted_mean(dist: RewardDistribution, p1: float) -> float:
-    """p1 times the conditional mean of the upper p1-fraction of ``dist``."""
-    _require_continuous(dist)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must be in [0, 1], got {p1}")
-    if p1 == 0.0:
-        return 0.0
-    return p1 * dist.tail_mean(p1)
-
-
 @dataclass(frozen=True)
 class TailFrontier:
     """Evaluable frontier p0 -> (threshold, best achievable q)."""
@@ -78,8 +68,11 @@ class TailFrontier:
         _require_continuous(self.dist)
 
     def q(self, p1: float) -> float:
-        """:func:`tail_weighted_mean`, without re-checking the distribution
-        (``__post_init__`` did; ``tail_mean`` still checks p1)."""
+        """p1 times the conditional mean of the upper p1-fraction of ``dist``.
+
+        ``__post_init__`` checked the distribution once; ``tail_mean`` checks
+        that p1 lies in [0, 1].
+        """
         if p1 == 0.0:
             return 0.0
         return p1 * self.dist.tail_mean(p1)
@@ -91,6 +84,12 @@ class TailFrontier:
         hi = min(1.0, p1 + width)
         lo = max(0.0, p1 - width)
         return (self.q(hi) - self.q(lo)) / (hi - lo)
+
+
+def tail_weighted_mean(dist: RewardDistribution, p1: float) -> float:
+    """:meth:`TailFrontier.q` of ``dist`` at p1, for a one-off evaluation;
+    raises ValueError for a discontinuous ``dist`` or p1 outside [0, 1]."""
+    return TailFrontier(dist).q(p1)
 
 
 def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
@@ -146,7 +145,7 @@ def solve_a1(
         raise ValueError("delta must be in (0, 1/n)")
     frontier = TailFrontier(game.distributions[0])
     n = game.n
-    runs_in_budget("a1", config.T, n)
+    check_upfront_budget("a1", config.T, n)
     # gross gain per unit of x: 1 for the rate q(p0), E_k for the other picks
     weights = game.means.tolist()
     weights[0] = 1.0

@@ -206,11 +206,12 @@ def _sweep_like_batch():
     return games, configs
 
 
-@pytest.mark.parametrize("runs_per_chunk, chunks", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])
+@pytest.mark.parametrize("runs_per_chunk, chunks", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1]), (0.5, [1, 1, 1, 1, 1])])
 def test_chunked_batch_matches_unchunked(monkeypatch, runs_per_chunk, chunks):
+    # a chunk holds at least one run, even one whose draws exceed the chunk size
     games, configs = _sweep_like_batch()
     whole = run_md_batch(games, configs)
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", runs_per_chunk * 300 * 3 * 8)
+    monkeypatch.setattr(congames.md, "BATCH_DRAW_BYTES", int(runs_per_chunk * 300 * 3 * 8))
     sizes = []
     run_chunk = congames.md._run_chunk
 

@@ -61,13 +61,17 @@ def test_frontier_shape():
 
 
 def test_frontier_q_is_the_checked_tail_weighted_mean():
-    # q skips tail_weighted_mean's per-call checks and keeps its bits
+    # one expression, p1 * tail_mean(p1), behind both names; p1 is still range-checked
     for dist in (Exponential(0.7), Exponential(2.0), Uniform(0.2, 3.0), Uniform(0.0, 1.0)):
         frontier = TailFrontier(dist)
         for p1 in [0.0, 1e-12, 1e-4, 0.3, 0.5, 1.0 - 1e-9, 1.0, *np.linspace(0.0, 1.0, 97).tolist()]:
-            assert frontier.q(p1) == tail_weighted_mean(dist, p1)
-    with pytest.raises(ValueError):
-        TailFrontier(Exponential(1.0)).q(1.5)
+            expected = p1 * dist.tail_mean(p1) if p1 > 0 else 0.0
+            assert frontier.q(p1) == tail_weighted_mean(dist, p1) == expected
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                frontier.q(bad)
+            with pytest.raises(ValueError):
+                tail_weighted_mean(dist, bad)
 
 
 def test_build_strategy_examples():
