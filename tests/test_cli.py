@@ -307,9 +307,14 @@ def test_full_size_dpp_sweep_csv_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
-# the benchmark's md and a1 sweeps at default flags (T = 10 000, 8 points);
-# sha256 copied from their csv_sha256_seed0 entries
+# the benchmark's nash, md and a1 sweeps at default flags (nash: 24 points,
+# 100 000 samples; md and a1: T = 10 000, 8 points); sha256 copied from their
+# csv_sha256_seed0 entries
 FULL_SWEEPS = {
+    "nash-s3": (
+        ["nash", "--scenario", "3"],
+        "b07a61f11ac060626d520e9aa37a4515b276950f82a91d5f1bd257d1c0448fbf",
+    ),
     "worst-md-s2": (
         ["worst", "md", "--scenario", "2", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3"],
         "5b41db7333d10a96c81046dc70a12060f465a64a370e804dcc373c7dae970b4d",
