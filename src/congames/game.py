@@ -205,14 +205,15 @@ def draw_rows(draws: np.ndarray):
         yield from draws[start : start + DRAW_CHUNK].tolist()
 
 
-def check_upfront_budget(solver: str, T: int, n: int, arrays: int = 1):
+def check_upfront_budget(solver: str, T: int, n: int, arrays: int = 1, rows: str = "T"):
     """Raise ValueError naming T, n and the MiB needed when one run's
     ``arrays`` T x n float64 arrays, allocated before its first round, would
-    exceed :data:`UPFRONT_BUDGET_BYTES`; a solver calls it before it samples
-    anything."""
+    exceed :data:`UPFRONT_BUDGET_BYTES`; a solver or Monte Carlo estimate
+    calls it before it samples anything.  ``rows`` names T in the message
+    (``n_samples`` for the Monte Carlo estimates)."""
     need = T * n * 8 * arrays
     if need > UPFRONT_BUDGET_BYTES:
         raise ValueError(
-            f"{solver} run with T={T}, n={n} needs {need / 2**20:.0f} MiB up front, "
-            f"over the {UPFRONT_BUDGET_BYTES / 2**20:.0f} MiB budget; use a smaller T"
+            f"{solver} run with {rows}={T}, n={n} needs {need / 2**20:.0f} MiB up front, "
+            f"over the {UPFRONT_BUDGET_BYTES / 2**20:.0f} MiB budget; use a smaller {rows}"
         )

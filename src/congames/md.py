@@ -53,7 +53,6 @@ from .worstcase import sampled_subgradients
 
 __all__ = [
     "MdConfig",
-    "md_step",
     "mw_update",
     "require_positive",
     "run_md",
@@ -97,16 +96,6 @@ def mw_update(p: np.ndarray, grad, alpha: float) -> np.ndarray:
     expo -= expo.max(axis=-1, keepdims=True)  # value-invariant shift against overflow
     w = p * np.exp(expo)
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def md_step(p, grad, alpha: float) -> np.ndarray:
-    """One validated multiplicative-weights ascent step along ``grad``;
-    preserves strict positivity."""
-    p = np.asarray(p, dtype=float)
-    require_positive(p)
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    return mw_update(p, grad, alpha)
 
 
 def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:

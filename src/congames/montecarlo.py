@@ -13,7 +13,12 @@ matchup:
 Simplex strategies ignore the world, and a score mixture of a player with no
 private resources picks each row's constant argmax, so both get exact
 statistics without sampling; everything else is averaged over seeded world
-draws.
+draws.  A caller that estimates many strategies on one seed can hand
+:func:`estimate_stats` a ``worlds`` source that draws those worlds once, on
+first use, and returns the same array afterwards; iterative best response
+does, so each of its runs samples its worlds at most once.  The arrays built
+here are n_samples x n, so a call that would sample is refused up front
+(:func:`congames.game.check_upfront_budget`) when they exceed the budget.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, sample_world
+from .game import GameInstance, check_upfront_budget, sample_world
 from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, batch_actions
 
@@ -105,6 +110,7 @@ def estimate_stats(
     player: str,
     n_samples: int = 100_000,
     rng=0,
+    worlds=None,
 ) -> StrategyStats:
     """Estimate (p, q) for ``strategy`` played by ``player``.
 
@@ -113,6 +119,11 @@ def estimate_stats(
     private block.  Otherwise Monte Carlo over ``n_samples`` worlds,
     with world draws and action randomization on disjoint streams so that
     repeated calls with one seed share the same worlds.
+
+    ``worlds``, if given, is a zero-argument callable returning the
+    (n_samples, n) worlds to use instead of drawing them from ``rng``'s world
+    stream; it is called only when the estimate samples.  Raises ValueError
+    before sampling when n_samples x n worlds exceed the up-front budget.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -129,11 +140,14 @@ def estimate_stats(
         p = np.bincount(picks, minlength=n) / len(strategy)
         return StrategyStats(player, p, np.zeros(0))
 
+    check_upfront_budget("estimate_stats", n_samples, n, rows="n_samples")
     world_gen, act_gen = stream_generators(rng, (WORLD_STREAM, _action_stream(player)))
-    worlds = sample_world(game, world_gen, size=n_samples)
-    actions = batch_actions(strategy, worlds[:, private], act_gen)
+    drawn = sample_world(game, world_gen, size=n_samples) if worlds is None else worlds()
+    if drawn.shape != (n_samples, n):
+        raise ValueError(f"worlds have shape {drawn.shape}, need ({n_samples}, {n})")
+    actions = batch_actions(strategy, drawn[:, private], act_gen)
     p = np.bincount(actions, minlength=n) / n_samples
-    q = np.array([np.mean(worlds[:, k] * (actions == k)) for k in private])
+    q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
     return StrategyStats(player, p, q)
 
 
@@ -187,6 +201,7 @@ def simulate_payoff(
         raise ValueError("n_samples must be >= 2")
     _check_strategy_player(strategy_a, game, "A")
     _check_strategy_player(strategy_b, game, "B")
+    check_upfront_budget("simulate_payoff", n_samples, game.n, rows="n_samples")
     world_gen, a_gen, b_gen = stream_generators(
         rng, (WORLD_STREAM, ACTION_A_STREAM, ACTION_B_STREAM)
     )

@@ -17,16 +17,21 @@ Best responses score resource k (for player A, symmetric for B) by
     E_k (1 - p_B[k]/2)   on the shared blocks,
 
 and pick the argmax, lowest index on ties.
+
+Every statistic of one run is estimated on the same seeded worlds, so a run
+draws them once: the first turn that samples draws them, and every later
+turn reuses the array.  Runs whose turns are all exact draw nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance
+from .game import GameInstance, sample_world
 from .montecarlo import (
     McConfig,
     StrategyStats,
@@ -34,6 +39,7 @@ from .montecarlo import (
     estimate_stats,
     expected_utility,
 )
+from .rng import WORLD_STREAM, stream_generators
 from .strategies import Mixture, Simplex, Strategy
 
 __all__ = [
@@ -116,14 +122,19 @@ def iterate_best_response(
     (common random numbers), so before/after utility estimates are
     differenced on identical worlds and the gain estimate is nearly
     noise-free; when neither player has private resources the statistics are
-    exact and the potential trace is exactly non-decreasing.
+    exact and the potential trace is exactly non-decreasing.  Those worlds
+    are drawn once per run, by the first estimate that samples.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     cap = iteration_cap(game, epsilon)
+    (world_gen,) = stream_generators(mc.seed, (WORLD_STREAM,))
+    worlds = functools.cache(lambda: sample_world(game, world_gen, size=mc.n_samples))
 
     def stats_of(strategy, player):
-        return estimate_stats(strategy, game, player, n_samples=mc.n_samples, rng=mc.seed)
+        return estimate_stats(
+            strategy, game, player, n_samples=mc.n_samples, rng=mc.seed, worlds=worlds
+        )
 
     uniform = Simplex(np.full(game.n, 1.0 / game.n))
     strat = {"A": uniform, "B": uniform}

@@ -14,6 +14,12 @@ Three strategy forms cover everything the solvers produce:
   ``values[i, k]``.  A one-row mixture is deterministic: best responses and
   the worst-case opponent take that form, and drift-plus-penalty emits the
   T-row mixture of its virtual-queue strategies.
+
+A one-row mixture acts by threshold rather than through a (samples, n) score
+matrix: its best constant resource is fixed, so each private resource only
+has to beat the running best (the constant, then the private products in
+turn), ties going to the lower index.  This picks the same resource as the
+argmax, bit for bit.
 """
 
 from __future__ import annotations
@@ -88,6 +94,8 @@ class Mixture:
         private = np.asarray(self.private, dtype=int).reshape(-1)
         if private.size and (private.min() < 0 or private.max() >= values.shape[1]):
             raise ValueError("private indices out of range")
+        if np.any(np.diff(private) <= 0):
+            raise ValueError("private indices must be strictly increasing")
         values = values.copy()
         values.setflags(write=False)
         private = private.copy()
@@ -146,16 +154,37 @@ def batch_actions(strategy: Strategy, obs: np.ndarray, rng=None) -> np.ndarray:
         return actions
     if isinstance(strategy, Mixture):
         _check_observation(obs, strategy.private.size, "Mixture")
-        values = strategy.values
         if len(strategy) == 1:  # deterministic: no draw, no rng needed
-            scores = np.repeat(values, rows, axis=0)
-        else:
-            comp = _need_generator(rng, strategy).integers(len(strategy), size=rows)
-            scores = np.take(values, comp, axis=0)
+            return _threshold_actions(strategy.values[0], strategy.private, obs)
+        comp = _need_generator(rng, strategy).integers(len(strategy), size=rows)
+        scores = np.take(strategy.values, comp, axis=0)
         if strategy.private.size:
             scores[:, strategy.private] *= obs
         return np.argmax(scores, axis=1)
     raise TypeError(f"unknown strategy type {type(strategy).__name__}")
+
+
+def _threshold_actions(values: np.ndarray, private: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """The argmax of ``values`` with ``values[private]`` scaled by each row of
+    ``obs``, lowest index on ties, without building the (rows, n) scores.
+
+    The best constant resource is the same in every row, so each row takes
+    its best private product where that beats the constant, or ties it at a
+    lower index.  Selections are arithmetic (``j + take * (top - j)``):
+    ``np.where`` on an unpredictable mask is several times slower.
+    """
+    const = values.copy()
+    const[private] = -np.inf  # every product beats this when all are private
+    j = int(const.argmax())
+    if not private.size:
+        return np.full(obs.shape[0], j)
+    best, top = obs[:, 0] * values[private[0]], private[0]
+    for col in range(1, private.size):  # ascending, so a tie keeps the lower index
+        prod = obs[:, col] * values[private[col]]
+        top = top + (prod > best) * (private[col] - top)
+        best = np.maximum(best, prod)
+    take = (best > const[j]) | ((best == const[j]) & (top < j))
+    return j + take * (top - j)
 
 
 def act(strategy: Strategy, observed_private_rewards, rng=None) -> int:

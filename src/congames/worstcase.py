@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, deterministic_omega, sample_omega
+from .game import GameInstance, check_upfront_budget, deterministic_omega, sample_omega
 from .montecarlo import McConfig, StrategyStats, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import Mixture, Strategy
@@ -106,12 +106,15 @@ def sampled_subgradients(x: np.ndarray, omega: np.ndarray, w: np.ndarray) -> np.
 def omega_max_mean(x, game: GameInstance, n_samples: int = 100_000, rng=0):
     """Mean and standard error of max_k omega_k x_k.
 
-    Deterministic (stderr 0) when the B block is empty.
+    Deterministic (stderr 0) when the B block is empty.  Otherwise raises
+    ValueError before sampling when n_samples x n draws exceed the up-front
+    budget.
     """
     x = np.asarray(x, dtype=float)
     if game.partition.b == 0:
         value = float(np.max(deterministic_omega(game) * x))
         return value, 0.0
+    check_upfront_budget("omega_max_mean", n_samples, game.n, rows="n_samples")
     omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
     maxima = np.max(omegas * x, axis=1)
     return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))

@@ -24,7 +24,7 @@ from congames import (
     worst_case_objective,
 )
 from congames.game import sample_omega
-from congames.md import md_step, omega_sup_sq_mean, run_md_batch
+from congames.md import mw_update, omega_sup_sq_mean, require_positive, run_md_batch
 from congames.rng import OMEGA_STREAM, as_generator
 from congames.worstcase import sampled_subgradient, sampled_subgradients
 from conftest import exp_game
@@ -32,26 +32,31 @@ from conftest import exp_game
 
 def test_step_shift_invariance_and_hand_value():
     p = np.array([0.3, 0.7])
-    np.testing.assert_allclose(md_step(p, [-5.0, -5.0], 2.0), p)
-    out = md_step([0.5, 0.5], [0.0, math.log(2.0)], 1.0)
+    np.testing.assert_allclose(mw_update(p, [-5.0, -5.0], 2.0), p)
+    out = mw_update(np.array([0.5, 0.5]), [0.0, math.log(2.0)], 1.0)
     np.testing.assert_allclose(out, [1 / 3, 2 / 3], atol=1e-12)
     # vanishing step size
-    out = md_step([0.5, 0.5], [-0.3, 1.0], 1e12)
+    out = mw_update(np.array([0.5, 0.5]), [-0.3, 1.0], 1e12)
     np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-9)
 
 
 def test_step_rejects_boundary():
-    with pytest.raises(ValueError):
-        md_step([1.0, 0.0], [0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        md_step([0.5, 0.5], [0.0, 0.0], 0.0)
+    # the loops check their iterates once, with require_positive, and alpha
+    # where MdConfig is built
+    for bad in ([1.0, 0.0], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="strictly positive"):
+            require_positive(np.array(bad))
+    require_positive(np.array([0.5, 0.5]))
+    for alpha in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            MdConfig(alpha=alpha, T=10)
 
 
 def test_step_preserves_simplex(rng):
     p = np.full(4, 0.25)
     for _ in range(200):
-        p = md_step(p, -rng.normal(size=4), 5.0)
-        assert np.all(p > 0)
+        p = mw_update(p, -rng.normal(size=4), 5.0)
+        require_positive(p)
         assert abs(p.sum() - 1.0) <= 1e-12
 
 

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import congames.montecarlo
+import congames.nash
+import congames.worstcase
 from congames import (
     Exponential,
     GameInstance,
@@ -16,6 +19,8 @@ from congames import (
     expected_utility,
     simulate_payoff,
 )
+from congames.cli import main
+from congames.worstcase import omega_max_mean
 from conftest import exp_game, random_strategy
 
 
@@ -144,3 +149,28 @@ def test_strategy_stats_validation():
         StrategyStats("A", [1.0, 0.0], [-0.1])
     with pytest.raises(ValueError):
         StrategyStats("C", [1.0], [])
+
+
+def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the estimate sampled before checking its budget")
+
+    for module in (congames.montecarlo, congames.nash):
+        monkeypatch.setattr(module, "sample_world", no_draws)
+    monkeypatch.setattr(congames.worstcase, "sample_omega", no_draws)
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    score = Mixture([[1.0, 0.5, 0.5]], private=[0])
+    need = r"run with n_samples=100000000, n=3 needs 2289 MiB up front"
+    with pytest.raises(ValueError, match="estimate_stats " + need):
+        estimate_stats(score, g, "A", n_samples=10**8)
+    with pytest.raises(ValueError, match="simulate_payoff " + need):
+        simulate_payoff(score, Simplex([0.0, 1.0, 0.0]), g, n_samples=10**8)
+    with pytest.raises(ValueError, match="omega_max_mean " + need):
+        omega_max_mean(np.full(3, 1.0 / 3.0), g, n_samples=10**8)
+    # exact statistics and a deterministic max allocate nothing, so pass
+    assert estimate_stats(Simplex([1.0, 0.0, 0.0]), g, "A", n_samples=10**8).p[0] == 1.0
+    g0 = exp_game([1.0, 1.0, 1.0], (1, 0, 2, 0))
+    assert omega_max_mean(np.full(3, 1.0 / 3.0), g0, n_samples=10**8) == (1.0 / 3.0, 0.0)
+    code = main(["nash", "--scenario", "3", "--samples", "100000000"])
+    assert code == 2
+    assert "MiB up front" in capsys.readouterr().err

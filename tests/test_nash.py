@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import congames.game
+import congames.montecarlo
+import congames.nash
 from congames import (
+    Exponential,
+    GameInstance,
     McConfig,
+    Mixture,
+    Partition,
     StrategyStats,
     best_response,
     estimate_stats,
@@ -10,6 +19,7 @@ from congames import (
     iterate_best_response,
     potential,
 )
+from congames.experiments import SCENARIO_PARTITIONS
 from congames.nash import iteration_cap
 from conftest import exp_game, random_stats
 
@@ -134,3 +144,76 @@ def test_rejects_bad_epsilon():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     with pytest.raises(ValueError):
         iterate_best_response(g, 0.0)
+
+
+def spy_on_sample_world(monkeypatch):
+    """Count calls of ``congames.game.sample_world`` made from nash or
+    montecarlo, the two modules that draw worlds for a run."""
+    calls = []
+    original = congames.game.sample_world
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("size"))
+        return original(*args, **kwargs)
+
+    for module in (congames.nash, congames.montecarlo):
+        monkeypatch.setattr(module, "sample_world", spy)
+    return calls
+
+
+def assert_same_report(got, want):
+    for mine, theirs in ((got.strategy_a, want.strategy_a), (got.strategy_b, want.strategy_b)):
+        assert type(mine) is type(theirs)
+        if isinstance(mine, Mixture):
+            np.testing.assert_array_equal(mine.values, theirs.values)
+            np.testing.assert_array_equal(mine.private, theirs.private)
+        else:
+            np.testing.assert_array_equal(mine.p, theirs.p)
+    for mine, theirs in ((got.stats_a, want.stats_a), (got.stats_b, want.stats_b)):
+        np.testing.assert_array_equal(mine.p, theirs.p)
+        np.testing.assert_array_equal(mine.q, theirs.q)
+    assert got.trace == want.trace
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+def redraw_every_turn(strategy, game, player, n_samples, rng, worlds=None):
+    """The oracle: plain ``estimate_stats``, drawing its own worlds each turn."""
+    return estimate_stats(strategy, game, player, n_samples=n_samples, rng=rng)
+
+
+@pytest.mark.parametrize("scenario,draws", [(1, 0), (2, 1), (3, 1)])
+def test_each_run_draws_its_worlds_once(monkeypatch, scenario, draws):
+    mc = McConfig(n_samples=2000, seed=5)
+    games = [exp_game([e1, 1.0, 1.0], SCENARIO_PARTITIONS[scenario]) for e1 in (0.5, 1.0, 2.0)]
+    calls = spy_on_sample_world(monkeypatch)
+    reports = []
+    for g in games:
+        before = len(calls)
+        reports.append(iterate_best_response(g, 1e-3, mc))
+        assert calls[before:] == [mc.n_samples] * draws
+        assert reports[-1].iterations > 1  # so later turns reused the one draw
+    monkeypatch.setattr(congames.nash, "estimate_stats", redraw_every_turn)
+    for g, report in zip(games, reports):
+        assert_same_report(report, iterate_best_response(g, 1e-3, mc))
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4).filter(sum),
+    st.lists(st.floats(min_value=0.2, max_value=3.0), min_size=10, max_size=10),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=25, deadline=None)
+def test_one_world_draw_matches_redrawing_every_turn(partition, means, seed):
+    n, d = sum(partition), partition[3]
+    g = GameInstance(
+        Partition(*partition), tuple(Exponential(1.0 / m) for m in means[:n]), z=means[n : n + d]
+    )
+    mc = McConfig(n_samples=2000, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_on_sample_world(mp)
+        report = iterate_best_response(g, 1e-3, mc)
+        sampled_turns = partition[0] + partition[1] > 0
+        assert len(calls) == int(sampled_turns)
+        mp.setattr(congames.nash, "estimate_stats", redraw_every_turn)
+        oracle = iterate_best_response(g, 1e-3, mc)
+    assert_same_report(report, oracle)

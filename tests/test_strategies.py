@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from congames import Mixture, QuantileThreshold, Simplex, act
+from congames import Mixture, Partition, QuantileThreshold, Simplex, act
 from congames.strategies import batch_actions
 
 
@@ -60,6 +61,9 @@ def test_simplex_validation():
     for bad in (-1, 5):
         with pytest.raises(ValueError, match="private indices"):
             Mixture([[1.0, 2.0]], private=[bad])
+    for bad in ([1, 0], [0, 0]):  # a private block is ascending, without repeats
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Mixture([[1.0, 2.0, 3.0]], private=bad)
     with pytest.raises(ValueError):
         QuantileThreshold(np.nan, [1.0])
     for tau in (-np.inf, np.inf):
@@ -103,3 +107,50 @@ def test_tie_breaking_is_lowest_index(values, i, j):
     chosen = act(Mixture([values], private=[]), [])
     argmax_set = [k for k, v in enumerate(values) if v == top]
     assert chosen == min(argmax_set)
+
+
+# reward and score values on a coarse grid, so that products tie each other
+# and the constants often
+GRID = [0.0, 0.5, 1.0, 2.0]
+
+
+def argmax_oracle(values, private, obs):
+    """A one-row mixture's actions from the full (rows, n) score matrix."""
+    scores = np.repeat(np.asarray(values)[np.newaxis], obs.shape[0], axis=0)
+    if private.size:
+        scores[:, private] *= obs
+    return np.argmax(scores, axis=1)
+
+
+@st.composite
+def one_row_cases(draw):
+    """(values, player's private block, observations) on a random partition:
+    A's block starts at 0, B's sits after it; either may be empty or all."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=3, max_size=3)))
+    partition = Partition(cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], n - cuts[2])
+    private = partition.private_set(draw(st.sampled_from("AB")))
+    values = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
+    rows = draw(st.integers(min_value=1, max_value=16))
+    obs = draw(hnp.arrays(float, (rows, private.size), elements=st.sampled_from(GRID)))
+    return values, private, obs
+
+
+def _case(values, private, obs):
+    return values, np.array(private, dtype=int), np.array(obs, dtype=float).reshape(len(obs), -1)
+
+
+@given(one_row_cases())
+@example(_case([1.0, 2.0], [0], [[2.0], [1.0], [4.0]]))  # product ties a higher constant
+@example(_case([2.0, 1.0], [1], [[2.0], [4.0]]))  # product ties a lower constant
+@example(_case([1.0, 1.0, 0.5], [0, 1], [[1.0, 1.0], [0.5, 2.0]]))  # two products tie
+@example(_case([0.5, 1.0, 2.0], [1, 2], [[2.0, 0.5], [0.0, 0.0]]))  # B's block, all tie
+@example(_case([0.5, 1.0], [0, 1], [[2.0, 1.0], [0.0, 0.0]]))  # every resource private
+@example(_case([1.0, 1.0, 1.0], [], [[]]))  # no private block, constants tie
+@settings(max_examples=300, deadline=None)
+def test_one_row_threshold_rule_matches_argmax(case):
+    values, private, obs = case
+    actions = batch_actions(Mixture([values], private), obs)
+    expected = argmax_oracle(values, private, obs)
+    assert actions.dtype == expected.dtype
+    np.testing.assert_array_equal(actions, expected)
