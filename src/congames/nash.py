@@ -129,7 +129,12 @@ def iterate_best_response(
         raise ValueError("epsilon must be positive")
     cap = iteration_cap(game, epsilon)
     (world_gen,) = stream_generators(mc.seed, (WORLD_STREAM,))
-    worlds = functools.cache(lambda: sample_world(game, world_gen, size=mc.n_samples))
+
+    @functools.cache
+    def worlds():  # every turn gets this one array, so it is read-only
+        drawn = sample_world(game, world_gen, size=mc.n_samples)
+        drawn.setflags(write=False)
+        return drawn
 
     def stats_of(strategy, player):
         return estimate_stats(

@@ -16,10 +16,10 @@ Three strategy forms cover everything the solvers produce:
   T-row mixture of its virtual-queue strategies.
 
 A one-row mixture acts by threshold rather than through a (samples, n) score
-matrix: its best constant resource is fixed, so each private resource only
-has to beat the running best (the constant, then the private products in
-turn), ties going to the lower index.  This picks the same resource as the
-argmax, bit for bit.
+matrix: its best constant resource is the same in every row, so a row picks
+its best private product where that beats the best constant, or ties it at a
+lower index, and the constant otherwise.  This picks the same resource as
+the argmax, bit for bit.
 """
 
 from __future__ import annotations
