@@ -168,14 +168,15 @@ def _threshold_actions(values: np.ndarray, private: np.ndarray, obs: np.ndarray)
     """The argmax of ``values`` with ``values[private]`` scaled by each row of
     ``obs``, lowest index on ties, without building the (rows, n) scores.
 
-    The best constant resource is the same in every row, so each row takes
-    its best private product where that beats the constant, or ties it at a
-    lower index.  Selections are arithmetic (``j + take * (top - j)``):
+    The best constant resource (lowest index j, value c) is the same in
+    every row, so each row takes its best private resource ``top`` where the
+    product beats c, or ties it at an index below j.  Selections are arithmetic (``j + take * (top - j)``):
     ``np.where`` on an unpredictable mask is several times slower.
     """
     const = values.copy()
     const[private] = -np.inf  # every product beats this when all are private
     j = int(const.argmax())
+    c = const[j]
     if not private.size:
         return np.full(obs.shape[0], j)
     best, top = obs[:, 0] * values[private[0]], private[0]
@@ -183,7 +184,7 @@ def _threshold_actions(values: np.ndarray, private: np.ndarray, obs: np.ndarray)
         prod = obs[:, col] * values[private[col]]
         top = top + (prod > best) * (private[col] - top)
         best = np.maximum(best, prod)
-    take = (best > const[j]) | ((best == const[j]) & (top < j))
+    take = (best > c) | ((best == c) & (top < j))
     return j + take * (top - j)
 
 

@@ -184,17 +184,13 @@ def redraw_every_turn(strategy, game, player, n_samples, rng, worlds=None):
 @pytest.mark.parametrize("scenario,draws", [(1, 0), (2, 1), (3, 1)])
 def test_each_run_draws_its_worlds_once(monkeypatch, scenario, draws):
     mc = McConfig(n_samples=2000, seed=5)
-    games = [exp_game([e1, 1.0, 1.0], SCENARIO_PARTITIONS[scenario]) for e1 in (0.5, 1.0, 2.0)]
     calls = spy_on_sample_world(monkeypatch)
-    reports = []
-    for g in games:
+    for e1 in (0.5, 1.0, 2.0):
         before = len(calls)
-        reports.append(iterate_best_response(g, 1e-3, mc))
+        g = exp_game([e1, 1.0, 1.0], SCENARIO_PARTITIONS[scenario])
+        report = iterate_best_response(g, 1e-3, mc)
         assert calls[before:] == [mc.n_samples] * draws
-        assert reports[-1].iterations > 1  # so later turns reused the one draw
-    monkeypatch.setattr(congames.nash, "estimate_stats", redraw_every_turn)
-    for g, report in zip(games, reports):
-        assert_same_report(report, iterate_best_response(g, 1e-3, mc))
+        assert report.iterations > 1  # so later turns reused the one draw
 
 
 @given(
