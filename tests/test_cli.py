@@ -137,7 +137,14 @@ def test_evaluate_score_file_is_one_row_mixture(tmp_path, capsys):
             assert code == 0, err
             outs.append(out)
         assert outs[0] == outs[1]
-        assert outs[0].strip()
+        assert outs[0] == EVALUATE_PRINTOUTS[mode]
+
+
+# what both strategy files above print at seed 3 with 5000 samples
+EVALUATE_PRINTOUTS = {
+    "stats": "p: 0.4738 0 0.5262\nq: 0.843114639\n",
+    "vs-worst-case": "value: 0.84251732\nstderr: 1.57024949e-18\ncollision_max_mean: 0.843114639\n",
+}
 
 
 def test_evaluate_parse_error_exit_code(tmp_path, capsys):
@@ -180,6 +187,17 @@ def test_dpp_md_sweeps_run_small(capsys):
     vals = [float(v) for v in rows[0].split(",")]
     assert 0.5 < vals[1] < 1.0  # near 5/6 at e1 = 1
     assert vals[-2] <= vals[1] <= vals[-1]  # value within the min/max band
+
+
+def test_multi_rep_dpp_sweep_csv_is_byte_identical(capsys):
+    # three points of two DPP runs each, every run evaluated on its own seed
+    code, out, _ = run_cli(
+        capsys, "worst", "dpp", "--scenario", "2", "--e1-min", "0.5", "--e1-max", "1.5",
+        "--e1-step", "0.5", "--T", "2000", "--samples", "2000", "--reps", "2",
+    )
+    assert code == 0
+    expected = "8c39887472ba0cf2db7a90f2b794d4ccbc9964ca2306b52714c5eab2a12b6c54"
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_dpp_sweep_warns_on_queue_cap_violations(capsys):
