@@ -25,7 +25,7 @@ from congames import (
 game = GameInstance(Partition(0, 0, 3, 0), tuple(Exponential(1.0) for _ in range(3)))
 config = MdConfig(alpha=50.0, T=10_000, seed=0)
 p = run_md(game, config)
-value = worst_case_objective(p, game)  # exact when omega is deterministic
+value, _ = worst_case_objective(p, game)  # exact when omega is deterministic
 
 print(f"average iterate      : {np.round(p, 5)}")
 print(f"achieved value       : {value:.6f}")
@@ -39,7 +39,7 @@ asym = GameInstance(
     (Exponential(1.0 / 1.5), Exponential(1.0), Exponential(1.0)),
 )
 p = run_md(asym, MdConfig(alpha=50.0, T=20_000, seed=0))
-value, stderr = worst_case_objective(p, asym, n_samples=200_000, rng=3, with_error=True)
+value, stderr = worst_case_objective(p, asym, n_samples=200_000, rng=3)
 print("\nB observes resource 1 (mean 1.5):")
 print(f"  p = {np.round(p, 4)}, worst-case value {value:.4f} +- {stderr:.4f}")
 print(f"  bound: {md_error_bound(asym, 50.0, 20_000):.4f}")

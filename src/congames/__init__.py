@@ -33,7 +33,6 @@ from .montecarlo import (
 )
 from .nash import EquilibriumReport, best_response, iterate_best_response, potential
 from .quantile import TailFrontier, build_strategy_a1, solve_a1, tail_weighted_mean
-from .rng import RngSpec
 from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, act
 from .worstcase import (
     WorstCaseEval,
@@ -60,7 +59,6 @@ __all__ = [
     "Mixture",
     "Strategy",
     "act",
-    "RngSpec",
     "McConfig",
     "StrategyStats",
     "estimate_stats",

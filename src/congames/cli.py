@@ -4,49 +4,32 @@ Subcommands::
 
     congames nash     --scenario 1 --e1-min 0.1 --e1-max 2.4 --e1-step 0.1
     congames worst dpp --scenario 2 --V 200 --alpha 4e4 --T 100000 --reps 10
-    congames sweep    --solver worst-md --scenario 1 ...
     congames evaluate --game g.txt --strategy s.txt --mode vs-worst-case
 
 Sweeps print a CSV table (or write it with ``--out``); reruns with the same
 flags and seed are byte-identical.  Unset ``--alpha`` and ``--T`` take the
 solver's entry in :data:`congames.experiments.STEP_DEFAULTS` (dpp 4e4 and
-100000, md and a1 50 and 10000).  Any flag default can be overridden by an
-environment variable named CONGAMES_<FLAG> with dashes as underscores, e.g.
-``CONGAMES_SEED=7``, ``CONGAMES_E1_STEP=0.2``.  Explicit flags beat the
-environment.  Exit status is 0 on success and 2 on any usage, file, or
-configuration error.
+100000, md and a1 50 and 10000).  Exit status is 0 on success and 2 on any
+usage, file, or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .experiments import SOLVERS, evaluate_report, preset_spec, run_scenario
+from .experiments import evaluate_report, preset_spec, run_scenario
 from .gamefile import GameFileError, load_game, load_strategy
 from .montecarlo import McConfig
 
-ENV_PREFIX = "CONGAMES_"
-
-
-def _env(flag: str):
-    return os.environ.get(ENV_PREFIX + flag.replace("-", "_").upper())
-
 
 def _opt(parser, flag: str, type_, default, help_):
-    """Add --flag with an environment-overridable default (None: per solver)."""
-    raw = _env(flag)
-    if raw is not None:
-        try:
-            default = type_(raw)
-        except ValueError:
-            parser.error(f"environment variable {ENV_PREFIX}{flag.upper()} is not a valid {type_.__name__}")
+    """Add --flag with its default in the help (None: per solver)."""
     shown = "per solver" if default is None else default
     parser.add_argument(f"--{flag}", type=type_, default=default, help=f"{help_} (default {shown})")
 
 
-def _sweep_flags(parser, with_solver_params=True):
+def _sweep_flags(parser):
     _opt(parser, "scenario", int, 1, "preset scenario 1, 2, or 3")
     _opt(parser, "e1-min", float, 0.1, "smallest mean of resource 1")
     _opt(parser, "e1-max", float, 2.4, "largest mean of resource 1")
@@ -54,11 +37,10 @@ def _sweep_flags(parser, with_solver_params=True):
     _opt(parser, "reps", int, 1, "independent repetitions per sweep point")
     _opt(parser, "seed", int, 0, "master seed")
     _opt(parser, "samples", int, 100_000, "Monte Carlo samples per estimate")
-    if with_solver_params:
-        _opt(parser, "epsilon", float, 1e-3, "equilibrium threshold (nash)")
-        _opt(parser, "V", float, 200.0, "penalty weight (dpp)")
-        _opt(parser, "alpha", float, None, "step parameter (dpp / md / a1)")
-        _opt(parser, "T", int, None, "iteration count (dpp / md / a1)")
+    _opt(parser, "epsilon", float, 1e-3, "equilibrium threshold (nash)")
+    _opt(parser, "V", float, 200.0, "penalty weight (dpp)")
+    _opt(parser, "alpha", float, None, "step parameter (dpp / md / a1)")
+    _opt(parser, "T", int, None, "iteration count (dpp / md / a1)")
     parser.add_argument("--out", default=None, help="write the CSV here instead of stdout")
 
 
@@ -66,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congames",
         description="Two-player stochastic resource-sharing games: equilibria and worst-case strategies.",
-        epilog=f"Flag defaults can be overridden via {ENV_PREFIX}<FLAG> environment variables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -76,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     worst = sub.add_parser("worst", help="worst-case utility sweep")
     worst.add_argument("method", choices=["explicit", "dpp", "md", "a1"])
     _sweep_flags(worst)
-
-    sweep = sub.add_parser("sweep", help="generic sweep with --solver")
-    sweep.add_argument("--solver", choices=SOLVERS, required=True)
-    _sweep_flags(sweep)
 
     ev = sub.add_parser("evaluate", help="evaluate a strategy file in a game file")
     ev.add_argument("--game", required=True, help="game description file")
@@ -149,8 +126,6 @@ def main(argv=None) -> int:
             return _run_sweep("nash", args)
         if args.command == "worst":
             return _run_sweep(f"worst-{args.method}", args)
-        if args.command == "sweep":
-            return _run_sweep(args.solver, args)
         return _run_evaluate(args)
     except (ValueError, GameFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

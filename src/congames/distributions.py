@@ -51,10 +51,6 @@ class Exponential:
     def is_continuous(self) -> bool:
         return True
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, 1.0 - np.exp(-self.rate * x))
-
     def quantile(self, u: float) -> float:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"quantile argument must be in [0,1], got {u}")
@@ -104,12 +100,6 @@ class Uniform:
     def is_continuous(self) -> bool:
         return self.hi > self.lo
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.hi == self.lo:
-            return np.where(x >= self.lo, 1.0, 0.0)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
     def quantile(self, u: float) -> float:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"quantile argument must be in [0,1], got {u}")
@@ -154,10 +144,6 @@ class PointMass:
     @property
     def is_continuous(self) -> bool:
         return False
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= self.value, 1.0, 0.0)
 
     def quantile(self, u: float) -> float:
         if not 0.0 <= u <= 1.0:
@@ -209,12 +195,6 @@ class Discrete:
     @property
     def is_continuous(self) -> bool:
         return False
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._sorted_values, x, side="right")
-        cum = np.concatenate(([0.0], self._cum_probs))
-        return cum[idx]
 
     def quantile(self, u: float) -> float:
         if not 0.0 <= u <= 1.0:

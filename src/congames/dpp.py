@@ -24,7 +24,8 @@ stream's T draws are still sampled in one call and are read as lists a
 chunk of rows at a time (:func:`congames.game.draw_rows`); the queue
 history is kept in a compact float buffer.  The emitted strategy is the
 equiprobable :class:`~congames.strategies.Mixture` of the T queue-score rows
-(the all-zero first one included); the final queues and targets are
+(the all-zero first one included); the queue cap and its violation
+count, the average realized x, and the final queues and targets are
 returned on :class:`DppDiagnostics`.  With alpha >= V^2 every queue
 stays below (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j, which is what caps the
 mixture's suboptimality at the error bound of :func:`bound_constants`.
@@ -72,7 +73,6 @@ class DppConfig:
     alpha: float
     T: int
     seed: int = 0
-    record_diagnostics: bool = False
 
     def __post_init__(self):
         if not self.V > 0:
@@ -103,17 +103,6 @@ class DppDiagnostics:
     avg_realized: np.ndarray
     final_queues: np.ndarray
     final_gamma: np.ndarray
-    max_queue: np.ndarray | None = None  # per round, only when recorded
-    actions: np.ndarray | None = None
-
-    def write_csv(self, path):
-        """Dump one row per round: t, max queue, chosen resource."""
-        if self.max_queue is None or self.actions is None:
-            raise ValueError("diagnostics were not recorded; enable record_diagnostics")
-        with open(path, "w") as fh:
-            fh.write("t,max_queue,action\n")
-            for t, (mq, act) in enumerate(zip(self.max_queue, self.actions), start=1):
-                fh.write(f"{t},{mq:.9g},{act}\n")
 
 
 @dataclass(frozen=True)
@@ -188,13 +177,11 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     u = box_upper(game).tolist()
     v = _base_weights(game).tolist()
     bound = queue_bound(game, alpha)
-    record = config.record_diagnostics
 
     queues = [0.0] * n
     gamma = [0.0] * n
     history = array("d")
     realized_sum = [0.0] * n
-    actions = array("q")
 
     for omega, x in zip(draw_rows(omega_draws), draw_rows(x_draws)):
         grad = sampled_subgradient(gamma, omega, v)
@@ -207,8 +194,6 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
         drain = x[action] if action < a else 1.0
         realized_sum[action] += drain
         queues = queue_step(queues, gamma, action, drain)
-        if record:
-            actions.append(action)
 
     q_history = np.frombuffer(history, dtype=float).reshape(T, n)
     final_queues = np.array(queues)
@@ -223,8 +208,6 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
         avg_realized=np.array(realized_sum) / T,
         final_queues=final_queues,
         final_gamma=np.array(gamma),
-        max_queue=q_history.max(axis=1) if record else None,
-        actions=np.array(actions, dtype=int) if record else None,
     )
     return Mixture(q_history, game.partition.set_a), diagnostics
 
@@ -273,7 +256,7 @@ def queue_bound(game: GameInstance, alpha: float) -> np.ndarray:
     return (v + 2.0 * math.sqrt(2.0) * u) * math.sqrt(alpha) + u
 
 
-def config_for_epsilon(epsilon: float, seed: int = 0, record_diagnostics: bool = False) -> DppConfig:
+def config_for_epsilon(epsilon: float, seed: int = 0) -> DppConfig:
     """Heuristic parameters for a target gap: V = 1/eps, T = ceil(1/eps^2),
     and alpha = V^2, the smallest alpha the guarantee allows.
 
@@ -288,5 +271,4 @@ def config_for_epsilon(epsilon: float, seed: int = 0, record_diagnostics: bool =
         alpha=V**2,
         T=int(math.ceil(1.0 / epsilon**2)),
         seed=seed,
-        record_diagnostics=record_diagnostics,
     )

@@ -35,7 +35,7 @@ from .montecarlo import McConfig, estimate_stats, expected_utility, simulate_pay
 from .nash import iterate_best_response
 from .quantile import solve_a1
 from .strategies import Strategy
-from .worstcase import interleave_stats, worst_case_objective, worst_case_utility
+from .worstcase import worst_case_objective, worst_case_utility
 
 __all__ = [
     "SCENARIO_PARTITIONS",
@@ -223,16 +223,11 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int, md_ps=None)
         elif spec.solver == "worst-dpp":
             mixture, diag = run_dpp(game, DppConfig(spec.V, spec.alpha, spec.T, seed=seed))
             violations += diag.violations
-            stats = estimate_stats(mixture, game, "A", n_samples=spec.n_samples, rng=seed)
-            p = stats.p
-            value, stderr = worst_case_objective(
-                interleave_stats(stats, game), game, n_samples=spec.n_samples, rng=seed, with_error=True
-            )
+            ev = worst_case_utility(mixture, game, McConfig(spec.n_samples, seed))
+            p, value, stderr = ev.stats.p, ev.value, ev.stderr
         elif spec.solver == "worst-md":
             p = md_ps[rep]
-            value, stderr = worst_case_objective(
-                p, game, n_samples=spec.n_samples, rng=seed, with_error=True
-            )
+            value, stderr = worst_case_objective(p, game, n_samples=spec.n_samples, rng=seed)
         else:  # worst-a1
             p, value, stderr = solve_a1(
                 game,

@@ -94,18 +94,6 @@ class Partition:
             return self.set_b
         raise ValueError(f"player must be 'A' or 'B', got {player!r}")
 
-    def class_of(self, k: int) -> str:
-        """Observation class of resource ``k``: 'A', 'B', 'C', or 'AB'."""
-        if not 0 <= k < self.n:
-            raise IndexError(f"resource index {k} out of range [0, {self.n})")
-        if k < self.a:
-            return "A"
-        if k < self.a + self.b:
-            return "B"
-        if k < self.a + self.b + self.c:
-            return "C"
-        return "AB"
-
 
 @dataclass(frozen=True)
 class GameInstance:

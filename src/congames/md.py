@@ -154,7 +154,9 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     Exact (stderr 0) when at most one coordinate of omega is random: the
     maximum is then max(W, m) with m the largest constant entry, whose
     second moment is closed-form for every catalog distribution.  With two
-    or more random coordinates it is Monte Carlo estimated.
+    or more random coordinates it is Monte Carlo estimated, and raises
+    ValueError before sampling when n_samples < 2 or when n_samples x n
+    draws exceed the up-front budget.
     """
     part = game.partition
     if part.b == 0:
@@ -166,6 +168,9 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
         const[k] = 0.0
         m = float(const.max()) if game.n > 1 else 0.0
         return float(game.distributions[k].expected_sq_max_with(m)), 0.0
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2 when player B observes two or more resources")
+    check_upfront_budget("omega_sup_sq_mean", n_samples, game.n, rows="n_samples")
     omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
     sq = np.max(omegas, axis=1) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))

@@ -170,7 +170,5 @@ def solve_a1(
 
     x = p_avg.copy()
     x[0] = frontier.q(p_avg[0])
-    value, stderr = worst_case_objective(
-        x, game, n_samples=n_eval_samples, rng=config.seed, with_error=True
-    )
+    value, stderr = worst_case_objective(x, game, n_samples=n_eval_samples, rng=config.seed)
     return p_avg, value, stderr

@@ -17,6 +17,10 @@ g is concave, entry-wise non-decreasing, and Lipschitz with weights 3/2 on
 the A block and 3/2 E_k elsewhere.  The max term is exact when the B block
 is empty and Monte Carlo estimated otherwise.
 
+Every worst-case solver ends in one evaluation of g: at x itself
+(:func:`worst_case_objective`), or at the x of a strategy's estimated
+statistics, on the same seed (:func:`worst_case_utility`).
+
 :func:`sampled_subgradient` is the one sampled (ascent) gradient of g for a
 single omega draw; the drift-plus-penalty and A1 solvers step along it.  It
 works on Python floats, not numpy arrays: those solvers call it once per
@@ -53,9 +57,9 @@ class WorstCaseEval:
     """Worst-case expected utility of a strategy for player A."""
 
     value: float
-    mc_samples: int
     stderr: float
     lambda_max_mean: float  # estimate of E[max_k lambda_k]
+    stats: StrategyStats  # the statistics of A the value was computed from
 
 
 def worst_case_response(stats_a: StrategyStats, game: GameInstance) -> Mixture:
@@ -107,13 +111,15 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = 100_000, rng=0):
     """Mean and standard error of max_k omega_k x_k.
 
     Deterministic (stderr 0) when the B block is empty.  Otherwise raises
-    ValueError before sampling when n_samples x n draws exceed the up-front
-    budget.
+    ValueError before sampling when n_samples < 2 (no standard error) or
+    when n_samples x n draws exceed the up-front budget.
     """
     x = np.asarray(x, dtype=float)
     if game.partition.b == 0:
         value = float(np.max(deterministic_omega(game) * x))
         return value, 0.0
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2 when player B observes a resource")
     check_upfront_budget("omega_max_mean", n_samples, game.n, rows="n_samples")
     omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
     maxima = np.max(omegas * x, axis=1)
@@ -125,12 +131,11 @@ def worst_case_objective(
     game: GameInstance,
     n_samples: int = 100_000,
     rng=0,
-    with_error: bool = False,
-):
+) -> tuple[float, float]:
     """Evaluate g(x) = sum_A x + sum_{A^c} E x - E[max omega*x]/2.
 
-    ``with_error=True`` additionally returns the standard error contributed
-    by the Monte Carlo max term (0 when b == 0).
+    Returns (g(x), its standard error), the error coming from the Monte
+    Carlo max term (0 when b == 0).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (game.n,):
@@ -138,9 +143,7 @@ def worst_case_objective(
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise ValueError("x entries must be finite and non-negative")
     value, stderr, _ = _objective_terms(x, game, n_samples, rng)
-    if with_error:
-        return value, stderr
-    return value
+    return value, stderr
 
 
 def _objective_terms(x: np.ndarray, game: GameInstance, n_samples: int, rng):
@@ -151,13 +154,6 @@ def _objective_terms(x: np.ndarray, game: GameInstance, n_samples: int, rng):
     return base - 0.5 * max_mean, 0.5 * max_stderr, max_mean
 
 
-def interleave_stats(stats_a: StrategyStats, game: GameInstance) -> np.ndarray:
-    """The vector x = (q on the A block, p elsewhere) feeding the objective."""
-    x = stats_a.p.copy()
-    x[game.partition.set_a] = stats_a.q
-    return x
-
-
 def worst_case_utility(
     strategy_a: Strategy,
     game: GameInstance,
@@ -165,9 +161,7 @@ def worst_case_utility(
 ) -> WorstCaseEval:
     """Worst-case expected utility of an A strategy, via its statistics."""
     stats = estimate_stats(strategy_a, game, "A", n_samples=mc.n_samples, rng=mc.seed)
-    value, stderr, max_mean = _objective_terms(
-        interleave_stats(stats, game), game, mc.n_samples, mc.seed
-    )
-    return WorstCaseEval(
-        value=value, mc_samples=mc.n_samples, stderr=stderr, lambda_max_mean=max_mean
-    )
+    x = stats.p.copy()
+    x[game.partition.set_a] = stats.q  # q on the A block, p elsewhere
+    value, stderr, max_mean = _objective_terms(x, game, mc.n_samples, mc.seed)
+    return WorstCaseEval(value=value, stderr=stderr, lambda_max_mean=max_mean, stats=stats)

@@ -67,7 +67,7 @@ def test_criterion_03_dpp_convergence_at_reference_parameters():
     cfg = DppConfig(V=200.0, alpha=4.0e4, T=100_000, seed=0)
     mixture, diag = run_dpp(g, cfg)
     stats = estimate_stats(mixture, g, "A", n_samples=1)  # exact: a = b = 0
-    value = worst_case_objective(stats.p, g)  # exact: b = 0
+    value, _ = worst_case_objective(stats.p, g)  # exact: b = 0
     optimum = 5.0 / 6.0
     assert abs(value - optimum) <= 0.05
     assert value >= optimum - bound_constants(g, cfg).error_bound
@@ -96,7 +96,7 @@ def test_criterion_05_mirror_descent_bound():
     start = time.perf_counter()
     g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
     p = run_md(g, MdConfig(alpha=50.0, T=10_000, seed=0))
-    value = worst_case_objective(p, g)  # exact: b = 0, so stderr = 0
+    value, _ = worst_case_objective(p, g)  # exact: b = 0, so stderr = 0
     bound = md_error_bound(g, 50.0, 10_000)
     assert bound == pytest.approx(2.5 / 100.0 + 50.0 * math.log(3.0) / 10_000.0)
     assert value >= 5.0 / 6.0 - bound

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,21 @@ EVALUATE_PRINTOUTS = {
 }
 
 
+def test_one_sample_is_refused_where_the_max_term_is_sampled(capsys):
+    # one draw has no standard error: the sweep exits 2 instead of writing
+    # nan, while the exact evaluations (b = 0) still accept one sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["worst", "md", "--scenario", "2"], ["worst", "dpp", "--scenario", "3", "--T", "100"]):
+            code, out, err = run_cli(capsys, *argv, "--samples", "1")
+            assert (code, out) == (2, "")
+            assert "n_samples must be >= 2" in err
+        for argv in (["worst", "explicit", "--scenario", "1"], ["worst", "md", "--scenario", "1", "--T", "100"]):
+            code, out, err = run_cli(capsys, *argv, "--samples", "1")
+            assert code == 0, err
+            assert "nan" not in out
+
+
 def test_evaluate_parse_error_exit_code(tmp_path, capsys):
     game = tmp_path / "game.txt"
     game.write_text("n: 2\nbogus: 1\n")
@@ -157,23 +173,6 @@ def test_evaluate_parse_error_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "line 2" in err
-
-
-def test_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("CONGAMES_E1_MAX", "1.0")
-    monkeypatch.setenv("CONGAMES_E1_MIN", "1.0")
-    code, out, _ = run_cli(capsys, "worst", "explicit", "--scenario", "1")
-    assert code == 0
-    rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
-    assert len(rows) == 1  # grid collapsed to the single point from the env
-
-
-def test_sweep_subcommand_matches_worst(capsys):
-    args = ["--scenario", "1", "--e1-min", "1", "--e1-max", "1", "--e1-step", "1"]
-    code1, out1, _ = run_cli(capsys, "worst", "explicit", *args)
-    code2, out2, _ = run_cli(capsys, "sweep", "--solver", "worst-explicit", *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 def test_dpp_md_sweeps_run_small(capsys):

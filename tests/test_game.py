@@ -21,9 +21,6 @@ def test_partition_layout_and_class_of():
     np.testing.assert_array_equal(part.set_ab, [4])
     np.testing.assert_array_equal(part.a_comp, [1, 2, 3, 4])
     np.testing.assert_array_equal(part.b_comp, [0, 3, 4])
-    assert [part.class_of(k) for k in range(5)] == ["A", "B", "B", "C", "AB"]
-    with pytest.raises(IndexError):
-        part.class_of(5)
     with pytest.raises(ValueError):
         Partition(-1, 0, 2, 0)
     with pytest.raises(ValueError):

@@ -88,6 +88,23 @@ def test_omega_sup_sq_mc_b2():
     assert 1.0 < value < 2.0 + 2.0 + 1.0 + 1.0
 
 
+def test_oversized_sup_sq_estimate_fails_before_sampling(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the estimate sampled before checking its budget")
+
+    monkeypatch.setattr(congames.md, "sample_omega", no_draws)
+    g = exp_game([1.0, 1.0, 1.0], (0, 2, 1, 0))
+    need = r"omega_sup_sq_mean run with n_samples=100000000, n=3 needs 2289 MiB up front"
+    with pytest.raises(ValueError, match=need):
+        omega_sup_sq_mean(g, n_samples=10**8)
+    with pytest.raises(ValueError, match="n_samples must be >= 2"):
+        omega_sup_sq_mean(g, n_samples=1)
+    # at most one random coordinate: exact, so nothing is drawn
+    for partition in ((0, 0, 3, 0), (0, 1, 2, 0)):
+        _, err = omega_sup_sq_mean(exp_game([1.0, 1.0, 1.0], partition), n_samples=10**8)
+        assert err == 0.0
+
+
 def test_run_single_resource():
     g = exp_game([1.0], (0, 0, 1, 0))
     np.testing.assert_allclose(run_md(g, MdConfig(alpha=10.0, T=50)), [1.0])
@@ -102,7 +119,8 @@ def test_run_requires_a_zero():
 def test_run_two_resources_near_optimum():
     g = exp_game([2.0, 1.0], (0, 0, 2, 0))
     p = run_md(g, MdConfig(alpha=50.0, T=10_000, seed=1))
-    assert worst_case_objective(p, g) >= 1.0 - 0.05
+    value, _ = worst_case_objective(p, g)
+    assert value >= 1.0 - 0.05
 
 
 def test_run_symmetric_meets_guarantee():
@@ -110,7 +128,7 @@ def test_run_symmetric_meets_guarantee():
     cfg = MdConfig(alpha=50.0, T=10_000, seed=0)
     p = run_md(g, cfg)
     assert abs(p.sum() - 1.0) <= 1e-9
-    value = worst_case_objective(p, g)  # exact, b = 0
+    value, _ = worst_case_objective(p, g)  # exact, b = 0
     assert value >= 5.0 / 6.0 - md_error_bound(g, cfg.alpha, cfg.T)
 
 

@@ -160,5 +160,5 @@ def test_solve_a1_stderr_matches_its_evaluation():
     p, value, stderr = solve_a1(g, MdConfig(alpha=50.0, T=500, seed=4), n_eval_samples=3000)
     x = p.copy()
     x[0] = TailFrontier(g.distributions[0]).q(p[0])
-    assert (value, stderr) == worst_case_objective(x, g, n_samples=3000, rng=4, with_error=True)
+    assert (value, stderr) == worst_case_objective(x, g, n_samples=3000, rng=4)
     assert stderr > 0

@@ -44,10 +44,13 @@ def test_worst_case_response_needs_a_stats():
 
 def test_objective_examples():
     g = exp_game([2.0, 1.0], (0, 0, 2, 0))
-    assert worst_case_objective(np.array([1.0, 0.0]), g) == pytest.approx(1.0)
-    assert worst_case_objective(np.zeros(2), g) == pytest.approx(0.0)
+    value, _ = worst_case_objective(np.array([1.0, 0.0]), g)
+    assert value == pytest.approx(1.0)
+    value, _ = worst_case_objective(np.zeros(2), g)
+    assert value == pytest.approx(0.0)
     g3 = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
-    assert worst_case_objective(np.full(3, 1 / 3), g3) == pytest.approx(5.0 / 6.0)
+    value, _ = worst_case_objective(np.full(3, 1 / 3), g3)
+    assert value == pytest.approx(5.0 / 6.0)
 
 
 def test_objective_rejects_negative():
@@ -71,6 +74,8 @@ def test_eval_fields_consistent():
     base = float(np.dot(g.means, stats.p))
     assert ev.value == pytest.approx(base - 0.5 * ev.lambda_max_mean, abs=1e-12)
     assert ev.stderr > 0
+    np.testing.assert_array_equal(ev.stats.p, stats.p)
+    np.testing.assert_array_equal(ev.stats.q, stats.q)
 
 
 def test_matches_no_info_objective_when_symmetric():
@@ -104,12 +109,13 @@ def test_concavity_monotonicity_lipschitz_exact_b0(rng):
         x = rng.uniform(0, upper)
         y = rng.uniform(0, upper)
         lam = rng.uniform(0.1, 0.9)
-        fx = worst_case_objective(x, g)
-        fy = worst_case_objective(y, g)
-        fmid = worst_case_objective(lam * x + (1 - lam) * y, g)
+        fx, _ = worst_case_objective(x, g)
+        fy, _ = worst_case_objective(y, g)
+        fmid, _ = worst_case_objective(lam * x + (1 - lam) * y, g)
         assert fmid >= lam * fx + (1 - lam) * fy - 1e-12
         hi = np.maximum(x, y)
-        assert worst_case_objective(hi, g) >= fx - 1e-12
+        fhi, _ = worst_case_objective(hi, g)
+        assert fhi >= fx - 1e-12
         lip = 1.5 * abs(x[0] - y[0]) + 1.5 * np.dot(means[1:], np.abs(x[1:] - y[1:]))
         assert abs(fx - fy) <= lip + 1e-12
 
@@ -136,6 +142,15 @@ def test_concavity_monotone_lipschitz_mc_b1(rng):
         assert _objective_with_shared_draws(np.maximum(x, y), weights, omegas) >= fx - 1e-12
         lip = 1.5 * abs(x[0] - y[0]) + 1.5 * np.dot(means[1:], np.abs(x[1:] - y[1:]))
         assert abs(fx - fy) <= lip + 5 * stderr
+
+
+def test_omega_max_mean_needs_two_samples_only_when_sampling():
+    # one draw has no standard error; the exact b = 0 case draws nothing
+    x = np.full(3, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="n_samples must be >= 2"):
+        omega_max_mean(x, exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)), n_samples=1)
+    exact = omega_max_mean(x, exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0)), n_samples=1)
+    assert exact == (1.0 / 3.0, 0.0)
 
 
 def test_omega_max_mean_matches_exact_when_b0():
