@@ -11,20 +11,20 @@ available from the command line, e.g.::
     congames worst dpp --scenario 2 --reps 10 --T 20000 --out sweep.csv
 """
 
-from congames import preset_spec, run_scenario
+from congames import ScenarioSpec, run_scenario
 
 # equilibrium sweep on the no-information scenario
-nash = run_scenario(preset_spec(1, "nash", [0.3, 0.9, 1.5, 2.1]))
+nash = run_scenario(ScenarioSpec(1, "nash", [0.3, 0.9, 1.5, 2.1]))
 print(nash.to_csv())
 
 # worst-case closed form on the same grid
-explicit = run_scenario(preset_spec(1, "worst-explicit", [0.3, 0.9, 1.5, 2.1]))
+explicit = run_scenario(ScenarioSpec(1, "worst-explicit", [0.3, 0.9, 1.5, 2.1]))
 print(explicit.to_csv())
 
 # the general solver on the scenario where B observes resource 1,
 # with a min/max band over 5 repetitions
 dpp = run_scenario(
-    preset_spec(
+    ScenarioSpec(
         2, "worst-dpp", [0.5, 1.0, 1.5],
         V=200.0, alpha=4.0e4, T=20_000, n_samples=20_000, repetitions=5,
     )

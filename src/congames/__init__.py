@@ -32,7 +32,7 @@ from .montecarlo import (
     simulate_payoff,
 )
 from .nash import EquilibriumReport, best_response, iterate_best_response, potential
-from .quantile import TailFrontier, build_strategy_a1, solve_a1, tail_weighted_mean
+from .quantile import TailFrontier, build_strategy_a1, solve_a1
 from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, act
 from .worstcase import (
     WorstCaseEval,
@@ -40,7 +40,7 @@ from .worstcase import (
     worst_case_response,
     worst_case_utility,
 )
-from .experiments import ScenarioSpec, SweepTable, preset_spec, run_scenario, scenario_game
+from .experiments import ScenarioSpec, SweepTable, run_scenario, scenario_game
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "run_md",
     "md_error_bound",
     "TailFrontier",
-    "tail_weighted_mean",
     "build_strategy_a1",
     "solve_a1",
     "GameFileError",
@@ -96,7 +95,6 @@ __all__ = [
     "parse_strategy",
     "ScenarioSpec",
     "SweepTable",
-    "preset_spec",
     "run_scenario",
     "scenario_game",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import evaluate_report, preset_spec, run_scenario
+from .experiments import ScenarioSpec, evaluate_report, run_scenario
 from .gamefile import GameFileError, load_game, load_strategy
 from .montecarlo import McConfig
 
@@ -79,7 +79,7 @@ def _e1_grid(args) -> tuple[float, ...]:
 
 
 def _run_sweep(solver: str, args) -> int:
-    spec = preset_spec(
+    spec = ScenarioSpec(
         args.scenario,
         solver,
         _e1_grid(args),
@@ -91,11 +91,12 @@ def _run_sweep(solver: str, args) -> int:
         seed=args.seed,
         repetitions=args.reps,
     )
-    table = run_scenario(spec)
+    csv = run_scenario(spec).to_csv()
     if args.out:
-        table.write(args.out)
+        with open(args.out, "w") as fh:
+            fh.write(csv)
     else:
-        sys.stdout.write(table.to_csv())
+        sys.stdout.write(csv)
     return 0
 
 

@@ -6,11 +6,16 @@ point mass, and finite discrete -- which cover all simulation scenarios while
 keeping every moment used by the solvers available in closed form:
 
 * ``mean`` and ``second_moment``;
-* ``quantile(u)``, the generalized inverse CDF ``inf{x : F(x) >= u}``;
-* ``tail_mean(p)``, the conditional mean of the upper p-fraction,
-  ``E[W | W >= quantile(1 - p)]``, with ``tail_mean(1) == mean``;
 * ``expected_sq_max_with(m)``, ``E[max(W, m)^2]``, needed for the exact
   gradient-norm constants of the mirror-descent error bound.
+
+The two continuous kinds (``is_continuous``), exponential and uniform, also
+answer the tail queries of the quantile-threshold frontier
+(:class:`congames.quantile.TailFrontier`), which refuses the other two:
+
+* ``quantile(u)``, the inverse CDF;
+* ``tail_mean(p)``, the conditional mean of the upper p-fraction,
+  ``E[W | W >= quantile(1 - p)]``, with ``tail_mean(1) == mean``.
 """
 
 from __future__ import annotations
@@ -145,15 +150,6 @@ class PointMass:
     def is_continuous(self) -> bool:
         return False
 
-    def quantile(self, u: float) -> float:
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"quantile argument must be in [0,1], got {u}")
-        return self.value
-
-    def tail_mean(self, p: float) -> float:
-        _check_tail_fraction(p)
-        return self.value
-
     def expected_sq_max_with(self, m: float) -> float:
         return max(self.value, m) ** 2
 
@@ -167,7 +163,8 @@ class Discrete:
 
     values: tuple[float, ...]
     probs: tuple[float, ...]
-    # sorted copies, filled in post-init so quantile/tail queries are O(log k)
+    # sorted atoms and their cumulative probabilities, filled in post-init
+    # so that sampling is one searchsorted
     _sorted_values: np.ndarray = field(init=False, repr=False, compare=False)
     _cum_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -195,24 +192,6 @@ class Discrete:
     @property
     def is_continuous(self) -> bool:
         return False
-
-    def quantile(self, u: float) -> float:
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"quantile argument must be in [0,1], got {u}")
-        idx = int(np.searchsorted(self._cum_probs, u, side="left"))
-        idx = min(idx, len(self._sorted_values) - 1)
-        return float(self._sorted_values[idx])
-
-    def tail_mean(self, p: float) -> float:
-        _check_tail_fraction(p)
-        vals = np.asarray(self.values, dtype=float)
-        pr = np.asarray(self.probs, dtype=float)
-        if p == 0.0:
-            return float(vals[pr > 0].max())  # the largest atom with positive mass
-        thresh = self.quantile(1.0 - p)
-        keep = vals >= thresh
-        mass = pr[keep].sum()
-        return float(np.dot(vals[keep], pr[keep]) / mass)
 
     def expected_sq_max_with(self, m: float) -> float:
         vals = np.maximum(np.asarray(self.values, dtype=float), m)

@@ -122,13 +122,6 @@ def box_upper(game: GameInstance) -> np.ndarray:
     return u
 
 
-def _base_weights(game: GameInstance) -> np.ndarray:
-    """Gross gain per unit of x_j: 1 on the A block, E_j elsewhere."""
-    v = game.means.copy()
-    v[game.partition.set_a] = 1.0
-    return v
-
-
 # The step kernels take length-n float sequences, return lists and do no
 # checks; run() passes v, u, V and alpha fixed for the whole run.  Each
 # comparison is written so that a -0.0 input comes out as +0.0, as numpy's
@@ -175,7 +168,7 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     omega_draws = sample_omega(game, omega_gen, size=T)
 
     u = box_upper(game).tolist()
-    v = _base_weights(game).tolist()
+    v = game.weights.tolist()
     bound = queue_bound(game, alpha)
 
     queues = [0.0] * n
@@ -248,11 +241,12 @@ def bound_constants(game: GameInstance, config: DppConfig) -> BoundConstants:
 
 
 def queue_bound(game: GameInstance, alpha: float) -> np.ndarray:
-    """Uniform-in-time queue cap (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j."""
+    """Uniform-in-time queue cap (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j,
+    with v the game's weights and u the box's upper corner."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     u = box_upper(game)
-    v = _base_weights(game)
+    v = game.weights
     return (v + 2.0 * math.sqrt(2.0) * u) * math.sqrt(alpha) + u
 
 

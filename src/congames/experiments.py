@@ -7,9 +7,10 @@ resources 2 and 3 pinned at 1; they differ in who observes what:
     2: player B observes resource 1      (0, 1, 2, 0)
     3: A observes 1, B observes 2        (1, 1, 1, 0)
 
-A sweep varies the mean of resource 1 over a grid, runs the selected solver
-at each point (averaging over ``repetitions`` derived seeds), and emits one
-CSV row per point.  Mirror descent runs every (point, repetition) pair of
+A :class:`ScenarioSpec` names one preset by its number.  Its sweep varies
+the exponential mean of resource 1 over a grid, runs the selected solver at
+each point (averaging over ``repetitions`` derived seeds), and emits one CSV
+row per point.  Mirror descent runs every (point, repetition) pair of
 the sweep as one batch (:func:`congames.md.run_md_batch`) before the points
 are evaluated; the other solvers run point by point.  Identical spec + seed
 reproduces the table byte for byte.  A point whose DPP runs broke the queue
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Discrete, Exponential, PointMass, RewardDistribution, Uniform
+from .distributions import Exponential
 from .dpp import DppConfig
 from .dpp import run as run_dpp
 from .explicit import explicit_solution
@@ -60,16 +61,18 @@ STEP_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One sweep: partition, per-resource base distributions, grid, solver.
+    """One sweep: preset scenario, solver, grid of resource 1's mean.
 
-    ``alpha`` and ``T`` left as None take the solver's :data:`STEP_DEFAULTS`
-    entry; nash and worst-explicit use neither.
+    ``e1_values`` is stored as a tuple of floats and must hold positive,
+    finite means.  ``alpha`` and ``T`` left as None take the solver's
+    :data:`STEP_DEFAULTS` entry; nash and worst-explicit use neither.  A
+    worst-case sweep whose preset lets B observe a resource samples its max
+    term, so it refuses ``n_samples < 2`` here, before any solver runs.
     """
 
-    partition: tuple[int, int, int, int]
-    distributions: tuple[RewardDistribution, ...]
-    e1_values: tuple[float, ...]
+    scenario: int
     solver: str
+    e1_values: tuple[float, ...]
     epsilon: float = 1e-3  # nash convergence threshold
     V: float = 200.0  # dpp penalty weight
     alpha: float | None = None  # dpp / md / a1 step parameter
@@ -79,24 +82,34 @@ class ScenarioSpec:
     repetitions: int = 1
 
     def __post_init__(self):
+        if self.scenario not in SCENARIO_PARTITIONS:
+            raise ValueError(f"scenario must be one of {sorted(SCENARIO_PARTITIONS)}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if len(self.e1_values) == 0:
+        e1_values = tuple(float(v) for v in self.e1_values)
+        if not e1_values:
             raise ValueError("sweep grid must be non-empty")
+        if not all(0 < v < math.inf for v in e1_values):
+            raise ValueError("swept mean must be positive and finite")
+        object.__setattr__(self, "e1_values", e1_values)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        part = Partition(*self.partition)
-        if len(self.distributions) != part.n:
-            raise ValueError("need one base distribution per resource")
+        part = self.partition
         if self.solver == "worst-explicit" and (part.a or part.b):
             raise ValueError("worst-explicit requires a == b == 0 (symmetric information)")
         if self.solver == "worst-md" and part.a:
             raise ValueError("worst-md requires a == 0")
         if self.solver == "worst-a1" and part.a != 1:
             raise ValueError("worst-a1 requires a == 1")
+        if self.solver != "nash" and part.b and self.n_samples < 2:
+            raise ValueError("n_samples must be >= 2 when player B observes a resource")
         alpha, T = STEP_DEFAULTS.get(self.solver, (None, None))
         object.__setattr__(self, "alpha", alpha if self.alpha is None else self.alpha)
         object.__setattr__(self, "T", T if self.T is None else self.T)
+
+    @property
+    def partition(self) -> Partition:
+        return Partition(*SCENARIO_PARTITIONS[self.scenario])
 
 
 @dataclass(frozen=True)
@@ -122,47 +135,12 @@ class SweepTable:
             out.write(",".join(f"{v:.9g}" for v in row) + "\n")
         return out.getvalue()
 
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
-
-def preset_spec(scenario: int, solver: str, e1_values, **overrides) -> ScenarioSpec:
-    """ScenarioSpec for one of the three presets (exponential rewards)."""
-    if scenario not in SCENARIO_PARTITIONS:
-        raise ValueError(f"scenario must be one of {sorted(SCENARIO_PARTITIONS)}")
-    part = SCENARIO_PARTITIONS[scenario]
-    dists = tuple(Exponential(1.0) for _ in range(sum(part)))
-    return ScenarioSpec(
-        partition=part,
-        distributions=dists,
-        e1_values=tuple(float(v) for v in e1_values),
-        solver=solver,
-        **overrides,
-    )
-
-
-def _with_mean(dist: RewardDistribution, mean: float) -> RewardDistribution:
-    """Same distribution family rescaled to the requested mean."""
-    if mean <= 0:
-        raise ValueError("swept mean must be positive")
-    if isinstance(dist, Exponential):
-        return Exponential(rate=1.0 / mean)
-    if isinstance(dist, Uniform):
-        scale = mean / dist.mean if dist.mean > 0 else 0.0
-        return Uniform(dist.lo * scale, dist.hi * scale)
-    if isinstance(dist, PointMass):
-        return PointMass(mean)
-    if isinstance(dist, Discrete):
-        scale = mean / dist.mean
-        return Discrete(tuple(v * scale for v in dist.values), dist.probs)
-    raise TypeError(f"unknown distribution {type(dist).__name__}")
-
 
 def scenario_game(spec: ScenarioSpec, e1: float) -> GameInstance:
-    """The game at one sweep point (resource 1's mean set to ``e1``)."""
-    dists = (_with_mean(spec.distributions[0], e1),) + spec.distributions[1:]
-    return GameInstance(Partition(*spec.partition), dists)
+    """The game at one sweep point: exponential rewards, resource 1 with
+    mean ``e1`` (positive) and the others with mean 1."""
+    part = spec.partition
+    return GameInstance(part, (Exponential(1.0 / e1),) + (Exponential(1.0),) * (part.n - 1))
 
 
 def _rep_seed(spec: ScenarioSpec, point: int, rep: int) -> int:
@@ -242,7 +220,7 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int, md_ps=None)
 
 def run_scenario(spec: ScenarioSpec) -> SweepTable:
     """One CSV row per sweep point; deterministic for identical spec + seed."""
-    n = sum(spec.partition)
+    n = spec.partition.n
     if spec.solver == "nash":
         header = (
             ("e1", "utility_a", "utility_b", "potential")

@@ -128,6 +128,10 @@ class GameInstance:
             raise ValueError("conditional means must be finite and non-negative")
         means.setflags(write=False)
         object.__setattr__(self, "_means", means)
+        weights = means.copy()
+        weights[self.partition.set_a] = 1.0
+        weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def n(self) -> int:
@@ -137,6 +141,12 @@ class GameInstance:
     def means(self) -> np.ndarray:
         """Conditional mean rewards: z on the AB block, distribution mean elsewhere."""
         return self._means
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The adversary's mean weight vector, the gross gain per unit of
+        A's pick rates: 1 on the A block, the conditional mean elsewhere."""
+        return self._weights
 
 
 def sample_world(game: GameInstance, rng, size: int | None = None) -> np.ndarray:
@@ -160,27 +170,17 @@ def sample_world(game: GameInstance, rng, size: int | None = None) -> np.ndarray
 def sample_omega(game: GameInstance, rng, size: int | None = None) -> np.ndarray:
     """Draw the adversary weight vector used in worst-case evaluation.
 
-    Entry k is 1 on the A block (the worst-case opponent weights A's private
-    resources through A's reward-weighted pick rates), a fresh reward draw on
-    the B block, and the conditional mean elsewhere.
+    Entry k is a fresh reward draw on the B block and
+    :attr:`GameInstance.weights` elsewhere: 1 on the A block (the worst-case
+    opponent weights A's private resources through A's reward-weighted pick
+    rates) and the conditional mean on the rest.
     """
     gen = as_generator(rng)
-    part = game.partition
     rows = 1 if size is None else size
-    out = np.tile(game.means, (rows, 1))
-    out[:, part.set_a] = 1.0
-    for k in part.set_b:
+    out = np.tile(game.weights, (rows, 1))
+    for k in game.partition.set_b:
         out[:, k] = game.distributions[k].sample(gen, size=rows)
     return out[0] if size is None else out
-
-
-def deterministic_omega(game: GameInstance) -> np.ndarray:
-    """The adversary weight vector when the B block is empty (no randomness)."""
-    if game.partition.b != 0:
-        raise ValueError("adversary weights are random unless b == 0")
-    out = game.means.copy()
-    out[game.partition.set_a] = 1.0
-    return out
 
 
 def draw_rows(draws: np.ndarray):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_upfront_budget, deterministic_omega, sample_omega
+from .game import GameInstance, check_upfront_budget, sample_omega
 from .rng import OMEGA_STREAM, as_generator
 from .worstcase import sampled_subgradients
 
@@ -137,13 +137,13 @@ def _run_chunk(games, configs, alpha: float, T: int) -> np.ndarray:
     draws = np.empty((T, R, n))
     for r, (game, config) in enumerate(zip(games, configs)):
         draws[:, r] = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=T)
-    means = np.array([game.means for game in games])
+    weights = np.array([game.weights for game in games])
 
     p = np.full((R, n), 1.0 / n)
     total = np.zeros((R, n))
     for omega in draws:
         total += p
-        p = mw_update(p, sampled_subgradients(p, omega, means), alpha)
+        p = mw_update(p, sampled_subgradients(p, omega, weights), alpha)
     require_positive(p)
     return total / T
 
@@ -160,10 +160,9 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     """
     part = game.partition
     if part.b == 0:
-        return float(np.max(deterministic_omega(game)) ** 2), 0.0
+        return float(np.max(game.weights) ** 2), 0.0
     if part.b == 1:
-        const = np.ones(game.n)
-        const[part.a_comp] = game.means[part.a_comp]
+        const = game.weights.copy()
         k = int(part.set_b[0])
         const[k] = 0.0
         m = float(const.max()) if game.n > 1 else 0.0

@@ -82,7 +82,9 @@ def best_response(player: str, opp_stats: StrategyStats, game: GameInstance) -> 
 
     values = means * (1.0 - 0.5 * opp_stats.p)
     values[own] = 1.0 - 0.5 * opp_stats.p[own]  # coefficient on the observed reward
-    values[opp] = means[opp] - 0.5 * opp_stats.q
+    # the exact q never exceeds the mean, so this is at least mean / 2; the
+    # floor keeps a few-sample estimate of q from making it negative
+    values[opp] = np.maximum(means[opp] - 0.5 * opp_stats.q, 0.0)
     return Mixture(values[np.newaxis], own)
 
 

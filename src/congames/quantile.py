@@ -13,10 +13,13 @@ frontier of achievable (q, p) pairs).  q is concave and non-decreasing on
 
 The worst-case problem then reduces to maximizing g(q(p0), p[1:]) over the
 simplex (g from :mod:`congames.worstcase`), solved here by mirror descent
-restricted to p0 >= delta: the q-term's slope blows up as p0 -> 0 for
-heavy-ish tails (for the exponential it is -ln p0), and the restriction
-keeps the sampled subgradients bounded.  The slope is taken by central
-finite difference, which keeps the solver generic across the catalog.
+restricted to p0 >= :data:`DEFAULT_DELTA`: the q-term's slope blows up as
+p0 -> 0 for heavy-ish tails (for the exponential it is -ln p0), and the
+restriction keeps the sampled subgradients bounded.  The slope is taken by
+central finite difference of width :data:`FD_WIDTH`, which serves both
+continuous laws of the catalog (exponential and uniform).  Only those two
+answer quantile and tail-mean queries: the frontier, and with it the
+threshold construction, refuses a point mass or a discrete law up front.
 
 Unlike :func:`congames.md.run_md_batch`, :func:`solve_a1` steps one run at
 a time, on the list gradient :func:`congames.worstcase.sampled_subgradient`.
@@ -42,20 +45,12 @@ from .worstcase import sampled_subgradient, worst_case_objective
 
 __all__ = [
     "TailFrontier",
-    "tail_weighted_mean",
     "build_strategy_a1",
     "solve_a1",
 ]
 
 FD_WIDTH = 1e-4  # central-difference width for the frontier slope
-DEFAULT_DELTA = 1e-3  # simplex restriction p0 >= delta
-
-
-def _require_continuous(dist: RewardDistribution):
-    if not dist.is_continuous:
-        raise ValueError(
-            "tail frontier requires a continuous reward distribution for resource 0"
-        )
+DEFAULT_DELTA = 1e-3  # simplex restriction p0 >= DEFAULT_DELTA
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,10 @@ class TailFrontier:
     dist: RewardDistribution
 
     def __post_init__(self):
-        _require_continuous(self.dist)
+        if not self.dist.is_continuous:
+            raise ValueError(
+                "tail frontier requires a continuous reward distribution for resource 0"
+            )
 
     def q(self, p1: float) -> float:
         """p1 times the conditional mean of the upper p1-fraction of ``dist``.
@@ -80,16 +78,10 @@ class TailFrontier:
     def tau(self, p1: float) -> float:
         return self.dist.quantile(1.0 - p1)
 
-    def slope(self, p1: float, width: float = FD_WIDTH) -> float:
-        hi = min(1.0, p1 + width)
-        lo = max(0.0, p1 - width)
+    def slope(self, p1: float) -> float:
+        hi = min(1.0, p1 + FD_WIDTH)
+        lo = max(0.0, p1 - FD_WIDTH)
         return (self.q(hi) - self.q(lo)) / (hi - lo)
-
-
-def tail_weighted_mean(dist: RewardDistribution, p1: float) -> float:
-    """:meth:`TailFrontier.q` of ``dist`` at p1, for a one-off evaluation;
-    raises ValueError for a discontinuous ``dist`` or p1 outside [0, 1]."""
-    return TailFrontier(dist).q(p1)
 
 
 def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
@@ -105,9 +97,7 @@ def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
         raise ValueError(f"p must have length {game.n}")
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("p must lie in the probability simplex")
-    dist = game.distributions[0]
-    _require_continuous(dist)
-    tau = dist.quantile(1.0 - p[0])
+    tau = TailFrontier(game.distributions[0]).tau(p[0])
     rest = p[1:]
     if rest.sum() > 0:
         tail = rest / rest.sum()
@@ -117,38 +107,33 @@ def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
     return QuantileThreshold(tau, tail)
 
 
-def solve_a1(
-    game: GameInstance,
-    config: MdConfig,
-    delta: float = DEFAULT_DELTA,
-    n_eval_samples: int = 100_000,
-):
+def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = 100_000):
     """Maximize A's worst-case utility over threshold strategies (a == 1).
 
     Runs mirror descent on p with the frontier value q(p0) substituted for
-    the resource-0 coordinate, over the simplex restricted to p0 >= delta.
-    Each round takes :func:`~congames.worstcase.sampled_subgradient` at
+    the resource-0 coordinate, over the simplex restricted to
+    p0 >= :data:`DEFAULT_DELTA`.  Each round takes :func:`~congames.worstcase.sampled_subgradient` at
     x = (q(p0), p[1:]) with weight 1 on resource 0, scales its first entry
     by the frontier slope q'(p0) (the chain rule), and applies the shared
     :func:`~congames.md.mw_update`, followed by the KL projection onto
-    p0 >= delta.
+    p0 >= DEFAULT_DELTA.
 
     Returns ``(p, value, stderr)``: the average iterate p, the worst-case
     utility g(q(p0), p[1:]) of p evaluated with ``n_eval_samples`` draws when
     randomness remains, and the standard error of that value (0 when exact).
-    Raises ValueError, before drawing anything, when the T x n omega draws
-    exceed :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
+    Raises ValueError, before drawing anything, when DEFAULT_DELTA >= 1/n
+    (n >= 1000) or when the T x n omega draws exceed
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
     if game.partition.a != 1:
         raise ValueError("solve_a1 needs exactly one privately observed resource")
-    if not 0.0 < delta < 1.0 / game.n:
-        raise ValueError("delta must be in (0, 1/n)")
+    if not DEFAULT_DELTA < 1.0 / game.n:
+        raise ValueError(f"solve_a1 keeps p0 >= {DEFAULT_DELTA:g}, which needs n < {1 / DEFAULT_DELTA:g}")
     frontier = TailFrontier(game.distributions[0])
     n = game.n
     check_upfront_budget("a1", config.T, n)
     # gross gain per unit of x: 1 for the rate q(p0), E_k for the other picks
-    weights = game.means.tolist()
-    weights[0] = 1.0
+    weights = game.weights.tolist()
     omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
 
     p = np.full(n, 1.0 / n)
@@ -159,12 +144,12 @@ def solve_a1(
         grad = sampled_subgradient([frontier.q(p0), *rest], omega, weights)
         grad[0] *= frontier.slope(p0)
         p = mw_update(p, grad, config.alpha)
-        if not p[0] >= delta:  # NaN fails the comparison, so it lands here too
+        if not p[0] >= DEFAULT_DELTA:  # NaN fails the comparison, so it lands here too
             # a zero or NaN entry is absorbing; stop before the frontier sees it
             require_positive(p[1:])
-            # KL projection onto {p0 >= delta}: pin p0, rescale the rest
-            p[0] = delta
-            p[1:] *= (1.0 - delta) / p[1:].sum()
+            # KL projection onto {p0 >= DEFAULT_DELTA}: pin p0, rescale the rest
+            p[0] = DEFAULT_DELTA
+            p[1:] *= (1.0 - DEFAULT_DELTA) / p[1:].sum()
     require_positive(p)
     p_avg = total / config.T
 

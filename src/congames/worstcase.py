@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_upfront_budget, deterministic_omega, sample_omega
+from .game import GameInstance, check_upfront_budget, sample_omega
 from .montecarlo import McConfig, StrategyStats, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import Mixture, Strategy
@@ -82,8 +82,9 @@ def worst_case_response(stats_a: StrategyStats, game: GameInstance) -> Mixture:
 def sampled_subgradient(x, omega, w) -> list[float]:
     """Gradient of w.x - max_k(omega_k x_k)/2 at x for one omega draw.
 
-    ``w`` holds the gross gain per unit of x (1 on the A block, E_k
-    elsewhere, for g itself); the argmax of x * omega loses half its omega
+    ``w`` holds the gross gain per unit of x (for g itself
+    :attr:`~congames.game.GameInstance.weights`: 1 on the A block, E_k
+    elsewhere); the argmax of x * omega loses half its omega
     weight, lowest index on ties.  Takes length-n float sequences, returns a
     list, and does no checks.
     """
@@ -116,8 +117,7 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = 100_000, rng=0):
     """
     x = np.asarray(x, dtype=float)
     if game.partition.b == 0:
-        value = float(np.max(deterministic_omega(game) * x))
-        return value, 0.0
+        return float(np.max(game.weights * x)), 0.0
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 when player B observes a resource")
     check_upfront_budget("omega_max_mean", n_samples, game.n, rows="n_samples")

@@ -31,7 +31,6 @@ from congames import (
     run_dpp,
     run_md,
     simulate_payoff,
-    tail_weighted_mean,
     worst_case_objective,
     worst_case_utility,
 )
@@ -162,9 +161,7 @@ def test_criterion_08_objective_property_suite():
             assert abs(fx - fy) <= lip + 5 * stderr
 
     g_exact = exp_game([1.2, 0.9, 2.0], (1, 0, 2, 0))
-    from congames.game import deterministic_omega
-
-    check(g_exact, 250, deterministic_omega(g_exact)[None, :], 0.0)
+    check(g_exact, 250, g_exact.weights[None, :], 0.0)
 
     g_mc = exp_game([1.2, 0.9, 2.0], (1, 1, 1, 0))
     omegas = sample_omega(g_mc, 1080, size=20_000)
@@ -195,7 +192,7 @@ def test_criterion_09_tail_frontier():
         s = build_strategy_a1(target, g)
         stats = estimate_stats(s, g, "A", n_samples=big, rng=int(gen.integers(2**31)))
         closed = p0 * (1.0 - math.log(p0))  # unit-rate exponential frontier
-        assert tail_weighted_mean(g.distributions[0], p0) == pytest.approx(closed, rel=1e-12)
+        assert frontier.q(p0) == pytest.approx(closed, rel=1e-12)
         assert stats.q[0] == pytest.approx(closed, abs=3 * stderr_big)
     assert time.perf_counter() - start < 60.0
 

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from congames import Partition
 from congames.cli import main
-from congames.experiments import preset_spec, run_scenario
+from congames.experiments import ScenarioSpec, run_scenario
 
 GAME_FILE = """
 n: 2
@@ -148,15 +149,38 @@ EVALUATE_PRINTOUTS = {
 }
 
 
-def test_one_sample_is_refused_where_the_max_term_is_sampled(capsys):
-    # one draw has no standard error: the sweep exits 2 instead of writing
-    # nan, while the exact evaluations (b = 0) still accept one sample
+def test_few_sample_nash_sweep_runs(capsys):
+    # three samples estimate q above twice the mean on some turns; the
+    # opponent-block coefficient is floored at 0 instead of going negative
+    for seed in ("0", "1", "2"):
+        code, out, err = run_cli(capsys, "nash", "--scenario", "3", "--samples", "3", "--seed", seed)
+        assert code == 0, err
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 24 and "nan" not in out
+
+
+def test_one_sample_is_refused_where_the_max_term_is_sampled(capsys, monkeypatch):
+    # one draw has no standard error: a worst-case spec whose preset lets B
+    # observe a resource (scenarios 2 and 3) refuses it when it is built,
+    # before any solver runs, while nash and the exact evaluations (b = 0)
+    # still accept one sample
+    for scenario, solver in ((2, "worst-md"), (2, "worst-dpp"), (3, "worst-dpp"), (3, "worst-a1")):
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            ScenarioSpec(scenario, solver, [1.0], n_samples=1)
+    ScenarioSpec(3, "nash", [1.0], n_samples=1)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a solver ran before the spec was checked")
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for argv in (["worst", "md", "--scenario", "2"], ["worst", "dpp", "--scenario", "3", "--T", "100"]):
-            code, out, err = run_cli(capsys, *argv, "--samples", "1")
-            assert (code, out) == (2, "")
-            assert "n_samples must be >= 2" in err
+        with monkeypatch.context() as patched:
+            for solver in ("run_md_batch", "run_dpp"):
+                patched.setattr(f"congames.experiments.{solver}", not_called)
+            for argv in (["worst", "md", "--scenario", "2"], ["worst", "dpp", "--scenario", "3", "--T", "100"]):
+                code, out, err = run_cli(capsys, *argv, "--samples", "1")
+                assert (code, out) == (2, "")
+                assert "n_samples must be >= 2" in err
         for argv in (["worst", "explicit", "--scenario", "1"], ["worst", "md", "--scenario", "1", "--T", "100"]):
             code, out, err = run_cli(capsys, *argv, "--samples", "1")
             assert code == 0, err
@@ -240,24 +264,30 @@ def test_nash_sweep_warns_when_best_response_does_not_converge(capsys, monkeypat
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        preset_spec(4, "nash", [1.0])
+        ScenarioSpec(4, "nash", [1.0])
     with pytest.raises(ValueError):
-        preset_spec(1, "bogus", [1.0])
+        ScenarioSpec(1, "bogus", [1.0])
     with pytest.raises(ValueError):
-        preset_spec(1, "nash", [])
-    spec = preset_spec(1, "worst-explicit", [1.0, 2.0])
+        ScenarioSpec(1, "nash", [])
+    # the grid is checked when the spec is built, not when a point's game is
+    for bad in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="swept mean must be positive"):
+            ScenarioSpec(1, "nash", [1.0, bad])
+    spec = ScenarioSpec(3, "nash", [1, 2])
+    assert spec.e1_values == (1.0, 2.0) and spec.partition == Partition(1, 1, 1, 0)
+    spec = ScenarioSpec(1, "worst-explicit", [1.0, 2.0])
     table = run_scenario(spec)
     assert table.rows.shape[0] == 2
 
 
 def test_probability_columns_form_simplex_rows():
-    nash = run_scenario(preset_spec(1, "nash", [0.7, 1.3, 2.1]))
+    nash = run_scenario(ScenarioSpec(1, "nash", [0.7, 1.3, 2.1]))
     for row in nash.rows:
         pa, pb = row[4:7], row[7:10]
         for p in (pa, pb):
             assert np.all(p >= -1e-12) and np.all(p <= 1 + 1e-12)
             assert abs(p.sum() - 1.0) <= 1e-3
-    worst = run_scenario(preset_spec(1, "worst-explicit", [0.7, 1.3, 2.1]))
+    worst = run_scenario(ScenarioSpec(1, "worst-explicit", [0.7, 1.3, 2.1]))
     for row in worst.rows:
         p = row[3:6]
         assert np.all(p >= -1e-12) and np.all(p <= 1 + 1e-12)
@@ -267,12 +297,12 @@ def test_probability_columns_form_simplex_rows():
 def test_solvers_agree_on_symmetric_scenario():
     # iterative solvers land within 0.05 of the closed form at every point
     grid = [0.5, 1.0, 2.0]
-    explicit = run_scenario(preset_spec(1, "worst-explicit", grid))
+    explicit = run_scenario(ScenarioSpec(1, "worst-explicit", grid))
     dpp = run_scenario(
-        preset_spec(1, "worst-dpp", grid, V=200.0, alpha=4.0e4, T=20_000, n_samples=2000)
+        ScenarioSpec(1, "worst-dpp", grid, V=200.0, alpha=4.0e4, T=20_000, n_samples=2000)
     )
     md = run_scenario(
-        preset_spec(1, "worst-md", grid, alpha=50.0, T=10_000, n_samples=2000)
+        ScenarioSpec(1, "worst-md", grid, alpha=50.0, T=10_000, n_samples=2000)
     )
     np.testing.assert_allclose(dpp.rows[:, 1], explicit.rows[:, 1], atol=0.05)
     np.testing.assert_allclose(md.rows[:, 1], explicit.rows[:, 1], atol=0.05)
@@ -352,12 +382,12 @@ def test_full_size_sweep_csv_is_byte_identical(capsys, workload):
 
 
 def test_step_defaults_per_solver(capsys):
-    assert preset_spec(3, "worst-dpp", [1.0]).alpha == 4.0e4
-    assert preset_spec(3, "worst-dpp", [1.0]).T == 100_000
+    assert ScenarioSpec(3, "worst-dpp", [1.0]).alpha == 4.0e4
+    assert ScenarioSpec(3, "worst-dpp", [1.0]).T == 100_000
     for solver, scenario in (("worst-md", 2), ("worst-a1", 3)):
-        spec = preset_spec(scenario, solver, [1.0])
+        spec = ScenarioSpec(scenario, solver, [1.0])
         assert (spec.alpha, spec.T) == (50.0, 10_000)
-    assert preset_spec(2, "worst-md", [1.0], alpha=7.0).alpha == 7.0
+    assert ScenarioSpec(2, "worst-md", [1.0], alpha=7.0).alpha == 7.0
     for flag in ("--alpha", "--T"):
         code, _, err = run_cli(capsys, "worst", "md", "--scenario", "2", flag, "0")
         assert code == 2

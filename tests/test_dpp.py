@@ -21,14 +21,14 @@ from congames import (
     worst_case_objective,
 )
 import congames.dpp
-from congames.dpp import _base_weights, box_upper, gamma_step, queue_step
+from congames.dpp import box_upper, gamma_step, queue_step
 from congames.game import sample_omega
 from congames.worstcase import sampled_subgradient
 from conftest import exp_game, simplex_grid
 
 
 def subgradient(gamma, omega, game):
-    return sampled_subgradient(np.asarray(gamma, float), np.asarray(omega, float), _base_weights(game))
+    return sampled_subgradient(np.asarray(gamma, float), np.asarray(omega, float), game.weights)
 
 
 def test_subgradient_tie_and_blocks():

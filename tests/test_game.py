@@ -91,3 +91,18 @@ def test_means_are_read_only():
     g = exp_game([1.0, 2.0], (0, 0, 2, 0))
     with pytest.raises(ValueError):
         g.means[0] = 9.0
+
+
+def test_weights_are_one_on_a_and_the_mean_elsewhere():
+    g = GameInstance(
+        Partition(1, 1, 1, 1),
+        (Exponential(0.5), Exponential(0.25), Exponential(2.0), Exponential(1.0)),
+        z=[3.0],
+    )
+    np.testing.assert_array_equal(g.weights, [1.0, 4.0, 0.5, 3.0])
+    with pytest.raises(ValueError):
+        g.weights[0] = 2.0
+    # omega is the weight vector with fresh draws on the B block
+    omegas = sample_omega(g, 5, size=100)
+    np.testing.assert_array_equal(omegas[:, [0, 2, 3]], np.tile([1.0, 0.5, 3.0], (100, 1)))
+    assert np.all(omegas[:, 1] >= 0) and len(set(omegas[:, 1])) > 1

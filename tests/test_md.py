@@ -158,9 +158,9 @@ def test_tiny_alpha_fails_with_md_error(scenario, solver):
     # (numpy warns once the zeros turn into NaN); both loops share the update
     # and report it with the same error
     from congames import solve_a1
-    from congames.experiments import preset_spec, scenario_game
+    from congames.experiments import ScenarioSpec, scenario_game
 
-    game = scenario_game(preset_spec(scenario, solver, [1.0]), 1.0)
+    game = scenario_game(ScenarioSpec(scenario, solver, [1.0]), 1.0)
     solve = run_md if solver == "worst-md" else solve_a1
     with pytest.raises(ValueError, match="iterates must be strictly positive"):
         solve(game, MdConfig(alpha=1e-3, T=2000))

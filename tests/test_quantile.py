@@ -16,35 +16,35 @@ from congames import (
     estimate_stats,
     explicit_solution,
     solve_a1,
-    tail_weighted_mean,
     worst_case_objective,
 )
 from conftest import exp_game, random_strategy
 
 
 def test_tail_weighted_mean_exponential():
-    d = Exponential(1.0)
-    assert tail_weighted_mean(d, 1.0) == pytest.approx(1.0)
-    assert tail_weighted_mean(d, math.exp(-1)) == pytest.approx(2 * math.exp(-1))
-    assert tail_weighted_mean(d, 0.0) == 0.0
+    q = TailFrontier(Exponential(1.0)).q
+    assert q(1.0) == pytest.approx(1.0)
+    assert q(math.exp(-1)) == pytest.approx(2 * math.exp(-1))
+    assert q(0.0) == 0.0
     # closed form p (1 - ln p) for the unit-rate exponential
     for p in (0.1, 0.25, 0.5, 0.75, 0.9):
-        assert tail_weighted_mean(d, p) == pytest.approx(p * (1 - math.log(p)), rel=1e-12)
+        assert q(p) == pytest.approx(p * (1 - math.log(p)), rel=1e-12)
 
 
 def test_tail_weighted_mean_uniform():
-    d = Uniform(0.0, 2.0)
-    assert tail_weighted_mean(d, 0.5) == pytest.approx(0.5 * 1.5)
-    assert tail_weighted_mean(d, 1.0) == pytest.approx(1.0)
+    q = TailFrontier(Uniform(0.0, 2.0)).q
+    assert q(0.5) == pytest.approx(0.5 * 1.5)
+    assert q(1.0) == pytest.approx(1.0)
 
 
 def test_rejects_discontinuous():
-    with pytest.raises(ValueError):
-        tail_weighted_mean(PointMass(1.0), 0.5)
-    with pytest.raises(ValueError):
-        tail_weighted_mean(Discrete((1.0, 2.0), (0.5, 0.5)), 0.5)
-    with pytest.raises(ValueError):
-        TailFrontier(PointMass(1.0))
+    for dist in (PointMass(1.0), Discrete((1.0, 2.0), (0.5, 0.5)), Uniform(1.0, 1.0)):
+        with pytest.raises(ValueError, match="continuous"):
+            TailFrontier(dist)
+        # the threshold construction refuses them before asking for a quantile
+        game = GameInstance(Partition(1, 0, 1, 0), (dist, Exponential(1.0)))
+        with pytest.raises(ValueError, match="continuous"):
+            build_strategy_a1([0.5, 0.5], game)
 
 
 def test_frontier_shape():
@@ -61,17 +61,15 @@ def test_frontier_shape():
 
 
 def test_frontier_q_is_the_checked_tail_weighted_mean():
-    # one expression, p1 * tail_mean(p1), behind both names; p1 is still range-checked
+    # q is p1 * tail_mean(p1) bit for bit, and p1 is range-checked
     for dist in (Exponential(0.7), Exponential(2.0), Uniform(0.2, 3.0), Uniform(0.0, 1.0)):
         frontier = TailFrontier(dist)
         for p1 in [0.0, 1e-12, 1e-4, 0.3, 0.5, 1.0 - 1e-9, 1.0, *np.linspace(0.0, 1.0, 97).tolist()]:
             expected = p1 * dist.tail_mean(p1) if p1 > 0 else 0.0
-            assert frontier.q(p1) == tail_weighted_mean(dist, p1) == expected
+            assert frontier.q(p1) == expected
         for bad in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError):
                 frontier.q(bad)
-            with pytest.raises(ValueError):
-                tail_weighted_mean(dist, bad)
 
 
 def test_build_strategy_examples():
@@ -151,6 +149,18 @@ def test_solve_a1_requires_a1():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     with pytest.raises(ValueError):
         solve_a1(g, MdConfig(alpha=10.0, T=10))
+
+
+def test_solve_a1_refuses_games_too_wide_for_its_restriction():
+    # p0 >= DEFAULT_DELTA = 1e-3 needs n < 1000; the refusal comes before any draw
+    for n, ok in ((999, True), (1000, False)):
+        g = exp_game([1.0] * n, (1, 0, n - 1, 0))
+        if ok:
+            p, _, _ = solve_a1(g, MdConfig(alpha=50.0, T=1))
+            assert p.shape == (n,)
+        else:
+            with pytest.raises(ValueError, match="needs n < 1000"):
+                solve_a1(g, MdConfig(alpha=50.0, T=1))
 
 
 def test_solve_a1_stderr_matches_its_evaluation():
