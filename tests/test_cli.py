@@ -388,7 +388,14 @@ def test_step_defaults_per_solver(capsys):
         spec = ScenarioSpec(scenario, solver, [1.0])
         assert (spec.alpha, spec.T) == (50.0, 10_000)
     assert ScenarioSpec(2, "worst-md", [1.0], alpha=7.0).alpha == 7.0
+    assert ScenarioSpec(3, "nash", [1.0]).epsilon == 1e-3
+    assert ScenarioSpec(3, "worst-dpp", [1.0]).V == 200.0
+    assert ScenarioSpec(3, "worst-dpp", [1.0], V=50.0).V == 50.0
     for flag in ("--alpha", "--T"):
         code, _, err = run_cli(capsys, "worst", "md", "--scenario", "2", flag, "0")
         assert code == 2
         assert "must be" in err
+    for argv in (["nash", "--epsilon", "0"], ["worst", "dpp", "--V", "0"]):
+        code, out, err = run_cli(capsys, *argv, "--scenario", "3")
+        assert (code, out) == (2, "")
+        assert "must be positive" in err

@@ -148,3 +148,52 @@ def test_parse_strategy_errors(text, fragment):
     g = parse_game(GAME_TEXT)
     with pytest.raises(GameFileError, match=fragment):
         parse_strategy(text, g)
+
+
+GAME_BASE = "n: 2\npartition: 0 0 2 0\ndist 1: exponential rate=1.0\ndist 2: exponential rate=1.0\n"
+
+
+def _with_line(text, line_no, line):
+    lines = text.splitlines()
+    lines[line_no - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+# the exact message of each fault; a file with two faults reports the one
+# on the earlier line
+@pytest.mark.parametrize(
+    "game_text, message",
+    [
+        (_with_line(GAME_BASE, 3, "dist 1: exponential rate=1,2"), "line 3: parameter 'rate' must be a number"),
+        (
+            _with_line(GAME_BASE, 3, "dist 1: discrete values=1,x probs=0.5,0.5"),
+            "line 3: parameter 'values' must be comma-separated numbers",
+        ),
+        (_with_line(GAME_BASE, 1, "n: -1"), "partition sizes sum to 2, but n is -1"),
+        (_with_line(GAME_BASE, 1, "n: x") + "bogus: 1\n", "line 1: n must be an integer, got 'x'"),
+    ],
+)
+def test_game_error_messages(game_text, message):
+    with pytest.raises(GameFileError) as err:
+        parse_game(game_text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind: simplex\np: 1 0 0\np: 1 0 0\n", "line 3: duplicate key 'p'"),
+        ("kind: simplex\nkind: simplex\np: 1 0 0\n", "line 2: duplicate 'kind'"),
+        ("kind: mixture\nplayer: A\ncomponent: 1 0 0\nplayer: B\n", "line 4: duplicate key 'player'"),
+        (
+            "kind: score\nplayer: A\nvalues: 1 0 0\ncomponent: 1 0 0\n",
+            "line 4: unknown key 'component' for kind 'score'",
+        ),
+        ("kind: quantile\ntau: x\ntail: 0.6 0.4\n", "line 2: tau must be a number, got 'x'"),
+        ("kind: simplex\nextra: 1\np: 1 x 0\n", "line 2: unknown key 'extra' for kind 'simplex'"),
+    ],
+)
+def test_strategy_error_messages(text, message):
+    with pytest.raises(GameFileError) as err:
+        parse_strategy(text, parse_game(GAME_TEXT))
+    assert str(err.value) == message
