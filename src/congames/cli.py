@@ -6,11 +6,15 @@ Subcommands::
     congames worst dpp --scenario 2 --V 200 --alpha 4e4 --T 100000 --reps 10
     congames evaluate --game g.txt --strategy s.txt --mode vs-worst-case
 
-Sweeps print a CSV table (or write it with ``--out``); reruns with the same
-flags and seed are byte-identical.  Unset ``--alpha`` and ``--T`` take the
-solver's entry in :data:`congames.experiments.STEP_DEFAULTS` (dpp 4e4 and
-100000, md and a1 50 and 10000).  Exit status is 0 on success and 2 on any
-usage, file, or configuration error.
+Every sweep command takes the grid, ``--scenario``, ``--reps``, ``--seed``,
+``--samples`` and ``--out``, plus only the settings its solver reads, with
+the defaults of :data:`congames.experiments.SOLVER_SETTINGS`: ``--epsilon``
+for nash, ``--V``, ``--alpha`` and ``--T`` for dpp, ``--alpha`` and ``--T``
+for md and a1, none for explicit.  ``worst`` takes its method first, so its
+flags follow the method.  Sweeps print a CSV table (or write it with
+``--out``); reruns with the same flags and seed are byte-identical.  Exit
+status is 0 on success and 2 on any usage, file, or configuration error,
+including a flag the command's solver does not read.
 """
 
 from __future__ import annotations
@@ -18,18 +22,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import ScenarioSpec, evaluate_report, run_scenario
+from .experiments import SOLVER_SETTINGS, ScenarioSpec, evaluate_report, run_scenario
 from .gamefile import GameFileError, load_game, load_strategy
 from .montecarlo import McConfig
 
+SETTING_HELP = {
+    "epsilon": "equilibrium threshold",
+    "V": "penalty weight",
+    "alpha": "step parameter",
+    "T": "iteration count",
+}
+
 
 def _opt(parser, flag: str, type_, default, help_):
-    """Add --flag with its default in the help (None: per solver)."""
-    shown = "per solver" if default is None else default
-    parser.add_argument(f"--{flag}", type=type_, default=default, help=f"{help_} (default {shown})")
+    """Add --flag with its default in the help."""
+    parser.add_argument(f"--{flag}", type=type_, default=default, help=f"{help_} (default {default})")
 
 
-def _sweep_flags(parser):
+def _sweep_parser(sub, command: str, solver: str, help_: str):
+    parser = sub.add_parser(command, help=help_)
     _opt(parser, "scenario", int, 1, "preset scenario 1, 2, or 3")
     _opt(parser, "e1-min", float, 0.1, "smallest mean of resource 1")
     _opt(parser, "e1-max", float, 2.4, "largest mean of resource 1")
@@ -37,11 +48,11 @@ def _sweep_flags(parser):
     _opt(parser, "reps", int, 1, "independent repetitions per sweep point")
     _opt(parser, "seed", int, 0, "master seed")
     _opt(parser, "samples", int, 100_000, "Monte Carlo samples per estimate")
-    _opt(parser, "epsilon", float, 1e-3, "equilibrium threshold (nash)")
-    _opt(parser, "V", float, 200.0, "penalty weight (dpp)")
-    _opt(parser, "alpha", float, None, "step parameter (dpp / md / a1)")
-    _opt(parser, "T", int, None, "iteration count (dpp / md / a1)")
+    # each default's type is the flag's type: T is an int, the others floats
+    for name, default in SOLVER_SETTINGS[solver].items():
+        _opt(parser, name, type(default), default, SETTING_HELP[name])
     parser.add_argument("--out", default=None, help="write the CSV here instead of stdout")
+    parser.set_defaults(solver=solver)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,13 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-player stochastic resource-sharing games: equilibria and worst-case strategies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    nash = sub.add_parser("nash", help="approximate-equilibrium sweep")
-    _sweep_flags(nash)
+    _sweep_parser(sub, "nash", "nash", "approximate-equilibrium sweep")
 
     worst = sub.add_parser("worst", help="worst-case utility sweep")
-    worst.add_argument("method", choices=["explicit", "dpp", "md", "a1"])
-    _sweep_flags(worst)
+    methods = worst.add_subparsers(dest="method", required=True)
+    for solver in SOLVER_SETTINGS:
+        if solver.startswith("worst-"):
+            method = solver.removeprefix("worst-")
+            _sweep_parser(methods, method, solver, f"worst-case sweep with the {method} solver")
 
     ev = sub.add_parser("evaluate", help="evaluate a strategy file in a game file")
     ev.add_argument("--game", required=True, help="game description file")
@@ -78,18 +90,15 @@ def _e1_grid(args) -> tuple[float, ...]:
     return tuple(args.e1_min + k * args.e1_step for k in range(count))
 
 
-def _run_sweep(solver: str, args) -> int:
+def _run_sweep(args) -> int:
     spec = ScenarioSpec(
         args.scenario,
-        solver,
+        args.solver,
         _e1_grid(args),
-        epsilon=args.epsilon,
-        V=args.V,
-        alpha=args.alpha,
-        T=args.T,
         n_samples=args.samples,
         seed=args.seed,
         repetitions=args.reps,
+        **{name: getattr(args, name) for name in SOLVER_SETTINGS[args.solver]},
     )
     csv = run_scenario(spec).to_csv()
     if args.out:
@@ -123,11 +132,9 @@ def _run_evaluate(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "nash":
-            return _run_sweep("nash", args)
-        if args.command == "worst":
-            return _run_sweep(f"worst-{args.method}", args)
-        return _run_evaluate(args)
+        if args.command == "evaluate":
+            return _run_evaluate(args)
+        return _run_sweep(args)
     except (ValueError, GameFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

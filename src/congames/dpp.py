@@ -213,10 +213,9 @@ def bound_constants(game: GameInstance, config: DppConfig) -> BoundConstants:
     e_rest = means[part.a_comp]
     m2_a = np.array([game.distributions[k].second_moment for k in part.set_a])
     m2_b = np.array([game.distributions[k].second_moment for k in part.set_b])
-    shared = np.concatenate([part.set_c, part.set_ab])
 
     n, a = game.n, part.a
-    omega_sq_mean = a + m2_b.sum() + np.sum(means[shared] ** 2)
+    omega_sq_mean = a + m2_b.sum() + np.sum(means[part.shared] ** 2)
     drift = n - a + 0.5 * np.sum(e_a**2 + m2_a)
     subgrad_sq = 4.0 * a + omega_sq_mean + 4.0 * np.sum(e_rest**2)
     diameter_sq = n - a + np.sum(e_a**2)

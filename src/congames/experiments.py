@@ -10,7 +10,9 @@ resources 2 and 3 pinned at 1; they differ in who observes what:
 A :class:`ScenarioSpec` names one preset by its number.  Its sweep varies
 the exponential mean of resource 1 over a grid, runs the selected solver at
 each point (averaging over ``repetitions`` derived seeds), and emits one CSV
-row per point.  Mirror descent runs every (point, repetition) pair of
+row per point.  :data:`SOLVER_SETTINGS` declares, once, which of the
+settings ``epsilon``, ``V``, ``alpha`` and ``T`` each solver reads and
+their defaults; the spec and the CLI both read it.  Mirror descent runs every (point, repetition) pair of
 the sweep as one batch (:func:`congames.md.run_md_batch`) before the points
 are evaluated; the other solvers run point by point.  Identical spec + seed
 reproduces the table byte for byte.  A point whose DPP runs broke the queue
@@ -40,6 +42,7 @@ from .worstcase import worst_case_objective, worst_case_utility
 
 __all__ = [
     "SCENARIO_PARTITIONS",
+    "SOLVER_SETTINGS",
     "ScenarioSpec",
     "SweepTable",
     "scenario_game",
@@ -49,13 +52,14 @@ __all__ = [
 
 SCENARIO_PARTITIONS = {1: (0, 0, 3, 0), 2: (0, 1, 2, 0), 3: (1, 1, 1, 0)}
 
-SOLVERS = ("nash", "worst-explicit", "worst-dpp", "worst-md", "worst-a1")
-
-# (alpha, T) of each iterative solver when the spec leaves them unset
-STEP_DEFAULTS = {
-    "worst-dpp": (4.0e4, 100_000),
-    "worst-md": (50.0, 10_000),
-    "worst-a1": (50.0, 10_000),
+# the settings each solver reads, with their defaults; a spec refuses any
+# other setting, and the CLI offers each command only its solver's flags
+SOLVER_SETTINGS = {
+    "nash": {"epsilon": 1e-3},  # convergence threshold
+    "worst-explicit": {},
+    "worst-dpp": {"V": 200.0, "alpha": 4.0e4, "T": 100_000},  # penalty weight, step, rounds
+    "worst-md": {"alpha": 50.0, "T": 10_000},
+    "worst-a1": {"alpha": 50.0, "T": 10_000},
 }
 
 
@@ -64,19 +68,21 @@ class ScenarioSpec:
     """One sweep: preset scenario, solver, grid of resource 1's mean.
 
     ``e1_values`` is stored as a tuple of floats and must hold positive,
-    finite means.  ``alpha`` and ``T`` left as None take the solver's
-    :data:`STEP_DEFAULTS` entry; nash and worst-explicit use neither.  A
-    worst-case sweep whose preset lets B observe a resource samples its max
-    term, so it refuses ``n_samples < 2`` here, before any solver runs.
+    finite means.  ``epsilon``, ``V``, ``alpha`` and ``T`` are the solver
+    settings of :data:`SOLVER_SETTINGS`: one the solver reads takes its
+    default there when left as None, and one it does not read must stay
+    None.  ``n_samples`` must be at least 1, and at least 2 for a
+    worst-case sweep whose preset lets B observe a resource (its max term
+    is sampled); both are checked here, before any solver runs.
     """
 
     scenario: int
     solver: str
     e1_values: tuple[float, ...]
-    epsilon: float = 1e-3  # nash convergence threshold
-    V: float = 200.0  # dpp penalty weight
-    alpha: float | None = None  # dpp / md / a1 step parameter
-    T: int | None = None  # dpp / md / a1 rounds
+    epsilon: float | None = None
+    V: float | None = None
+    alpha: float | None = None
+    T: int | None = None
     n_samples: int = 100_000
     seed: int = 0
     repetitions: int = 1
@@ -84,8 +90,15 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIO_PARTITIONS:
             raise ValueError(f"scenario must be one of {sorted(SCENARIO_PARTITIONS)}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
+        if self.solver not in SOLVER_SETTINGS:
+            raise ValueError(f"solver must be one of {tuple(SOLVER_SETTINGS)}, got {self.solver!r}")
+        settings = SOLVER_SETTINGS[self.solver]
+        for name in ("epsilon", "V", "alpha", "T"):
+            if name in settings:
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, settings[name])
+            elif getattr(self, name) is not None:
+                raise ValueError(f"{self.solver} does not read {name}")
         e1_values = tuple(float(v) for v in self.e1_values)
         if not e1_values:
             raise ValueError("sweep grid must be non-empty")
@@ -94,6 +107,8 @@ class ScenarioSpec:
         object.__setattr__(self, "e1_values", e1_values)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         part = self.partition
         if self.solver == "worst-explicit" and (part.a or part.b):
             raise ValueError("worst-explicit requires a == b == 0 (symmetric information)")
@@ -103,9 +118,6 @@ class ScenarioSpec:
             raise ValueError("worst-a1 requires a == 1")
         if self.solver != "nash" and part.b and self.n_samples < 2:
             raise ValueError("n_samples must be >= 2 when player B observes a resource")
-        alpha, T = STEP_DEFAULTS.get(self.solver, (None, None))
-        object.__setattr__(self, "alpha", alpha if self.alpha is None else self.alpha)
-        object.__setattr__(self, "T", T if self.T is None else self.T)
 
     @property
     def partition(self) -> Partition:

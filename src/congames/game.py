@@ -78,6 +78,11 @@ class Partition:
         return np.arange(self.a + self.b + self.c, self.n)
 
     @property
+    def shared(self) -> np.ndarray:
+        """The C and AB blocks, which both players see alike."""
+        return np.arange(self.a + self.b, self.n)
+
+    @property
     def a_comp(self) -> np.ndarray:
         """Everything player A does not privately observe."""
         return np.arange(self.a, self.n)
@@ -149,26 +154,23 @@ class GameInstance:
         return self._weights
 
 
-def sample_world(game: GameInstance, rng, size: int | None = None) -> np.ndarray:
-    """Draw reward realizations; AB-block entries stay fixed at ``z``.
-
-    Returns shape ``(n,)`` when ``size`` is None, else ``(size, n)``.
-    """
+def sample_world(game: GameInstance, rng, size: int) -> np.ndarray:
+    """Draw ``size`` reward realizations, shape ``(size, n)``; AB-block
+    entries stay fixed at ``z``."""
     gen = as_generator(rng)
-    n = game.n
-    rows = 1 if size is None else size
-    out = np.empty((rows, n))
+    out = np.empty((size, game.n))
     ab_start = game.partition.a + game.partition.b + game.partition.c
     for k, dist in enumerate(game.distributions):
         if k >= ab_start:
             out[:, k] = game.z[k - ab_start]
         else:
-            out[:, k] = dist.sample(gen, size=rows)
-    return out[0] if size is None else out
+            out[:, k] = dist.sample(gen, size=size)
+    return out
 
 
-def sample_omega(game: GameInstance, rng, size: int | None = None) -> np.ndarray:
-    """Draw the adversary weight vector used in worst-case evaluation.
+def sample_omega(game: GameInstance, rng, size: int) -> np.ndarray:
+    """Draw ``size`` adversary weight vectors for worst-case evaluation,
+    shape ``(size, n)``.
 
     Entry k is a fresh reward draw on the B block and
     :attr:`GameInstance.weights` elsewhere: 1 on the A block (the worst-case
@@ -176,11 +178,10 @@ def sample_omega(game: GameInstance, rng, size: int | None = None) -> np.ndarray
     rates) and the conditional mean on the rest.
     """
     gen = as_generator(rng)
-    rows = 1 if size is None else size
-    out = np.tile(game.weights, (rows, 1))
+    out = np.tile(game.weights, (size, 1))
     for k in game.partition.set_b:
-        out[:, k] = game.distributions[k].sample(gen, size=rows)
-    return out[0] if size is None else out
+        out[:, k] = game.distributions[k].sample(gen, size=size)
+    return out
 
 
 def draw_rows(draws: np.ndarray):

@@ -30,6 +30,12 @@ Strategy files use the same syntax with a ``kind`` selector::
 ``kind: score`` is read as a one-component mixture.  Score/mixture values
 on the named player's private block multiply the observed reward; the rest
 are constants.
+
+Faults are reported in three passes, each in file order.  One reader
+serves both kinds of file and first refuses a line that is not
+``key: value`` and a repeated key (only ``component`` may repeat); then
+each key and value is checked; what is missing or inconsistent across
+lines is checked last.
 """
 
 from __future__ import annotations
@@ -43,6 +49,23 @@ from .strategies import Mixture, QuantileThreshold, Simplex, Strategy
 
 __all__ = ["GameFileError", "load_game", "parse_game", "load_strategy", "parse_strategy"]
 
+# each distribution kind's constructor and parameter names; discrete
+# parameters are comma-separated lists, the others single numbers
+DISTRIBUTIONS = {
+    "exponential": (Exponential, ("rate",)),
+    "uniform": (Uniform, ("lo", "hi")),
+    "pointmass": (PointMass, ("value",)),
+    "discrete": (Discrete, ("values", "probs")),
+}
+
+# each strategy kind's keys, all required; a score is a one-component mixture
+STRATEGY_KEYS = {
+    "simplex": ("p",),
+    "score": ("player", "values"),
+    "quantile": ("tau", "tail"),
+    "mixture": ("player", "component"),
+}
+
 
 class GameFileError(ValueError):
     """Malformed game or strategy file; message carries the line number."""
@@ -52,8 +75,11 @@ def _fail(line_no, msg):
     raise GameFileError(f"line {line_no}: {msg}")
 
 
-def _entries(text: str):
-    """Yield (line_no, key, value) for every non-comment line."""
+def _read(text: str) -> dict[str, list[tuple[int, str]]]:
+    """Each key's (line_no, value) entries in file order.  Keys are
+    lower-cased with their inner spaces collapsed; only 'component' may
+    repeat."""
+    entries: dict[str, list[tuple[int, str]]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -61,95 +87,82 @@ def _entries(text: str):
         if ":" not in line:
             _fail(line_no, f"expected 'key: value', got {raw.strip()!r}")
         key, value = line.split(":", 1)
-        yield line_no, " ".join(key.split()).lower(), value.strip()
+        key = " ".join(key.split()).lower()
+        if key in entries and key != "component":
+            _fail(line_no, f"duplicate key {key!r} (first at line {entries[key][0][0]})")
+        entries.setdefault(key, []).append((line_no, value.strip()))
+    return entries
+
+
+def _convert(convert, value, line_no, what):
+    """convert(value), reporting a ValueError as '<what>' at line_no."""
+    try:
+        return convert(value)
+    except ValueError:
+        _fail(line_no, what)
 
 
 def _floats(value, line_no, what):
+    return _convert(
+        lambda v: np.array([float(tok) for tok in v.split()], dtype=float),
+        value, line_no, f"{what} must be a list of numbers, got {value!r}",
+    )
+
+
+def _built(line_no, build, *args, **kwargs):
+    """build(...), reporting its ValueError at line_no."""
     try:
-        return np.array([float(tok) for tok in value.split()], dtype=float)
-    except ValueError:
-        _fail(line_no, f"{what} must be a list of numbers, got {value!r}")
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        _fail(line_no, str(exc))
 
 
-def _parse_params(value, line_no):
-    tokens = value.split()
-    if not tokens:
+def _distribution(value, line_no) -> RewardDistribution:
+    kind, *tokens = value.split() or [""]
+    kind = kind.lower()
+    if not kind:
         _fail(line_no, "missing distribution kind")
-    kind, params = tokens[0].lower(), {}
-    for tok in tokens[1:]:
+    if kind not in DISTRIBUTIONS:
+        _fail(line_no, f"unknown distribution kind {kind!r}")
+    build, names = DISTRIBUTIONS[kind]
+    params = {}
+    for tok in tokens:
         if "=" not in tok:
             _fail(line_no, f"expected name=value, got {tok!r}")
         name, raw = tok.split("=", 1)
         params[name.lower()] = raw
-    return kind, params
-
-
-def _parse_distribution(value, line_no) -> RewardDistribution:
-    kind, params = _parse_params(value, line_no)
-
-    def num(name):
+    if build is Discrete:
+        number, what = (lambda v: tuple(float(tok) for tok in v.split(","))), "comma-separated numbers"
+    else:
+        number, what = float, "a number"
+    args = {}
+    for name in names:
         if name not in params:
             _fail(line_no, f"{kind} needs parameter {name!r}")
-        try:
-            return float(params.pop(name))
-        except ValueError:
-            _fail(line_no, f"parameter {name!r} must be a number")
-
-    def numlist(name):
-        if name not in params:
-            _fail(line_no, f"{kind} needs parameter {name!r}")
-        try:
-            return tuple(float(tok) for tok in params.pop(name).split(","))
-        except ValueError:
-            _fail(line_no, f"parameter {name!r} must be comma-separated numbers")
-
-    try:
-        if kind == "exponential":
-            dist = Exponential(rate=num("rate"))
-        elif kind == "uniform":
-            dist = Uniform(lo=num("lo"), hi=num("hi"))
-        elif kind == "pointmass":
-            dist = PointMass(value=num("value"))
-        elif kind == "discrete":
-            dist = Discrete(values=numlist("values"), probs=numlist("probs"))
-        else:
-            _fail(line_no, f"unknown distribution kind {kind!r}")
-    except GameFileError:
-        raise
-    except ValueError as exc:
-        _fail(line_no, str(exc))
+        args[name] = _convert(number, params.pop(name), line_no, f"parameter {name!r} must be {what}")
     if params:
         _fail(line_no, f"unknown {kind} parameters: {sorted(params)}")
-    return dist
+    return _built(line_no, build, **args)
 
 
 def parse_game(text: str, rng=None) -> GameInstance:
     """Build a GameInstance from game-file text (see module docstring)."""
-    n = None
-    partition = None
+    n = partition = z = None
     dists: dict[int, RewardDistribution] = {}
-    z = None
-    first_line = {}
-
-    for line_no, key, value in _entries(text):
-        if key in first_line:
-            _fail(line_no, f"duplicate key {key!r} (first at line {first_line[key]})")
-        first_line[key] = line_no
+    # no game key repeats, so the keys come in file order
+    for key, [(line_no, value), *_] in _read(text).items():
         if key == "n":
-            try:
-                n = int(value)
-            except ValueError:
-                _fail(line_no, f"n must be an integer, got {value!r}")
+            n = _convert(int, value, line_no, f"n must be an integer, got {value!r}")
         elif key == "partition":
             sizes = value.split()
             if len(sizes) != 4 or not all(tok.isdigit() for tok in sizes):
                 _fail(line_no, "partition must be four non-negative integers 'a b c d'")
-            partition = Partition(*(int(tok) for tok in sizes))
+            partition = _built(line_no, Partition, *map(int, sizes))
         elif key.startswith("dist "):
             tok = key[5:]
             if not tok.isdigit() or int(tok) < 1:
                 _fail(line_no, f"resource number must be a positive integer, got {tok!r}")
-            dists[int(tok)] = _parse_distribution(value, line_no)
+            dists[int(tok)] = _distribution(value, line_no)
         elif key == "z":
             z = _floats(value, line_no, "z")
         else:
@@ -188,78 +201,41 @@ def load_game(path, rng=None) -> GameInstance:
         return parse_game(fh.read(), rng=rng)
 
 
+def _strategy_value(key, value, line_no):
+    if key == "player":
+        if value.upper() not in ("A", "B"):
+            _fail(line_no, f"player must be A or B, got {value.upper()!r}")
+        return value.upper()
+    if key == "tau":
+        return _convert(float, value, line_no, f"tau must be a number, got {value!r}")
+    return _floats(value, line_no, key)
+
+
 def parse_strategy(text: str, game: GameInstance) -> Strategy:
     """Build a Strategy from strategy-file text for the given game."""
-    kind = None
-    fields: list[tuple[int, str, str]] = []
-    for line_no, key, value in _entries(text):
-        if key == "kind":
-            if kind is not None:
-                _fail(line_no, "duplicate 'kind'")
-            kind = value.lower()
-        else:
-            fields.append((line_no, key, value))
-    if kind is None:
+    entries = _read(text)
+    if "kind" not in entries:
         raise GameFileError("missing required key 'kind'")
-
-    def single(name, allowed):
-        got = {}
-        for line_no, key, value in fields:
-            if key not in allowed:
-                _fail(line_no, f"unknown key {key!r} for kind {kind!r}")
-            if key in got:
-                _fail(line_no, f"duplicate key {key!r}")
-            got[key] = (line_no, value)
-        for req in name:
-            if req not in got:
-                raise GameFileError(f"kind {kind!r} requires key {req!r}")
-        return got
-
-    def private_for(got):
-        line_no, player = got["player"]
-        player = player.upper()
-        if player not in ("A", "B"):
-            _fail(line_no, f"player must be A or B, got {player!r}")
-        return game.partition.private_set(player)
-
+    [(line_no, kind)] = entries.pop("kind")
+    kind = kind.lower()
+    if kind not in STRATEGY_KEYS:
+        _fail(line_no, f"unknown strategy kind {kind!r}")
+    keys = STRATEGY_KEYS[kind]
+    got: dict[str, list] = {}
+    for line_no, key, value in sorted((ln, key, v) for key, lines in entries.items() for ln, v in lines):
+        if key not in keys:
+            _fail(line_no, f"unknown key {key!r} for kind {kind!r}")
+        got.setdefault(key, []).append(_strategy_value(key, value, line_no))
+    for key in keys:
+        if key not in got:
+            raise GameFileError(f"kind {kind!r} requires key {key!r}")
     try:
         if kind == "simplex":
-            got = single(("p",), {"p"})
-            return Simplex(_floats(got["p"][1], got["p"][0], "p"))
-        if kind == "score":
-            got = single(("player", "values"), {"player", "values"})
-            values = _floats(got["values"][1], got["values"][0], "values")
-            return Mixture(values[np.newaxis], private_for(got))
+            return Simplex(*got["p"])
         if kind == "quantile":
-            got = single(("tau", "tail"), {"tau", "tail"})
-            line_no, raw = got["tau"]
-            try:
-                tau = float(raw)
-            except ValueError:
-                _fail(line_no, f"tau must be a number, got {raw!r}")
-            return QuantileThreshold(tau, _floats(got["tail"][1], got["tail"][0], "tail"))
-        if kind == "mixture":
-            private = None
-            components = []
-            seen_player = False
-            for line_no, key, value in fields:
-                if key == "player":
-                    if seen_player:
-                        _fail(line_no, "duplicate key 'player'")
-                    seen_player = True
-                    private = private_for({"player": (line_no, value)})
-                elif key == "component":
-                    components.append(_floats(value, line_no, "component"))
-                else:
-                    _fail(line_no, f"unknown key {key!r} for kind 'mixture'")
-            if private is None:
-                raise GameFileError("kind 'mixture' requires key 'player'")
-            if not components:
-                raise GameFileError("kind 'mixture' requires at least one 'component'")
-            return Mixture(np.vstack(components), private)
-        raise GameFileError(f"unknown strategy kind {kind!r}")
-    except GameFileError:
-        raise
+            return QuantileThreshold(*got["tau"], *got["tail"])
+        rows = got["values" if kind == "score" else "component"]
+        return Mixture(np.vstack(rows), game.partition.private_set(*got["player"]))
     except ValueError as exc:
         raise GameFileError(str(exc)) from exc
 

@@ -155,7 +155,7 @@ def collision_term(stats_a: StrategyStats, stats_b: StrategyStats, game: GameIns
     """Expected reward lost to collisions (before the 1/2 discount)."""
     part = game.partition
     means = game.means
-    shared = np.concatenate([part.set_c, part.set_ab])
+    shared = part.shared
     return float(
         np.dot(stats_a.q, stats_b.p[part.set_a])
         + np.dot(stats_a.p[part.set_b], stats_b.q)

@@ -92,7 +92,7 @@ def potential(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance
     """The exact potential H; bounded above by 2 * sum of mean rewards."""
     part = game.partition
     means = game.means
-    shared = np.concatenate([part.set_c, part.set_ab])
+    shared = part.shared
     gross = (
         stats_a.q.sum()
         + np.dot(means[part.set_a], stats_b.p[part.set_a])

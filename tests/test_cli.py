@@ -399,3 +399,59 @@ def test_step_defaults_per_solver(capsys):
         code, out, err = run_cli(capsys, *argv, "--scenario", "3")
         assert (code, out) == (2, "")
         assert "must be positive" in err
+
+
+# the settings each solver reads; every other setting flag is refused
+SETTINGS_READ = {
+    "nash": ("epsilon",),
+    "worst-explicit": (),
+    "worst-dpp": ("V", "alpha", "T"),
+    "worst-md": ("alpha", "T"),
+    "worst-a1": ("alpha", "T"),
+}
+ALL_SETTINGS = ("epsilon", "V", "alpha", "T")
+# a preset each solver accepts
+SCENARIO_OF = {"nash": 3, "worst-explicit": 1, "worst-dpp": 3, "worst-md": 2, "worst-a1": 3}
+
+
+def exit_code(*argv):
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    return exited.value.code
+
+
+@pytest.mark.parametrize("solver", sorted(SETTINGS_READ))
+def test_each_command_offers_only_the_settings_its_solver_reads(capsys, solver):
+    command = solver.split("-")
+    assert exit_code(*command, "--help") == 0
+    help_text = capsys.readouterr().out
+    for name in ALL_SETTINGS:
+        assert (f"--{name} " in help_text) == (name in SETTINGS_READ[solver])
+    for name in ALL_SETTINGS:
+        if name in SETTINGS_READ[solver]:
+            continue
+        assert exit_code(*command, f"--{name}", "1") == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=f"{solver} does not read {name}"):
+            ScenarioSpec(SCENARIO_OF[solver], solver, [1.0], **{name: 1})
+    # a worst flag must follow the method
+    assert exit_code("worst", "--scenario", "1", "explicit") == 2
+
+
+def test_samples_below_one_are_refused_before_any_solver_runs(capsys, monkeypatch):
+    for solver in SETTINGS_READ:
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            ScenarioSpec(SCENARIO_OF[solver], solver, [1.0], n_samples=0)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a solver ran before the spec was checked")
+
+    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
+        monkeypatch.setattr(f"congames.experiments.{name}", not_called)
+    for solver in SETTINGS_READ:
+        for samples in ("0", "-5"):
+            code, out, err = run_cli(
+                capsys, *solver.split("-"), "--scenario", str(SCENARIO_OF[solver]), "--samples", samples
+            )
+            assert (code, out) == (2, "")
+            assert "n_samples must be >= 1" in err

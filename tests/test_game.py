@@ -27,6 +27,22 @@ def test_partition_layout_and_class_of():
         Partition(0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("sizes", [(1, 2, 1, 1), (0, 0, 3, 0), (1, 1, 0, 0), (0, 0, 0, 2)])
+def test_shared_is_the_c_then_ab_block(sizes):
+    part = Partition(*sizes)
+    joined = np.concatenate([part.set_c, part.set_ab])
+    assert part.shared.dtype == joined.dtype
+    np.testing.assert_array_equal(part.shared, joined)
+
+
+def test_sampling_requires_a_row_count():
+    g = exp_game([1.0, 1.0], (0, 1, 1, 0))
+    for sample in (sample_world, sample_omega):
+        with pytest.raises(TypeError):
+            sample(g, 0)
+        assert sample(g, 0, size=1).shape == (1, 2)
+
+
 def test_conditional_means_examples():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     np.testing.assert_allclose(g.means, [1.0, 1.0])

@@ -140,7 +140,7 @@ def test_parse_strategies():
         ("kind: score\nvalues: 1 1 1\n", "requires key 'player'"),
         ("kind: score\nplayer: Q\nvalues: 1 1 1\n", "player must be A or B"),
         ("kind: simplex\np: 0.5 0.5 0\nextra: 1\n", "unknown key"),
-        ("kind: mixture\nplayer: A\n", "at least one 'component'"),
+        ("kind: mixture\nplayer: A\n", "requires key 'component'"),
         ("kind: wavelet\n", "unknown strategy kind"),
     ],
 )
@@ -171,6 +171,7 @@ def _with_line(text, line_no, line):
         ),
         (_with_line(GAME_BASE, 1, "n: -1"), "partition sizes sum to 2, but n is -1"),
         (_with_line(GAME_BASE, 1, "n: x") + "bogus: 1\n", "line 1: n must be an integer, got 'x'"),
+        (_with_line(GAME_BASE, 2, "partition: 0 0 0 0"), "line 2: partition must contain at least one resource"),
     ],
 )
 def test_game_error_messages(game_text, message):
@@ -182,15 +183,17 @@ def test_game_error_messages(game_text, message):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("kind: simplex\np: 1 0 0\np: 1 0 0\n", "line 3: duplicate key 'p'"),
-        ("kind: simplex\nkind: simplex\np: 1 0 0\n", "line 2: duplicate 'kind'"),
-        ("kind: mixture\nplayer: A\ncomponent: 1 0 0\nplayer: B\n", "line 4: duplicate key 'player'"),
+        ("kind: simplex\np: 1 0 0\np: 1 0 0\n", "line 3: duplicate key 'p' (first at line 2)"),
+        ("kind: simplex\nkind: simplex\np: 1 0 0\n", "line 2: duplicate key 'kind' (first at line 1)"),
+        ("kind: mixture\nplayer: A\ncomponent: 1 0 0\nplayer: B\n", "line 4: duplicate key 'player' (first at line 2)"),
         (
             "kind: score\nplayer: A\nvalues: 1 0 0\ncomponent: 1 0 0\n",
             "line 4: unknown key 'component' for kind 'score'",
         ),
         ("kind: quantile\ntau: x\ntail: 0.6 0.4\n", "line 2: tau must be a number, got 'x'"),
         ("kind: simplex\nextra: 1\np: 1 x 0\n", "line 2: unknown key 'extra' for kind 'simplex'"),
+        ("kind: quantile\ntail: 0.6 x\ntau: y\n", "line 2: tail must be a list of numbers, got '0.6 x'"),
+        ("kind: wavelet\n", "line 1: unknown strategy kind 'wavelet'"),
     ],
 )
 def test_strategy_error_messages(text, message):

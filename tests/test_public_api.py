@@ -14,7 +14,7 @@ SUBMODULES = sorted(
 # names deleted because no caller reached them
 REMOVED = {
     "congames": ["preset_spec", "tail_weighted_mean"],
-    "congames.experiments": ["preset_spec", "_with_mean"],
+    "congames.experiments": ["preset_spec", "_with_mean", "SOLVERS", "STEP_DEFAULTS"],
     "congames.quantile": ["tail_weighted_mean", "_require_continuous"],
     "congames.game": ["deterministic_omega"],
     "congames.dpp": ["_base_weights"],
