@@ -12,9 +12,10 @@ the exponential mean of resource 1 over a grid, runs the selected solver at
 each point (averaging over ``repetitions`` derived seeds), and emits one CSV
 row per point.  :data:`SOLVER_SETTINGS` declares, once, which of the
 settings ``epsilon``, ``V``, ``alpha`` and ``T`` each solver reads and
-their defaults; the spec and the CLI both read it.  Mirror descent runs every (point, repetition) pair of
-the sweep as one batch (:func:`congames.md.run_md_batch`) before the points
-are evaluated; the other solvers run point by point.  Identical spec + seed
+their defaults; the spec and the CLI both read it.  Mirror descent runs
+every (point, repetition) pair of the sweep as one batch
+(:func:`congames.md.run_md_batch`) before the points are evaluated; the
+other solvers run point by point.  Identical spec + seed
 reproduces the table byte for byte.  A point whose DPP runs broke the queue
 cap, or whose best-response runs did not converge, gets a ``WARNING`` note;
 its row is unchanged.

@@ -94,27 +94,20 @@ def _read(text: str) -> dict[str, list[tuple[int, str]]]:
     return entries
 
 
-def _convert(convert, value, line_no, what):
-    """convert(value), reporting a ValueError as '<what>' at line_no."""
-    try:
-        return convert(value)
-    except ValueError:
-        _fail(line_no, what)
-
-
-def _floats(value, line_no, what):
-    return _convert(
-        lambda v: np.array([float(tok) for tok in v.split()], dtype=float),
-        value, line_no, f"{what} must be a list of numbers, got {value!r}",
-    )
-
-
-def _built(line_no, build, *args, **kwargs):
-    """build(...), reporting its ValueError at line_no."""
+def _at(line_no, build, *args, what=None, **kwargs):
+    """build(*args, **kwargs), reporting a ValueError at line_no as ``what``
+    (by default the error's own message)."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        _fail(line_no, str(exc))
+        _fail(line_no, what or str(exc))
+
+
+def _floats(value, line_no, what):
+    return _at(
+        line_no, lambda: np.array([float(tok) for tok in value.split()], dtype=float),
+        what=f"{what} must be a list of numbers, got {value!r}",
+    )
 
 
 def _distribution(value, line_no) -> RewardDistribution:
@@ -139,10 +132,10 @@ def _distribution(value, line_no) -> RewardDistribution:
     for name in names:
         if name not in params:
             _fail(line_no, f"{kind} needs parameter {name!r}")
-        args[name] = _convert(number, params.pop(name), line_no, f"parameter {name!r} must be {what}")
+        args[name] = _at(line_no, number, params.pop(name), what=f"parameter {name!r} must be {what}")
     if params:
         _fail(line_no, f"unknown {kind} parameters: {sorted(params)}")
-    return _built(line_no, build, **args)
+    return _at(line_no, build, **args)
 
 
 def parse_game(text: str, rng=None) -> GameInstance:
@@ -152,16 +145,18 @@ def parse_game(text: str, rng=None) -> GameInstance:
     # no game key repeats, so the keys come in file order
     for key, [(line_no, value), *_] in _read(text).items():
         if key == "n":
-            n = _convert(int, value, line_no, f"n must be an integer, got {value!r}")
+            n = _at(line_no, int, value, what=f"n must be an integer, got {value!r}")
         elif key == "partition":
             sizes = value.split()
             if len(sizes) != 4 or not all(tok.isdigit() for tok in sizes):
                 _fail(line_no, "partition must be four non-negative integers 'a b c d'")
-            partition = _built(line_no, Partition, *map(int, sizes))
+            partition = _at(line_no, Partition, *map(int, sizes))
         elif key.startswith("dist "):
             tok = key[5:]
             if not tok.isdigit() or int(tok) < 1:
                 _fail(line_no, f"resource number must be a positive integer, got {tok!r}")
+            if int(tok) in dists:  # 'dist 01' after 'dist 1'
+                _fail(line_no, f"duplicate distribution for resource {int(tok)}")
             dists[int(tok)] = _distribution(value, line_no)
         elif key == "z":
             z = _floats(value, line_no, "z")
@@ -207,7 +202,7 @@ def _strategy_value(key, value, line_no):
             _fail(line_no, f"player must be A or B, got {value.upper()!r}")
         return value.upper()
     if key == "tau":
-        return _convert(float, value, line_no, f"tau must be a number, got {value!r}")
+        return _at(line_no, float, value, what=f"tau must be a number, got {value!r}")
     return _floats(value, line_no, key)
 
 

@@ -172,6 +172,7 @@ def _with_line(text, line_no, line):
         (_with_line(GAME_BASE, 1, "n: -1"), "partition sizes sum to 2, but n is -1"),
         (_with_line(GAME_BASE, 1, "n: x") + "bogus: 1\n", "line 1: n must be an integer, got 'x'"),
         (_with_line(GAME_BASE, 2, "partition: 0 0 0 0"), "line 2: partition must contain at least one resource"),
+        (GAME_BASE + "dist 01: exponential rate=2.0\n", "line 5: duplicate distribution for resource 1"),
     ],
 )
 def test_game_error_messages(game_text, message):
