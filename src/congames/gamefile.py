@@ -223,7 +223,8 @@ def parse_strategy(text: str, game: GameInstance) -> Strategy:
         got.setdefault(key, []).append(_strategy_value(key, value, line_no))
     for key in keys:
         if key not in got:
-            raise GameFileError(f"kind {kind!r} requires key {key!r}")
+            need = "at least one" if key == "component" else "key"
+            raise GameFileError(f"kind {kind!r} requires {need} {key!r}")
     try:
         if kind == "simplex":
             return Simplex(*got["p"])

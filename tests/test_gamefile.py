@@ -140,7 +140,7 @@ def test_parse_strategies():
         ("kind: score\nvalues: 1 1 1\n", "requires key 'player'"),
         ("kind: score\nplayer: Q\nvalues: 1 1 1\n", "player must be A or B"),
         ("kind: simplex\np: 0.5 0.5 0\nextra: 1\n", "unknown key"),
-        ("kind: mixture\nplayer: A\n", "requires key 'component'"),
+        ("kind: mixture\nplayer: A\n", "at least one 'component'"),
         ("kind: wavelet\n", "unknown strategy kind"),
     ],
 )
