@@ -363,6 +363,13 @@ GOLDEN_A1 = [
      "ed390610a2ed64f847405d15c9d544c454e9fc43e085e585c69673ee2a8deab0"),
     ((1, 2, 1, 0), [1.2, 0.8, 1.0, 1.1], (), 7,
      "5206bf5f7926e76a7a6f742ba22ed5ea1c9d43f18e089e7eb49c6542bb8f70ca"),
+    # n = 9: the normalizer sums 9 entries and the projection 8, past numpy's
+    # left-to-right range; the second game pins p0 at DEFAULT_DELTA in 1407
+    # of its 2000 rounds, the first in none
+    ((1, 3, 4, 1), [0.4, 1.1, 0.9, 1.3, 1.0, 1.2, 0.8, 1.0, 0.7], (0.7,), 8,
+     "13e258b336427565b6c7a81e92a71a2613d3e9bb3b9125ad8d42e3aab70e0d9b"),
+    ((1, 3, 4, 1), [0.1, 1.1, 0.9, 1.3, 1.0, 1.2, 0.8, 1.0, 0.7], (0.7,), 8,
+     "88aee99dca2b8640f478c42f7f5bc71d16ad49a46ab696d80468f8be40914403"),
 ]
 
 
