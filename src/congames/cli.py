@@ -11,10 +11,12 @@ Every sweep command takes the grid, ``--scenario``, ``--reps``, ``--seed``,
 the defaults of :data:`congames.experiments.SOLVER_SETTINGS`: ``--epsilon``
 for nash, ``--V``, ``--alpha`` and ``--T`` for dpp, ``--alpha`` and ``--T``
 for md and a1, none for explicit.  ``worst`` takes its method first, so its
-flags follow the method.  Sweeps print a CSV table (or write it with
-``--out``); reruns with the same flags and seed are byte-identical.  Exit
-status is 0 on success and 2 on any usage, file, or configuration error,
-including a flag the command's solver does not read.
+flags follow the method.  ``evaluate`` reads ``--opponent`` in vs-strategy
+mode only, and ``--player`` in the other modes only.  Sweeps print a CSV
+table (or write it with ``--out``); reruns with the same flags and seed are
+byte-identical.  Exit status is 0 on success and 2 on any usage, file, or
+configuration error, including a flag the command's solver or
+``evaluate``'s mode does not read.
 """
 
 from __future__ import annotations
@@ -25,6 +27,13 @@ import sys
 from .experiments import SOLVER_SETTINGS, ScenarioSpec, evaluate_report, run_scenario
 from .gamefile import GameFileError, load_game, load_strategy
 from .montecarlo import McConfig
+
+# the evaluate modes that read each optional flag (vs-strategy plays the
+# strategy as A against the opponent as B); another mode refuses the flag
+EVALUATE_FLAG_MODES = {
+    "opponent": ("vs-strategy",),
+    "player": ("stats", "vs-worst-case"),
+}
 
 SETTING_HELP = {
     "epsilon": "equilibrium threshold",
@@ -74,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--game", required=True, help="game description file")
     ev.add_argument("--strategy", required=True, help="strategy file")
     ev.add_argument("--mode", choices=["stats", "vs-worst-case", "vs-strategy"], default="stats")
-    ev.add_argument("--opponent", default=None, help="opponent strategy file (vs-strategy)")
-    ev.add_argument("--player", choices=["A", "B"], default="A")
+    ev.add_argument("--opponent", help="opponent strategy file (vs-strategy only)")
+    ev.add_argument("--player", choices=["A", "B"], help="player of the strategy (default A; not vs-strategy)")
     _opt(ev, "samples", int, 100_000, "Monte Carlo samples")
     _opt(ev, "seed", int, 0, "seed")
     return parser
@@ -110,6 +119,9 @@ def _run_sweep(args) -> int:
 
 
 def _run_evaluate(args) -> int:
+    for flag, modes in EVALUATE_FLAG_MODES.items():
+        if getattr(args, flag) is not None and args.mode not in modes:
+            raise ValueError(f"--mode {args.mode} does not read --{flag}")
     game = load_game(args.game, rng=args.seed)
     strategy = load_strategy(args.strategy, game)
     opponent = load_strategy(args.opponent, game) if args.opponent else None
@@ -119,7 +131,7 @@ def _run_evaluate(args) -> int:
         args.mode,
         mc=McConfig(n_samples=args.samples, seed=args.seed),
         opponent=opponent,
-        player=args.player,
+        player=args.player or "A",
     )
     for key, value in report.items():
         if isinstance(value, list):

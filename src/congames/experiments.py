@@ -71,10 +71,11 @@ class ScenarioSpec:
     ``e1_values`` is stored as a tuple of floats and must hold positive,
     finite means.  ``epsilon``, ``V``, ``alpha`` and ``T`` are the solver
     settings of :data:`SOLVER_SETTINGS`: one the solver reads takes its
-    default there when left as None, and one it does not read must stay
-    None.  ``n_samples`` must be at least 1, and at least 2 for a
-    worst-case sweep whose preset lets B observe a resource (its max term
-    is sampled); both are checked here, before any solver runs.
+    default there when left as None and must otherwise be positive and
+    finite, and one it does not read must stay None.  ``n_samples`` must be
+    at least 1, and at least 2 for a worst-case sweep whose preset lets B
+    observe a resource (its max term is sampled); all are checked here,
+    before any solver runs.
     """
 
     scenario: int
@@ -95,11 +96,14 @@ class ScenarioSpec:
             raise ValueError(f"solver must be one of {tuple(SOLVER_SETTINGS)}, got {self.solver!r}")
         settings = SOLVER_SETTINGS[self.solver]
         for name in ("epsilon", "V", "alpha", "T"):
-            if name in settings:
-                if getattr(self, name) is None:
-                    object.__setattr__(self, name, settings[name])
-            elif getattr(self, name) is not None:
-                raise ValueError(f"{self.solver} does not read {name}")
+            value = getattr(self, name)
+            if name not in settings:
+                if value is not None:
+                    raise ValueError(f"{self.solver} does not read {name}")
+            elif value is None:
+                object.__setattr__(self, name, settings[name])
+            elif not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         e1_values = tuple(float(v) for v in self.e1_values)
         if not e1_values:
             raise ValueError("sweep grid must be non-empty")

@@ -33,11 +33,18 @@ seed; the batch holds them in one T x R' x n array for a chunk of R' runs
 whose draws fit :data:`BATCH_DRAW_BYTES`, so a sweep's memory stays bounded
 however many points and repetitions it has.
 
-The loop runs the unchecked :func:`mw_update`, which
-:func:`congames.quantile.solve_a1` shares, and checks positivity once, after
-the last round: a zero or NaN entry is absorbing under the update
+The loop runs the unchecked :func:`mw_update` and checks positivity once,
+after the last round: a zero or NaN entry is absorbing under the update
 (0 * exp(.) stays 0, NaN spreads through the normalization), so it would
 still be there.
+
+:func:`congames.quantile.solve_a1` steps one run at a time, where numpy's
+per-call dispatch would cost more than the arithmetic on n floats.  It runs
+:func:`mw_step`, the one-iterate twin of :func:`mw_update` on Python floats,
+as :func:`congames.worstcase.sampled_subgradient` is the twin of
+:func:`~congames.worstcase.sampled_subgradients`.  The twin gives the same
+bits: its exponents stay on ``np.exp``, and :func:`pairwise_sum` adds its
+normalizer in numpy's order.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ from .worstcase import sampled_subgradients
 __all__ = [
     "MdConfig",
     "mw_update",
+    "mw_step",
+    "pairwise_sum",
     "require_positive",
     "run_md",
     "run_md_batch",
@@ -80,9 +89,9 @@ class MdConfig:
             raise ValueError("T must be >= 1")
 
 
-def require_positive(p: np.ndarray):
-    """Reject an iterate with a zero or NaN entry."""
-    if not np.all(p > 0):
+def require_positive(p):
+    """Reject an iterate (an array or a list) with a zero or NaN entry."""
+    if not np.all(np.asarray(p) > 0):
         raise ValueError("mirror-descent iterates must be strictly positive")
 
 
@@ -96,6 +105,49 @@ def mw_update(p: np.ndarray, grad, alpha: float) -> np.ndarray:
     expo -= expo.max(axis=-1, keepdims=True)  # value-invariant shift against overflow
     w = p * np.exp(expo)
     return w / w.sum(axis=-1, keepdims=True)
+
+
+def mw_step(p, grad, alpha: float) -> list[float]:
+    """:func:`mw_update` of one iterate on Python floats, unchecked.
+
+    Takes length-n float sequences and returns
+    ``mw_update(np.array(p), grad, alpha).tolist()`` bit for bit, with one
+    exception: where every weight underflows to 0, mw_update returns NaN and
+    this raises :func:`require_positive`'s ValueError.
+    """
+    top = max(grad) / alpha  # the largest exponent: dividing by alpha > 0 keeps the order
+    w = [pk * ek for pk, ek in zip(p, np.exp([g / alpha - top for g in grad]).tolist())]
+    total = pairwise_sum(w)
+    if total == 0.0:  # every weight underflowed, so w fails the check
+        require_positive(w)
+    return [wk / total for wk in w]
+
+
+def pairwise_sum(xs) -> float:
+    """Sum of a float list in the order numpy sums a contiguous float64 row.
+
+    Left to right from 0.0 below 8 entries; up to 128, eight interleaved
+    partial sums combined pairwise, then the tail; beyond, the two halves
+    split at a multiple of 8.  (The builtin ``sum`` is left to right only
+    before Python 3.12, and numpy's order differs from 8 entries on.)
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        end = n - n % 8
+        r = xs[:8]
+        for start in range(8, end, 8):
+            r = [a + b for a, b in zip(r, xs[start : start + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[end:]:
+            total += x
+        return total + 0.0  # numpy adds the row to 0.0, which turns a -0.0 sum into 0.0
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
 
 
 def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:

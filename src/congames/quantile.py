@@ -22,8 +22,11 @@ answer quantile and tail-mean queries: the frontier, and with it the
 threshold construction, refuses a point mass or a discrete law up front.
 
 Unlike :func:`congames.md.run_md_batch`, :func:`solve_a1` steps one run at
-a time, on the list gradient :func:`congames.worstcase.sampled_subgradient`.
-Its frontier makes three scalar ``tail_mean`` calls a round on ``math``
+a time, on Python floats: the list gradient
+:func:`congames.worstcase.sampled_subgradient`, the list update
+:func:`congames.md.mw_step` and a list projection, with one conversion to
+numpy after the last round; every bit is what the numpy update gave.  Its
+frontier makes three scalar ``tail_mean`` calls a round on ``math``
 (``np.log1p``, which a batch would need, differs from ``math.log1p`` in the
 last bit on some inputs).  Like the other solvers it refuses, before
 sampling, a run whose T x n omega draws exceed
@@ -38,7 +41,7 @@ import numpy as np
 
 from .distributions import RewardDistribution
 from .game import GameInstance, check_upfront_budget, draw_rows, sample_omega
-from .md import MdConfig, mw_update, require_positive
+from .md import MdConfig, mw_step, pairwise_sum, require_positive
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold
 from .worstcase import sampled_subgradient, worst_case_objective
@@ -114,8 +117,8 @@ def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = 100_000
     the resource-0 coordinate, over the simplex restricted to
     p0 >= :data:`DEFAULT_DELTA`.  Each round takes :func:`~congames.worstcase.sampled_subgradient` at
     x = (q(p0), p[1:]) with weight 1 on resource 0, scales its first entry
-    by the frontier slope q'(p0) (the chain rule), and applies the shared
-    :func:`~congames.md.mw_update`, followed by the KL projection onto
+    by the frontier slope q'(p0) (the chain rule), and applies
+    :func:`~congames.md.mw_step`, followed by the KL projection onto
     p0 >= DEFAULT_DELTA.
 
     Returns ``(p, value, stderr)``: the average iterate p, the worst-case
@@ -136,22 +139,23 @@ def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = 100_000
     weights = game.weights.tolist()
     omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
 
-    p = np.full(n, 1.0 / n)
-    total = np.zeros(n)
+    p = [1.0 / n] * n
+    total = [0.0] * n
     for omega in draw_rows(omegas):
-        total += p
-        p0, *rest = p.tolist()
+        total = [t + pk for t, pk in zip(total, p)]
+        p0, *rest = p
         grad = sampled_subgradient([frontier.q(p0), *rest], omega, weights)
         grad[0] *= frontier.slope(p0)
-        p = mw_update(p, grad, config.alpha)
+        p = mw_step(p, grad, config.alpha)
         if not p[0] >= DEFAULT_DELTA:  # NaN fails the comparison, so it lands here too
+            rest = p[1:]
             # a zero or NaN entry is absorbing; stop before the frontier sees it
-            require_positive(p[1:])
+            require_positive(rest)
             # KL projection onto {p0 >= DEFAULT_DELTA}: pin p0, rescale the rest
-            p[0] = DEFAULT_DELTA
-            p[1:] *= (1.0 - DEFAULT_DELTA) / p[1:].sum()
+            scale = (1.0 - DEFAULT_DELTA) / pairwise_sum(rest)
+            p = [DEFAULT_DELTA, *(pk * scale for pk in rest)]
     require_positive(p)
-    p_avg = total / config.T
+    p_avg = np.array(total) / config.T
 
     x = p_avg.copy()
     x[0] = frontier.q(p_avg[0])

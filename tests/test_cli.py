@@ -142,6 +142,32 @@ def test_evaluate_score_file_is_one_row_mixture(tmp_path, capsys):
         assert outs[0] == EVALUATE_PRINTOUTS[mode]
 
 
+def test_evaluate_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
+    game = tmp_path / "game.txt"
+    game.write_text(GAME_FILE)
+    strat = tmp_path / "strat.txt"
+    strat.write_text("kind: simplex\np: 1 0\n")
+    base = ("evaluate", "--game", str(game), "--strategy", str(strat), "--samples", "2000")
+    refused = [
+        (("--mode", "stats", "--opponent", str(strat)), "--mode stats does not read --opponent"),
+        (("--opponent", str(strat)), "--mode stats does not read --opponent"),  # stats is the default
+        (("--mode", "vs-worst-case", "--opponent", str(strat)), "--mode vs-worst-case does not read --opponent"),
+        (("--mode", "vs-strategy", "--opponent", str(strat), "--player", "B"), "--mode vs-strategy does not read --player"),
+        (("--mode", "vs-strategy", "--opponent", str(strat), "--player", "A"), "--mode vs-strategy does not read --player"),
+    ]
+    for flags, message in refused:
+        code, out, err = run_cli(capsys, *base, *flags)
+        assert (code, out) == (2, ""), flags
+        assert message in err
+    # each flag still works in the modes that read it
+    code, out, _ = run_cli(capsys, *base, "--mode", "stats", "--player", "B")
+    assert code == 0 and out.startswith("p: ")
+    code, _, err = run_cli(capsys, *base, "--mode", "vs-worst-case", "--player", "B")
+    assert code == 2 and "defined for player A" in err
+    code, out, _ = run_cli(capsys, *base, "--mode", "vs-strategy", "--opponent", str(strat))
+    assert code == 0 and out.startswith("utility_a: ")
+
+
 # what both strategy files above print at seed 3 with 5000 samples
 EVALUATE_PRINTOUTS = {
     "stats": "p: 0.4738 0 0.5262\nq: 0.843114639\n",
@@ -399,6 +425,35 @@ def test_step_defaults_per_solver(capsys):
         code, out, err = run_cli(capsys, *argv, "--scenario", "3")
         assert (code, out) == (2, "")
         assert "must be positive" in err
+
+
+BAD_SETTINGS = (float("nan"), float("inf"), float("-inf"), 0.0, -1.0)
+
+
+def test_settings_must_be_positive_and_finite(capsys, monkeypatch):
+    for solver, names in SETTINGS_READ.items():
+        for name in names:
+            for bad in BAD_SETTINGS:
+                with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad!r}$"):
+                    ScenarioSpec(SCENARIO_OF[solver], solver, [1.0], **{name: bad})
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a solver ran before the spec was checked")
+
+    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response"):
+        monkeypatch.setattr(f"congames.experiments.{name}", not_called)
+    refused = [
+        (["nash", "--scenario", "1", "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+        (["worst", "md", "--scenario", "1", "--alpha", "inf", "--T", "100"], "alpha must be positive and finite, got inf"),
+        (["worst", "dpp", "--scenario", "1", "--V", "inf", "--T", "100"], "V must be positive and finite, got inf"),
+        (["worst", "dpp", "--scenario", "3", "--alpha=-inf"], "alpha must be positive and finite, got -inf"),
+        (["worst", "a1", "--scenario", "3", "--alpha", "-2"], "alpha must be positive and finite, got -2.0"),
+        (["worst", "a1", "--scenario", "3", "--T", "-3"], "T must be positive and finite, got -3"),
+    ]
+    for argv, message in refused:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n"
 
 
 # the settings each solver reads; every other setting flag is refused

@@ -24,7 +24,7 @@ from congames import (
     worst_case_objective,
 )
 from congames.game import sample_omega
-from congames.md import mw_update, omega_sup_sq_mean, require_positive, run_md_batch
+from congames.md import mw_step, mw_update, omega_sup_sq_mean, pairwise_sum, require_positive, run_md_batch
 from congames.rng import OMEGA_STREAM, as_generator
 from congames.worstcase import sampled_subgradient, sampled_subgradients
 from conftest import exp_game
@@ -50,6 +50,41 @@ def test_step_rejects_boundary():
     for alpha in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="alpha must be positive"):
             MdConfig(alpha=alpha, T=10)
+
+
+@st.composite
+def mw_steps(draw):
+    """A positive iterate, a finite gradient and a step size, n from 1 to 12
+    (past the 8 entries from which numpy stops summing left to right)."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n))
+    grad = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    return p, grad, draw(st.floats(1e-3, 1e6))
+
+
+@given(mw_steps())
+@settings(max_examples=500, deadline=None)
+def test_list_step_matches_the_array_update(step):
+    p, grad, alpha = step
+    expected = mw_update(np.array(p), grad, alpha)
+    assert np.array(mw_step(p, grad, alpha)).tobytes() == expected.tobytes()
+
+
+def test_list_step_raises_where_the_array_update_gives_nan():
+    # the one positive entry's weight underflows to 0: mw_update divides 0 by
+    # 0, and float division would raise ZeroDivisionError
+    p, grad = [1.0, 0.0], [0.0, 1e3]
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(mw_update(np.array(p), grad, 1e-3)).all()
+    with pytest.raises(ValueError, match="strictly positive"):
+        mw_step(p, grad, 1e-3)
+
+
+@given(hnp.arrays(float, st.integers(0, 300), elements=st.floats(-1e6, 1e6)))
+@example(np.full(9, -0.0))
+@settings(max_examples=300, deadline=None)
+def test_pairwise_sum_adds_in_numpys_order(xs):
+    assert np.float64(pairwise_sum(xs.tolist())).tobytes() == xs.sum().tobytes()
 
 
 def test_step_preserves_simplex(rng):
@@ -154,9 +189,9 @@ def test_run_with_random_omega_meets_guarantee():
 @pytest.mark.parametrize("scenario, solver", [(2, "worst-md"), (3, "worst-a1")])
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_tiny_alpha_fails_with_md_error(scenario, solver):
-    # the step size underflows an iterate entry to zero within a few rounds
-    # (numpy warns once the zeros turn into NaN); both loops share the update
-    # and report it with the same error
+    # the step size underflows an iterate entry to zero within a few rounds;
+    # the array update of mirror descent turns the zeros into NaN (numpy
+    # warns), the list update of A1 raises, and both report the same error
     from congames import solve_a1
     from congames.experiments import ScenarioSpec, scenario_game
 
