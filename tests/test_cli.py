@@ -427,13 +427,10 @@ def test_step_defaults_per_solver(capsys):
         assert "must be positive" in err
 
 
-BAD_SETTINGS = (float("nan"), float("inf"), float("-inf"), 0.0, -1.0)
-
-
 def test_settings_must_be_positive_and_finite(capsys, monkeypatch):
     for solver, names in SETTINGS_READ.items():
         for name in names:
-            for bad in BAD_SETTINGS:
+            for bad in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
                 with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad!r}$"):
                     ScenarioSpec(SCENARIO_OF[solver], solver, [1.0], **{name: bad})
 
