@@ -15,11 +15,13 @@ u_j = E_j on the private block and 1 elsewhere.  Each round t:
 4. update the queues toward the targets:
        Q_j <- max(Q_j + gamma_j - realized x_j, 0).
 
-:func:`run` performs steps 2 and 4 with the kernels
+:func:`run` takes the subgradient of step 2 from
 :func:`congames.worstcase.sampled_subgradient` (the sampled gradient of g,
-shared with mirror descent and A1), :func:`gamma_step` and
-:func:`queue_step`.  The kernels take and return Python lists of floats:
-at n = 3 a numpy call costs more in dispatch than in arithmetic.  Each
+shared with mirror descent and A1) and does the rest of steps 2 and 4 in
+one pass over the resources, updating gamma and the queues in place.  The
+round works on Python lists of floats: at n = 3 a numpy call costs more in
+dispatch than in arithmetic.  Each comparison is written so that a -0.0
+comes out as +0.0, which gives the bits of numpy's clip and maximum.  Each
 stream's T draws are still sampled in one call and are read as lists a
 chunk of rows at a time (:func:`congames.game.draw_rows`); the queue
 history is kept in a compact float buffer.  The emitted strategy is the
@@ -49,8 +51,6 @@ __all__ = [
     "DppDiagnostics",
     "BoundConstants",
     "box_upper",
-    "gamma_step",
-    "queue_step",
     "run",
     "bound_constants",
     "queue_bound",
@@ -75,10 +75,10 @@ class DppConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.V > 0:
-            raise ValueError("V must be positive")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        for name in ("V", "alpha"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
 
@@ -122,33 +122,6 @@ def box_upper(game: GameInstance) -> np.ndarray:
     return u
 
 
-# The step kernels take length-n float sequences, return lists and do no
-# checks; run() passes v, u, V and alpha fixed for the whole run.  Each
-# comparison is written so that a -0.0 input comes out as +0.0, as numpy's
-# clip and maximum return it, which keeps the bits of the array version.
-
-
-def gamma_step(gamma_prev, queues, grad, V: float, alpha: float, u) -> list[float]:
-    """Projected proximal step of the auxiliary target vector onto [0, u]."""
-    out = []
-    for g, q, d, hi in zip(gamma_prev, queues, grad, u):
-        y = g - (q - V * d) / (2.0 * alpha)
-        y = y if y > 0.0 else 0.0
-        out.append(y if y < hi else hi)
-    return out
-
-
-def queue_step(queues, gamma, action: int, drain: float) -> list[float]:
-    """Queue update: add the target, subtract the realized amount, floor at 0.
-
-    ``drain`` is what the chosen resource realized: its sampled reward X_j
-    for a resource on the A block, 1 for any other resource.
-    """
-    out = [q + g for q, g in zip(queues, gamma)]
-    out[action] -= drain
-    return [y if y > 0.0 else 0.0 for y in out]
-
-
 def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]:
     """Generate the equiprobable mixture of T queue-score strategies.
 
@@ -171,6 +144,7 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     v = game.weights.tolist()
     bound = queue_bound(game, alpha)
 
+    two_alpha = 2.0 * alpha
     queues = [0.0] * n
     gamma = [0.0] * n
     history = array("d")
@@ -178,15 +152,20 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
 
     for omega, x in zip(draw_rows(omega_draws), draw_rows(x_draws)):
         grad = sampled_subgradient(gamma, omega, v)
-        gamma = gamma_step(gamma, queues, grad, V, alpha, u)
-
         scores = [q * xk for q, xk in zip(queues, x)] + queues[a:]
         action = scores.index(max(scores))
         history.extend(queues)
-
         drain = x[action] if action < a else 1.0
         realized_sum[action] += drain
-        queues = queue_step(queues, gamma, action, drain)
+
+        # the rest of steps 2 and 4, in place
+        for j, hi in enumerate(u):
+            q = queues[j]
+            y = gamma[j] - (q - V * grad[j]) / two_alpha
+            y = y if y > 0.0 else 0.0
+            g = gamma[j] = y if y < hi else hi
+            y = q + g - drain if j == action else q + g
+            queues[j] = y if y > 0.0 else 0.0
 
     q_history = np.frombuffer(history, dtype=float).reshape(T, n)
     final_queues = np.array(queues)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .game import GameInstance, check_upfront_budget, sample_omega
 from .rng import OMEGA_STREAM, as_generator
-from .worstcase import sampled_subgradients
+from .worstcase import row_max, sampled_subgradients
 
 __all__ = [
     "MdConfig",
@@ -83,8 +83,8 @@ class MdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
 
@@ -223,7 +223,7 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
         raise ValueError("n_samples must be >= 2 when player B observes two or more resources")
     check_upfront_budget("omega_sup_sq_mean", n_samples, game.n, rows="n_samples")
     omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
-    sq = np.max(omegas, axis=1) ** 2
+    sq = row_max(omegas) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "worst_case_objective",
     "worst_case_utility",
     "omega_max_mean",
+    "row_max",
     "sampled_subgradient",
     "sampled_subgradients",
 ]
@@ -122,8 +123,18 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = 100_000, rng=0):
         raise ValueError("n_samples must be >= 2 when player B observes a resource")
     check_upfront_budget("omega_max_mean", n_samples, game.n, rows="n_samples")
     omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
-    maxima = np.max(omegas * x, axis=1)
+    maxima = row_max(omegas * x)
     return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """``np.max(a, axis=1)`` of a 2-D array, bit for bit, as a running
+    maximum over its columns: for a few columns and many rows this is several
+    times faster than numpy's row-wise reduction."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
 
 
 def worst_case_objective(

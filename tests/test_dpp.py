@@ -21,8 +21,9 @@ from congames import (
     worst_case_objective,
 )
 import congames.dpp
-from congames.dpp import box_upper, gamma_step, queue_step
-from congames.game import sample_omega
+from congames.dpp import box_upper
+from congames.game import sample_omega, sample_world
+from congames.rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from congames.worstcase import sampled_subgradient
 from conftest import exp_game, simplex_grid
 
@@ -61,60 +62,8 @@ def test_subgradient_examples():
     np.testing.assert_allclose(kernel([0.5, 0.5], [0.0, 0.0], [1.0, 2.0]), [1.0, 2.0])
 
 
-def test_gamma_step_hand_values():
-    u1 = box_upper(exp_game([1.0], (0, 0, 1, 0)))
-    one = np.array([1.0])
-    out = gamma_step(np.array([0.5]), one, one, 2.0, 2.0, u1)
-    assert out[0] == pytest.approx(0.75)
-    # huge queue forces the lower clamp
-    out = gamma_step(np.array([0.5]), np.array([1e9]), one, 2.0, 2.0, u1)
-    assert out[0] == 0.0
-    # upper clamp
-    out = gamma_step(one, np.array([0.0]), one, 1.0, 1.0, u1)
-    assert out[0] == 1.0
-
-
-def test_gamma_step_stays_in_box(rng):
-    upper = box_upper(exp_game([2.0, 1.0, 0.5], (1, 1, 1, 0)))
-    np.testing.assert_array_equal(upper, [2.0, 1.0, 1.0])
-    for _ in range(50):
-        out = np.asarray(gamma_step(
-            rng.uniform(0, upper), rng.uniform(0, 50, 3), rng.uniform(-3, 3, 3), 3.0, 9.0, upper
-        ))
-        assert np.all(out >= 0) and np.all(out <= upper + 1e-12)
-
-
-def test_queue_step_hand_values():
-    # non-private resource, chosen: drains 1
-    np.testing.assert_allclose(queue_step(np.array([2.0]), np.array([0.3]), 0, 1.0), [1.3])
-    # clamp at zero
-    np.testing.assert_allclose(queue_step(np.array([0.0]), np.array([0.0]), 0, 1.0), [0.0])
-    # private resource, not chosen: target just accumulates
-    out = queue_step(np.array([1.0, 0.0]), np.array([0.5, 0.0]), 1, 1.0)
-    assert out[0] == pytest.approx(1.5)
-    # private resource, chosen: drains its observed reward
-    np.testing.assert_allclose(queue_step(np.array([4.0, 1.0]), np.array([0.5, 0.5]), 0, 3.0), [1.5, 1.5])
-
-
-@given(
-    st.lists(st.floats(min_value=0, max_value=20), min_size=2, max_size=4),
-    st.integers(min_value=0, max_value=3),
-)
-@settings(max_examples=100, deadline=None)
-def test_queue_step_increase_bounded(qs, action):
-    # one step never adds more than the box upper bound u_j
-    q = np.asarray(qs)
-    action = action % q.size
-    u = np.ones(q.size)
-    u[0] = 4.0  # pretend resource 0 is private with mean 4
-    gamma = np.minimum(u, 0.9 * u)
-    out = np.asarray(queue_step(q, gamma, action, 5.0 if action == 0 else 1.0))
-    assert np.all(out >= 0)
-    assert np.all(out <= q + u + 1e-12)
-
-
-# The array formulas the kernels had before they moved to Python floats: the
-# oracle the list kernels must match bit for bit.
+# The array formulas of the DPP steps before they moved to Python floats: the
+# oracle that the list kernel and run()'s round must match bit for bit.
 def numpy_subgradient(x, omega, w):
     grad = w.copy()
     top = int(np.argmax(x * omega))
@@ -137,7 +86,6 @@ kernel_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
-positive_floats = st.floats(min_value=1e-3, max_value=1e6)
 
 
 def vectors(count):
@@ -163,27 +111,118 @@ def test_subgradient_matches_numpy_formula(vs):
     )
 
 
-@given(vectors(4), positive_floats, positive_floats)
-@example(([-0.0, 0.5], [0.0, 0.0], [0.0, 0.0], [1.0, 0.25]), 1.0, 1.0)  # -0.0 clips to +0.0
-@settings(max_examples=200, deadline=None)
-def test_gamma_step_matches_numpy_formula(vs, V, alpha):
-    gamma, queues, grad, u = vs
-    assert_same_bits(
-        gamma_step(gamma, queues, grad, V, alpha, u),
-        numpy_gamma_step(*(np.array(v) for v in (gamma, queues, grad)), V, alpha, np.array(u)),
-    )
+def numpy_run(game, config):
+    """run() as a loop of the array formulas.  Returns its queue history,
+    final queues and gamma, average realized x and violations, and which of
+    the lower clamp, upper clamp and queue floor some round hit."""
+    n, a, T = game.n, game.partition.a, config.T
+    world_gen, omega_gen = stream_generators(config.seed, (WORLD_STREAM, OMEGA_STREAM))
+    x_draws = sample_world(game, world_gen, size=T)[:, :a]
+    omegas = sample_omega(game, omega_gen, size=T)
+    u, w = box_upper(game), game.weights
+    queues, gamma = np.zeros(n), np.zeros(n)
+    history, realized, hits = np.empty((T, n)), np.zeros(n), set()
+    for t in range(T):
+        grad = numpy_subgradient(gamma, omegas[t], w)
+        raw = gamma - (queues - config.V * grad) / (2.0 * config.alpha)
+        if np.any(raw < 0):
+            hits.add("lower")
+        if np.any(raw > u):
+            hits.add("upper")
+        gamma = numpy_gamma_step(gamma, queues, grad, config.V, config.alpha, u)
+        action = int(np.argmax(np.concatenate([queues[:a] * x_draws[t], queues[a:]])))
+        history[t] = queues
+        drain = x_draws[t, action] if action < a else 1.0
+        realized[action] += drain
+        if queues[action] + gamma[action] - drain < 0:
+            hits.add("floor")
+        queues = numpy_queue_step(queues, gamma, action, drain)
+    limit = queue_bound(game, config.alpha) + congames.dpp.QUEUE_BOUND_TOL
+    violations = int(np.count_nonzero(history[1:] > limit) + np.count_nonzero(queues > limit))
+    return history, queues, gamma, realized / T, violations, hits
 
 
-@given(vectors(2), st.integers(min_value=0, max_value=4), kernel_floats)
-@example(([-0.0, 1.0], [-0.0, 0.0]), 1, 0.0)  # -0.0 floors to +0.0
-@settings(max_examples=200, deadline=None)
-def test_queue_step_matches_numpy_formula(vs, action, drain):
-    queues, gamma = vs
-    action %= len(queues)
-    assert_same_bits(
-        queue_step(queues, gamma, action, drain),
-        numpy_queue_step(np.array(queues), np.array(gamma), action, drain),
+def assert_run_matches_numpy(game, config):
+    """run()'s output bytes equal numpy_run's; returns numpy_run's hits."""
+    mixture, diag = run_dpp(game, config)
+    history, queues, gamma, avg_realized, violations, hits = numpy_run(game, config)
+    assert mixture.values.tobytes() == history.tobytes()
+    assert diag.final_queues.tobytes() == queues.tobytes()
+    assert diag.final_gamma.tobytes() == gamma.tobytes()
+    assert diag.avg_realized.tobytes() == avg_realized.tobytes()
+    assert diag.violations == violations
+    return hits
+
+
+@st.composite
+def dpp_runs(draw):
+    """A random game with n from 1 to 5 and any split of its blocks, and a
+    config with T <= 200; alpha < V^2 in many of them."""
+    n = draw(st.integers(1, 5))
+    a = draw(st.integers(0, n))
+    b = draw(st.integers(0, n - a))
+    c = draw(st.integers(0, n - a - b))
+    d = n - a - b - c
+    means = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    z = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
+    config = DppConfig(
+        V=draw(st.floats(0.1, 100.0)),
+        alpha=draw(st.floats(0.01, 1e4)),
+        T=draw(st.integers(1, 200)),
+        seed=draw(st.integers(0, 2**32 - 1)),
     )
+    return _game((a, b, c, d), means, z), config
+
+
+@given(dpp_runs())
+@settings(max_examples=60, deadline=None)
+def test_run_matches_numpy_reference_loop(game_config):
+    assert_run_matches_numpy(*game_config)
+
+
+def test_reference_cases_reach_every_clamp():
+    # the comparison covers both clamps of gamma and the queue floor
+    cases = [
+        ((1, 1, 1, 0), [1.5, 1.0, 1.0], (), DppConfig(V=10.0, alpha=1.0, T=200, seed=4)),
+        ((0, 1, 2, 0), [1.3, 1.0, 0.5], (), DppConfig(V=3.0, alpha=4.0, T=200, seed=5)),
+        ((2, 0, 1, 1), [0.8, 1.7, 1.0, 1.2], (1.2,), DppConfig(V=5.0, alpha=25.0, T=200, seed=6)),
+    ]
+    for partition, means, z, config in cases:
+        hits = assert_run_matches_numpy(_game(partition, means, z), config)
+        assert hits == {"lower", "upper", "floor"}, partition
+
+
+@given(dpp_runs())
+@settings(max_examples=30, deadline=None)
+def test_run_gamma_stays_in_box(game_config):
+    game, config = game_config
+    gamma = run_dpp(game, config)[1].final_gamma
+    assert np.all((gamma >= 0) & (gamma <= box_upper(game)))
+
+
+@given(dpp_runs())
+@settings(max_examples=30, deadline=None)
+def test_run_queue_increase_bounded(game_config):
+    # one round never adds more than the box's upper corner u_j to a queue
+    game, config = game_config
+    mixture, diag = run_dpp(game, config)
+    queues = np.vstack([mixture.values, diag.final_queues])
+    assert np.all(queues >= 0)
+    assert np.all(queues[1:] <= queues[:-1] + box_upper(game))
+
+
+def test_run_hand_values():
+    # two shared resources of mean 1: omega = w = (1, 1), u = (1, 1), and
+    # every value below is exact in binary
+    g = exp_game([1.0, 1.0], (0, 0, 2, 0))
+    mixture, diag = run_dpp(g, DppConfig(V=2.0, alpha=2.0, T=3))
+    # round 1 ties to resource 0, whose queue floors at 0; round 2 picks
+    # resource 1 and drains it; round 3 picks resource 0 and clips gamma_1
+    # from 1.09375 to 1
+    np.testing.assert_array_equal(mixture.values, [[0.0, 0.0], [0.0, 0.5], [0.75, 0.125]])
+    np.testing.assert_array_equal(diag.final_gamma, [0.8125, 1.0])
+    np.testing.assert_array_equal(diag.final_queues, [0.5625, 1.125])
+    np.testing.assert_array_equal(diag.avg_realized, [2.0 / 3.0, 1.0 / 3.0])
 
 
 def test_run_single_round_mixture():
@@ -256,6 +295,11 @@ def test_config_validation():
         DppConfig(V=1.0, alpha=-1.0, T=10)
     with pytest.raises(ValueError):
         DppConfig(V=1.0, alpha=1.0, T=0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^V must be positive and finite"):
+            DppConfig(V=bad, alpha=1.0, T=10)
+        with pytest.raises(ValueError, match=r"^alpha must be positive and finite"):
+            DppConfig(V=1.0, alpha=bad, T=10)
     assert DppConfig(V=2.0, alpha=4.0, T=1).guarantee_holds
     assert not DppConfig(V=2.0, alpha=2.0, T=1).guarantee_holds
     cfg = config_for_epsilon(0.01)

@@ -47,8 +47,8 @@ def test_step_rejects_boundary():
         with pytest.raises(ValueError, match="strictly positive"):
             require_positive(np.array(bad))
     require_positive(np.array([0.5, 0.5]))
-    for alpha in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="alpha must be positive"):
+    for alpha in (0.0, -1.0, np.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
             MdConfig(alpha=alpha, T=10)
 
 

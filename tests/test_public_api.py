@@ -17,7 +17,7 @@ REMOVED = {
     "congames.experiments": ["preset_spec", "_with_mean", "SOLVERS", "STEP_DEFAULTS"],
     "congames.quantile": ["tail_weighted_mean", "_require_continuous"],
     "congames.game": ["deterministic_omega"],
-    "congames.dpp": ["_base_weights"],
+    "congames.dpp": ["_base_weights", "gamma_step", "queue_step"],
 }
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from congames import (
     McConfig,
@@ -12,7 +15,7 @@ from congames import (
     worst_case_utility,
 )
 from congames.strategies import act
-from congames.worstcase import omega_max_mean
+from congames.worstcase import omega_max_mean, row_max
 from conftest import exp_game, random_simplex, random_strategy
 
 
@@ -157,6 +160,24 @@ def test_omega_max_mean_matches_exact_when_b0():
     g = exp_game([2.0, 1.0], (0, 0, 2, 0))
     mean, stderr = omega_max_mean(np.array([0.5, 0.5]), g)
     assert mean == pytest.approx(1.0) and stderr == 0.0
+
+
+# few distinct values, so ties and signed zeros are common
+@given(
+    hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 300), st.integers(1, 6)),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+            st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+    )
+)
+@example(np.array([[0.0, -0.0], [-0.0, 0.0], [2.5, 2.5]]))
+@example(np.array([[-0.0], [0.0]]))
+@settings(max_examples=200, deadline=None)
+def test_row_max_matches_numpy(a):
+    assert row_max(a).tobytes() == np.max(a, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("partition", [(0, 0, 3, 0), (0, 1, 2, 0), (1, 1, 1, 0)])
