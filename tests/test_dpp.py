@@ -142,16 +142,20 @@ def numpy_run(game, config):
     return history, queues, gamma, realized / T, violations, hits
 
 
-def assert_run_matches_numpy(game, config):
-    """run()'s output bytes equal numpy_run's; returns numpy_run's hits."""
-    mixture, diag = run_dpp(game, config)
-    history, queues, gamma, avg_realized, violations, hits = numpy_run(game, config)
+def assert_gamma_matches_numpy(run, reference):
+    """run()'s final gamma has numpy_run's bytes."""
+    diag, gamma = run[1], reference[2]
+    assert diag.final_gamma.tobytes() == gamma.tobytes()
+
+
+def assert_queues_match_numpy(run, reference):
+    """run()'s queue history, final queues, average realized x and
+    violations equal numpy_run's, byte for byte."""
+    (mixture, diag), (history, queues, _, avg_realized, violations, _) = run, reference
     assert mixture.values.tobytes() == history.tobytes()
     assert diag.final_queues.tobytes() == queues.tobytes()
-    assert diag.final_gamma.tobytes() == gamma.tobytes()
     assert diag.avg_realized.tobytes() == avg_realized.tobytes()
     assert diag.violations == violations
-    return hits
 
 
 @st.composite
@@ -176,8 +180,16 @@ def dpp_runs(draw):
 
 @given(dpp_runs())
 @settings(max_examples=60, deadline=None)
-def test_run_matches_numpy_reference_loop(game_config):
-    assert_run_matches_numpy(*game_config)
+def test_gamma_step_matches_numpy_formula(game_config):
+    # run()'s inlined gamma clip against a loop of numpy_gamma_step
+    assert_gamma_matches_numpy(run_dpp(*game_config), numpy_run(*game_config))
+
+
+@given(dpp_runs())
+@settings(max_examples=60, deadline=None)
+def test_queue_step_matches_numpy_formula(game_config):
+    # run()'s inlined queue update against a loop of numpy_queue_step
+    assert_queues_match_numpy(run_dpp(*game_config), numpy_run(*game_config))
 
 
 def test_reference_cases_reach_every_clamp():
@@ -188,7 +200,11 @@ def test_reference_cases_reach_every_clamp():
         ((2, 0, 1, 1), [0.8, 1.7, 1.0, 1.2], (1.2,), DppConfig(V=5.0, alpha=25.0, T=200, seed=6)),
     ]
     for partition, means, z, config in cases:
-        hits = assert_run_matches_numpy(_game(partition, means, z), config)
+        game = _game(partition, means, z)
+        run, reference = run_dpp(game, config), numpy_run(game, config)
+        assert_gamma_matches_numpy(run, reference)
+        assert_queues_match_numpy(run, reference)
+        hits = reference[5]
         assert hits == {"lower", "upper", "floor"}, partition
 
 
@@ -211,16 +227,22 @@ def test_run_queue_increase_bounded(game_config):
     assert np.all(queues[1:] <= queues[:-1] + box_upper(game))
 
 
-def test_run_hand_values():
-    # two shared resources of mean 1: omega = w = (1, 1), u = (1, 1), and
-    # every value below is exact in binary
-    g = exp_game([1.0, 1.0], (0, 0, 2, 0))
-    mixture, diag = run_dpp(g, DppConfig(V=2.0, alpha=2.0, T=3))
-    # round 1 ties to resource 0, whose queue floors at 0; round 2 picks
-    # resource 1 and drains it; round 3 picks resource 0 and clips gamma_1
-    # from 1.09375 to 1
+# two shared resources of mean 1: omega = w = (1, 1), u = (1, 1), and every
+# value in the two hand-value tests is exact in binary.  Round 1 ties to
+# resource 0, whose queue floors at 0; round 2 picks resource 1 and drains it;
+# round 3 picks resource 0 and clips gamma_1 from 1.09375 to 1.
+def hand_run(T):
+    return run_dpp(exp_game([1.0, 1.0], (0, 0, 2, 0)), DppConfig(V=2.0, alpha=2.0, T=T))
+
+
+def test_gamma_step_hand_values():
+    gammas = [hand_run(T)[1].final_gamma for T in (1, 2, 3)]
+    np.testing.assert_array_equal(gammas, [[0.25, 0.5], [0.75, 0.625], [0.8125, 1.0]])
+
+
+def test_queue_step_hand_values():
+    mixture, diag = hand_run(3)
     np.testing.assert_array_equal(mixture.values, [[0.0, 0.0], [0.0, 0.5], [0.75, 0.125]])
-    np.testing.assert_array_equal(diag.final_gamma, [0.8125, 1.0])
     np.testing.assert_array_equal(diag.final_queues, [0.5625, 1.125])
     np.testing.assert_array_equal(diag.avg_realized, [2.0 / 3.0, 1.0 / 3.0])
 
