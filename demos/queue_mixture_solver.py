@@ -15,7 +15,6 @@ from congames import (
     DppConfig,
     Exponential,
     GameInstance,
-    McConfig,
     Partition,
     bound_constants,
     run_dpp,
@@ -27,7 +26,7 @@ game = GameInstance(Partition(0, 0, 3, 0), tuple(Exponential(1.0) for _ in range
 config = DppConfig(V=200.0, alpha=4.0e4, T=100_000, seed=0)
 
 mixture, diag = run_dpp(game, config)
-evaluation = worst_case_utility(mixture, game, McConfig(n_samples=50_000, seed=1))
+evaluation = worst_case_utility(mixture, game, n_samples=50_000, rng=1)
 constants = bound_constants(game, config)
 
 print(f"rounds                  : {config.T}")
@@ -44,7 +43,7 @@ asym = GameInstance(
     (Exponential(1.0 / 1.5), Exponential(1.0), Exponential(1.0)),
 )
 mixture, diag = run_dpp(asym, DppConfig(V=200.0, alpha=4.0e4, T=100_000, seed=0))
-evaluation = worst_case_utility(mixture, asym, McConfig(n_samples=100_000, seed=1))
+evaluation = worst_case_utility(mixture, asym, n_samples=100_000, rng=1)
 print("\nA observes resource 1 (mean 1.5), B observes resource 2:")
 print(f"  worst-case value {evaluation.value:.4f} +- {evaluation.stderr:.4f}, "
       f"violations {diag.violations}")

@@ -16,7 +16,6 @@ from .dpp import (
     DppConfig,
     DppDiagnostics,
     bound_constants,
-    config_for_epsilon,
     queue_bound,
 )
 from .dpp import run as run_dpp
@@ -24,13 +23,7 @@ from .explicit import ExplicitSolution, explicit_solution, no_info_objective
 from .game import GameInstance, Partition, sample_omega, sample_world
 from .gamefile import GameFileError, load_game, load_strategy, parse_game, parse_strategy
 from .md import MdConfig, md_error_bound, run_md
-from .montecarlo import (
-    McConfig,
-    StrategyStats,
-    estimate_stats,
-    expected_utility,
-    simulate_payoff,
-)
+from .montecarlo import StrategyStats, estimate_stats, expected_utility, simulate_payoff
 from .nash import EquilibriumReport, best_response, iterate_best_response, potential
 from .quantile import TailFrontier, build_strategy_a1, solve_a1
 from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, act
@@ -59,7 +52,6 @@ __all__ = [
     "Mixture",
     "Strategy",
     "act",
-    "McConfig",
     "StrategyStats",
     "estimate_stats",
     "expected_utility",
@@ -81,7 +73,6 @@ __all__ = [
     "run_dpp",
     "bound_constants",
     "queue_bound",
-    "config_for_epsilon",
     "MdConfig",
     "run_md",
     "md_error_bound",

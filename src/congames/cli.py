@@ -22,11 +22,14 @@ configuration error, including a flag the command's solver or
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .experiments import SOLVER_SETTINGS, ScenarioSpec, evaluate_report, run_scenario
+from .game import check_setting, check_upfront_budget
 from .gamefile import GameFileError, load_game, load_strategy
-from .montecarlo import McConfig
+from .montecarlo import DEFAULT_SAMPLES
+from .rng import check_seed
 
 # the evaluate modes that read each optional flag (vs-strategy plays the
 # strategy as A against the opponent as B); another mode refuses the flag
@@ -56,7 +59,7 @@ def _sweep_parser(sub, command: str, solver: str, help_: str):
     _opt(parser, "e1-step", float, 0.1, "sweep step")
     _opt(parser, "reps", int, 1, "independent repetitions per sweep point")
     _opt(parser, "seed", int, 0, "master seed")
-    _opt(parser, "samples", int, 100_000, "Monte Carlo samples per estimate")
+    _opt(parser, "samples", int, DEFAULT_SAMPLES, "Monte Carlo samples per estimate")
     # each default's type is the flag's type: T is an int, the others floats
     for name, default in SOLVER_SETTINGS[solver].items():
         _opt(parser, name, type(default), default, SETTING_HELP[name])
@@ -85,17 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--mode", choices=["stats", "vs-worst-case", "vs-strategy"], default="stats")
     ev.add_argument("--opponent", help="opponent strategy file (vs-strategy only)")
     ev.add_argument("--player", choices=["A", "B"], help="player of the strategy (default A; not vs-strategy)")
-    _opt(ev, "samples", int, 100_000, "Monte Carlo samples")
+    _opt(ev, "samples", int, DEFAULT_SAMPLES, "Monte Carlo samples")
     _opt(ev, "seed", int, 0, "seed")
     return parser
 
 
 def _e1_grid(args) -> tuple[float, ...]:
-    if args.e1_step <= 0:
-        raise ValueError("--e1-step must be positive")
+    """The swept means; refuses, before building any, a grid whose points
+    exceed the up-front budget."""
+    for flag in ("e1-min", "e1-max", "e1-step"):
+        check_setting(f"--{flag}", getattr(args, flag.replace("-", "_")))
     if args.e1_max < args.e1_min:
         raise ValueError("--e1-max must be >= --e1-min")
-    count = int((args.e1_max - args.e1_min) / args.e1_step + 1e-9) + 1
+    span = (args.e1_max - args.e1_min) / args.e1_step + 1e-9  # inf when the step is tiny
+    count = int(span) + 1 if span < math.inf else span
+    check_upfront_budget("sweep", count, 1, rows="grid points")
     return tuple(args.e1_min + k * args.e1_step for k in range(count))
 
 
@@ -122,6 +129,7 @@ def _run_evaluate(args) -> int:
     for flag, modes in EVALUATE_FLAG_MODES.items():
         if getattr(args, flag) is not None and args.mode not in modes:
             raise ValueError(f"--mode {args.mode} does not read --{flag}")
+    check_seed(args.seed)
     game = load_game(args.game, rng=args.seed)
     strategy = load_strategy(args.strategy, game)
     opponent = load_strategy(args.opponent, game) if args.opponent else None
@@ -129,7 +137,8 @@ def _run_evaluate(args) -> int:
         strategy,
         game,
         args.mode,
-        mc=McConfig(n_samples=args.samples, seed=args.seed),
+        n_samples=args.samples,
+        seed=args.seed,
         opponent=opponent,
         player=args.player or "A",
     )

@@ -41,7 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_upfront_budget, draw_rows, sample_omega, sample_world
+from .game import (
+    GameInstance,
+    check_setting,
+    check_upfront_budget,
+    draw_rows,
+    sample_omega,
+    sample_world,
+)
 from .rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture
 from .worstcase import sampled_subgradient
@@ -54,7 +61,6 @@ __all__ = [
     "run",
     "bound_constants",
     "queue_bound",
-    "config_for_epsilon",
 ]
 
 QUEUE_BOUND_TOL = 1e-9
@@ -75,10 +81,8 @@ class DppConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("V", "alpha"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_setting("V", self.V)
+        check_setting("alpha", self.alpha)
         if self.T < 1:
             raise ValueError("T must be >= 1")
 
@@ -220,27 +224,10 @@ def bound_constants(game: GameInstance, config: DppConfig) -> BoundConstants:
 
 def queue_bound(game: GameInstance, alpha: float) -> np.ndarray:
     """Uniform-in-time queue cap (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j,
-    with v the game's weights and u the box's upper corner."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    with v the game's weights and u the box's upper corner; alpha must be
+    positive and finite."""
+    check_setting("alpha", alpha)
     u = box_upper(game)
     v = game.weights
     return (v + 2.0 * math.sqrt(2.0) * u) * math.sqrt(alpha) + u
 
-
-def config_for_epsilon(epsilon: float, seed: int = 0) -> DppConfig:
-    """Heuristic parameters for a target gap: V = 1/eps, T = ceil(1/eps^2),
-    and alpha = V^2, the smallest alpha the guarantee allows.
-
-    The guarantee constants multiply these rates, so the realized gap is
-    O(epsilon) with problem-dependent constants, not epsilon itself.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    V = 1.0 / epsilon
-    return DppConfig(
-        V=V,
-        alpha=V**2,
-        T=int(math.ceil(1.0 / epsilon**2)),
-        seed=seed,
-    )

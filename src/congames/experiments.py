@@ -33,11 +33,12 @@ from .distributions import Exponential
 from .dpp import DppConfig
 from .dpp import run as run_dpp
 from .explicit import explicit_solution
-from .game import GameInstance, Partition
+from .game import GameInstance, Partition, check_setting
 from .md import MdConfig, run_md_batch
-from .montecarlo import McConfig, estimate_stats, expected_utility, simulate_payoff
+from .montecarlo import DEFAULT_SAMPLES, estimate_stats, expected_utility, simulate_payoff
 from .nash import iterate_best_response
 from .quantile import solve_a1
+from .rng import check_seed
 from .strategies import Strategy
 from .worstcase import worst_case_objective, worst_case_utility
 
@@ -74,8 +75,8 @@ class ScenarioSpec:
     default there when left as None and must otherwise be positive and
     finite, and one it does not read must stay None.  ``n_samples`` must be
     at least 1, and at least 2 for a worst-case sweep whose preset lets B
-    observe a resource (its max term is sampled); all are checked here,
-    before any solver runs.
+    observe a resource (its max term is sampled), and ``seed`` a
+    non-negative integer; all are checked here, before any solver runs.
     """
 
     scenario: int
@@ -85,7 +86,7 @@ class ScenarioSpec:
     V: float | None = None
     alpha: float | None = None
     T: int | None = None
-    n_samples: int = 100_000
+    n_samples: int = DEFAULT_SAMPLES
     seed: int = 0
     repetitions: int = 1
 
@@ -102,18 +103,19 @@ class ScenarioSpec:
                     raise ValueError(f"{self.solver} does not read {name}")
             elif value is None:
                 object.__setattr__(self, name, settings[name])
-            elif not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            else:
+                check_setting(name, value)
         e1_values = tuple(float(v) for v in self.e1_values)
         if not e1_values:
             raise ValueError("sweep grid must be non-empty")
-        if not all(0 < v < math.inf for v in e1_values):
-            raise ValueError("swept mean must be positive and finite")
+        for v in e1_values:
+            check_setting("swept mean", v)
         object.__setattr__(self, "e1_values", e1_values)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        check_seed(self.seed)
         part = self.partition
         if self.solver == "worst-explicit" and (part.a or part.b):
             raise ValueError("worst-explicit requires a == b == 0 (symmetric information)")
@@ -170,8 +172,8 @@ def _nash_row(spec: ScenarioSpec, game: GameInstance, point: int):
     acc = []
     unconverged = 0
     for rep in range(spec.repetitions):
-        mc = McConfig(n_samples=spec.n_samples, seed=_rep_seed(spec, point, rep))
-        report = iterate_best_response(game, spec.epsilon, mc)
+        seed = _rep_seed(spec, point, rep)
+        report = iterate_best_response(game, spec.epsilon, spec.n_samples, seed)
         unconverged += not report.converged
         last = report.trace[-1]
         acc.append(
@@ -218,7 +220,7 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int, md_ps=None)
         elif spec.solver == "worst-dpp":
             mixture, diag = run_dpp(game, DppConfig(spec.V, spec.alpha, spec.T, seed=seed))
             violations += diag.violations
-            ev = worst_case_utility(mixture, game, McConfig(spec.n_samples, seed))
+            ev = worst_case_utility(mixture, game, spec.n_samples, seed)
             p, value, stderr = ev.stats.p, ev.value, ev.stderr
         elif spec.solver == "worst-md":
             p = md_ps[rep]
@@ -297,19 +299,21 @@ def evaluate_report(
     strategy: Strategy,
     game: GameInstance,
     mode: str,
-    mc: McConfig = McConfig(),
+    n_samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
     opponent: Strategy | None = None,
     player: str = "A",
 ) -> dict[str, float | list[float]]:
     """Evaluation summary for one strategy: its stats, its worst-case value,
-    or its matchup against an explicit opponent."""
+    or its matchup against an explicit opponent, on ``n_samples`` draws of
+    ``seed``."""
     if mode == "stats":
-        stats = estimate_stats(strategy, game, player, n_samples=mc.n_samples, rng=mc.seed)
+        stats = estimate_stats(strategy, game, player, n_samples=n_samples, rng=seed)
         return {"p": list(stats.p), "q": list(stats.q)}
     if mode == "vs-worst-case":
         if player != "A":
             raise ValueError("worst-case evaluation is defined for player A")
-        ev = worst_case_utility(strategy, game, mc)
+        ev = worst_case_utility(strategy, game, n_samples, seed)
         return {
             "value": ev.value,
             "stderr": ev.stderr,
@@ -318,9 +322,9 @@ def evaluate_report(
     if mode == "vs-strategy":
         if opponent is None:
             raise ValueError("vs-strategy mode needs an opponent strategy")
-        stats_a = estimate_stats(strategy, game, "A", n_samples=mc.n_samples, rng=mc.seed)
-        stats_b = estimate_stats(opponent, game, "B", n_samples=mc.n_samples, rng=mc.seed)
-        mean, stderr = simulate_payoff(strategy, opponent, game, n_samples=mc.n_samples, rng=mc.seed)
+        stats_a = estimate_stats(strategy, game, "A", n_samples=n_samples, rng=seed)
+        stats_b = estimate_stats(opponent, game, "B", n_samples=n_samples, rng=seed)
+        mean, stderr = simulate_payoff(strategy, opponent, game, n_samples=n_samples, rng=seed)
         return {
             "utility_a": expected_utility(stats_a, stats_b, game, "A"),
             "utility_b": expected_utility(stats_b, stats_a, game, "B"),

@@ -16,6 +16,7 @@ vector is ``E[k] = z[k]`` on the AB block and the distribution mean elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "draw_rows",
     "UPFRONT_BUDGET_BYTES",
     "check_upfront_budget",
+    "check_setting",
 ]
 
 # rows that draw_rows converts to Python floats at a time
@@ -206,3 +208,10 @@ def check_upfront_budget(solver: str, T: int, n: int, arrays: int = 1, rows: str
             f"{solver} run with {rows}={T}, n={n} needs {need / 2**20:.0f} MiB up front, "
             f"over the {UPFRONT_BUDGET_BYTES / 2**20:.0f} MiB budget; use a smaller {rows}"
         )
+
+
+def check_setting(name: str, value):
+    """Raise ValueError naming ``name`` unless ``value`` is positive and
+    finite; NaN and both infinities are refused."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")

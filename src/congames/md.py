@@ -44,7 +44,8 @@ per-call dispatch would cost more than the arithmetic on n floats.  It runs
 as :func:`congames.worstcase.sampled_subgradient` is the twin of
 :func:`~congames.worstcase.sampled_subgradients`.  The twin gives the same
 bits: its exponents stay on ``np.exp``, and :func:`pairwise_sum` adds its
-normalizer in numpy's order.
+normalizer in numpy's order (left to right below 8 entries, which is
+numpy's order there too, and numpy's own sum from 8 on).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_upfront_budget, sample_omega
+from .game import GameInstance, check_setting, check_upfront_budget, sample_omega
 from .rng import OMEGA_STREAM, as_generator
 from .worstcase import row_max, sampled_subgradients
 
@@ -83,8 +84,7 @@ class MdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        check_setting("alpha", self.alpha)
         if self.T < 1:
             raise ValueError("T must be >= 1")
 
@@ -126,28 +126,17 @@ def mw_step(p, grad, alpha: float) -> list[float]:
 def pairwise_sum(xs) -> float:
     """Sum of a float list in the order numpy sums a contiguous float64 row.
 
-    Left to right from 0.0 below 8 entries; up to 128, eight interleaved
-    partial sums combined pairwise, then the tail; beyond, the two halves
-    split at a multiple of 8.  (The builtin ``sum`` is left to right only
-    before Python 3.12, and numpy's order differs from 8 entries on.)
+    Left to right from 0.0 below 8 entries, where numpy's order is that
+    too and a loop costs less than building an array; from 8 entries on,
+    numpy's own sum of the list.  (The builtin ``sum`` is left to right only
+    before Python 3.12.)
     """
-    n = len(xs)
-    if n < 8:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    if n <= 128:
-        end = n - n % 8
-        r = xs[:8]
-        for start in range(8, end, 8):
-            r = [a + b for a, b in zip(r, xs[start : start + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in xs[end:]:
-            total += x
-        return total + 0.0  # numpy adds the row to 0.0, which turns a -0.0 sum into 0.0
-    half = n // 2 - n // 2 % 8
-    return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
+    if len(xs) >= 8:
+        return float(np.sum(xs))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:
@@ -228,9 +217,11 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
 
 
 def md_error_bound(game: GameInstance, alpha: float, T: int) -> float:
-    """Guaranteed expected gap C/(2 alpha) + alpha ln(n) / T."""
-    if not alpha > 0 or T < 1:
-        raise ValueError("need alpha > 0 and T >= 1")
+    """Guaranteed expected gap C/(2 alpha) + alpha ln(n) / T, for a
+    positive, finite alpha and T >= 1."""
+    check_setting("alpha", alpha)
+    if T < 1:
+        raise ValueError("T must be >= 1")
     sup_sq, _ = omega_sup_sq_mean(game)
     c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * sup_sq
     return c / (2.0 * alpha) + alpha * math.log(game.n) / T

@@ -32,26 +32,16 @@ from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, stream_generato
 from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, batch_actions
 
 __all__ = [
+    "DEFAULT_SAMPLES",
     "StrategyStats",
-    "McConfig",
     "estimate_stats",
     "expected_utility",
     "simulate_payoff",
 ]
 
 STATS_SIMPLEX_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Sample count and seed for Monte Carlo estimation."""
-
-    n_samples: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+# world draws per Monte Carlo estimate, unless the caller gives a count
+DEFAULT_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,7 @@ def estimate_stats(
     strategy: Strategy,
     game: GameInstance,
     player: str,
-    n_samples: int = 100_000,
+    n_samples: int = DEFAULT_SAMPLES,
     rng=0,
     worlds=None,
 ) -> StrategyStats:
@@ -188,7 +178,7 @@ def simulate_payoff(
     strategy_a: Strategy,
     strategy_b: Strategy,
     game: GameInstance,
-    n_samples: int = 100_000,
+    n_samples: int = DEFAULT_SAMPLES,
     rng=0,
 ) -> tuple[float, float]:
     """Empirical mean and standard error of player A's realized payoff.

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, sample_world
+from .game import GameInstance, check_setting, sample_world
 from .montecarlo import (
-    McConfig,
+    DEFAULT_SAMPLES,
     StrategyStats,
     collision_term,
     estimate_stats,
@@ -111,7 +111,8 @@ def iteration_cap(game: GameInstance, epsilon: float) -> int:
 def iterate_best_response(
     game: GameInstance,
     epsilon: float,
-    mc: McConfig = McConfig(),
+    n_samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
 ) -> EquilibriumReport:
     """Alternate best responses until neither player can gain more than
     ``epsilon``.
@@ -125,23 +126,22 @@ def iterate_best_response(
     differenced on identical worlds and the gain estimate is nearly
     noise-free; when neither player has private resources the statistics are
     exact and the potential trace is exactly non-decreasing.  Those worlds
-    are drawn once per run, by the first estimate that samples.
+    are drawn once per run, by the first estimate that samples: ``n_samples``
+    of them, on ``seed``'s world stream.  ``epsilon`` must be positive and
+    finite.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_setting("epsilon", epsilon)
     cap = iteration_cap(game, epsilon)
-    (world_gen,) = stream_generators(mc.seed, (WORLD_STREAM,))
+    (world_gen,) = stream_generators(seed, (WORLD_STREAM,))
 
     @functools.cache
     def worlds():  # every turn gets this one array, so it is read-only
-        drawn = sample_world(game, world_gen, size=mc.n_samples)
+        drawn = sample_world(game, world_gen, size=n_samples)
         drawn.setflags(write=False)
         return drawn
 
     def stats_of(strategy, player):
-        return estimate_stats(
-            strategy, game, player, n_samples=mc.n_samples, rng=mc.seed, worlds=worlds
-        )
+        return estimate_stats(strategy, game, player, n_samples=n_samples, rng=seed, worlds=worlds)
 
     uniform = Simplex(np.full(game.n, 1.0 / game.n))
     strat = {"A": uniform, "B": uniform}

@@ -42,6 +42,7 @@ import numpy as np
 from .distributions import RewardDistribution
 from .game import GameInstance, check_upfront_budget, draw_rows, sample_omega
 from .md import MdConfig, mw_step, pairwise_sum, require_positive
+from .montecarlo import DEFAULT_SAMPLES
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold
 from .worstcase import sampled_subgradient, worst_case_objective
@@ -110,7 +111,7 @@ def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
     return QuantileThreshold(tau, tail)
 
 
-def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = 100_000):
+def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = DEFAULT_SAMPLES):
     """Maximize A's worst-case utility over threshold strategies (a == 1).
 
     Runs mirror descent on p with the frontier value q(p0) substituted for

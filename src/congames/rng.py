@@ -48,3 +48,10 @@ def stream_generators(rng, streams) -> list[np.random.Generator]:
             for s in streams
         ]
     raise TypeError(f"cannot interpret {rng!r} as a random generator")
+
+
+def check_seed(seed):
+    """Raise ValueError unless ``seed`` is a non-negative integer, the
+    seeds :class:`numpy.random.SeedSequence` takes."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameInstance, check_upfront_budget, sample_omega
-from .montecarlo import McConfig, StrategyStats, estimate_stats
+from .montecarlo import DEFAULT_SAMPLES, StrategyStats, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import Mixture, Strategy
 
@@ -109,7 +109,7 @@ def sampled_subgradients(x: np.ndarray, omega: np.ndarray, w: np.ndarray) -> np.
     return grad
 
 
-def omega_max_mean(x, game: GameInstance, n_samples: int = 100_000, rng=0):
+def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=0):
     """Mean and standard error of max_k omega_k x_k.
 
     Deterministic (stderr 0) when the B block is empty.  Otherwise raises
@@ -140,7 +140,7 @@ def row_max(a: np.ndarray) -> np.ndarray:
 def worst_case_objective(
     x,
     game: GameInstance,
-    n_samples: int = 100_000,
+    n_samples: int = DEFAULT_SAMPLES,
     rng=0,
 ) -> tuple[float, float]:
     """Evaluate g(x) = sum_A x + sum_{A^c} E x - E[max omega*x]/2.
@@ -168,11 +168,13 @@ def _objective_terms(x: np.ndarray, game: GameInstance, n_samples: int, rng):
 def worst_case_utility(
     strategy_a: Strategy,
     game: GameInstance,
-    mc: McConfig = McConfig(),
+    n_samples: int = DEFAULT_SAMPLES,
+    rng=0,
 ) -> WorstCaseEval:
-    """Worst-case expected utility of an A strategy, via its statistics."""
-    stats = estimate_stats(strategy_a, game, "A", n_samples=mc.n_samples, rng=mc.seed)
+    """Worst-case expected utility of an A strategy, via its statistics;
+    the statistics and the max term take ``n_samples`` draws of ``rng``."""
+    stats = estimate_stats(strategy_a, game, "A", n_samples=n_samples, rng=rng)
     x = stats.p.copy()
     x[game.partition.set_a] = stats.q  # q on the A block, p elsewhere
-    value, stderr, max_mean = _objective_terms(x, game, mc.n_samples, mc.seed)
+    value, stderr, max_mean = _objective_terms(x, game, n_samples, rng)
     return WorstCaseEval(value=value, stderr=stderr, lambda_max_mean=max_mean, stats=stats)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import congames.game
 from congames import Partition
 from congames.cli import main
 from congames.experiments import ScenarioSpec, run_scenario
@@ -507,3 +508,48 @@ def test_samples_below_one_are_refused_before_any_solver_runs(capsys, monkeypatc
             )
             assert (code, out) == (2, "")
             assert "n_samples must be >= 1" in err
+
+
+def not_called(*args, **kwargs):
+    raise AssertionError("a solver or loader ran before its input was checked")
+
+
+def test_grid_bounds_and_step_must_be_finite(capsys, monkeypatch):
+    monkeypatch.setattr("congames.experiments.explicit_solution", not_called)
+    for flag, value in (("--e1-min", "nan"), ("--e1-max", "inf"), ("--e1-step", "nan"), ("--e1-min", "-inf")):
+        code, out, err = run_cli(capsys, "worst", "explicit", "--scenario", "1", f"{flag}={value}")
+        assert (code, out) == (2, ""), flag
+        assert err == f"error: {flag} must be positive and finite, got {float(value)!r}\n"
+    # a step this small makes the point count overflow a float: inf points
+    code, out, err = run_cli(capsys, "worst", "explicit", "--scenario", "1", "--e1-step", "1e-320")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sweep run with grid points=inf, n=1 needs inf MiB up front")
+
+
+def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch):
+    monkeypatch.setattr("congames.experiments.explicit_solution", not_called)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 8 * 1000)
+    code, out, err = run_cli(
+        capsys, "worst", "explicit", "--scenario", "1", "--e1-min", "0.5", "--e1-max", "1500", "--e1-step", "0.5"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sweep run with grid points=3000, n=1 needs 0 MiB up front")
+
+
+def test_negative_seed_is_refused_before_any_solver_runs(tmp_path, capsys, monkeypatch):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        ScenarioSpec(3, "nash", [1.0], seed=-1)
+    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
+        monkeypatch.setattr(f"congames.experiments.{name}", not_called)
+    for name in ("load_game", "load_strategy", "evaluate_report"):
+        monkeypatch.setattr(f"congames.cli.{name}", not_called)
+    unread = str(tmp_path / "unread.txt")
+    for argv in (
+        ["nash", "--scenario", "3"],
+        ["worst", "explicit", "--scenario", "1"],
+        ["worst", "md", "--scenario", "2"],
+        ["evaluate", "--game", unread, "--strategy", unread],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: seed must be a non-negative integer, got -1\n"

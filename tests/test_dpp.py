@@ -13,7 +13,6 @@ from congames import (
     MdConfig,
     Partition,
     bound_constants,
-    config_for_epsilon,
     queue_bound,
     run_dpp,
     run_md,
@@ -278,6 +277,13 @@ def test_queue_bound_examples():
         queue_bound(g2, 0.0)
 
 
+def test_queue_bound_rejects_non_finite_alpha():
+    g = exp_game([1.0, 1.0], (1, 0, 1, 0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {bad!r}$"):
+            queue_bound(g, bad)
+
+
 def test_bound_constants_examples():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     bc = bound_constants(g, DppConfig(V=1.0, alpha=1.0, T=1))
@@ -324,11 +330,6 @@ def test_config_validation():
             DppConfig(V=1.0, alpha=bad, T=10)
     assert DppConfig(V=2.0, alpha=4.0, T=1).guarantee_holds
     assert not DppConfig(V=2.0, alpha=2.0, T=1).guarantee_holds
-    cfg = config_for_epsilon(0.01)
-    assert cfg.guarantee_holds and cfg.T == 10_000
-    for epsilon in (1e-4, 3e-4, 1e-3, 0.003, 0.007, 0.03, 0.1, 0.3, 0.9):
-        cfg = config_for_epsilon(epsilon)
-        assert cfg.guarantee_holds and cfg.alpha == cfg.V**2
 
 
 def test_queue_bound_invariant_across_partitions():
@@ -389,7 +390,7 @@ def test_oversized_run_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(congames.dpp, "sample_world", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 9155 MiB"):
-        run_dpp(g, config_for_epsilon(1e-4))
+        run_dpp(g, DppConfig(V=1e4, alpha=1e8, T=10**8))
 
 
 def _game(partition, means, z=()):

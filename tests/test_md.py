@@ -104,6 +104,15 @@ def test_error_bound_example():
     assert md_error_bound(g, 100.0, 10**9) == pytest.approx(2.5 / 200.0, abs=1e-6)
 
 
+def test_error_bound_rejects_bad_alpha_and_rounds():
+    g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
+    for bad in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {bad!r}$"):
+            md_error_bound(g, bad, 10)
+    with pytest.raises(ValueError, match="^T must be >= 1$"):
+        md_error_bound(g, 50.0, 0)
+
+
 def test_omega_sup_sq_exact_b1_matches_samples():
     from congames.game import sample_omega
 

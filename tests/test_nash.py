@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ import congames.nash
 from congames import (
     Exponential,
     GameInstance,
-    McConfig,
     Mixture,
     Partition,
     StrategyStats,
@@ -131,7 +132,7 @@ def test_exit_certificate_exact():
 
 def test_iterate_with_noisy_stats_converges():
     g = exp_game([1.5, 1.0, 1.0], (0, 1, 2, 0))
-    report = iterate_best_response(g, 5e-3, McConfig(n_samples=40_000, seed=9))
+    report = iterate_best_response(g, 5e-3, n_samples=40_000, seed=9)
     assert report.converged
     assert report.iterations <= iteration_cap(g, 5e-3)
     hs = [t.potential for t in report.trace]
@@ -144,6 +145,13 @@ def test_rejects_bad_epsilon():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     with pytest.raises(ValueError):
         iterate_best_response(g, 0.0)
+
+
+def test_rejects_non_finite_epsilon():
+    g = exp_game([1.0, 1.0], (0, 0, 2, 0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^epsilon must be positive and finite, got {bad!r}$"):
+            iterate_best_response(g, bad)
 
 
 def spy_on_sample_world(monkeypatch):
@@ -183,13 +191,12 @@ def redraw_every_turn(strategy, game, player, n_samples, rng, worlds=None):
 
 @pytest.mark.parametrize("scenario,draws", [(1, 0), (2, 1), (3, 1)])
 def test_each_run_draws_its_worlds_once(monkeypatch, scenario, draws):
-    mc = McConfig(n_samples=2000, seed=5)
     calls = spy_on_sample_world(monkeypatch)
     for e1 in (0.5, 1.0, 2.0):
         before = len(calls)
         g = exp_game([e1, 1.0, 1.0], SCENARIO_PARTITIONS[scenario])
-        report = iterate_best_response(g, 1e-3, mc)
-        assert calls[before:] == [mc.n_samples] * draws
+        report = iterate_best_response(g, 1e-3, n_samples=2000, seed=5)
+        assert calls[before:] == [2000] * draws
         assert report.iterations > 1  # so later turns reused the one draw
 
 
@@ -204,12 +211,11 @@ def test_one_world_draw_matches_redrawing_every_turn(partition, means, seed):
     g = GameInstance(
         Partition(*partition), tuple(Exponential(1.0 / m) for m in means[:n]), z=means[n : n + d]
     )
-    mc = McConfig(n_samples=2000, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_sample_world(mp)
-        report = iterate_best_response(g, 1e-3, mc)
+        report = iterate_best_response(g, 1e-3, n_samples=2000, seed=seed)
         sampled_turns = partition[0] + partition[1] > 0
         assert len(calls) == int(sampled_turns)
         mp.setattr(congames.nash, "estimate_stats", redraw_every_turn)
-        oracle = iterate_best_response(g, 1e-3, mc)
+        oracle = iterate_best_response(g, 1e-3, n_samples=2000, seed=seed)
     assert_same_report(report, oracle)

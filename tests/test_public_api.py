@@ -5,7 +5,17 @@ from pathlib import Path
 import pytest
 
 import congames
-from congames import Discrete, PointMass, ScenarioSpec, SweepTable, TailFrontier, solve_a1
+from congames import (
+    Discrete,
+    PointMass,
+    ScenarioSpec,
+    SweepTable,
+    TailFrontier,
+    iterate_best_response,
+    solve_a1,
+    worst_case_utility,
+)
+from congames.experiments import evaluate_report
 
 SUBMODULES = sorted(
     path.stem for path in Path(congames.__file__).parent.glob("*.py") if path.stem != "__init__"
@@ -13,11 +23,12 @@ SUBMODULES = sorted(
 
 # names deleted because no caller reached them
 REMOVED = {
-    "congames": ["preset_spec", "tail_weighted_mean"],
+    "congames": ["preset_spec", "tail_weighted_mean", "McConfig", "config_for_epsilon"],
     "congames.experiments": ["preset_spec", "_with_mean", "SOLVERS", "STEP_DEFAULTS"],
     "congames.quantile": ["tail_weighted_mean", "_require_continuous"],
     "congames.game": ["deterministic_omega"],
-    "congames.dpp": ["_base_weights", "gamma_step", "queue_step"],
+    "congames.dpp": ["_base_weights", "gamma_step", "queue_step", "config_for_epsilon"],
+    "congames.montecarlo": ["McConfig"],
 }
 
 
@@ -47,6 +58,16 @@ def test_removed_methods_and_parameters_are_gone():
         assert not hasattr(cls, "quantile") and not hasattr(cls, "tail_mean")
     assert not hasattr(SweepTable, "write")
     assert list(inspect.signature(solve_a1).parameters) == ["game", "config", "n_eval_samples"]
+    # the sample count and seed are plain parameters, not a config object
+    assert list(inspect.signature(iterate_best_response).parameters) == [
+        "game", "epsilon", "n_samples", "seed",
+    ]
+    assert list(inspect.signature(worst_case_utility).parameters) == [
+        "strategy_a", "game", "n_samples", "rng",
+    ]
+    assert list(inspect.signature(evaluate_report).parameters) == [
+        "strategy", "game", "mode", "n_samples", "seed", "opponent", "player",
+    ]
     assert list(inspect.signature(TailFrontier.slope).parameters) == ["self", "p1"]
     fields = list(inspect.signature(ScenarioSpec).parameters)
     assert fields == [

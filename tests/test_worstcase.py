@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from congames import (
-    McConfig,
     Simplex,
     StrategyStats,
     estimate_stats,
@@ -72,7 +71,7 @@ def test_worst_case_utility_examples():
 
 def test_eval_fields_consistent():
     g = exp_game([1.0, 2.0, 0.5], (0, 1, 2, 0))
-    ev = worst_case_utility(Simplex([0.2, 0.5, 0.3]), g, McConfig(n_samples=20_000, seed=3))
+    ev = worst_case_utility(Simplex([0.2, 0.5, 0.3]), g, n_samples=20_000, rng=3)
     stats = estimate_stats(Simplex([0.2, 0.5, 0.3]), g, "A", 20_000, rng=3)
     base = float(np.dot(g.means, stats.p))
     assert ev.value == pytest.approx(base - 0.5 * ev.lambda_max_mean, abs=1e-12)
@@ -191,6 +190,6 @@ def test_simulation_against_adversary_matches_value(partition, rng):
         sa = random_strategy(g, "A", rng)
         stats = estimate_stats(sa, g, "A", n_samples=150_000, rng=5)
         adversary = worst_case_response(stats, g)
-        ev = worst_case_utility(sa, g, McConfig(n_samples=150_000, seed=5))
+        ev = worst_case_utility(sa, g, n_samples=150_000, rng=5)
         mean, stderr = simulate_payoff(sa, adversary, g, n_samples=150_000, rng=5)
         assert mean == pytest.approx(ev.value, abs=4 * (stderr + ev.stderr) + 2e-3)
