@@ -136,12 +136,12 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     n = game.n
     a = game.partition.a
     V, alpha, T = config.V, config.alpha, config.T
-    # T x n omega draws, T x n world draws when A has a private block, the
-    # T x n queue history, and the mixture's copy of that history
+    # T x n omega draws, T x a world draws (counted as T x n) when a > 0,
+    # the T x n queue history, and the mixture's copy of that history
     check_upfront_budget("dpp", T, n, 4 if a else 3)
 
     world_gen, omega_gen = stream_generators(config.seed, (WORLD_STREAM, OMEGA_STREAM))
-    x_draws = sample_world(game, world_gen, size=T)[:, :a] if a else np.zeros((T, 0))
+    x_draws = sample_world(game, world_gen, size=T, columns=a)
     omega_draws = sample_omega(game, omega_gen, size=T)
 
     u = box_upper(game).tolist()

@@ -33,7 +33,7 @@ from .distributions import Exponential
 from .dpp import DppConfig
 from .dpp import run as run_dpp
 from .explicit import explicit_solution
-from .game import GameInstance, Partition, check_setting
+from .game import GameInstance, Partition, check_setting, check_upfront_budget
 from .md import MdConfig, run_md_batch
 from .montecarlo import DEFAULT_SAMPLES, estimate_stats, expected_utility, simulate_payoff
 from .nash import iterate_best_response
@@ -76,7 +76,9 @@ class ScenarioSpec:
     finite, and one it does not read must stay None.  ``n_samples`` must be
     at least 1, and at least 2 for a worst-case sweep whose preset lets B
     observe a resource (its max term is sampled), and ``seed`` a
-    non-negative integer; all are checked here, before any solver runs.
+    non-negative integer.  Points x repetitions x n float64 results must fit
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.  All are checked here,
+    before any solver runs.
     """
 
     scenario: int
@@ -113,6 +115,8 @@ class ScenarioSpec:
         object.__setattr__(self, "e1_values", e1_values)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        # the sweep holds one length-n result per (point, rep) pair
+        check_upfront_budget("sweep", len(e1_values) * self.repetitions, self.partition.n, rows="points x reps")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         check_seed(self.seed)

@@ -156,13 +156,15 @@ class GameInstance:
         return self._weights
 
 
-def sample_world(game: GameInstance, rng, size: int) -> np.ndarray:
-    """Draw ``size`` reward realizations, shape ``(size, n)``; AB-block
-    entries stay fixed at ``z``."""
+def sample_world(game: GameInstance, rng, size: int, columns: int | None = None) -> np.ndarray:
+    """Draw ``size`` reward realizations of the first ``columns`` resources
+    (all n when None), shape ``(size, columns)``; AB-block entries stay
+    fixed at ``z``.  The columns are drawn in order from one generator, so
+    they are the leading columns of the full draw, bit for bit."""
     gen = as_generator(rng)
-    out = np.empty((size, game.n))
+    out = np.empty((size, game.n if columns is None else columns))
     ab_start = game.partition.a + game.partition.b + game.partition.c
-    for k, dist in enumerate(game.distributions):
+    for k, dist in enumerate(game.distributions[:columns]):
         if k >= ab_start:
             out[:, k] = game.z[k - ab_start]
         else:

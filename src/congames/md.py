@@ -23,11 +23,15 @@ All runs of a sweep share alpha, T and n, and are independent, so
 :func:`run_md_batch` steps them together: the iterates are the rows of an
 (R, n) array, and each round makes one row-wise gradient
 (:func:`congames.worstcase.sampled_subgradients`) and one row-wise
-:func:`mw_update` for all R runs.  Every row gets the bits it would get
-alone: the update is elementwise, and the row reductions (max, sum, argmax
-with the lowest index on ties) see one row at a time.  :func:`run_md` is a
-batch of one.  The update stays on ``np.exp``: ``math.exp`` differs from it
-in the last bit on some inputs, which would change every later iterate.
+:func:`mw_update` for all R runs.  Neither gathers or scatters by index:
+the gradient picks w - omega/2 at each row's argmax with ``np.where``, and
+the update calls ``np.maximum.reduce`` and ``np.add.reduce`` directly, the
+ufuncs that ``.max()`` and ``.sum()`` reach through Python wrappers.  Every
+row gets the bits it would get alone: the update is elementwise, and the
+row reductions (max, sum, argmax with the lowest index on ties) see one row
+at a time.  :func:`run_md` is a batch of one.  The update stays on
+``np.exp``: ``math.exp`` differs from it in the last bit on some inputs,
+which would change every later iterate.
 Each run's omega draws are still sampled in one call of size T from its own
 seed; the batch holds them in one T x R' x n array for a chunk of R' runs
 whose draws fit :data:`BATCH_DRAW_BYTES`, so a sweep's memory stays bounded
@@ -57,7 +61,7 @@ import numpy as np
 
 from .game import GameInstance, check_setting, check_upfront_budget, sample_omega
 from .rng import OMEGA_STREAM, as_generator
-from .worstcase import row_max, sampled_subgradients
+from .worstcase import omega_maxima, sampled_subgradients
 
 __all__ = [
     "MdConfig",
@@ -102,9 +106,9 @@ def mw_update(p: np.ndarray, grad, alpha: float) -> np.ndarray:
     (R, n), with ``grad`` of the same shape (a list is accepted).
     """
     expo = np.asarray(grad, dtype=float) / alpha
-    expo -= expo.max(axis=-1, keepdims=True)  # value-invariant shift against overflow
+    expo -= np.maximum.reduce(expo, axis=-1, keepdims=True)  # value-invariant shift against overflow
     w = p * np.exp(expo)
-    return w / w.sum(axis=-1, keepdims=True)
+    return w / np.add.reduce(w, axis=-1, keepdims=True)
 
 
 def mw_step(p, grad, alpha: float) -> list[float]:
@@ -195,7 +199,8 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     Exact (stderr 0) when at most one coordinate of omega is random: the
     maximum is then max(W, m) with m the largest constant entry, whose
     second moment is closed-form for every catalog distribution.  With two
-    or more random coordinates it is Monte Carlo estimated, and raises
+    or more random coordinates it is Monte Carlo estimated
+    (:func:`congames.worstcase.omega_maxima` at x = 1), and raises
     ValueError before sampling when n_samples < 2 or when n_samples x n
     draws exceed the up-front budget.
     """
@@ -211,8 +216,7 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 when player B observes two or more resources")
     check_upfront_budget("omega_sup_sq_mean", n_samples, game.n, rows="n_samples")
-    omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
-    sq = row_max(omegas) ** 2
+    sq = omega_maxima(np.ones(game.n), game, n_samples, rng) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))
 
 

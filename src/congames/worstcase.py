@@ -15,7 +15,9 @@ through the interleaved vector x = (q on the A block, p elsewhere):
 with omega the adversary weight vector of :func:`congames.game.sample_omega`.
 g is concave, entry-wise non-decreasing, and Lipschitz with weights 3/2 on
 the A block and 3/2 E_k elsewhere.  The max term is exact when the B block
-is empty and Monte Carlo estimated otherwise.
+is empty and Monte Carlo estimated otherwise, by :func:`omega_maxima`,
+which draws only B's columns of omega (the others are constant) and never
+builds the (samples, n) product.
 
 Every worst-case solver ends in one evaluation of g: at x itself
 (:func:`worst_case_objective`), or at the x of a strategy's estimated
@@ -27,7 +29,8 @@ works on Python floats, not numpy arrays: those solvers call it once per
 round of a single run on vectors of length n, and numpy's per-call dispatch
 would cost more than the arithmetic.  :func:`sampled_subgradients` is the
 same gradient row by row over (R, n) arrays, for the batched mirror-descent
-loop, where one numpy call serves all R runs.
+loop, where one numpy call serves all R runs: it selects w - omega/2 at each
+row's argmax with ``np.where`` rather than gathering and scattering by index.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_upfront_budget, sample_omega
+from .game import GameInstance, check_upfront_budget
 from .montecarlo import DEFAULT_SAMPLES, StrategyStats, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import Mixture, Strategy
@@ -47,7 +50,7 @@ __all__ = [
     "worst_case_objective",
     "worst_case_utility",
     "omega_max_mean",
-    "row_max",
+    "omega_maxima",
     "sampled_subgradient",
     "sampled_subgradients",
 ]
@@ -102,11 +105,8 @@ def sampled_subgradients(x: np.ndarray, omega: np.ndarray, w: np.ndarray) -> np.
     Row r equals ``sampled_subgradient(x[r], omega[r], w[r])`` bit for bit
     (the argmax takes the lowest index on ties, as ``list.index`` does).
     """
-    rows = np.arange(len(x))
-    top = (x * omega).argmax(axis=-1)
-    grad = w.copy()
-    grad[rows, top] -= 0.5 * omega[rows, top]
-    return grad
+    top = (x * omega).argmax(axis=-1, keepdims=True)
+    return np.where(np.arange(x.shape[-1]) == top, w - 0.5 * omega, w)
 
 
 def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=0):
@@ -122,19 +122,28 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 when player B observes a resource")
     check_upfront_budget("omega_max_mean", n_samples, game.n, rows="n_samples")
-    omegas = sample_omega(game, as_generator(rng, OMEGA_STREAM), size=n_samples)
-    maxima = row_max(omegas * x)
+    maxima = omega_maxima(x, game, n_samples, rng)
     return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))
 
 
-def row_max(a: np.ndarray) -> np.ndarray:
-    """``np.max(a, axis=1)`` of a 2-D array, bit for bit, as a running
-    maximum over its columns: for a few columns and many rows this is several
-    times faster than numpy's row-wise reduction."""
-    out = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(out, a[:, j], out=out)
-    return out
+def omega_maxima(x: np.ndarray, game: GameInstance, n_samples: int, rng) -> np.ndarray:
+    """max_k omega_k x_k for each of ``n_samples`` omega draws, unchecked.
+
+    Returns the bits of ``np.max(sample_omega(game, gen, n_samples) * x,
+    axis=1)`` with ``gen = as_generator(rng, OMEGA_STREAM)``: B's columns
+    are drawn from ``gen`` in the same order, each constant column enters as
+    the scalar ``weights[k] * x[k]``, and the running maximum takes the
+    columns 0 ... n-1 in turn, as numpy's row maximum does, so a tie of
+    +0.0 and -0.0 resolves the same way.
+    """
+    gen = as_generator(rng, OMEGA_STREAM)
+    b_block = range(game.partition.a, game.partition.a + game.partition.b)
+    maxima = np.full(n_samples, -np.inf)
+    for k, column in enumerate(game.weights * x):
+        if k in b_block:
+            column = game.distributions[k].sample(gen, size=n_samples) * x[k]
+        np.maximum(maxima, column, out=maxima)
+    return maxima
 
 
 def worst_case_objective(

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from congames import (
+    Discrete,
     Exponential,
     GameInstance,
     Partition,
     Mixture,
+    PointMass,
     QuantileThreshold,
     Simplex,
     StrategyStats,
+    Uniform,
 )
 
 
@@ -18,6 +21,15 @@ def pytest_runtest_logreport(report):
         name = report.nodeid.split("::")[-1]
         status = "PASS" if report.passed else "FAIL"
         print(f"\n[ACCEPTANCE] {name}: {status} ({report.duration:.1f}s)")
+
+
+# the four catalog laws, each built from its mean
+LAWS = {
+    "exponential": lambda m: Exponential(1.0 / m),
+    "uniform": lambda m: Uniform(0.0, 2.0 * m),
+    "pointmass": PointMass,
+    "discrete": lambda m: Discrete((0.5 * m, 1.5 * m), (0.5, 0.5)),
+}
 
 
 def exp_game(means, partition) -> GameInstance:

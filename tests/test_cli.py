@@ -536,6 +536,22 @@ def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch):
     assert err.startswith("error: sweep run with grid points=3000, n=1 needs 0 MiB up front")
 
 
+def test_oversized_repetitions_are_refused_before_any_solver_runs(capsys, monkeypatch):
+    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
+        monkeypatch.setattr(f"congames.experiments.{name}", not_called)
+    # 2 points x 166 reps x n = 3 float64 results fit 8000 bytes; 167 reps do not
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 8 * 1000)
+    ScenarioSpec(2, "worst-md", [1.0, 2.0], repetitions=166)
+    need = "sweep run with points x reps=334, n=3 needs 0 MiB up front"
+    with pytest.raises(ValueError, match=need):
+        ScenarioSpec(2, "worst-md", [1.0, 2.0], repetitions=167)
+    for solver in ("md", "dpp"):
+        grid = ("--e1-min", "1", "--e1-max", "2", "--e1-step", "1")
+        code, out, err = run_cli(capsys, "worst", solver, "--scenario", "2", *grid, "--reps", "167")
+        assert (code, out) == (2, ""), solver
+        assert err.startswith(f"error: {need}"), solver
+
+
 def test_negative_seed_is_refused_before_any_solver_runs(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
         ScenarioSpec(3, "nash", [1.0], seed=-1)

@@ -6,6 +6,7 @@ from congames import (
     GameInstance,
     Partition,
     PointMass,
+    Uniform,
     sample_omega,
     sample_world,
 )
@@ -81,6 +82,14 @@ def test_sample_world_seed_replay():
     g = exp_game([1.0, 2.0, 0.5], (1, 1, 1, 0))
     np.testing.assert_array_equal(sample_world(g, 42, size=64), sample_world(g, 42, size=64))
     assert not np.array_equal(sample_world(g, 42, size=64), sample_world(g, 43, size=64))
+
+
+def test_sample_world_leading_columns_keep_their_bits():
+    laws = (Exponential(1.0), Uniform(0.0, 2.0), Exponential(0.5), PointMass(1.0))
+    g = GameInstance(Partition(1, 1, 1, 1), laws, z=[3.0])
+    full = sample_world(g, 42, size=64)
+    for columns in range(g.n + 1):
+        assert sample_world(g, 42, size=64, columns=columns).tobytes() == full[:, :columns].tobytes()
 
 
 def test_sample_omega_all_private_to_a():

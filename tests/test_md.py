@@ -10,13 +10,10 @@ import congames.game
 import congames.md
 import congames.quantile
 from congames import (
-    Discrete,
     Exponential,
     GameInstance,
     MdConfig,
     Partition,
-    PointMass,
-    Uniform,
     explicit_solution,
     md_error_bound,
     run_md,
@@ -27,7 +24,7 @@ from congames.game import sample_omega
 from congames.md import mw_step, mw_update, omega_sup_sq_mean, pairwise_sum, require_positive, run_md_batch
 from congames.rng import OMEGA_STREAM, as_generator
 from congames.worstcase import sampled_subgradient, sampled_subgradients
-from conftest import exp_game
+from conftest import LAWS, exp_game
 
 
 def test_step_shift_invariance_and_hand_value():
@@ -136,7 +133,7 @@ def test_oversized_sup_sq_estimate_fails_before_sampling(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("the estimate sampled before checking its budget")
 
-    monkeypatch.setattr(congames.md, "sample_omega", no_draws)
+    monkeypatch.setattr(Exponential, "sample", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (0, 2, 1, 0))
     need = r"omega_sup_sq_mean run with n_samples=100000000, n=3 needs 2289 MiB up front"
     with pytest.raises(ValueError, match=need):
@@ -211,14 +208,6 @@ def test_tiny_alpha_fails_with_md_error(scenario, solver):
 
 
 # -- the batched loop ------------------------------------------------------
-
-LAWS = {
-    "exponential": lambda m: Exponential(1.0 / m),
-    "uniform": lambda m: Uniform(0.0, 2.0 * m),
-    "pointmass": PointMass,
-    "discrete": lambda m: Discrete((0.5 * m, 1.5 * m), (0.5, 0.5)),
-}
-
 
 def lone_md(game, config):
     """The one-run loop as it stood before batching: the list gradient and

@@ -5,7 +5,6 @@ import pytest
 
 import congames.montecarlo
 import congames.nash
-import congames.worstcase
 from congames import (
     Exponential,
     GameInstance,
@@ -157,7 +156,7 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
 
     for module in (congames.montecarlo, congames.nash):
         monkeypatch.setattr(module, "sample_world", no_draws)
-    monkeypatch.setattr(congames.worstcase, "sample_omega", no_draws)
+    monkeypatch.setattr(Exponential, "sample", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     score = Mixture([[1.0, 0.5, 0.5]], private=[0])
     need = r"run with n_samples=100000000, n=3 needs 2289 MiB up front"

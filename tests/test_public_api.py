@@ -29,6 +29,8 @@ REMOVED = {
     "congames.game": ["deterministic_omega"],
     "congames.dpp": ["_base_weights", "gamma_step", "queue_step", "config_for_epsilon"],
     "congames.montecarlo": ["McConfig"],
+    "congames.worstcase": ["row_max"],
+    "congames.md": ["row_max"],
 }
 
 

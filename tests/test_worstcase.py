@@ -14,8 +14,11 @@ from congames import (
     worst_case_utility,
 )
 from congames.strategies import act
-from congames.worstcase import omega_max_mean, row_max
-from conftest import exp_game, random_simplex, random_strategy
+from congames.game import GameInstance, Partition, sample_omega
+from congames.md import omega_sup_sq_mean
+from congames.rng import OMEGA_STREAM, as_generator
+from congames.worstcase import omega_max_mean, omega_maxima
+from conftest import LAWS, exp_game, random_simplex, random_strategy
 
 
 def test_worst_case_response_all_shared():
@@ -123,8 +126,6 @@ def test_concavity_monotonicity_lipschitz_exact_b0(rng):
 
 
 def test_concavity_monotone_lipschitz_mc_b1(rng):
-    from congames.game import sample_omega
-
     g = exp_game([1.2, 0.9, 2.0], (1, 1, 1, 0))
     means = g.means
     weights = means.copy()
@@ -161,22 +162,50 @@ def test_omega_max_mean_matches_exact_when_b0():
     assert mean == pytest.approx(1.0) and stderr == 0.0
 
 
-# few distinct values, so ties and signed zeros are common
-@given(
-    hnp.arrays(
-        float,
-        st.tuples(st.integers(1, 300), st.integers(1, 6)),
-        elements=st.one_of(
-            st.sampled_from([0.0, -0.0, 1.0, 2.5]),
-            st.floats(-1e6, 1e6, allow_nan=False),
-        ),
-    )
-)
-@example(np.array([[0.0, -0.0], [-0.0, 0.0], [2.5, 2.5]]))
-@example(np.array([[-0.0], [0.0]]))
+def reference_maxima(x, game, n_samples, seed):
+    """max_k omega_k x_k as computed before omega_maxima: the full
+    (n_samples, n) omega draw times x, reduced by numpy's row maximum."""
+    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=n_samples)
+    return np.max(omegas * x, axis=1)
+
+
+def mean_and_stderr(a):
+    return np.array([a.mean(), a.std(ddof=1) / np.sqrt(len(a))])
+
+
+@st.composite
+def max_term_cases(draw):
+    """A game with b from 0 to 3 and any catalog laws, and an x whose few
+    distinct values (signed zeros among them) make ties common; negative
+    entries, outside g's domain, make a row maximum below zero possible."""
+    a, b, c, d = (draw(st.integers(0, hi)) for hi in (2, 3, 2, 2))
+    if a + b + c + d == 0:
+        c = 1  # a game needs one resource
+    n = a + b + c + d
+    laws = draw(st.lists(st.sampled_from(sorted(LAWS)), min_size=n, max_size=n))
+    means = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+    z = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
+    game = GameInstance(Partition(a, b, c, d), tuple(LAWS[law](m) for law, m in zip(laws, means)), z=z)
+    values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+    x = draw(hnp.arrays(float, n, elements=values))
+    return x, game, draw(st.integers(2, 300)), draw(st.integers(0, 2**32))
+
+
+@given(max_term_cases())
+@example((np.array([0.5, 0.5, 0.5]), exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)), 200, 0))
+@example((np.array([-0.0, 0.0, -0.0]), exp_game([1.0, 1.0, 1.0], (0, 2, 1, 0)), 50, 3))
 @settings(max_examples=200, deadline=None)
-def test_row_max_matches_numpy(a):
-    assert row_max(a).tobytes() == np.max(a, axis=1).tobytes()
+def test_sampled_max_terms_keep_their_bytes(case):
+    x, game, n_samples, seed = case
+    expected = reference_maxima(x, game, n_samples, seed)
+    assert omega_maxima(x, game, n_samples, seed).tobytes() == expected.tobytes()
+    if game.partition.b >= 1:
+        value = np.array(omega_max_mean(x, game, n_samples, seed))
+        assert value.tobytes() == mean_and_stderr(expected).tobytes()
+    if game.partition.b >= 2:
+        sq = reference_maxima(np.ones(game.n), game, n_samples, seed) ** 2
+        value = np.array(omega_sup_sq_mean(game, n_samples, seed))
+        assert value.tobytes() == mean_and_stderr(sq).tobytes()
 
 
 @pytest.mark.parametrize("partition", [(0, 0, 3, 0), (0, 1, 2, 0), (1, 1, 1, 0)])
