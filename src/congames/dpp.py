@@ -43,6 +43,7 @@ import numpy as np
 
 from .game import (
     GameInstance,
+    check_count,
     check_setting,
     check_upfront_budget,
     draw_rows,
@@ -83,8 +84,7 @@ class DppConfig:
     def __post_init__(self):
         check_setting("V", self.V)
         check_setting("alpha", self.alpha)
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        check_count("T", self.T)
 
     @property
     def guarantee_holds(self) -> bool:
@@ -136,9 +136,9 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     n = game.n
     a = game.partition.a
     V, alpha, T = config.V, config.alpha, config.T
-    # T x n omega draws, T x a world draws (counted as T x n) when a > 0,
-    # the T x n queue history, and the mixture's copy of that history
-    check_upfront_budget("dpp", T, n, 4 if a else 3)
+    # T x n omega draws, the T x n queue history, the mixture's copy of that
+    # history, and T x a world draws
+    check_upfront_budget("dpp", T, n, 3 + a / n)
 
     world_gen, omega_gen = stream_generators(config.seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T, columns=a)

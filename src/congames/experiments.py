@@ -12,10 +12,15 @@ the exponential mean of resource 1 over a grid, runs the selected solver at
 each point (averaging over ``repetitions`` derived seeds), and emits one CSV
 row per point.  :data:`SOLVER_SETTINGS` declares, once, which of the
 settings ``epsilon``, ``V``, ``alpha`` and ``T`` each solver reads and
-their defaults; the spec and the CLI both read it.  Mirror descent runs
-every (point, repetition) pair of the sweep as one batch
-(:func:`congames.md.run_md_batch`) before the points are evaluated; the
-other solvers run point by point.  Identical spec + seed
+their defaults; the spec and the CLI both read it.
+
+:func:`run_scenario` derives every (point, repetition) seed once and runs
+one loop over the points for every solver; the solver picks only the
+header, the notes and the function that makes a point's row and warning
+(:func:`_nash_row` or :func:`_worst_point`, each folding the point's
+repetitions).  Mirror descent runs every (point, repetition) pair of the
+sweep as one batch (:func:`congames.md.run_md_batch`) before the points are
+evaluated; the other solvers run point by point.  Identical spec + seed
 reproduces the table byte for byte.  A point whose DPP runs broke the queue
 cap, or whose best-response runs did not converge, gets a ``WARNING`` note;
 its row is unchanged.
@@ -33,7 +38,7 @@ from .distributions import Exponential
 from .dpp import DppConfig
 from .dpp import run as run_dpp
 from .explicit import explicit_solution
-from .game import GameInstance, Partition, check_setting, check_upfront_budget
+from .game import GameInstance, Partition, check_count, check_setting, check_upfront_budget
 from .md import MdConfig, run_md_batch
 from .montecarlo import DEFAULT_SAMPLES, estimate_stats, expected_utility, simulate_payoff
 from .nash import iterate_best_response
@@ -73,12 +78,14 @@ class ScenarioSpec:
     finite means.  ``epsilon``, ``V``, ``alpha`` and ``T`` are the solver
     settings of :data:`SOLVER_SETTINGS`: one the solver reads takes its
     default there when left as None and must otherwise be positive and
-    finite, and one it does not read must stay None.  ``n_samples`` must be
-    at least 1, and at least 2 for a worst-case sweep whose preset lets B
-    observe a resource (its max term is sampled), and ``seed`` a
-    non-negative integer.  Points x repetitions x n float64 results must fit
-    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.  All are checked here,
-    before any solver runs.
+    finite (T an integer too), and one it does not read must stay None.
+    ``repetitions`` must be an integer of at least 1, ``n_samples`` an
+    integer of at least 1, and at least 2 for a worst-case sweep whose
+    preset lets B observe a resource (its max term is sampled), and
+    ``seed`` a non-negative integer.  Points x repetitions x n float64
+    results must fit :data:`~congames.game.UPFRONT_BUDGET_BYTES`.  All are
+    checked here, before any solver runs, so a count of 2.5 or NaN is
+    refused here too.
     """
 
     scenario: int
@@ -107,18 +114,18 @@ class ScenarioSpec:
                 object.__setattr__(self, name, settings[name])
             else:
                 check_setting(name, value)
+                if name == "T":
+                    check_count(name, value)
         e1_values = tuple(float(v) for v in self.e1_values)
         if not e1_values:
             raise ValueError("sweep grid must be non-empty")
         for v in e1_values:
             check_setting("swept mean", v)
         object.__setattr__(self, "e1_values", e1_values)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        check_count("repetitions", self.repetitions)
         # the sweep holds one length-n result per (point, rep) pair
         check_upfront_budget("sweep", len(e1_values) * self.repetitions, self.partition.n, rows="points x reps")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        check_count("n_samples", self.n_samples)
         check_seed(self.seed)
         part = self.partition
         if self.solver == "worst-explicit" and (part.a or part.b):
@@ -127,8 +134,8 @@ class ScenarioSpec:
             raise ValueError("worst-md requires a == 0")
         if self.solver == "worst-a1" and part.a != 1:
             raise ValueError("worst-a1 requires a == 1")
-        if self.solver != "nash" and part.b and self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2 when player B observes a resource")
+        if self.solver != "nash" and part.b:
+            check_count("n_samples", self.n_samples, 2, " when player B observes a resource")
 
     @property
     def partition(self) -> Partition:
@@ -171,12 +178,12 @@ def _rep_seed(spec: ScenarioSpec, point: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _nash_row(spec: ScenarioSpec, game: GameInstance, point: int):
-    """The point's averaged row, and how many repetitions did not converge."""
+def _nash_row(spec: ScenarioSpec, game: GameInstance, seeds):
+    """The point's row averaged over its repetitions, one per seed, and a
+    warning when some of them did not converge (None otherwise)."""
     acc = []
     unconverged = 0
-    for rep in range(spec.repetitions):
-        seed = _rep_seed(spec, point, rep)
+    for seed in seeds:
         report = iterate_best_response(game, spec.epsilon, spec.n_samples, seed)
         unconverged += not report.converged
         last = report.trace[-1]
@@ -189,35 +196,34 @@ def _nash_row(spec: ScenarioSpec, game: GameInstance, point: int):
                 ]
             )
         )
-    return np.mean(acc, axis=0), unconverged
+    warning = f"best response did not converge in {unconverged} of {len(seeds)} reps" if unconverged else None
+    return np.mean(acc, axis=0), warning
 
 
-def _md_solutions(spec: ScenarioSpec, games) -> np.ndarray:
+def _md_solutions(spec: ScenarioSpec, games, seeds) -> np.ndarray:
     """Every (point, rep) mirror-descent run of the sweep, stepped as one
     batch; entry [point, rep] is that run's average iterate."""
-    seeds = [
-        _rep_seed(spec, point, rep)
-        for point in range(len(games))
-        for rep in range(spec.repetitions)
-    ]
     ps = run_md_batch(
         [game for game in games for _ in range(spec.repetitions)],
-        [MdConfig(alpha=spec.alpha, T=spec.T, seed=seed) for seed in seeds],
+        [MdConfig(alpha=spec.alpha, T=spec.T, seed=seed) for point_seeds in seeds for seed in point_seeds],
     )
     return ps.reshape(len(games), spec.repetitions, -1)
 
 
-def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int, md_ps=None):
-    """Per-repetition (value, stderr, p) for the selected worst-case solver,
-    plus the DPP queue-cap violations summed over repetitions (0 otherwise).
+def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
+    """The point's row for the selected worst-case solver, folded over its
+    repetitions (one per seed), and a warning when its DPP runs broke the
+    queue cap (None otherwise).
 
-    worst-md only evaluates: ``md_ps`` holds the point's average iterates,
-    one row per repetition, from :func:`_md_solutions`.
+    The row is the mean value; its standard error (the spread of the values
+    over the repetitions when there are several, the one run's own stderr
+    otherwise); the mean p; and the least and greatest value.  worst-md
+    only evaluates: ``md_ps`` holds the point's average iterates, one row
+    per repetition, from :func:`_md_solutions`.
     """
-    values, stderrs, ps = [], [], []
+    values, ps = [], []
     violations = 0
-    for rep in range(spec.repetitions):
-        seed = _rep_seed(spec, point, rep)
+    for rep, seed in enumerate(seeds):
         if spec.solver == "worst-explicit":
             sol = explicit_solution(game.means)
             p, value, stderr = sol.p, sol.value, 0.0
@@ -236,14 +242,27 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, point: int, md_ps=None)
                 n_eval_samples=spec.n_samples,
             )
         values.append(value)
-        stderrs.append(stderr)
         ps.append(p)
-    return np.array(values), np.array(stderrs), np.vstack(ps), violations
+    values = np.array(values)
+    if len(values) > 1:  # otherwise stderr is the one run's own
+        stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
+    row = np.concatenate([[values.mean(), stderr], np.mean(ps, axis=0), [values.min(), values.max()]])
+    # the cap holds by theorem when alpha >= V^2; a point that broke it has
+    # no certified error bound
+    warning = (
+        f"{violations} DPP queue-cap violations over {len(seeds)} reps; the error bound is not certified"
+        if violations
+        else None
+    )
+    return row, warning
 
 
 def run_scenario(spec: ScenarioSpec) -> SweepTable:
     """One CSV row per sweep point; deterministic for identical spec + seed."""
     n = spec.partition.n
+    games = [scenario_game(spec, e1) for e1 in spec.e1_values]
+    # seed [point][rep] of each run, handed to whichever function runs it
+    seeds = [[_rep_seed(spec, i, rep) for rep in range(spec.repetitions)] for i in range(len(games))]
     if spec.solver == "nash":
         header = (
             ("e1", "utility_a", "utility_b", "potential")
@@ -251,51 +270,31 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
             + tuple(f"pb{k}" for k in range(1, n + 1))
         )
         notes = [f"nash sweep: epsilon={spec.epsilon:g} reps={spec.repetitions} seed={spec.seed}"]
-        rows = []
-        for i, e1 in enumerate(spec.e1_values):
-            row, unconverged = _nash_row(spec, scenario_game(spec, e1), i)
-            if unconverged:
-                notes.append(
-                    f"WARNING: e1={e1:.9g}: best response did not converge in "
-                    f"{unconverged} of {spec.repetitions} reps"
-                )
-            rows.append(np.concatenate([[e1], row]))
-        return SweepTable(header, np.vstack(rows), tuple(notes))
 
-    header = (
-        ("e1", "value", "stderr")
-        + tuple(f"p{k}" for k in range(1, n + 1))
-        + ("value_min", "value_max")
-    )
-    notes = [
-        f"worst-case sweep: solver={spec.solver} reps={spec.repetitions} seed={spec.seed}",
-        "value_min/value_max is the min/max over repetitions, not a confidence band",
-    ]
-    games = [scenario_game(spec, e1) for e1 in spec.e1_values]
-    md_ps = _md_solutions(spec, games) if spec.solver == "worst-md" else [None] * len(games)
-    rows = []
-    for i, (e1, game) in enumerate(zip(spec.e1_values, games)):
-        values, stderrs, ps, violations = _worst_point(spec, game, i, md_ps[i])
-        if violations:
-            # the cap holds by theorem when alpha >= V^2; a point that broke
-            # it has no certified error bound
-            notes.append(
-                f"WARNING: e1={e1:.9g}: {violations} DPP queue-cap violations "
-                f"over {spec.repetitions} reps; the error bound is not certified"
-            )
-        if spec.repetitions > 1:
-            stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
-        else:
-            stderr = float(stderrs[0])
-        rows.append(
-            np.concatenate(
-                [
-                    [e1, values.mean(), stderr],
-                    ps.mean(axis=0),
-                    [values.min(), values.max()],
-                ]
-            )
+        def point_row(i):
+            return _nash_row(spec, games[i], seeds[i])
+
+    else:
+        header = (
+            ("e1", "value", "stderr")
+            + tuple(f"p{k}" for k in range(1, n + 1))
+            + ("value_min", "value_max")
         )
+        notes = [
+            f"worst-case sweep: solver={spec.solver} reps={spec.repetitions} seed={spec.seed}",
+            "value_min/value_max is the min/max over repetitions, not a confidence band",
+        ]
+        md_ps = _md_solutions(spec, games, seeds) if spec.solver == "worst-md" else None
+
+        def point_row(i):
+            return _worst_point(spec, games[i], seeds[i], None if md_ps is None else md_ps[i])
+
+    rows = []
+    for i, e1 in enumerate(spec.e1_values):
+        row, warning = point_row(i)
+        if warning:
+            notes.append(f"WARNING: e1={e1:.9g}: {warning}")
+        rows.append(np.concatenate([[e1], row]))
     return SweepTable(header, np.vstack(rows), tuple(notes))
 
 

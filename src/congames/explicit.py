@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .strategies import _check_simplex
+
 __all__ = ["ExplicitSolution", "explicit_solution", "no_info_objective"]
 
 
@@ -28,8 +30,7 @@ def no_info_objective(p, means) -> float:
     means = np.asarray(means, dtype=float)
     if np.any(means < 0):
         raise ValueError("means must be non-negative")
-    if np.any(p < -1e-6) or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError("p must lie in the probability simplex (tol 1e-6)")
+    _check_simplex(p, "p", 1e-6, -1e-6)
     loads = p * means
     return float(loads.sum() - 0.5 * loads.max())
 

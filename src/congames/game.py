@@ -33,6 +33,7 @@ __all__ = [
     "UPFRONT_BUDGET_BYTES",
     "check_upfront_budget",
     "check_setting",
+    "check_count",
 ]
 
 # rows that draw_rows converts to Python floats at a time
@@ -198,11 +199,12 @@ def draw_rows(draws: np.ndarray):
         yield from draws[start : start + DRAW_CHUNK].tolist()
 
 
-def check_upfront_budget(solver: str, T: int, n: int, arrays: int = 1, rows: str = "T"):
+def check_upfront_budget(solver: str, T: int, n: int, arrays: float = 1, rows: str = "T"):
     """Raise ValueError naming T, n and the MiB needed when one run's
     ``arrays`` T x n float64 arrays, allocated before its first round, would
     exceed :data:`UPFRONT_BUDGET_BYTES`; a solver or Monte Carlo estimate
-    calls it before it samples anything.  ``rows`` names T in the message
+    calls it before it samples anything.  A fraction counts narrower arrays:
+    a T x a array is a / n of one.  ``rows`` names T in the message
     (``n_samples`` for the Monte Carlo estimates)."""
     need = T * n * 8 * arrays
     if need > UPFRONT_BUDGET_BYTES:
@@ -217,3 +219,13 @@ def check_setting(name: str, value):
     finite; NaN and both infinities are refused."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_count(name: str, value, minimum: int = 1, why: str = ""):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer of at
+    least ``minimum``; a float (2.5, NaN, even 3.0) is refused.  ``why``
+    ends the message of a conditional minimum."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}{why}")

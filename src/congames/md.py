@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_setting, check_upfront_budget, sample_omega
+from .game import GameInstance, check_count, check_setting, check_upfront_budget, sample_omega
 from .rng import OMEGA_STREAM, as_generator
 from .worstcase import omega_maxima, sampled_subgradients
 
@@ -89,8 +89,7 @@ class MdConfig:
 
     def __post_init__(self):
         check_setting("alpha", self.alpha)
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        check_count("T", self.T)
 
 
 def require_positive(p):
@@ -201,8 +200,8 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     second moment is closed-form for every catalog distribution.  With two
     or more random coordinates it is Monte Carlo estimated
     (:func:`congames.worstcase.omega_maxima` at x = 1), and raises
-    ValueError before sampling when n_samples < 2 or when n_samples x n
-    draws exceed the up-front budget.
+    ValueError before sampling when n_samples < 2 or when its three
+    n_samples vectors exceed the up-front budget.
     """
     part = game.partition
     if part.b == 0:
@@ -213,19 +212,18 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
         const[k] = 0.0
         m = float(const.max()) if game.n > 1 else 0.0
         return float(game.distributions[k].expected_sq_max_with(m)), 0.0
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2 when player B observes two or more resources")
-    check_upfront_budget("omega_sup_sq_mean", n_samples, game.n, rows="n_samples")
+    check_count("n_samples", n_samples, 2, " when player B observes two or more resources")
+    # omega_maxima holds three n_samples vectors, whatever n is
+    check_upfront_budget("omega_sup_sq_mean", n_samples, game.n, 3 / game.n, rows="n_samples")
     sq = omega_maxima(np.ones(game.n), game, n_samples, rng) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))
 
 
 def md_error_bound(game: GameInstance, alpha: float, T: int) -> float:
     """Guaranteed expected gap C/(2 alpha) + alpha ln(n) / T, for a
-    positive, finite alpha and T >= 1."""
+    positive, finite alpha and an integer T >= 1."""
     check_setting("alpha", alpha)
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    check_count("T", T)
     sup_sq, _ = omega_sup_sq_mean(game)
     c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * sup_sq
     return c / (2.0 * alpha) + alpha * math.log(game.n) / T

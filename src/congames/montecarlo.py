@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_upfront_budget, sample_world
+from .game import GameInstance, check_count, check_upfront_budget, sample_world
 from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, stream_generators
-from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, batch_actions
+from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, _check_simplex, batch_actions
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -57,8 +57,7 @@ class StrategyStats:
             raise ValueError(f"player must be 'A' or 'B', got {self.player!r}")
         p = np.asarray(self.p, dtype=float).reshape(-1)
         q = np.asarray(self.q, dtype=float).reshape(-1)
-        if np.any(p < -STATS_SIMPLEX_TOL) or abs(p.sum() - 1.0) > STATS_SIMPLEX_TOL:
-            raise ValueError("p must lie in the probability simplex (tol 1e-6)")
+        _check_simplex(p, "p", STATS_SIMPLEX_TOL, -STATS_SIMPLEX_TOL)
         if np.any(q < 0):
             raise ValueError("q entries must be non-negative")
         p = p.copy()
@@ -115,8 +114,7 @@ def estimate_stats(
     stream; it is called only when the estimate samples.  Raises ValueError
     before sampling when n_samples x n worlds exceed the up-front budget.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_count("n_samples", n_samples)
     private = _check_strategy_player(strategy, game, player)
     n = game.n
     means = game.means
@@ -187,8 +185,7 @@ def simulate_payoff(
     the same seed, so the world draws here match ``estimate_stats`` calls
     made with that seed.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    check_count("n_samples", n_samples, 2)
     _check_strategy_player(strategy_a, game, "A")
     _check_strategy_player(strategy_b, game, "B")
     check_upfront_budget("simulate_payoff", n_samples, game.n, rows="n_samples")

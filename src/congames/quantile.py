@@ -44,7 +44,7 @@ from .game import GameInstance, check_upfront_budget, draw_rows, sample_omega
 from .md import MdConfig, mw_step, pairwise_sum, require_positive
 from .montecarlo import DEFAULT_SAMPLES
 from .rng import OMEGA_STREAM, as_generator
-from .strategies import QuantileThreshold
+from .strategies import QuantileThreshold, _check_simplex
 from .worstcase import sampled_subgradient, worst_case_objective
 
 __all__ = [
@@ -99,8 +99,7 @@ def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.size != game.n:
         raise ValueError(f"p must have length {game.n}")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p must lie in the probability simplex")
+    _check_simplex(p, "p")
     tau = TailFrontier(game.distributions[0]).tau(p[0])
     rest = p[1:]
     if rest.sum() > 0:

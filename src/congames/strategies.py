@@ -41,8 +41,10 @@ __all__ = [
 SIMPLEX_TOL = 1e-9
 
 
-def _check_simplex(p: np.ndarray, what: str, tol: float = SIMPLEX_TOL):
-    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= tol):  # also rejects NaN
+def _check_simplex(p: np.ndarray, what: str, tol: float = SIMPLEX_TOL, floor: float = 0.0):
+    """Refuse ``p`` unless its entries are >= ``floor`` and sum to 1 within
+    ``tol``; a NaN entry fails both comparisons."""
+    if not (np.all(p >= floor) and abs(p.sum() - 1.0) <= tol):
         raise ValueError(f"{what} must be a probability vector (sum 1 within {tol:g})")
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_upfront_budget
+from .game import GameInstance, check_count, check_upfront_budget
 from .montecarlo import DEFAULT_SAMPLES, StrategyStats, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import Mixture, Strategy
@@ -114,20 +114,23 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=
 
     Deterministic (stderr 0) when the B block is empty.  Otherwise raises
     ValueError before sampling when n_samples < 2 (no standard error) or
-    when n_samples x n draws exceed the up-front budget.
+    when :func:`omega_maxima`'s vectors exceed the up-front budget.
     """
     x = np.asarray(x, dtype=float)
     if game.partition.b == 0:
         return float(np.max(game.weights * x)), 0.0
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2 when player B observes a resource")
-    check_upfront_budget("omega_max_mean", n_samples, game.n, rows="n_samples")
+    check_count("n_samples", n_samples, 2, " when player B observes a resource")
+    # omega_maxima holds three n_samples vectors, whatever n is
+    check_upfront_budget("omega_max_mean", n_samples, game.n, 3 / game.n, rows="n_samples")
     maxima = omega_maxima(x, game, n_samples, rng)
     return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))
 
 
 def omega_maxima(x: np.ndarray, game: GameInstance, n_samples: int, rng) -> np.ndarray:
     """max_k omega_k x_k for each of ``n_samples`` omega draws, unchecked.
+
+    Holds about three length-``n_samples`` vectors at a time (the running
+    maximum, a drawn column and its product with x), whatever n is.
 
     Returns the bits of ``np.max(sample_omega(game, gen, n_samples) * x,
     axis=1)`` with ``gen = as_generator(rng, OMEGA_STREAM)``: B's columns

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import congames.game
-from congames import Partition
+from congames import DppConfig, MdConfig, Mixture, Partition, estimate_stats
 from congames.cli import main
 from congames.experiments import ScenarioSpec, run_scenario
+from conftest import exp_game
 
 GAME_FILE = """
 n: 2
@@ -250,6 +251,7 @@ def test_multi_rep_dpp_sweep_csv_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+
 def test_dpp_sweep_warns_on_queue_cap_violations(capsys):
     # alpha = 1000 < V^2 = 40000 voids the queue cap; the warning is a note
     # and the rows keep the bytes they had before the note was added
@@ -306,6 +308,37 @@ def test_spec_validation():
     table = run_scenario(spec)
     assert table.rows.shape[0] == 2
 
+
+
+def test_non_integer_counts_are_refused_before_any_solver_runs(monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("a solver ran before the count was checked")
+
+    for solver in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response"):
+        monkeypatch.setattr(f"congames.experiments.{solver}", not_called)
+    monkeypatch.setattr("congames.montecarlo.sample_world", not_called)
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    score = Mixture([[1.0, 0.5, 0.5]], private=[0])
+    # the spec checks a setting's T for positive and finite first, as for
+    # every setting, and then for an integer
+    with pytest.raises(ValueError, match="^T must be positive and finite, got nan$"):
+        ScenarioSpec(3, "worst-dpp", [1.0], T=float("nan"))
+    with pytest.raises(ValueError, match="^T must be an integer, got 2.5$"):
+        ScenarioSpec(3, "worst-dpp", [1.0], T=2.5)
+    for bad in (2.5, float("nan")):
+        for spec_count in ("n_samples", "repetitions"):
+            for scenario, solver in ((3, "nash"), (2, "worst-md"), (3, "worst-a1")):
+                with pytest.raises(ValueError, match=f"^{spec_count} must be an integer, got {bad!r}$"):
+                    ScenarioSpec(scenario, solver, [1.0], **{spec_count: bad})
+        with pytest.raises(ValueError, match=f"^T must be an integer, got {bad!r}$"):
+            DppConfig(V=1.0, alpha=1.0, T=bad)
+        with pytest.raises(ValueError, match=f"^T must be an integer, got {bad!r}$"):
+            MdConfig(alpha=1.0, T=bad)
+        with pytest.raises(ValueError, match=f"^n_samples must be an integer, got {bad!r}$"):
+            estimate_stats(score, g, "A", n_samples=bad)
+    # numpy integers are integers
+    assert ScenarioSpec(2, "worst-md", [1.0], T=np.int64(5), n_samples=np.int64(2)).T == 5
+    assert MdConfig(alpha=1.0, T=np.int32(3)).T == 3
 
 def test_probability_columns_form_simplex_rows():
     nash = run_scenario(ScenarioSpec(1, "nash", [0.7, 1.3, 2.1]))
@@ -368,6 +401,31 @@ def test_smoke_sweep_csv_is_byte_identical(capsys, workload):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
+
+# sha256 of --reps 3 smoke sweeps at seed 0: the value, its spread over the
+# repetitions as stderr, the mean p and the min/max of each point's folds
+MULTI_REP_SWEEPS = {
+    "worst-md-s2": (
+        SMOKE_SWEEPS["worst-md-s2"][0],
+        "10129053d095cc460292f70a4ad6c51090c7f314fbb7ece168bde6e9ae31cad7",
+    ),
+    "worst-a1-s3": (
+        SMOKE_SWEEPS["worst-a1-s3"][0],
+        "5d4d8f102b45063fb992f6d8f2d001759e1a39fae496ce8057ae8ff209ad0f71",
+    ),
+    "worst-explicit-s1": (
+        ["worst", "explicit", "--scenario", "1", "--e1-min", "0.5", "--e1-max", "1.5", "--e1-step", "0.5"],
+        "a0915ae5e6328e7229461455b733600efa0023dd183ad60a26a4e755d6fea5dd",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(MULTI_REP_SWEEPS))
+def test_multi_rep_sweep_csv_is_byte_identical(capsys, workload):
+    argv, expected = MULTI_REP_SWEEPS[workload]
+    code, out, _ = run_cli(capsys, *argv, "--reps", "3", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 def test_full_size_dpp_sweep_csv_is_byte_identical(capsys):
     # the benchmark's worst-dpp-s3 sweep at default flags (T = 100 000); sha256

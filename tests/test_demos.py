@@ -1,6 +1,8 @@
-"""Each demo script runs to completion against the library in ``src``."""
+"""Each demo script, and each Python block of the README, runs to completion
+against the library in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +11,29 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def run_python(*args):
+    """Run a fresh interpreter from the repository root with ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_demos_are_found():
     assert DEMOS
+    assert README_BLOCKS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(1, len(README_BLOCKS) + 1)])
+def test_readme_block_runs(block):
+    proc = run_python("-c", block)
     assert proc.returncode == 0, proc.stderr

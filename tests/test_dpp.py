@@ -20,6 +20,7 @@ from congames import (
     worst_case_objective,
 )
 import congames.dpp
+import congames.game
 from congames.dpp import box_upper
 from congames.game import sample_omega, sample_world
 from congames.rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
@@ -389,8 +390,22 @@ def test_oversized_run_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(congames.dpp, "sample_omega", no_draws)
     monkeypatch.setattr(congames.dpp, "sample_world", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
-    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 9155 MiB"):
+    # T x (3n + a) floats: omega, the history, its copy and one world column
+    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 7629 MiB"):
         run_dpp(g, DppConfig(V=1e4, alpha=1e8, T=10**8))
+
+
+def test_budget_counts_only_the_world_columns_drawn(monkeypatch):
+    # a wide game with one private resource holds T x (3n + a) = 100 x 37
+    # floats (29 600 bytes), not four T x n arrays (38 400 bytes)
+    g = exp_game([1.0] * 12, (1, 1, 10, 0))
+    config = DppConfig(V=10.0, alpha=100.0, T=100)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 32_000)
+    mixture, _ = run_dpp(g, config)
+    assert len(mixture) == 100
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 29_599)
+    with pytest.raises(ValueError, match="dpp run with T=100, n=12 needs 0 MiB up front"):
+        run_dpp(g, config)
 
 
 def _game(partition, means, z=()):

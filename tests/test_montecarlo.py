@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import congames.game
 import congames.montecarlo
 import congames.nash
 from congames import (
@@ -19,6 +20,7 @@ from congames import (
     simulate_payoff,
 )
 from congames.cli import main
+from congames.md import omega_sup_sq_mean
 from congames.worstcase import omega_max_mean
 from conftest import exp_game, random_strategy
 
@@ -149,6 +151,22 @@ def test_strategy_stats_validation():
     with pytest.raises(ValueError):
         StrategyStats("C", [1.0], [])
 
+
+
+def test_max_term_budget_does_not_grow_with_n(monkeypatch):
+    # the sampled max term holds three n_samples vectors whatever n is:
+    # 1000 samples need 24 000 bytes at n = 12, not 1000 x 12 draws (96 000)
+    g = exp_game([1.0] * 12, (0, 2, 10, 0))
+    x = np.full(12, 1.0 / 12)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 24_000)
+    assert omega_max_mean(x, g, n_samples=1000, rng=1)[1] > 0
+    assert omega_sup_sq_mean(g, n_samples=1000, rng=1)[1] > 0
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 23_999)
+    need = "run with n_samples=1000, n=12 needs 0 MiB up front"
+    with pytest.raises(ValueError, match="omega_max_mean " + need):
+        omega_max_mean(x, g, n_samples=1000, rng=1)
+    with pytest.raises(ValueError, match="omega_sup_sq_mean " + need):
+        omega_sup_sq_mean(g, n_samples=1000, rng=1)
 
 def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     def no_draws(*args, **kwargs):

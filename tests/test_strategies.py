@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from congames import Mixture, Partition, QuantileThreshold, Simplex, act
+from congames.explicit import no_info_objective
+from congames.montecarlo import StrategyStats
+from congames.quantile import build_strategy_a1
 from congames.strategies import batch_actions
+from conftest import exp_game
 
 
 def test_score_constant_argmax():
@@ -69,6 +73,26 @@ def test_simplex_validation():
     for tau in (-np.inf, np.inf):
         assert QuantileThreshold(tau, [1.0]).tau == tau
 
+
+
+def test_every_simplex_check_refuses_nan():
+    # one check serves the strategies, the statistics, the closed-form
+    # objective and the threshold construction; a NaN fails it everywhere
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    nan_p = [np.nan, 0.5, 0.5]
+    for build in (
+        lambda: StrategyStats("A", nan_p, [0.1]),
+        lambda: no_info_objective(nan_p, [1.0, 1.0, 1.0]),
+        lambda: build_strategy_a1(nan_p, g),
+    ):
+        with pytest.raises(ValueError, match="^p must be a probability vector"):
+            build()
+    # each site keeps its tolerance: 1e-6 either way for the statistics and
+    # the objective, exact non-negativity and 1e-9 for the construction
+    assert StrategyStats("A", [-1e-7, 0.5, 0.5 + 2e-7], [0.1]).p[0] == -1e-7
+    assert no_info_objective([-1e-7, 0.5, 0.5 + 2e-7], [1.0, 1.0, 1.0]) == pytest.approx(0.75)
+    with pytest.raises(ValueError, match="within 1e-09"):
+        build_strategy_a1([0.2, 0.4, 0.4 + 1e-8], g)
 
 def test_mixture_components_and_uniform_choice():
     mix = Mixture([[1.0, 0.0], [0.0, 1.0]], private=[])
