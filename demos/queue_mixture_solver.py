@@ -23,9 +23,9 @@ from congames import (
 
 # symmetric three-resource game with no information: optimum known (5/6)
 game = GameInstance(Partition(0, 0, 3, 0), tuple(Exponential(1.0) for _ in range(3)))
-config = DppConfig(V=200.0, alpha=4.0e4, T=100_000, seed=0)
+config = DppConfig(V=200.0, alpha=4.0e4, T=100_000)
 
-mixture, diag = run_dpp(game, config)
+mixture, diag = run_dpp(game, config, seed=0)
 evaluation = worst_case_utility(mixture, game, n_samples=50_000, rng=1)
 constants = bound_constants(game, config)
 
@@ -42,7 +42,7 @@ asym = GameInstance(
     Partition(1, 1, 1, 0),
     (Exponential(1.0 / 1.5), Exponential(1.0), Exponential(1.0)),
 )
-mixture, diag = run_dpp(asym, DppConfig(V=200.0, alpha=4.0e4, T=100_000, seed=0))
+mixture, diag = run_dpp(asym, config, seed=0)  # the same settings drive any game
 evaluation = worst_case_utility(mixture, asym, n_samples=100_000, rng=1)
 print("\nA observes resource 1 (mean 1.5), B observes resource 2:")
 print(f"  worst-case value {evaluation.value:.4f} +- {evaluation.stderr:.4f}, "

@@ -198,10 +198,11 @@ class Discrete:
         return float(np.dot(np.square(vals), self.probs))
 
     def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random(size=size)
-        idx = np.searchsorted(self._cum_probs, u, side="left")
-        idx = np.minimum(idx, len(self._sorted_values) - 1)
-        out = self._sorted_values[idx]
+        # the uniforms are freed once searched, and take's clip folds a
+        # uniform past the last cumulative probability onto the last atom,
+        # so at most two draw-sized arrays exist at once
+        idx = np.searchsorted(self._cum_probs, rng.random(size=size), side="left")
+        out = self._sorted_values.take(idx, mode="clip")
         return out if size is not None else float(out)
 
 

@@ -71,6 +71,8 @@ QUEUE_BOUND_TOL = 1e-9
 class DppConfig:
     """Penalty weight V, proximal weight alpha, and round count T.
 
+    A config holds settings only; :func:`run` takes the seed.
+
     The suboptimality guarantee and the queue cap both require
     alpha >= V^2 (see :attr:`guarantee_holds`); the iteration itself is
     well-defined for any positive alpha.
@@ -79,7 +81,6 @@ class DppConfig:
     V: float
     alpha: float
     T: int
-    seed: int = 0
 
     def __post_init__(self):
         check_setting("V", self.V)
@@ -126,8 +127,9 @@ def box_upper(game: GameInstance) -> np.ndarray:
     return u
 
 
-def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]:
-    """Generate the equiprobable mixture of T queue-score strategies.
+def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, DppDiagnostics]:
+    """Generate the equiprobable mixture of T queue-score strategies, with
+    the world and omega draws of ``seed``.
 
     Raises ValueError, before drawing anything, when the run's draws, queue
     history and mixture would exceed
@@ -140,7 +142,7 @@ def run(game: GameInstance, config: DppConfig) -> tuple[Mixture, DppDiagnostics]
     # history, and T x a world draws
     check_upfront_budget("dpp", T, n, 3 + a / n)
 
-    world_gen, omega_gen = stream_generators(config.seed, (WORLD_STREAM, OMEGA_STREAM))
+    world_gen, omega_gen = stream_generators(seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T, columns=a)
     omega_draws = sample_omega(game, omega_gen, size=T)
 

@@ -205,7 +205,8 @@ def _md_solutions(spec: ScenarioSpec, games, seeds) -> np.ndarray:
     batch; entry [point, rep] is that run's average iterate."""
     ps = run_md_batch(
         [game for game in games for _ in range(spec.repetitions)],
-        [MdConfig(alpha=spec.alpha, T=spec.T, seed=seed) for point_seeds in seeds for seed in point_seeds],
+        MdConfig(spec.alpha, spec.T),
+        [seed for point_seeds in seeds for seed in point_seeds],
     )
     return ps.reshape(len(games), spec.repetitions, -1)
 
@@ -221,6 +222,11 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
     only evaluates: ``md_ps`` holds the point's average iterates, one row
     per repetition, from :func:`_md_solutions`.
     """
+    # DPP and A1 run here: one config serves every repetition, each on its seed
+    if spec.solver == "worst-dpp":
+        config = DppConfig(spec.V, spec.alpha, spec.T)
+    elif spec.solver == "worst-a1":
+        config = MdConfig(spec.alpha, spec.T)
     values, ps = [], []
     violations = 0
     for rep, seed in enumerate(seeds):
@@ -228,7 +234,7 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
             sol = explicit_solution(game.means)
             p, value, stderr = sol.p, sol.value, 0.0
         elif spec.solver == "worst-dpp":
-            mixture, diag = run_dpp(game, DppConfig(spec.V, spec.alpha, spec.T, seed=seed))
+            mixture, diag = run_dpp(game, config, seed)
             violations += diag.violations
             ev = worst_case_utility(mixture, game, spec.n_samples, seed)
             p, value, stderr = ev.stats.p, ev.value, ev.stderr
@@ -236,11 +242,7 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
             p = md_ps[rep]
             value, stderr = worst_case_objective(p, game, n_samples=spec.n_samples, rng=seed)
         else:  # worst-a1
-            p, value, stderr = solve_a1(
-                game,
-                MdConfig(alpha=spec.alpha, T=spec.T, seed=seed),
-                n_eval_samples=spec.n_samples,
-            )
+            p, value, stderr = solve_a1(game, config, seed, spec.n_samples)
         values.append(value)
         ps.append(p)
     values = np.array(values)

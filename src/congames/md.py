@@ -19,9 +19,9 @@ the uniform start; its expected suboptimality is at most
 
     C / (2 alpha) + alpha ln(n) / T,    C = 2 max(E)^2 + E[max_k omega_k^2]/2.
 
-All runs of a sweep share alpha, T and n, and are independent, so
-:func:`run_md_batch` steps them together: the iterates are the rows of an
-(R, n) array, and each round makes one row-wise gradient
+All runs of a sweep share one config (alpha and T) and n, and are
+independent, so :func:`run_md_batch` steps them together: the iterates are
+the rows of an (R, n) array, and each round makes one row-wise gradient
 (:func:`congames.worstcase.sampled_subgradients`) and one row-wise
 :func:`mw_update` for all R runs.  Neither gathers or scatters by index:
 the gradient picks w - omega/2 at each row's argmax with ``np.where``, and
@@ -33,9 +33,10 @@ at a time.  :func:`run_md` is a batch of one.  The update stays on
 ``np.exp``: ``math.exp`` differs from it in the last bit on some inputs,
 which would change every later iterate.
 Each run's omega draws are still sampled in one call of size T from its own
-seed; the batch holds them in one T x R' x n array for a chunk of R' runs
-whose draws fit :data:`BATCH_DRAW_BYTES`, so a sweep's memory stays bounded
-however many points and repetitions it has.
+seed, an argument of the run apart from the config; the batch holds them in
+one T x R' x n array for a chunk of R' runs whose draws fit
+:data:`BATCH_DRAW_BYTES`, so a sweep's memory stays bounded however many
+points and repetitions it has.
 
 The loop runs the unchecked :func:`mw_update` and checks positivity once,
 after the last round: a zero or NaN entry is absorbing under the update
@@ -83,9 +84,10 @@ BATCH_DRAW_BYTES = 32 * 2**20
 
 @dataclass(frozen=True)
 class MdConfig:
+    """Step weight alpha and round count T; :func:`run_md` takes the seed."""
+
     alpha: float
     T: int
-    seed: int = 0
 
     def __post_init__(self):
         check_setting("alpha", self.alpha)
@@ -142,45 +144,48 @@ def pairwise_sum(xs) -> float:
     return total
 
 
-def run_md(game: GameInstance, config: MdConfig) -> np.ndarray:
-    """Average mirror-descent iterate after T rounds (uniform start included)."""
-    return run_md_batch([game], [config])[0]
+def run_md(game: GameInstance, config: MdConfig, seed: int = 0) -> np.ndarray:
+    """Average mirror-descent iterate after T rounds (uniform start
+    included), with the omega draws of ``seed``."""
+    return run_md_batch([game], config, [seed])[0]
 
 
-def run_md_batch(games, configs) -> np.ndarray:
-    """:func:`run_md` for each (game, config) pair, stepped as one batch.
+def run_md_batch(games, config: MdConfig, seeds) -> np.ndarray:
+    """:func:`run_md` for each (game, seed) pair under one config, stepped
+    as one batch.
 
     Returns the (R, n) average iterates, row r bit-identical to
-    ``run_md(games[r], configs[r])``.  Every run needs a == 0, and all runs
-    must share alpha, T and n.  Runs are stepped in chunks whose draws fit
+    ``run_md(games[r], config, seeds[r])``.  Every run needs a == 0, and all
+    games must share n.  Runs are stepped in chunks whose draws fit
     :data:`BATCH_DRAW_BYTES`.  Raises ValueError, before drawing anything,
     when one run's T x n draws alone exceed
     :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
-    games, configs = list(games), list(configs)
-    if not games or len(games) != len(configs):
-        raise ValueError("need one config per game and at least one run")
+    games, seeds = list(games), list(seeds)
+    if not games or len(games) != len(seeds):
+        raise ValueError("need one seed per game and at least one run")
     if any(game.partition.a != 0 for game in games):
         raise ValueError("mirror descent applies only when player A has no private block")
-    alpha, T, n = configs[0].alpha, configs[0].T, games[0].n
-    if any((c.alpha, c.T, g.n) != (alpha, T, n) for g, c in zip(games, configs)):
-        raise ValueError("batched runs must share alpha, T and n")
-    check_upfront_budget("md", T, n)
-    per_chunk = max(1, BATCH_DRAW_BYTES // (T * n * 8))
+    n = games[0].n
+    if any(game.n != n for game in games):
+        raise ValueError("batched runs must share n")
+    check_upfront_budget("md", config.T, n)
+    per_chunk = max(1, BATCH_DRAW_BYTES // (config.T * n * 8))
     return np.concatenate(
         [
-            _run_chunk(games[s : s + per_chunk], configs[s : s + per_chunk], alpha, T)
+            _run_chunk(games[s : s + per_chunk], config, seeds[s : s + per_chunk])
             for s in range(0, len(games), per_chunk)
         ]
     )
 
 
-def _run_chunk(games, configs, alpha: float, T: int) -> np.ndarray:
+def _run_chunk(games, config: MdConfig, seeds) -> np.ndarray:
     """The mirror-descent loop over the (R, n) iterates of one chunk."""
     R, n = len(games), games[0].n
+    alpha, T = config.alpha, config.T
     draws = np.empty((T, R, n))
-    for r, (game, config) in enumerate(zip(games, configs)):
-        draws[:, r] = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=T)
+    for r, (game, seed) in enumerate(zip(games, seeds)):
+        draws[:, r] = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=T)
     weights = np.array([game.weights for game in games])
 
     p = np.full((R, n), 1.0 / n)
@@ -219,11 +224,9 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))
 
 
-def md_error_bound(game: GameInstance, alpha: float, T: int) -> float:
-    """Guaranteed expected gap C/(2 alpha) + alpha ln(n) / T, for a
-    positive, finite alpha and an integer T >= 1."""
-    check_setting("alpha", alpha)
-    check_count("T", T)
+def md_error_bound(game: GameInstance, config: MdConfig) -> float:
+    """Guaranteed expected gap C/(2 alpha) + alpha ln(n) / T of a run under
+    ``config``."""
     sup_sq, _ = omega_sup_sq_mean(game)
     c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * sup_sq
-    return c / (2.0 * alpha) + alpha * math.log(game.n) / T
+    return c / (2.0 * config.alpha) + config.alpha * math.log(game.n) / config.T

@@ -58,7 +58,7 @@ class StrategyStats:
         p = np.asarray(self.p, dtype=float).reshape(-1)
         q = np.asarray(self.q, dtype=float).reshape(-1)
         _check_simplex(p, "p", STATS_SIMPLEX_TOL, -STATS_SIMPLEX_TOL)
-        if np.any(q < 0):
+        if not np.all(q >= 0):  # NaN fails the comparison too
             raise ValueError("q entries must be non-negative")
         p = p.copy()
         p.setflags(write=False)

@@ -110,7 +110,7 @@ def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
     return QuantileThreshold(tau, tail)
 
 
-def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = DEFAULT_SAMPLES):
+def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int = DEFAULT_SAMPLES):
     """Maximize A's worst-case utility over threshold strategies (a == 1).
 
     Runs mirror descent on p with the frontier value q(p0) substituted for
@@ -121,8 +121,9 @@ def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = DEFAULT
     :func:`~congames.md.mw_step`, followed by the KL projection onto
     p0 >= DEFAULT_DELTA.
 
+    ``seed`` drives both the omega draws of the rounds and the evaluation.
     Returns ``(p, value, stderr)``: the average iterate p, the worst-case
-    utility g(q(p0), p[1:]) of p evaluated with ``n_eval_samples`` draws when
+    utility g(q(p0), p[1:]) of p evaluated with ``n_samples`` draws when
     randomness remains, and the standard error of that value (0 when exact).
     Raises ValueError, before drawing anything, when DEFAULT_DELTA >= 1/n
     (n >= 1000) or when the T x n omega draws exceed
@@ -137,7 +138,7 @@ def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = DEFAULT
     check_upfront_budget("a1", config.T, n)
     # gross gain per unit of x: 1 for the rate q(p0), E_k for the other picks
     weights = game.weights.tolist()
-    omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
+    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
 
     p = [1.0 / n] * n
     total = [0.0] * n
@@ -159,5 +160,5 @@ def solve_a1(game: GameInstance, config: MdConfig, n_eval_samples: int = DEFAULT
 
     x = p_avg.copy()
     x[0] = frontier.q(p_avg[0])
-    value, stderr = worst_case_objective(x, game, n_samples=n_eval_samples, rng=config.seed)
+    value, stderr = worst_case_objective(x, game, n_samples=n_samples, rng=seed)
     return p_avg, value, stderr

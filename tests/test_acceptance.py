@@ -63,8 +63,8 @@ def test_criterion_02_point_checks_exact():
 def test_criterion_03_dpp_convergence_at_reference_parameters():
     start = time.perf_counter()
     g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
-    cfg = DppConfig(V=200.0, alpha=4.0e4, T=100_000, seed=0)
-    mixture, diag = run_dpp(g, cfg)
+    cfg = DppConfig(V=200.0, alpha=4.0e4, T=100_000)
+    mixture, diag = run_dpp(g, cfg, seed=0)
     stats = estimate_stats(mixture, g, "A", n_samples=1)  # exact: a = b = 0
     value, _ = worst_case_objective(stats.p, g)  # exact: b = 0
     optimum = 5.0 / 6.0
@@ -84,9 +84,9 @@ def test_criterion_04_queue_bound_twenty_seeded_runs():
         means = [1.0 + 0.2 * (seed % 5), 1.0, 0.5 + 0.1 * (seed % 3)]
         dists = tuple(Exponential(1.0 / m) for m in means)
         g = GameInstance(Partition(*partition), dists, z=np.ones(partition[3]))
-        cfg = DppConfig(V=V, alpha=alpha, T=5_000, seed=seed)
+        cfg = DppConfig(V=V, alpha=alpha, T=5_000)
         assert cfg.guarantee_holds
-        _, diag = run_dpp(g, cfg)
+        _, diag = run_dpp(g, cfg, seed)
         assert diag.violations == 0
     assert time.perf_counter() - start < 120.0
 
@@ -94,9 +94,10 @@ def test_criterion_04_queue_bound_twenty_seeded_runs():
 def test_criterion_05_mirror_descent_bound():
     start = time.perf_counter()
     g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
-    p = run_md(g, MdConfig(alpha=50.0, T=10_000, seed=0))
+    cfg = MdConfig(alpha=50.0, T=10_000)
+    p = run_md(g, cfg, seed=0)
     value, _ = worst_case_objective(p, g)  # exact: b = 0, so stderr = 0
-    bound = md_error_bound(g, 50.0, 10_000)
+    bound = md_error_bound(g, cfg)
     assert bound == pytest.approx(2.5 / 100.0 + 50.0 * math.log(3.0) / 10_000.0)
     assert value >= 5.0 / 6.0 - bound
     assert time.perf_counter() - start < 5.0

@@ -1,17 +1,27 @@
 """Each demo script, and each Python block of the README, runs to completion
-against the library in ``src``."""
+against the library in ``src``; each CLI line of the README parses."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from congames.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+README_CLI_LINES = [
+    line
+    for block in re.findall(r"^```sh\n(.*?)^```", README, re.M | re.S)
+    for line in block.splitlines()
+    if line.startswith("congames ")
+]
 
 
 def run_python(*args):
@@ -25,6 +35,7 @@ def run_python(*args):
 def test_demos_are_found():
     assert DEMOS
     assert README_BLOCKS
+    assert len(README_CLI_LINES) >= 6
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -37,3 +48,10 @@ def test_demo_runs(demo):
 def test_readme_block_runs(block):
     proc = run_python("-c", block)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("line", README_CLI_LINES)
+def test_readme_cli_line_parses(line):
+    # parsed only: a flag the command does not take exits 2 here
+    args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    assert args.command in ("nash", "worst", "evaluate")

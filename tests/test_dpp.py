@@ -111,12 +111,12 @@ def test_subgradient_matches_numpy_formula(vs):
     )
 
 
-def numpy_run(game, config):
+def numpy_run(game, config, seed):
     """run() as a loop of the array formulas.  Returns its queue history,
     final queues and gamma, average realized x and violations, and which of
     the lower clamp, upper clamp and queue floor some round hit."""
     n, a, T = game.n, game.partition.a, config.T
-    world_gen, omega_gen = stream_generators(config.seed, (WORLD_STREAM, OMEGA_STREAM))
+    world_gen, omega_gen = stream_generators(seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T)[:, :a]
     omegas = sample_omega(game, omega_gen, size=T)
     u, w = box_upper(game), game.weights
@@ -173,9 +173,8 @@ def dpp_runs(draw):
         V=draw(st.floats(0.1, 100.0)),
         alpha=draw(st.floats(0.01, 1e4)),
         T=draw(st.integers(1, 200)),
-        seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return _game((a, b, c, d), means, z), config
+    return _game((a, b, c, d), means, z), config, draw(st.integers(0, 2**32 - 1))
 
 
 @given(dpp_runs())
@@ -195,13 +194,13 @@ def test_queue_step_matches_numpy_formula(game_config):
 def test_reference_cases_reach_every_clamp():
     # the comparison covers both clamps of gamma and the queue floor
     cases = [
-        ((1, 1, 1, 0), [1.5, 1.0, 1.0], (), DppConfig(V=10.0, alpha=1.0, T=200, seed=4)),
-        ((0, 1, 2, 0), [1.3, 1.0, 0.5], (), DppConfig(V=3.0, alpha=4.0, T=200, seed=5)),
-        ((2, 0, 1, 1), [0.8, 1.7, 1.0, 1.2], (1.2,), DppConfig(V=5.0, alpha=25.0, T=200, seed=6)),
+        ((1, 1, 1, 0), [1.5, 1.0, 1.0], (), DppConfig(V=10.0, alpha=1.0, T=200), 4),
+        ((0, 1, 2, 0), [1.3, 1.0, 0.5], (), DppConfig(V=3.0, alpha=4.0, T=200), 5),
+        ((2, 0, 1, 1), [0.8, 1.7, 1.0, 1.2], (1.2,), DppConfig(V=5.0, alpha=25.0, T=200), 6),
     ]
-    for partition, means, z, config in cases:
+    for partition, means, z, config, seed in cases:
         game = _game(partition, means, z)
-        run, reference = run_dpp(game, config), numpy_run(game, config)
+        run, reference = run_dpp(game, config, seed), numpy_run(game, config, seed)
         assert_gamma_matches_numpy(run, reference)
         assert_queues_match_numpy(run, reference)
         hits = reference[5]
@@ -211,8 +210,8 @@ def test_reference_cases_reach_every_clamp():
 @given(dpp_runs())
 @settings(max_examples=30, deadline=None)
 def test_run_gamma_stays_in_box(game_config):
-    game, config = game_config
-    gamma = run_dpp(game, config)[1].final_gamma
+    game, config, seed = game_config
+    gamma = run_dpp(game, config, seed)[1].final_gamma
     assert np.all((gamma >= 0) & (gamma <= box_upper(game)))
 
 
@@ -220,8 +219,8 @@ def test_run_gamma_stays_in_box(game_config):
 @settings(max_examples=30, deadline=None)
 def test_run_queue_increase_bounded(game_config):
     # one round never adds more than the box's upper corner u_j to a queue
-    game, config = game_config
-    mixture, diag = run_dpp(game, config)
+    game, config, seed = game_config
+    mixture, diag = run_dpp(game, config, seed)
     queues = np.vstack([mixture.values, diag.final_queues])
     assert np.all(queues >= 0)
     assert np.all(queues[1:] <= queues[:-1] + box_upper(game))
@@ -249,7 +248,7 @@ def test_queue_step_hand_values():
 
 def test_run_single_round_mixture():
     g = exp_game([1.0, 1.0], (0, 0, 2, 0))
-    mixture, diag = run_dpp(g, DppConfig(V=1.0, alpha=1.0, T=1, seed=0))
+    mixture, diag = run_dpp(g, DppConfig(V=1.0, alpha=1.0, T=1), seed=0)
     np.testing.assert_array_equal(mixture.values, np.zeros((1, 2)))
     # zero scores tie: the mixture always picks resource 0
     assert diag.avg_realized[0] == 1.0
@@ -258,8 +257,8 @@ def test_run_single_round_mixture():
 
 def test_run_deterministic_given_seed():
     g = exp_game([1.5, 1.0, 1.0], (1, 1, 1, 0))
-    m1, d1 = run_dpp(g, DppConfig(V=5.0, alpha=25.0, T=500, seed=21))
-    m2, d2 = run_dpp(g, DppConfig(V=5.0, alpha=25.0, T=500, seed=21))
+    m1, d1 = run_dpp(g, DppConfig(V=5.0, alpha=25.0, T=500), seed=21)
+    m2, d2 = run_dpp(g, DppConfig(V=5.0, alpha=25.0, T=500), seed=21)
     np.testing.assert_array_equal(m1.values, m2.values)
     np.testing.assert_array_equal(d1.final_queues, d2.final_queues)
     np.testing.assert_array_equal(d1.final_gamma, d2.final_gamma)
@@ -344,7 +343,7 @@ def test_queue_bound_invariant_across_partitions():
         dists = tuple(Exponential(1.0 / m) for m in means)
         z = np.ones(partition[3])
         g = GameInstance(Partition(*partition), dists, z=z)
-        _, diag = run_dpp(g, DppConfig(V=V, alpha=alpha, T=4000, seed=13))
+        _, diag = run_dpp(g, DppConfig(V=V, alpha=alpha, T=4000), seed=13)
         assert diag.violations == 0
 
 
@@ -358,7 +357,7 @@ def test_gap_shrinks_with_more_rounds():
     f_opt = float(np.max(base - 0.5 * penalty))
 
     def value_at(T, seed):
-        mixture, _ = run_dpp(g, DppConfig(V=60.0, alpha=3600.0, T=T, seed=seed))
+        mixture, _ = run_dpp(g, DppConfig(V=60.0, alpha=3600.0, T=T), seed=seed)
         from congames import estimate_stats
 
         stats = estimate_stats(mixture, g, "A", n_samples=1)
@@ -372,8 +371,8 @@ def test_gap_shrinks_with_more_rounds():
 def test_guarantee_on_known_instance():
     # exact optimum 1 at means (2, 1, 1); mixture value must be within the bound
     g = exp_game([2.0, 1.0, 1.0], (0, 0, 3, 0))
-    cfg = DppConfig(V=100.0, alpha=1.0e4, T=40_000, seed=0)
-    mixture, diag = run_dpp(g, cfg)
+    cfg = DppConfig(V=100.0, alpha=1.0e4, T=40_000)
+    mixture, diag = run_dpp(g, cfg, seed=0)
     from congames import estimate_stats
 
     stats = estimate_stats(mixture, g, "A", n_samples=1)
@@ -457,15 +456,15 @@ GOLDEN_A1 = [
 
 def test_solver_outputs_keep_their_bits():
     for partition, means, z, V, alpha, seed, expected, violations in GOLDEN_DPP:
-        config = DppConfig(V=V, alpha=alpha, T=2000, seed=seed)
-        mixture, diag = run_dpp(_game(partition, means, z), config)
+        config = DppConfig(V=V, alpha=alpha, T=2000)
+        mixture, diag = run_dpp(_game(partition, means, z), config, seed)
         digest = _sha256(mixture.values, diag.final_queues, diag.final_gamma, diag.avg_realized)
         assert (digest, diag.violations) == (expected, violations), partition
     for partition, means, z, seed, expected in GOLDEN_MD:
-        p = run_md(_game(partition, means, z), MdConfig(alpha=50.0, T=2000, seed=seed))
+        p = run_md(_game(partition, means, z), MdConfig(alpha=50.0, T=2000), seed)
         assert _sha256(p) == expected, partition
     for partition, means, z, seed, expected in GOLDEN_A1:
         p, value, stderr = solve_a1(
-            _game(partition, means, z), MdConfig(alpha=50.0, T=2000, seed=seed), n_eval_samples=5000
+            _game(partition, means, z), MdConfig(alpha=50.0, T=2000), seed, n_samples=5000
         )
         assert _sha256(p, [value, stderr]) == expected, partition

@@ -94,20 +94,20 @@ def test_step_preserves_simplex(rng):
 
 def test_error_bound_example():
     g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
-    bound = md_error_bound(g, 50.0, 10_000)
+    bound = md_error_bound(g, MdConfig(alpha=50.0, T=10_000))
     assert bound == pytest.approx(2.5 / 100.0 + 50.0 * math.log(3.0) / 10_000.0, rel=1e-12)
     # T -> infinity leaves only the step-size term
-    assert md_error_bound(g, 50.0, 10**9) == pytest.approx(2.5 / 100.0, abs=1e-6)
-    assert md_error_bound(g, 100.0, 10**9) == pytest.approx(2.5 / 200.0, abs=1e-6)
+    assert md_error_bound(g, MdConfig(alpha=50.0, T=10**9)) == pytest.approx(2.5 / 100.0, abs=1e-6)
+    assert md_error_bound(g, MdConfig(alpha=100.0, T=10**9)) == pytest.approx(2.5 / 200.0, abs=1e-6)
 
 
 def test_error_bound_rejects_bad_alpha_and_rounds():
-    g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
+    # md_error_bound reads alpha and T from an MdConfig, which refuses these
     for bad in (math.nan, math.inf, -math.inf, 0.0):
         with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {bad!r}$"):
-            md_error_bound(g, bad, 10)
+            MdConfig(alpha=bad, T=10)
     with pytest.raises(ValueError, match="^T must be >= 1$"):
-        md_error_bound(g, 50.0, 0)
+        MdConfig(alpha=50.0, T=0)
 
 
 def test_omega_sup_sq_exact_b1_matches_samples():
@@ -159,18 +159,18 @@ def test_run_requires_a_zero():
 
 def test_run_two_resources_near_optimum():
     g = exp_game([2.0, 1.0], (0, 0, 2, 0))
-    p = run_md(g, MdConfig(alpha=50.0, T=10_000, seed=1))
+    p = run_md(g, MdConfig(alpha=50.0, T=10_000), seed=1)
     value, _ = worst_case_objective(p, g)
     assert value >= 1.0 - 0.05
 
 
 def test_run_symmetric_meets_guarantee():
     g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
-    cfg = MdConfig(alpha=50.0, T=10_000, seed=0)
-    p = run_md(g, cfg)
+    cfg = MdConfig(alpha=50.0, T=10_000)
+    p = run_md(g, cfg, seed=0)
     assert abs(p.sum() - 1.0) <= 1e-9
     value, _ = worst_case_objective(p, g)  # exact, b = 0
-    assert value >= 5.0 / 6.0 - md_error_bound(g, cfg.alpha, cfg.T)
+    assert value >= 5.0 / 6.0 - md_error_bound(g, cfg)
 
 
 def test_run_with_random_omega_meets_guarantee():
@@ -179,8 +179,8 @@ def test_run_with_random_omega_meets_guarantee():
     from conftest import simplex_grid
 
     g = exp_game([1.2, 1.0, 0.8], (0, 1, 2, 0))
-    cfg = MdConfig(alpha=40.0, T=20_000, seed=4)
-    p = run_md(g, cfg)
+    cfg = MdConfig(alpha=40.0, T=20_000)
+    p = run_md(g, cfg, seed=4)
     omegas = sample_omega(g, 777, size=50_000)
 
     def value(x):
@@ -189,7 +189,7 @@ def test_run_with_random_omega_meets_guarantee():
     grid = simplex_grid(3, 50)
     f_opt = max(value(x) for x in grid)
     stderr = 0.5 * np.max(omegas, axis=1).std(ddof=1) / math.sqrt(omegas.shape[0])
-    assert value(p) >= f_opt - md_error_bound(g, cfg.alpha, cfg.T) - 3 * stderr
+    assert value(p) >= f_opt - md_error_bound(g, cfg) - 3 * stderr
 
 
 @pytest.mark.parametrize("scenario, solver", [(2, "worst-md"), (3, "worst-a1")])
@@ -209,11 +209,11 @@ def test_tiny_alpha_fails_with_md_error(scenario, solver):
 
 # -- the batched loop ------------------------------------------------------
 
-def lone_md(game, config):
+def lone_md(game, config, seed):
     """The one-run loop as it stood before batching: the list gradient and
     a 1-D update, the oracle the batch must match bit for bit."""
     n = game.n
-    omegas = sample_omega(game, as_generator(config.seed, OMEGA_STREAM), size=config.T)
+    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     p = np.full(n, 1.0 / n)
     total = np.zeros(n)
     for omega in omegas.tolist():
@@ -242,31 +242,30 @@ def md_batches(draw):
         games.append(GameInstance(Partition(0, b, n - b - d, d), dists, z=np.array(z)))
     alpha = draw(st.floats(1.0, 100.0))
     T = draw(st.integers(1, 60))
-    return games, [MdConfig(alpha=alpha, T=T, seed=seed) for seed in seeds]
+    return games, MdConfig(alpha=alpha, T=T), seeds
 
 
 @given(md_batches())
 @settings(max_examples=60, deadline=None)
 def test_batch_matches_each_run_alone(batch):
-    games, configs = batch
-    ps = run_md_batch(games, configs)
+    games, config, seeds = batch
+    ps = run_md_batch(games, config, seeds)
     assert ps.shape == (len(games), games[0].n)
-    for row, game, config in zip(ps, games, configs):
-        assert row.tobytes() == run_md(game, config).tobytes()
-        assert row.tobytes() == lone_md(game, config).tobytes()
+    for row, game, seed in zip(ps, games, seeds):
+        assert row.tobytes() == run_md(game, config, seed).tobytes()
+        assert row.tobytes() == lone_md(game, config, seed).tobytes()
 
 
 def _sweep_like_batch():
     games = [exp_game([e1, 1.0, 1.0], (0, 1, 2, 0)) for e1 in (0.4, 0.9, 1.5, 2.2, 1.0)]
-    configs = [MdConfig(alpha=50.0, T=300, seed=seed) for seed in (3, 1, 4, 15, 9)]
-    return games, configs
+    return games, MdConfig(alpha=50.0, T=300), [3, 1, 4, 15, 9]
 
 
 @pytest.mark.parametrize("runs_per_chunk, chunks", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1]), (0.5, [1, 1, 1, 1, 1])])
 def test_chunked_batch_matches_unchunked(monkeypatch, runs_per_chunk, chunks):
     # a chunk holds at least one run, even one whose draws exceed the chunk size
-    games, configs = _sweep_like_batch()
-    whole = run_md_batch(games, configs)
+    games, config, seeds = _sweep_like_batch()
+    whole = run_md_batch(games, config, seeds)
     monkeypatch.setattr(congames.md, "BATCH_DRAW_BYTES", int(runs_per_chunk * 300 * 3 * 8))
     sizes = []
     run_chunk = congames.md._run_chunk
@@ -276,26 +275,21 @@ def test_chunked_batch_matches_unchunked(monkeypatch, runs_per_chunk, chunks):
         return run_chunk(chunk_games, *args)
 
     monkeypatch.setattr(congames.md, "_run_chunk", counted)
-    assert run_md_batch(games, configs).tobytes() == whole.tobytes()
+    assert run_md_batch(games, config, seeds).tobytes() == whole.tobytes()
     assert sizes == chunks
 
 
 def test_batch_rejects_mixed_runs():
-    games, configs = _sweep_like_batch()
-    mixed = [
-        (games, configs[:-1] + [MdConfig(alpha=40.0, T=300, seed=9)]),
-        (games, configs[:-1] + [MdConfig(alpha=50.0, T=301, seed=9)]),
-        (games[:-1] + [exp_game([1.0, 1.0], (0, 1, 1, 0))], configs),
-    ]
-    for bad_games, bad_configs in mixed:
-        with pytest.raises(ValueError, match="must share alpha, T and n"):
-            run_md_batch(bad_games, bad_configs)
+    # one config serves the whole batch, so only n can differ between runs
+    games, config, seeds = _sweep_like_batch()
+    with pytest.raises(ValueError, match="must share n"):
+        run_md_batch(games[:-1] + [exp_game([1.0, 1.0], (0, 1, 1, 0))], config, seeds)
     with pytest.raises(ValueError, match="no private block"):
-        run_md_batch(games[:-1] + [exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))], configs)
-    with pytest.raises(ValueError, match="one config per game"):
-        run_md_batch(games, configs[:-1])
+        run_md_batch(games[:-1] + [exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))], config, seeds)
+    with pytest.raises(ValueError, match="one seed per game"):
+        run_md_batch(games, config, seeds[:-1])
     with pytest.raises(ValueError, match="at least one run"):
-        run_md_batch([], [])
+        run_md_batch([], config, [])
 
 
 @given(

@@ -7,15 +7,21 @@ import pytest
 import congames
 from congames import (
     Discrete,
+    DppConfig,
+    MdConfig,
     PointMass,
     ScenarioSpec,
     SweepTable,
     TailFrontier,
     iterate_best_response,
+    md_error_bound,
+    run_dpp,
+    run_md,
     solve_a1,
     worst_case_utility,
 )
 from congames.experiments import evaluate_report
+from congames.md import run_md_batch
 
 SUBMODULES = sorted(
     path.stem for path in Path(congames.__file__).parent.glob("*.py") if path.stem != "__init__"
@@ -59,7 +65,6 @@ def test_removed_methods_and_parameters_are_gone():
     for cls in (PointMass, Discrete):
         assert not hasattr(cls, "quantile") and not hasattr(cls, "tail_mean")
     assert not hasattr(SweepTable, "write")
-    assert list(inspect.signature(solve_a1).parameters) == ["game", "config", "n_eval_samples"]
     # the sample count and seed are plain parameters, not a config object
     assert list(inspect.signature(iterate_best_response).parameters) == [
         "game", "epsilon", "n_samples", "seed",
@@ -75,3 +80,17 @@ def test_removed_methods_and_parameters_are_gone():
     assert fields == [
         "scenario", "solver", "e1_values", "epsilon", "V", "alpha", "T", "n_samples", "seed", "repetitions",
     ]
+
+
+def test_solver_configs_hold_settings_only():
+    # a config holds a solver's settings; the seed and the sample count are
+    # arguments of the run, and one config serves a whole batch
+    assert list(inspect.signature(DppConfig).parameters) == ["V", "alpha", "T"]
+    assert list(inspect.signature(MdConfig).parameters) == ["alpha", "T"]
+    assert list(inspect.signature(run_dpp).parameters) == ["game", "config", "seed"]
+    assert list(inspect.signature(run_md).parameters) == ["game", "config", "seed"]
+    assert list(inspect.signature(run_md_batch).parameters) == ["games", "config", "seeds"]
+    assert list(inspect.signature(solve_a1).parameters) == ["game", "config", "seed", "n_samples"]
+    assert list(inspect.signature(md_error_bound).parameters) == ["game", "config"]
+    for config in (DppConfig(V=1.0, alpha=1.0, T=1), MdConfig(alpha=1.0, T=1)):
+        assert not hasattr(config, "seed")

@@ -117,7 +117,7 @@ def test_frontier_dominates_random_strategies(rng):
 
 def test_solve_a1_symmetric_beats_uninformed():
     g = exp_game([1.0, 1.0, 1.0], (1, 0, 2, 0))
-    p, value, stderr = solve_a1(g, MdConfig(alpha=50.0, T=10_000, seed=2))
+    p, value, stderr = solve_a1(g, MdConfig(alpha=50.0, T=10_000), seed=2)
     assert abs(p.sum() - 1.0) <= 1e-9
     assert value >= 5.0 / 6.0 - 0.03  # observing resource 0 cannot hurt
     assert stderr == 0.0  # b == 0: the worst-case value is exact
@@ -128,7 +128,7 @@ def test_solve_a1_large_first_mean():
         Partition(1, 0, 2, 0),
         (Exponential(0.01), Exponential(1.0), Exponential(1.0)),
     )
-    p, value, _ = solve_a1(g, MdConfig(alpha=13_000.0, T=20_000, seed=2))
+    p, value, _ = solve_a1(g, MdConfig(alpha=13_000.0, T=20_000), seed=2)
     assert p[0] > 0.8  # nearly always take the observed high-mean resource
     oracle = explicit_solution([100.0, 1.0, 1.0]).value
     # subgradient steps leave a small optimization gap; allow 1 percent
@@ -140,7 +140,7 @@ def test_solve_a1_degenerate_matches_uninformed():
         Partition(1, 0, 2, 0),
         (Uniform(2.0 - 1e-6, 2.0 + 1e-6), Exponential(1.0), Exponential(1.0)),
     )
-    p, value, _ = solve_a1(g, MdConfig(alpha=80.0, T=20_000, seed=2))
+    p, value, _ = solve_a1(g, MdConfig(alpha=80.0, T=20_000), seed=2)
     oracle = explicit_solution([2.0, 1.0, 1.0]).value
     assert value == pytest.approx(oracle, abs=0.02)
 
@@ -167,7 +167,7 @@ def test_solve_a1_stderr_matches_its_evaluation():
     # b == 1: the returned value and stderr are one Monte Carlo evaluation of
     # the frontier point of the returned p, with the run's seed
     g = exp_game([1.5, 1.0, 1.0], (1, 1, 1, 0))
-    p, value, stderr = solve_a1(g, MdConfig(alpha=50.0, T=500, seed=4), n_eval_samples=3000)
+    p, value, stderr = solve_a1(g, MdConfig(alpha=50.0, T=500), seed=4, n_samples=3000)
     x = p.copy()
     x[0] = TailFrontier(g.distributions[0]).q(p[0])
     assert (value, stderr) == worst_case_objective(x, g, n_samples=3000, rng=4)

@@ -80,12 +80,13 @@ def test_every_simplex_check_refuses_nan():
     # objective and the threshold construction; a NaN fails it everywhere
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     nan_p = [np.nan, 0.5, 0.5]
-    for build in (
-        lambda: StrategyStats("A", nan_p, [0.1]),
-        lambda: no_info_objective(nan_p, [1.0, 1.0, 1.0]),
-        lambda: build_strategy_a1(nan_p, g),
+    for build, message in (
+        (lambda: StrategyStats("A", nan_p, [0.1]), "^p must be a probability vector"),
+        (lambda: no_info_objective(nan_p, [1.0, 1.0, 1.0]), "^p must be a probability vector"),
+        (lambda: build_strategy_a1(nan_p, g), "^p must be a probability vector"),
+        (lambda: StrategyStats("A", [1.0, 0.0], [np.nan]), "^q entries must be non-negative"),
     ):
-        with pytest.raises(ValueError, match="^p must be a probability vector"):
+        with pytest.raises(ValueError, match=message):
             build()
     # each site keeps its tolerance: 1e-6 either way for the statistics and
     # the objective, exact non-negativity and 1e-9 for the construction

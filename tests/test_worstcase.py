@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from congames import (
+    Exponential,
     Simplex,
     StrategyStats,
     estimate_stats,
@@ -206,6 +209,23 @@ def test_sampled_max_terms_keep_their_bytes(case):
         sq = reference_maxima(np.ones(game.n), game, n_samples, seed) ** 2
         value = np.array(omega_sup_sq_mean(game, n_samples, seed))
         assert value.tobytes() == mean_and_stderr(sq).tobytes()
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_sampled_max_term_holds_three_vectors(law):
+    # the up-front budget of a sampled max term counts three n_samples
+    # vectors: the running maximum, a drawn column and its product with x
+    n_samples = 200_000
+    game = GameInstance(Partition(0, 1, 2, 0), (LAWS[law](1.0), Exponential(1.0), Exponential(1.0)))
+    x = np.array([0.5, 0.3, 0.2])
+    omega_maxima(x, game, n_samples, 0)  # leave numpy's one-time allocations out
+    tracemalloc.start()
+    try:
+        omega_maxima(x, game, n_samples, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n_samples * 8 + 64 * 1024
 
 
 @pytest.mark.parametrize("partition", [(0, 0, 3, 0), (0, 1, 2, 0), (1, 1, 1, 0)])
