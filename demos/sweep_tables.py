@@ -11,7 +11,7 @@ available from the command line, e.g.::
     congames worst dpp --scenario 2 --reps 10 --T 20000 --out sweep.csv
 """
 
-from congames import ScenarioSpec, run_scenario
+from congames import DppConfig, ScenarioSpec, run_scenario
 
 # equilibrium sweep on the no-information scenario
 nash = run_scenario(ScenarioSpec(1, "nash", [0.3, 0.9, 1.5, 2.1]))
@@ -25,8 +25,8 @@ print(explicit.to_csv())
 # with a min/max band over 5 repetitions
 dpp = run_scenario(
     ScenarioSpec(
-        2, "worst-dpp", [0.5, 1.0, 1.5],
-        V=200.0, alpha=4.0e4, T=20_000, n_samples=20_000, repetitions=5,
+        2, "worst-dpp", [0.5, 1.0, 1.5], DppConfig(V=200.0, alpha=4.0e4, T=20_000),
+        n_samples=20_000, repetitions=5,
     )
 )
 print(dpp.to_csv())

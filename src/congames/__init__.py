@@ -24,7 +24,7 @@ from .game import GameInstance, Partition, sample_omega, sample_world
 from .gamefile import GameFileError, load_game, load_strategy, parse_game, parse_strategy
 from .md import MdConfig, md_error_bound, run_md
 from .montecarlo import StrategyStats, estimate_stats, expected_utility, simulate_payoff
-from .nash import EquilibriumReport, best_response, iterate_best_response, potential
+from .nash import EquilibriumReport, NashConfig, best_response, iterate_best_response, potential
 from .quantile import TailFrontier, build_strategy_a1, solve_a1
 from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, act
 from .worstcase import (
@@ -57,6 +57,7 @@ __all__ = [
     "expected_utility",
     "simulate_payoff",
     "EquilibriumReport",
+    "NashConfig",
     "best_response",
     "potential",
     "iterate_best_response",

@@ -7,12 +7,14 @@ Subcommands::
     congames evaluate --game g.txt --strategy s.txt --mode vs-worst-case
 
 Every sweep command takes the grid, ``--scenario``, ``--reps``, ``--seed``,
-``--samples`` and ``--out``, plus only the settings its solver reads, with
-the defaults of :data:`congames.experiments.SOLVER_SETTINGS`: ``--epsilon``
-for nash, ``--V``, ``--alpha`` and ``--T`` for dpp, ``--alpha`` and ``--T``
-for md and a1, none for explicit.  ``worst`` takes its method first, so its
-flags follow the method.  ``evaluate`` reads ``--opponent`` in vs-strategy
-mode only, and ``--player`` in the other modes only.  Sweeps print a CSV
+``--samples`` and ``--out``, plus one flag per field of its solver's config
+type in :data:`congames.experiments.SOLVER_CONFIGS`, with that field's
+default: ``--epsilon`` for nash (``NashConfig``), ``--V``, ``--alpha`` and
+``--T`` for dpp (``DppConfig``), ``--alpha`` and ``--T`` for md and a1
+(``MdConfig``), none for explicit.  The flags build the config, which checks
+them.  ``worst`` takes its method first, so its flags follow the method.
+``evaluate`` reads ``--opponent`` in vs-strategy mode only, and
+``--player`` in the other modes only.  Sweeps print a CSV
 table (or write it with ``--out``); reruns with the same flags and seed are
 byte-identical.  Exit status is 0 on success and 2 on any usage, file, or
 configuration error, including a flag the command's solver or
@@ -24,8 +26,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
-from .experiments import SOLVER_SETTINGS, ScenarioSpec, evaluate_report, run_scenario
+from .experiments import SOLVER_CONFIGS, ScenarioSpec, evaluate_report, run_scenario
 from .game import check_setting, check_upfront_budget
 from .gamefile import GameFileError, load_game, load_strategy
 from .montecarlo import DEFAULT_SAMPLES
@@ -60,9 +63,11 @@ def _sweep_parser(sub, command: str, solver: str, help_: str):
     _opt(parser, "reps", int, 1, "independent repetitions per sweep point")
     _opt(parser, "seed", int, 0, "master seed")
     _opt(parser, "samples", int, DEFAULT_SAMPLES, "Monte Carlo samples per estimate")
-    # each default's type is the flag's type: T is an int, the others floats
-    for name, default in SOLVER_SETTINGS[solver].items():
-        _opt(parser, name, type(default), default, SETTING_HELP[name])
+    # one flag per config field (the closed form has no config); each
+    # default's type is the flag's type: T is an int, the others floats
+    config_type = SOLVER_CONFIGS[solver]
+    for field in fields(config_type) if config_type else ():
+        _opt(parser, field.name, type(field.default), field.default, SETTING_HELP[field.name])
     parser.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     parser.set_defaults(solver=solver)
 
@@ -77,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     worst = sub.add_parser("worst", help="worst-case utility sweep")
     methods = worst.add_subparsers(dest="method", required=True)
-    for solver in SOLVER_SETTINGS:
+    for solver in SOLVER_CONFIGS:
         if solver.startswith("worst-"):
             method = solver.removeprefix("worst-")
             _sweep_parser(methods, method, solver, f"worst-case sweep with the {method} solver")
@@ -107,14 +112,16 @@ def _e1_grid(args) -> tuple[float, ...]:
 
 
 def _run_sweep(args) -> int:
+    config_type = SOLVER_CONFIGS[args.solver]
+    config = config_type(**{f.name: getattr(args, f.name) for f in fields(config_type)}) if config_type else None
     spec = ScenarioSpec(
         args.scenario,
         args.solver,
         _e1_grid(args),
+        config,
         n_samples=args.samples,
         seed=args.seed,
         repetitions=args.reps,
-        **{name: getattr(args, name) for name in SOLVER_SETTINGS[args.solver]},
     )
     csv = run_scenario(spec).to_csv()
     if args.out:

@@ -24,9 +24,10 @@ dispatch than in arithmetic.  Each comparison is written so that a -0.0
 comes out as +0.0, which gives the bits of numpy's clip and maximum.  Each
 stream's T draws are still sampled in one call and are read as lists a
 chunk of rows at a time (:func:`congames.game.draw_rows`); the queue
-history is kept in a compact float buffer.  The emitted strategy is the
-equiprobable :class:`~congames.strategies.Mixture` of the T queue-score rows
-(the all-zero first one included); the queue cap and its violation
+history is kept in a compact float buffer, which the mixture takes over
+read-only, without a copy.  The emitted strategy is the equiprobable
+:class:`~congames.strategies.Mixture` of the T queue-score rows (the
+all-zero first one included); the queue cap and its violation
 count, the average realized x, and the final queues and targets are
 returned on :class:`DppDiagnostics`.  With alpha >= V^2 every queue
 stays below (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j, which is what caps the
@@ -71,20 +72,22 @@ QUEUE_BOUND_TOL = 1e-9
 class DppConfig:
     """Penalty weight V, proximal weight alpha, and round count T.
 
-    A config holds settings only; :func:`run` takes the seed.
+    A config holds settings only; :func:`run` takes the seed.  The defaults
+    are the ``worst dpp`` sweep's; V and alpha must be positive and finite,
+    and T a positive integer.
 
     The suboptimality guarantee and the queue cap both require
     alpha >= V^2 (see :attr:`guarantee_holds`); the iteration itself is
     well-defined for any positive alpha.
     """
 
-    V: float
-    alpha: float
-    T: int
+    V: float = 200.0
+    alpha: float = 4.0e4
+    T: int = 100_000
 
     def __post_init__(self):
-        check_setting("V", self.V)
-        check_setting("alpha", self.alpha)
+        for name in ("V", "alpha", "T"):
+            check_setting(name, getattr(self, name))
         check_count("T", self.T)
 
     @property
@@ -138,9 +141,9 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     n = game.n
     a = game.partition.a
     V, alpha, T = config.V, config.alpha, config.T
-    # T x n omega draws, the T x n queue history, the mixture's copy of that
-    # history, and T x a world draws
-    check_upfront_budget("dpp", T, n, 3 + a / n)
+    # T x n omega draws, the T x n queue history (the mixture keeps it
+    # without a copy), and T x a world draws
+    check_upfront_budget("dpp", T, n, 2 + a / n)
 
     world_gen, omega_gen = stream_generators(seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T, columns=a)
@@ -174,6 +177,7 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
             queues[j] = y if y > 0.0 else 0.0
 
     q_history = np.frombuffer(history, dtype=float).reshape(T, n)
+    q_history.setflags(write=False)  # so the mixture keeps it uncopied
     final_queues = np.array(queues)
     # the queues after round t are the history row of round t + 1
     limit = bound + QUEUE_BOUND_TOL

@@ -10,9 +10,12 @@ resources 2 and 3 pinned at 1; they differ in who observes what:
 A :class:`ScenarioSpec` names one preset by its number.  Its sweep varies
 the exponential mean of resource 1 over a grid, runs the selected solver at
 each point (averaging over ``repetitions`` derived seeds), and emits one CSV
-row per point.  :data:`SOLVER_SETTINGS` declares, once, which of the
-settings ``epsilon``, ``V``, ``alpha`` and ``T`` each solver reads and
-their defaults; the spec and the CLI both read it.
+row per point.  :data:`SOLVER_CONFIGS` names each solver's config type
+(:class:`~congames.nash.NashConfig`, :class:`~congames.dpp.DppConfig`,
+:class:`~congames.md.MdConfig`, none for the closed form), which declares,
+once, the settings the solver reads, their defaults and their checks.  The
+spec holds one config, which the sweep hands to the solver as it is, and
+the CLI offers each command its config's fields as flags.
 
 :func:`run_scenario` derives every (point, repetition) seed once and runs
 one loop over the points for every solver; the solver picks only the
@@ -41,7 +44,7 @@ from .explicit import explicit_solution
 from .game import GameInstance, Partition, check_count, check_setting, check_upfront_budget
 from .md import MdConfig, run_md_batch
 from .montecarlo import DEFAULT_SAMPLES, estimate_stats, expected_utility, simulate_payoff
-from .nash import iterate_best_response
+from .nash import NashConfig, iterate_best_response
 from .quantile import solve_a1
 from .rng import check_seed
 from .strategies import Strategy
@@ -49,7 +52,7 @@ from .worstcase import worst_case_objective, worst_case_utility
 
 __all__ = [
     "SCENARIO_PARTITIONS",
-    "SOLVER_SETTINGS",
+    "SOLVER_CONFIGS",
     "ScenarioSpec",
     "SweepTable",
     "scenario_game",
@@ -59,14 +62,15 @@ __all__ = [
 
 SCENARIO_PARTITIONS = {1: (0, 0, 3, 0), 2: (0, 1, 2, 0), 3: (1, 1, 1, 0)}
 
-# the settings each solver reads, with their defaults; a spec refuses any
-# other setting, and the CLI offers each command only its solver's flags
-SOLVER_SETTINGS = {
-    "nash": {"epsilon": 1e-3},  # convergence threshold
-    "worst-explicit": {},
-    "worst-dpp": {"V": 200.0, "alpha": 4.0e4, "T": 100_000},  # penalty weight, step, rounds
-    "worst-md": {"alpha": 50.0, "T": 10_000},
-    "worst-a1": {"alpha": 50.0, "T": 10_000},
+# the config type of each solver's settings (the closed form reads none); a
+# spec refuses a config of another type, and the CLI offers each command
+# only its config's fields
+SOLVER_CONFIGS = {
+    "nash": NashConfig,
+    "worst-explicit": None,
+    "worst-dpp": DppConfig,
+    "worst-md": MdConfig,
+    "worst-a1": MdConfig,
 }
 
 
@@ -75,10 +79,9 @@ class ScenarioSpec:
     """One sweep: preset scenario, solver, grid of resource 1's mean.
 
     ``e1_values`` is stored as a tuple of floats and must hold positive,
-    finite means.  ``epsilon``, ``V``, ``alpha`` and ``T`` are the solver
-    settings of :data:`SOLVER_SETTINGS`: one the solver reads takes its
-    default there when left as None and must otherwise be positive and
-    finite (T an integer too), and one it does not read must stay None.
+    finite means.  ``config`` holds the solver's settings: an instance of
+    its type in :data:`SOLVER_CONFIGS`, which has checked them already, or
+    None for that type's defaults (worst-explicit takes none).
     ``repetitions`` must be an integer of at least 1, ``n_samples`` an
     integer of at least 1, and at least 2 for a worst-case sweep whose
     preset lets B observe a resource (its max term is sampled), and
@@ -91,10 +94,7 @@ class ScenarioSpec:
     scenario: int
     solver: str
     e1_values: tuple[float, ...]
-    epsilon: float | None = None
-    V: float | None = None
-    alpha: float | None = None
-    T: int | None = None
+    config: NashConfig | DppConfig | MdConfig | None = None
     n_samples: int = DEFAULT_SAMPLES
     seed: int = 0
     repetitions: int = 1
@@ -102,20 +102,13 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIO_PARTITIONS:
             raise ValueError(f"scenario must be one of {sorted(SCENARIO_PARTITIONS)}")
-        if self.solver not in SOLVER_SETTINGS:
-            raise ValueError(f"solver must be one of {tuple(SOLVER_SETTINGS)}, got {self.solver!r}")
-        settings = SOLVER_SETTINGS[self.solver]
-        for name in ("epsilon", "V", "alpha", "T"):
-            value = getattr(self, name)
-            if name not in settings:
-                if value is not None:
-                    raise ValueError(f"{self.solver} does not read {name}")
-            elif value is None:
-                object.__setattr__(self, name, settings[name])
-            else:
-                check_setting(name, value)
-                if name == "T":
-                    check_count(name, value)
+        if self.solver not in SOLVER_CONFIGS:
+            raise ValueError(f"solver must be one of {tuple(SOLVER_CONFIGS)}, got {self.solver!r}")
+        config_type = SOLVER_CONFIGS[self.solver]
+        if self.config is None and config_type:
+            object.__setattr__(self, "config", config_type())
+        if not isinstance(self.config, config_type or type(None)):
+            raise ValueError(f"{self.solver} does not read a {type(self.config).__name__}")
         e1_values = tuple(float(v) for v in self.e1_values)
         if not e1_values:
             raise ValueError("sweep grid must be non-empty")
@@ -184,7 +177,7 @@ def _nash_row(spec: ScenarioSpec, game: GameInstance, seeds):
     acc = []
     unconverged = 0
     for seed in seeds:
-        report = iterate_best_response(game, spec.epsilon, spec.n_samples, seed)
+        report = iterate_best_response(game, spec.config, spec.n_samples, seed)
         unconverged += not report.converged
         last = report.trace[-1]
         acc.append(
@@ -205,7 +198,7 @@ def _md_solutions(spec: ScenarioSpec, games, seeds) -> np.ndarray:
     batch; entry [point, rep] is that run's average iterate."""
     ps = run_md_batch(
         [game for game in games for _ in range(spec.repetitions)],
-        MdConfig(spec.alpha, spec.T),
+        spec.config,
         [seed for point_seeds in seeds for seed in point_seeds],
     )
     return ps.reshape(len(games), spec.repetitions, -1)
@@ -222,11 +215,6 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
     only evaluates: ``md_ps`` holds the point's average iterates, one row
     per repetition, from :func:`_md_solutions`.
     """
-    # DPP and A1 run here: one config serves every repetition, each on its seed
-    if spec.solver == "worst-dpp":
-        config = DppConfig(spec.V, spec.alpha, spec.T)
-    elif spec.solver == "worst-a1":
-        config = MdConfig(spec.alpha, spec.T)
     values, ps = [], []
     violations = 0
     for rep, seed in enumerate(seeds):
@@ -234,7 +222,7 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
             sol = explicit_solution(game.means)
             p, value, stderr = sol.p, sol.value, 0.0
         elif spec.solver == "worst-dpp":
-            mixture, diag = run_dpp(game, config, seed)
+            mixture, diag = run_dpp(game, spec.config, seed)
             violations += diag.violations
             ev = worst_case_utility(mixture, game, spec.n_samples, seed)
             p, value, stderr = ev.stats.p, ev.value, ev.stderr
@@ -242,7 +230,7 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
             p = md_ps[rep]
             value, stderr = worst_case_objective(p, game, n_samples=spec.n_samples, rng=seed)
         else:  # worst-a1
-            p, value, stderr = solve_a1(game, config, seed, spec.n_samples)
+            p, value, stderr = solve_a1(game, spec.config, seed, spec.n_samples)
         values.append(value)
         ps.append(p)
     values = np.array(values)
@@ -271,7 +259,7 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
             + tuple(f"pa{k}" for k in range(1, n + 1))
             + tuple(f"pb{k}" for k in range(1, n + 1))
         )
-        notes = [f"nash sweep: epsilon={spec.epsilon:g} reps={spec.repetitions} seed={spec.seed}"]
+        notes = [f"nash sweep: epsilon={spec.config.epsilon:g} reps={spec.repetitions} seed={spec.seed}"]
 
         def point_row(i):
             return _nash_row(spec, games[i], seeds[i])

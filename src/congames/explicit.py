@@ -28,8 +28,8 @@ def no_info_objective(p, means) -> float:
     """Exact objective sum(p*E) - max(p*E)/2 for a simplex vector p."""
     p = np.asarray(p, dtype=float)
     means = np.asarray(means, dtype=float)
-    if np.any(means < 0):
-        raise ValueError("means must be non-negative")
+    if not np.all((means >= 0) & np.isfinite(means)):  # NaN fails both
+        raise ValueError("means must be non-negative and finite")
     _check_simplex(p, "p", 1e-6, -1e-6)
     loads = p * means
     return float(loads.sum() - 0.5 * loads.max())
@@ -61,8 +61,8 @@ def explicit_solution(means) -> ExplicitSolution:
     means = np.asarray(means, dtype=float)
     if means.ndim != 1 or means.size == 0:
         raise ValueError("means must be a non-empty 1-D vector")
-    if np.any(means < 0):
-        raise ValueError("means must be non-negative")
+    if not np.all((means >= 0) & np.isfinite(means)):  # NaN fails both
+        raise ValueError("means must be non-negative and finite")
     if not np.any(means > 0):
         raise ValueError("at least one mean must be positive")
 

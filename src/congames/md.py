@@ -84,13 +84,18 @@ BATCH_DRAW_BYTES = 32 * 2**20
 
 @dataclass(frozen=True)
 class MdConfig:
-    """Step weight alpha and round count T; :func:`run_md` takes the seed."""
+    """Step weight alpha and round count T; :func:`run_md` takes the seed.
 
-    alpha: float
-    T: int
+    alpha must be positive and finite, and T a positive integer.  Mirror
+    descent and :func:`congames.quantile.solve_a1` both read it.
+    """
+
+    alpha: float = 50.0
+    T: int = 10_000
 
     def __post_init__(self):
-        check_setting("alpha", self.alpha)
+        for name in ("alpha", "T"):
+            check_setting(name, getattr(self, name))
         check_count("T", self.T)
 
 

@@ -8,7 +8,9 @@ The game is a potential game: the function
 changes by exactly the updating player's utility change, and is bounded by
 twice the total mean reward.  Alternating exact best responses therefore
 reach a state where no unilateral deviation gains more than ``epsilon``
-within at most ``2 * sum(E) / epsilon`` improving steps.
+within at most ``2 * sum(E) / epsilon`` improving steps.  ``epsilon`` is the
+one setting of :class:`NashConfig`; the sample count and the seed are
+arguments of the run.
 
 Best responses score resource k (for player A, symmetric for B) by
 
@@ -43,6 +45,7 @@ from .rng import WORLD_STREAM, stream_generators
 from .strategies import Mixture, Simplex, Strategy
 
 __all__ = [
+    "NashConfig",
     "TracePoint",
     "EquilibriumReport",
     "best_response",
@@ -50,6 +53,17 @@ __all__ = [
     "iteration_cap",
     "iterate_best_response",
 ]
+
+
+@dataclass(frozen=True)
+class NashConfig:
+    """Convergence threshold epsilon; :func:`iterate_best_response` takes
+    the sample count and the seed."""
+
+    epsilon: float = 1e-3
+
+    def __post_init__(self):
+        check_setting("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -110,28 +124,26 @@ def iteration_cap(game: GameInstance, epsilon: float) -> int:
 
 def iterate_best_response(
     game: GameInstance,
-    epsilon: float,
+    config: NashConfig = NashConfig(),
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> EquilibriumReport:
     """Alternate best responses until neither player can gain more than
-    ``epsilon``.
+    ``config.epsilon``.
 
     Players start from the uniform simplex.  Each turn the updating player
     adopts its best response outright (ties resolve to the lowest resource,
     so an indifferent player still settles deterministically); the estimated
     gain of the adoption is the stopping signal, and two adjacent turns with
-    gain <= epsilon end the run.  All statistics in one run share the seed
-    (common random numbers), so before/after utility estimates are
+    gain <= ``config.epsilon`` end the run.  All statistics in one run share
+    the seed (common random numbers), so before/after utility estimates are
     differenced on identical worlds and the gain estimate is nearly
     noise-free; when neither player has private resources the statistics are
     exact and the potential trace is exactly non-decreasing.  Those worlds
     are drawn once per run, by the first estimate that samples: ``n_samples``
-    of them, on ``seed``'s world stream.  ``epsilon`` must be positive and
-    finite.
+    of them, on ``seed``'s world stream.
     """
-    check_setting("epsilon", epsilon)
-    cap = iteration_cap(game, epsilon)
+    cap = iteration_cap(game, config.epsilon)
     (world_gen,) = stream_generators(seed, (WORLD_STREAM,))
 
     @functools.cache
@@ -162,7 +174,7 @@ def iterate_best_response(
         iterations += 1
         strat[player] = candidate
         stats[player] = cand_stats
-        quiet_turns = 0 if improvement > epsilon else quiet_turns + 1
+        quiet_turns = 0 if improvement > config.epsilon else quiet_turns + 1
         trace.append(
             TracePoint(
                 potential=potential(stats["A"], stats["B"], game),

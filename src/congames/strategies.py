@@ -82,7 +82,12 @@ class QuantileThreshold:
 @dataclass(frozen=True)
 class Mixture:
     """Equiprobable mixture of argmax strategies, one score row per component;
-    ``values[:, private]`` multiply the observed rewards."""
+    ``values[:, private]`` multiply the observed rewards.
+
+    A read-only float64 ``values`` array is kept as given (drift-plus-penalty
+    hands over its T-row queue history this way); anything writable is
+    copied, so later writes to the source leave the mixture alone.
+    """
 
     values: np.ndarray  # shape (m, n)
     private: np.ndarray  # global indices of the acting player's private block
@@ -93,14 +98,17 @@ class Mixture:
             raise ValueError("mixture needs at least one component row")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("score values must be finite and non-negative")
-        private = np.asarray(self.private, dtype=int).reshape(-1)
-        if private.size and (private.min() < 0 or private.max() >= values.shape[1]):
+        given = np.asarray(self.private, dtype=float).reshape(-1)
+        if not np.all(given == np.trunc(given)):  # a fraction or NaN
+            raise ValueError("private indices must be integers")
+        if given.size and (given.min() < 0 or given.max() >= values.shape[1]):
             raise ValueError("private indices out of range")
+        private = given.astype(int)
         if np.any(np.diff(private) <= 0):
             raise ValueError("private indices must be strictly increasing")
-        values = values.copy()
-        values.setflags(write=False)
-        private = private.copy()
+        if values.flags.writeable:
+            values = values.copy()
+            values.setflags(write=False)
         private.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "private", private)

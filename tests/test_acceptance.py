@@ -16,6 +16,7 @@ from congames import (
     Exponential,
     GameInstance,
     MdConfig,
+    NashConfig,
     Partition,
     Simplex,
     TailFrontier,
@@ -108,7 +109,7 @@ def test_criterion_06_nash_scenario_one():
     for e1 in (0.4, 0.8, 1.2, 1.6, 2.0, 2.4):
         start = time.perf_counter()
         g = exp_game([e1, 1.0, 1.0], (0, 0, 3, 0))
-        report = iterate_best_response(g, epsilon)
+        report = iterate_best_response(g, NashConfig(epsilon))
         assert report.converged
         hs = [t.potential for t in report.trace]
         assert all(b >= a for a, b in zip(hs, hs[1:]))  # exact stats: no slack

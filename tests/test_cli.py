@@ -1,13 +1,15 @@
 import hashlib
+import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import congames.game
-from congames import DppConfig, MdConfig, Mixture, Partition, estimate_stats
-from congames.cli import main
-from congames.experiments import ScenarioSpec, run_scenario
+from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, estimate_stats
+from congames.cli import SETTING_HELP, main
+from congames.experiments import SOLVER_CONFIGS, ScenarioSpec, run_scenario
 from conftest import exp_game
 
 GAME_FILE = """
@@ -319,25 +321,22 @@ def test_non_integer_counts_are_refused_before_any_solver_runs(monkeypatch):
     monkeypatch.setattr("congames.montecarlo.sample_world", not_called)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     score = Mixture([[1.0, 0.5, 0.5]], private=[0])
-    # the spec checks a setting's T for positive and finite first, as for
-    # every setting, and then for an integer
-    with pytest.raises(ValueError, match="^T must be positive and finite, got nan$"):
-        ScenarioSpec(3, "worst-dpp", [1.0], T=float("nan"))
-    with pytest.raises(ValueError, match="^T must be an integer, got 2.5$"):
-        ScenarioSpec(3, "worst-dpp", [1.0], T=2.5)
+    # a config checks T for positive and finite first, as for every
+    # setting, and then for an integer
+    for config_type in (DppConfig, MdConfig):
+        with pytest.raises(ValueError, match="^T must be positive and finite, got nan$"):
+            config_type(T=float("nan"))
+        with pytest.raises(ValueError, match="^T must be an integer, got 2.5$"):
+            config_type(T=2.5)
     for bad in (2.5, float("nan")):
         for spec_count in ("n_samples", "repetitions"):
             for scenario, solver in ((3, "nash"), (2, "worst-md"), (3, "worst-a1")):
                 with pytest.raises(ValueError, match=f"^{spec_count} must be an integer, got {bad!r}$"):
                     ScenarioSpec(scenario, solver, [1.0], **{spec_count: bad})
-        with pytest.raises(ValueError, match=f"^T must be an integer, got {bad!r}$"):
-            DppConfig(V=1.0, alpha=1.0, T=bad)
-        with pytest.raises(ValueError, match=f"^T must be an integer, got {bad!r}$"):
-            MdConfig(alpha=1.0, T=bad)
         with pytest.raises(ValueError, match=f"^n_samples must be an integer, got {bad!r}$"):
             estimate_stats(score, g, "A", n_samples=bad)
     # numpy integers are integers
-    assert ScenarioSpec(2, "worst-md", [1.0], T=np.int64(5), n_samples=np.int64(2)).T == 5
+    assert ScenarioSpec(2, "worst-md", [1.0], MdConfig(T=np.int64(5)), n_samples=np.int64(2)).config.T == 5
     assert MdConfig(alpha=1.0, T=np.int32(3)).T == 3
 
 def test_probability_columns_form_simplex_rows():
@@ -359,10 +358,10 @@ def test_solvers_agree_on_symmetric_scenario():
     grid = [0.5, 1.0, 2.0]
     explicit = run_scenario(ScenarioSpec(1, "worst-explicit", grid))
     dpp = run_scenario(
-        ScenarioSpec(1, "worst-dpp", grid, V=200.0, alpha=4.0e4, T=20_000, n_samples=2000)
+        ScenarioSpec(1, "worst-dpp", grid, DppConfig(V=200.0, alpha=4.0e4, T=20_000), n_samples=2000)
     )
     md = run_scenario(
-        ScenarioSpec(1, "worst-md", grid, alpha=50.0, T=10_000, n_samples=2000)
+        ScenarioSpec(1, "worst-md", grid, MdConfig(alpha=50.0, T=10_000), n_samples=2000)
     )
     np.testing.assert_allclose(dpp.rows[:, 1], explicit.rows[:, 1], atol=0.05)
     np.testing.assert_allclose(md.rows[:, 1], explicit.rows[:, 1], atol=0.05)
@@ -467,15 +466,14 @@ def test_full_size_sweep_csv_is_byte_identical(capsys, workload):
 
 
 def test_step_defaults_per_solver(capsys):
-    assert ScenarioSpec(3, "worst-dpp", [1.0]).alpha == 4.0e4
-    assert ScenarioSpec(3, "worst-dpp", [1.0]).T == 100_000
+    # a spec left without a config takes its solver's default one
+    assert ScenarioSpec(3, "worst-dpp", [1.0]).config == DppConfig(V=200.0, alpha=4.0e4, T=100_000)
     for solver, scenario in (("worst-md", 2), ("worst-a1", 3)):
-        spec = ScenarioSpec(scenario, solver, [1.0])
-        assert (spec.alpha, spec.T) == (50.0, 10_000)
-    assert ScenarioSpec(2, "worst-md", [1.0], alpha=7.0).alpha == 7.0
-    assert ScenarioSpec(3, "nash", [1.0]).epsilon == 1e-3
-    assert ScenarioSpec(3, "worst-dpp", [1.0]).V == 200.0
-    assert ScenarioSpec(3, "worst-dpp", [1.0], V=50.0).V == 50.0
+        assert ScenarioSpec(scenario, solver, [1.0]).config == MdConfig(alpha=50.0, T=10_000)
+    assert ScenarioSpec(2, "worst-md", [1.0], MdConfig(alpha=7.0)).config.alpha == 7.0
+    assert ScenarioSpec(3, "nash", [1.0]).config == NashConfig(epsilon=1e-3)
+    assert ScenarioSpec(3, "worst-dpp", [1.0], DppConfig(V=50.0)).config.V == 50.0
+    assert ScenarioSpec(1, "worst-explicit", [1.0]).config is None
     for flag in ("--alpha", "--T"):
         code, _, err = run_cli(capsys, "worst", "md", "--scenario", "2", flag, "0")
         assert code == 2
@@ -487,11 +485,12 @@ def test_step_defaults_per_solver(capsys):
 
 
 def test_settings_must_be_positive_and_finite(capsys, monkeypatch):
+    # each config checks its own settings, with the messages the CLI prints
     for solver, names in SETTINGS_READ.items():
         for name in names:
             for bad in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
                 with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad!r}$"):
-                    ScenarioSpec(SCENARIO_OF[solver], solver, [1.0], **{name: bad})
+                    SOLVER_CONFIGS[solver](**{name: bad})
 
     def not_called(*args, **kwargs):
         raise AssertionError("a solver ran before the spec was checked")
@@ -531,22 +530,44 @@ def exit_code(*argv):
     return exited.value.code
 
 
+def foreign_configs(solver):
+    """A config of every type but the solver's own, and one that is no
+    config at all."""
+    return [t() for t in (NashConfig, DppConfig, MdConfig) if t is not SOLVER_CONFIGS[solver]] + [{"T": 1}]
+
+
 @pytest.mark.parametrize("solver", sorted(SETTINGS_READ))
 def test_each_command_offers_only_the_settings_its_solver_reads(capsys, solver):
     command = solver.split("-")
     assert exit_code(*command, "--help") == 0
     help_text = capsys.readouterr().out
+    config_type = SOLVER_CONFIGS[solver]
+    defaults = {field.name: field.default for field in fields(config_type)} if config_type else {}
+    assert tuple(defaults) == SETTINGS_READ[solver]
+    # each of the config's fields is a flag with that field's default
+    for name, default in defaults.items():
+        line = rf"--{name} {name.upper()}\s+{SETTING_HELP[name]} \(default {re.escape(str(default))}\)\n"
+        assert re.search(line, help_text), name
     for name in ALL_SETTINGS:
-        assert (f"--{name} " in help_text) == (name in SETTINGS_READ[solver])
-    for name in ALL_SETTINGS:
-        if name in SETTINGS_READ[solver]:
+        assert (f"--{name} " in help_text) == (name in defaults)
+        if name in defaults:
             continue
         assert exit_code(*command, f"--{name}", "1") == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-        with pytest.raises(ValueError, match=f"{solver} does not read {name}"):
-            ScenarioSpec(SCENARIO_OF[solver], solver, [1.0], **{name: 1})
+    for config in foreign_configs(solver):
+        with pytest.raises(ValueError, match=f"^{solver} does not read a {type(config).__name__}$"):
+            ScenarioSpec(SCENARIO_OF[solver], solver, [1.0], config)
     # a worst flag must follow the method
     assert exit_code("worst", "--scenario", "1", "explicit") == 2
+
+
+def test_a_foreign_config_is_refused_before_any_solver_runs(monkeypatch):
+    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
+        monkeypatch.setattr(f"congames.experiments.{name}", not_called)
+    for solver in SOLVER_CONFIGS:
+        for config in foreign_configs(solver):
+            with pytest.raises(ValueError, match=f"^{solver} does not read a {type(config).__name__}$"):
+                run_scenario(ScenarioSpec(SCENARIO_OF[solver], solver, [1.0], config))
 
 
 def test_samples_below_one_are_refused_before_any_solver_runs(capsys, monkeypatch):

@@ -38,6 +38,17 @@ def test_objective_rejects_non_simplex():
         no_info_objective([0.5, 0.5], [-1.0, 1.0])
 
 
+def test_non_finite_means_are_refused():
+    # NaN compares false with 0, so a plain sign check would let it through
+    for call in (
+        lambda: explicit_solution([np.nan, 1.0]),
+        lambda: explicit_solution([np.inf, 1.0]),
+        lambda: no_info_objective([0.5, 0.5], [np.nan, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="^means must be non-negative and finite$"):
+            call()
+
+
 def test_zero_mean_resources_dropped():
     sol = explicit_solution([0.0, 1.0, 1.0])
     assert sol.p[0] == 0.0

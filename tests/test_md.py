@@ -106,7 +106,8 @@ def test_error_bound_rejects_bad_alpha_and_rounds():
     for bad in (math.nan, math.inf, -math.inf, 0.0):
         with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {bad!r}$"):
             MdConfig(alpha=bad, T=10)
-    with pytest.raises(ValueError, match="^T must be >= 1$"):
+    # T is checked as a setting first, with the CLI's message, then as a count
+    with pytest.raises(ValueError, match="^T must be positive and finite, got 0$"):
         MdConfig(alpha=50.0, T=0)
 
 

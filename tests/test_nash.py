@@ -12,6 +12,7 @@ from congames import (
     Exponential,
     GameInstance,
     Mixture,
+    NashConfig,
     Partition,
     StrategyStats,
     best_response,
@@ -82,7 +83,7 @@ def test_potential_identity_and_bound(rng):
 
 def test_iterate_dominant_resource():
     g = exp_game([3.0, 1.0, 1.0], (0, 0, 3, 0))
-    report = iterate_best_response(g, 1e-3)
+    report = iterate_best_response(g, NashConfig(1e-3))
     assert report.converged
     np.testing.assert_allclose(report.stats_a.p, [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(report.stats_b.p, [1.0, 0.0, 0.0], atol=1e-12)
@@ -93,7 +94,7 @@ def test_iterate_dominant_resource():
 @pytest.mark.parametrize("e1", [2.0, 2.5, 3.5])
 def test_iterate_threshold_mean_pins_first_resource(e1):
     g = exp_game([e1, 1.0, 1.0], (0, 0, 3, 0))
-    report = iterate_best_response(g, 1e-3)
+    report = iterate_best_response(g, NashConfig(1e-3))
     np.testing.assert_allclose(report.stats_a.p, [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(report.stats_b.p, [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -101,7 +102,7 @@ def test_iterate_threshold_mean_pins_first_resource(e1):
 def test_trace_monotone_and_capped_exact():
     for e1 in (0.4, 0.9, 1.7, 2.2):
         g = exp_game([e1, 1.0, 1.0], (0, 0, 3, 0))
-        report = iterate_best_response(g, 1e-3)
+        report = iterate_best_response(g, NashConfig(1e-3))
         assert report.converged
         assert report.iterations == len(report.trace) <= iteration_cap(g, 1e-3)
         hs = [t.potential for t in report.trace]
@@ -118,7 +119,7 @@ def test_trace_monotone_and_capped_exact():
 def test_exit_certificate_exact():
     g = exp_game([1.6, 1.0, 0.8], (0, 0, 3, 0))
     eps = 1e-3
-    report = iterate_best_response(g, eps)
+    report = iterate_best_response(g, NashConfig(eps))
     assert report.converged
     pairs = {"A": (report.stats_a, report.stats_b), "B": (report.stats_b, report.stats_a)}
     for player, (own, opp) in pairs.items():
@@ -132,7 +133,7 @@ def test_exit_certificate_exact():
 
 def test_iterate_with_noisy_stats_converges():
     g = exp_game([1.5, 1.0, 1.0], (0, 1, 2, 0))
-    report = iterate_best_response(g, 5e-3, n_samples=40_000, seed=9)
+    report = iterate_best_response(g, NashConfig(5e-3), n_samples=40_000, seed=9)
     assert report.converged
     assert report.iterations <= iteration_cap(g, 5e-3)
     hs = [t.potential for t in report.trace]
@@ -142,16 +143,15 @@ def test_iterate_with_noisy_stats_converges():
 
 
 def test_rejects_bad_epsilon():
-    g = exp_game([1.0, 1.0], (0, 0, 2, 0))
+    # NashConfig checks epsilon when it is built, before any run
     with pytest.raises(ValueError):
-        iterate_best_response(g, 0.0)
+        NashConfig(0.0)
 
 
 def test_rejects_non_finite_epsilon():
-    g = exp_game([1.0, 1.0], (0, 0, 2, 0))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^epsilon must be positive and finite, got {bad!r}$"):
-            iterate_best_response(g, bad)
+            NashConfig(bad)
 
 
 def spy_on_sample_world(monkeypatch):
@@ -195,7 +195,7 @@ def test_each_run_draws_its_worlds_once(monkeypatch, scenario, draws):
     for e1 in (0.5, 1.0, 2.0):
         before = len(calls)
         g = exp_game([e1, 1.0, 1.0], SCENARIO_PARTITIONS[scenario])
-        report = iterate_best_response(g, 1e-3, n_samples=2000, seed=5)
+        report = iterate_best_response(g, NashConfig(1e-3), n_samples=2000, seed=5)
         assert calls[before:] == [2000] * draws
         assert report.iterations > 1  # so later turns reused the one draw
 
@@ -213,9 +213,9 @@ def test_one_world_draw_matches_redrawing_every_turn(partition, means, seed):
     )
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_on_sample_world(mp)
-        report = iterate_best_response(g, 1e-3, n_samples=2000, seed=seed)
+        report = iterate_best_response(g, NashConfig(1e-3), n_samples=2000, seed=seed)
         sampled_turns = partition[0] + partition[1] > 0
         assert len(calls) == int(sampled_turns)
         mp.setattr(congames.nash, "estimate_stats", redraw_every_turn)
-        oracle = iterate_best_response(g, 1e-3, n_samples=2000, seed=seed)
+        oracle = iterate_best_response(g, NashConfig(1e-3), n_samples=2000, seed=seed)
     assert_same_report(report, oracle)

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from congames import (
     Discrete,
     DppConfig,
     MdConfig,
+    NashConfig,
     PointMass,
     ScenarioSpec,
     SweepTable,
@@ -30,7 +32,7 @@ SUBMODULES = sorted(
 # names deleted because no caller reached them
 REMOVED = {
     "congames": ["preset_spec", "tail_weighted_mean", "McConfig", "config_for_epsilon"],
-    "congames.experiments": ["preset_spec", "_with_mean", "SOLVERS", "STEP_DEFAULTS"],
+    "congames.experiments": ["preset_spec", "_with_mean", "SOLVERS", "STEP_DEFAULTS", "SOLVER_SETTINGS"],
     "congames.quantile": ["tail_weighted_mean", "_require_continuous"],
     "congames.game": ["deterministic_omega"],
     "congames.dpp": ["_base_weights", "gamma_step", "queue_step", "config_for_epsilon"],
@@ -65,10 +67,11 @@ def test_removed_methods_and_parameters_are_gone():
     for cls in (PointMass, Discrete):
         assert not hasattr(cls, "quantile") and not hasattr(cls, "tail_mean")
     assert not hasattr(SweepTable, "write")
-    # the sample count and seed are plain parameters, not a config object
+    # the sample count and seed are plain parameters beside the config
     assert list(inspect.signature(iterate_best_response).parameters) == [
-        "game", "epsilon", "n_samples", "seed",
+        "game", "config", "n_samples", "seed",
     ]
+    assert inspect.signature(iterate_best_response).parameters["config"].default == NashConfig()
     assert list(inspect.signature(worst_case_utility).parameters) == [
         "strategy_a", "game", "n_samples", "rng",
     ]
@@ -76,21 +79,29 @@ def test_removed_methods_and_parameters_are_gone():
         "strategy", "game", "mode", "n_samples", "seed", "opponent", "player",
     ]
     assert list(inspect.signature(TailFrontier.slope).parameters) == ["self", "p1"]
-    fields = list(inspect.signature(ScenarioSpec).parameters)
-    assert fields == [
-        "scenario", "solver", "e1_values", "epsilon", "V", "alpha", "T", "n_samples", "seed", "repetitions",
-    ]
+    # the spec holds one config in place of its settings
+    spec_fields = list(inspect.signature(ScenarioSpec).parameters)
+    assert spec_fields == ["scenario", "solver", "e1_values", "config", "n_samples", "seed", "repetitions"]
+    assert not {"epsilon", "V", "alpha", "T"} & set(spec_fields)
 
 
 def test_solver_configs_hold_settings_only():
     # a config holds a solver's settings; the seed and the sample count are
     # arguments of the run, and one config serves a whole batch
-    assert list(inspect.signature(DppConfig).parameters) == ["V", "alpha", "T"]
-    assert list(inspect.signature(MdConfig).parameters) == ["alpha", "T"]
+    # each config declares its settings and their defaults, once
+    defaults = {
+        config_type: [(field.name, field.default) for field in fields(config_type)]
+        for config_type in (NashConfig, DppConfig, MdConfig)
+    }
+    assert defaults == {
+        NashConfig: [("epsilon", 1e-3)],
+        DppConfig: [("V", 200.0), ("alpha", 4.0e4), ("T", 100_000)],
+        MdConfig: [("alpha", 50.0), ("T", 10_000)],
+    }
     assert list(inspect.signature(run_dpp).parameters) == ["game", "config", "seed"]
     assert list(inspect.signature(run_md).parameters) == ["game", "config", "seed"]
     assert list(inspect.signature(run_md_batch).parameters) == ["games", "config", "seeds"]
     assert list(inspect.signature(solve_a1).parameters) == ["game", "config", "seed", "n_samples"]
     assert list(inspect.signature(md_error_bound).parameters) == ["game", "config"]
-    for config in (DppConfig(V=1.0, alpha=1.0, T=1), MdConfig(alpha=1.0, T=1)):
+    for config in (NashConfig(), DppConfig(V=1.0, alpha=1.0, T=1), MdConfig(alpha=1.0, T=1)):
         assert not hasattr(config, "seed")

@@ -12,6 +12,17 @@ from congames.strategies import batch_actions
 from conftest import exp_game
 
 
+def test_mixture_copies_writable_values_and_keeps_read_only_ones():
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    mixture = Mixture(source, private=[0])
+    source[0, 0] = 9.0  # the mixture holds its own copy
+    assert mixture.values[0, 0] == 1.0 and not mixture.values.flags.writeable
+    assert not np.shares_memory(mixture.values, source)
+    frozen = np.array([[1.0, 2.0], [3.0, 4.0]])
+    frozen.setflags(write=False)
+    assert np.shares_memory(Mixture(frozen, private=[0]).values, frozen)
+
+
 def test_score_constant_argmax():
     # one-row mixture, no private resources: pure constant argmax, no rng
     assert act(Mixture([[1.0, 2.0]], private=[]), []) == 1
@@ -68,6 +79,11 @@ def test_simplex_validation():
     for bad in ([1, 0], [0, 0]):  # a private block is ascending, without repeats
         with pytest.raises(ValueError, match="strictly increasing"):
             Mixture([[1.0, 2.0, 3.0]], private=bad)
+    for bad in ([0.7], [np.nan]):  # not truncated to resource 0
+        with pytest.raises(ValueError, match="private indices must be integers"):
+            Mixture([[1.0, 2.0]], private=bad)
+    assert Mixture([[1.0, 2.0]], private=[1.0]).private.tolist() == [1]
+    assert Mixture([[1.0, 2.0]], private=[]).private.size == 0
     with pytest.raises(ValueError):
         QuantileThreshold(np.nan, [1.0])
     for tau in (-np.inf, np.inf):
