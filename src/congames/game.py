@@ -161,9 +161,14 @@ def sample_world(game: GameInstance, rng, size: int, columns: int | None = None)
     """Draw ``size`` reward realizations of the first ``columns`` resources
     (all n when None), shape ``(size, columns)``; AB-block entries stay
     fixed at ``z``.  The columns are drawn in order from one generator, so
-    they are the leading columns of the full draw, bit for bit."""
+    they are the leading columns of the full draw, bit for bit.  Raises
+    ValueError unless ``columns`` is an integer in 0..n."""
+    if columns is None:
+        columns = game.n
+    elif not (isinstance(columns, (int, np.integer)) and 0 <= columns <= game.n):
+        raise ValueError(f"columns must be an integer in 0..n={game.n}, got {columns!r}")
     gen = as_generator(rng)
-    out = np.empty((size, game.n if columns is None else columns))
+    out = np.empty((size, columns))
     ab_start = game.partition.a + game.partition.b + game.partition.c
     for k, dist in enumerate(game.distributions[:columns]):
         if k >= ab_start:

@@ -13,12 +13,19 @@ matchup:
 Simplex strategies ignore the world, and a score mixture of a player with no
 private resources picks each row's constant argmax, so both get exact
 statistics without sampling; everything else is averaged over seeded world
-draws.  A caller that estimates many strategies on one seed can hand
+draws.  An estimate reads only the columns up to the end of the player's
+private block, so it draws only those, and observes the block through a
+view.  A caller that estimates many strategies on one seed can hand
 :func:`estimate_stats` a ``worlds`` source that draws those worlds once, on
-first use, and returns the same array afterwards; iterative best response
-does, so each of its runs samples its worlds at most once.  The arrays built
-here are n_samples x n, so a call that would sample is refused up front
-(:func:`congames.game.check_upfront_budget`) when they exceed the budget.
+first use, and returns the same array afterwards; it must return at least
+the columns read.  Iterative best response does, so each of its runs
+samples its worlds at most once.  A one-row mixture (every best response)
+is counted from the threshold masks of
+:func:`congames.strategies._threshold_split`, with no action array; the
+counts and the averaged products are those of the action array, so every
+bit is the same.  The up-front budget counts n_samples x n draws, so a call
+that would sample is refused up front
+(:func:`congames.game.check_upfront_budget`) when they exceed it.
 """
 
 from __future__ import annotations
@@ -29,7 +36,15 @@ import numpy as np
 
 from .game import GameInstance, check_count, check_upfront_budget, sample_world
 from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, stream_generators
-from .strategies import Mixture, QuantileThreshold, Simplex, Strategy, _check_simplex, batch_actions
+from .strategies import (
+    Mixture,
+    QuantileThreshold,
+    Simplex,
+    Strategy,
+    _check_simplex,
+    _threshold_split,
+    batch_actions,
+)
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -109,10 +124,15 @@ def estimate_stats(
     with world draws and action randomization on disjoint streams so that
     repeated calls with one seed share the same worlds.
 
-    ``worlds``, if given, is a zero-argument callable returning the
-    (n_samples, n) worlds to use instead of drawing them from ``rng``'s world
-    stream; it is called only when the estimate samples.  Raises ValueError
-    before sampling when n_samples x n worlds exceed the up-front budget.
+    Sampling reads the world columns up to the last private index, so only
+    those are drawn.  ``worlds``, if given, is a zero-argument callable
+    returning n_samples rows of worlds with at least those leading columns,
+    to use instead of drawing them from ``rng``'s world stream; it is called
+    only when the estimate samples, and a shape with too few rows or columns
+    is refused.  A one-row mixture's (p, q) is counted from its threshold
+    masks; other strategies act through :func:`batch_actions`.  Raises
+    ValueError before sampling when n_samples x n worlds exceed the up-front
+    budget.
     """
     check_count("n_samples", n_samples)
     private = _check_strategy_player(strategy, game, player)
@@ -130,13 +150,42 @@ def estimate_stats(
 
     check_upfront_budget("estimate_stats", n_samples, n, rows="n_samples")
     world_gen, act_gen = stream_generators(rng, (WORLD_STREAM, _action_stream(player)))
-    drawn = sample_world(game, world_gen, size=n_samples) if worlds is None else worlds()
-    if drawn.shape != (n_samples, n):
-        raise ValueError(f"worlds have shape {drawn.shape}, need ({n_samples}, {n})")
-    actions = batch_actions(strategy, drawn[:, private], act_gen)
+    columns = private[-1] + 1  # the private block is a range ending here
+    if worlds is None:
+        drawn = sample_world(game, world_gen, size=n_samples, columns=columns)
+    else:
+        drawn = worlds()
+    if drawn.ndim != 2 or drawn.shape[0] != n_samples or drawn.shape[1] < columns:
+        raise ValueError(
+            f"worlds have shape {drawn.shape}, need {n_samples} rows "
+            f"(n_samples) and at least {columns} columns"
+        )
+    obs = drawn[:, private[0] : columns]
+    if isinstance(strategy, Mixture) and len(strategy) == 1:
+        p, q = _threshold_stats(strategy.values[0], private, obs, n)
+        return StrategyStats(player, p, q)
+    actions = batch_actions(strategy, obs, act_gen)
     p = np.bincount(actions, minlength=n) / n_samples
     q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
     return StrategyStats(player, p, q)
+
+
+def _threshold_stats(values, private, obs, n):
+    """(p, q) of a one-row mixture from its threshold masks: the mask of
+    private resource k is exactly ``actions == k``, so the counts and the
+    products averaged into q are those of the action array, bit for bit."""
+    j, take, top = _threshold_split(values, private, obs)
+    rows = len(obs)
+    counts = np.zeros(n, dtype=np.int64)
+    q = np.empty(private.size)
+    for i, k in enumerate(private):
+        mask = take if private.size == 1 else take & (top == k)
+        if k == j:  # every resource is private: rows that do not take pick j
+            mask = mask | ~take
+        counts[k] = np.count_nonzero(mask)
+        q[i] = np.mean(obs[:, i] * mask)
+    counts[j] += rows - counts.sum()  # j takes every other row
+    return counts / rows, q
 
 
 def collision_term(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance) -> float:

@@ -140,15 +140,17 @@ def iterate_best_response(
     differenced on identical worlds and the gain estimate is nearly
     noise-free; when neither player has private resources the statistics are
     exact and the potential trace is exactly non-decreasing.  Those worlds
-    are drawn once per run, by the first estimate that samples: ``n_samples``
-    of them, on ``seed``'s world stream.
+    are drawn once per run, by the first estimate that samples:
+    ``n_samples`` rows of the a + b private columns, the only ones a turn
+    reads, on ``seed``'s world stream.
     """
     cap = iteration_cap(game, config.epsilon)
     (world_gen,) = stream_generators(seed, (WORLD_STREAM,))
 
     @functools.cache
     def worlds():  # every turn gets this one array, so it is read-only
-        drawn = sample_world(game, world_gen, size=n_samples)
+        part = game.partition
+        drawn = sample_world(game, world_gen, size=n_samples, columns=part.a + part.b)
         drawn.setflags(write=False)
         return drawn
 

@@ -19,7 +19,10 @@ A one-row mixture acts by threshold rather than through a (samples, n) score
 matrix: its best constant resource is the same in every row, so a row picks
 its best private product where that beats the best constant, or ties it at a
 lower index, and the constant otherwise.  This picks the same resource as
-the argmax, bit for bit.
+the argmax, bit for bit.  One threshold split serves both consumers:
+:func:`batch_actions` turns it into action indices, and
+:func:`congames.montecarlo.estimate_stats` counts a one-row mixture's picks
+and reward-weighted rates from its masks without building actions.
 """
 
 from __future__ import annotations
@@ -165,7 +168,10 @@ def batch_actions(strategy: Strategy, obs: np.ndarray, rng=None) -> np.ndarray:
     if isinstance(strategy, Mixture):
         _check_observation(obs, strategy.private.size, "Mixture")
         if len(strategy) == 1:  # deterministic: no draw, no rng needed
-            return _threshold_actions(strategy.values[0], strategy.private, obs)
+            j, take, top = _threshold_split(strategy.values[0], strategy.private, obs)
+            # arithmetic selection: np.where on an unpredictable mask is
+            # several times slower
+            return j + take * (top - j)
         comp = _need_generator(rng, strategy).integers(len(strategy), size=rows)
         scores = np.take(strategy.values, comp, axis=0)
         if strategy.private.size:
@@ -174,28 +180,33 @@ def batch_actions(strategy: Strategy, obs: np.ndarray, rng=None) -> np.ndarray:
     raise TypeError(f"unknown strategy type {type(strategy).__name__}")
 
 
-def _threshold_actions(values: np.ndarray, private: np.ndarray, obs: np.ndarray) -> np.ndarray:
+def _threshold_split(values: np.ndarray, private: np.ndarray, obs: np.ndarray):
     """The argmax of ``values`` with ``values[private]`` scaled by each row of
-    ``obs``, lowest index on ties, without building the (rows, n) scores.
+    ``obs``, lowest index on ties, as ``(j, take, top)``, without building
+    the (rows, n) scores.
 
     The best constant resource (lowest index j, value c) is the same in
-    every row, so each row takes its best private resource ``top`` where the
-    product beats c, or ties it at an index below j.  Selections are arithmetic (``j + take * (top - j)``):
-    ``np.where`` on an unpredictable mask is several times slower.
+    every row, so each row takes (boolean ``take``) its best private
+    resource ``top`` where the product beats c, or ties it at an index
+    below j, and picks j otherwise.  ``top`` is one index when the private
+    block has one column, else an index per row.  When every resource is
+    private, c is -inf and j is the first private index.
     """
     const = values.copy()
     const[private] = -np.inf  # every product beats this when all are private
     j = int(const.argmax())
     c = const[j]
     if not private.size:
-        return np.full(obs.shape[0], j)
-    best, top = obs[:, 0] * values[private[0]], private[0]
+        return j, np.zeros(obs.shape[0], dtype=bool), j
+    top = private[0]
+    best = obs[:, 0] * values[top]
+    if private.size == 1:  # the tie rule is fixed, so one comparison decides
+        return j, (best >= c if top < j else best > c), top
     for col in range(1, private.size):  # ascending, so a tie keeps the lower index
         prod = obs[:, col] * values[private[col]]
         top = top + (prod > best) * (private[col] - top)
         best = np.maximum(best, prod)
-    take = (best > c) | ((best == c) & (top < j))
-    return j + take * (top - j)
+    return j, (best > c) | ((best == c) & (top < j)), top
 
 
 def act(strategy: Strategy, observed_private_rewards, rng=None) -> int:

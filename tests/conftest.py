@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+import congames.game
+import congames.montecarlo
+import congames.nash
+
 from congames import (
     Discrete,
     Exponential,
@@ -91,3 +95,18 @@ def simplex_grid(n, steps=100):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def spy_on_sample_world(monkeypatch):
+    """Record the (size, columns) of each call of ``congames.game.sample_world``
+    made from nash or montecarlo, the two modules that draw worlds for a run."""
+    calls = []
+    original = congames.game.sample_world
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs.get("size"), kwargs.get("columns")))
+        return original(*args, **kwargs)
+
+    for module in (congames.nash, congames.montecarlo):
+        monkeypatch.setattr(module, "sample_world", spy)
+    return calls

@@ -92,6 +92,14 @@ def test_sample_world_leading_columns_keep_their_bits():
         assert sample_world(g, 42, size=64, columns=columns).tobytes() == full[:, :columns].tobytes()
 
 
+@pytest.mark.parametrize("columns", [4, 5, -1, 2.0, 1.5, "2"])
+def test_sample_world_refuses_column_counts_outside_0_to_n(columns):
+    g = exp_game([1.0, 2.0, 0.5], (1, 1, 1, 0))
+    with pytest.raises(ValueError, match=rf"^columns must be an integer in 0\.\.n=3, got {columns!r}$"):
+        sample_world(g, 0, size=2, columns=columns)
+    assert sample_world(g, 0, size=2, columns=np.int64(3)).shape == (2, 3)
+
+
 def test_sample_omega_all_private_to_a():
     g = exp_game([1.5, 2.5], (2, 0, 0, 0))
     np.testing.assert_array_equal(sample_omega(g, 0, size=5), np.ones((5, 2)))

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import congames.game
 import congames.montecarlo
 import congames.nash
 from congames import (
+    Discrete,
     Exponential,
     GameInstance,
     Mixture,
@@ -17,12 +21,16 @@ from congames import (
     StrategyStats,
     estimate_stats,
     expected_utility,
+    sample_world,
     simulate_payoff,
 )
 from congames.cli import main
+from congames.montecarlo import _action_stream
+from congames.rng import WORLD_STREAM, stream_generators
+from congames.strategies import batch_actions
 from congames.md import omega_sup_sq_mean
 from congames.worstcase import omega_max_mean
-from conftest import exp_game, random_strategy
+from conftest import exp_game, random_strategy, spy_on_sample_world
 
 
 def test_simplex_stats_exact():
@@ -191,3 +199,122 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     code = main(["nash", "--scenario", "3", "--samples", "100000000"])
     assert code == 2
     assert "MiB up front" in capsys.readouterr().err
+
+
+def reference_stats(strategy, game, player, drawn, seed):
+    """The action-array formula: act every row with ``batch_actions``, count
+    the picks with ``np.bincount``, and average ``W_k * (actions == k)``."""
+    private = game.partition.private_set(player)
+    (act_gen,) = stream_generators(seed, (_action_stream(player),))
+    obs = drawn[:, private]
+    actions = batch_actions(strategy, obs, act_gen)
+    if len(strategy) == 1:  # and check them against the plain argmax
+        scores = np.repeat(strategy.values, len(drawn), axis=0)
+        scores[:, private] *= obs
+        np.testing.assert_array_equal(actions, np.argmax(scores, axis=1))
+    p = np.bincount(actions, minlength=game.n) / len(drawn)
+    q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
+    return p, q
+
+
+# scores and rewards on these atoms tie often: 0.5 * 2 == 1 * 1 == 1
+ATOMS = (0.0, 0.5, 1.0, 2.0)
+
+
+@given(
+    sizes=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)).filter(
+        lambda s: s[0] + s[1] > 0
+    ),
+    player_b=st.booleans(),
+    rows=st.lists(st.lists(st.sampled_from(ATOMS), min_size=10, max_size=10), min_size=1, max_size=2),
+    z=st.lists(st.sampled_from(ATOMS), min_size=2, max_size=2),
+    n_samples=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(sizes=(2, 0, 0, 0), player_b=False, rows=[[0.0] * 10], z=[0.0] * 2, n_samples=50, seed=1)
+@example(sizes=(0, 3, 0, 0), player_b=True, rows=[[1.0, 0.5, 2.0] + [0.0] * 7], z=[0.0] * 2, n_samples=80, seed=2)
+@example(sizes=(1, 0, 0, 0), player_b=False, rows=[[0.5] * 10], z=[0.0] * 2, n_samples=40, seed=3)
+@example(sizes=(1, 1, 1, 0), player_b=False, rows=[[0.5, 1.0, 1.0] + [0.0] * 7], z=[0.0] * 2, n_samples=60, seed=4)
+@example(sizes=(1, 2, 0, 1), player_b=True, rows=[[1.0, 0.5, 1.0, 1.0] + [0.0] * 6], z=[1.0, 0.0], n_samples=60, seed=5)
+@settings(max_examples=150, deadline=None)
+def test_threshold_mask_stats_match_the_action_array_formula(sizes, player_b, rows, z, n_samples, seed):
+    a, b, c, d = sizes
+    n = a + b + c + d
+    player = "B" if (player_b and b) or not a else "A"
+    law = Discrete(ATOMS, (0.25,) * 4)
+    g = GameInstance(Partition(*sizes), (law,) * n, z=z[:d])
+    private = g.partition.private_set(player)
+    strategy = Mixture(np.array(rows)[:, :n], private)
+    (world_gen,) = stream_generators(seed, (WORLD_STREAM,))
+    full = sample_world(g, world_gen, size=n_samples)
+    read = np.ascontiguousarray(full[:, : private[-1] + 1])
+    want_p, want_q = reference_stats(strategy, g, player, full, seed)
+    # worlds holding exactly the columns read, all n, or drawn by the estimate
+    for worlds in (lambda: read, lambda: full, None):
+        got = estimate_stats(strategy, g, player, n_samples=n_samples, rng=seed, worlds=worlds)
+        assert got.p.tobytes() == want_p.tobytes()
+        assert got.q.tobytes() == want_q.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_threshold_mask_stats_count_rows_that_fall_back_to_a_private_j():
+    # every resource is private, so j is private too; an infinite reward at
+    # score 0 gives a NaN product that takes nothing and falls back to j
+    g = GameInstance(Partition(2, 0, 0, 0), (Exponential(1.0),) * 2)
+    strategy = Mixture([[0.0, 0.0]], private=[0, 1])
+    drawn = np.array([[np.inf, 1.0], [1.0, 2.0], [3.0, 1.0]])
+    want_p, want_q = reference_stats(strategy, g, "A", drawn, 0)
+    got = estimate_stats(strategy, g, "A", n_samples=3, worlds=lambda: drawn)
+    assert want_p.tolist() == [1.0, 0.0] and want_q[0] == np.inf
+    assert got.p.tobytes() == want_p.tobytes()
+    assert got.q.tobytes() == want_q.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1, 0), (2, 1, 0, 1), (1, 2, 1, 1), (0, 2, 1, 0)])
+def test_estimates_draw_only_the_columns_they_read(monkeypatch, sizes):
+    calls = spy_on_sample_world(monkeypatch)
+    g = GameInstance(Partition(*sizes), (Exponential(1.0),) * sum(sizes), z=[1.0] * sizes[3])
+    part = g.partition
+    for player, columns in (("A", part.a), ("B", part.a + part.b)):
+        private = part.private_set(player)
+        if not private.size:
+            continue
+        one_row = Mixture([np.linspace(1.0, 0.5, g.n)], private)
+        two_rows = Mixture([np.linspace(1.0, 0.5, g.n), np.linspace(0.5, 1.0, g.n)], private)
+        for strategy in (one_row, two_rows):
+            calls.clear()
+            estimate_stats(strategy, g, player, n_samples=500, rng=3)
+            assert calls == [(500, columns)]
+    if part.a == 1:
+        calls.clear()
+        estimate_stats(QuantileThreshold(0.5, np.full(g.n - 1, 1.0 / (g.n - 1))), g, "A", n_samples=500)
+        assert calls == [(500, 1)]
+
+
+def test_worlds_with_too_few_rows_or_columns_are_refused():
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    score_b = Mixture([[0.5, 1.0, 0.5]], private=[1])
+    need = r"need 100 rows \(n_samples\) and at least 2 columns"
+    for shape in ((99, 3), (101, 2), (100, 1), (100,)):
+        with pytest.raises(ValueError, match=rf"^worlds have shape \({shape[0]},.*{need}$"):
+            estimate_stats(score_b, g, "B", n_samples=100, worlds=lambda: np.ones(shape))
+    assert estimate_stats(score_b, g, "B", n_samples=100, worlds=lambda: np.ones((100, 2))).p[1] == 1.0
+
+
+def test_best_response_estimate_peaks_under_12_bytes_per_sample():
+    # a one-row mixture on given worlds holds one product vector and one
+    # mask at a time: no action array, no copy of the private block
+    n_samples = 100_000
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    drawn = sample_world(g, 0, size=n_samples, columns=2)
+    scores = {"A": Mixture([[1.0, 0.5, 0.7]], private=[0]), "B": Mixture([[0.6, 1.0, 0.7]], private=[1])}
+    for player, score in scores.items():
+        estimate_stats(score, g, player, n_samples=n_samples, worlds=lambda: drawn)  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            estimate_stats(score, g, player, n_samples=n_samples, worlds=lambda: drawn)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / n_samples < 12, f"player {player} peaked at {peak / n_samples:.1f} bytes per sample"

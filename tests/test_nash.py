@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import congames.game
-import congames.montecarlo
 import congames.nash
 from congames import (
     Exponential,
@@ -23,7 +21,7 @@ from congames import (
 )
 from congames.experiments import SCENARIO_PARTITIONS
 from congames.nash import iteration_cap
-from conftest import exp_game, random_stats
+from conftest import exp_game, random_stats, spy_on_sample_world
 
 
 def test_best_response_all_shared():
@@ -154,21 +152,6 @@ def test_rejects_non_finite_epsilon():
             NashConfig(bad)
 
 
-def spy_on_sample_world(monkeypatch):
-    """Count calls of ``congames.game.sample_world`` made from nash or
-    montecarlo, the two modules that draw worlds for a run."""
-    calls = []
-    original = congames.game.sample_world
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("size"))
-        return original(*args, **kwargs)
-
-    for module in (congames.nash, congames.montecarlo):
-        monkeypatch.setattr(module, "sample_world", spy)
-    return calls
-
-
 def assert_same_report(got, want):
     for mine, theirs in ((got.strategy_a, want.strategy_a), (got.strategy_b, want.strategy_b)):
         assert type(mine) is type(theirs)
@@ -192,11 +175,12 @@ def redraw_every_turn(strategy, game, player, n_samples, rng, worlds=None):
 @pytest.mark.parametrize("scenario,draws", [(1, 0), (2, 1), (3, 1)])
 def test_each_run_draws_its_worlds_once(monkeypatch, scenario, draws):
     calls = spy_on_sample_world(monkeypatch)
+    a, b, _, _ = SCENARIO_PARTITIONS[scenario]
     for e1 in (0.5, 1.0, 2.0):
         before = len(calls)
         g = exp_game([e1, 1.0, 1.0], SCENARIO_PARTITIONS[scenario])
         report = iterate_best_response(g, NashConfig(1e-3), n_samples=2000, seed=5)
-        assert calls[before:] == [2000] * draws
+        assert calls[before:] == [(2000, a + b)] * draws  # only the private columns
         assert report.iterations > 1  # so later turns reused the one draw
 
 
