@@ -10,10 +10,9 @@ the sampled ascent gradient
 
     grad_j = E_j - 1/2 * 1{argmax_k p_k omega_k = j} * omega_j
 
-from :func:`congames.worstcase.sampled_subgradient` (the kernel
-drift-plus-penalty and :func:`congames.quantile.solve_a1` use too), and
-applies the entropy-geometry update p_k <- p_k exp(grad_k / alpha),
-renormalized (exponents are max-shifted first, which leaves the value
+(the gradient of :func:`congames.worstcase.sampled_subgradient`, which
+drift-plus-penalty steps along), and applies the entropy-geometry update
+p_k <- p_k exp(grad_k / alpha), renormalized (exponents are max-shifted first, which leaves the value
 unchanged).  The returned vector is the average of the iterates including
 the uniform start; its expected suboptimality is at most
 
@@ -21,17 +20,22 @@ the uniform start; its expected suboptimality is at most
 
 All runs of a sweep share one config (alpha and T) and n, and are
 independent, so :func:`run_md_batch` steps them together: the iterates are
-the rows of an (R, n) array, and each round makes one row-wise gradient
-(:func:`congames.worstcase.sampled_subgradients`) and one row-wise
-:func:`mw_update` for all R runs.  Neither gathers or scatters by index:
-the gradient picks w - omega/2 at each row's argmax with ``np.where``, and
-the update calls ``np.maximum.reduce`` and ``np.add.reduce`` directly, the
-ufuncs that ``.max()`` and ``.sum()`` reach through Python wrappers.  Every
-row gets the bits it would get alone: the update is elementwise, and the
-row reductions (max, sum, argmax with the lowest index on ties) see one row
-at a time.  :func:`run_md` is a batch of one.  The update stays on
-``np.exp``: ``math.exp`` differs from it in the last bit on some inputs,
-which would change every later iterate.
+the rows of an (R, n) array, and one round serves all R runs.  A round does
+only the work that depends on the iterate.  The exponent of each resource is
+its gradient over alpha: w / alpha off the argmax, (w - omega/2) / alpha
+at it.  The first is computed once per chunk of runs, the second once per
+block of rounds (at most :data:`ROUND_BLOCK_BYTES` of them), and the round
+picks between them at each row's argmax of p * omega with ``np.where``.
+:func:`mw_update` then shifts, exponentiates, weights and normalizes the
+exponents in place, calling ``np.maximum.reduce`` and ``np.add.reduce``
+directly, the ufuncs that ``.max()`` and ``.sum()`` reach through Python
+wrappers.  These are the bits of dividing the selected gradient by alpha
+(the same two operations on the same floats), and every row gets the bits
+it would get alone: the update is elementwise, and the row reductions
+(max, sum, argmax with the lowest index on ties) see one row at a time.
+:func:`run_md` is a batch of one.  The update stays on ``np.exp``:
+``math.exp`` differs from it in the last bit on some inputs, which would
+change every later iterate.
 Each run's omega draws are still sampled in one call of size T from its own
 seed, an argument of the run apart from the config; the batch holds them in
 one T x R' x n array for a chunk of R' runs whose draws fit
@@ -43,14 +47,12 @@ after the last round: a zero or NaN entry is absorbing under the update
 (0 * exp(.) stays 0, NaN spreads through the normalization), so it would
 still be there.
 
-:func:`congames.quantile.solve_a1` steps one run at a time, where numpy's
-per-call dispatch would cost more than the arithmetic on n floats.  It runs
-:func:`mw_step`, the one-iterate twin of :func:`mw_update` on Python floats,
-as :func:`congames.worstcase.sampled_subgradient` is the twin of
-:func:`~congames.worstcase.sampled_subgradients`.  The twin gives the same
-bits: its exponents stay on ``np.exp``, and :func:`pairwise_sum` adds its
-normalizer in numpy's order (left to right below 8 entries, which is
-numpy's order there too, and numpy's own sum from 8 on).
+:func:`congames.quantile.solve_a1` steps one run at a time on Python
+floats, where numpy's per-call dispatch would cost more than the arithmetic
+on n floats, and writes the same update into its round.
+:func:`pairwise_sum` adds its normalizer in numpy's order (left to right
+below 8 entries, which is numpy's order there too, and numpy's own sum from
+8 on).
 """
 
 from __future__ import annotations
@@ -62,12 +64,11 @@ import numpy as np
 
 from .game import GameInstance, check_count, check_setting, check_upfront_budget, sample_omega
 from .rng import OMEGA_STREAM, as_generator
-from .worstcase import omega_maxima, sampled_subgradients
+from .worstcase import omega_maxima
 
 __all__ = [
     "MdConfig",
     "mw_update",
-    "mw_step",
     "pairwise_sum",
     "require_positive",
     "run_md",
@@ -80,6 +81,10 @@ __all__ = [
 # least one run): at T = 10 000, n = 3 about 140 runs, past which the cost
 # per run falls little
 BATCH_DRAW_BYTES = 32 * 2**20
+# bytes of the exponents at the argmax, (w - omega/2) / alpha, that a chunk
+# computes a block of rounds at a time (always at least one round): 170
+# rounds of 8 runs at n = 3, small enough to leave a sweep's peak RSS as it was
+ROUND_BLOCK_BYTES = 32 * 2**10
 
 
 @dataclass(frozen=True)
@@ -105,32 +110,18 @@ def require_positive(p):
         raise ValueError("mirror-descent iterates must be strictly positive")
 
 
-def mw_update(p: np.ndarray, grad, alpha: float) -> np.ndarray:
-    """Bare multiplicative-weights ascent step along ``grad``, unchecked.
+def mw_update(p: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """Bare multiplicative-weights step p * exp(expo), renormalized, unchecked.
 
-    Works row-wise: ``p`` is one iterate of shape (n,) or a batch of shape
-    (R, n), with ``grad`` of the same shape (a list is accepted).
+    ``expo`` holds the exponents, the ascent gradient over alpha, in an
+    array of p's shape: one iterate (n,) or a batch (R, n), stepped
+    row-wise.  The step is written into ``expo``, which is returned.
     """
-    expo = np.asarray(grad, dtype=float) / alpha
     expo -= np.maximum.reduce(expo, axis=-1, keepdims=True)  # value-invariant shift against overflow
-    w = p * np.exp(expo)
-    return w / np.add.reduce(w, axis=-1, keepdims=True)
-
-
-def mw_step(p, grad, alpha: float) -> list[float]:
-    """:func:`mw_update` of one iterate on Python floats, unchecked.
-
-    Takes length-n float sequences and returns
-    ``mw_update(np.array(p), grad, alpha).tolist()`` bit for bit, with one
-    exception: where every weight underflows to 0, mw_update returns NaN and
-    this raises :func:`require_positive`'s ValueError.
-    """
-    top = max(grad) / alpha  # the largest exponent: dividing by alpha > 0 keeps the order
-    w = [pk * ek for pk, ek in zip(p, np.exp([g / alpha - top for g in grad]).tolist())]
-    total = pairwise_sum(w)
-    if total == 0.0:  # every weight underflowed, so w fails the check
-        require_positive(w)
-    return [wk / total for wk in w]
+    np.exp(expo, out=expo)
+    expo *= p
+    expo /= np.add.reduce(expo, axis=-1, keepdims=True)
+    return expo
 
 
 def pairwise_sum(xs) -> float:
@@ -192,12 +183,22 @@ def _run_chunk(games, config: MdConfig, seeds) -> np.ndarray:
     for r, (game, seed) in enumerate(zip(games, seeds)):
         draws[:, r] = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=T)
     weights = np.array([game.weights for game in games])
+    miss = weights / alpha  # the exponents off the argmax
+    cols = np.arange(n)
+    per_block = max(1, ROUND_BLOCK_BYTES // (R * n * 8))
+    hits = np.empty((min(per_block, T), R, n))  # one block's exponents at the argmax
 
     p = np.full((R, n), 1.0 / n)
     total = np.zeros((R, n))
-    for omega in draws:
-        total += p
-        p = mw_update(p, sampled_subgradients(p, omega, weights), alpha)
+    for start in range(0, T, per_block):
+        block = draws[start : start + per_block]
+        block_hits = np.multiply(block, 0.5, out=hits[: len(block)])
+        np.subtract(weights, block_hits, out=block_hits)
+        block_hits /= alpha
+        for omega, hit in zip(block, block_hits):
+            total += p
+            top = (p * omega).argmax(axis=-1, keepdims=True)
+            p = mw_update(p, np.where(cols == top, hit, miss))
     require_positive(p)
     return total / T
 

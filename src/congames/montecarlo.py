@@ -149,10 +149,18 @@ def estimate_stats(
         return StrategyStats(player, p, np.zeros(0))
 
     check_upfront_budget("estimate_stats", n_samples, n, rows="n_samples")
-    world_gen, act_gen = stream_generators(rng, (WORLD_STREAM, _action_stream(player)))
+    streams = (WORLD_STREAM, _action_stream(player))
+    # an int seed's streams are built only where read; a Generator is split
+    # on every sampling call, so its later spawns stay where they were, and
+    # any other rng is refused here
+    split = None if isinstance(rng, (int, np.integer)) else stream_generators(rng, streams)
+
+    def generator(i):
+        return split[i] if split else stream_generators(rng, streams[i : i + 1])[0]
+
     columns = private[-1] + 1  # the private block is a range ending here
     if worlds is None:
-        drawn = sample_world(game, world_gen, size=n_samples, columns=columns)
+        drawn = sample_world(game, generator(0), size=n_samples, columns=columns)
     else:
         drawn = worlds()
     if drawn.ndim != 2 or drawn.shape[0] != n_samples or drawn.shape[1] < columns:
@@ -164,7 +172,7 @@ def estimate_stats(
     if isinstance(strategy, Mixture) and len(strategy) == 1:
         p, q = _threshold_stats(strategy.values[0], private, obs, n)
         return StrategyStats(player, p, q)
-    actions = batch_actions(strategy, obs, act_gen)
+    actions = batch_actions(strategy, obs, generator(1))
     p = np.bincount(actions, minlength=n) / n_samples
     q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
     return StrategyStats(player, p, q)

@@ -22,15 +22,19 @@ answer quantile and tail-mean queries: the frontier, and with it the
 threshold construction, refuses a point mass or a discrete law up front.
 
 Unlike :func:`congames.md.run_md_batch`, :func:`solve_a1` steps one run at
-a time, on Python floats: the list gradient
-:func:`congames.worstcase.sampled_subgradient`, the list update
-:func:`congames.md.mw_step` and a list projection, with one conversion to
-numpy after the last round; every bit is what the numpy update gave.  Its
-frontier makes three scalar ``tail_mean`` calls a round on ``math``
-(``np.log1p``, which a batch would need, differs from ``math.log1p`` in the
-last bit on some inputs).  Like the other solvers it refuses, before
-sampling, a run whose T x n omega draws exceed
-:data:`congames.game.UPFRONT_BUDGET_BYTES`.
+a time, on Python floats, in one pass a round like the drift-plus-penalty
+loop: the argmax of x * omega, the gradient (scaled by the frontier slope on
+resource 0) and the multiplicative-weights step of
+:func:`congames.md.mw_update` are written into the loop body, with one
+conversion to numpy after the last round.  The exponents off the argmax,
+w_k / alpha, are computed once before the loop.  Every bit is what the
+numpy update gives: the exponents stay on ``np.exp`` and the normalizer on
+:func:`congames.md.pairwise_sum`.  Its frontier makes three scalar
+``tail_mean`` calls a round on ``math`` (``np.log1p``, which a batch would
+need, differs from ``math.log1p`` in the last bit on some inputs).  Like
+the other solvers it refuses, before sampling, a run whose T x n omega
+draws exceed :data:`congames.game.UPFRONT_BUDGET_BYTES`; it also refuses
+there an ``n_samples`` that its evaluation would refuse.
 """
 
 from __future__ import annotations
@@ -41,11 +45,11 @@ import numpy as np
 
 from .distributions import RewardDistribution
 from .game import GameInstance, check_upfront_budget, draw_rows, sample_omega
-from .md import MdConfig, mw_step, pairwise_sum, require_positive
+from .md import MdConfig, pairwise_sum, require_positive
 from .montecarlo import DEFAULT_SAMPLES
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold, _check_simplex
-from .worstcase import sampled_subgradient, worst_case_objective
+from .worstcase import _check_max_term, worst_case_objective
 
 __all__ = [
     "TailFrontier",
@@ -115,39 +119,61 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
 
     Runs mirror descent on p with the frontier value q(p0) substituted for
     the resource-0 coordinate, over the simplex restricted to
-    p0 >= :data:`DEFAULT_DELTA`.  Each round takes :func:`~congames.worstcase.sampled_subgradient` at
-    x = (q(p0), p[1:]) with weight 1 on resource 0, scales its first entry
-    by the frontier slope q'(p0) (the chain rule), and applies
-    :func:`~congames.md.mw_step`, followed by the KL projection onto
-    p0 >= DEFAULT_DELTA.
+    p0 >= :data:`DEFAULT_DELTA`.  Each round takes the sampled ascent
+    gradient of g at x = (q(p0), p[1:]) (w_k, less omega_k / 2 at the argmax
+    of x * omega, lowest index on ties) with weight 1 on resource 0, scales
+    its first entry by the frontier slope q'(p0) (the chain rule), makes the
+    multiplicative-weights step p_k <- p_k exp(grad_k / alpha), renormalized,
+    and then the KL projection onto p0 >= DEFAULT_DELTA.
 
     ``seed`` drives both the omega draws of the rounds and the evaluation.
     Returns ``(p, value, stderr)``: the average iterate p, the worst-case
     utility g(q(p0), p[1:]) of p evaluated with ``n_samples`` draws when
     randomness remains, and the standard error of that value (0 when exact).
     Raises ValueError, before drawing anything, when DEFAULT_DELTA >= 1/n
-    (n >= 1000) or when the T x n omega draws exceed
-    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
+    (n >= 1000), when the T x n omega draws exceed
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES`, or when the evaluation
+    would refuse ``n_samples`` (fewer than 2, or over its budget, where
+    player B observes a resource).
     """
     if game.partition.a != 1:
         raise ValueError("solve_a1 needs exactly one privately observed resource")
     if not DEFAULT_DELTA < 1.0 / game.n:
         raise ValueError(f"solve_a1 keeps p0 >= {DEFAULT_DELTA:g}, which needs n < {1 / DEFAULT_DELTA:g}")
     frontier = TailFrontier(game.distributions[0])
-    n = game.n
+    n, alpha = game.n, config.alpha
     check_upfront_budget("a1", config.T, n)
+    _check_max_term(game, n_samples)
     # gross gain per unit of x: 1 for the rate q(p0), E_k for the other picks
     weights = game.weights.tolist()
+    scaled = [wk / alpha for wk in weights]  # the exponents off the argmax
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
 
     p = [1.0 / n] * n
     total = [0.0] * n
     for omega in draw_rows(omegas):
-        total = [t + pk for t, pk in zip(total, p)]
-        p0, *rest = p
-        grad = sampled_subgradient([frontier.q(p0), *rest], omega, weights)
-        grad[0] *= frontier.slope(p0)
-        p = mw_step(p, grad, config.alpha)
+        p0 = p[0]
+        # the argmax of x * omega, the first of equal products
+        top, best = 0, frontier.q(p0) * omega[0]
+        for k in range(1, n):
+            prod = p[k] * omega[k]
+            if prod > best:
+                top, best = k, prod
+        expo = scaled.copy()
+        if top:
+            expo[top] = (weights[top] - 0.5 * omega[top]) / alpha
+            expo[0] = weights[0] * frontier.slope(p0) / alpha
+        else:
+            expo[0] = (weights[0] - 0.5 * omega[0]) * frontier.slope(p0) / alpha
+        shift = max(expo)  # value-invariant shift against overflow
+        w = np.exp([e - shift for e in expo]).tolist()
+        for k, pk in enumerate(p):
+            total[k] += pk
+            w[k] *= pk
+        norm = pairwise_sum(w)
+        if norm == 0.0:  # every weight underflowed, so w fails the check
+            require_positive(w)
+        p = [wk / norm for wk in w]
         if not p[0] >= DEFAULT_DELTA:  # NaN fails the comparison, so it lands here too
             rest = p[1:]
             # a zero or NaN entry is absorbing; stop before the frontier sees it

@@ -23,14 +23,14 @@ Every worst-case solver ends in one evaluation of g: at x itself
 (:func:`worst_case_objective`), or at the x of a strategy's estimated
 statistics, on the same seed (:func:`worst_case_utility`).
 
-:func:`sampled_subgradient` is the one sampled (ascent) gradient of g for a
-single omega draw; the drift-plus-penalty and A1 solvers step along it.  It
-works on Python floats, not numpy arrays: those solvers call it once per
-round of a single run on vectors of length n, and numpy's per-call dispatch
-would cost more than the arithmetic.  :func:`sampled_subgradients` is the
-same gradient row by row over (R, n) arrays, for the batched mirror-descent
-loop, where one numpy call serves all R runs: it selects w - omega/2 at each
-row's argmax with ``np.where`` rather than gathering and scattering by index.
+:func:`sampled_subgradient` is the sampled (ascent) gradient of g for a
+single omega draw; the drift-plus-penalty loop steps along it.  It works on
+Python floats, not numpy arrays: that solver calls it once per round of a
+single run on vectors of length n, and numpy's per-call dispatch would cost
+more than the arithmetic.  The mirror-descent and A1 rounds take the same
+gradient inside their loops, already divided by the step weight alpha, with
+the draw-only half of it computed before the rounds
+(:mod:`congames.md`, :mod:`congames.quantile`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "omega_max_mean",
     "omega_maxima",
     "sampled_subgradient",
-    "sampled_subgradients",
 ]
 
 
@@ -99,16 +98,6 @@ def sampled_subgradient(x, omega, w) -> list[float]:
     return grad
 
 
-def sampled_subgradients(x: np.ndarray, omega: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`sampled_subgradient` for each row of (R, n) arrays at once.
-
-    Row r equals ``sampled_subgradient(x[r], omega[r], w[r])`` bit for bit
-    (the argmax takes the lowest index on ties, as ``list.index`` does).
-    """
-    top = (x * omega).argmax(axis=-1, keepdims=True)
-    return np.where(np.arange(x.shape[-1]) == top, w - 0.5 * omega, w)
-
-
 def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=0):
     """Mean and standard error of max_k omega_k x_k.
 
@@ -119,11 +108,21 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=
     x = np.asarray(x, dtype=float)
     if game.partition.b == 0:
         return float(np.max(game.weights * x)), 0.0
+    _check_max_term(game, n_samples)
+    maxima = omega_maxima(x, game, n_samples, rng)
+    return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))
+
+
+def _check_max_term(game: GameInstance, n_samples: int):
+    """Refuse the ``n_samples`` of a sampled max term before anything is
+    drawn: fewer than 2 (no standard error), or :func:`omega_maxima`'s
+    vectors over the up-front budget.  The term is exact, so nothing is
+    checked, when the B block is empty."""
+    if game.partition.b == 0:
+        return
     check_count("n_samples", n_samples, 2, " when player B observes a resource")
     # omega_maxima holds three n_samples vectors, whatever n is
     check_upfront_budget("omega_max_mean", n_samples, game.n, 3 / game.n, rows="n_samples")
-    maxima = omega_maxima(x, game, n_samples, rng)
-    return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))
 
 
 def omega_maxima(x: np.ndarray, game: GameInstance, n_samples: int, rng) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from congames import (
     GameInstance,
     MdConfig,
     Partition,
+    TailFrontier,
+    Uniform,
     explicit_solution,
     md_error_bound,
     run_md,
@@ -21,19 +25,24 @@ from congames import (
     worst_case_objective,
 )
 from congames.game import sample_omega
-from congames.md import mw_step, mw_update, omega_sup_sq_mean, pairwise_sum, require_positive, run_md_batch
+from congames.md import mw_update, omega_sup_sq_mean, pairwise_sum, require_positive, run_md_batch
+from congames.quantile import DEFAULT_DELTA
 from congames.rng import OMEGA_STREAM, as_generator
-from congames.worstcase import sampled_subgradient, sampled_subgradients
+from congames.worstcase import sampled_subgradient
 from conftest import LAWS, exp_game
 
 
 def test_step_shift_invariance_and_hand_value():
+    # the update takes the exponents, the gradient over alpha, and steps in place
     p = np.array([0.3, 0.7])
-    np.testing.assert_allclose(mw_update(p, [-5.0, -5.0], 2.0), p)
-    out = mw_update(np.array([0.5, 0.5]), [0.0, math.log(2.0)], 1.0)
+    expo = np.array([-5.0, -5.0]) / 2.0
+    out = mw_update(p, expo)
+    assert out is expo
+    np.testing.assert_allclose(out, p)
+    out = mw_update(np.array([0.5, 0.5]), np.array([0.0, math.log(2.0)]))
     np.testing.assert_allclose(out, [1 / 3, 2 / 3], atol=1e-12)
     # vanishing step size
-    out = mw_update(np.array([0.5, 0.5]), [-0.3, 1.0], 1e12)
+    out = mw_update(np.array([0.5, 0.5]), np.array([-0.3, 1.0]) / 1e12)
     np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-9)
 
 
@@ -49,32 +58,96 @@ def test_step_rejects_boundary():
             MdConfig(alpha=alpha, T=10)
 
 
+def numpy_a1(game, config, seed):
+    """solve_a1's rounds as a loop of the array formulas: the gradient of g
+    at x = (q(p0), p[1:]), its first entry scaled by the frontier slope, the
+    1-D update and the projection onto p0 >= DEFAULT_DELTA.  Returns the
+    average iterate, or the error the loop raises, and which of the
+    projection and a zero normalizer some round reached."""
+    frontier = TailFrontier(game.distributions[0])
+    n, w = game.n, game.weights
+    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
+    p, total, hits = np.full(n, 1.0 / n), np.zeros(n), set()
+    try:
+        for omega in omegas:
+            total += p
+            x = p.copy()
+            x[0] = frontier.q(p[0])
+            top = int(np.argmax(x * omega))
+            grad = w.copy()
+            grad[top] -= 0.5 * omega[top]
+            grad[0] *= frontier.slope(p[0])
+            expo = grad / config.alpha
+            expo -= expo.max()
+            weights = p * np.exp(expo)
+            if weights.sum() == 0.0:
+                hits.add("zero normalizer")
+            with np.errstate(invalid="ignore"):
+                p = weights / weights.sum()
+            if not p[0] >= DEFAULT_DELTA:
+                hits.add("projection")
+                require_positive(p[1:])
+                p = np.concatenate([[DEFAULT_DELTA], p[1:] * ((1.0 - DEFAULT_DELTA) / p[1:].sum())])
+        require_positive(p)
+    except ValueError as error:
+        return str(error), hits
+    return (total / config.T).tobytes(), hits
+
+
+def a1_outcome(game, config, seed):
+    try:
+        return solve_a1(game, config, seed, n_samples=2)[0].tobytes()
+    except ValueError as error:
+        return str(error)
+
+
+# the law of A's observed resource 0: exponential or uniform, from its mean
+FRONTIER_LAWS = {"exponential": LAWS["exponential"], "uniform": LAWS["uniform"]}
+
+
 @st.composite
-def mw_steps(draw):
-    """A positive iterate, a finite gradient and a step size, n from 1 to 12
-    (past the 8 entries from which numpy stops summing left to right)."""
-    n = draw(st.integers(1, 12))
-    p = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n))
-    grad = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
-    return p, grad, draw(st.floats(1e-3, 1e6))
+def a1_runs(draw):
+    """a = 1 games with n from 2 to 6, each law on the rest, and step sizes
+    down to those that pin p0 at DEFAULT_DELTA within a few rounds."""
+    n = draw(st.integers(2, 6))
+    b = draw(st.integers(0, n - 1))
+    d = draw(st.integers(0, n - 1 - b))
+    first = draw(st.sampled_from(sorted(FRONTIER_LAWS)))
+    laws = draw(st.lists(st.sampled_from(sorted(LAWS)), min_size=n - 1, max_size=n - 1))
+    means = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
+    z = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
+    dists = (FRONTIER_LAWS[first](means[0]),) + tuple(LAWS[law](m) for law, m in zip(laws, means[1:]))
+    game = GameInstance(Partition(1, b, n - 1 - b - d, d), dists, z=np.array(z))
+    alpha = draw(st.one_of(st.floats(0.005, 0.5), st.floats(0.5, 200.0)))
+    return game, MdConfig(alpha=alpha, T=draw(st.integers(1, 80))), draw(st.integers(0, 2**32))
 
 
-@given(mw_steps())
-@settings(max_examples=500, deadline=None)
-def test_list_step_matches_the_array_update(step):
-    p, grad, alpha = step
-    expected = mw_update(np.array(p), grad, alpha)
-    assert np.array(mw_step(p, grad, alpha)).tobytes() == expected.tobytes()
+# p0 is pinned at DEFAULT_DELTA, so the projection branch runs
+PINNED_A1 = (exp_game([0.3, 1.0, 1.0], (1, 1, 1, 0)), MdConfig(alpha=0.05, T=60), 3)
+
+
+@given(a1_runs())
+@example(PINNED_A1)
+@example((GameInstance(Partition(1, 0, 4, 0), (Uniform(0.0, 0.4),) + (Exponential(1.0),) * 4), MdConfig(alpha=0.02, T=40), 1))
+@settings(max_examples=150, deadline=None)
+def test_list_step_matches_the_array_update(run):
+    # the A1 round on Python floats keeps the bits of the array formulas
+    game, config, seed = run
+    expected, _ = numpy_a1(game, config, seed)
+    assert a1_outcome(game, config, seed) == expected
 
 
 def test_list_step_raises_where_the_array_update_gives_nan():
-    # the one positive entry's weight underflows to 0: mw_update divides 0 by
-    # 0, and float division would raise ZeroDivisionError
-    p, grad = [1.0, 0.0], [0.0, 1e3]
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(mw_update(np.array(p), grad, 1e-3)).all()
-    with pytest.raises(ValueError, match="strictly positive"):
-        mw_step(p, grad, 1e-3)
+    # a zero iterate entry gets the largest exponent and every other weight
+    # underflows, so the array update divides 0 by 0; the round refuses it
+    # before the frontier sees a NaN
+    game, config, seed = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0)), MdConfig(alpha=1e-3, T=2000), 0
+    expected, hits = numpy_a1(game, config, seed)
+    assert "zero normalizer" in hits
+    assert expected == a1_outcome(game, config, seed) == "mirror-descent iterates must be strictly positive"
+    # and the pinned run reaches the projection without failing
+    expected, hits = numpy_a1(*PINNED_A1)
+    assert hits == {"projection"} and a1_outcome(*PINNED_A1) == expected
 
 
 @given(hnp.arrays(float, st.integers(0, 300), elements=st.floats(-1e6, 1e6)))
@@ -87,7 +160,7 @@ def test_pairwise_sum_adds_in_numpys_order(xs):
 def test_step_preserves_simplex(rng):
     p = np.full(4, 0.25)
     for _ in range(200):
-        p = mw_update(p, -rng.normal(size=4), 5.0)
+        p = mw_update(p, -rng.normal(size=4) / 5.0)
         require_positive(p)
         assert abs(p.sum() - 1.0) <= 1e-12
 
@@ -280,6 +353,24 @@ def test_chunked_batch_matches_unchunked(monkeypatch, runs_per_chunk, chunks):
     assert sizes == chunks
 
 
+def test_batch_holds_its_draws_and_one_block():
+    # the batch holds its T x R x n draws; besides them, first one run's
+    # sampled omegas with their drawn column, then one block of exponents at
+    # the argmax (and numpy's 64 KiB broadcast buffer), never a second
+    # draw-sized array
+    R, T, n = 24, 10_000, 3
+    games = [exp_game([0.3 + 0.1 * r, 1.0, 1.0], (0, 1, 2, 0)) for r in range(R)]
+    run_md_batch(games, MdConfig(alpha=50.0, T=10), list(range(R)))  # leave numpy's one-time allocations out
+    tracemalloc.start()
+    try:
+        run_md_batch(games, MdConfig(alpha=50.0, T=T), list(range(R)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    extra = max(T * (n + 1) * 8, congames.md.ROUND_BLOCK_BYTES + 64 * 1024)
+    assert peak <= T * R * n * 8 + extra + 32 * 1024
+
+
 def test_batch_rejects_mixed_runs():
     # one config serves the whole batch, so only n can differ between runs
     games, config, seeds = _sweep_like_batch()
@@ -293,18 +384,24 @@ def test_batch_rejects_mixed_runs():
         run_md_batch([], config, [])
 
 
-@given(
-    st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
-        lambda shape: st.tuples(*[hnp.arrays(float, shape, elements=st.floats(0.0, 5.0))] * 3)
-    )
-)
-@example(tuple(np.array(v) for v in ([[0.5, 0.5, 0.2], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [2.0, 1.0, 3.0]], [[1.0, 2.0, 3.0]] * 2)))
-@settings(max_examples=200, deadline=None)
-def test_row_subgradients_match_the_list_kernel(arrays):
-    # ties take the lowest index in both kernels
-    x, omega, w = arrays
-    expected = [sampled_subgradient(*rows) for rows in zip(x.tolist(), omega.tolist(), w.tolist())]
-    assert sampled_subgradients(x, omega, w).tobytes() == np.array(expected).tobytes()
+@given(md_batches(), st.integers(1, 70), st.integers(1, 5))
+@example(_sweep_like_batch(), 7, 2)  # the chunk split above, 300 rounds in blocks of 3 and 7
+@example(_sweep_like_batch(), 2000, 5)  # T below one block
+@example((_sweep_like_batch()[0], MdConfig(alpha=50.0, T=1), [3, 1, 4, 15, 9]), 1, 1)
+@settings(max_examples=60, deadline=None)
+def test_row_subgradients_match_the_list_kernel(batch, block_rounds, chunk_runs):
+    # the batched round reads its exponents at the argmax from a per-block
+    # precompute; every row keeps the bits of the list-kernel loop, with T = 1,
+    # T below one block and T not a multiple of it, whatever the chunk split
+    games, config, seeds = batch
+    n = games[0].n
+    with (
+        mock.patch.object(congames.md, "ROUND_BLOCK_BYTES", block_rounds * n * 8),
+        mock.patch.object(congames.md, "BATCH_DRAW_BYTES", chunk_runs * config.T * n * 8),
+    ):
+        ps = run_md_batch(games, config, seeds)
+    for row, game, seed in zip(ps, games, seeds):
+        assert row.tobytes() == lone_md(game, config, seed).tobytes()
 
 
 def test_oversized_runs_fail_before_sampling(monkeypatch):

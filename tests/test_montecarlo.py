@@ -318,3 +318,40 @@ def test_best_response_estimate_peaks_under_12_bytes_per_sample():
         finally:
             tracemalloc.stop()
         assert peak / n_samples < 12, f"player {player} peaked at {peak / n_samples:.1f} bytes per sample"
+
+
+def test_a_generator_is_split_on_every_sampling_call():
+    # each sampling estimate spawns two generators from a Generator argument,
+    # used or not, so the generator's later spawns stay where they were
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    worlds = sample_world(g, 7, size=500)
+    gen = np.random.default_rng(11)
+    estimate_stats(Mixture([[1.0, 0.5, 0.2]], [0]), g, "A", n_samples=500, rng=gen, worlds=lambda: worlds)
+    estimate_stats(Mixture([[1.0, 0.5, 0.2], [0.1, 0.5, 0.9]], [0]), g, "A", n_samples=500, rng=gen)
+    estimate_stats(Simplex([0.2, 0.3, 0.5]), g, "A", n_samples=500, rng=gen)  # exact: no spawn
+    reference = np.random.default_rng(11)
+    reference.spawn(4)
+    assert gen.spawn(1)[0].random(4).tobytes() == reference.spawn(1)[0].random(4).tobytes()
+    # an rng that is neither is refused, even where no stream is read
+    with pytest.raises(TypeError, match="cannot interpret '11' as a random generator"):
+        estimate_stats(Mixture([[1.0, 0.5, 0.2]], [0]), g, "A", n_samples=500, rng="11", worlds=lambda: worlds)
+
+
+def test_nash_turns_on_cached_worlds_build_no_generator(monkeypatch):
+    # a best response is a one-row mixture counted on the run's worlds, so
+    # neither the world nor the action stream is read; an int seed builds
+    # neither
+    calls = []
+    original = congames.montecarlo.stream_generators
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(congames.montecarlo, "stream_generators", spy)
+    game = exp_game([1.2, 1.0, 0.8], (1, 1, 1, 0))
+    report = congames.nash.iterate_best_response(game, n_samples=2000, seed=3)
+    assert report.iterations >= 2 and calls == []
+    # an estimate that draws its own worlds builds the world stream alone
+    estimate_stats(report.strategy_a, game, "A", n_samples=2000, rng=3)
+    assert calls == [(3, (WORLD_STREAM,))]

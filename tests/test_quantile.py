@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import congames.quantile
 from congames import (
     Discrete,
     Exponential,
@@ -172,3 +174,37 @@ def test_solve_a1_stderr_matches_its_evaluation():
     x[0] = TailFrontier(g.distributions[0]).q(p[0])
     assert (value, stderr) == worst_case_objective(x, g, n_samples=3000, rng=4)
     assert stderr > 0
+
+
+def test_solve_a1_holds_no_round_history():
+    # the run holds its T x n omega draws and one DRAW_CHUNK of them as Python
+    # floats (about 0.6 MiB at n = 3), never a T x n record of its iterates
+    T, n = 60_000, 3
+    game = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    solve_a1(game, MdConfig(alpha=50.0, T=10), n_samples=2000)  # leave numpy's one-time allocations out
+    tracemalloc.start()
+    try:
+        solve_a1(game, MdConfig(alpha=50.0, T=T), seed=1, n_samples=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= T * n * 8 + 2**20
+
+
+@pytest.mark.parametrize(
+    "n_samples, message",
+    [
+        (1, "^n_samples must be >= 2 when player B observes a resource$"),
+        (0, "^n_samples must be >= 2 when player B observes a resource$"),
+        (2.5, "^n_samples must be an integer, got 2.5$"),
+        (10**10, "^omega_max_mean run with n_samples=10000000000, n=3 needs 228882 MiB up front"),
+    ],
+)
+def test_solve_a1_refuses_a_bad_sample_count_before_sampling(monkeypatch, n_samples, message):
+    # the evaluation's own checks, with its messages, run before any round
+    def no_draws(*args, **kwargs):
+        raise AssertionError("solve_a1 sampled before checking its evaluation's sample count")
+
+    monkeypatch.setattr(congames.quantile, "sample_omega", no_draws)
+    with pytest.raises(ValueError, match=message):
+        solve_a1(exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0)), MdConfig(alpha=50.0, T=50_000), n_samples=n_samples)
