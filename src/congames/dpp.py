@@ -8,20 +8,27 @@ u_j = E_j on the private block and 1 elsewhere.  Each round t:
 2. move the auxiliary target vector gamma by one projected step of the
    penalized objective,
        gamma_j <- clip(gamma_j - (Q_j - V * grad_j) / (2 alpha), 0, u_j),
-   where grad is a subgradient of the sampled objective at the previous
-   gamma (the separable closed form of the per-round proximal problem);
+   where grad, the game's weights v less omega_j / 2 at the argmax j of
+   gamma * omega (lowest index on ties), is the sampled ascent gradient of
+   the objective at the previous gamma (the separable closed form of the
+   per-round proximal problem);
 3. act with the virtual-queue score strategy: argmax over
    {Q_j X_j : j private} and {Q_j : j not private}, lowest index on ties;
 4. update the queues toward the targets:
        Q_j <- max(Q_j + gamma_j - realized x_j, 0).
 
-:func:`run` takes the subgradient of step 2 from
-:func:`congames.worstcase.sampled_subgradient` (the sampled gradient of g,
-shared with mirror descent and A1) and does the rest of steps 2 and 4 in
-one pass over the resources, updating gamma and the queues in place.  The
-round works on Python lists of floats: at n = 3 a numpy call costs more in
-dispatch than in arithmetic.  Each comparison is written so that a -0.0
-comes out as +0.0, which gives the bits of numpy's clip and maximum.  Each
+:func:`run` steps the T rounds in one straight-line function, generated
+from the integers n and a alone and compiled once per (n, a) shape
+(``_round_kernel``).  Each resource's queue, target and realized sum is a
+local Python float, each argmax a chain of ``if s > best`` (the first of
+equal values wins), and each resource's step is written out, so a round
+builds no list and takes no subscript: at n = 3 a numpy call costs more in
+dispatch than in arithmetic, and a list subscript more than a local.  The
+source is registered with :mod:`linecache` under a name such as
+``<dpp round kernel n=3 a=1>``, so tracebacks, ``pdb`` and profilers show
+its lines.  Each comparison is written so that a -0.0 comes out as +0.0,
+which gives the bits of numpy's clip and maximum; queues and targets never
+fall below +0.0, so only the drained queue needs its floor.  Each
 stream's T draws are still sampled in one call and are read as lists a
 chunk of rows at a time (:func:`congames.game.draw_rows`); the queue
 history is kept in a compact float buffer, which the mixture takes over
@@ -36,6 +43,7 @@ mixture's suboptimality at the error bound of :func:`bound_constants`.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -46,14 +54,15 @@ from .game import (
     GameInstance,
     check_count,
     check_setting,
+    argmax_chain,
     check_upfront_budget,
+    compile_kernel,
     draw_rows,
     sample_omega,
     sample_world,
 )
 from .rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture
-from .worstcase import sampled_subgradient
 
 __all__ = [
     "DppConfig",
@@ -153,28 +162,10 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     v = game.weights.tolist()
     bound = queue_bound(game, alpha)
 
-    two_alpha = 2.0 * alpha
-    queues = [0.0] * n
-    gamma = [0.0] * n
     history = array("d")
-    realized_sum = [0.0] * n
-
-    for omega, x in zip(draw_rows(omega_draws), draw_rows(x_draws)):
-        grad = sampled_subgradient(gamma, omega, v)
-        scores = [q * xk for q, xk in zip(queues, x)] + queues[a:]
-        action = scores.index(max(scores))
-        history.extend(queues)
-        drain = x[action] if action < a else 1.0
-        realized_sum[action] += drain
-
-        # the rest of steps 2 and 4, in place
-        for j, hi in enumerate(u):
-            q = queues[j]
-            y = gamma[j] - (q - V * grad[j]) / two_alpha
-            y = y if y > 0.0 else 0.0
-            g = gamma[j] = y if y < hi else hi
-            y = q + g - drain if j == action else q + g
-            queues[j] = y if y > 0.0 else 0.0
+    queues, gamma, realized_sum = _round_kernel(n, a)(
+        draw_rows(omega_draws), draw_rows(x_draws), V, 2.0 * alpha, u, v, history
+    )
 
     q_history = np.frombuffer(history, dtype=float).reshape(T, n)
     q_history.setflags(write=False)  # so the mixture keeps it uncopied
@@ -192,6 +183,63 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
         final_gamma=np.array(gamma),
     )
     return Mixture(q_history, game.partition.set_a), diagnostics
+
+
+def _unpack(names: list[str]) -> str:
+    """An assignment target for a row of ``len(names)`` floats."""
+    return f"({', '.join(names)},)" if names else "()"
+
+
+@functools.lru_cache
+def _round_kernel(n: int, a: int):
+    """The T rounds of :func:`run` for n resources, the first a private to
+    A, as one straight-line function compiled from generated source.
+
+    Each resource's queue, target and realized sum is a local float
+    (``Q0``, ``G0``, ``R0``, ...) and each argmax a chain of ``if s > best``
+    (:func:`~congames.game.argmax_chain`), so a round makes no list and no
+    subscript.  Only the integers n and a enter the source.  The function
+    takes the omega and world row iterators, V, 2 alpha, u, v and the
+    history buffer, appends each round's queues to the buffer before they
+    move, and returns the final queues, targets and realized sums as lists.
+    """
+    n, a = int(n), int(a)
+    o, x, u, v, Q, G, R = ([f"{name}{j}" for j in range(n)] for name in "oxuvQGR")
+    x = x[:a]
+    lines = [
+        "def dpp_rounds(omega_rows, x_rows, V, two_alpha, u, v, history):",
+        f"    {_unpack(u)} = u",
+        f"    {_unpack(v)} = v",
+        *(f"    V{v[j]} = V * {v[j]}" for j in range(n)),
+        f"    {' = '.join(Q + G + R)} = 0.0",
+        "    extend = history.extend",
+        f"    for {_unpack(o)}, {_unpack(x)} in zip(omega_rows, x_rows):",
+        "        # the argmax of gamma * omega: its resource's gradient is v - omega / 2",
+        *argmax_chain("top", [f"{G[j]} * {o[j]}" for j in range(n)]),
+        "        # the queue-score action: Q_j x_j on A's block, Q_j elsewhere",
+        *argmax_chain("act", [f"{Q[j]} * {x[j]}" if j < a else Q[j] for j in range(n)]),
+        f"        extend(({', '.join(Q)},))",
+        "        # gamma's projected step, clipped to [0, u_j], and each queue's arrival",
+    ]
+    for j in range(n):
+        lines += [
+            f"        y = {G[j]} - ({Q[j]} - (V * ({v[j]} - 0.5 * {o[j]}) if top == {j} else V{v[j]})) / two_alpha",
+            "        y = y if y > 0.0 else 0.0",
+            f"        {G[j]} = y if y < {u[j]} else {u[j]}",
+            f"        {Q[j]} = {Q[j]} + {G[j]}",
+        ]
+    lines.append("        # the action's drain: its world draw on A's block, 1 elsewhere")
+    for j in range(n):
+        drain = x[j] if j < a else "1.0"
+        lines += [
+            f"        if act == {j}:",
+            f"            y = {Q[j]} - {drain}",
+            f"            {Q[j]} = y if y > 0.0 else 0.0",
+            f"            {R[j]} += {drain}",
+        ]
+    lines.append(f"    return [{', '.join(Q)}], [{', '.join(G)}], [{', '.join(R)}]")
+    filename = f"<dpp round kernel n={n} a={a}>"
+    return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds", {})
 
 
 def bound_constants(game: GameInstance, config: DppConfig) -> BoundConstants:

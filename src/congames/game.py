@@ -16,6 +16,7 @@ vector is ``E[k] = z[k]`` on the AB block and the distribution mean elsewhere.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 
@@ -30,14 +31,17 @@ __all__ = [
     "sample_world",
     "sample_omega",
     "draw_rows",
+    "compile_kernel",
+    "argmax_chain",
     "UPFRONT_BUDGET_BYTES",
     "check_upfront_budget",
     "check_setting",
     "check_count",
 ]
 
-# rows that draw_rows converts to Python floats at a time
-DRAW_CHUNK = 4096
+# rows that draw_rows converts to Python floats at a time: about 160 KiB of
+# them at n = 3, less than a short run's draws
+DRAW_CHUNK = 1024
 # the solvers refuse a run whose draws and history, allocated before the
 # first round, would exceed this
 UPFRONT_BUDGET_BYTES = 2**30
@@ -202,6 +206,36 @@ def draw_rows(draws: np.ndarray):
     """
     for start in range(0, len(draws), DRAW_CHUNK):
         yield from draws[start : start + DRAW_CHUNK].tolist()
+
+
+def compile_kernel(source: str, filename: str, name: str, namespace: dict):
+    """Compile the generated ``source`` under ``filename``, run it with
+    ``namespace`` as its globals and return the function ``name`` it defines.
+
+    The source's lines are registered in :mod:`linecache` under
+    ``filename``, so tracebacks, ``pdb`` and profilers show them.
+    """
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def argmax_chain(index: str, values: list[str]) -> list[str]:
+    """Source lines, indented for a loop body, that set ``index`` to the
+    position of the first largest of the expressions ``values``, as
+    ``values.index(max(values))`` would: a chain of ``if s > best``, which
+    keeps the earlier of equal values (-0.0 and 0.0 among them)."""
+    lines = [f"        {index} = 0"]
+    if len(values) > 1:
+        lines.append(f"        best = {values[0]}")
+    for j, value in enumerate(values[1:], 1):
+        if not value.isidentifier():
+            lines.append(f"        s = {value}")
+            value = "s"
+        lines += [f"        if {value} > best:", f"            {index} = {j}"]
+        if j < len(values) - 1:
+            lines.append(f"            best = {value}")
+    return lines
 
 
 def check_upfront_budget(solver: str, T: int, n: int, arrays: float = 1, rows: str = "T"):

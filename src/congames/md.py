@@ -10,11 +10,11 @@ the sampled ascent gradient
 
     grad_j = E_j - 1/2 * 1{argmax_k p_k omega_k = j} * omega_j
 
-(the gradient of :func:`congames.worstcase.sampled_subgradient`, which
-drift-plus-penalty steps along), and applies the entropy-geometry update
-p_k <- p_k exp(grad_k / alpha), renormalized (exponents are max-shifted first, which leaves the value
-unchanged).  The returned vector is the average of the iterates including
-the uniform start; its expected suboptimality is at most
+(the gradient that drift-plus-penalty steps along too), and applies the
+entropy-geometry update p_k <- p_k exp(grad_k / alpha), renormalized
+(exponents are max-shifted first, which leaves the value unchanged).  The
+returned vector is the average of the iterates including the uniform
+start; its expected suboptimality is at most
 
     C / (2 alpha) + alpha ln(n) / T,    C = 2 max(E)^2 + E[max_k omega_k^2]/2.
 
@@ -49,7 +49,7 @@ still be there.
 
 :func:`congames.quantile.solve_a1` steps one run at a time on Python
 floats, where numpy's per-call dispatch would cost more than the arithmetic
-on n floats, and writes the same update into its round.
+on n floats, and writes the same update out in its generated round.
 :func:`pairwise_sum` adds its normalizer in numpy's order (left to right
 below 8 entries, which is numpy's order there too, and numpy's own sum from
 8 on).

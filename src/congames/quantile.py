@@ -22,14 +22,20 @@ answer quantile and tail-mean queries: the frontier, and with it the
 threshold construction, refuses a point mass or a discrete law up front.
 
 Unlike :func:`congames.md.run_md_batch`, :func:`solve_a1` steps one run at
-a time, on Python floats, in one pass a round like the drift-plus-penalty
-loop: the argmax of x * omega, the gradient (scaled by the frontier slope on
-resource 0) and the multiplicative-weights step of
-:func:`congames.md.mw_update` are written into the loop body, with one
-conversion to numpy after the last round.  The exponents off the argmax,
-w_k / alpha, are computed once before the loop.  Every bit is what the
-numpy update gives: the exponents stay on ``np.exp`` and the normalizer on
-:func:`congames.md.pairwise_sum`.  Its frontier makes three scalar
+a time, on Python floats, like the drift-plus-penalty loop: its T rounds
+are one straight-line function, generated from the integer n alone and
+compiled once per n (``_round_kernel``, registered with :mod:`linecache`
+as ``<a1 round kernel n=3>`` and so on).  Each iterate entry and running
+total is a local float, the argmax of x * omega and the shift of the
+exponents are chains of comparisons, and the gradient (scaled by the
+frontier slope on resource 0), the multiplicative-weights step of
+:func:`congames.md.mw_update` and the projection are written out per
+entry, because a local costs less than a list subscript at n = 3.  The
+exponents off the argmax, w_k / alpha, are computed once before the loop.
+Every bit is what the numpy update gives: the exponents stay on
+``np.exp``, and the normalizer and the projection's sum are added in
+numpy's order (left to right below 8 entries, through
+:func:`congames.md.pairwise_sum` from 8 on).  Its frontier makes three scalar
 ``tail_mean`` calls a round on ``math`` (``np.log1p``, which a batch would
 need, differs from ``math.log1p`` in the last bit on some inputs).  Like
 the other solvers it refuses, before sampling, a run whose T x n omega
@@ -39,12 +45,20 @@ there an ``n_samples`` that its evaluation would refuse.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import RewardDistribution
-from .game import GameInstance, check_upfront_budget, draw_rows, sample_omega
+from .game import (
+    GameInstance,
+    argmax_chain,
+    check_upfront_budget,
+    compile_kernel,
+    draw_rows,
+    sample_omega,
+)
 from .md import MdConfig, pairwise_sum, require_positive
 from .montecarlo import DEFAULT_SAMPLES
 from .rng import OMEGA_STREAM, as_generator
@@ -144,43 +158,12 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     n, alpha = game.n, config.alpha
     check_upfront_budget("a1", config.T, n)
     _check_max_term(game, n_samples)
-    # gross gain per unit of x: 1 for the rate q(p0), E_k for the other picks
-    weights = game.weights.tolist()
-    scaled = [wk / alpha for wk in weights]  # the exponents off the argmax
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
-
-    p = [1.0 / n] * n
-    total = [0.0] * n
-    for omega in draw_rows(omegas):
-        p0 = p[0]
-        # the argmax of x * omega, the first of equal products
-        top, best = 0, frontier.q(p0) * omega[0]
-        for k in range(1, n):
-            prod = p[k] * omega[k]
-            if prod > best:
-                top, best = k, prod
-        expo = scaled.copy()
-        if top:
-            expo[top] = (weights[top] - 0.5 * omega[top]) / alpha
-            expo[0] = weights[0] * frontier.slope(p0) / alpha
-        else:
-            expo[0] = (weights[0] - 0.5 * omega[0]) * frontier.slope(p0) / alpha
-        shift = max(expo)  # value-invariant shift against overflow
-        w = np.exp([e - shift for e in expo]).tolist()
-        for k, pk in enumerate(p):
-            total[k] += pk
-            w[k] *= pk
-        norm = pairwise_sum(w)
-        if norm == 0.0:  # every weight underflowed, so w fails the check
-            require_positive(w)
-        p = [wk / norm for wk in w]
-        if not p[0] >= DEFAULT_DELTA:  # NaN fails the comparison, so it lands here too
-            rest = p[1:]
-            # a zero or NaN entry is absorbing; stop before the frontier sees it
-            require_positive(rest)
-            # KL projection onto {p0 >= DEFAULT_DELTA}: pin p0, rescale the rest
-            scale = (1.0 - DEFAULT_DELTA) / pairwise_sum(rest)
-            p = [DEFAULT_DELTA, *(pk * scale for pk in rest)]
+    # the weights are the gross gain per unit of x: 1 for the rate q(p0), E_k
+    # for the other picks
+    p, total = _round_kernel(n)(
+        draw_rows(omegas), frontier.q, frontier.slope, game.weights.tolist(), alpha, DEFAULT_DELTA
+    )
     require_positive(p)
     p_avg = np.array(total) / config.T
 
@@ -188,3 +171,74 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     x[0] = frontier.q(p_avg[0])
     value, stderr = worst_case_objective(x, game, n_samples=n_samples, rng=seed)
     return p_avg, value, stderr
+
+
+def _sum(terms: list[str]) -> str:
+    """Source adding ``terms`` as :func:`~congames.md.pairwise_sum` does."""
+    if len(terms) >= 8:
+        return f"pairwise_sum([{', '.join(terms)}])"
+    return " + ".join(["0.0", *terms])
+
+
+@functools.lru_cache
+def _round_kernel(n: int):
+    """The T rounds of :func:`solve_a1` for n resources, as one
+    straight-line function compiled from generated source.
+
+    Each iterate entry and running total is a local float (``P0``, ``S0``,
+    ...), the argmax is a chain of ``if s > best``
+    (:func:`~congames.game.argmax_chain`), the shift one of
+    ``if c > shift`` (as ``max`` takes it), and each sum is written out in
+    numpy's order, so a round builds one list, for ``np.exp``.  Only the
+    integer n enters the source.  The function takes the omega row
+    iterator, the frontier's q and slope, the weights, alpha and the p0
+    floor, and returns the last iterate and the iterates' sums as lists.
+    """
+    n = int(n)
+    o, w, s, c, e, P, S = ([f"{name}{k}" for k in range(n)] for name in "owscePS")
+    rest = P[1:]
+    lines = [
+        "def a1_rounds(omega_rows, q, slope, w, alpha, delta):",
+        f"    ({', '.join(w)},) = w",
+        *(f"    {s[k]} = {w[k]} / alpha" for k in range(1, n)),
+        "    keep = 1.0 - delta",
+        f"    {' = '.join(P)} = 1.0 / {n}",
+        f"    {' = '.join(S)} = 0.0",
+        f"    for ({', '.join(o)},) in omega_rows:",
+        *(f"        {S[k]} += {P[k]}" for k in range(n)),
+        "        # the argmax of x * omega, x = (q(p0), p[1:])",
+        *argmax_chain("top", [f"q({P[0]}) * {o[0]}", *(f"{P[k]} * {o[k]}" for k in range(1, n))]),
+        "        # the exponents, the ascent gradient over alpha, the slope of q scaling",
+        "        # resource 0's; the argmax loses half its omega weight",
+        *(f"        {c[k]} = {s[k]}" for k in range(1, n)),
+        "        if top == 0:",
+        f"            {c[0]} = ({w[0]} - 0.5 * {o[0]}) * slope({P[0]}) / alpha",
+        "        else:",
+        f"            {c[0]} = {w[0]} * slope({P[0]}) / alpha",
+    ]
+    for k in range(1, n):
+        lines += [
+            f"            if top == {k}:",
+            f"                {c[k]} = ({w[k]} - 0.5 * {o[k]}) / alpha",
+        ]
+    lines += ["        # a value-invariant shift against overflow", f"        shift = {c[0]}"]
+    for k in range(1, n):
+        lines += [f"        if {c[k]} > shift:", f"            shift = {c[k]}"]
+    lines += [
+        f"        ({', '.join(e)},) = exp([{', '.join(f'{ck} - shift' for ck in c)}]).tolist()",
+        *(f"        {e[k]} = {e[k]} * {P[k]}" for k in range(n)),
+        f"        norm = {_sum(e)}",
+        "        if norm == 0.0:  # every weight underflowed",
+        f"            require_positive([{', '.join(e)}])",
+        *(f"        {P[k]} = {e[k]} / norm" for k in range(n)),
+        f"        if not {P[0]} >= delta:  # NaN fails the comparison, so it lands here too",
+        "            # a zero or NaN entry is absorbing; stop before the frontier sees it",
+        f"            require_positive([{', '.join(rest)}])",
+        "            # KL projection onto {p0 >= delta}: pin p0, rescale the rest",
+        f"            scale = keep / ({_sum(rest)})",
+        f"            {P[0]} = delta",
+        *(f"            {P[k]} = {P[k]} * scale" for k in range(1, n)),
+        f"    return [{', '.join(P)}], [{', '.join(S)}]",
+    ]
+    namespace = {"exp": np.exp, "pairwise_sum": pairwise_sum, "require_positive": require_positive}
+    return compile_kernel("\n".join(lines) + "\n", f"<a1 round kernel n={n}>", "a1_rounds", namespace)

@@ -23,14 +23,11 @@ Every worst-case solver ends in one evaluation of g: at x itself
 (:func:`worst_case_objective`), or at the x of a strategy's estimated
 statistics, on the same seed (:func:`worst_case_utility`).
 
-:func:`sampled_subgradient` is the sampled (ascent) gradient of g for a
-single omega draw; the drift-plus-penalty loop steps along it.  It works on
-Python floats, not numpy arrays: that solver calls it once per round of a
-single run on vectors of length n, and numpy's per-call dispatch would cost
-more than the arithmetic.  The mirror-descent and A1 rounds take the same
-gradient inside their loops, already divided by the step weight alpha, with
-the draw-only half of it computed before the rounds
-(:mod:`congames.md`, :mod:`congames.quantile`).
+The sampled (ascent) gradient of g for one omega draw is w_k, less
+omega_k / 2 at the argmax of x * omega (lowest index on ties), with w the
+game's weights; the drift-plus-penalty, mirror-descent and A1 rounds take
+it inside their loops (:mod:`congames.dpp`, :mod:`congames.md`,
+:mod:`congames.quantile`).
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ __all__ = [
     "worst_case_utility",
     "omega_max_mean",
     "omega_maxima",
-    "sampled_subgradient",
 ]
 
 
@@ -80,22 +76,6 @@ def worst_case_response(stats_a: StrategyStats, game: GameInstance) -> Mixture:
     values[part.set_a] = stats_a.q
     values[part.set_b] = stats_a.p[part.set_b]  # coefficient on B's observed reward
     return Mixture(values[np.newaxis], part.set_b)
-
-
-def sampled_subgradient(x, omega, w) -> list[float]:
-    """Gradient of w.x - max_k(omega_k x_k)/2 at x for one omega draw.
-
-    ``w`` holds the gross gain per unit of x (for g itself
-    :attr:`~congames.game.GameInstance.weights`: 1 on the A block, E_k
-    elsewhere); the argmax of x * omega loses half its omega
-    weight, lowest index on ties.  Takes length-n float sequences, returns a
-    list, and does no checks.
-    """
-    prods = [xk * ok for xk, ok in zip(x, omega)]
-    top = prods.index(max(prods))
-    grad = list(w)
-    grad[top] -= 0.5 * omega[top]
-    return grad
 
 
 def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=0):

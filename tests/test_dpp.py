@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,15 +24,15 @@ from congames import (
 )
 import congames.dpp
 import congames.game
+from congames.cli import main
 from congames.dpp import box_upper
 from congames.game import sample_omega, sample_world
 from congames.rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
-from congames.worstcase import sampled_subgradient
 from conftest import exp_game, simplex_grid
 
 
 def subgradient(gamma, omega, game):
-    return sampled_subgradient(np.asarray(gamma, float), np.asarray(omega, float), game.weights)
+    return numpy_subgradient(np.asarray(gamma, float), np.asarray(omega, float), game.weights)
 
 
 def test_subgradient_tie_and_blocks():
@@ -54,7 +57,7 @@ def test_subgradient_no_private_block():
 def test_subgradient_examples():
     # the weights mirror descent passes (w = E) and the ascent sign it uses
     def kernel(x, omega, w):
-        return sampled_subgradient(*(np.asarray(v, float) for v in (x, omega, w)))
+        return numpy_subgradient(*(np.asarray(v, float) for v in (x, omega, w)))
 
     np.testing.assert_allclose(kernel([1.0, 0.0], [2.0, 1.0], [2.0, 1.0]), [1.0, 1.0])
     # equal products tie to index 0
@@ -62,8 +65,8 @@ def test_subgradient_examples():
     np.testing.assert_allclose(kernel([0.5, 0.5], [0.0, 0.0], [1.0, 2.0]), [1.0, 2.0])
 
 
-# The array formulas of the DPP steps before they moved to Python floats: the
-# oracle that the list kernel and run()'s round must match bit for bit.
+# The array formulas of the DPP round: the oracle that run()'s generated
+# round kernel must match bit for bit.
 def numpy_subgradient(x, omega, w):
     grad = w.copy()
     top = int(np.argmax(x * omega))
@@ -95,20 +98,19 @@ def vectors(count):
     )
 
 
-def assert_same_bits(listed, array):
-    assert isinstance(listed, list)
-    assert np.asarray(listed, dtype=float).tobytes() == array.tobytes()
-
-
 @given(vectors(3))
 @example(([0.0, -0.0, 0.5], [1.0, 1.0, 0.0], [1.0, 2.0, 0.5]))  # 0.0 ties -0.0
 @example(([-0.0, 0.0], [1.0, 1.0], [1.0, 1.0]))
 @settings(max_examples=200, deadline=None)
 def test_subgradient_matches_numpy_formula(vs):
+    # the oracle's argmax is the first of the largest products, -0.0 tying
+    # 0.0, as with the round kernel's chain of `if s > best`
     x, omega, w = vs
-    assert_same_bits(
-        sampled_subgradient(x, omega, w), numpy_subgradient(*(np.array(v) for v in vs))
-    )
+    prods = [xk * ok for xk, ok in zip(x, omega)]
+    top = prods.index(max(prods))
+    grad = list(w)
+    grad[top] -= 0.5 * omega[top]
+    assert np.array(grad).tobytes() == numpy_subgradient(*(np.array(v) for v in vs)).tobytes()
 
 
 def numpy_run(game, config, seed):
@@ -160,9 +162,9 @@ def assert_queues_match_numpy(run, reference):
 
 @st.composite
 def dpp_runs(draw):
-    """A random game with n from 1 to 5 and any split of its blocks, and a
+    """A random game with n from 1 to 9 and any split of its blocks, and a
     config with T <= 200; alpha < V^2 in many of them."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 9))
     a = draw(st.integers(0, n))
     b = draw(st.integers(0, n - a))
     c = draw(st.integers(0, n - a - b))
@@ -177,7 +179,20 @@ def dpp_runs(draw):
     return _game((a, b, c, d), means, z), config, draw(st.integers(0, 2**32 - 1))
 
 
+# n = 9 with every block filled: reaches both clamps of gamma and the queue floor
+WIDE_DPP = (
+    GameInstance(
+        Partition(3, 2, 2, 2),
+        tuple(Exponential(1.0 / m) for m in [1.5, 0.7, 1.2, 1.0, 2.0, 0.9, 1.1, 1.3, 0.8]),
+        z=np.array([0.4, 2.5]),
+    ),
+    DppConfig(V=5.0, alpha=4.0, T=200),
+    9,
+)
+
+
 @given(dpp_runs())
+@example(WIDE_DPP)
 @settings(max_examples=60, deadline=None)
 def test_gamma_step_matches_numpy_formula(game_config):
     # run()'s inlined gamma clip against a loop of numpy_gamma_step
@@ -185,6 +200,7 @@ def test_gamma_step_matches_numpy_formula(game_config):
 
 
 @given(dpp_runs())
+@example(WIDE_DPP)
 @settings(max_examples=60, deadline=None)
 def test_queue_step_matches_numpy_formula(game_config):
     # run()'s inlined queue update against a loop of numpy_queue_step
@@ -205,6 +221,7 @@ def test_reference_cases_reach_every_clamp():
         assert_queues_match_numpy(run, reference)
         hits = reference[5]
         assert hits == {"lower", "upper", "floor"}, partition
+    assert numpy_run(*WIDE_DPP)[5] == {"lower", "upper", "floor"}
 
 
 @given(dpp_runs())
@@ -406,6 +423,42 @@ def test_budget_counts_only_the_world_columns_drawn(monkeypatch):
     monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 19_999)
     with pytest.raises(ValueError, match="dpp run with T=100, n=12 needs 0 MiB up front"):
         run_dpp(g, config)
+
+
+def test_run_holds_its_draws_and_history_and_little_more():
+    # beside its T x (n + a) draws and the T x n queue history, a run holds
+    # at most 512 KiB: one DRAW_CHUNK of rows as Python floats, the
+    # diagnostics and the mixture
+    T, n, a = 20_000, 3, 1
+    game = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    run_dpp(game, DppConfig(T=10))  # leave the kernel and numpy's one-time allocations out
+    tracemalloc.start()
+    try:
+        run_dpp(game, DppConfig(T=T), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= T * (n + a) * 8 + T * n * 8 + 2**19
+
+
+def test_wide_game_runs_on_a_flat_kernel():
+    # the generated statements stay flat however wide the game: at n = 3000
+    # a chain of elif would pass the compiler's nesting limit
+    game = _game((1000, 1000, 500, 500), [1.0] * 3000, [1.0] * 500)
+    config = DppConfig(V=5.0, alpha=4.0, T=3)
+    run, reference = run_dpp(game, config, 1), numpy_run(game, config, 1)
+    assert_gamma_matches_numpy(run, reference)
+    assert_queues_match_numpy(run, reference)
+
+
+def test_default_sweep_builds_one_kernel():
+    # every point of a sweep shares one game shape, so one generated kernel
+    congames.dpp._round_kernel.cache_clear()
+    argv = ["worst", "dpp", "--scenario", "3", "--T", "500", "--samples", "2000"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    info = congames.dpp._round_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 23)
 
 
 def _game(partition, means, z=()):

@@ -1,4 +1,5 @@
 import math
+import traceback
 import tracemalloc
 from unittest import mock
 
@@ -28,7 +29,6 @@ from congames.game import sample_omega
 from congames.md import mw_update, omega_sup_sq_mean, pairwise_sum, require_positive, run_md_batch
 from congames.quantile import DEFAULT_DELTA
 from congames.rng import OMEGA_STREAM, as_generator
-from congames.worstcase import sampled_subgradient
 from conftest import LAWS, exp_game
 
 
@@ -107,9 +107,9 @@ FRONTIER_LAWS = {"exponential": LAWS["exponential"], "uniform": LAWS["uniform"]}
 
 @st.composite
 def a1_runs(draw):
-    """a = 1 games with n from 2 to 6, each law on the rest, and step sizes
+    """a = 1 games with n from 2 to 9, each law on the rest, and step sizes
     down to those that pin p0 at DEFAULT_DELTA within a few rounds."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 9))
     b = draw(st.integers(0, n - 1))
     d = draw(st.integers(0, n - 1 - b))
     first = draw(st.sampled_from(sorted(FRONTIER_LAWS)))
@@ -124,10 +124,27 @@ def a1_runs(draw):
 
 # p0 is pinned at DEFAULT_DELTA, so the projection branch runs
 PINNED_A1 = (exp_game([0.3, 1.0, 1.0], (1, 1, 1, 0)), MdConfig(alpha=0.05, T=60), 3)
+# the same at n = 9, where the normalizer's 9 entries and the projection's 8
+# are past numpy's left-to-right range
+WIDE_A1 = (
+    GameInstance(
+        Partition(1, 3, 4, 1),
+        (Exponential(1.0 / 0.3),) + tuple(
+            LAWS[law](m) for law, m in zip(
+                ["uniform", "discrete", "pointmass", "exponential", "uniform", "exponential", "discrete", "exponential"],
+                [1.0, 1.4, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7],
+            )
+        ),
+        z=np.array([0.7]),
+    ),
+    MdConfig(alpha=0.05, T=60),
+    3,
+)
 
 
 @given(a1_runs())
 @example(PINNED_A1)
+@example(WIDE_A1)
 @example((GameInstance(Partition(1, 0, 4, 0), (Uniform(0.0, 0.4),) + (Exponential(1.0),) * 4), MdConfig(alpha=0.02, T=40), 1))
 @settings(max_examples=150, deadline=None)
 def test_list_step_matches_the_array_update(run):
@@ -145,9 +162,16 @@ def test_list_step_raises_where_the_array_update_gives_nan():
     expected, hits = numpy_a1(game, config, seed)
     assert "zero normalizer" in hits
     assert expected == a1_outcome(game, config, seed) == "mirror-descent iterates must be strictly positive"
-    # and the pinned run reaches the projection without failing
-    expected, hits = numpy_a1(*PINNED_A1)
-    assert hits == {"projection"} and a1_outcome(*PINNED_A1) == expected
+    # and the pinned runs reach the projection without failing
+    for run in (PINNED_A1, WIDE_A1):
+        expected, hits = numpy_a1(*run)
+        assert hits == {"projection"} and a1_outcome(*run) == expected
+    # the error comes from a line of the generated round kernel, which
+    # tracebacks show
+    with pytest.raises(ValueError) as caught:
+        solve_a1(game, config, seed, n_samples=2)
+    lines = [frame.line for frame in traceback.extract_tb(caught.tb) if frame.filename == "<a1 round kernel n=3>"]
+    assert lines == ["require_positive([e0, e1, e2])"]
 
 
 @given(hnp.arrays(float, st.integers(0, 300), elements=st.floats(-1e6, 1e6)))
@@ -284,15 +308,18 @@ def test_tiny_alpha_fails_with_md_error(scenario, solver):
 # -- the batched loop ------------------------------------------------------
 
 def lone_md(game, config, seed):
-    """The one-run loop as it stood before batching: the list gradient and
+    """The one-run loop as it stood before batching: the array gradient and
     a 1-D update, the oracle the batch must match bit for bit."""
     n = game.n
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     p = np.full(n, 1.0 / n)
     total = np.zeros(n)
-    for omega in omegas.tolist():
+    for omega in omegas:
         total += p
-        expo = np.asarray(sampled_subgradient(p.tolist(), omega, game.means.tolist())) / config.alpha
+        grad = game.means.copy()
+        top = int(np.argmax(p * omega))
+        grad[top] -= 0.5 * omega[top]
+        expo = grad / config.alpha
         expo -= expo.max()
         w = p * np.exp(expo)
         p = w / w.sum()

@@ -37,7 +37,7 @@ REMOVED = {
     "congames.game": ["deterministic_omega"],
     "congames.dpp": ["_base_weights", "gamma_step", "queue_step", "config_for_epsilon"],
     "congames.montecarlo": ["McConfig"],
-    "congames.worstcase": ["row_max", "sampled_subgradients"],
+    "congames.worstcase": ["row_max", "sampled_subgradients", "sampled_subgradient"],
     "congames.md": ["row_max", "mw_step"],
 }
 
