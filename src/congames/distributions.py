@@ -16,6 +16,11 @@ answer the tail queries of the quantile-threshold frontier
 * ``quantile(u)``, the inverse CDF;
 * ``tail_mean(p)``, the conditional mean of the upper p-fraction,
   ``E[W | W >= quantile(1 - p)]``, with ``tail_mean(1) == mean``.
+
+Both refuse an argument outside [0, 1], NaN included.  ``tail_mean`` checks
+its own range and writes ``quantile(1 - p)`` out in place, with the same
+operations, because each round of :func:`congames.quantile.solve_a1` calls
+it three times.
 """
 
 from __future__ import annotations
@@ -64,11 +69,13 @@ class Exponential:
         return -math.log1p(-u) / self.rate
 
     def tail_mean(self, p: float) -> float:
-        _check_tail_fraction(p)
-        if p == 0.0:
-            return math.inf  # limit of quantile(1-p) + 1/rate as p -> 0
-        # memorylessness: E[W | W >= t] = t + 1/rate
-        return self.quantile(1.0 - p) + 1.0 / self.rate
+        if not 0.0 <= p <= 1.0:  # also refuses NaN
+            raise ValueError(f"tail fraction must be in [0,1], got {p}")
+        # memorylessness: E[W | W >= t] = t + 1/rate, t = quantile(1 - p)
+        u = 1.0 - p
+        if u == 1.0:
+            return math.inf  # p == 0, or p too small to move 1 - p
+        return -math.log1p(-u) / self.rate + 1.0 / self.rate
 
     def expected_sq_max_with(self, m: float) -> float:
         if m <= 0:
@@ -111,10 +118,12 @@ class Uniform:
         return self.lo + u * (self.hi - self.lo)
 
     def tail_mean(self, p: float) -> float:
-        _check_tail_fraction(p)
+        if not 0.0 <= p <= 1.0:  # also refuses NaN
+            raise ValueError(f"tail fraction must be in [0,1], got {p}")
         if p == 0.0:
             return self.hi
-        return 0.5 * (self.quantile(1.0 - p) + self.hi)
+        # 0.5 * (quantile(1 - p) + hi)
+        return 0.5 * (self.lo + (1.0 - p) * (self.hi - self.lo) + self.hi)
 
     def expected_sq_max_with(self, m: float) -> float:
         lo, hi = self.lo, self.hi
@@ -207,8 +216,3 @@ class Discrete:
 
 
 RewardDistribution = Exponential | Uniform | PointMass | Discrete
-
-
-def _check_tail_fraction(p: float):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"tail fraction must be in [0,1], got {p}")

@@ -39,8 +39,9 @@ __all__ = [
     "check_count",
 ]
 
-# rows that draw_rows converts to Python floats at a time: about 160 KiB of
-# them at n = 3, less than a short run's draws
+# rows that draw_rows converts to Python floats at a time (about 160 KiB of
+# them at n = 3, less than a short run's draws), and that sample_omega draws
+# a B column in
 DRAW_CHUNK = 1024
 # the solvers refuse a run whose draws and history, allocated before the
 # first round, would exceed this
@@ -190,11 +191,18 @@ def sample_omega(game: GameInstance, rng, size: int) -> np.ndarray:
     :attr:`GameInstance.weights` elsewhere: 1 on the A block (the worst-case
     opponent weights A's private resources through A's reward-weighted pick
     rates) and the conditional mean on the rest.
+
+    The B columns are drawn in order from one generator, each in
+    ``DRAW_CHUNK``-row slices, so no T-float column sits beside the output;
+    every catalog sampler fills its draws in order, so the slices hold the
+    bits of one whole-column draw.
     """
     gen = as_generator(rng)
     out = np.tile(game.weights, (size, 1))
     for k in game.partition.set_b:
-        out[:, k] = game.distributions[k].sample(gen, size=size)
+        sample = game.distributions[k].sample
+        for start in range(0, size, DRAW_CHUNK):
+            out[start : start + DRAW_CHUNK, k] = sample(gen, size=min(DRAW_CHUNK, size - start))
     return out
 
 

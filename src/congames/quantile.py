@@ -32,12 +32,18 @@ frontier slope on resource 0), the multiplicative-weights step of
 :func:`congames.md.mw_update` and the projection are written out per
 entry, because a local costs less than a list subscript at n = 3.  The
 exponents off the argmax, w_k / alpha, are computed once before the loop.
-Every bit is what the numpy update gives: the exponents stay on
-``np.exp``, and the normalizer and the projection's sum are added in
-numpy's order (left to right below 8 entries, through
-:func:`congames.md.pairwise_sum` from 8 on).  Its frontier makes three scalar
-``tail_mean`` calls a round on ``math`` (``np.log1p``, which a batch would
-need, differs from ``math.log1p`` in the last bit on some inputs).  Like
+Every bit is what the numpy update gives: each exponential is one
+``np.exp`` call on a Python float, which runs the ufunc loop an array
+would (``math.exp`` differs from it in the last bit on some inputs), and
+the normalizer and the projection's sum are added in numpy's order (left
+to right below 8 entries, through :func:`congames.md.pairwise_sum` from 8
+on).  A round reads the frontier once, :meth:`TailFrontier.point` for
+q(p0) and its slope, which makes three scalar ``tail_mean`` calls on
+``math`` (``np.log1p``, which a batch would need, differs from
+``math.log1p`` in the last bit on some inputs).  So at n = 3 a round
+makes three ``np.exp`` calls, none building an array, and four Python
+calls (``point`` and its three ``tail_mean`` calls) besides ``float``,
+``min`` and ``max``.  Like
 the other solvers it refuses, before sampling, a run whose T x n omega
 draws exceed :data:`congames.game.UPFRONT_BUDGET_BYTES`; it also refuses
 there an ``n_samples`` that its evaluation would refuse.
@@ -77,7 +83,12 @@ DEFAULT_DELTA = 1e-3  # simplex restriction p0 >= DEFAULT_DELTA
 
 @dataclass(frozen=True)
 class TailFrontier:
-    """Evaluable frontier p0 -> (threshold, best achievable q)."""
+    """Evaluable frontier p0 -> (threshold, best achievable q).
+
+    ``q`` is the frontier value, ``tau`` the threshold that realizes it,
+    ``slope`` its central difference of width :data:`FD_WIDTH`, and
+    ``point`` the value and the slope together, as an A1 round reads them.
+    """
 
     dist: RewardDistribution
 
@@ -101,9 +112,24 @@ class TailFrontier:
         return self.dist.quantile(1.0 - p1)
 
     def slope(self, p1: float) -> float:
-        hi = min(1.0, p1 + FD_WIDTH)
+        """The central difference of q over [p1 - FD_WIDTH, p1 + FD_WIDTH],
+        clamped to [0, 1]; raises ValueError unless p1 lies in [0, 1]."""
+        return self.point(p1)[1]
+
+    def point(self, p1: float) -> tuple[float, float]:
+        """``(q(p1), slope(p1))``, bit for bit, from three ``tail_mean``
+        calls (at p1 and at both ends of the difference) and no other call
+        but ``min`` and ``max``: one call a round of :func:`solve_a1`.
+
+        ``tail_mean`` at p1 comes first, so a p1 outside [0, 1], NaN
+        included, raises ValueError before anything else is evaluated.
+        """
+        tail_mean = self.dist.tail_mean
+        value = p1 * tail_mean(p1) if p1 != 0.0 else 0.0
+        hi = min(1.0, p1 + FD_WIDTH)  # > 0 once p1 passed the check
         lo = max(0.0, p1 - FD_WIDTH)
-        return (self.q(hi) - self.q(lo)) / (hi - lo)
+        q_lo = lo * tail_mean(lo) if lo != 0.0 else 0.0
+        return value, (hi * tail_mean(hi) - q_lo) / (hi - lo)
 
 
 def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
@@ -161,9 +187,7 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     # the weights are the gross gain per unit of x: 1 for the rate q(p0), E_k
     # for the other picks
-    p, total = _round_kernel(n)(
-        draw_rows(omegas), frontier.q, frontier.slope, game.weights.tolist(), alpha, DEFAULT_DELTA
-    )
+    p, total = _round_kernel(n)(draw_rows(omegas), frontier.point, game.weights.tolist(), alpha, DEFAULT_DELTA)
     require_positive(p)
     p_avg = np.array(total) / config.T
 
@@ -188,17 +212,20 @@ def _round_kernel(n: int):
     Each iterate entry and running total is a local float (``P0``, ``S0``,
     ...), the argmax is a chain of ``if s > best``
     (:func:`~congames.game.argmax_chain`), the shift one of
-    ``if c > shift`` (as ``max`` takes it), and each sum is written out in
-    numpy's order, so a round builds one list, for ``np.exp``.  Only the
-    integer n enters the source.  The function takes the omega row
-    iterator, the frontier's q and slope, the weights, alpha and the p0
-    floor, and returns the last iterate and the iterates' sums as lists.
+    ``if c > shift`` (as ``max`` takes it), each exponential one scalar
+    ``np.exp`` call and each sum is written out in numpy's order, so a round
+    builds no list and no array.  It starts with one call of the frontier's
+    ``point``, whose value enters the argmax and whose slope scales resource
+    0's exponent.  Only the integer n enters the source.  The function takes
+    the omega row iterator, the frontier's ``point``, the weights, alpha and
+    the p0 floor, and returns the last iterate and the iterates' sums as
+    lists.
     """
     n = int(n)
     o, w, s, c, e, P, S = ([f"{name}{k}" for k in range(n)] for name in "owscePS")
     rest = P[1:]
     lines = [
-        "def a1_rounds(omega_rows, q, slope, w, alpha, delta):",
+        "def a1_rounds(omega_rows, point, w, alpha, delta):",
         f"    ({', '.join(w)},) = w",
         *(f"    {s[k]} = {w[k]} / alpha" for k in range(1, n)),
         "    keep = 1.0 - delta",
@@ -206,15 +233,17 @@ def _round_kernel(n: int):
         f"    {' = '.join(S)} = 0.0",
         f"    for ({', '.join(o)},) in omega_rows:",
         *(f"        {S[k]} += {P[k]}" for k in range(n)),
+        "        # the frontier value q(p0) and its slope",
+        f"        qp, dq = point({P[0]})",
         "        # the argmax of x * omega, x = (q(p0), p[1:])",
-        *argmax_chain("top", [f"q({P[0]}) * {o[0]}", *(f"{P[k]} * {o[k]}" for k in range(1, n))]),
+        *argmax_chain("top", [f"qp * {o[0]}", *(f"{P[k]} * {o[k]}" for k in range(1, n))]),
         "        # the exponents, the ascent gradient over alpha, the slope of q scaling",
         "        # resource 0's; the argmax loses half its omega weight",
         *(f"        {c[k]} = {s[k]}" for k in range(1, n)),
         "        if top == 0:",
-        f"            {c[0]} = ({w[0]} - 0.5 * {o[0]}) * slope({P[0]}) / alpha",
+        f"            {c[0]} = ({w[0]} - 0.5 * {o[0]}) * dq / alpha",
         "        else:",
-        f"            {c[0]} = {w[0]} * slope({P[0]}) / alpha",
+        f"            {c[0]} = {w[0]} * dq / alpha",
     ]
     for k in range(1, n):
         lines += [
@@ -225,8 +254,7 @@ def _round_kernel(n: int):
     for k in range(1, n):
         lines += [f"        if {c[k]} > shift:", f"            shift = {c[k]}"]
     lines += [
-        f"        ({', '.join(e)},) = exp([{', '.join(f'{ck} - shift' for ck in c)}]).tolist()",
-        *(f"        {e[k]} = {e[k]} * {P[k]}" for k in range(n)),
+        *(f"        {e[k]} = float(exp({c[k]} - shift)) * {P[k]}" for k in range(n)),
         f"        norm = {_sum(e)}",
         "        if norm == 0.0:  # every weight underflowed",
         f"            require_positive([{', '.join(e)}])",

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import congames.game
 import congames.montecarlo
 import congames.nash
+from congames.quantile import DEFAULT_DELTA, FD_WIDTH
 
 from congames import (
     Discrete,
@@ -34,6 +37,19 @@ LAWS = {
     "pointmass": PointMass,
     "discrete": lambda m: Discrete((0.5 * m, 1.5 * m), (0.5, 0.5)),
 }
+
+# the continuous laws the tail-frontier tests are run on
+FRONTIER_LAWS = [Exponential(0.7), Exponential(2.0), Uniform(0.2, 3.0), Uniform(0.0, 1.0)]
+
+
+def over_tail_fractions(test):
+    """Run ``test`` on hypothesis tail fractions ``p`` in [0, 1], and on the
+    points where the frontier's central difference changes regime: both
+    ends, half the difference width on either side (where one end is
+    clamped) and the A1 solver's floor on p0."""
+    for p in (0.0, FD_WIDTH / 2, DEFAULT_DELTA, 1.0 - FD_WIDTH / 2, 1.0):
+        test = example(p=p)(test)
+    return given(p=st.floats(0.0, 1.0))(test)
 
 
 def exp_game(means, partition) -> GameInstance:

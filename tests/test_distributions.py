@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from congames.distributions import Discrete, Exponential, PointMass, Uniform
+from conftest import FRONTIER_LAWS, over_tail_fractions
 
 ALL_KINDS = [
     Exponential(1.0),
@@ -29,6 +30,29 @@ def test_exponential_quantile_and_tail():
     # memoryless: conditional mean above any threshold is threshold + mean
     assert d.tail_mean(math.exp(-1)) == pytest.approx(2.0)
     assert d.tail_mean(1.0) == pytest.approx(d.mean)
+
+
+def quantile_tail_mean(dist, p):
+    """``tail_mean`` as it was written on ``quantile``: the oracle of the
+    inline form."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"tail fraction must be in [0,1], got {p}")
+    if isinstance(dist, Exponential):
+        return math.inf if p == 0.0 else dist.quantile(1.0 - p) + 1.0 / dist.rate
+    return dist.hi if p == 0.0 else 0.5 * (dist.quantile(1.0 - p) + dist.hi)
+
+
+@pytest.mark.parametrize("dist", FRONTIER_LAWS, ids=repr)
+@over_tail_fractions
+def test_tail_mean_is_the_quantile_formula(dist, p):
+    assert dist.tail_mean(p).hex() == quantile_tail_mean(dist, p).hex()
+
+
+@pytest.mark.parametrize("dist", FRONTIER_LAWS, ids=repr)
+@pytest.mark.parametrize("bad", [1.5, -0.1, 1.0 + 2**-52, -(2**-1074), math.nan, math.inf])
+def test_tail_mean_refuses_fractions_outside_0_1(dist, bad):
+    with pytest.raises(ValueError, match=rf"^tail fraction must be in \[0,1\], got {bad}$"):
+        dist.tail_mean(bad)
 
 
 def test_uniform_moments_and_tail():

@@ -10,7 +10,7 @@ from congames import (
     sample_omega,
     sample_world,
 )
-from conftest import exp_game
+from conftest import LAWS, exp_game
 
 
 def test_partition_layout_and_class_of():
@@ -118,6 +118,20 @@ def test_sample_omega_b_entry_varies_others_fixed():
     np.testing.assert_array_equal(om[:, 0], np.ones(200))
     np.testing.assert_array_equal(om[:, 2], np.ones(200))
     assert np.unique(om[:, 1]).size > 100
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("size", [1, 1023, 1024, 5000, 100_000])
+def test_sample_omega_draws_in_chunks_the_bits_of_whole_columns(law, size):
+    # B's columns, drawn DRAW_CHUNK rows at a time, hold the bits of one
+    # whole draw per column, and leave the generator where it left it
+    game = GameInstance(Partition(1, 2, 0, 0), (Exponential(1.0), LAWS[law](0.8), LAWS[law](1.7)))
+    gen, whole_gen = np.random.default_rng(3), np.random.default_rng(3)
+    whole = np.tile(game.weights, (size, 1))
+    for k in game.partition.set_b:
+        whole[:, k] = game.distributions[k].sample(whole_gen, size=size)
+    assert sample_omega(game, gen, size=size).tobytes() == whole.tobytes()
+    assert gen.random() == whole_gen.random()
 
 
 def test_means_are_read_only():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import congames.quantile
 from congames import (
@@ -20,7 +22,8 @@ from congames import (
     solve_a1,
     worst_case_objective,
 )
-from conftest import exp_game, random_strategy
+from congames.quantile import FD_WIDTH
+from conftest import FRONTIER_LAWS, exp_game, over_tail_fractions, random_strategy
 
 
 def test_tail_weighted_mean_exponential():
@@ -63,15 +66,29 @@ def test_frontier_shape():
 
 
 def test_frontier_q_is_the_checked_tail_weighted_mean():
-    # q is p1 * tail_mean(p1) bit for bit, and p1 is range-checked
-    for dist in (Exponential(0.7), Exponential(2.0), Uniform(0.2, 3.0), Uniform(0.0, 1.0)):
+    # q is p1 * tail_mean(p1) bit for bit, and p1 is range-checked, by
+    # point too
+    for dist in FRONTIER_LAWS:
         frontier = TailFrontier(dist)
         for p1 in [0.0, 1e-12, 1e-4, 0.3, 0.5, 1.0 - 1e-9, 1.0, *np.linspace(0.0, 1.0, 97).tolist()]:
             expected = p1 * dist.tail_mean(p1) if p1 > 0 else 0.0
             assert frontier.q(p1) == expected
         for bad in (1.5, -0.1, float("nan")):
-            with pytest.raises(ValueError):
-                frontier.q(bad)
+            for method in (frontier.q, frontier.point):
+                with pytest.raises(ValueError, match="^tail fraction must be in"):
+                    method(bad)
+
+
+@pytest.mark.parametrize("dist", FRONTIER_LAWS, ids=repr)
+@over_tail_fractions
+def test_frontier_point_is_q_and_slope(dist, p):
+    # one call gives q(p) and the central difference of q, bit for bit
+    frontier = TailFrontier(dist)
+    hi, lo = min(1.0, p + FD_WIDTH), max(0.0, p - FD_WIDTH)
+    difference = (frontier.q(hi) - frontier.q(lo)) / (hi - lo)
+    value, slope = frontier.point(p)
+    assert (value.hex(), slope.hex()) == (frontier.q(p).hex(), difference.hex())
+    assert frontier.slope(p).hex() == difference.hex()
 
 
 def test_build_strategy_examples():
@@ -177,10 +194,10 @@ def test_solve_a1_stderr_matches_its_evaluation():
 
 
 def test_solve_a1_holds_no_round_history():
-    # beside its T x n omega draws the run holds one more column of them
-    # while it samples them (sample_omega draws B's column apart), then one
-    # DRAW_CHUNK of rows as Python floats (about 160 KiB at n = 3, under
-    # 256 KiB), and never a T x n record of its iterates
+    # beside its T x n omega draws the run holds one DRAW_CHUNK of B's draws
+    # while it samples them, then one DRAW_CHUNK of rows as Python floats
+    # (about 160 KiB at n = 3, under 256 KiB), and never a T x n record of
+    # its iterates
     T, n = 60_000, 3
     game = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     solve_a1(game, MdConfig(alpha=50.0, T=10), n_samples=2000)  # leave numpy's one-time allocations out
@@ -190,7 +207,39 @@ def test_solve_a1_holds_no_round_history():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= T * n * 8 + max(T * 8, 2**18) + 2**14
+    assert peak <= T * n * 8 + 2**18 + 2**14
+
+
+def test_solve_a1_calls_tail_mean_three_times_a_round(monkeypatch):
+    # each round reads the frontier at p0 and at both ends of its
+    # difference, through the law's class, where the benchmark's trace
+    # counts the calls
+    calls = []
+    original = Exponential.tail_mean
+
+    def spy(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(Exponential, "tail_mean", spy)
+    T = 200
+    p, _, _ = solve_a1(exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0)), MdConfig(T=T), n_samples=2000)
+    # and once more after the rounds, for the value at the average iterate
+    assert len(calls) == 3 * T + 1
+    assert calls[-1] == p[0]
+
+
+@given(st.lists(st.floats(-745.0, 0.0), min_size=3, max_size=3))
+@example([0.0, -math.inf, -745.0])
+@example([-math.inf, -1e-300, 0.0])
+@settings(max_examples=300)
+def test_scalar_exp_is_the_array_exp(xs):
+    # the A1 round takes each exponential with one np.exp call on a Python
+    # float, where the array update makes one call on the n exponents: it
+    # is the same ufunc loop, so the same bits.  math.exp is not used
+    # because it differs from np.exp in the last bit on some arguments.
+    whole = np.exp(np.array(xs))
+    assert [float(np.exp(x)).hex() for x in xs] == [v.hex() for v in whole.tolist()]
 
 
 @pytest.mark.parametrize(
