@@ -29,8 +29,8 @@ source is registered with :mod:`linecache` under a name such as
 its lines.  Each comparison is written so that a -0.0 comes out as +0.0,
 which gives the bits of numpy's clip and maximum; queues and targets never
 fall below +0.0, so only the drained queue needs its floor.  Each
-stream's T draws are still sampled in one call and are read as lists a
-chunk of rows at a time (:func:`congames.game.draw_rows`); the queue
+stream's T draws are still sampled in one call, and the kernel reads them
+as lists :data:`~congames.game.DRAW_CHUNK` rows at a time; the queue
 history is kept in a compact float buffer, which the mixture takes over
 read-only, without a copy.  The emitted strategy is the equiprobable
 :class:`~congames.strategies.Mixture` of the T queue-score rows (the
@@ -51,13 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (
+    DRAW_CHUNK,
     GameInstance,
     check_count,
     check_setting,
     argmax_chain,
     check_upfront_budget,
     compile_kernel,
-    draw_rows,
     sample_omega,
     sample_world,
 )
@@ -75,6 +75,9 @@ __all__ = [
 ]
 
 QUEUE_BOUND_TOL = 1e-9
+# branches in one if/elif chain of a kernel: each elif nests one level
+# deeper, and the compiler's recursion limit stops a chain short of 3000
+ELIF_RUN = 1000
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,7 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     bound = queue_bound(game, alpha)
 
     history = array("d")
-    queues, gamma, realized_sum = _round_kernel(n, a)(
-        draw_rows(omega_draws), draw_rows(x_draws), V, 2.0 * alpha, u, v, history
-    )
+    queues, gamma, realized_sum = _round_kernel(n, a)(omega_draws, x_draws, V, 2.0 * alpha, u, v, history)
 
     q_history = np.frombuffer(history, dtype=float).reshape(T, n)
     q_history.setflags(write=False)  # so the mixture keeps it uncopied
@@ -197,49 +198,58 @@ def _round_kernel(n: int, a: int):
 
     Each resource's queue, target and realized sum is a local float
     (``Q0``, ``G0``, ``R0``, ...) and each argmax a chain of ``if s > best``
-    (:func:`~congames.game.argmax_chain`), so a round makes no list and no
-    subscript.  Only the integers n and a enter the source.  The function
-    takes the omega and world row iterators, V, 2 alpha, u, v and the
-    history buffer, appends each round's queues to the buffer before they
-    move, and returns the final queues, targets and realized sums as lists.
+    (:func:`~congames.game.argmax_chain`), so a round makes no list, no
+    subscript and no Python-level call.  Only the integers n and a enter the
+    source.  The function takes the T x n omega and T x a world draws, which
+    it reads as lists :data:`~congames.game.DRAW_CHUNK` rows at a time, V,
+    2 alpha, u, v and the history buffer, appends each round's queues to the
+    buffer before they move, and returns the final queues, targets and
+    realized sums as lists.
     """
     n, a = int(n), int(a)
     o, x, u, v, Q, G, R = ([f"{name}{j}" for j in range(n)] for name in "oxuvQGR")
     x = x[:a]
     lines = [
-        "def dpp_rounds(omega_rows, x_rows, V, two_alpha, u, v, history):",
+        "def dpp_rounds(omegas, worlds, V, two_alpha, u, v, history):",
         f"    {_unpack(u)} = u",
         f"    {_unpack(v)} = v",
         *(f"    V{v[j]} = V * {v[j]}" for j in range(n)),
         f"    {' = '.join(Q + G + R)} = 0.0",
         "    extend = history.extend",
-        f"    for {_unpack(o)}, {_unpack(x)} in zip(omega_rows, x_rows):",
-        "        # the argmax of gamma * omega: its resource's gradient is v - omega / 2",
+        "    for start in range(0, len(omegas), DRAW_CHUNK):",
+        "        stop = start + DRAW_CHUNK",
+        f"        for {_unpack(o)}, {_unpack(x)} in zip(omegas[start:stop].tolist(),"
+        " worlds[start:stop].tolist()):",
+        "            # the argmax of gamma * omega: its resource's gradient is v - omega / 2",
         *argmax_chain("top", [f"{G[j]} * {o[j]}" for j in range(n)]),
-        "        # the queue-score action: Q_j x_j on A's block, Q_j elsewhere",
+        "            # the queue-score action: Q_j x_j on A's block, Q_j elsewhere",
         *argmax_chain("act", [f"{Q[j]} * {x[j]}" if j < a else Q[j] for j in range(n)]),
-        f"        extend(({', '.join(Q)},))",
-        "        # gamma's projected step, clipped to [0, u_j], and each queue's arrival",
+        f"            extend(({', '.join(Q)},))",
+        "            # gamma's projected step, clipped to [0, u_j], and each queue's arrival",
     ]
     for j in range(n):
         lines += [
-            f"        y = {G[j]} - ({Q[j]} - (V * ({v[j]} - 0.5 * {o[j]}) if top == {j} else V{v[j]})) / two_alpha",
-            "        y = y if y > 0.0 else 0.0",
-            f"        {G[j]} = y if y < {u[j]} else {u[j]}",
-            f"        {Q[j]} = {Q[j]} + {G[j]}",
+            f"            y = {G[j]} - ({Q[j]} - (V * ({v[j]} - 0.5 * {o[j]}) if top == {j} else V{v[j]})) / two_alpha",
+            "            y = y if y > 0.0 else 0.0",
+            f"            {G[j]} = y if y < {u[j]} else {u[j]}",
+            f"            {Q[j]} = {Q[j]} + {G[j]}",
         ]
-    lines.append("        # the action's drain: its world draw on A's block, 1 elsewhere")
+    lines.append("            # the action's drain: its world draw on A's block, 1 elsewhere")
+    # if, elif, ..., else; a chain of more than ELIF_RUN branches starts
+    # afresh with if every ELIF_RUN branches, and so ends on an elif
+    last = n - 1 if n <= ELIF_RUN else None
     for j in range(n):
         drain = x[j] if j < a else "1.0"
+        head = "else" if 0 < j == last else f"{'elif' if j % ELIF_RUN else 'if'} act == {j}"
         lines += [
-            f"        if act == {j}:",
-            f"            y = {Q[j]} - {drain}",
-            f"            {Q[j]} = y if y > 0.0 else 0.0",
-            f"            {R[j]} += {drain}",
+            f"            {head}:",
+            f"                y = {Q[j]} - {drain}",
+            f"                {Q[j]} = y if y > 0.0 else 0.0",
+            f"                {R[j]} += {drain}",
         ]
     lines.append(f"    return [{', '.join(Q)}], [{', '.join(G)}], [{', '.join(R)}]")
     filename = f"<dpp round kernel n={n} a={a}>"
-    return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds", {})
+    return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds", {"DRAW_CHUNK": DRAW_CHUNK})
 
 
 def bound_constants(game: GameInstance, config: DppConfig) -> BoundConstants:

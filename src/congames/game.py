@@ -30,7 +30,6 @@ __all__ = [
     "GameInstance",
     "sample_world",
     "sample_omega",
-    "draw_rows",
     "compile_kernel",
     "argmax_chain",
     "UPFRONT_BUDGET_BYTES",
@@ -39,9 +38,9 @@ __all__ = [
     "check_count",
 ]
 
-# rows that draw_rows converts to Python floats at a time (about 160 KiB of
-# them at n = 3, less than a short run's draws), and that sample_omega draws
-# a B column in
+# rows that a solver's round kernel converts to Python floats at a time
+# (about 160 KiB of them at n = 3, less than a short run's draws), and that
+# sample_omega draws a B column in
 DRAW_CHUNK = 1024
 # the solvers refuse a run whose draws and history, allocated before the
 # first round, would exceed this
@@ -206,16 +205,6 @@ def sample_omega(game: GameInstance, rng, size: int) -> np.ndarray:
     return out
 
 
-def draw_rows(draws: np.ndarray):
-    """Yield the rows of a ``(T, n)`` draw array as lists of floats.
-
-    The solver loops step on Python floats; rows are converted DRAW_CHUNK at
-    a time, so only one chunk of them exists as Python objects at once.
-    """
-    for start in range(0, len(draws), DRAW_CHUNK):
-        yield from draws[start : start + DRAW_CHUNK].tolist()
-
-
 def compile_kernel(source: str, filename: str, name: str, namespace: dict):
     """Compile the generated ``source`` under ``filename``, run it with
     ``namespace`` as its globals and return the function ``name`` it defines.
@@ -229,20 +218,21 @@ def compile_kernel(source: str, filename: str, name: str, namespace: dict):
 
 
 def argmax_chain(index: str, values: list[str]) -> list[str]:
-    """Source lines, indented for a loop body, that set ``index`` to the
-    position of the first largest of the expressions ``values``, as
-    ``values.index(max(values))`` would: a chain of ``if s > best``, which
-    keeps the earlier of equal values (-0.0 and 0.0 among them)."""
-    lines = [f"        {index} = 0"]
+    """Source lines, indented for the body of a kernel's loop over the
+    rows of a draw chunk, that set ``index`` to the position of the first
+    largest of the expressions ``values``, as ``values.index(max(values))``
+    would: a chain of ``if s > best``, which keeps the earlier of equal
+    values (-0.0 and 0.0 among them)."""
+    lines = [f"            {index} = 0"]
     if len(values) > 1:
-        lines.append(f"        best = {values[0]}")
+        lines.append(f"            best = {values[0]}")
     for j, value in enumerate(values[1:], 1):
         if not value.isidentifier():
-            lines.append(f"        s = {value}")
+            lines.append(f"            s = {value}")
             value = "s"
-        lines += [f"        if {value} > best:", f"            {index} = {j}"]
+        lines += [f"            if {value} > best:", f"                {index} = {j}"]
         if j < len(values) - 1:
-            lines.append(f"            best = {value}")
+            lines.append(f"                best = {value}")
     return lines
 
 

@@ -34,19 +34,21 @@ entry, because a local costs less than a list subscript at n = 3.  The
 exponents off the argmax, w_k / alpha, are computed once before the loop.
 Every bit is what the numpy update gives: each exponential is one
 ``np.exp`` call on a Python float, which runs the ufunc loop an array
-would (``math.exp`` differs from it in the last bit on some inputs), and
-the normalizer and the projection's sum are added in numpy's order (left
-to right below 8 entries, through :func:`congames.md.pairwise_sum` from 8
-on).  A round reads the frontier once, :meth:`TailFrontier.point` for
-q(p0) and its slope, which makes three scalar ``tail_mean`` calls on
-``math`` (``np.log1p``, which a batch would need, differs from
-``math.log1p`` in the last bit on some inputs).  So at n = 3 a round
-makes three ``np.exp`` calls, none building an array, and four Python
-calls (``point`` and its three ``tail_mean`` calls) besides ``float``,
-``min`` and ``max``.  Like
-the other solvers it refuses, before sampling, a run whose T x n omega
-draws exceed :data:`congames.game.UPFRONT_BUDGET_BYTES`; it also refuses
-there an ``n_samples`` that its evaluation would refuse.
+would (``math.exp`` differs from it in the last bit on some inputs), save
+that an exponent of exactly 0, the shift's own among them, is taken as 1,
+which is what ``np.exp(0.0)`` gives; and the normalizer and the
+projection's sum are added in numpy's order (left to right below 8
+entries, through :func:`congames.md.pairwise_sum` from 8 on).  A round
+writes q(p0) and the central difference of :meth:`TailFrontier.slope` out
+in place, from three scalar ``tail_mean`` calls on ``math`` (``np.log1p``,
+which a batch would need, differs from ``math.log1p`` in the last bit on
+some inputs), and reads its omega rows itself, as lists
+:data:`~congames.game.DRAW_CHUNK` rows at a time.  So at n = 3 a round
+with finite exponents makes at most two ``np.exp`` calls, none building an
+array, and three Python-level calls, all to the law's ``tail_mean``.  Like the other
+solvers it refuses, before sampling, a run whose T x n omega draws exceed
+:data:`congames.game.UPFRONT_BUDGET_BYTES`; it also refuses there an
+``n_samples`` that its evaluation would refuse.
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ import numpy as np
 
 from .distributions import RewardDistribution
 from .game import (
+    DRAW_CHUNK,
     GameInstance,
     argmax_chain,
     check_upfront_budget,
     compile_kernel,
-    draw_rows,
     sample_omega,
 )
 from .md import MdConfig, pairwise_sum, require_positive
@@ -78,16 +80,17 @@ __all__ = [
 ]
 
 FD_WIDTH = 1e-4  # central-difference width for the frontier slope
-DEFAULT_DELTA = 1e-3  # simplex restriction p0 >= DEFAULT_DELTA
+# simplex restriction p0 >= DEFAULT_DELTA; above FD_WIDTH, so the lower end
+# of an A1 round's difference stays above 0
+DEFAULT_DELTA = 1e-3
 
 
 @dataclass(frozen=True)
 class TailFrontier:
     """Evaluable frontier p0 -> (threshold, best achievable q).
 
-    ``q`` is the frontier value, ``tau`` the threshold that realizes it,
-    ``slope`` its central difference of width :data:`FD_WIDTH`, and
-    ``point`` the value and the slope together, as an A1 round reads them.
+    ``q`` is the frontier value, ``tau`` the threshold that realizes it and
+    ``slope`` its central difference of width :data:`FD_WIDTH`.
     """
 
     dist: RewardDistribution
@@ -114,22 +117,10 @@ class TailFrontier:
     def slope(self, p1: float) -> float:
         """The central difference of q over [p1 - FD_WIDTH, p1 + FD_WIDTH],
         clamped to [0, 1]; raises ValueError unless p1 lies in [0, 1]."""
-        return self.point(p1)[1]
-
-    def point(self, p1: float) -> tuple[float, float]:
-        """``(q(p1), slope(p1))``, bit for bit, from three ``tail_mean``
-        calls (at p1 and at both ends of the difference) and no other call
-        but ``min`` and ``max``: one call a round of :func:`solve_a1`.
-
-        ``tail_mean`` at p1 comes first, so a p1 outside [0, 1], NaN
-        included, raises ValueError before anything else is evaluated.
-        """
-        tail_mean = self.dist.tail_mean
-        value = p1 * tail_mean(p1) if p1 != 0.0 else 0.0
-        hi = min(1.0, p1 + FD_WIDTH)  # > 0 once p1 passed the check
-        lo = max(0.0, p1 - FD_WIDTH)
-        q_lo = lo * tail_mean(lo) if lo != 0.0 else 0.0
-        return value, (hi * tail_mean(hi) - q_lo) / (hi - lo)
+        if not 0.0 <= p1 <= 1.0:  # first, as the clamps would hide a NaN
+            raise ValueError(f"tail fraction must be in [0,1], got {p1}")
+        hi, lo = min(1.0, p1 + FD_WIDTH), max(0.0, p1 - FD_WIDTH)
+        return (self.q(hi) - self.q(lo)) / (hi - lo)
 
 
 def build_strategy_a1(p, game: GameInstance) -> QuantileThreshold:
@@ -187,7 +178,7 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     # the weights are the gross gain per unit of x: 1 for the rate q(p0), E_k
     # for the other picks
-    p, total = _round_kernel(n)(draw_rows(omegas), frontier.point, game.weights.tolist(), alpha, DEFAULT_DELTA)
+    p, total = _round_kernel(n)(omegas, frontier.dist.tail_mean, game.weights.tolist(), alpha)
     require_positive(p)
     p_avg = np.array(total) / config.T
 
@@ -213,60 +204,67 @@ def _round_kernel(n: int):
     ...), the argmax is a chain of ``if s > best``
     (:func:`~congames.game.argmax_chain`), the shift one of
     ``if c > shift`` (as ``max`` takes it), each exponential one scalar
-    ``np.exp`` call and each sum is written out in numpy's order, so a round
-    builds no list and no array.  It starts with one call of the frontier's
-    ``point``, whose value enters the argmax and whose slope scales resource
-    0's exponent.  Only the integer n enters the source.  The function takes
-    the omega row iterator, the frontier's ``point``, the weights, alpha and
-    the p0 floor, and returns the last iterate and the iterates' sums as
+    ``np.exp`` call, skipped where the exponent is 0, and each sum is
+    written out in numpy's order, so a round builds no list and no array.
+    It starts with q(p0) and its central difference, as
+    :class:`TailFrontier` gives them, from three calls of the law's
+    ``tail_mean``: the value enters the argmax and the difference scales
+    resource 0's exponent.  As p0 >= DEFAULT_DELTA > FD_WIDTH, neither p0
+    nor the lower end of the difference is 0, and only the upper end can
+    need its clamp.  Only the integer n enters the source.  The function
+    takes the T x n omega draws, the law's bound ``tail_mean``, the weights
+    and alpha, and returns the last iterate and the iterates' sums as
     lists.
     """
     n = int(n)
     o, w, s, c, e, P, S = ([f"{name}{k}" for k in range(n)] for name in "owscePS")
     rest = P[1:]
     lines = [
-        "def a1_rounds(omega_rows, point, w, alpha, delta):",
+        "def a1_rounds(omegas, tail_mean, w, alpha):",
         f"    ({', '.join(w)},) = w",
         *(f"    {s[k]} = {w[k]} / alpha" for k in range(1, n)),
-        "    keep = 1.0 - delta",
+        "    fd, delta, keep = FD_WIDTH, DEFAULT_DELTA, 1.0 - DEFAULT_DELTA",
         f"    {' = '.join(P)} = 1.0 / {n}",
         f"    {' = '.join(S)} = 0.0",
-        f"    for ({', '.join(o)},) in omega_rows:",
-        *(f"        {S[k]} += {P[k]}" for k in range(n)),
-        "        # the frontier value q(p0) and its slope",
-        f"        qp, dq = point({P[0]})",
-        "        # the argmax of x * omega, x = (q(p0), p[1:])",
+        "    for start in range(0, len(omegas), DRAW_CHUNK):",
+        f"        for ({', '.join(o)},) in omegas[start : start + DRAW_CHUNK].tolist():",
+        *(f"            {S[k]} += {P[k]}" for k in range(n)),
+        "            # q(p0) and its central difference, the upper end clamped at 1",
+        f"            qp = {P[0]} * tail_mean({P[0]})",
+        f"            hi = {P[0]} + fd",
+        "            hi = hi if hi < 1.0 else 1.0",
+        f"            lo = {P[0]} - fd",
+        "            dq = (hi * tail_mean(hi) - lo * tail_mean(lo)) / (hi - lo)",
+        "            # the argmax of x * omega, x = (q(p0), p[1:])",
         *argmax_chain("top", [f"qp * {o[0]}", *(f"{P[k]} * {o[k]}" for k in range(1, n))]),
-        "        # the exponents, the ascent gradient over alpha, the slope of q scaling",
-        "        # resource 0's; the argmax loses half its omega weight",
-        *(f"        {c[k]} = {s[k]}" for k in range(1, n)),
-        "        if top == 0:",
-        f"            {c[0]} = ({w[0]} - 0.5 * {o[0]}) * dq / alpha",
-        "        else:",
-        f"            {c[0]} = {w[0]} * dq / alpha",
+        "            # the exponents, the ascent gradient over alpha, the slope of q scaling",
+        "            # resource 0's; the argmax loses half its omega weight",
+        f"            {c[0]} = ({w[0]} - 0.5 * {o[0]}) * dq / alpha if top == 0 else {w[0]} * dq / alpha",
+        *(f"            {c[k]} = ({w[k]} - 0.5 * {o[k]}) / alpha if top == {k} else {s[k]}" for k in range(1, n)),
+        "            # a value-invariant shift against overflow",
+        f"            shift = {c[0]}",
     ]
     for k in range(1, n):
-        lines += [
-            f"            if top == {k}:",
-            f"                {c[k]} = ({w[k]} - 0.5 * {o[k]}) / alpha",
-        ]
-    lines += ["        # a value-invariant shift against overflow", f"        shift = {c[0]}"]
-    for k in range(1, n):
-        lines += [f"        if {c[k]} > shift:", f"            shift = {c[k]}"]
+        lines += [f"            if {c[k]} > shift:", f"                shift = {c[k]}"]
     lines += [
-        *(f"        {e[k]} = float(exp({c[k]} - shift)) * {P[k]}" for k in range(n)),
-        f"        norm = {_sum(e)}",
-        "        if norm == 0.0:  # every weight underflowed",
-        f"            require_positive([{', '.join(e)}])",
-        *(f"        {P[k]} = {e[k]} / norm" for k in range(n)),
-        f"        if not {P[0]} >= delta:  # NaN fails the comparison, so it lands here too",
-        "            # a zero or NaN entry is absorbing; stop before the frontier sees it",
-        f"            require_positive([{', '.join(rest)}])",
-        "            # KL projection onto {p0 >= delta}: pin p0, rescale the rest",
-        f"            scale = keep / ({_sum(rest)})",
-        f"            {P[0]} = delta",
-        *(f"            {P[k]} = {P[k]} * scale" for k in range(1, n)),
+        "            # exp(0) is exactly 1, and the shift's own exponent is exactly 0",
+        *(
+            f"            {e[k]} = {P[k]} if (d := {c[k]} - shift) == 0.0 else float(exp(d)) * {P[k]}"
+            for k in range(n)
+        ),
+        f"            norm = {_sum(e)}",
+        "            if norm == 0.0:  # every weight underflowed",
+        f"                require_positive([{', '.join(e)}])",
+        *(f"            {P[k]} = {e[k]} / norm" for k in range(n)),
+        f"            if not {P[0]} >= delta:  # NaN fails the comparison, so it lands here too",
+        "                # a zero or NaN entry is absorbing; stop before the frontier sees it",
+        f"                require_positive([{', '.join(rest)}])",
+        "                # KL projection onto {p0 >= delta}: pin p0, rescale the rest",
+        f"                scale = keep / ({_sum(rest)})",
+        f"                {P[0]} = delta",
+        *(f"                {P[k]} = {P[k]} * scale" for k in range(1, n)),
         f"    return [{', '.join(P)}], [{', '.join(S)}]",
     ]
     namespace = {"exp": np.exp, "pairwise_sum": pairwise_sum, "require_positive": require_positive}
+    namespace.update(DRAW_CHUNK=DRAW_CHUNK, FD_WIDTH=FD_WIDTH, DEFAULT_DELTA=DEFAULT_DELTA)
     return compile_kernel("\n".join(lines) + "\n", f"<a1 round kernel n={n}>", "a1_rounds", namespace)

@@ -1,3 +1,7 @@
+import gc
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -50,6 +54,32 @@ def over_tail_fractions(test):
     for p in (0.0, FD_WIDTH / 2, DEFAULT_DELTA, 1.0 - FD_WIDTH / 2, 1.0):
         test = example(p=p)(test)
     return given(p=st.floats(0.0, 1.0))(test)
+
+
+def kernel_calls(filename, run):
+    """Run ``run()`` under :func:`sys.setprofile` and count, by name, the
+    Python functions and the C functions called straight from frames of the
+    generated code registered as ``filename``.  The garbage collector is
+    paused meanwhile, as its callbacks would run from whichever frame
+    allocates."""
+    python, c = Counter(), Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code.co_filename == filename:
+            python[frame.f_code.co_name] += 1
+        elif event == "c_call" and frame.f_code.co_filename == filename:
+            c[arg.__name__] += 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return python, c
 
 
 def exp_game(means, partition) -> GameInstance:

@@ -28,7 +28,7 @@ from congames.cli import main
 from congames.dpp import box_upper
 from congames.game import sample_omega, sample_world
 from congames.rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
-from conftest import exp_game, simplex_grid
+from conftest import exp_game, kernel_calls, simplex_grid
 
 
 def subgradient(gamma, omega, game):
@@ -459,6 +459,16 @@ def test_default_sweep_builds_one_kernel():
         assert main(argv) == 0
     info = congames.dpp._round_kernel.cache_info()
     assert (info.misses, info.hits) == (1, 23)
+
+
+def test_kernel_makes_no_python_call():
+    # a round's one call is the history's extend, a C method; the kernel
+    # reads each draw array DRAW_CHUNK rows at a time with one tolist
+    T = 2500
+    game = exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0))
+    python, c = kernel_calls("<dpp round kernel n=3 a=1>", lambda: run_dpp(game, DppConfig(T=T)))
+    assert python == {}
+    assert c == {"extend": T, "len": 1, "tolist": 2 * -(-T // congames.game.DRAW_CHUNK)}
 
 
 def _game(partition, means, z=()):

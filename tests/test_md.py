@@ -27,7 +27,7 @@ from congames import (
 )
 from congames.game import sample_omega
 from congames.md import mw_update, omega_sup_sq_mean, pairwise_sum, require_positive, run_md_batch
-from congames.quantile import DEFAULT_DELTA
+from congames.quantile import DEFAULT_DELTA, FD_WIDTH
 from congames.rng import OMEGA_STREAM, as_generator
 from conftest import LAWS, exp_game
 
@@ -63,7 +63,8 @@ def numpy_a1(game, config, seed):
     at x = (q(p0), p[1:]), its first entry scaled by the frontier slope, the
     1-D update and the projection onto p0 >= DEFAULT_DELTA.  Returns the
     average iterate, or the error the loop raises, and which of the
-    projection and a zero normalizer some round reached."""
+    projection, a zero normalizer and the slope's clamp at 1 some round
+    reached."""
     frontier = TailFrontier(game.distributions[0])
     n, w = game.n, game.weights
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
@@ -74,6 +75,8 @@ def numpy_a1(game, config, seed):
             x = p.copy()
             x[0] = frontier.q(p[0])
             top = int(np.argmax(x * omega))
+            if p[0] + FD_WIDTH > 1.0:
+                hits.add("slope clamp")
             grad = w.copy()
             grad[top] -= 0.5 * omega[top]
             grad[0] *= frontier.slope(p[0])
@@ -142,9 +145,14 @@ WIDE_A1 = (
 )
 
 
+# p0 climbs past 1 - FD_WIDTH, so the slope's difference is clamped at 1
+CLAMPED_A1 = (exp_game([3.0, 0.2], (1, 0, 1, 0)), MdConfig(alpha=0.05, T=40), 1)
+
+
 @given(a1_runs())
 @example(PINNED_A1)
 @example(WIDE_A1)
+@example(CLAMPED_A1)
 @example((GameInstance(Partition(1, 0, 4, 0), (Uniform(0.0, 0.4),) + (Exponential(1.0),) * 4), MdConfig(alpha=0.02, T=40), 1))
 @settings(max_examples=150, deadline=None)
 def test_list_step_matches_the_array_update(run):
@@ -152,6 +160,14 @@ def test_list_step_matches_the_array_update(run):
     game, config, seed = run
     expected, _ = numpy_a1(game, config, seed)
     assert a1_outcome(game, config, seed) == expected
+
+
+def test_clamped_run_reaches_the_slope_clamp():
+    # the twin test's CLAMPED_A1 example covers the round where p0 + FD_WIDTH
+    # passes 1 and the kernel's upper difference end is clamped, without
+    # the projection
+    expected, hits = numpy_a1(*CLAMPED_A1)
+    assert hits == {"slope clamp"} and a1_outcome(*CLAMPED_A1) == expected
 
 
 def test_list_step_raises_where_the_array_update_gives_nan():
@@ -162,10 +178,11 @@ def test_list_step_raises_where_the_array_update_gives_nan():
     expected, hits = numpy_a1(game, config, seed)
     assert "zero normalizer" in hits
     assert expected == a1_outcome(game, config, seed) == "mirror-descent iterates must be strictly positive"
-    # and the pinned runs reach the projection without failing
+    # and the pinned runs reach the projection, and the slope's clamp on
+    # their swings back up, without failing
     for run in (PINNED_A1, WIDE_A1):
         expected, hits = numpy_a1(*run)
-        assert hits == {"projection"} and a1_outcome(*run) == expected
+        assert hits == {"projection", "slope clamp"} and a1_outcome(*run) == expected
     # the error comes from a line of the generated round kernel, which
     # tracebacks show
     with pytest.raises(ValueError) as caught:

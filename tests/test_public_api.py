@@ -34,7 +34,7 @@ REMOVED = {
     "congames": ["preset_spec", "tail_weighted_mean", "McConfig", "config_for_epsilon"],
     "congames.experiments": ["preset_spec", "_with_mean", "SOLVERS", "STEP_DEFAULTS", "SOLVER_SETTINGS"],
     "congames.quantile": ["tail_weighted_mean", "_require_continuous"],
-    "congames.game": ["deterministic_omega"],
+    "congames.game": ["deterministic_omega", "draw_rows"],
     "congames.dpp": ["_base_weights", "gamma_step", "queue_step", "config_for_epsilon"],
     "congames.montecarlo": ["McConfig"],
     "congames.worstcase": ["row_max", "sampled_subgradients", "sampled_subgradient"],
@@ -79,6 +79,7 @@ def test_removed_methods_and_parameters_are_gone():
         "strategy", "game", "mode", "n_samples", "seed", "opponent", "player",
     ]
     assert list(inspect.signature(TailFrontier.slope).parameters) == ["self", "p1"]
+    assert not hasattr(TailFrontier, "point")
     # the spec holds one config in place of its settings
     spec_fields = list(inspect.signature(ScenarioSpec).parameters)
     assert spec_fields == ["scenario", "solver", "e1_values", "config", "n_samples", "seed", "repetitions"]

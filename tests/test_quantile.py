@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import tracemalloc
 
@@ -22,8 +24,10 @@ from congames import (
     solve_a1,
     worst_case_objective,
 )
+from congames.cli import main
+from congames.game import DRAW_CHUNK
 from congames.quantile import FD_WIDTH
-from conftest import FRONTIER_LAWS, exp_game, over_tail_fractions, random_strategy
+from conftest import FRONTIER_LAWS, exp_game, kernel_calls, over_tail_fractions, random_strategy
 
 
 def test_tail_weighted_mean_exponential():
@@ -67,28 +71,29 @@ def test_frontier_shape():
 
 def test_frontier_q_is_the_checked_tail_weighted_mean():
     # q is p1 * tail_mean(p1) bit for bit, and p1 is range-checked, by
-    # point too
+    # slope too, even where both clamped ends of its difference are valid
     for dist in FRONTIER_LAWS:
         frontier = TailFrontier(dist)
         for p1 in [0.0, 1e-12, 1e-4, 0.3, 0.5, 1.0 - 1e-9, 1.0, *np.linspace(0.0, 1.0, 97).tolist()]:
             expected = p1 * dist.tail_mean(p1) if p1 > 0 else 0.0
             assert frontier.q(p1) == expected
-        for bad in (1.5, -0.1, float("nan")):
-            for method in (frontier.q, frontier.point):
+        for bad in (1.5, -0.1, 1.0 + FD_WIDTH / 2, -FD_WIDTH / 2, float("nan")):
+            for method in (frontier.q, frontier.slope):
                 with pytest.raises(ValueError, match="^tail fraction must be in"):
                     method(bad)
 
 
 @pytest.mark.parametrize("dist", FRONTIER_LAWS, ids=repr)
 @over_tail_fractions
-def test_frontier_point_is_q_and_slope(dist, p):
-    # one call gives q(p) and the central difference of q, bit for bit
-    frontier = TailFrontier(dist)
-    hi, lo = min(1.0, p + FD_WIDTH), max(0.0, p - FD_WIDTH)
-    difference = (frontier.q(hi) - frontier.q(lo)) / (hi - lo)
-    value, slope = frontier.point(p)
-    assert (value.hex(), slope.hex()) == (frontier.q(p).hex(), difference.hex())
-    assert frontier.slope(p).hex() == difference.hex()
+def test_frontier_slope_is_the_central_difference_of_q(dist, p):
+    # the difference of p * tail_mean(p) across [p - FD_WIDTH, p + FD_WIDTH],
+    # clamped to [0, 1] with ternaries as the A1 round kernel clamps, bit
+    # for bit
+    hi, lo = p + FD_WIDTH, p - FD_WIDTH
+    hi, lo = hi if hi < 1.0 else 1.0, lo if lo > 0.0 else 0.0
+    q_lo = lo * dist.tail_mean(lo) if lo != 0.0 else 0.0
+    difference = (hi * dist.tail_mean(hi) - q_lo) / (hi - lo)
+    assert TailFrontier(dist).slope(p).hex() == difference.hex()
 
 
 def test_build_strategy_examples():
@@ -229,9 +234,30 @@ def test_solve_a1_calls_tail_mean_three_times_a_round(monkeypatch):
     assert calls[-1] == p[0]
 
 
+def test_a1_kernel_calls_only_tail_mean():
+    # a round's only Python-level calls are the three tail_mean calls, and
+    # the kernel reads its draws DRAW_CHUNK rows at a time with one tolist
+    T = 2500
+    game = exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0))
+    python, c = kernel_calls("<a1 round kernel n=3>", lambda: solve_a1(game, MdConfig(T=T), n_samples=2000))
+    assert python == {"tail_mean": 3 * T}
+    assert c == {"len": 1, "tolist": -(-T // DRAW_CHUNK)}
+
+
+def test_default_sweep_builds_one_kernel():
+    # every point of a sweep shares one game shape, so one generated kernel
+    congames.quantile._round_kernel.cache_clear()
+    argv = ["worst", "a1", "--scenario", "3", "--T", "500", "--samples", "2000"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    info = congames.quantile._round_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 23)  # the default grid's 24 points
+
+
 @given(st.lists(st.floats(-745.0, 0.0), min_size=3, max_size=3))
 @example([0.0, -math.inf, -745.0])
 @example([-math.inf, -1e-300, 0.0])
+@example([-0.0, -1.0, 0.0])
 @settings(max_examples=300)
 def test_scalar_exp_is_the_array_exp(xs):
     # the A1 round takes each exponential with one np.exp call on a Python
@@ -240,6 +266,8 @@ def test_scalar_exp_is_the_array_exp(xs):
     # because it differs from np.exp in the last bit on some arguments.
     whole = np.exp(np.array(xs))
     assert [float(np.exp(x)).hex() for x in xs] == [v.hex() for v in whole.tolist()]
+    # and exp(+-0) is exactly 1, which the round writes in place of the call
+    assert all(v == 1.0 for x, v in zip(xs, whole.tolist()) if x == 0.0)
 
 
 @pytest.mark.parametrize(
