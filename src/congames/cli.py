@@ -12,10 +12,11 @@ type in :data:`congames.experiments.SOLVER_CONFIGS`, with that field's
 default: ``--epsilon`` for nash (``NashConfig``), ``--V``, ``--alpha`` and
 ``--T`` for dpp (``DppConfig``), ``--alpha`` and ``--T`` for md and a1
 (``MdConfig``), none for explicit.  The flags build the config, which checks
-them.  ``worst`` takes its method first, so its flags follow the method.
-``evaluate`` reads ``--opponent`` in vs-strategy mode only, and
-``--player`` in the other modes only.  Sweeps print a CSV
-table (or write it with ``--out``); reruns with the same flags and seed are
+them.  ``--scenario`` defaults to the lowest preset the solver solves (3
+for a1, 1 for the others).  ``worst`` takes its method first, so its flags
+follow the method.  ``evaluate`` reads ``--opponent`` in vs-strategy mode
+only, and ``--player`` in the other modes only.  Sweeps print a CSV table
+(or write it with ``--out``); reruns with the same flags and seed are
 byte-identical.  Exit status is 0 on success and 2 on any usage, file, or
 configuration error, including a flag the command's solver or
 ``evaluate``'s mode does not read.
@@ -28,7 +29,7 @@ import math
 import sys
 from dataclasses import fields
 
-from .experiments import SOLVER_CONFIGS, ScenarioSpec, evaluate_report, run_scenario
+from .experiments import SCENARIO_PARTITIONS, SOLVER_CONFIGS, ScenarioSpec, _unsolvable, evaluate_report, run_scenario
 from .game import check_setting, check_upfront_budget
 from .gamefile import GameFileError, load_game, load_strategy
 from .montecarlo import DEFAULT_SAMPLES
@@ -56,7 +57,8 @@ def _opt(parser, flag: str, type_, default, help_):
 
 def _sweep_parser(sub, command: str, solver: str, help_: str):
     parser = sub.add_parser(command, help=help_)
-    _opt(parser, "scenario", int, 1, "preset scenario 1, 2, or 3")
+    scenario = min(s for s in SCENARIO_PARTITIONS if not _unsolvable(solver, s))
+    _opt(parser, "scenario", int, scenario, "preset scenario 1, 2, or 3")
     _opt(parser, "e1-min", float, 0.1, "smallest mean of resource 1")
     _opt(parser, "e1-max", float, 2.4, "largest mean of resource 1")
     _opt(parser, "e1-step", float, 0.1, "sweep step")

@@ -9,8 +9,12 @@ resources 2 and 3 pinned at 1; they differ in who observes what:
 
 A :class:`ScenarioSpec` names one preset by its number.  Its sweep varies
 the exponential mean of resource 1 over a grid, runs the selected solver at
-each point (averaging over ``repetitions`` derived seeds), and emits one CSV
-row per point.  :data:`SOLVER_CONFIGS` names each solver's config type
+each point (averaging over ``repetitions`` derived seeds; the closed form,
+exact and seed-free, is solved once per point), and emits one CSV row per
+point.  :func:`_unsolvable` states, once, which presets each solver
+solves; the spec refuses the others, and the CLI defaults each command's
+``--scenario`` to the lowest preset its solver solves.
+:data:`SOLVER_CONFIGS` names each solver's config type
 (:class:`~congames.nash.NashConfig`, :class:`~congames.dpp.DppConfig`,
 :class:`~congames.md.MdConfig`, none for the closed form), which declares,
 once, the settings the solver reads, their defaults and their checks.  The
@@ -74,6 +78,18 @@ SOLVER_CONFIGS = {
 }
 
 
+def _unsolvable(solver: str, scenario: int) -> str | None:
+    """Why ``solver`` cannot solve preset ``scenario``, or None when it can."""
+    a, b, _, _ = SCENARIO_PARTITIONS[scenario]
+    if solver == "worst-explicit" and (a or b):
+        return "worst-explicit requires a == b == 0 (symmetric information)"
+    if solver == "worst-md" and a:
+        return "worst-md requires a == 0"
+    if solver == "worst-a1" and a != 1:
+        return "worst-a1 requires a == 1"
+    return None
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One sweep: preset scenario, solver, grid of resource 1's mean.
@@ -120,14 +136,9 @@ class ScenarioSpec:
         check_upfront_budget("sweep", len(e1_values) * self.repetitions, self.partition.n, rows="points x reps")
         check_count("n_samples", self.n_samples)
         check_seed(self.seed)
-        part = self.partition
-        if self.solver == "worst-explicit" and (part.a or part.b):
-            raise ValueError("worst-explicit requires a == b == 0 (symmetric information)")
-        if self.solver == "worst-md" and part.a:
-            raise ValueError("worst-md requires a == 0")
-        if self.solver == "worst-a1" and part.a != 1:
-            raise ValueError("worst-a1 requires a == 1")
-        if self.solver != "nash" and part.b:
+        if reason := _unsolvable(self.solver, self.scenario):
+            raise ValueError(reason)
+        if self.solver != "nash" and self.partition.b:
             check_count("n_samples", self.n_samples, 2, " when player B observes a resource")
 
     @property
@@ -213,15 +224,17 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
     over the repetitions when there are several, the one run's own stderr
     otherwise); the mean p; and the least and greatest value.  worst-md
     only evaluates: ``md_ps`` holds the point's average iterates, one row
-    per repetition, from :func:`_md_solutions`.
+    per repetition, from :func:`_md_solutions`.  The closed form is exact
+    and reads no seed, so it is solved once, whatever the repetitions: its
+    row has stderr 0 and value_min == value_max == value.
     """
+    if spec.solver == "worst-explicit":
+        sol = explicit_solution(game.means)
+        return np.concatenate([[sol.value, 0.0], sol.p, [sol.value, sol.value]]), None
     values, ps = [], []
     violations = 0
     for rep, seed in enumerate(seeds):
-        if spec.solver == "worst-explicit":
-            sol = explicit_solution(game.means)
-            p, value, stderr = sol.p, sol.value, 0.0
-        elif spec.solver == "worst-dpp":
+        if spec.solver == "worst-dpp":
             mixture, diag = run_dpp(game, spec.config, seed)
             violations += diag.violations
             ev = worst_case_utility(mixture, game, spec.n_samples, seed)

@@ -37,18 +37,17 @@ def no_info_objective(p, means) -> float:
 
 @dataclass(frozen=True)
 class ExplicitSolution:
-    """Optimal simplex vector plus the support data behind it.
+    """Optimal simplex vector, in the caller's indexing, plus the support
+    data behind it and its objective value.
 
     ``support_size`` is r; ``inv_mean_sum`` is S_r, the summed reciprocal
-    means of the r best resources; ``order`` maps sorted positions back to
-    the caller's indexing (p == sorted-p[order-inverse] already applied).
+    means of the r best resources.
     """
 
     p: np.ndarray
     support_size: int
     inv_mean_sum: float
     value: float
-    order: np.ndarray
 
 
 def explicit_solution(means) -> ExplicitSolution:
@@ -83,5 +82,4 @@ def explicit_solution(means) -> ExplicitSolution:
         support_size=r,
         inv_mean_sum=s_r,
         value=no_info_objective(p, means),
-        order=order,
     )

@@ -49,10 +49,8 @@ still be there.
 
 :func:`congames.quantile.solve_a1` steps one run at a time on Python
 floats, where numpy's per-call dispatch would cost more than the arithmetic
-on n floats, and writes the same update out in its generated round.
-:func:`pairwise_sum` adds its normalizer in numpy's order (left to right
-below 8 entries, which is numpy's order there too, and numpy's own sum from
-8 on).
+on n floats, and writes the same update out in its generated round, adding
+its normalizer in numpy's order.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ from .worstcase import omega_maxima
 __all__ = [
     "MdConfig",
     "mw_update",
-    "pairwise_sum",
     "require_positive",
     "run_md",
     "run_md_batch",
@@ -122,22 +119,6 @@ def mw_update(p: np.ndarray, expo: np.ndarray) -> np.ndarray:
     expo *= p
     expo /= np.add.reduce(expo, axis=-1, keepdims=True)
     return expo
-
-
-def pairwise_sum(xs) -> float:
-    """Sum of a float list in the order numpy sums a contiguous float64 row.
-
-    Left to right from 0.0 below 8 entries, where numpy's order is that
-    too and a loop costs less than building an array; from 8 entries on,
-    numpy's own sum of the list.  (The builtin ``sum`` is left to right only
-    before Python 3.12.)
-    """
-    if len(xs) >= 8:
-        return float(np.sum(xs))
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
 
 
 def run_md(game: GameInstance, config: MdConfig, seed: int = 0) -> np.ndarray:

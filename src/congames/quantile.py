@@ -38,7 +38,7 @@ would (``math.exp`` differs from it in the last bit on some inputs), save
 that an exponent of exactly 0, the shift's own among them, is taken as 1,
 which is what ``np.exp(0.0)`` gives; and the normalizer and the
 projection's sum are added in numpy's order (left to right below 8
-entries, through :func:`congames.md.pairwise_sum` from 8 on).  A round
+entries, numpy's own sum of the list from 8 on; see ``_sum``).  A round
 writes q(p0) and the central difference of :meth:`TailFrontier.slope` out
 in place, from three scalar ``tail_mean`` calls on ``math`` (``np.log1p``,
 which a batch would need, differs from ``math.log1p`` in the last bit on
@@ -67,7 +67,7 @@ from .game import (
     compile_kernel,
     sample_omega,
 )
-from .md import MdConfig, pairwise_sum, require_positive
+from .md import MdConfig, require_positive
 from .montecarlo import DEFAULT_SAMPLES
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold, _check_simplex
@@ -189,9 +189,16 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
 
 
 def _sum(terms: list[str]) -> str:
-    """Source adding ``terms`` as :func:`~congames.md.pairwise_sum` does."""
+    """Source adding ``terms`` in the order numpy sums a contiguous float64
+    row.
+
+    Left to right from 0.0 below 8 terms, where numpy's order is that too
+    and a chain costs less than building an array; from 8 terms on, numpy's
+    own sum of the list.  (The builtin ``sum`` is left to right only before
+    Python 3.12.)
+    """
     if len(terms) >= 8:
-        return f"pairwise_sum([{', '.join(terms)}])"
+        return f"float(np.sum([{', '.join(terms)}]))"
     return " + ".join(["0.0", *terms])
 
 
@@ -205,7 +212,8 @@ def _round_kernel(n: int):
     (:func:`~congames.game.argmax_chain`), the shift one of
     ``if c > shift`` (as ``max`` takes it), each exponential one scalar
     ``np.exp`` call, skipped where the exponent is 0, and each sum is
-    written out in numpy's order, so a round builds no list and no array.
+    written out in numpy's order (:func:`_sum`), so below 8 resources a
+    round builds no list and no array.
     It starts with q(p0) and its central difference, as
     :class:`TailFrontier` gives them, from three calls of the law's
     ``tail_mean``: the value enters the argmax and the difference scales
@@ -265,6 +273,6 @@ def _round_kernel(n: int):
         *(f"                {P[k]} = {P[k]} * scale" for k in range(1, n)),
         f"    return [{', '.join(P)}], [{', '.join(S)}]",
     ]
-    namespace = {"exp": np.exp, "pairwise_sum": pairwise_sum, "require_positive": require_positive}
+    namespace = {"np": np, "exp": np.exp, "require_positive": require_positive}
     namespace.update(DRAW_CHUNK=DRAW_CHUNK, FD_WIDTH=FD_WIDTH, DEFAULT_DELTA=DEFAULT_DELTA)
     return compile_kernel("\n".join(lines) + "\n", f"<a1 round kernel n={n}>", "a1_rounds", namespace)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import congames.game
-from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, estimate_stats
+from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, estimate_stats, explicit_solution
 from congames.cli import SETTING_HELP, main
 from congames.experiments import SOLVER_CONFIGS, ScenarioSpec, run_scenario
 from conftest import exp_game
@@ -83,6 +83,31 @@ def test_solver_scenario_incompatibility(capsys):
     assert "requires a == 0" in err
     code, _, err = run_cli(capsys, "worst", "explicit", "--scenario", "2")
     assert code == 2
+
+
+def test_a1_sweeps_the_lowest_preset_it_solves_by_default(capsys):
+    argv = ["worst", "a1", "--T", "200", "--e1-min", "1", "--e1-max", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "--scenario", "3") == (0, out, "")
+
+
+def test_the_closed_form_is_solved_once_per_point(capsys, monkeypatch):
+    # it is exact and reads no seed, so one solve serves every repetition:
+    # stderr 0 and min == max == value; the hash pins the rest of the table
+    calls = []
+
+    def spy(means):
+        calls.append(means)
+        return explicit_solution(means)
+
+    monkeypatch.setattr("congames.experiments.explicit_solution", spy)
+    code, out, _ = run_cli(capsys, "worst", "explicit", "--reps", "7")
+    assert code == 0 and len(calls) == 24
+    rows = np.loadtxt(out.splitlines()[3:], delimiter=",")
+    assert np.all(rows[:, 2] == 0.0)
+    assert np.all(rows[:, 6] == rows[:, 1]) and np.all(rows[:, 7] == rows[:, 1])
+    assert hashlib.sha256(out.encode()).hexdigest() == "6ea661d2e188131468075764453e434780c9e7cd44bf5b8812e3e7c8e974d516"
 
 
 def test_bad_grid_rejected(capsys):
@@ -544,6 +569,9 @@ def test_each_command_offers_only_the_settings_its_solver_reads(capsys, solver):
     config_type = SOLVER_CONFIGS[solver]
     defaults = {field.name: field.default for field in fields(config_type)} if config_type else {}
     assert tuple(defaults) == SETTINGS_READ[solver]
+    # the scenario defaults to the lowest preset the solver solves
+    scenario = 3 if solver == "worst-a1" else 1
+    assert f"--scenario SCENARIO  preset scenario 1, 2, or 3 (default {scenario})\n" in help_text
     # each of the config's fields is a flag with that field's default
     for name, default in defaults.items():
         line = rf"--{name} {name.upper()}\s+{SETTING_HELP[name]} \(default {re.escape(str(default))}\)\n"

@@ -17,16 +17,19 @@ from congames import (
     GameInstance,
     MdConfig,
     Partition,
+    ScenarioSpec,
     TailFrontier,
     Uniform,
     explicit_solution,
     md_error_bound,
     run_md,
+    run_scenario,
+    scenario_game,
     solve_a1,
     worst_case_objective,
 )
 from congames.game import sample_omega
-from congames.md import mw_update, omega_sup_sq_mean, pairwise_sum, require_positive, run_md_batch
+from congames.md import mw_update, omega_sup_sq_mean, require_positive, run_md_batch
 from congames.quantile import DEFAULT_DELTA, FD_WIDTH
 from congames.rng import OMEGA_STREAM, as_generator
 from conftest import LAWS, exp_game
@@ -194,8 +197,12 @@ def test_list_step_raises_where_the_array_update_gives_nan():
 @given(hnp.arrays(float, st.integers(0, 300), elements=st.floats(-1e6, 1e6)))
 @example(np.full(9, -0.0))
 @settings(max_examples=300, deadline=None)
-def test_pairwise_sum_adds_in_numpys_order(xs):
-    assert np.float64(pairwise_sum(xs.tolist())).tobytes() == xs.sum().tobytes()
+def test_kernel_sums_add_in_numpys_order(xs):
+    # the A1 kernel's sums are the source quantile._sum writes: a chain from
+    # 0.0 below 8 terms, numpy's own sum of the list from 8 on
+    names = [f"x{k}" for k in range(xs.size)]
+    total = eval(congames.quantile._sum(names), {"np": np, **dict(zip(names, xs.tolist()))})
+    assert np.float64(total).tobytes() == xs.sum().tobytes()
 
 
 def test_step_preserves_simplex(rng):
@@ -213,6 +220,24 @@ def test_error_bound_example():
     # T -> infinity leaves only the step-size term
     assert md_error_bound(g, MdConfig(alpha=50.0, T=10**9)) == pytest.approx(2.5 / 100.0, abs=1e-6)
     assert md_error_bound(g, MdConfig(alpha=100.0, T=10**9)) == pytest.approx(2.5 / 200.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sweep_reaches_the_closed_form_optima_of_scenario_two(seed):
+    # in scenario 2 g is concave, with g* = 3/4 at p = (0, 1/2, 1/2) for
+    # e1 <= 3/4 and g* = e1/2 at p = (1, 0, 0) for e1 >= 2: there the best
+    # directional derivatives are e1 - 3/4 and 1 - e1/2.  A run's expected
+    # gap is at most md_error_bound, and its value is estimated with stderr
+    spec = ScenarioSpec(2, "worst-md", [0.1 + k * 0.1 for k in range(24)], seed=seed)
+    plateau = 0
+    for e1, value, stderr in run_scenario(spec).rows[:, :3]:
+        if 0.75 < e1 < 2.0:
+            continue
+        g_star = 0.75 if e1 <= 0.75 else e1 / 2
+        bound = md_error_bound(scenario_game(spec, e1), spec.config)
+        assert g_star - bound - 3 * stderr <= value <= g_star + 3 * stderr + 1e-12, e1
+        plateau += 1
+    assert plateau == 12
 
 
 def test_error_bound_rejects_bad_alpha_and_rounds():

@@ -9,6 +9,7 @@ import congames
 from congames import (
     Discrete,
     DppConfig,
+    ExplicitSolution,
     MdConfig,
     NashConfig,
     PointMass,
@@ -38,7 +39,7 @@ REMOVED = {
     "congames.dpp": ["_base_weights", "gamma_step", "queue_step", "config_for_epsilon"],
     "congames.montecarlo": ["McConfig"],
     "congames.worstcase": ["row_max", "sampled_subgradients", "sampled_subgradient"],
-    "congames.md": ["row_max", "mw_step"],
+    "congames.md": ["row_max", "mw_step", "pairwise_sum"],
 }
 
 
@@ -79,6 +80,7 @@ def test_removed_methods_and_parameters_are_gone():
         "strategy", "game", "mode", "n_samples", "seed", "opponent", "player",
     ]
     assert list(inspect.signature(TailFrontier.slope).parameters) == ["self", "p1"]
+    assert [field.name for field in fields(ExplicitSolution)] == ["p", "support_size", "inv_mean_sum", "value"]
     assert not hasattr(TailFrontier, "point")
     # the spec holds one config in place of its settings
     spec_fields = list(inspect.signature(ScenarioSpec).parameters)
