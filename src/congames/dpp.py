@@ -18,23 +18,26 @@ u_j = E_j on the private block and 1 elsewhere.  Each round t:
        Q_j <- max(Q_j + gamma_j - realized x_j, 0).
 
 :func:`run` steps the T rounds in one straight-line function, generated
-from the integers n and a alone and compiled once per (n, a) shape
+from the integers n, a and b alone and compiled once per (n, a, b) shape
 (``_round_kernel``).  Each resource's queue, target and realized sum is a
 local Python float, each argmax a chain of ``if s > best`` (the first of
 equal values wins), and each resource's step is written out, so a round
-builds no list and takes no subscript: at n = 3 a numpy call costs more in
+builds no tuple and takes no subscript: at n = 3 a numpy call costs more in
 dispatch than in arithmetic, and a list subscript more than a local.  The
 source is registered with :mod:`linecache` under a name such as
-``<dpp round kernel n=3 a=1>``, so tracebacks, ``pdb`` and profilers show
-its lines.  Each comparison is written so that a -0.0 comes out as +0.0,
-which gives the bits of numpy's clip and maximum; queues and targets never
-fall below +0.0, so only the drained queue needs its floor.  Each
-stream's T draws are still sampled in one call, and the kernel reads them
-as lists :data:`~congames.game.DRAW_CHUNK` rows at a time; the queue
-history is kept in a compact float buffer, which the mixture takes over
-read-only, without a copy.  The emitted strategy is the equiprobable
-:class:`~congames.strategies.Mixture` of the T queue-score rows (the
-all-zero first one included); the queue cap and its violation
+``<dpp round kernel n=3 a=1 b=1>``, so tracebacks, ``pdb`` and profilers
+show its lines.  Each comparison is written so that a -0.0 comes out as
++0.0, which gives the bits of numpy's clip and maximum; queues and targets
+never fall below +0.0, so only the drained queue needs its floor.  Each
+stream's T draws are still sampled in one call, and the kernel reads only
+the random ones, B's omega columns and A's world columns, as lists
+:data:`~congames.game.DRAW_CHUNK` rows at a time.  Every other omega entry
+is the constant weight v_j, so its terms are computed once, before the
+loop.  A round appends its queues to a list of the chunk's rows, and one
+``fromlist`` call a chunk stores them in a compact float buffer, which the
+mixture takes over read-only, without a copy.  The emitted strategy is the
+equiprobable :class:`~congames.strategies.Mixture` of the T queue-score
+rows (the all-zero first one included); the queue cap and its violation
 count, the average realized x, and the final queues and targets are
 returned on :class:`DppDiagnostics`.  With alpha >= V^2 every queue
 stays below (v_j + 2 sqrt(2) u_j) sqrt(alpha) + u_j, which is what caps the
@@ -57,7 +60,9 @@ from .game import (
     check_setting,
     argmax_chain,
     check_upfront_budget,
+    chunk_loop,
     compile_kernel,
+    kernel_columns,
     sample_omega,
     sample_world,
 )
@@ -151,7 +156,7 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
     n = game.n
-    a = game.partition.a
+    a, b = game.partition.a, game.partition.b
     V, alpha, T = config.V, config.alpha, config.T
     # T x n omega draws, the T x n queue history (the mixture keeps it
     # without a copy), and T x a world draws
@@ -166,7 +171,9 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     bound = queue_bound(game, alpha)
 
     history = array("d")
-    queues, gamma, realized_sum = _round_kernel(n, a)(omega_draws, x_draws, V, 2.0 * alpha, u, v, history)
+    queues, gamma, realized_sum = _round_kernel(n, a, b)(
+        kernel_columns(omega_draws, a, b), kernel_columns(x_draws, 0, a), T, V, 2.0 * alpha, u, v, history
+    )
 
     q_history = np.frombuffer(history, dtype=float).reshape(T, n)
     q_history.setflags(write=False)  # so the mixture keeps it uncopied
@@ -192,44 +199,53 @@ def _unpack(names: list[str]) -> str:
 
 
 @functools.lru_cache
-def _round_kernel(n: int, a: int):
+def _round_kernel(n: int, a: int, b: int):
     """The T rounds of :func:`run` for n resources, the first a private to
-    A, as one straight-line function compiled from generated source.
+    A and the next b to B, as one straight-line function compiled from
+    generated source.
 
     Each resource's queue, target and realized sum is a local float
     (``Q0``, ``G0``, ``R0``, ...) and each argmax a chain of ``if s > best``
     (:func:`~congames.game.argmax_chain`), so a round makes no list, no
-    subscript and no Python-level call.  Only the integers n and a enter the
-    source.  The function takes the T x n omega and T x a world draws, which
-    it reads as lists :data:`~congames.game.DRAW_CHUNK` rows at a time, V,
-    2 alpha, u, v and the history buffer, appends each round's queues to the
-    buffer before they move, and returns the final queues, targets and
-    realized sums as lists.
+    subscript and no Python-level call.  Only the integers n, a and b enter
+    the source.  The function takes views of B's T x b omega columns and
+    of the T x a world draws (:func:`~congames.game.kernel_columns`), which
+    it reads as lists :data:`~congames.game.DRAW_CHUNK` rows at a time, T,
+    V, 2 alpha, u, v and the history buffer, and returns the final queues,
+    targets and realized sums as lists.  Every other omega entry is the
+    constant v_j, so its product with gamma reads v_j and its gradient term
+    V (v_j - v_j / 2) is computed once, before the loop: the same float
+    operations on the same floats as on the drawn row.  Each round appends
+    its queues, before they move, to a list of the chunk's rows, which one
+    ``fromlist`` call stores in the history buffer at the chunk's end.
     """
-    n, a = int(n), int(a)
+    n, a, b = int(n), int(a), int(b)
     o, x, u, v, Q, G, R = ([f"{name}{j}" for j in range(n)] for name in "oxuvQGR")
-    x = x[:a]
+    drawn = range(a, a + b)
+    omega = [o[j] if j in drawn else v[j] for j in range(n)]
     lines = [
-        "def dpp_rounds(omegas, worlds, V, two_alpha, u, v, history):",
+        "def dpp_rounds(omegas, worlds, T, V, two_alpha, u, v, history):",
         f"    {_unpack(u)} = u",
         f"    {_unpack(v)} = v",
         *(f"    V{v[j]} = V * {v[j]}" for j in range(n)),
+        "    # the gradient term at the argmax, V (v - omega / 2), where omega is constant",
+        *(f"    Vt{j} = V * ({v[j]} - 0.5 * {v[j]})" for j in range(n) if j not in drawn),
         f"    {' = '.join(Q + G + R)} = 0.0",
-        "    extend = history.extend",
-        "    for start in range(0, len(omegas), DRAW_CHUNK):",
+        "    for start in range(0, T, DRAW_CHUNK):",
         "        stop = start + DRAW_CHUNK",
-        f"        for {_unpack(o)}, {_unpack(x)} in zip(omegas[start:stop].tolist(),"
-        " worlds[start:stop].tolist()):",
+        "        rows = []",
+        chunk_loop({"omegas": o[a : a + b], "worlds": x[:a]}),
         "            # the argmax of gamma * omega: its resource's gradient is v - omega / 2",
-        *argmax_chain("top", [f"{G[j]} * {o[j]}" for j in range(n)]),
+        *argmax_chain("top", [f"{G[j]} * {omega[j]}" for j in range(n)]),
         "            # the queue-score action: Q_j x_j on A's block, Q_j elsewhere",
         *argmax_chain("act", [f"{Q[j]} * {x[j]}" if j < a else Q[j] for j in range(n)]),
-        f"            extend(({', '.join(Q)},))",
+        *(f"            rows.append({Q[j]})" for j in range(n)),
         "            # gamma's projected step, clipped to [0, u_j], and each queue's arrival",
     ]
     for j in range(n):
+        at_top = f"V * ({v[j]} - 0.5 * {o[j]})" if j in drawn else f"Vt{j}"
         lines += [
-            f"            y = {G[j]} - ({Q[j]} - (V * ({v[j]} - 0.5 * {o[j]}) if top == {j} else V{v[j]})) / two_alpha",
+            f"            y = {G[j]} - ({Q[j]} - ({at_top} if top == {j} else V{v[j]})) / two_alpha",
             "            y = y if y > 0.0 else 0.0",
             f"            {G[j]} = y if y < {u[j]} else {u[j]}",
             f"            {Q[j]} = {Q[j]} + {G[j]}",
@@ -247,8 +263,11 @@ def _round_kernel(n: int, a: int):
             f"                {Q[j]} = y if y > 0.0 else 0.0",
             f"                {R[j]} += {drain}",
         ]
-    lines.append(f"    return [{', '.join(Q)}], [{', '.join(G)}], [{', '.join(R)}]")
-    filename = f"<dpp round kernel n={n} a={a}>"
+    lines += [
+        "        history.fromlist(rows)",
+        f"    return [{', '.join(Q)}], [{', '.join(G)}], [{', '.join(R)}]",
+    ]
+    filename = f"<dpp round kernel n={n} a={a} b={b}>"
     return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds", {"DRAW_CHUNK": DRAW_CHUNK})
 
 

@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 # rows that a solver's round kernel converts to Python floats at a time
-# (about 160 KiB of them at n = 3, less than a short run's draws), and that
-# sample_omega draws a B column in
+# (at most n floats a row, under 160 KiB at n = 3, less than a short run's
+# draws), and that sample_omega draws a B column in
 DRAW_CHUNK = 1024
 # the solvers refuse a run whose draws and history, allocated before the
 # first round, would exceed this
@@ -215,6 +215,31 @@ def compile_kernel(source: str, filename: str, name: str, namespace: dict):
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
+
+
+def kernel_columns(draws: np.ndarray, start: int, count: int) -> np.ndarray:
+    """A view of the ``count`` columns of ``draws`` from ``start`` on, as a
+    round kernel reads them: 1-D when ``count`` is 1, so that each entry of
+    a chunk's ``tolist`` is one float rather than a one-float list."""
+    return draws[:, start] if count == 1 else draws[:, start : start + count]
+
+
+def chunk_loop(views: dict[str, list[str]]) -> str:
+    """The head of a kernel's loop over the rows ``start:stop`` of one draw
+    chunk, indented for the body of its loop over the chunks.
+
+    ``views`` maps each draw view (:func:`kernel_columns`) to the local
+    names its row is unpacked into, one name for a 1-D view; the rows of
+    the views that have names are read in step as lists.  With no view to
+    read, the loop still runs the chunk's rounds, ``stop`` clamped at
+    ``T``."""
+    read = [(view, names) for view, names in views.items() if names]
+    if not read:
+        return "        for _ in range(start, stop if stop < T else T):"
+    targets = ", ".join(names[0] if len(names) == 1 else f"({', '.join(names)},)" for _, names in read)
+    rows = [f"{view}[start:stop].tolist()" for view, _ in read]
+    source = rows[0] if len(rows) == 1 else f"zip({', '.join(rows)})"
+    return f"        for {targets} in {source}:"
 
 
 def argmax_chain(index: str, values: list[str]) -> list[str]:

@@ -23,9 +23,11 @@ samples its worlds at most once.  A one-row mixture (every best response)
 is counted from the threshold masks of
 :func:`congames.strategies._threshold_split`, with no action array; the
 counts and the averaged products are those of the action array, so every
-bit is the same.  The up-front budget counts n_samples x n draws, so a call
-that would sample is refused up front
-(:func:`congames.game.check_upfront_budget`) when they exceed it.
+bit is the same.  A call that would sample is refused up front
+(:func:`congames.game.check_upfront_budget`) when what it holds exceeds the
+budget: the n_samples rows of the columns it draws and, where it acts
+through :func:`~congames.strategies.batch_actions`, the actions, with a
+mixture's component draws and n_samples x n scores.
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ def estimate_stats(
     only when the estimate samples, and a shape with too few rows or columns
     is refused.  A one-row mixture's (p, q) is counted from its threshold
     masks; other strategies act through :func:`batch_actions`.  Raises
-    ValueError before sampling when n_samples x n worlds exceed the up-front
-    budget.
+    ValueError before sampling when the drawn columns, and the actions and
+    scores of the :func:`batch_actions` path, exceed the up-front budget.
     """
     check_count("n_samples", n_samples)
     private = _check_strategy_player(strategy, game, player)
@@ -148,7 +150,15 @@ def estimate_stats(
         p = np.bincount(picks, minlength=n) / len(strategy)
         return StrategyStats(player, p, np.zeros(0))
 
-    check_upfront_budget("estimate_stats", n_samples, n, rows="n_samples")
+    columns = private[-1] + 1  # the private block is a range ending here
+    # what the estimate holds: the drawn columns and, unless a one-row
+    # mixture's masks count the picks, the actions, beside a mixture's
+    # component draws and scores
+    one_row = isinstance(strategy, Mixture) and len(strategy) == 1
+    held = columns
+    if not one_row:
+        held += 1 + (n + 1 if isinstance(strategy, Mixture) else 0)
+    check_upfront_budget("estimate_stats", n_samples, n, held / n, rows="n_samples")
     streams = (WORLD_STREAM, _action_stream(player))
     # an int seed's streams are built only where read; a Generator is split
     # on every sampling call, so its later spawns stay where they were, and
@@ -158,7 +168,6 @@ def estimate_stats(
     def generator(i):
         return split[i] if split else stream_generators(rng, streams[i : i + 1])[0]
 
-    columns = private[-1] + 1  # the private block is a range ending here
     if worlds is None:
         drawn = sample_world(game, generator(0), size=n_samples, columns=columns)
     else:
@@ -169,7 +178,7 @@ def estimate_stats(
             f"(n_samples) and at least {columns} columns"
         )
     obs = drawn[:, private[0] : columns]
-    if isinstance(strategy, Mixture) and len(strategy) == 1:
+    if one_row:
         p, q = _threshold_stats(strategy.values[0], private, obs, n)
         return StrategyStats(player, p, q)
     actions = batch_actions(strategy, obs, generator(1))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_setting, sample_world
+from .game import GameInstance, check_setting, check_upfront_budget, sample_world
 from .montecarlo import (
     DEFAULT_SAMPLES,
     StrategyStats,
@@ -142,7 +142,8 @@ def iterate_best_response(
     exact and the potential trace is exactly non-decreasing.  Those worlds
     are drawn once per run, by the first estimate that samples:
     ``n_samples`` rows of the a + b private columns, the only ones a turn
-    reads, on ``seed``'s world stream.
+    reads, on ``seed``'s world stream, and refused before they are drawn
+    when they exceed the up-front budget.
     """
     cap = iteration_cap(game, config.epsilon)
     (world_gen,) = stream_generators(seed, (WORLD_STREAM,))
@@ -150,6 +151,8 @@ def iterate_best_response(
     @functools.cache
     def worlds():  # every turn gets this one array, so it is read-only
         part = game.partition
+        # the estimate that asks for them counted only the columns it reads
+        check_upfront_budget("nash", n_samples, game.n, (part.a + part.b) / game.n, rows="n_samples")
         drawn = sample_world(game, world_gen, size=n_samples, columns=part.a + part.b)
         drawn.setflags(write=False)
         return drawn

@@ -23,15 +23,18 @@ threshold construction, refuses a point mass or a discrete law up front.
 
 Unlike :func:`congames.md.run_md_batch`, :func:`solve_a1` steps one run at
 a time, on Python floats, like the drift-plus-penalty loop: its T rounds
-are one straight-line function, generated from the integer n alone and
-compiled once per n (``_round_kernel``, registered with :mod:`linecache`
-as ``<a1 round kernel n=3>`` and so on).  Each iterate entry and running
-total is a local float, the argmax of x * omega and the shift of the
-exponents are chains of comparisons, and the gradient (scaled by the
-frontier slope on resource 0), the multiplicative-weights step of
-:func:`congames.md.mw_update` and the projection are written out per
-entry, because a local costs less than a list subscript at n = 3.  The
-exponents off the argmax, w_k / alpha, are computed once before the loop.
+are one straight-line function, generated from the integers n and b alone
+and compiled once per (n, b) (``_round_kernel``, registered with
+:mod:`linecache` as ``<a1 round kernel n=3 b=1>`` and so on).  Each
+iterate entry and running total is a local float, the argmax of
+x * omega and the shift of the exponents are chains of comparisons, and
+the gradient (scaled by the frontier slope on resource 0), the
+multiplicative-weights step of :func:`congames.md.mw_update` and the
+projection are written out per entry, because a local costs less than a
+list subscript at n = 3.  The exponents off the argmax, w_k / alpha, are
+computed once before the loop, and so are those at the argmax wherever
+omega_k is the constant w_k: everywhere but B's block, resource 0
+included.
 Every bit is what the numpy update gives: each exponential is one
 ``np.exp`` call on a Python float, which runs the ufunc loop an array
 would (``math.exp`` differs from it in the last bit on some inputs), save
@@ -42,7 +45,7 @@ entries, numpy's own sum of the list from 8 on; see ``_sum``).  A round
 writes q(p0) and the central difference of :meth:`TailFrontier.slope` out
 in place, from three scalar ``tail_mean`` calls on ``math`` (``np.log1p``,
 which a batch would need, differs from ``math.log1p`` in the last bit on
-some inputs), and reads its omega rows itself, as lists
+some inputs), and reads only B's omega columns, the random ones, as lists
 :data:`~congames.game.DRAW_CHUNK` rows at a time.  So at n = 3 a round
 with finite exponents makes at most two ``np.exp`` calls, none building an
 array, and three Python-level calls, all to the law's ``tail_mean``.  Like the other
@@ -64,7 +67,9 @@ from .game import (
     GameInstance,
     argmax_chain,
     check_upfront_budget,
+    chunk_loop,
     compile_kernel,
+    kernel_columns,
     sample_omega,
 )
 from .md import MdConfig, require_positive
@@ -178,7 +183,10 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     # the weights are the gross gain per unit of x: 1 for the rate q(p0), E_k
     # for the other picks
-    p, total = _round_kernel(n)(omegas, frontier.dist.tail_mean, game.weights.tolist(), alpha)
+    b = game.partition.b
+    p, total = _round_kernel(n, b)(
+        kernel_columns(omegas, 1, b), config.T, frontier.dist.tail_mean, game.weights.tolist(), alpha
+    )
     require_positive(p)
     p_avg = np.array(total) / config.T
 
@@ -203,9 +211,10 @@ def _sum(terms: list[str]) -> str:
 
 
 @functools.lru_cache
-def _round_kernel(n: int):
-    """The T rounds of :func:`solve_a1` for n resources, as one
-    straight-line function compiled from generated source.
+def _round_kernel(n: int, b: int):
+    """The T rounds of :func:`solve_a1` for n resources, the b after
+    resource 0 private to B, as one straight-line function compiled from
+    generated source.
 
     Each iterate entry and running total is a local float (``P0``, ``S0``,
     ...), the argmax is a chain of ``if s > best``
@@ -219,23 +228,36 @@ def _round_kernel(n: int):
     ``tail_mean``: the value enters the argmax and the difference scales
     resource 0's exponent.  As p0 >= DEFAULT_DELTA > FD_WIDTH, neither p0
     nor the lower end of the difference is 0, and only the upper end can
-    need its clamp.  Only the integer n enters the source.  The function
-    takes the T x n omega draws, the law's bound ``tail_mean``, the weights
-    and alpha, and returns the last iterate and the iterates' sums as
-    lists.
+    need its clamp.  Only the integers n and b enter the source.  The
+    function takes a view of B's T x b omega columns
+    (:func:`~congames.game.kernel_columns`), which it reads as lists
+    :data:`~congames.game.DRAW_CHUNK` rows at a time, T, the law's bound
+    ``tail_mean``, the weights and alpha, and returns the last iterate and
+    the iterates' sums as lists.  Every other omega entry, resource 0's
+    among them, is the constant weight w_k, so its product with x reads
+    w_k and its argmax term w_k - w_k / 2 (over alpha, off resource 0) is
+    computed once, before the loop: the same float operations on the same
+    floats as on the drawn row.
     """
-    n = int(n)
-    o, w, s, c, e, P, S = ([f"{name}{k}" for k in range(n)] for name in "owscePS")
+    n, b = int(n), int(b)
+    o, w, s, t, c, e, P, S = ([f"{name}{k}" for k in range(n)] for name in "owstcePS")
+    drawn = range(1, 1 + b)
+    omega = [o[k] if k in drawn else w[k] for k in range(n)]
+    at_top = [f"({w[k]} - 0.5 * {o[k]}) / alpha" if k in drawn else t[k] for k in range(n)]
     rest = P[1:]
     lines = [
-        "def a1_rounds(omegas, tail_mean, w, alpha):",
+        "def a1_rounds(omegas, T, tail_mean, w, alpha):",
         f"    ({', '.join(w)},) = w",
         *(f"    {s[k]} = {w[k]} / alpha" for k in range(1, n)),
+        "    # the argmax's terms where omega is constant",
+        f"    {t[0]} = {w[0]} - 0.5 * {w[0]}",
+        *(f"    {t[k]} = ({w[k]} - 0.5 * {w[k]}) / alpha" for k in range(1, n) if k not in drawn),
         "    fd, delta, keep = FD_WIDTH, DEFAULT_DELTA, 1.0 - DEFAULT_DELTA",
         f"    {' = '.join(P)} = 1.0 / {n}",
         f"    {' = '.join(S)} = 0.0",
-        "    for start in range(0, len(omegas), DRAW_CHUNK):",
-        f"        for ({', '.join(o)},) in omegas[start : start + DRAW_CHUNK].tolist():",
+        "    for start in range(0, T, DRAW_CHUNK):",
+        "        stop = start + DRAW_CHUNK",
+        chunk_loop({"omegas": o[1 : 1 + b]}),
         *(f"            {S[k]} += {P[k]}" for k in range(n)),
         "            # q(p0) and its central difference, the upper end clamped at 1",
         f"            qp = {P[0]} * tail_mean({P[0]})",
@@ -244,11 +266,11 @@ def _round_kernel(n: int):
         f"            lo = {P[0]} - fd",
         "            dq = (hi * tail_mean(hi) - lo * tail_mean(lo)) / (hi - lo)",
         "            # the argmax of x * omega, x = (q(p0), p[1:])",
-        *argmax_chain("top", [f"qp * {o[0]}", *(f"{P[k]} * {o[k]}" for k in range(1, n))]),
+        *argmax_chain("top", [f"qp * {omega[0]}", *(f"{P[k]} * {omega[k]}" for k in range(1, n))]),
         "            # the exponents, the ascent gradient over alpha, the slope of q scaling",
         "            # resource 0's; the argmax loses half its omega weight",
-        f"            {c[0]} = ({w[0]} - 0.5 * {o[0]}) * dq / alpha if top == 0 else {w[0]} * dq / alpha",
-        *(f"            {c[k]} = ({w[k]} - 0.5 * {o[k]}) / alpha if top == {k} else {s[k]}" for k in range(1, n)),
+        f"            {c[0]} = {t[0]} * dq / alpha if top == 0 else {w[0]} * dq / alpha",
+        *(f"            {c[k]} = {at_top[k]} if top == {k} else {s[k]}" for k in range(1, n)),
         "            # a value-invariant shift against overflow",
         f"            shift = {c[0]}",
     ]
@@ -275,4 +297,5 @@ def _round_kernel(n: int):
     ]
     namespace = {"np": np, "exp": np.exp, "require_positive": require_positive}
     namespace.update(DRAW_CHUNK=DRAW_CHUNK, FD_WIDTH=FD_WIDTH, DEFAULT_DELTA=DEFAULT_DELTA)
-    return compile_kernel("\n".join(lines) + "\n", f"<a1 round kernel n={n}>", "a1_rounds", namespace)
+    filename = f"<a1 round kernel n={n} b={b}>"
+    return compile_kernel("\n".join(lines) + "\n", filename, "a1_rounds", namespace)

@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 from collections import Counter
 
@@ -117,6 +118,52 @@ def random_strategy(game, player, rng, kinds=("simplex", "score", "mixture")):
         tau = dist.quantile(float(rng.uniform(0.05, 0.95)))
         return QuantileThreshold(tau, random_simplex(game.n - 1, rng))
     raise ValueError(kind)
+
+
+def golden_max(f, lo, hi, rounds=80):
+    """The largest value of ``f`` found by golden-section search on
+    [lo, hi]: the maximum of a concave ``f``, ends included, to within
+    rounding after 80 rounds."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo + (1.0 - ratio) * (hi - lo), lo + ratio * (hi - lo)
+    fa, fb = f(a), f(b)
+    best = max(f(lo), f(hi), fa, fb)
+    for _ in range(rounds):
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + ratio * (hi - lo)
+            fb = f(b)
+            best = max(best, fb)
+        else:
+            hi, b, fb = b, a, fa
+            a = lo + (1.0 - ratio) * (hi - lo)
+            fa = f(a)
+            best = max(best, fa)
+    return best
+
+
+def a1_preset_objective(e1, p0, p1):
+    """g at A's pick probabilities (p0, p1, 1 - p0 - p1) in scenario 3, where
+    A observes resource 0 (exponential, mean e1), B resource 1 (exponential,
+    mean 1) and resource 2 has mean 1, with A on its threshold frontier:
+    x0 = q(p0) = e1 p0 (1 - ln p0), and with c = max(x0, p2),
+    g = x0 + p1 + p2 - (c + p1 exp(-c / p1)) / 2, as omega = (1, W1, 1) and
+    E[max(c, p1 W1)] = c + p1 exp(-c / p1)."""
+    p2 = max(1.0 - p0 - p1, 0.0)
+    x0 = e1 * p0 * (1.0 - math.log(p0)) if p0 > 0.0 else 0.0
+    c = max(x0, p2)
+    tail = p1 * math.exp(-c / p1) if p1 > 0.0 else 0.0
+    return x0 + p1 + p2 - 0.5 * (c + tail)
+
+
+def a1_preset_optimum(e1):
+    """g* of scenario 3, the largest worst-case utility of A's threshold
+    strategies, by nested golden-section search: g is concave in p (a
+    concave, increasing function of the concave frontier), and so is its
+    maximum over p1 at fixed p0."""
+    return golden_max(
+        lambda p0: golden_max(lambda p1: a1_preset_objective(e1, p0, p1), 0.0, 1.0 - p0), 0.0, 1.0
+    )
 
 
 _GRID_CACHE = {}

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import linecache
 import math
 import tracemalloc
 
@@ -160,6 +161,11 @@ def assert_queues_match_numpy(run, reference):
     assert diag.violations == violations
 
 
+def _game(partition, means, z=()):
+    dists = tuple(Exponential(1.0 / m) for m in means)
+    return GameInstance(Partition(*partition), dists, z=np.asarray(z, dtype=float))
+
+
 @st.composite
 def dpp_runs(draw):
     """A random game with n from 1 to 9 and any split of its blocks, and a
@@ -191,8 +197,22 @@ WIDE_DPP = (
 )
 
 
+# kernel shapes with no world column, no omega column, or neither; the
+# last runs past one DRAW_CHUNK with nothing to draw, and the queue test's
+# history check asks for exactly T rows of it
+NO_WORLD_DPP = (_game((0, 2, 1, 0), [1.3, 0.7, 1.0]), DppConfig(V=5.0, alpha=4.0, T=200), 3)
+NO_OMEGA_DPP = (_game((2, 0, 1, 1), [0.8, 1.7, 1.0, 1.2], [1.2]), DppConfig(V=5.0, alpha=4.0, T=200), 4)
+NO_DRAWS_DPP = (_game((0, 0, 2, 1), [1.0, 1.4, 0.9], [0.9]), DppConfig(V=5.0, alpha=4.0, T=1500), 2)
+
+
+def dpp_twin_examples(test):
+    for case in (WIDE_DPP, NO_WORLD_DPP, NO_OMEGA_DPP, NO_DRAWS_DPP):
+        test = example(case)(test)
+    return test
+
+
 @given(dpp_runs())
-@example(WIDE_DPP)
+@dpp_twin_examples
 @settings(max_examples=60, deadline=None)
 def test_gamma_step_matches_numpy_formula(game_config):
     # run()'s inlined gamma clip against a loop of numpy_gamma_step
@@ -200,7 +220,7 @@ def test_gamma_step_matches_numpy_formula(game_config):
 
 
 @given(dpp_runs())
-@example(WIDE_DPP)
+@dpp_twin_examples
 @settings(max_examples=60, deadline=None)
 def test_queue_step_matches_numpy_formula(game_config):
     # run()'s inlined queue update against a loop of numpy_queue_step
@@ -427,8 +447,8 @@ def test_budget_counts_only_the_world_columns_drawn(monkeypatch):
 
 def test_run_holds_its_draws_and_history_and_little_more():
     # beside its T x (n + a) draws and the T x n queue history, a run holds
-    # at most 512 KiB: one DRAW_CHUNK of rows as Python floats, the
-    # diagnostics and the mixture
+    # at most 512 KiB: one DRAW_CHUNK of B's and A's draws as Python floats,
+    # the list of that chunk's queue rows, the diagnostics and the mixture
     T, n, a = 20_000, 3, 1
     game = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     run_dpp(game, DppConfig(T=10))  # leave the kernel and numpy's one-time allocations out
@@ -462,18 +482,50 @@ def test_default_sweep_builds_one_kernel():
 
 
 def test_kernel_makes_no_python_call():
-    # a round's one call is the history's extend, a C method; the kernel
-    # reads each draw array DRAW_CHUNK rows at a time with one tolist
+    # a round's only calls are the appends of its n queues to the chunk's
+    # rows, a C method; the kernel reads B's omega column and A's world
+    # column DRAW_CHUNK rows at a time with one tolist each, and stores
+    # each chunk's rows in the history with one fromlist
     T = 2500
+    chunks = -(-T // congames.game.DRAW_CHUNK)
     game = exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0))
-    python, c = kernel_calls("<dpp round kernel n=3 a=1>", lambda: run_dpp(game, DppConfig(T=T)))
+    python, c = kernel_calls("<dpp round kernel n=3 a=1 b=1>", lambda: run_dpp(game, DppConfig(T=T)))
     assert python == {}
-    assert c == {"extend": T, "len": 1, "tolist": 2 * -(-T // congames.game.DRAW_CHUNK)}
+    assert c == {"append": 3 * T, "fromlist": chunks, "tolist": 2 * chunks}
 
 
-def _game(partition, means, z=()):
-    dists = tuple(Exponential(1.0 / m) for m in means)
-    return GameInstance(Partition(*partition), dists, z=np.asarray(z, dtype=float))
+def test_kernel_reads_only_the_drawn_omega_columns(monkeypatch):
+    # every omega entry off B's block is the constant weight, which the
+    # kernel takes from the game: NaN in those columns changes no bit
+    def nan_off_b(game, rng, size):
+        omegas = sample_omega(game, rng, size)
+        omegas[:, np.setdiff1d(np.arange(game.n), game.partition.set_b)] = np.nan
+        return omegas
+
+    config = DppConfig(V=5.0, alpha=25.0, T=2500)
+    for partition, means, z in [
+        ((1, 1, 1, 0), [1.5, 1.0, 1.0], ()),
+        ((2, 0, 1, 1), [0.8, 1.7, 1.0, 1.2], (1.2,)),
+        ((0, 2, 1, 1), [1.3, 0.7, 1.0, 0.9], (0.9,)),
+    ]:
+        game = _game(partition, means, z)
+        with monkeypatch.context() as patch:
+            patch.setattr(congames.dpp, "sample_omega", nan_off_b)
+            mixture, diag = run_dpp(game, config, seed=5)
+        expected, expected_diag = run_dpp(game, config, seed=5)
+        assert _sha256(mixture.values, diag.final_queues, diag.final_gamma, diag.avg_realized) == _sha256(
+            expected.values, expected_diag.final_queues, expected_diag.final_gamma, expected_diag.avg_realized
+        ), partition
+        assert diag.violations == expected_diag.violations
+
+
+def test_each_kernel_shape_has_its_own_source():
+    # every (n, a, b) compiles its own source under its own linecache name
+    shapes = [(n, a, b) for n in range(1, 5) for a in range(n + 1) for b in range(n - a + 1)]
+    names = {congames.dpp._round_kernel(*shape).__code__.co_filename for shape in shapes}
+    assert len(names) == len(shapes)
+    assert all(linecache.getlines(name) for name in names)
+    assert "<dpp round kernel n=3 a=1 b=1>" in names
 
 
 def _sha256(*parts):

@@ -152,10 +152,18 @@ WIDE_A1 = (
 CLAMPED_A1 = (exp_game([3.0, 0.2], (1, 0, 1, 0)), MdConfig(alpha=0.05, T=40), 1)
 
 
+# B observes no resource, or two, so the kernel reads no omega column, or a
+# row of two; the first runs past one DRAW_CHUNK with nothing to draw
+NO_OMEGA_A1 = (exp_game([0.6, 1.2, 1.0], (1, 0, 2, 0)), MdConfig(alpha=2.0, T=1500), 2)
+TWO_OMEGA_A1 = (exp_game([1.1, 0.9, 1.4, 1.0], (1, 2, 1, 0)), MdConfig(alpha=2.0, T=200), 5)
+
+
 @given(a1_runs())
 @example(PINNED_A1)
 @example(WIDE_A1)
 @example(CLAMPED_A1)
+@example(NO_OMEGA_A1)
+@example(TWO_OMEGA_A1)
 @example((GameInstance(Partition(1, 0, 4, 0), (Uniform(0.0, 0.4),) + (Exponential(1.0),) * 4), MdConfig(alpha=0.02, T=40), 1))
 @settings(max_examples=150, deadline=None)
 def test_list_step_matches_the_array_update(run):
@@ -190,7 +198,7 @@ def test_list_step_raises_where_the_array_update_gives_nan():
     # tracebacks show
     with pytest.raises(ValueError) as caught:
         solve_a1(game, config, seed, n_samples=2)
-    lines = [frame.line for frame in traceback.extract_tb(caught.tb) if frame.filename == "<a1 round kernel n=3>"]
+    lines = [frame.line for frame in traceback.extract_tb(caught.tb) if frame.filename == "<a1 round kernel n=3 b=1>"]
     assert lines == ["require_positive([e0, e1, e2])"]
 
 

@@ -185,9 +185,15 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     monkeypatch.setattr(Exponential, "sample", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     score = Mixture([[1.0, 0.5, 0.5]], private=[0])
+    # a one-row mixture of A holds its one drawn column
+    with pytest.raises(ValueError, match="estimate_stats run with n_samples=200000000, n=3 needs 1526 MiB up front"):
+        estimate_stats(score, g, "A", n_samples=2 * 10**8)
+    # B's two-row mixture: two drawn columns, the component draws, the
+    # 3 columns of scores and the actions
+    mixture = Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[1])
+    with pytest.raises(ValueError, match="estimate_stats run with n_samples=100000000, n=3 needs 5341 MiB up front"):
+        estimate_stats(mixture, g, "B", n_samples=10**8)
     need = r"run with n_samples=100000000, n=3 needs 2289 MiB up front"
-    with pytest.raises(ValueError, match="estimate_stats " + need):
-        estimate_stats(score, g, "A", n_samples=10**8)
     with pytest.raises(ValueError, match="simulate_payoff " + need):
         simulate_payoff(score, Simplex([0.0, 1.0, 0.0]), g, n_samples=10**8)
     with pytest.raises(ValueError, match="omega_max_mean " + need):
@@ -196,9 +202,29 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     assert estimate_stats(Simplex([1.0, 0.0, 0.0]), g, "A", n_samples=10**8).p[0] == 1.0
     g0 = exp_game([1.0, 1.0, 1.0], (1, 0, 2, 0))
     assert omega_max_mean(np.full(3, 1.0 / 3.0), g0, n_samples=10**8) == (1.0 / 3.0, 0.0)
+    # an A turn's estimate holds one column, but the run's worlds hold both
+    # private columns, which the run counts before it draws them
     code = main(["nash", "--scenario", "3", "--samples", "100000000"])
     assert code == 2
-    assert "MiB up front" in capsys.readouterr().err
+    assert "nash run with n_samples=100000000, n=3 needs 1526 MiB up front" in capsys.readouterr().err
+
+
+def test_estimate_budget_counts_what_the_estimate_holds(monkeypatch):
+    # 1000 rows of the drawn columns, and on the batch path the actions,
+    # with a mixture's component draws and scores; not 1000 x n floats
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    cases = [
+        (Mixture([[1.0, 0.5, 0.5]], private=[0]), "A", 1),
+        (Mixture([[1.0, 0.5, 0.5]], private=[1]), "B", 2),
+        (QuantileThreshold(0.5, [0.5, 0.5]), "A", 2),
+        (Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[0]), "A", 6),
+    ]
+    for strategy, player, columns in cases:
+        monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 1000 * 8 * columns)
+        estimate_stats(strategy, g, player, n_samples=1000)
+        monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 1000 * 8 * columns - 1)
+        with pytest.raises(ValueError, match="^estimate_stats run with n_samples=1000, n=3 needs"):
+            estimate_stats(strategy, g, player, n_samples=1000)
 
 
 def reference_stats(strategy, game, player, drawn, seed):

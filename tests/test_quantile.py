@@ -1,5 +1,6 @@
 import contextlib
 import io
+import linecache
 import math
 import tracemalloc
 
@@ -16,18 +17,28 @@ from congames import (
     MdConfig,
     Partition,
     PointMass,
+    ScenarioSpec,
     TailFrontier,
     Uniform,
     build_strategy_a1,
     estimate_stats,
     explicit_solution,
+    run_scenario,
     solve_a1,
     worst_case_objective,
 )
 from congames.cli import main
-from congames.game import DRAW_CHUNK
+from congames.game import DRAW_CHUNK, sample_omega
 from congames.quantile import FD_WIDTH
-from conftest import FRONTIER_LAWS, exp_game, kernel_calls, over_tail_fractions, random_strategy
+from conftest import (
+    FRONTIER_LAWS,
+    a1_preset_objective,
+    a1_preset_optimum,
+    exp_game,
+    kernel_calls,
+    over_tail_fractions,
+    random_strategy,
+)
 
 
 def test_tail_weighted_mean_exponential():
@@ -200,8 +211,8 @@ def test_solve_a1_stderr_matches_its_evaluation():
 
 def test_solve_a1_holds_no_round_history():
     # beside its T x n omega draws the run holds one DRAW_CHUNK of B's draws
-    # while it samples them, then one DRAW_CHUNK of rows as Python floats
-    # (about 160 KiB at n = 3, under 256 KiB), and never a T x n record of
+    # while it samples them, then one DRAW_CHUNK of them as Python floats
+    # (about 32 KiB at b = 1, under 256 KiB), and never a T x n record of
     # its iterates
     T, n = 60_000, 3
     game = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
@@ -236,12 +247,67 @@ def test_solve_a1_calls_tail_mean_three_times_a_round(monkeypatch):
 
 def test_a1_kernel_calls_only_tail_mean():
     # a round's only Python-level calls are the three tail_mean calls, and
-    # the kernel reads its draws DRAW_CHUNK rows at a time with one tolist
+    # the kernel reads B's omega column DRAW_CHUNK rows at a time with one
+    # tolist
     T = 2500
     game = exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0))
-    python, c = kernel_calls("<a1 round kernel n=3>", lambda: solve_a1(game, MdConfig(T=T), n_samples=2000))
+    python, c = kernel_calls("<a1 round kernel n=3 b=1>", lambda: solve_a1(game, MdConfig(T=T), n_samples=2000))
     assert python == {"tail_mean": 3 * T}
-    assert c == {"len": 1, "tolist": -(-T // DRAW_CHUNK)}
+    assert c == {"tolist": -(-T // DRAW_CHUNK)}
+
+
+def test_a1_kernel_reads_only_the_drawn_omega_columns(monkeypatch):
+    # every omega entry off B's block, resource 0's among them, is the
+    # constant weight, which the kernel takes from the game: NaN in those
+    # columns changes no bit of the iterate, the value or its stderr
+    def nan_off_b(game, rng, size):
+        omegas = sample_omega(game, rng, size)
+        omegas[:, np.setdiff1d(np.arange(game.n), game.partition.set_b)] = np.nan
+        return omegas
+
+    # a small mean on resource 0, so B's draws often win the argmax
+    config = MdConfig(alpha=50.0, T=2500)
+    for game in (
+        exp_game([0.3, 1.5, 1.0], (1, 1, 1, 0)),
+        exp_game([0.3, 1.2, 1.4, 1.0], (1, 2, 1, 0)),
+        exp_game([0.9, 1.3, 1.0], (1, 0, 2, 0)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(congames.quantile, "sample_omega", nan_off_b)
+            p, value, stderr = solve_a1(game, config, seed=5, n_samples=3000)
+        expected_p, expected_value, expected_stderr = solve_a1(game, config, seed=5, n_samples=3000)
+        assert p.tobytes() == expected_p.tobytes()
+        assert np.array([value, stderr]).tobytes() == np.array([expected_value, expected_stderr]).tobytes()
+
+
+def test_each_kernel_shape_has_its_own_source():
+    # every (n, b) compiles its own source under its own linecache name
+    shapes = [(n, b) for n in range(1, 6) for b in range(n)]
+    names = {congames.quantile._round_kernel(*shape).__code__.co_filename for shape in shapes}
+    assert len(names) == len(shapes)
+    assert all(linecache.getlines(name) for name in names)
+    assert "<a1 round kernel n=3 b=1>" in names
+
+
+def test_preset_optimum_bounds_a_grid_of_the_objective():
+    # the nested search finds at least the best point of a 0.01 grid, and
+    # at e1 = 2 the optimum 1 + 1/e
+    for e1 in (0.5, 1.0, 2.0):
+        grid = max(a1_preset_objective(e1, i / 100, j / 100) for i in range(101) for j in range(101 - i))
+        assert grid <= a1_preset_optimum(e1) <= grid + 1e-3
+    assert a1_preset_optimum(2.0) == pytest.approx(1.0 + math.exp(-1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("e1", [0.5, 1.0, 2.0])
+def test_sweep_value_lies_near_the_preset_optimum(e1):
+    # `worst a1 --scenario 3 --e1-min e1 --e1-max e1`, default T and seed 0:
+    # the printed value, an estimate of g at the returned p, lies at most
+    # 3 stderr above g* and at most 2e-3 below it
+    (row,) = run_scenario(ScenarioSpec(3, "worst-a1", [e1], seed=0)).rows
+    value, stderr = row[1], row[2]
+    g_star = a1_preset_optimum(e1)
+    assert value <= g_star + 3 * stderr + 1e-12
+    assert g_star - value <= 2e-3
 
 
 def test_default_sweep_builds_one_kernel():
