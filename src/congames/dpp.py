@@ -29,8 +29,9 @@ source is registered with :mod:`linecache` under a name such as
 show its lines.  Each comparison is written so that a -0.0 comes out as
 +0.0, which gives the bits of numpy's clip and maximum; queues and targets
 never fall below +0.0, so only the drained queue needs its floor.  Each
-stream's T draws are still sampled in one call, and the kernel reads only
-the random ones, B's omega columns and A's world columns, as lists
+stream's T draws are still sampled in one call, and only the random ones
+are drawn, B's omega columns (:func:`~congames.game.sample_omega`) and A's
+world columns, which the kernel reads as lists
 :data:`~congames.game.DRAW_CHUNK` rows at a time.  Every other omega entry
 is the constant weight v_j, so its terms are computed once, before the
 loop.  A round appends its queues to a list of the chunk's rows, and one
@@ -151,16 +152,16 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     """Generate the equiprobable mixture of T queue-score strategies, with
     the world and omega draws of ``seed``.
 
-    Raises ValueError, before drawing anything, when the run's draws, queue
-    history and mixture would exceed
+    Raises ValueError, before drawing anything, when the run's draws and
+    queue history, which the mixture keeps, would exceed
     :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
     n = game.n
     a, b = game.partition.a, game.partition.b
     V, alpha, T = config.V, config.alpha, config.T
-    # T x n omega draws, the T x n queue history (the mixture keeps it
-    # without a copy), and T x a world draws
-    check_upfront_budget("dpp", T, n, 2 + a / n)
+    # the T x n queue history (the mixture keeps it without a copy), T x a
+    # world draws, B's T x b omega draws and the column being drawn
+    check_upfront_budget("dpp", T, n, (n + a + b + 1) / n)
 
     world_gen, omega_gen = stream_generators(seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T, columns=a)
@@ -172,7 +173,7 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
 
     history = array("d")
     queues, gamma, realized_sum = _round_kernel(n, a, b)(
-        kernel_columns(omega_draws, a, b), kernel_columns(x_draws, 0, a), T, V, 2.0 * alpha, u, v, history
+        kernel_columns(omega_draws), kernel_columns(x_draws), T, V, 2.0 * alpha, u, v, history
     )
 
     q_history = np.frombuffer(history, dtype=float).reshape(T, n)

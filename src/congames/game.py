@@ -12,6 +12,12 @@ four blocks by who observes the reward realization before acting:
 A :class:`GameInstance` fixes the commonly observed rewards to one realized
 vector ``z``; all solvers condition on it.  The per-resource conditional mean
 vector is ``E[k] = z[k]`` on the AB block and the distribution mean elsewhere.
+
+:func:`sample_world` draws reward realizations.  The worst-case adversary
+weights resource k by omega_k, a fresh reward draw on the B block and the
+constant :attr:`GameInstance.weights` elsewhere, so :func:`sample_omega`
+draws only B's columns; every solver reads the constant entries from the
+weights.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import RewardDistribution
-from .rng import as_generator
+from .rng import as_generator, is_integer
 
 __all__ = [
     "Partition",
@@ -40,7 +46,7 @@ __all__ = [
 
 # rows that a solver's round kernel converts to Python floats at a time
 # (at most n floats a row, under 160 KiB at n = 3, less than a short run's
-# draws), and that sample_omega draws a B column in
+# draws)
 DRAW_CHUNK = 1024
 # the solvers refuse a run whose draws and history, allocated before the
 # first round, would exceed this
@@ -59,7 +65,7 @@ class Partition:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 0):
+            if not (is_integer(v) and v >= 0):
                 raise ValueError(f"partition size {name} must be a non-negative integer, got {v}")
         if self.n == 0:
             raise ValueError("partition must contain at least one resource")
@@ -169,7 +175,7 @@ def sample_world(game: GameInstance, rng, size: int, columns: int | None = None)
     ValueError unless ``columns`` is an integer in 0..n."""
     if columns is None:
         columns = game.n
-    elif not (isinstance(columns, (int, np.integer)) and 0 <= columns <= game.n):
+    elif not (is_integer(columns) and 0 <= columns <= game.n):
         raise ValueError(f"columns must be an integer in 0..n={game.n}, got {columns!r}")
     gen = as_generator(rng)
     out = np.empty((size, columns))
@@ -183,25 +189,21 @@ def sample_world(game: GameInstance, rng, size: int, columns: int | None = None)
 
 
 def sample_omega(game: GameInstance, rng, size: int) -> np.ndarray:
-    """Draw ``size`` adversary weight vectors for worst-case evaluation,
-    shape ``(size, n)``.
+    """Draw ``size`` rows of the adversary's random weights, shape
+    ``(size, b)``: the columns of B's block, in order.
 
-    Entry k is a fresh reward draw on the B block and
-    :attr:`GameInstance.weights` elsewhere: 1 on the A block (the worst-case
-    opponent weights A's private resources through A's reward-weighted pick
-    rates) and the conditional mean on the rest.
-
-    The B columns are drawn in order from one generator, each in
-    ``DRAW_CHUNK``-row slices, so no T-float column sits beside the output;
-    every catalog sampler fills its draws in order, so the slices hold the
-    bits of one whole-column draw.
+    The adversary weight vector omega is a fresh reward draw on the B block
+    and :attr:`GameInstance.weights` elsewhere: 1 on the A block (the
+    worst-case opponent weights A's private resources through A's
+    reward-weighted pick rates) and the conditional mean on the rest.  Only
+    the B block is random, so only it is drawn; column j is resource a + j.
+    Each column is one whole draw of its law, taken in order from one
+    generator.
     """
     gen = as_generator(rng)
-    out = np.tile(game.weights, (size, 1))
-    for k in game.partition.set_b:
-        sample = game.distributions[k].sample
-        for start in range(0, size, DRAW_CHUNK):
-            out[start : start + DRAW_CHUNK, k] = sample(gen, size=min(DRAW_CHUNK, size - start))
+    out = np.empty((size, game.partition.b))
+    for column, k in zip(out.T, game.partition.set_b):
+        column[:] = game.distributions[k].sample(gen, size=size)
     return out
 
 
@@ -217,11 +219,11 @@ def compile_kernel(source: str, filename: str, name: str, namespace: dict):
     return namespace[name]
 
 
-def kernel_columns(draws: np.ndarray, start: int, count: int) -> np.ndarray:
-    """A view of the ``count`` columns of ``draws`` from ``start`` on, as a
-    round kernel reads them: 1-D when ``count`` is 1, so that each entry of
-    a chunk's ``tolist`` is one float rather than a one-float list."""
-    return draws[:, start] if count == 1 else draws[:, start : start + count]
+def kernel_columns(draws: np.ndarray) -> np.ndarray:
+    """``draws`` as a round kernel reads them: a one-column array as its
+    1-D view, so that each entry of a chunk's ``tolist`` is one float rather
+    than a one-float list."""
+    return draws[:, 0] if draws.shape[1] == 1 else draws
 
 
 def chunk_loop(views: dict[str, list[str]]) -> str:
@@ -278,16 +280,16 @@ def check_upfront_budget(solver: str, T: int, n: int, arrays: float = 1, rows: s
 
 def check_setting(name: str, value):
     """Raise ValueError naming ``name`` unless ``value`` is positive and
-    finite; NaN and both infinities are refused."""
-    if not 0 < value < math.inf:
+    finite; NaN, both infinities and a bool are refused."""
+    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def check_count(name: str, value, minimum: int = 1, why: str = ""):
     """Raise ValueError naming ``name`` unless ``value`` is an integer of at
-    least ``minimum``; a float (2.5, NaN, even 3.0) is refused.  ``why``
-    ends the message of a conditional minimum."""
-    if not isinstance(value, (int, np.integer)):
+    least ``minimum``; a float (2.5, NaN, even 3.0) or a bool is refused.
+    ``why`` ends the message of a conditional minimum."""
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}{why}")

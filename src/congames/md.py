@@ -40,7 +40,9 @@ Each run's omega draws are still sampled in one call of size T from its own
 seed, an argument of the run apart from the config; the batch holds them in
 one T x R' x n array for a chunk of R' runs whose draws fit
 :data:`BATCH_DRAW_BYTES`, so a sweep's memory stays bounded however many
-points and repetitions it has.
+points and repetitions it has.  The array is filled with each run's weights
+once, and :func:`~congames.game.sample_omega` writes the run's B block, its
+only random columns (0..b-1, as a == 0), over them.
 
 The loop runs the unchecked :func:`mw_update` and checks positivity once,
 after the last round: a zero or NaN entry is absorbing under the update
@@ -160,10 +162,12 @@ def _run_chunk(games, config: MdConfig, seeds) -> np.ndarray:
     """The mirror-descent loop over the (R, n) iterates of one chunk."""
     R, n = len(games), games[0].n
     alpha, T = config.alpha, config.T
-    draws = np.empty((T, R, n))
-    for r, (game, seed) in enumerate(zip(games, seeds)):
-        draws[:, r] = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=T)
     weights = np.array([game.weights for game in games])
+    # omega is the weights but on B's block, columns 0..b-1 as a == 0
+    draws = np.empty((T, R, n))
+    draws[:] = weights
+    for r, (game, seed) in enumerate(zip(games, seeds)):
+        draws[:, r, : game.partition.b] = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=T)
     miss = weights / alpha  # the exponents off the argmax
     cols = np.arange(n)
     per_block = max(1, ROUND_BLOCK_BYTES // (R * n * 8))
@@ -192,7 +196,7 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     second moment is closed-form for every catalog distribution.  With two
     or more random coordinates it is Monte Carlo estimated
     (:func:`congames.worstcase.omega_maxima` at x = 1), and raises
-    ValueError before sampling when n_samples < 2 or when its three
+    ValueError before sampling when n_samples < 2 or when its b + 2
     n_samples vectors exceed the up-front budget.
     """
     part = game.partition
@@ -205,8 +209,8 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
         m = float(const.max()) if game.n > 1 else 0.0
         return float(game.distributions[k].expected_sq_max_with(m)), 0.0
     check_count("n_samples", n_samples, 2, " when player B observes two or more resources")
-    # omega_maxima holds three n_samples vectors, whatever n is
-    check_upfront_budget("omega_sup_sq_mean", n_samples, game.n, 3 / game.n, rows="n_samples")
+    # omega_maxima holds b + 2 n_samples vectors
+    check_upfront_budget("omega_sup_sq_mean", n_samples, game.n, (part.b + 2) / game.n, rows="n_samples")
     sq = omega_maxima(np.ones(game.n), game, n_samples, rng) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))
 

@@ -27,7 +27,9 @@ bit is the same.  A call that would sample is refused up front
 (:func:`congames.game.check_upfront_budget`) when what it holds exceeds the
 budget: the n_samples rows of the columns it draws and, where it acts
 through :func:`~congames.strategies.batch_actions`, the actions, with a
-mixture's component draws and n_samples x n scores.
+multi-row mixture's component draws and n_samples x n scores.
+:func:`simulate_payoff` counts by the same rule, for all n world columns,
+both players' actions and the reward vector.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameInstance, check_count, check_upfront_budget, sample_world
-from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, stream_generators
+from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, is_integer, stream_generators
 from .strategies import (
     Mixture,
     QuantileThreshold,
@@ -152,18 +154,15 @@ def estimate_stats(
 
     columns = private[-1] + 1  # the private block is a range ending here
     # what the estimate holds: the drawn columns and, unless a one-row
-    # mixture's masks count the picks, the actions, beside a mixture's
-    # component draws and scores
+    # mixture's masks count the picks, what acting holds
     one_row = isinstance(strategy, Mixture) and len(strategy) == 1
-    held = columns
-    if not one_row:
-        held += 1 + (n + 1 if isinstance(strategy, Mixture) else 0)
+    held = columns if one_row else columns + _acting_columns(strategy, n)
     check_upfront_budget("estimate_stats", n_samples, n, held / n, rows="n_samples")
     streams = (WORLD_STREAM, _action_stream(player))
     # an int seed's streams are built only where read; a Generator is split
     # on every sampling call, so its later spawns stay where they were, and
     # any other rng is refused here
-    split = None if isinstance(rng, (int, np.integer)) else stream_generators(rng, streams)
+    split = None if is_integer(rng) else stream_generators(rng, streams)
 
     def generator(i):
         return split[i] if split else stream_generators(rng, streams[i : i + 1])[0]
@@ -185,6 +184,13 @@ def estimate_stats(
     p = np.bincount(actions, minlength=n) / n_samples
     q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
     return StrategyStats(player, p, q)
+
+
+def _acting_columns(strategy: Strategy, n: int) -> int:
+    """The n_samples-float columns that :func:`batch_actions` holds while
+    ``strategy`` acts: the actions and, for a mixture of two or more rows,
+    its component draws and n_samples x n scores."""
+    return 1 + (n + 1 if isinstance(strategy, Mixture) and len(strategy) > 1 else 0)
 
 
 def _threshold_stats(values, private, obs, n):
@@ -249,12 +255,17 @@ def simulate_payoff(
 
     Worlds and both players' action randomizations use disjoint streams of
     the same seed, so the world draws here match ``estimate_stats`` calls
-    made with that seed.
+    made with that seed.  Raises ValueError before sampling when what it
+    holds, by the rule of :func:`estimate_stats`, exceeds the up-front
+    budget: the n world columns, each player's actions (with a multi-row
+    mixture's component draws and n_samples x n scores) and the rewards.
     """
     check_count("n_samples", n_samples, 2)
     _check_strategy_player(strategy_a, game, "A")
     _check_strategy_player(strategy_b, game, "B")
-    check_upfront_budget("simulate_payoff", n_samples, game.n, rows="n_samples")
+    # the n world columns, what each player's acting holds, and the rewards
+    held = game.n + _acting_columns(strategy_a, game.n) + _acting_columns(strategy_b, game.n) + 1
+    check_upfront_budget("simulate_payoff", n_samples, game.n, held / game.n, rows="n_samples")
     world_gen, a_gen, b_gen = stream_generators(
         rng, (WORLD_STREAM, ACTION_A_STREAM, ACTION_B_STREAM)
     )

@@ -45,11 +45,13 @@ entries, numpy's own sum of the list from 8 on; see ``_sum``).  A round
 writes q(p0) and the central difference of :meth:`TailFrontier.slope` out
 in place, from three scalar ``tail_mean`` calls on ``math`` (``np.log1p``,
 which a batch would need, differs from ``math.log1p`` in the last bit on
-some inputs), and reads only B's omega columns, the random ones, as lists
+some inputs), and reads B's omega columns, the random ones and the only
+ones :func:`~congames.game.sample_omega` draws, as lists
 :data:`~congames.game.DRAW_CHUNK` rows at a time.  So at n = 3 a round
 with finite exponents makes at most two ``np.exp`` calls, none building an
-array, and three Python-level calls, all to the law's ``tail_mean``.  Like the other
-solvers it refuses, before sampling, a run whose T x n omega draws exceed
+array, and three Python-level calls, all to the law's ``tail_mean``.  Like
+the other solvers it refuses, before sampling, a run whose T x b omega
+draws, with the column being drawn, exceed
 :data:`congames.game.UPFRONT_BUDGET_BYTES`; it also refuses there an
 ``n_samples`` that its evaluation would refuse.
 """
@@ -167,8 +169,8 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     utility g(q(p0), p[1:]) of p evaluated with ``n_samples`` draws when
     randomness remains, and the standard error of that value (0 when exact).
     Raises ValueError, before drawing anything, when DEFAULT_DELTA >= 1/n
-    (n >= 1000), when the T x n omega draws exceed
-    :data:`~congames.game.UPFRONT_BUDGET_BYTES`, or when the evaluation
+    (n >= 1000), when B's T x b omega draws, with the column being drawn,
+    exceed :data:`~congames.game.UPFRONT_BUDGET_BYTES`, or when the evaluation
     would refuse ``n_samples`` (fewer than 2, or over its budget, where
     player B observes a resource).
     """
@@ -178,14 +180,15 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
         raise ValueError(f"solve_a1 keeps p0 >= {DEFAULT_DELTA:g}, which needs n < {1 / DEFAULT_DELTA:g}")
     frontier = TailFrontier(game.distributions[0])
     n, alpha = game.n, config.alpha
-    check_upfront_budget("a1", config.T, n)
+    b = game.partition.b
+    # B's T x b omega draws and the column being drawn
+    check_upfront_budget("a1", config.T, n, (b + 1) / n)
     _check_max_term(game, n_samples)
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     # the weights are the gross gain per unit of x: 1 for the rate q(p0), E_k
     # for the other picks
-    b = game.partition.b
     p, total = _round_kernel(n, b)(
-        kernel_columns(omegas, 1, b), config.T, frontier.dist.tail_mean, game.weights.tolist(), alpha
+        kernel_columns(omegas), config.T, frontier.dist.tail_mean, game.weights.tolist(), alpha
     )
     require_positive(p)
     p_avg = np.array(total) / config.T

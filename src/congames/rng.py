@@ -19,6 +19,12 @@ ACTION_A_STREAM = 2
 ACTION_B_STREAM = 3
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer.  A bool is not,
+    though Python counts True and False as the integers 1 and 0."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_generator(rng, stream: int = 0) -> np.random.Generator:
     """Coerce an int seed or Generator into a Generator.
 
@@ -28,7 +34,7 @@ def as_generator(rng, stream: int = 0) -> np.random.Generator:
     """
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if is_integer(rng):
         return np.random.default_rng(np.random.SeedSequence(int(rng), spawn_key=(stream,)))
     raise TypeError(f"cannot interpret {rng!r} as a random generator")
 
@@ -42,7 +48,7 @@ def stream_generators(rng, streams) -> list[np.random.Generator]:
     """
     if isinstance(rng, np.random.Generator):
         return rng.spawn(len(streams))
-    if isinstance(rng, (int, np.integer)):
+    if is_integer(rng):
         return [
             np.random.default_rng(np.random.SeedSequence(int(rng), spawn_key=(0, s)))
             for s in streams
@@ -53,5 +59,5 @@ def stream_generators(rng, streams) -> list[np.random.Generator]:
 def check_seed(seed):
     """Raise ValueError unless ``seed`` is a non-negative integer, the
     seeds :class:`numpy.random.SeedSequence` takes."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

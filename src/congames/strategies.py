@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator
+from .rng import as_generator, is_integer
 
 __all__ = [
     "Simplex",
@@ -101,9 +101,11 @@ class Mixture:
             raise ValueError("mixture needs at least one component row")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("score values must be finite and non-negative")
-        given = np.asarray(self.private, dtype=float).reshape(-1)
-        if not np.all(given == np.trunc(given)):  # a fraction or NaN
+        # integers, or floats of integral value; a bool, NaN or fraction is refused
+        entries = np.asarray(self.private, dtype=object).reshape(-1).tolist()
+        if not all(is_integer(i) or isinstance(i, float) and i.is_integer() for i in entries):
             raise ValueError("private indices must be integers")
+        given = np.array(entries, dtype=float)
         if given.size and (given.min() < 0 or given.max() >= values.shape[1]):
             raise ValueError("private indices out of range")
         private = given.astype(int)

@@ -12,12 +12,13 @@ through the interleaved vector x = (q on the A block, p elsewhere):
 
     g(x) = sum_{A} x_k + sum_{A^c} E_k x_k - 1/2 E[max_k omega_k x_k],
 
-with omega the adversary weight vector of :func:`congames.game.sample_omega`.
-g is concave, entry-wise non-decreasing, and Lipschitz with weights 3/2 on
-the A block and 3/2 E_k elsewhere.  The max term is exact when the B block
-is empty and Monte Carlo estimated otherwise, by :func:`omega_maxima`,
-which draws only B's columns of omega (the others are constant) and never
-builds the (samples, n) product.
+with omega the adversary weight vector: a fresh reward draw on B's block,
+:attr:`~congames.game.GameInstance.weights` elsewhere.  g is concave,
+entry-wise non-decreasing, and Lipschitz with weights 3/2 on the A block
+and 3/2 E_k elsewhere.  The max term is exact when the B block is empty and
+Monte Carlo estimated otherwise, by :func:`omega_maxima`, which takes B's
+columns from :func:`congames.game.sample_omega` (the others are constant)
+and never builds the (samples, n) product.
 
 Every worst-case solver ends in one evaluation of g: at x itself
 (:func:`worst_case_objective`), or at the x of a strategy's estimated
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_count, check_upfront_budget
+from .game import GameInstance, check_count, check_upfront_budget, sample_omega
 from .montecarlo import DEFAULT_SAMPLES, StrategyStats, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import Mixture, Strategy
@@ -101,29 +102,26 @@ def _check_max_term(game: GameInstance, n_samples: int):
     if game.partition.b == 0:
         return
     check_count("n_samples", n_samples, 2, " when player B observes a resource")
-    # omega_maxima holds three n_samples vectors, whatever n is
-    check_upfront_budget("omega_max_mean", n_samples, game.n, 3 / game.n, rows="n_samples")
+    # omega_maxima holds b + 2 n_samples vectors
+    check_upfront_budget("omega_max_mean", n_samples, game.n, (game.partition.b + 2) / game.n, rows="n_samples")
 
 
 def omega_maxima(x: np.ndarray, game: GameInstance, n_samples: int, rng) -> np.ndarray:
     """max_k omega_k x_k for each of ``n_samples`` omega draws, unchecked.
 
-    Holds about three length-``n_samples`` vectors at a time (the running
-    maximum, a drawn column and its product with x), whatever n is.
-
-    Returns the bits of ``np.max(sample_omega(game, gen, n_samples) * x,
-    axis=1)`` with ``gen = as_generator(rng, OMEGA_STREAM)``: B's columns
-    are drawn from ``gen`` in the same order, each constant column enters as
-    the scalar ``weights[k] * x[k]``, and the running maximum takes the
-    columns 0 ... n-1 in turn, as numpy's row maximum does, so a tie of
-    +0.0 and -0.0 resolves the same way.
+    B's columns come from ``sample_omega(game, as_generator(rng,
+    OMEGA_STREAM), n_samples)``; each constant column enters as the scalar
+    ``weights[k] * x[k]``, and the running maximum takes the columns
+    0 ... n-1 in turn, as numpy's row maximum of the full omega times x
+    does, so a tie of +0.0 and -0.0 resolves the same way.  Holds B's
+    n_samples x b draws, the running maximum and one column's product.
     """
-    gen = as_generator(rng, OMEGA_STREAM)
-    b_block = range(game.partition.a, game.partition.a + game.partition.b)
+    a = game.partition.a
+    drawn = sample_omega(game, as_generator(rng, OMEGA_STREAM), n_samples)
     maxima = np.full(n_samples, -np.inf)
     for k, column in enumerate(game.weights * x):
-        if k in b_block:
-            column = game.distributions[k].sample(gen, size=n_samples) * x[k]
+        if a <= k < a + drawn.shape[1]:
+            column = drawn[:, k - a] * x[k]
         np.maximum(maxima, column, out=maxima)
     return maxima
 

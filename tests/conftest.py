@@ -90,6 +90,14 @@ def exp_game(means, partition) -> GameInstance:
     )
 
 
+def full_omega(game, rng, size):
+    """The full (size, n) adversary weight vectors: the game's weights,
+    with the draws of ``sample_omega(game, rng, size)`` in B's columns."""
+    omegas = np.tile(game.weights, (size, 1))
+    omegas[:, game.partition.set_b] = congames.game.sample_omega(game, rng, size)
+    return omegas
+
+
 def random_simplex(n, rng):
     return rng.dirichlet(np.ones(n))
 

@@ -35,9 +35,8 @@ from congames import (
     worst_case_objective,
     worst_case_utility,
 )
-from congames.game import sample_omega
 from congames.nash import iteration_cap
-from conftest import exp_game, random_stats, random_strategy, simplex_grid
+from conftest import exp_game, full_omega, random_stats, random_strategy, simplex_grid
 
 
 def test_criterion_01_explicit_oracle_equivalence():
@@ -166,7 +165,7 @@ def test_criterion_08_objective_property_suite():
     check(g_exact, 250, g_exact.weights[None, :], 0.0)
 
     g_mc = exp_game([1.2, 0.9, 2.0], (1, 1, 1, 0))
-    omegas = sample_omega(g_mc, 1080, size=20_000)
+    omegas = full_omega(g_mc, 1080, size=20_000)
     stderr = 0.5 * float(np.max(omegas, axis=1).std(ddof=1) / math.sqrt(omegas.shape[0]))
     check(g_mc, 250, omegas, stderr)
     assert time.perf_counter() - start < 30.0

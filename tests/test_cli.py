@@ -10,6 +10,7 @@ import congames.game
 from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, estimate_stats, explicit_solution
 from congames.cli import SETTING_HELP, main
 from congames.experiments import SOLVER_CONFIGS, ScenarioSpec, run_scenario
+from congames.rng import as_generator, stream_generators
 from conftest import exp_game
 
 GAME_FILE = """
@@ -657,6 +658,33 @@ def test_oversized_repetitions_are_refused_before_any_solver_runs(capsys, monkey
         code, out, err = run_cli(capsys, "worst", solver, "--scenario", "2", *grid, "--reps", "167")
         assert (code, out) == (2, ""), solver
         assert err.startswith(f"error: {need}"), solver
+
+
+def test_bool_counts_are_refused():
+    # True and False are Python integers, but not counts
+    with pytest.raises(ValueError, match=r"^repetitions must be an integer, got True$"):
+        ScenarioSpec(3, "worst-a1", [1.0], repetitions=True)
+    with pytest.raises(ValueError, match=r"^n_samples must be an integer, got np\.True_$"):
+        estimate_stats(Mixture([[1.0, 0.5, 0.5]], private=[0]), exp_game([1.0] * 3, (1, 1, 1, 0)), "A", n_samples=np.True_)
+
+
+def test_bool_settings_are_refused():
+    # True compares as 1, but is not a setting
+    with pytest.raises(ValueError, match=r"^alpha must be positive and finite, got True$"):
+        MdConfig(alpha=True)
+    with pytest.raises(ValueError, match=r"^T must be positive and finite, got True$"):
+        DppConfig(T=True)
+    with pytest.raises(ValueError, match=r"^epsilon must be positive and finite, got np\.True_$"):
+        NashConfig(epsilon=np.True_)
+
+
+def test_bool_seed_is_refused():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got False$"):
+        ScenarioSpec(3, "worst-a1", [1.0], seed=False)
+    # nor is a bool a generator's seed
+    for make in (as_generator, lambda rng: stream_generators(rng, (0,))):
+        with pytest.raises(TypeError, match=r"^cannot interpret True as a random generator$"):
+            make(True)
 
 
 def test_negative_seed_is_refused_before_any_solver_runs(tmp_path, capsys, monkeypatch):

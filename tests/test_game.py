@@ -10,7 +10,7 @@ from congames import (
     sample_omega,
     sample_world,
 )
-from conftest import LAWS, exp_game
+from conftest import LAWS, exp_game, full_omega
 
 
 def test_partition_layout_and_class_of():
@@ -28,6 +28,15 @@ def test_partition_layout_and_class_of():
         Partition(0, 0, 0, 0)
 
 
+def test_partition_refuses_bool_sizes():
+    # True and False are Python integers, but not partition sizes
+    with pytest.raises(ValueError, match=r"^partition size a must be a non-negative integer, got True$"):
+        Partition(True, True, True, False)
+    with pytest.raises(ValueError, match=r"^partition size d must be a non-negative integer, got False$"):
+        Partition(1, 1, 1, np.False_)
+    assert Partition(np.int64(1), 1, 1, 0).n == 3
+
+
 @pytest.mark.parametrize("sizes", [(1, 2, 1, 1), (0, 0, 3, 0), (1, 1, 0, 0), (0, 0, 0, 2)])
 def test_shared_is_the_c_then_ab_block(sizes):
     part = Partition(*sizes)
@@ -38,10 +47,11 @@ def test_shared_is_the_c_then_ab_block(sizes):
 
 def test_sampling_requires_a_row_count():
     g = exp_game([1.0, 1.0], (0, 1, 1, 0))
-    for sample in (sample_world, sample_omega):
+    # a world row has n entries, an omega row B's b
+    for sample, width in ((sample_world, 2), (sample_omega, 1)):
         with pytest.raises(TypeError):
             sample(g, 0)
-        assert sample(g, 0, size=1).shape == (1, 2)
+        assert sample(g, 0, size=1).shape == (1, width)
 
 
 def test_conditional_means_examples():
@@ -100,37 +110,53 @@ def test_sample_world_refuses_column_counts_outside_0_to_n(columns):
     assert sample_world(g, 0, size=2, columns=np.int64(3)).shape == (2, 3)
 
 
+def test_sample_world_refuses_bool_columns():
+    # a bool is an int to Python; the sampler refuses it, not numpy's shape
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    for columns in (True, np.True_):
+        with pytest.raises(ValueError, match=rf"^columns must be an integer in 0\.\.n=3, got {columns!r}$"):
+            sample_world(g, 0, size=2, columns=columns)
+
+
 def test_sample_omega_all_private_to_a():
+    # nothing is random: no column is drawn, and omega is the weights, all 1
     g = exp_game([1.5, 2.5], (2, 0, 0, 0))
-    np.testing.assert_array_equal(sample_omega(g, 0, size=5), np.ones((5, 2)))
+    assert sample_omega(g, 0, size=5).shape == (5, 0)
+    np.testing.assert_array_equal(full_omega(g, 0, size=5), np.ones((5, 2)))
 
 
 def test_sample_omega_deterministic_when_b_zero():
     g = GameInstance(Partition(1, 0, 1, 1), (Exponential(1.0), Exponential(0.5), Exponential(1.0)), z=[0.7])
-    om = sample_omega(g, 11, size=8)
-    np.testing.assert_array_equal(om, np.tile([1.0, 2.0, 0.7], (8, 1)))
+    assert sample_omega(g, 11, size=8).shape == (8, 0)
+    np.testing.assert_array_equal(full_omega(g, 11, size=8), np.tile([1.0, 2.0, 0.7], (8, 1)))
 
 
 def test_sample_omega_b_entry_varies_others_fixed():
-    # middle resource observed by B only: fresh draw each time
+    # middle resource observed by B only: fresh draw each time, and the
+    # only column drawn
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
-    om = sample_omega(g, 7, size=200)
+    drawn = sample_omega(g, 7, size=200)
+    assert drawn.shape == (200, 1)
+    assert np.unique(drawn).size > 100
+    om = full_omega(g, 7, size=200)
     np.testing.assert_array_equal(om[:, 0], np.ones(200))
     np.testing.assert_array_equal(om[:, 2], np.ones(200))
-    assert np.unique(om[:, 1]).size > 100
+    np.testing.assert_array_equal(om[:, 1], drawn[:, 0])
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("size", [1, 1023, 1024, 5000, 100_000])
 def test_sample_omega_draws_in_chunks_the_bits_of_whole_columns(law, size):
-    # B's columns, drawn DRAW_CHUNK rows at a time, hold the bits of one
-    # whole draw per column, and leave the generator where it left it
+    # column j holds the bits of one whole draw of resource a + j's law,
+    # the columns drawn in order from one generator, which ends where
+    # those draws leave it
     game = GameInstance(Partition(1, 2, 0, 0), (Exponential(1.0), LAWS[law](0.8), LAWS[law](1.7)))
     gen, whole_gen = np.random.default_rng(3), np.random.default_rng(3)
-    whole = np.tile(game.weights, (size, 1))
-    for k in game.partition.set_b:
-        whole[:, k] = game.distributions[k].sample(whole_gen, size=size)
-    assert sample_omega(game, gen, size=size).tobytes() == whole.tobytes()
+    drawn = sample_omega(game, gen, size=size)
+    assert drawn.shape == (size, 2)
+    for j, k in enumerate(game.partition.set_b):
+        whole = game.distributions[k].sample(whole_gen, size=size)
+        assert drawn[:, j].tobytes() == whole.tobytes()
     assert gen.random() == whole_gen.random()
 
 
@@ -150,6 +176,6 @@ def test_weights_are_one_on_a_and_the_mean_elsewhere():
     with pytest.raises(ValueError):
         g.weights[0] = 2.0
     # omega is the weight vector with fresh draws on the B block
-    omegas = sample_omega(g, 5, size=100)
+    omegas = full_omega(g, 5, size=100)
     np.testing.assert_array_equal(omegas[:, [0, 2, 3]], np.tile([1.0, 0.5, 3.0], (100, 1)))
     assert np.all(omegas[:, 1] >= 0) and len(set(omegas[:, 1])) > 1

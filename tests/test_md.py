@@ -28,11 +28,10 @@ from congames import (
     solve_a1,
     worst_case_objective,
 )
-from congames.game import sample_omega
 from congames.md import mw_update, omega_sup_sq_mean, require_positive, run_md_batch
 from congames.quantile import DEFAULT_DELTA, FD_WIDTH
 from congames.rng import OMEGA_STREAM, as_generator
-from conftest import LAWS, exp_game
+from conftest import LAWS, exp_game, full_omega
 
 
 def test_step_shift_invariance_and_hand_value():
@@ -70,7 +69,7 @@ def numpy_a1(game, config, seed):
     reached."""
     frontier = TailFrontier(game.distributions[0])
     n, w = game.n, game.weights
-    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
+    omegas = full_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     p, total, hits = np.full(n, 1.0 / n), np.zeros(n), set()
     try:
         for omega in omegas:
@@ -259,12 +258,10 @@ def test_error_bound_rejects_bad_alpha_and_rounds():
 
 
 def test_omega_sup_sq_exact_b1_matches_samples():
-    from congames.game import sample_omega
-
     g = exp_game([1.0, 1.5, 1.0], (0, 1, 2, 0))
     exact, err = omega_sup_sq_mean(g)
     assert err == 0.0
-    om = sample_omega(g, 5, size=400_000)
+    om = full_omega(g, 5, size=400_000)
     sq = np.max(om, axis=1) ** 2
     assert exact == pytest.approx(sq.mean(), abs=5 * sq.std() / math.sqrt(sq.size))
 
@@ -283,7 +280,8 @@ def test_oversized_sup_sq_estimate_fails_before_sampling(monkeypatch):
 
     monkeypatch.setattr(Exponential, "sample", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (0, 2, 1, 0))
-    need = r"omega_sup_sq_mean run with n_samples=100000000, n=3 needs 2289 MiB up front"
+    # b + 2 = 4 vectors: B's two omega columns, the maximum and a product
+    need = r"omega_sup_sq_mean run with n_samples=100000000, n=3 needs 3052 MiB up front"
     with pytest.raises(ValueError, match=need):
         omega_sup_sq_mean(g, n_samples=10**8)
     with pytest.raises(ValueError, match="n_samples must be >= 2"):
@@ -323,13 +321,12 @@ def test_run_symmetric_meets_guarantee():
 
 def test_run_with_random_omega_meets_guarantee():
     # b = 1: stochastic rounds; compare against a grid-search reference
-    from congames.game import sample_omega
     from conftest import simplex_grid
 
     g = exp_game([1.2, 1.0, 0.8], (0, 1, 2, 0))
     cfg = MdConfig(alpha=40.0, T=20_000)
     p = run_md(g, cfg, seed=4)
-    omegas = sample_omega(g, 777, size=50_000)
+    omegas = full_omega(g, 777, size=50_000)
 
     def value(x):
         return float(np.dot(g.means, x) - 0.5 * np.max(omegas * x, axis=1).mean())
@@ -361,7 +358,7 @@ def lone_md(game, config, seed):
     """The one-run loop as it stood before batching: the array gradient and
     a 1-D update, the oracle the batch must match bit for bit."""
     n = game.n
-    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
+    omegas = full_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     p = np.full(n, 1.0 / n)
     total = np.zeros(n)
     for omega in omegas:
@@ -490,5 +487,6 @@ def test_oversized_runs_fail_before_sampling(monkeypatch):
     config = MdConfig(alpha=50.0, T=10**8)
     with pytest.raises(ValueError, match=r"md run with T=100000000, n=3 needs 2289 MiB"):
         run_md(exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)), config)
-    with pytest.raises(ValueError, match=r"a1 run with T=100000000, n=3 needs 2289 MiB"):
+    # A1 holds B's one omega column and the column being drawn
+    with pytest.raises(ValueError, match=r"a1 run with T=100000000, n=3 needs 1526 MiB"):
         solve_a1(exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0)), config)

@@ -162,14 +162,15 @@ def test_strategy_stats_validation():
 
 
 def test_max_term_budget_does_not_grow_with_n(monkeypatch):
-    # the sampled max term holds three n_samples vectors whatever n is:
-    # 1000 samples need 24 000 bytes at n = 12, not 1000 x 12 draws (96 000)
+    # the sampled max term holds b + 2 n_samples vectors whatever n is: at
+    # b = 2, 1000 samples need 32 000 bytes at n = 12, not 1000 x 12 draws
+    # (96 000)
     g = exp_game([1.0] * 12, (0, 2, 10, 0))
     x = np.full(12, 1.0 / 12)
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 24_000)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 32_000)
     assert omega_max_mean(x, g, n_samples=1000, rng=1)[1] > 0
     assert omega_sup_sq_mean(g, n_samples=1000, rng=1)[1] > 0
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 23_999)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 31_999)
     need = "run with n_samples=1000, n=12 needs 0 MiB up front"
     with pytest.raises(ValueError, match="omega_max_mean " + need):
         omega_max_mean(x, g, n_samples=1000, rng=1)
@@ -193,9 +194,11 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     mixture = Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[1])
     with pytest.raises(ValueError, match="estimate_stats run with n_samples=100000000, n=3 needs 5341 MiB up front"):
         estimate_stats(mixture, g, "B", n_samples=10**8)
-    need = r"run with n_samples=100000000, n=3 needs 2289 MiB up front"
-    with pytest.raises(ValueError, match="simulate_payoff " + need):
+    # the n world columns, each player's actions and the rewards
+    with pytest.raises(ValueError, match="simulate_payoff run with n_samples=100000000, n=3 needs 4578 MiB up front"):
         simulate_payoff(score, Simplex([0.0, 1.0, 0.0]), g, n_samples=10**8)
+    # B's omega column, the running maximum and a product
+    need = r"run with n_samples=100000000, n=3 needs 2289 MiB up front"
     with pytest.raises(ValueError, match="omega_max_mean " + need):
         omega_max_mean(np.full(3, 1.0 / 3.0), g, n_samples=10**8)
     # exact statistics and a deterministic max allocate nothing, so pass
@@ -225,6 +228,27 @@ def test_estimate_budget_counts_what_the_estimate_holds(monkeypatch):
         monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 1000 * 8 * columns - 1)
         with pytest.raises(ValueError, match="^estimate_stats run with n_samples=1000, n=3 needs"):
             estimate_stats(strategy, g, player, n_samples=1000)
+
+
+def test_simulation_budget_counts_what_the_simulation_holds(monkeypatch):
+    # 1000 rows of the n world columns, each player's actions, with a
+    # multi-row mixture's component draws and scores, and the rewards
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    score_a = Mixture([[1.0, 0.5, 0.5]], private=[0])
+    mixture_a = Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[0])
+    mixture_b = Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[1])
+    cases = [
+        (Simplex([0.2, 0.3, 0.5]), Simplex([0.0, 1.0, 0.0]), 3 + 1 + 1 + 1),
+        (score_a, Mixture([[1.0, 0.5, 0.5]], private=[1]), 3 + 1 + 1 + 1),
+        (QuantileThreshold(0.5, [0.5, 0.5]), mixture_b, 3 + 1 + 5 + 1),
+        (mixture_a, mixture_b, 3 + 5 + 5 + 1),
+    ]
+    for strategy_a, strategy_b, columns in cases:
+        monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 1000 * 8 * columns)
+        simulate_payoff(strategy_a, strategy_b, g, n_samples=1000)
+        monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 1000 * 8 * columns - 1)
+        with pytest.raises(ValueError, match="^simulate_payoff run with n_samples=1000, n=3 needs"):
+            simulate_payoff(strategy_a, strategy_b, g, n_samples=1000)
 
 
 def reference_stats(strategy, game, player, drawn, seed):

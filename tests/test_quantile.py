@@ -210,10 +210,10 @@ def test_solve_a1_stderr_matches_its_evaluation():
 
 
 def test_solve_a1_holds_no_round_history():
-    # beside its T x n omega draws the run holds one DRAW_CHUNK of B's draws
-    # while it samples them, then one DRAW_CHUNK of them as Python floats
-    # (about 32 KiB at b = 1, under 256 KiB), and never a T x n record of
-    # its iterates
+    # beside B's T x b omega draws, and the column being drawn, the run
+    # holds one DRAW_CHUNK of them as Python floats (about 32 KiB at b = 1,
+    # under 256 KiB), and never a T x n record of its iterates; the bound
+    # allows T x n draws
     T, n = 60_000, 3
     game = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     solve_a1(game, MdConfig(alpha=50.0, T=10), n_samples=2000)  # leave numpy's one-time allocations out
@@ -257,12 +257,16 @@ def test_a1_kernel_calls_only_tail_mean():
 
 
 def test_a1_kernel_reads_only_the_drawn_omega_columns(monkeypatch):
-    # every omega entry off B's block, resource 0's among them, is the
-    # constant weight, which the kernel takes from the game: NaN in those
-    # columns changes no bit of the iterate, the value or its stderr
-    def nan_off_b(game, rng, size):
+    # a run draws only B's T x b block of omega, and the kernel takes every
+    # other entry, resource 0's among them, the constant weight, from the
+    # game: the iterate has the bits of the array formulas on the full omega
+    from test_md import numpy_a1
+
+    shapes = []
+
+    def spy(game, rng, size):
         omegas = sample_omega(game, rng, size)
-        omegas[:, np.setdiff1d(np.arange(game.n), game.partition.set_b)] = np.nan
+        shapes.append(omegas.shape)
         return omegas
 
     # a small mean on resource 0, so B's draws often win the argmax
@@ -273,11 +277,11 @@ def test_a1_kernel_reads_only_the_drawn_omega_columns(monkeypatch):
         exp_game([0.9, 1.3, 1.0], (1, 0, 2, 0)),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(congames.quantile, "sample_omega", nan_off_b)
-            p, value, stderr = solve_a1(game, config, seed=5, n_samples=3000)
-        expected_p, expected_value, expected_stderr = solve_a1(game, config, seed=5, n_samples=3000)
-        assert p.tobytes() == expected_p.tobytes()
-        assert np.array([value, stderr]).tobytes() == np.array([expected_value, expected_stderr]).tobytes()
+            patch.setattr(congames.quantile, "sample_omega", spy)
+            p, _, _ = solve_a1(game, config, seed=5, n_samples=3000)
+        assert shapes.pop() == (config.T, game.partition.b)
+        expected, _ = numpy_a1(game, config, seed=5)
+        assert p.tobytes() == expected
 
 
 def test_each_kernel_shape_has_its_own_source():

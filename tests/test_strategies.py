@@ -60,6 +60,14 @@ def test_observation_length_mismatch():
         act(QuantileThreshold(1.0, [1.0]), [])
 
 
+def test_mixture_refuses_bool_private_indices():
+    # True would read as resource 1, and a boolean mask is not an index list
+    for private in ([True], [True, 2], np.array([False, True])):
+        with pytest.raises(ValueError, match=r"^private indices must be integers$"):
+            Mixture(np.ones((1, 3)), private)
+    assert Mixture(np.ones((1, 3)), np.array([0.0, 2.0])).private.tolist() == [0, 2]
+
+
 def test_simplex_validation():
     with pytest.raises(ValueError):
         Simplex([0.5, 0.6])

@@ -17,11 +17,11 @@ from congames import (
     worst_case_utility,
 )
 from congames.strategies import act
-from congames.game import GameInstance, Partition, sample_omega
+from congames.game import GameInstance, Partition
 from congames.md import omega_sup_sq_mean
 from congames.rng import OMEGA_STREAM, as_generator
 from congames.worstcase import omega_max_mean, omega_maxima
-from conftest import LAWS, exp_game, random_simplex, random_strategy
+from conftest import LAWS, exp_game, full_omega, random_simplex, random_strategy
 
 
 def test_worst_case_response_all_shared():
@@ -133,7 +133,7 @@ def test_concavity_monotone_lipschitz_mc_b1(rng):
     means = g.means
     weights = means.copy()
     weights[g.partition.set_a] = 1.0
-    omegas = sample_omega(g, 99, size=20_000)
+    omegas = full_omega(g, 99, size=20_000)
     stderr = 0.5 * np.max(omegas, axis=1).std(ddof=1) / np.sqrt(omegas.shape[0])
     upper = np.array([means[0], 1.0, 1.0])
     for _ in range(50):
@@ -168,7 +168,7 @@ def test_omega_max_mean_matches_exact_when_b0():
 def reference_maxima(x, game, n_samples, seed):
     """max_k omega_k x_k as computed before omega_maxima: the full
     (n_samples, n) omega draw times x, reduced by numpy's row maximum."""
-    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=n_samples)
+    omegas = full_omega(game, as_generator(seed, OMEGA_STREAM), size=n_samples)
     return np.max(omegas * x, axis=1)
 
 
@@ -213,8 +213,9 @@ def test_sampled_max_terms_keep_their_bytes(case):
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_sampled_max_term_holds_three_vectors(law):
-    # the up-front budget of a sampled max term counts three n_samples
-    # vectors: the running maximum, a drawn column and its product with x
+    # the up-front budget of a sampled max term counts b + 2 n_samples
+    # vectors, three at b = 1: B's drawn column, the running maximum and
+    # the column's product with x
     n_samples = 200_000
     game = GameInstance(Partition(0, 1, 2, 0), (LAWS[law](1.0), Exponential(1.0), Exponential(1.0)))
     x = np.array([0.5, 0.3, 0.2])
