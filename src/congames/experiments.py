@@ -9,28 +9,35 @@ resources 2 and 3 pinned at 1; they differ in who observes what:
 
 A :class:`ScenarioSpec` names one preset by its number.  Its sweep varies
 the exponential mean of resource 1 over a grid, runs the selected solver at
-each point (averaging over ``repetitions`` derived seeds; the closed form,
-exact and seed-free, is solved once per point), and emits one CSV row per
-point.  :func:`_unsolvable` states, once, which presets each solver
-solves; the spec refuses the others, and the CLI defaults each command's
-``--scenario`` to the lowest preset its solver solves.
+each point (averaging over ``repetitions`` derived seeds, save that on a
+preset with no private block, where every solver is deterministic, one run
+stands for them all), and emits one CSV row per point.  :func:`_unsolvable`
+states, once, which presets each solver solves; the spec refuses the
+others, and the CLI defaults each command's ``--scenario`` to the lowest
+preset its solver solves.
 :data:`SOLVER_CONFIGS` names each solver's config type
 (:class:`~congames.nash.NashConfig`, :class:`~congames.dpp.DppConfig`,
 :class:`~congames.md.MdConfig`, none for the closed form), which declares,
 once, the settings the solver reads, their defaults and their checks.  The
 spec holds one config, which the sweep hands to the solver as it is, and
-the CLI offers each command its config's fields as flags.
+the CLI offers each command its config's fields as flags.  A worst-case
+spec also asks the max term's check
+(:func:`congames.worstcase._check_max_term`), so a ``n_samples`` the max
+term cannot hold is refused before any solver runs.
 
-:func:`run_scenario` derives every (point, repetition) seed once and runs
-one loop over the points for every solver; the solver picks only the
-header, the notes and the function that makes a point's row and warning
-(:func:`_nash_row` or :func:`_worst_point`, each folding the point's
-repetitions).  Mirror descent runs every (point, repetition) pair of the
-sweep as one batch (:func:`congames.md.run_md_batch`) before the points are
-evaluated; the other solvers run point by point.  Identical spec + seed
-reproduces the table byte for byte.  A point whose DPP runs broke the queue
-cap, or whose best-response runs did not converge, gets a ``WARNING`` note;
-its row is unchanged.
+:func:`run_scenario` works out each point's runs from the preset, once:
+one seed per repetition, or only repetition 0's seed where the partition
+has no private block.  It runs one loop over the points for every solver;
+the solver picks only the header, the notes and the function that makes a
+point's row and counts its failures (:func:`_nash_row` or
+:func:`_worst_point`, each folding the point's runs, one per seed).  Mirror
+descent runs every run of the sweep as one batch
+(:func:`congames.md.run_md_batch`) before the points are evaluated; the
+other solvers run point by point.  Identical spec + seed reproduces the
+table byte for byte.  A point whose DPP runs broke the queue cap, or whose
+best-response runs did not converge, gets a ``WARNING`` note counting over
+the repetitions (one run's count times the repetitions where one run stands
+for them); its row is unchanged.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .nash import NashConfig, iterate_best_response
 from .quantile import solve_a1
 from .rng import check_seed
 from .strategies import Strategy
-from .worstcase import worst_case_objective, worst_case_utility
+from .worstcase import _check_max_term, worst_case_objective, worst_case_utility
 
 __all__ = [
     "SCENARIO_PARTITIONS",
@@ -99,12 +106,14 @@ class ScenarioSpec:
     its type in :data:`SOLVER_CONFIGS`, which has checked them already, or
     None for that type's defaults (worst-explicit takes none).
     ``repetitions`` must be an integer of at least 1, ``n_samples`` an
-    integer of at least 1, and at least 2 for a worst-case sweep whose
-    preset lets B observe a resource (its max term is sampled), and
-    ``seed`` a non-negative integer.  Points x repetitions x n float64
-    results must fit :data:`~congames.game.UPFRONT_BUDGET_BYTES`.  All are
-    checked here, before any solver runs, so a count of 2.5 or NaN is
-    refused here too.
+    integer of at least 1, and ``seed`` a non-negative integer.  Points x
+    repetitions x n float64 results must fit
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.  A worst-case sweep whose
+    preset lets B observe a resource samples its max term, so its
+    ``n_samples`` must also pass that term's one check
+    (:func:`~congames.worstcase._check_max_term`: at least 2, and b + 2
+    vectors within the budget).  All are checked here, before any solver
+    runs, so a count of 2.5 or NaN is refused here too.
     """
 
     scenario: int
@@ -138,8 +147,8 @@ class ScenarioSpec:
         check_seed(self.seed)
         if reason := _unsolvable(self.solver, self.scenario):
             raise ValueError(reason)
-        if self.solver != "nash" and self.partition.b:
-            check_count("n_samples", self.n_samples, 2, " when player B observes a resource")
+        if self.solver != "nash":
+            _check_max_term(self.partition, self.n_samples)
 
     @property
     def partition(self) -> Partition:
@@ -183,8 +192,8 @@ def _rep_seed(spec: ScenarioSpec, point: int, rep: int) -> int:
 
 
 def _nash_row(spec: ScenarioSpec, game: GameInstance, seeds):
-    """The point's row averaged over its repetitions, one per seed, and a
-    warning when some of them did not converge (None otherwise)."""
+    """The point's row averaged over its runs, one per seed, and the number
+    of runs that did not converge."""
     acc = []
     unconverged = 0
     for seed in seeds:
@@ -200,41 +209,41 @@ def _nash_row(spec: ScenarioSpec, game: GameInstance, seeds):
                 ]
             )
         )
-    warning = f"best response did not converge in {unconverged} of {len(seeds)} reps" if unconverged else None
-    return np.mean(acc, axis=0), warning
+    return np.mean(acc, axis=0), unconverged
 
 
 def _md_solutions(spec: ScenarioSpec, games, seeds) -> np.ndarray:
-    """Every (point, rep) mirror-descent run of the sweep, stepped as one
-    batch; entry [point, rep] is that run's average iterate."""
+    """One mirror-descent run per seed of each point, all stepped as one
+    batch; entry [point, k] is the average iterate of the point's k-th
+    seed."""
     ps = run_md_batch(
-        [game for game in games for _ in range(spec.repetitions)],
+        [game for game, point_seeds in zip(games, seeds) for _ in point_seeds],
         spec.config,
         [seed for point_seeds in seeds for seed in point_seeds],
     )
-    return ps.reshape(len(games), spec.repetitions, -1)
+    return ps.reshape(len(games), len(seeds[0]), -1)
 
 
 def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
     """The point's row for the selected worst-case solver, folded over its
-    repetitions (one per seed), and a warning when its DPP runs broke the
-    queue cap (None otherwise).
+    runs (one per seed), and the number of queue-cap violations of its DPP
+    runs (0 for the other solvers).
 
     The row is the mean value; its standard error (the spread of the values
-    over the repetitions when there are several, the one run's own stderr
+    over the runs when there are several, the one run's own stderr
     otherwise); the mean p; and the least and greatest value.  worst-md
     only evaluates: ``md_ps`` holds the point's average iterates, one row
-    per repetition, from :func:`_md_solutions`.  The closed form is exact
-    and reads no seed, so it is solved once, whatever the repetitions: its
-    row has stderr 0 and value_min == value_max == value.
+    per seed, from :func:`_md_solutions`.  A point of a preset with no
+    private block has one seed (:func:`run_scenario`), whose run is exact:
+    its row has stderr 0 and value_min == value_max == value.
     """
-    if spec.solver == "worst-explicit":
-        sol = explicit_solution(game.means)
-        return np.concatenate([[sol.value, 0.0], sol.p, [sol.value, sol.value]]), None
     values, ps = [], []
     violations = 0
     for rep, seed in enumerate(seeds):
-        if spec.solver == "worst-dpp":
+        if spec.solver == "worst-explicit":
+            sol = explicit_solution(game.means)
+            p, value, stderr = sol.p, sol.value, 0.0
+        elif spec.solver == "worst-dpp":
             mixture, diag = run_dpp(game, spec.config, seed)
             violations += diag.violations
             ev = worst_case_utility(mixture, game, spec.n_samples, seed)
@@ -250,22 +259,23 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
     if len(values) > 1:  # otherwise stderr is the one run's own
         stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
     row = np.concatenate([[values.mean(), stderr], np.mean(ps, axis=0), [values.min(), values.max()]])
-    # the cap holds by theorem when alpha >= V^2; a point that broke it has
-    # no certified error bound
-    warning = (
-        f"{violations} DPP queue-cap violations over {len(seeds)} reps; the error bound is not certified"
-        if violations
-        else None
-    )
-    return row, warning
+    return row, violations
 
 
 def run_scenario(spec: ScenarioSpec) -> SweepTable:
-    """One CSV row per sweep point; deterministic for identical spec + seed."""
+    """One CSV row per sweep point; deterministic for identical spec + seed.
+
+    A point runs once per repetition, on the seed ``_rep_seed(spec, i,
+    rep)``, except on a preset with no private block: there every solver is
+    deterministic, so one run on repetition 0's seed stands for all of
+    them, and a worst-case row's stderr is that run's own, 0.  The header
+    still names ``reps``, and a warning counts that run's failures once per
+    repetition."""
     n = spec.partition.n
     games = [scenario_game(spec, e1) for e1 in spec.e1_values]
-    # seed [point][rep] of each run, handed to whichever function runs it
-    seeds = [[_rep_seed(spec, i, rep) for rep in range(spec.repetitions)] for i in range(len(games))]
+    # seed [point][k] of each run, handed to whichever function runs it
+    runs = spec.repetitions if spec.partition.a or spec.partition.b else 1
+    seeds = [[_rep_seed(spec, i, rep) for rep in range(runs)] for i in range(len(games))]
     if spec.solver == "nash":
         header = (
             ("e1", "utility_a", "utility_b", "potential")
@@ -273,6 +283,7 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
             + tuple(f"pb{k}" for k in range(1, n + 1))
         )
         notes = [f"nash sweep: epsilon={spec.config.epsilon:g} reps={spec.repetitions} seed={spec.seed}"]
+        warning = "best response did not converge in {} of {} reps"
 
         def point_row(i):
             return _nash_row(spec, games[i], seeds[i])
@@ -287,6 +298,9 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
             f"worst-case sweep: solver={spec.solver} reps={spec.repetitions} seed={spec.seed}",
             "value_min/value_max is the min/max over repetitions, not a confidence band",
         ]
+        # the cap holds by theorem when alpha >= V^2; a point that broke it
+        # has no certified error bound
+        warning = "{} DPP queue-cap violations over {} reps; the error bound is not certified"
         md_ps = _md_solutions(spec, games, seeds) if spec.solver == "worst-md" else None
 
         def point_row(i):
@@ -294,9 +308,10 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
 
     rows = []
     for i, e1 in enumerate(spec.e1_values):
-        row, warning = point_row(i)
-        if warning:
-            notes.append(f"WARNING: e1={e1:.9g}: {warning}")
+        row, failures = point_row(i)
+        if failures:
+            count = failures * spec.repetitions // runs  # over the repetitions the runs stand for
+            notes.append(f"WARNING: e1={e1:.9g}: " + warning.format(count, spec.repetitions))
         rows.append(np.concatenate([[e1], row]))
     return SweepTable(header, np.vstack(rows), tuple(notes))
 

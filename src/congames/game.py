@@ -188,9 +188,10 @@ def sample_world(game: GameInstance, rng, size: int, columns: int | None = None)
     return out
 
 
-def sample_omega(game: GameInstance, rng, size: int) -> np.ndarray:
+def sample_omega(game: GameInstance, rng, size: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``size`` rows of the adversary's random weights, shape
-    ``(size, b)``: the columns of B's block, in order.
+    ``(size, b)``: the columns of B's block, in order, written into ``out``
+    (a new array when None) and returned.
 
     The adversary weight vector omega is a fresh reward draw on the B block
     and :attr:`GameInstance.weights` elsewhere: 1 on the A block (the
@@ -201,7 +202,7 @@ def sample_omega(game: GameInstance, rng, size: int) -> np.ndarray:
     generator.
     """
     gen = as_generator(rng)
-    out = np.empty((size, game.partition.b))
+    out = np.empty((size, game.partition.b)) if out is None else out
     for column, k in zip(out.T, game.partition.set_b):
         column[:] = game.distributions[k].sample(gen, size=size)
     return out

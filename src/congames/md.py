@@ -42,7 +42,9 @@ one T x R' x n array for a chunk of R' runs whose draws fit
 :data:`BATCH_DRAW_BYTES`, so a sweep's memory stays bounded however many
 points and repetitions it has.  The array is filled with each run's weights
 once, and :func:`~congames.game.sample_omega` writes the run's B block, its
-only random columns (0..b-1, as a == 0), over them.
+only random columns (0..b-1, as a == 0), over them in place, so a run holds
+its T x n draws and one column being drawn, which is what the batch counts
+against the up-front budget.
 
 The loop runs the unchecked :func:`mw_update` and checks positivity once,
 after the last round: a zero or NaN entry is absorbing under the update
@@ -64,7 +66,7 @@ import numpy as np
 
 from .game import GameInstance, check_count, check_setting, check_upfront_budget, sample_omega
 from .rng import OMEGA_STREAM, as_generator
-from .worstcase import omega_maxima
+from .worstcase import _check_max_term, omega_maxima
 
 __all__ = [
     "MdConfig",
@@ -137,7 +139,8 @@ def run_md_batch(games, config: MdConfig, seeds) -> np.ndarray:
     ``run_md(games[r], config, seeds[r])``.  Every run needs a == 0, and all
     games must share n.  Runs are stepped in chunks whose draws fit
     :data:`BATCH_DRAW_BYTES`.  Raises ValueError, before drawing anything,
-    when one run's T x n draws alone exceed
+    when one run's T x n draws and the column being drawn into them, all a
+    one-run chunk holds besides a few vectors and one block, exceed
     :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
     games, seeds = list(games), list(seeds)
@@ -148,7 +151,8 @@ def run_md_batch(games, config: MdConfig, seeds) -> np.ndarray:
     n = games[0].n
     if any(game.n != n for game in games):
         raise ValueError("batched runs must share n")
-    check_upfront_budget("md", config.T, n)
+    # one run's T x n draws and the column being drawn into them
+    check_upfront_budget("md", config.T, n, (n + 1) / n)
     per_chunk = max(1, BATCH_DRAW_BYTES // (config.T * n * 8))
     return np.concatenate(
         [
@@ -167,7 +171,7 @@ def _run_chunk(games, config: MdConfig, seeds) -> np.ndarray:
     draws = np.empty((T, R, n))
     draws[:] = weights
     for r, (game, seed) in enumerate(zip(games, seeds)):
-        draws[:, r, : game.partition.b] = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=T)
+        sample_omega(game, as_generator(seed, OMEGA_STREAM), T, out=draws[:, r, : game.partition.b])
     miss = weights / alpha  # the exponents off the argmax
     cols = np.arange(n)
     per_block = max(1, ROUND_BLOCK_BYTES // (R * n * 8))
@@ -196,8 +200,8 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     second moment is closed-form for every catalog distribution.  With two
     or more random coordinates it is Monte Carlo estimated
     (:func:`congames.worstcase.omega_maxima` at x = 1), and raises
-    ValueError before sampling when n_samples < 2 or when its b + 2
-    n_samples vectors exceed the up-front budget.
+    ValueError before sampling when the max term's check
+    (:func:`congames.worstcase._check_max_term`) refuses ``n_samples``.
     """
     part = game.partition
     if part.b == 0:
@@ -208,9 +212,7 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
         const[k] = 0.0
         m = float(const.max()) if game.n > 1 else 0.0
         return float(game.distributions[k].expected_sq_max_with(m)), 0.0
-    check_count("n_samples", n_samples, 2, " when player B observes two or more resources")
-    # omega_maxima holds b + 2 n_samples vectors
-    check_upfront_budget("omega_sup_sq_mean", n_samples, game.n, (part.b + 2) / game.n, rows="n_samples")
+    _check_max_term(part, n_samples)
     sq = omega_maxima(np.ones(game.n), game, n_samples, rng) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))
 

@@ -25,11 +25,14 @@ is counted from the threshold masks of
 counts and the averaged products are those of the action array, so every
 bit is the same.  A call that would sample is refused up front
 (:func:`congames.game.check_upfront_budget`) when what it holds exceeds the
-budget: the n_samples rows of the columns it draws and, where it acts
-through :func:`~congames.strategies.batch_actions`, the actions, with a
-multi-row mixture's component draws and n_samples x n scores.
+budget: the n_samples rows of the columns it draws and what acting holds at
+its peak (:func:`congames.strategies._acting_columns`): a simplex's uniform
+draws beside its actions, a threshold's mask and tail draws, a multi-row
+mixture's component draws and n_samples x n scores, and a one-row
+mixture's threshold split, which also serves its masks.
 :func:`simulate_payoff` counts by the same rule, for all n world columns,
-both players' actions and the reward vector.
+what both players' acting holds and the reward vector, which it halves in
+place where the players collide.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .strategies import (
     QuantileThreshold,
     Simplex,
     Strategy,
+    _acting_columns,
     _check_simplex,
     _threshold_split,
     batch_actions,
@@ -135,8 +139,8 @@ def estimate_stats(
     only when the estimate samples, and a shape with too few rows or columns
     is refused.  A one-row mixture's (p, q) is counted from its threshold
     masks; other strategies act through :func:`batch_actions`.  Raises
-    ValueError before sampling when the drawn columns, and the actions and
-    scores of the :func:`batch_actions` path, exceed the up-front budget.
+    ValueError before sampling when the drawn columns and what acting holds
+    (a one-row mixture's threshold split) exceed the up-front budget.
     """
     check_count("n_samples", n_samples)
     private = _check_strategy_player(strategy, game, player)
@@ -153,10 +157,10 @@ def estimate_stats(
         return StrategyStats(player, p, np.zeros(0))
 
     columns = private[-1] + 1  # the private block is a range ending here
-    # what the estimate holds: the drawn columns and, unless a one-row
-    # mixture's masks count the picks, what acting holds
+    # what the estimate holds: the drawn columns and what acting holds, which
+    # for a one-row mixture is its threshold split, whose masks count the picks
     one_row = isinstance(strategy, Mixture) and len(strategy) == 1
-    held = columns if one_row else columns + _acting_columns(strategy, n)
+    held = columns + _acting_columns(strategy, n)
     check_upfront_budget("estimate_stats", n_samples, n, held / n, rows="n_samples")
     streams = (WORLD_STREAM, _action_stream(player))
     # an int seed's streams are built only where read; a Generator is split
@@ -184,13 +188,6 @@ def estimate_stats(
     p = np.bincount(actions, minlength=n) / n_samples
     q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
     return StrategyStats(player, p, q)
-
-
-def _acting_columns(strategy: Strategy, n: int) -> int:
-    """The n_samples-float columns that :func:`batch_actions` holds while
-    ``strategy`` acts: the actions and, for a mixture of two or more rows,
-    its component draws and n_samples x n scores."""
-    return 1 + (n + 1 if isinstance(strategy, Mixture) and len(strategy) > 1 else 0)
 
 
 def _threshold_stats(values, private, obs, n):
@@ -257,8 +254,8 @@ def simulate_payoff(
     the same seed, so the world draws here match ``estimate_stats`` calls
     made with that seed.  Raises ValueError before sampling when what it
     holds, by the rule of :func:`estimate_stats`, exceeds the up-front
-    budget: the n world columns, each player's actions (with a multi-row
-    mixture's component draws and n_samples x n scores) and the rewards.
+    budget: the n world columns, what each player's acting holds and the
+    rewards.
     """
     check_count("n_samples", n_samples, 2)
     _check_strategy_player(strategy_a, game, "A")
@@ -271,9 +268,13 @@ def simulate_payoff(
     )
     part = game.partition
     worlds = sample_world(game, world_gen, size=n_samples)
-    act_a = batch_actions(strategy_a, worlds[:, part.set_a], a_gen)
-    act_b = batch_actions(strategy_b, worlds[:, part.set_b], b_gen)
-    rewards = worlds[np.arange(n_samples), act_a] * (1.0 - 0.5 * (act_a == act_b))
+    # each player observes its private block through a view, not a copy
+    act_a = batch_actions(strategy_a, worlds[:, : part.a], a_gen)
+    collide = act_a == batch_actions(strategy_b, worlds[:, part.a : part.a + part.b], b_gen)
+    # A's reward, halved in place where both pick it: the collision factor
+    # is exactly 1 or 1/2, so the bits are those of multiplying by it
+    rewards = worlds[np.arange(n_samples), act_a]
+    np.multiply(rewards, 0.5, out=rewards, where=collide)
     mean = float(rewards.mean())
     stderr = float(rewards.std(ddof=1) / np.sqrt(n_samples))
     return mean, stderr

@@ -42,7 +42,7 @@ from .montecarlo import (
     expected_utility,
 )
 from .rng import WORLD_STREAM, stream_generators
-from .strategies import Mixture, Simplex, Strategy
+from .strategies import Mixture, Simplex, Strategy, _split_columns
 
 __all__ = [
     "NashConfig",
@@ -143,7 +143,8 @@ def iterate_best_response(
     are drawn once per run, by the first estimate that samples:
     ``n_samples`` rows of the a + b private columns, the only ones a turn
     reads, on ``seed``'s world stream, and refused before they are drawn
-    when they exceed the up-front budget.
+    when they, with the threshold split an estimate builds beside them,
+    exceed the up-front budget.
     """
     cap = iteration_cap(game, config.epsilon)
     (world_gen,) = stream_generators(seed, (WORLD_STREAM,))
@@ -151,8 +152,10 @@ def iterate_best_response(
     @functools.cache
     def worlds():  # every turn gets this one array, so it is read-only
         part = game.partition
-        # the estimate that asks for them counted only the columns it reads
-        check_upfront_budget("nash", n_samples, game.n, (part.a + part.b) / game.n, rows="n_samples")
+        # the a + b columns and what an estimate on them holds besides: a
+        # best response's threshold split, the larger one for the larger block
+        held = part.a + part.b + _split_columns(max(part.a, part.b))
+        check_upfront_budget("nash", n_samples, game.n, held / game.n, rows="n_samples")
         drawn = sample_world(game, world_gen, size=n_samples, columns=part.a + part.b)
         drawn.setflags(write=False)
         return drawn

@@ -53,7 +53,8 @@ array, and three Python-level calls, all to the law's ``tail_mean``.  Like
 the other solvers it refuses, before sampling, a run whose T x b omega
 draws, with the column being drawn, exceed
 :data:`congames.game.UPFRONT_BUDGET_BYTES`; it also refuses there an
-``n_samples`` that its evaluation would refuse.
+``n_samples`` that its evaluation would refuse.  The draws are freed before
+the evaluation samples its own.
 """
 
 from __future__ import annotations
@@ -183,12 +184,13 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     b = game.partition.b
     # B's T x b omega draws and the column being drawn
     check_upfront_budget("a1", config.T, n, (b + 1) / n)
-    _check_max_term(game, n_samples)
-    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
+    _check_max_term(game.partition, n_samples)
     # the weights are the gross gain per unit of x: 1 for the rate q(p0), E_k
-    # for the other picks
+    # for the other picks; the draws are freed with the call, before the
+    # evaluation samples its own
     p, total = _round_kernel(n, b)(
-        kernel_columns(omegas), config.T, frontier.dist.tail_mean, game.weights.tolist(), alpha
+        kernel_columns(sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)),
+        config.T, frontier.dist.tail_mean, game.weights.tolist(), alpha,
     )
     require_positive(p)
     p_avg = np.array(total) / config.T

@@ -126,9 +126,11 @@ Strategy = Simplex | QuantileThreshold | Mixture
 
 
 def _categorical(p: np.ndarray, gen: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` draws of the categorical law ``p``; holds the uniform draws
+    beside the indices, which are clamped in place."""
     cum = np.cumsum(p)
     idx = np.searchsorted(cum, gen.random(size) * cum[-1], side="right")
-    return np.minimum(idx, p.size - 1)
+    return np.minimum(idx, p.size - 1, out=idx)
 
 
 def _check_observation(obs: np.ndarray, expected: int, what: str):
@@ -158,14 +160,14 @@ def batch_actions(strategy: Strategy, obs: np.ndarray, rng=None) -> np.ndarray:
         return _categorical(strategy.p, _need_generator(rng, strategy), rows)
     if isinstance(strategy, QuantileThreshold):
         _check_observation(obs, 1, "QuantileThreshold")
-        take_first = obs[:, 0] >= strategy.tau
+        rest = ~(obs[:, 0] >= strategy.tau)
         actions = np.zeros(rows, dtype=int)
-        rest = ~take_first
         if np.any(rest):
             if strategy.tail.size == 0:
                 raise ValueError("threshold not met but the tail simplex is empty")
             gen = _need_generator(rng, strategy)
-            actions[rest] = 1 + _categorical(strategy.tail, gen, int(rest.sum()))
+            actions[rest] = _categorical(strategy.tail, gen, int(rest.sum()))
+            actions += rest  # the tail's resources start at 1
         return actions
     if isinstance(strategy, Mixture):
         _check_observation(obs, strategy.private.size, "Mixture")
@@ -173,11 +175,13 @@ def batch_actions(strategy: Strategy, obs: np.ndarray, rng=None) -> np.ndarray:
             j, take, top = _threshold_split(strategy.values[0], strategy.private, obs)
             # arithmetic selection: np.where on an unpredictable mask is
             # several times slower
-            return j + take * (top - j)
+            actions = take * (top - j)
+            actions += j
+            return actions
         comp = _need_generator(rng, strategy).integers(len(strategy), size=rows)
         scores = np.take(strategy.values, comp, axis=0)
-        if strategy.private.size:
-            scores[:, strategy.private] *= obs
+        for col, k in enumerate(strategy.private):  # in place, column by column
+            scores[:, k] *= obs[:, col]
         return np.argmax(scores, axis=1)
     raise TypeError(f"unknown strategy type {type(strategy).__name__}")
 
@@ -204,11 +208,33 @@ def _threshold_split(values: np.ndarray, private: np.ndarray, obs: np.ndarray):
     best = obs[:, 0] * values[top]
     if private.size == 1:  # the tie rule is fixed, so one comparison decides
         return j, (best >= c if top < j else best > c), top
+    top, prod = np.full(len(obs), top), np.empty_like(best)
     for col in range(1, private.size):  # ascending, so a tie keeps the lower index
-        prod = obs[:, col] * values[private[col]]
-        top = top + (prod > best) * (private[col] - top)
-        best = np.maximum(best, prod)
+        np.multiply(obs[:, col], values[private[col]], out=prod)
+        np.copyto(top, private[col], where=prod > best)
+        np.maximum(best, prod, out=best)
     return j, (best > c) | ((best == c) & (top < j)), top
+
+
+def _acting_columns(strategy: Strategy, n: int) -> float:
+    """The float64 columns, one entry per observation row, that
+    :func:`batch_actions` holds at its peak while ``strategy`` acts, the
+    actions among them; a boolean mask is 1/8 of a column.  A simplex holds
+    its uniform draws beside the actions, a threshold its mask and the
+    tail's uniform draws and indices, a mixture of two or more rows its
+    component draws and n scores, and a one-row mixture its threshold split
+    (:func:`_split_columns`)."""
+    if isinstance(strategy, Mixture):
+        return n + 2 if len(strategy) > 1 else _split_columns(strategy.private.size)
+    return 2 if isinstance(strategy, Simplex) else 3.125
+
+
+def _split_columns(size: int) -> float:
+    """The columns that :func:`_threshold_split` of a private block of
+    ``size`` resources, and what is built from its masks, hold at their
+    peak: the best product, with the product compared and the index of the
+    best from two resources on, and up to four boolean masks."""
+    return (1 if size < 2 else 3) + 0.5
 
 
 def act(strategy: Strategy, observed_private_rewards, rng=None) -> int:

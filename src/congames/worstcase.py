@@ -18,7 +18,11 @@ entry-wise non-decreasing, and Lipschitz with weights 3/2 on the A block
 and 3/2 E_k elsewhere.  The max term is exact when the B block is empty and
 Monte Carlo estimated otherwise, by :func:`omega_maxima`, which takes B's
 columns from :func:`congames.game.sample_omega` (the others are constant)
-and never builds the (samples, n) product.
+and never builds the (samples, n) product.  Its sample rules, at least 2
+draws and b + 2 vectors of them within the up-front budget, are stated
+once, by :func:`_check_max_term`, which the estimates here,
+:func:`congames.md.omega_sup_sq_mean`, :func:`congames.quantile.solve_a1`
+and every worst-case :class:`~congames.experiments.ScenarioSpec` ask.
 
 Every worst-case solver ends in one evaluation of g: at x itself
 (:func:`worst_case_objective`), or at the x of a strategy's estimated
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_count, check_upfront_budget, sample_omega
+from .game import GameInstance, Partition, check_count, check_upfront_budget, sample_omega
 from .montecarlo import DEFAULT_SAMPLES, StrategyStats, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import Mixture, Strategy
@@ -83,27 +87,29 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=
     """Mean and standard error of max_k omega_k x_k.
 
     Deterministic (stderr 0) when the B block is empty.  Otherwise raises
-    ValueError before sampling when n_samples < 2 (no standard error) or
-    when :func:`omega_maxima`'s vectors exceed the up-front budget.
+    ValueError before sampling when :func:`_check_max_term` refuses
+    ``n_samples``.
     """
     x = np.asarray(x, dtype=float)
     if game.partition.b == 0:
         return float(np.max(game.weights * x)), 0.0
-    _check_max_term(game, n_samples)
+    _check_max_term(game.partition, n_samples)
     maxima = omega_maxima(x, game, n_samples, rng)
     return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))
 
 
-def _check_max_term(game: GameInstance, n_samples: int):
-    """Refuse the ``n_samples`` of a sampled max term before anything is
-    drawn: fewer than 2 (no standard error), or :func:`omega_maxima`'s
-    vectors over the up-front budget.  The term is exact, so nothing is
-    checked, when the B block is empty."""
-    if game.partition.b == 0:
+def _check_max_term(partition: Partition, n_samples: int):
+    """Refuse the ``n_samples`` of a max term sampled under ``partition``
+    before anything is drawn: fewer than 2 (no standard error), or
+    :func:`omega_maxima`'s vectors over the up-front budget.  The term is
+    exact, so nothing is checked, when the B block is empty.  The one
+    statement of these rules: the max term's estimates, the A1 solver and
+    every worst-case sweep's spec ask it."""
+    if partition.b == 0:
         return
     check_count("n_samples", n_samples, 2, " when player B observes a resource")
     # omega_maxima holds b + 2 n_samples vectors
-    check_upfront_budget("omega_max_mean", n_samples, game.n, (game.partition.b + 2) / game.n, rows="n_samples")
+    check_upfront_budget("omega_max_mean", n_samples, partition.n, (partition.b + 2) / partition.n, rows="n_samples")
 
 
 def omega_maxima(x: np.ndarray, game: GameInstance, n_samples: int, rng) -> np.ndarray:

@@ -174,6 +174,27 @@ def a1_preset_optimum(e1):
     )
 
 
+def md_preset_objective(e1, p0, p1):
+    """g at A's pick probabilities (p0, p1, 1 - p0 - p1) in scenario 2, where
+    B observes resource 0 (exponential, mean e1) and resources 1 and 2 have
+    mean 1: with c = max(p1, p2),
+    g = e1 p0 + p1 + p2 - (c + p0 e1 exp(-c / (p0 e1))) / 2, as
+    omega = (W0, 1, 1) and E[max(c, p0 W0)] = c + p0 e1 exp(-c / (p0 e1))."""
+    p2 = max(1.0 - p0 - p1, 0.0)
+    c = max(p1, p2)
+    tail = p0 * e1 * math.exp(-c / (p0 * e1)) if p0 > 0.0 else 0.0
+    return e1 * p0 + p1 + p2 - 0.5 * (c + tail)
+
+
+def md_preset_optimum(e1):
+    """g* of scenario 2, the largest worst-case utility of A's simplex
+    strategies, by nested golden-section search: g is concave on the
+    simplex, and so is its maximum over p1 at fixed p0."""
+    return golden_max(
+        lambda p0: golden_max(lambda p1: md_preset_objective(e1, p0, p1), 0.0, 1.0 - p0), 0.0, 1.0
+    )
+
+
 _GRID_CACHE = {}
 
 

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import congames.experiments
 import congames.game
 from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, estimate_stats, explicit_solution
 from congames.cli import SETTING_HELP, main
@@ -109,6 +110,74 @@ def test_the_closed_form_is_solved_once_per_point(capsys, monkeypatch):
     assert np.all(rows[:, 2] == 0.0)
     assert np.all(rows[:, 6] == rows[:, 1]) and np.all(rows[:, 7] == rows[:, 1])
     assert hashlib.sha256(out.encode()).hexdigest() == "6ea661d2e188131468075764453e434780c9e7cd44bf5b8812e3e7c8e974d516"
+
+
+def test_a_preset_with_nothing_private_runs_each_point_once(capsys, monkeypatch):
+    # with a == b == 0 every solver is deterministic, so one run on
+    # repetition 0's seed stands for all five: 3 runs, not 15, and the
+    # worst-case rows have stderr exactly 0
+    runs = {}
+
+    def spy(name, count=lambda *args: 1):
+        original = getattr(congames.experiments, name)
+
+        def counted(*args, **kwargs):
+            runs[name] = runs.get(name, 0) + count(*args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(congames.experiments, name, counted)
+
+    spy("run_dpp")
+    spy("iterate_best_response")
+    spy("explicit_solution")
+    spy("run_md_batch", count=lambda games, config, seeds: len(seeds))
+    grid = ("--scenario", "1", "--e1-min", "0.5", "--e1-max", "1.5", "--e1-step", "0.5", "--reps", "5")
+    for argv, name in (
+        (["worst", "dpp", "--T", "2000"], "run_dpp"),
+        (["worst", "md", "--T", "2000"], "run_md_batch"),
+        (["worst", "explicit"], "explicit_solution"),
+        (["nash"], "iterate_best_response"),
+    ):
+        code, out, err = run_cli(capsys, *argv, *grid)
+        assert (code, err) == (0, ""), argv
+        assert runs.pop(name) == 3, argv
+        assert "reps=5 " in out.splitlines()[0]
+        if argv[0] == "worst":
+            rows = np.loadtxt(out.splitlines()[3:], delimiter=",")
+            assert np.all(rows[:, 2] == 0.0), argv
+    assert runs == {}
+    # a warning still counts over the repetitions it names: one run's
+    # violations once per repetition
+    code, out, _ = run_cli(
+        capsys, "worst", "dpp", "--scenario", "1", "--alpha", "1000", "--T", "2000", "--reps", "3",
+        "--e1-min", "1", "--e1-max", "1.2", "--e1-step", "0.2",
+    )
+    assert code == 0
+    notes = [line.split(";")[0] for line in out.splitlines() if line.startswith("# WARNING")]
+    assert notes == [
+        "# WARNING: e1=1: 16287 DPP queue-cap violations over 3 reps",
+        "# WARNING: e1=1.2: 16266 DPP queue-cap violations over 3 reps",
+    ]
+    monkeypatch.setattr("congames.nash.iteration_cap", lambda game, epsilon: 1)
+    code, out, _ = run_cli(capsys, "nash", "--scenario", "1", "--e1-min", "1", "--e1-max", "1", "--reps", "4")
+    assert code == 0
+    assert "# WARNING: e1=1: best response did not converge in 4 of 4 reps" in out.splitlines()
+    assert runs.pop("iterate_best_response") == 1
+
+
+def test_a_max_term_the_samples_cannot_hold_is_refused_before_any_solver_runs(capsys, monkeypatch):
+    # the spec asks the max term's one check, so a worst-case sweep refuses
+    # --samples whose max-term vectors exceed the budget before any run
+    for name in ("run_dpp", "run_md_batch", "solve_a1"):
+        monkeypatch.setattr(f"congames.experiments.{name}", not_called)
+    for argv, need in (
+        (["worst", "md", "--scenario", "2", "--T", "200000", "--samples", "300000000"], "6866"),
+        (["worst", "dpp", "--scenario", "3", "--samples", "50000000"], "1144"),
+        (["worst", "a1", "--scenario", "3", "--samples", "50000000"], "1144"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: omega_max_mean run with n_samples={argv[-1]}, n=3 needs {need} MiB up front")
 
 
 def test_bad_grid_rejected(capsys):
@@ -647,14 +716,15 @@ def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch):
 def test_oversized_repetitions_are_refused_before_any_solver_runs(capsys, monkeypatch):
     for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
-    # 2 points x 166 reps x n = 3 float64 results fit 8000 bytes; 167 reps do not
+    # 2 points x 166 reps x n = 3 float64 results fit 8000 bytes; 167 reps do
+    # not (two samples keep the max term's 3 vectors within the budget too)
     monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 8 * 1000)
-    ScenarioSpec(2, "worst-md", [1.0, 2.0], repetitions=166)
+    ScenarioSpec(2, "worst-md", [1.0, 2.0], n_samples=2, repetitions=166)
     need = "sweep run with points x reps=334, n=3 needs 0 MiB up front"
     with pytest.raises(ValueError, match=need):
-        ScenarioSpec(2, "worst-md", [1.0, 2.0], repetitions=167)
+        ScenarioSpec(2, "worst-md", [1.0, 2.0], n_samples=2, repetitions=167)
     for solver in ("md", "dpp"):
-        grid = ("--e1-min", "1", "--e1-max", "2", "--e1-step", "1")
+        grid = ("--e1-min", "1", "--e1-max", "2", "--e1-step", "1", "--samples", "2")
         code, out, err = run_cli(capsys, "worst", solver, "--scenario", "2", *grid, "--reps", "167")
         assert (code, out) == (2, ""), solver
         assert err.startswith(f"error: {need}"), solver

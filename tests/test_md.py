@@ -31,7 +31,7 @@ from congames import (
 from congames.md import mw_update, omega_sup_sq_mean, require_positive, run_md_batch
 from congames.quantile import DEFAULT_DELTA, FD_WIDTH
 from congames.rng import OMEGA_STREAM, as_generator
-from conftest import LAWS, exp_game, full_omega
+from conftest import LAWS, exp_game, full_omega, md_preset_optimum
 
 
 def test_step_shift_invariance_and_hand_value():
@@ -229,22 +229,30 @@ def test_error_bound_example():
     assert md_error_bound(g, MdConfig(alpha=100.0, T=10**9)) == pytest.approx(2.5 / 200.0, abs=1e-6)
 
 
+def test_the_scenario_two_oracle_meets_the_closed_forms():
+    # g* = 3/4 at p = (0, 1/2, 1/2) for e1 <= 3/4 and g* = e1/2 at
+    # p = (1, 0, 0) for e1 >= 2, where the best directional derivatives are
+    # e1 - 3/4 and 1 - e1/2; between the plateaus the search alone gives it
+    for e1 in (0.1, 0.5, 0.75):
+        assert md_preset_optimum(e1) == pytest.approx(0.75, abs=1e-12)
+    for e1 in (2.0, 2.4):
+        assert md_preset_optimum(e1) == pytest.approx(e1 / 2, abs=1e-12)
+    assert md_preset_optimum(1.0) == pytest.approx(0.786508, abs=1e-6)
+    assert md_preset_optimum(1.5) == pytest.approx(0.871815, abs=1e-6)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sweep_reaches_the_closed_form_optima_of_scenario_two(seed):
-    # in scenario 2 g is concave, with g* = 3/4 at p = (0, 1/2, 1/2) for
-    # e1 <= 3/4 and g* = e1/2 at p = (1, 0, 0) for e1 >= 2: there the best
-    # directional derivatives are e1 - 3/4 and 1 - e1/2.  A run's expected
-    # gap is at most md_error_bound, and its value is estimated with stderr
+    # at every point of the default grid: a run's expected gap to the exact
+    # optimum g* (md_preset_optimum) is at most md_error_bound, and its
+    # value is estimated with stderr
     spec = ScenarioSpec(2, "worst-md", [0.1 + k * 0.1 for k in range(24)], seed=seed)
-    plateau = 0
-    for e1, value, stderr in run_scenario(spec).rows[:, :3]:
-        if 0.75 < e1 < 2.0:
-            continue
-        g_star = 0.75 if e1 <= 0.75 else e1 / 2
+    rows = run_scenario(spec).rows
+    assert len(rows) == 24
+    for e1, value, stderr in rows[:, :3]:
+        g_star = md_preset_optimum(e1)
         bound = md_error_bound(scenario_game(spec, e1), spec.config)
         assert g_star - bound - 3 * stderr <= value <= g_star + 3 * stderr + 1e-12, e1
-        plateau += 1
-    assert plateau == 12
 
 
 def test_error_bound_rejects_bad_alpha_and_rounds():
@@ -280,8 +288,9 @@ def test_oversized_sup_sq_estimate_fails_before_sampling(monkeypatch):
 
     monkeypatch.setattr(Exponential, "sample", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (0, 2, 1, 0))
-    # b + 2 = 4 vectors: B's two omega columns, the maximum and a product
-    need = r"omega_sup_sq_mean run with n_samples=100000000, n=3 needs 3052 MiB up front"
+    # b + 2 = 4 vectors: B's two omega columns, the maximum and a product,
+    # refused by the max term's one check
+    need = r"omega_max_mean run with n_samples=100000000, n=3 needs 3052 MiB up front"
     with pytest.raises(ValueError, match=need):
         omega_sup_sq_mean(g, n_samples=10**8)
     with pytest.raises(ValueError, match="n_samples must be >= 2"):
@@ -428,10 +437,9 @@ def test_chunked_batch_matches_unchunked(monkeypatch, runs_per_chunk, chunks):
 
 
 def test_batch_holds_its_draws_and_one_block():
-    # the batch holds its T x R x n draws; besides them, first one run's
-    # sampled omegas with their drawn column, then one block of exponents at
-    # the argmax (and numpy's 64 KiB broadcast buffer), never a second
-    # draw-sized array
+    # the batch holds its T x R x n draws; besides them, first the column
+    # being drawn into them, then one block of exponents at the argmax (and
+    # numpy's 64 KiB broadcast buffer), never a second draw-sized array
     R, T, n = 24, 10_000, 3
     games = [exp_game([0.3 + 0.1 * r, 1.0, 1.0], (0, 1, 2, 0)) for r in range(R)]
     run_md_batch(games, MdConfig(alpha=50.0, T=10), list(range(R)))  # leave numpy's one-time allocations out
@@ -441,7 +449,7 @@ def test_batch_holds_its_draws_and_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    extra = max(T * (n + 1) * 8, congames.md.ROUND_BLOCK_BYTES + 64 * 1024)
+    extra = max(T * 8, congames.md.ROUND_BLOCK_BYTES + 64 * 1024)
     assert peak <= T * R * n * 8 + extra + 32 * 1024
 
 
@@ -485,7 +493,8 @@ def test_oversized_runs_fail_before_sampling(monkeypatch):
     monkeypatch.setattr(congames.md, "sample_omega", no_draws)
     monkeypatch.setattr(congames.quantile, "sample_omega", no_draws)
     config = MdConfig(alpha=50.0, T=10**8)
-    with pytest.raises(ValueError, match=r"md run with T=100000000, n=3 needs 2289 MiB"):
+    # MD holds one run's T x n draws and the column being drawn into them
+    with pytest.raises(ValueError, match=r"md run with T=100000000, n=3 needs 3052 MiB"):
         run_md(exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)), config)
     # A1 holds B's one omega column and the column being drawn
     with pytest.raises(ValueError, match=r"a1 run with T=100000000, n=3 needs 1526 MiB"):

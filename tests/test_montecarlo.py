@@ -164,7 +164,7 @@ def test_strategy_stats_validation():
 def test_max_term_budget_does_not_grow_with_n(monkeypatch):
     # the sampled max term holds b + 2 n_samples vectors whatever n is: at
     # b = 2, 1000 samples need 32 000 bytes at n = 12, not 1000 x 12 draws
-    # (96 000)
+    # (96 000); both estimates refuse with the max term's one check
     g = exp_game([1.0] * 12, (0, 2, 10, 0))
     x = np.full(12, 1.0 / 12)
     monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 32_000)
@@ -174,7 +174,7 @@ def test_max_term_budget_does_not_grow_with_n(monkeypatch):
     need = "run with n_samples=1000, n=12 needs 0 MiB up front"
     with pytest.raises(ValueError, match="omega_max_mean " + need):
         omega_max_mean(x, g, n_samples=1000, rng=1)
-    with pytest.raises(ValueError, match="omega_sup_sq_mean " + need):
+    with pytest.raises(ValueError, match="omega_max_mean " + need):
         omega_sup_sq_mean(g, n_samples=1000, rng=1)
 
 def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
@@ -186,16 +186,18 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     monkeypatch.setattr(Exponential, "sample", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     score = Mixture([[1.0, 0.5, 0.5]], private=[0])
-    # a one-row mixture of A holds its one drawn column
-    with pytest.raises(ValueError, match="estimate_stats run with n_samples=200000000, n=3 needs 1526 MiB up front"):
+    # a one-row mixture of A holds its one drawn column and its threshold
+    # split: one product column and four masks
+    with pytest.raises(ValueError, match="estimate_stats run with n_samples=200000000, n=3 needs 3815 MiB up front"):
         estimate_stats(score, g, "A", n_samples=2 * 10**8)
     # B's two-row mixture: two drawn columns, the component draws, the
     # 3 columns of scores and the actions
     mixture = Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[1])
     with pytest.raises(ValueError, match="estimate_stats run with n_samples=100000000, n=3 needs 5341 MiB up front"):
         estimate_stats(mixture, g, "B", n_samples=10**8)
-    # the n world columns, each player's actions and the rewards
-    with pytest.raises(ValueError, match="simulate_payoff run with n_samples=100000000, n=3 needs 4578 MiB up front"):
+    # the n world columns, what each player's acting holds (A's threshold
+    # split, B's uniform draws beside its actions) and the rewards
+    with pytest.raises(ValueError, match="simulate_payoff run with n_samples=100000000, n=3 needs 5722 MiB up front"):
         simulate_payoff(score, Simplex([0.0, 1.0, 0.0]), g, n_samples=10**8)
     # B's omega column, the running maximum and a product
     need = r"run with n_samples=100000000, n=3 needs 2289 MiB up front"
@@ -205,21 +207,24 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     assert estimate_stats(Simplex([1.0, 0.0, 0.0]), g, "A", n_samples=10**8).p[0] == 1.0
     g0 = exp_game([1.0, 1.0, 1.0], (1, 0, 2, 0))
     assert omega_max_mean(np.full(3, 1.0 / 3.0), g0, n_samples=10**8) == (1.0 / 3.0, 0.0)
-    # an A turn's estimate holds one column, but the run's worlds hold both
-    # private columns, which the run counts before it draws them
-    code = main(["nash", "--scenario", "3", "--samples", "100000000"])
+    # an A turn's estimate reads one column beside its threshold split
+    # (954 MiB here), but the run's worlds hold both private columns, which
+    # the run counts, with the split beside them, before it draws them
+    code = main(["nash", "--scenario", "3", "--samples", "50000000"])
     assert code == 2
-    assert "nash run with n_samples=100000000, n=3 needs 1526 MiB up front" in capsys.readouterr().err
+    assert "nash run with n_samples=50000000, n=3 needs 1335 MiB up front" in capsys.readouterr().err
 
 
 def test_estimate_budget_counts_what_the_estimate_holds(monkeypatch):
-    # 1000 rows of the drawn columns, and on the batch path the actions,
-    # with a mixture's component draws and scores; not 1000 x n floats
+    # 1000 rows of the drawn columns and either a one-row mixture's
+    # threshold split (a product column and four masks of 1/8 column) or
+    # what acting holds: a threshold's actions, mask and tail draws, a
+    # mixture's component draws, scores and actions; not 1000 x n floats
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     cases = [
-        (Mixture([[1.0, 0.5, 0.5]], private=[0]), "A", 1),
-        (Mixture([[1.0, 0.5, 0.5]], private=[1]), "B", 2),
-        (QuantileThreshold(0.5, [0.5, 0.5]), "A", 2),
+        (Mixture([[1.0, 0.5, 0.5]], private=[0]), "A", 1 + 1.5),
+        (Mixture([[1.0, 0.5, 0.5]], private=[1]), "B", 2 + 1.5),
+        (QuantileThreshold(0.5, [0.5, 0.5]), "A", 1 + 3.125),
         (Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[0]), "A", 6),
     ]
     for strategy, player, columns in cases:
@@ -231,16 +236,18 @@ def test_estimate_budget_counts_what_the_estimate_holds(monkeypatch):
 
 
 def test_simulation_budget_counts_what_the_simulation_holds(monkeypatch):
-    # 1000 rows of the n world columns, each player's actions, with a
-    # multi-row mixture's component draws and scores, and the rewards
+    # 1000 rows of the n world columns, what each player's acting holds (a
+    # simplex's uniform draws and actions, a one-row mixture's threshold
+    # split, a threshold's actions, mask and tail draws, a multi-row
+    # mixture's component draws, scores and actions) and the rewards
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     score_a = Mixture([[1.0, 0.5, 0.5]], private=[0])
     mixture_a = Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[0])
     mixture_b = Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[1])
     cases = [
-        (Simplex([0.2, 0.3, 0.5]), Simplex([0.0, 1.0, 0.0]), 3 + 1 + 1 + 1),
-        (score_a, Mixture([[1.0, 0.5, 0.5]], private=[1]), 3 + 1 + 1 + 1),
-        (QuantileThreshold(0.5, [0.5, 0.5]), mixture_b, 3 + 1 + 5 + 1),
+        (Simplex([0.2, 0.3, 0.5]), Simplex([0.0, 1.0, 0.0]), 3 + 2 + 2 + 1),
+        (score_a, Mixture([[1.0, 0.5, 0.5]], private=[1]), 3 + 1.5 + 1.5 + 1),
+        (QuantileThreshold(0.5, [0.5, 0.5]), mixture_b, 3 + 3.125 + 5 + 1),
         (mixture_a, mixture_b, 3 + 5 + 5 + 1),
     ]
     for strategy_a, strategy_b, columns in cases:
