@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import DRAW_CHUNK
+
 __all__ = [
     "Exponential",
     "Uniform",
@@ -207,11 +209,13 @@ class Discrete:
         return float(np.dot(np.square(vals), self.probs))
 
     def sample(self, rng: np.random.Generator, size=None):
-        # the uniforms are freed once searched, and take's clip folds a
-        # uniform past the last cumulative probability onto the last atom,
-        # so at most two draw-sized arrays exist at once
-        idx = np.searchsorted(self._cum_probs, rng.random(size=size), side="left")
-        out = self._sorted_values.take(idx, mode="clip")
+        # the output is filled DRAW_CHUNK uniforms at a time, which draws the
+        # stream of one call, so a draw holds one draw-sized array; take's
+        # clip folds a uniform past the last cumulative probability onto the
+        # last atom
+        out = np.empty(() if size is None else size)
+        for chunk in np.split(out.reshape(-1), range(DRAW_CHUNK, out.size, DRAW_CHUNK)):
+            self._sorted_values.take(np.searchsorted(self._cum_probs, rng.random(chunk.size)), mode="clip", out=chunk)
         return out if size is not None else float(out)
 
 

@@ -22,18 +22,17 @@ once, the settings the solver reads, their defaults and their checks.  The
 spec holds one config, which the sweep hands to the solver as it is, and
 the CLI offers each command its config's fields as flags.  A worst-case
 spec also asks the max term's check
-(:func:`congames.worstcase._check_max_term`), so a ``n_samples`` the max
-term cannot hold is refused before any solver runs.
+(:func:`congames.worstcase._check_max_term`), and a DPP spec the check of
+the estimate that evaluates its runs' mixtures, so a ``n_samples`` the
+evaluation cannot hold is refused before any solver runs.
 
 :func:`run_scenario` works out each point's runs from the preset, once:
 one seed per repetition, or only repetition 0's seed where the partition
 has no private block.  It runs one loop over the points for every solver;
 the solver picks only the header, the notes and the function that makes a
 point's row and counts its failures (:func:`_nash_row` or
-:func:`_worst_point`, each folding the point's runs, one per seed).  Mirror
-descent runs every run of the sweep as one batch
-(:func:`congames.md.run_md_batch`) before the points are evaluated; the
-other solvers run point by point.  Identical spec + seed reproduces the
+:func:`_worst_point`, each running and folding the point's runs, one per
+seed, independent of each other).  Identical spec + seed reproduces the
 table byte for byte.  A point whose DPP runs broke the queue cap, or whose
 best-response runs did not converge, gets a ``WARNING`` note counting over
 the repetitions (one run's count times the repetitions where one run stands
@@ -53,12 +52,12 @@ from .dpp import DppConfig
 from .dpp import run as run_dpp
 from .explicit import explicit_solution
 from .game import GameInstance, Partition, check_count, check_setting, check_upfront_budget
-from .md import MdConfig, run_md_batch
-from .montecarlo import DEFAULT_SAMPLES, estimate_stats, expected_utility, simulate_payoff
+from .md import MdConfig, run_md
+from .montecarlo import DEFAULT_SAMPLES, _check_estimate_budget, estimate_stats, expected_utility, simulate_payoff
 from .nash import NashConfig, iterate_best_response
 from .quantile import solve_a1
 from .rng import check_seed
-from .strategies import Strategy
+from .strategies import Strategy, _mixture_columns
 from .worstcase import _check_max_term, worst_case_objective, worst_case_utility
 
 __all__ = [
@@ -112,8 +111,11 @@ class ScenarioSpec:
     preset lets B observe a resource samples its max term, so its
     ``n_samples`` must also pass that term's one check
     (:func:`~congames.worstcase._check_max_term`: at least 2, and b + 2
-    vectors within the budget).  All are checked here, before any solver
-    runs, so a count of 2.5 or NaN is refused here too.
+    vectors within the budget), and a worst-case DPP sweep's must pass the
+    check of the estimate that evaluates each run's T-row mixture
+    (:func:`~congames.montecarlo._check_estimate_budget`).  All are checked
+    here, before any solver runs, so a count of 2.5 or NaN is refused here
+    too.
     """
 
     scenario: int
@@ -149,6 +151,9 @@ class ScenarioSpec:
             raise ValueError(reason)
         if self.solver != "nash":
             _check_max_term(self.partition, self.n_samples)
+        if self.solver == "worst-dpp" and self.partition.a:  # the evaluation samples A's T-row mixture
+            acting = _mixture_columns(self.config.T, self.partition.a, self.partition.n)
+            _check_estimate_budget(self.partition, "A", self.n_samples, acting)
 
     @property
     def partition(self) -> Partition:
@@ -212,34 +217,21 @@ def _nash_row(spec: ScenarioSpec, game: GameInstance, seeds):
     return np.mean(acc, axis=0), unconverged
 
 
-def _md_solutions(spec: ScenarioSpec, games, seeds) -> np.ndarray:
-    """One mirror-descent run per seed of each point, all stepped as one
-    batch; entry [point, k] is the average iterate of the point's k-th
-    seed."""
-    ps = run_md_batch(
-        [game for game, point_seeds in zip(games, seeds) for _ in point_seeds],
-        spec.config,
-        [seed for point_seeds in seeds for seed in point_seeds],
-    )
-    return ps.reshape(len(games), len(seeds[0]), -1)
-
-
-def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
+def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds):
     """The point's row for the selected worst-case solver, folded over its
     runs (one per seed), and the number of queue-cap violations of its DPP
     runs (0 for the other solvers).
 
     The row is the mean value; its standard error (the spread of the values
     over the runs when there are several, the one run's own stderr
-    otherwise); the mean p; and the least and greatest value.  worst-md
-    only evaluates: ``md_ps`` holds the point's average iterates, one row
-    per seed, from :func:`_md_solutions`.  A point of a preset with no
-    private block has one seed (:func:`run_scenario`), whose run is exact:
-    its row has stderr 0 and value_min == value_max == value.
+    otherwise); the mean p; and the least and greatest value.  A point of
+    a preset with no private block has one seed (:func:`run_scenario`),
+    whose run is exact: its row has stderr 0 and value_min == value_max ==
+    value.
     """
     values, ps = [], []
     violations = 0
-    for rep, seed in enumerate(seeds):
+    for seed in seeds:
         if spec.solver == "worst-explicit":
             sol = explicit_solution(game.means)
             p, value, stderr = sol.p, sol.value, 0.0
@@ -249,7 +241,7 @@ def _worst_point(spec: ScenarioSpec, game: GameInstance, seeds, md_ps=None):
             ev = worst_case_utility(mixture, game, spec.n_samples, seed)
             p, value, stderr = ev.stats.p, ev.value, ev.stderr
         elif spec.solver == "worst-md":
-            p = md_ps[rep]
+            p = run_md(game, spec.config, seed)
             value, stderr = worst_case_objective(p, game, n_samples=spec.n_samples, rng=seed)
         else:  # worst-a1
             p, value, stderr = solve_a1(game, spec.config, seed, spec.n_samples)
@@ -272,10 +264,9 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
     still names ``reps``, and a warning counts that run's failures once per
     repetition."""
     n = spec.partition.n
-    games = [scenario_game(spec, e1) for e1 in spec.e1_values]
     # seed [point][k] of each run, handed to whichever function runs it
     runs = spec.repetitions if spec.partition.a or spec.partition.b else 1
-    seeds = [[_rep_seed(spec, i, rep) for rep in range(runs)] for i in range(len(games))]
+    seeds = [[_rep_seed(spec, i, rep) for rep in range(runs)] for i in range(len(spec.e1_values))]
     if spec.solver == "nash":
         header = (
             ("e1", "utility_a", "utility_b", "potential")
@@ -284,10 +275,7 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
         )
         notes = [f"nash sweep: epsilon={spec.config.epsilon:g} reps={spec.repetitions} seed={spec.seed}"]
         warning = "best response did not converge in {} of {} reps"
-
-        def point_row(i):
-            return _nash_row(spec, games[i], seeds[i])
-
+        point_row = _nash_row
     else:
         header = (
             ("e1", "value", "stderr")
@@ -301,14 +289,10 @@ def run_scenario(spec: ScenarioSpec) -> SweepTable:
         # the cap holds by theorem when alpha >= V^2; a point that broke it
         # has no certified error bound
         warning = "{} DPP queue-cap violations over {} reps; the error bound is not certified"
-        md_ps = _md_solutions(spec, games, seeds) if spec.solver == "worst-md" else None
-
-        def point_row(i):
-            return _worst_point(spec, games[i], seeds[i], None if md_ps is None else md_ps[i])
-
+        point_row = _worst_point
     rows = []
-    for i, e1 in enumerate(spec.e1_values):
-        row, failures = point_row(i)
+    for e1, point_seeds in zip(spec.e1_values, seeds):
+        row, failures = point_row(spec, scenario_game(spec, e1), point_seeds)
         if failures:
             count = failures * spec.repetitions // runs  # over the repetitions the runs stand for
             notes.append(f"WARNING: e1={e1:.9g}: " + warning.format(count, spec.repetitions))

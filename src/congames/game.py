@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import RewardDistribution
-from .rng import as_generator, is_integer
+# the round kernels read DRAW_CHUNK from here, beside their other helpers
+from .rng import DRAW_CHUNK, as_generator, is_integer
 
 __all__ = [
     "Partition",
@@ -44,10 +45,6 @@ __all__ = [
     "check_count",
 ]
 
-# rows that a solver's round kernel converts to Python floats at a time
-# (at most n floats a row, under 160 KiB at n = 3, less than a short run's
-# draws)
-DRAW_CHUNK = 1024
 # the solvers refuse a run whose draws and history, allocated before the
 # first round, would exceed this
 UPFRONT_BUDGET_BYTES = 2**30
@@ -262,6 +259,42 @@ def argmax_chain(index: str, values: list[str]) -> list[str]:
         if j < len(values) - 1:
             lines.append(f"                best = {value}")
     return lines
+
+
+def _sum(terms: list[str]) -> str:
+    """Source adding ``terms`` in the order numpy sums a contiguous float64
+    row.
+
+    Left to right from 0.0 below 8 terms, where numpy's order is that too
+    and a chain costs less than building an array; from 8 terms on, numpy's
+    own sum of the list.  (The builtin ``sum`` is left to right only before
+    Python 3.12.)
+    """
+    if len(terms) >= 8:
+        return f"float(np.sum([{', '.join(terms)}]))"
+    return " + ".join(["0.0", *terms])
+
+
+def mw_source(c: list[str], e: list[str], P: list[str], pad: str = "            ") -> list[str]:
+    """Source lines of a kernel round's multiplicative-weights step: the
+    weights ``e`` = ``P`` exp(``c``), shifted by the largest exponent (the
+    first of equal ones, as ``max`` takes it) and indented by ``pad``,
+    then, in the body of the row loop, the iterate ``P`` = ``e`` / their
+    sum (:func:`_sum`), which raises through ``require_positive`` where
+    every weight underflowed.  Each exponential is one scalar ``exp``
+    call, skipped where the exponent is exactly 0, as exp(0) is exactly 1.
+    """
+    lines = [f"{pad}# a value-invariant shift against overflow", f"{pad}shift = {c[0]}"]
+    for ck in c[1:]:
+        lines += [f"{pad}if {ck} > shift:", f"{pad}    shift = {ck}"]
+    return lines + [
+        f"{pad}# exp(0) is exactly 1, and the shift's own exponent is exactly 0",
+        *(f"{pad}{ek} = {pk} if (d := {ck} - shift) == 0.0 else float(exp(d)) * {pk}" for ck, ek, pk in zip(c, e, P)),
+        f"            norm = {_sum(e)}",
+        "            if norm == 0.0:  # every weight underflowed",
+        f"                require_positive([{', '.join(e)}])",
+        *(f"            {pk} = {ek} / norm" for ek, pk in zip(e, P)),
+    ]
 
 
 def check_upfront_budget(solver: str, T: int, n: int, arrays: float = 1, rows: str = "T"):

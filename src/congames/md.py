@@ -18,74 +18,75 @@ start; its expected suboptimality is at most
 
     C / (2 alpha) + alpha ln(n) / T,    C = 2 max(E)^2 + E[max_k omega_k^2]/2.
 
-All runs of a sweep share one config (alpha and T) and n, and are
-independent, so :func:`run_md_batch` steps them together: the iterates are
-the rows of an (R, n) array, and one round serves all R runs.  A round does
-only the work that depends on the iterate.  The exponent of each resource is
-its gradient over alpha: w / alpha off the argmax, (w - omega/2) / alpha
-at it.  The first is computed once per chunk of runs, the second once per
-block of rounds (at most :data:`ROUND_BLOCK_BYTES` of them), and the round
-picks between them at each row's argmax of p * omega with ``np.where``.
-:func:`mw_update` then shifts, exponentiates, weights and normalizes the
-exponents in place, calling ``np.maximum.reduce`` and ``np.add.reduce``
-directly, the ufuncs that ``.max()`` and ``.sum()`` reach through Python
-wrappers.  These are the bits of dividing the selected gradient by alpha
-(the same two operations on the same floats), and every row gets the bits
-it would get alone: the update is elementwise, and the row reductions
-(max, sum, argmax with the lowest index on ties) see one row at a time.
-:func:`run_md` is a batch of one.  The update stays on ``np.exp``:
-``math.exp`` differs from it in the last bit on some inputs, which would
-change every later iterate.
-Each run's omega draws are still sampled in one call of size T from its own
-seed, an argument of the run apart from the config; the batch holds them in
-one T x R' x n array for a chunk of R' runs whose draws fit
-:data:`BATCH_DRAW_BYTES`, so a sweep's memory stays bounded however many
-points and repetitions it has.  The array is filled with each run's weights
-once, and :func:`~congames.game.sample_omega` writes the run's B block, its
-only random columns (0..b-1, as a == 0), over them in place, so a run holds
-its T x n draws and one column being drawn, which is what the batch counts
-against the up-front budget.
+The T rounds of :func:`run_md` are one straight-line function, generated
+from the integers n and b alone and compiled once per (n, b)
+(``_round_kernel``, registered with :mod:`linecache` as
+``<md round kernel n=3 b=1>`` and so on), like the drift-plus-penalty and
+A1 rounds: at n = 3 a numpy call costs more in dispatch than the
+arithmetic on n floats.  Each iterate entry and running total is a local
+float, the argmax of p * omega is a chain of comparisons, and the update
+is written out per entry.  The kernel reads B's omega columns, the random
+ones and the only ones :func:`~congames.game.sample_omega` draws (columns
+0..b-1, as a == 0), as lists :data:`~congames.game.DRAW_CHUNK` rows at a
+time; every other omega entry is the constant weight w_k.
 
-The loop runs the unchecked :func:`mw_update` and checks positivity once,
-after the last round: a zero or NaN entry is absorbing under the update
-(0 * exp(.) stays 0, NaN spreads through the normalization), so it would
-still be there.
+Most rounds take no exponential.  With s = w / alpha, t = (w - w/2) / alpha
+and M = max s: a round whose argmax k is not the unique largest s has the
+shift M, since its exponent at k is at most s_k and some other s_j equals
+M.  Its exponents off the argmax are the constants s_j, so it multiplies
+each entry there by F_j = exp(s_j - M), taken before the loop; at a
+constant argmax it multiplies by G_k = exp(t_k - M), also taken before
+the loop, and at an argmax in B's block by one scalar ``np.exp`` of its
+exponent less M.  A round whose argmax is the unique largest s shifts its
+exponents by their largest and takes each exponential with one scalar
+``np.exp`` call, skipping an exponent of exactly 0.  Every bit is what the
+array update gives: ``np.exp`` on a Python float runs the ufunc loop an
+array would (``math.exp`` differs from it in the last bit on some inputs,
+which would change every later iterate), ``exp(0.0)`` is exactly 1, and
+the normalizer is added in numpy's order (:func:`~congames.game._sum`).
 
-:func:`congames.quantile.solve_a1` steps one run at a time on Python
-floats, where numpy's per-call dispatch would cost more than the arithmetic
-on n floats, and writes the same update out in its generated round, adding
-its normalizer in numpy's order.
+A round whose every weight underflows to 0 raises at once; otherwise the
+iterate's positivity is checked once, after the last round: a zero or NaN
+entry is absorbing under the update (0 * exp(.) stays 0, NaN spreads
+through the normalization), so it would still be there.  A run holds B's
+T x b omega draws and the column being drawn, which it counts against the
+up-front budget.
+
+:func:`congames.quantile.solve_a1` writes the same update out in its own
+generated round, with the frontier in place of resource 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_count, check_setting, check_upfront_budget, sample_omega
+from .game import (
+    DRAW_CHUNK,
+    GameInstance,
+    argmax_chain,
+    check_count,
+    check_setting,
+    check_upfront_budget,
+    chunk_loop,
+    compile_kernel,
+    kernel_columns,
+    mw_source,
+    sample_omega,
+)
 from .rng import OMEGA_STREAM, as_generator
 from .worstcase import _check_max_term, omega_maxima
 
 __all__ = [
     "MdConfig",
-    "mw_update",
     "require_positive",
     "run_md",
-    "run_md_batch",
     "md_error_bound",
     "omega_sup_sq_mean",
 ]
-
-# omega-draw bytes that run_md_batch samples and steps at a time (always at
-# least one run): at T = 10 000, n = 3 about 140 runs, past which the cost
-# per run falls little
-BATCH_DRAW_BYTES = 32 * 2**20
-# bytes of the exponents at the argmax, (w - omega/2) / alpha, that a chunk
-# computes a block of rounds at a time (always at least one round): 170
-# rounds of 8 runs at n = 3, small enough to leave a sweep's peak RSS as it was
-ROUND_BLOCK_BYTES = 32 * 2**10
 
 
 @dataclass(frozen=True)
@@ -111,85 +112,78 @@ def require_positive(p):
         raise ValueError("mirror-descent iterates must be strictly positive")
 
 
-def mw_update(p: np.ndarray, expo: np.ndarray) -> np.ndarray:
-    """Bare multiplicative-weights step p * exp(expo), renormalized, unchecked.
-
-    ``expo`` holds the exponents, the ascent gradient over alpha, in an
-    array of p's shape: one iterate (n,) or a batch (R, n), stepped
-    row-wise.  The step is written into ``expo``, which is returned.
-    """
-    expo -= np.maximum.reduce(expo, axis=-1, keepdims=True)  # value-invariant shift against overflow
-    np.exp(expo, out=expo)
-    expo *= p
-    expo /= np.add.reduce(expo, axis=-1, keepdims=True)
-    return expo
-
-
 def run_md(game: GameInstance, config: MdConfig, seed: int = 0) -> np.ndarray:
     """Average mirror-descent iterate after T rounds (uniform start
-    included), with the omega draws of ``seed``."""
-    return run_md_batch([game], config, [seed])[0]
+    included), with the omega draws of ``seed``.
 
-
-def run_md_batch(games, config: MdConfig, seeds) -> np.ndarray:
-    """:func:`run_md` for each (game, seed) pair under one config, stepped
-    as one batch.
-
-    Returns the (R, n) average iterates, row r bit-identical to
-    ``run_md(games[r], config, seeds[r])``.  Every run needs a == 0, and all
-    games must share n.  Runs are stepped in chunks whose draws fit
-    :data:`BATCH_DRAW_BYTES`.  Raises ValueError, before drawing anything,
-    when one run's T x n draws and the column being drawn into them, all a
-    one-run chunk holds besides a few vectors and one block, exceed
+    Needs a == 0.  Raises ValueError, before drawing anything, when B's
+    T x b omega draws and the column being drawn exceed
     :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
     """
-    games, seeds = list(games), list(seeds)
-    if not games or len(games) != len(seeds):
-        raise ValueError("need one seed per game and at least one run")
-    if any(game.partition.a != 0 for game in games):
+    if game.partition.a != 0:
         raise ValueError("mirror descent applies only when player A has no private block")
-    n = games[0].n
-    if any(game.n != n for game in games):
-        raise ValueError("batched runs must share n")
-    # one run's T x n draws and the column being drawn into them
-    check_upfront_budget("md", config.T, n, (n + 1) / n)
-    per_chunk = max(1, BATCH_DRAW_BYTES // (config.T * n * 8))
-    return np.concatenate(
-        [
-            _run_chunk(games[s : s + per_chunk], config, seeds[s : s + per_chunk])
-            for s in range(0, len(games), per_chunk)
-        ]
-    )
-
-
-def _run_chunk(games, config: MdConfig, seeds) -> np.ndarray:
-    """The mirror-descent loop over the (R, n) iterates of one chunk."""
-    R, n = len(games), games[0].n
-    alpha, T = config.alpha, config.T
-    weights = np.array([game.weights for game in games])
-    # omega is the weights but on B's block, columns 0..b-1 as a == 0
-    draws = np.empty((T, R, n))
-    draws[:] = weights
-    for r, (game, seed) in enumerate(zip(games, seeds)):
-        sample_omega(game, as_generator(seed, OMEGA_STREAM), T, out=draws[:, r, : game.partition.b])
-    miss = weights / alpha  # the exponents off the argmax
-    cols = np.arange(n)
-    per_block = max(1, ROUND_BLOCK_BYTES // (R * n * 8))
-    hits = np.empty((min(per_block, T), R, n))  # one block's exponents at the argmax
-
-    p = np.full((R, n), 1.0 / n)
-    total = np.zeros((R, n))
-    for start in range(0, T, per_block):
-        block = draws[start : start + per_block]
-        block_hits = np.multiply(block, 0.5, out=hits[: len(block)])
-        np.subtract(weights, block_hits, out=block_hits)
-        block_hits /= alpha
-        for omega, hit in zip(block, block_hits):
-            total += p
-            top = (p * omega).argmax(axis=-1, keepdims=True)
-            p = mw_update(p, np.where(cols == top, hit, miss))
+    n, b, T = game.n, game.partition.b, config.T
+    # B's T x b omega draws and the column being drawn
+    check_upfront_budget("md", T, n, (b + 1) / n)
+    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=T)
+    p, total = _round_kernel(n, b)(kernel_columns(omegas), T, game.weights.tolist(), config.alpha)
     require_positive(p)
-    return total / T
+    return np.array(total) / T
+
+
+@functools.lru_cache
+def _round_kernel(n: int, b: int):
+    """The T rounds of :func:`run_md` for n resources, the first b private
+    to B, as one straight-line function compiled from generated source.
+
+    Each iterate entry and running total is a local float (``P0``, ``S0``,
+    ...), the argmax is a chain of ``if s > best``
+    (:func:`~congames.game.argmax_chain`), and each sum is written out in
+    numpy's order (:func:`~congames.game._sum`).  Only the integers n and b
+    enter the source.  The function takes a view of B's T x b omega columns
+    (:func:`~congames.game.kernel_columns`), T, the weights and alpha, and
+    returns the last iterate and the iterates' sums as lists.  A round
+    whose argmax ``top`` is not ``unique``, the resource with the unique
+    largest s (-1 when the largest is tied), is shifted by M: it takes its
+    factors from F, and from G at a constant argmax (all taken by one
+    ``np.exp`` call before the loop), and one ``np.exp`` call at an argmax
+    in B's block.  A round at ``unique`` shifts its
+    exponents by their largest, as ``max`` would, and takes each
+    exponential with one ``np.exp`` call, skipped where the exponent is 0.
+    """
+    o, w, s, t, c, e, F, G, P, S = ([f"{name}{k}" for k in range(n)] for name in "owstceFGPS")
+    at_top = [f"({w[k]} - 0.5 * {o[k]}) / alpha" if k < b else t[k] for k in range(n)]
+    # the factor at the argmax of a round shifted by M
+    folded = [f"float(exp({at_top[k]} - M))" if k < b else G[k] for k in range(n)]
+    lines = [
+        "def md_rounds(omegas, T, w, alpha):",
+        f"    ({', '.join(w)},) = w",
+        *(f"    {s[k]} = {w[k]} / alpha" for k in range(n)),
+        "    # the argmax's exponents where omega is constant",
+        *(f"    {t[k]} = ({w[k]} - 0.5 * {w[k]}) / alpha" for k in range(b, n)),
+        f"    ss = [{', '.join(s)}]",
+        "    M = max(ss)",
+        "    unique = ss.index(M) if ss.count(M) == 1 else -1",
+        "    # the factors of a round whose argmax is not the unique largest s",
+        f"    {', '.join(F + G[b:])}, = exp([{', '.join(f'{x} - M' for x in s + t[b:])}]).tolist()",
+        f"    {' = '.join(P)} = 1.0 / {n}",
+        f"    {' = '.join(S)} = 0.0",
+        "    for start in range(0, T, DRAW_CHUNK):",
+        "        stop = start + DRAW_CHUNK",
+        chunk_loop({"omegas": o[:b]}),
+        *(f"            {S[k]} += {P[k]}" for k in range(n)),
+        "            # the argmax of p * omega",
+        *argmax_chain("top", [f"{P[k]} * {o[k] if k < b else w[k]}" for k in range(n)]),
+        "            if top != unique:",
+        *(f"                {e[k]} = ({folded[k]} if top == {k} else {F[k]}) * {P[k]}" for k in range(n)),
+        "            else:",
+        "                # the exponents, the ascent gradient over alpha: the argmax loses half its omega",
+        *(f"                {c[k]} = {at_top[k]} if top == {k} else {s[k]}" for k in range(n)),
+        *mw_source(c, e, P, pad="                "),
+        f"    return [{', '.join(P)}], [{', '.join(S)}]",
+    ]
+    namespace = {"np": np, "exp": np.exp, "require_positive": require_positive, "DRAW_CHUNK": DRAW_CHUNK}
+    return compile_kernel("\n".join(lines) + "\n", f"<md round kernel n={n} b={b}>", "md_rounds", namespace)
 
 
 def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):

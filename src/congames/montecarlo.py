@@ -18,21 +18,20 @@ private block, so it draws only those, and observes the block through a
 view.  A caller that estimates many strategies on one seed can hand
 :func:`estimate_stats` a ``worlds`` source that draws those worlds once, on
 first use, and returns the same array afterwards; it must return at least
-the columns read.  Iterative best response does, so each of its runs
-samples its worlds at most once.  A one-row mixture (every best response)
-is counted from the threshold masks of
-:func:`congames.strategies._threshold_split`, with no action array; the
-counts and the averaged products are those of the action array, so every
-bit is the same.  A call that would sample is refused up front
-(:func:`congames.game.check_upfront_budget`) when what it holds exceeds the
-budget: the n_samples rows of the columns it draws and what acting holds at
-its peak (:func:`congames.strategies._acting_columns`): a simplex's uniform
-draws beside its actions, a threshold's mask and tail draws, a multi-row
-mixture's component draws and n_samples x n scores, and a one-row
-mixture's threshold split, which also serves its masks.
-:func:`simulate_payoff` counts by the same rule, for all n world columns,
-what both players' acting holds and the reward vector, which it halves in
-place where the players collide.
+the columns read.  Iterative best response does, so each of its runs samples
+its worlds at most once.  A one-row mixture (every best response) is counted
+from the threshold masks of :func:`congames.strategies._threshold_split`,
+with no action array; the counts and the averaged products are those of the
+action array, so every bit is the same.  A call that would sample is refused
+up front (:func:`_check_estimate_budget`, which a worst-case DPP sweep's
+spec asks too) when what it holds exceeds the budget: the n_samples rows of
+the columns it draws and what acting holds at its peak
+(:func:`congames.strategies._acting_columns`): a simplex's uniform draws
+beside its actions, a threshold's mask and tail draws, a multi-row mixture's
+component draws and n_samples x n scores, and a one-row mixture's threshold
+split, which also serves its masks.  :func:`simulate_payoff` counts by the
+same rule, for all n world columns, what both players' acting holds and the
+reward vector, which it halves in place where the players collide.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, check_count, check_upfront_budget, sample_world
+from .game import GameInstance, Partition, check_count, check_upfront_budget, sample_world
 from .rng import ACTION_A_STREAM, ACTION_B_STREAM, WORLD_STREAM, is_integer, stream_generators
 from .strategies import (
     Mixture,
@@ -157,11 +156,7 @@ def estimate_stats(
         return StrategyStats(player, p, np.zeros(0))
 
     columns = private[-1] + 1  # the private block is a range ending here
-    # what the estimate holds: the drawn columns and what acting holds, which
-    # for a one-row mixture is its threshold split, whose masks count the picks
-    one_row = isinstance(strategy, Mixture) and len(strategy) == 1
-    held = columns + _acting_columns(strategy, n)
-    check_upfront_budget("estimate_stats", n_samples, n, held / n, rows="n_samples")
+    _check_estimate_budget(game.partition, player, n_samples, _acting_columns(strategy, n))
     streams = (WORLD_STREAM, _action_stream(player))
     # an int seed's streams are built only where read; a Generator is split
     # on every sampling call, so its later spawns stay where they were, and
@@ -181,13 +176,28 @@ def estimate_stats(
             f"(n_samples) and at least {columns} columns"
         )
     obs = drawn[:, private[0] : columns]
-    if one_row:
+    if isinstance(strategy, Mixture) and len(strategy) == 1:  # its threshold split counts its picks
         p, q = _threshold_stats(strategy.values[0], private, obs, n)
         return StrategyStats(player, p, q)
     actions = batch_actions(strategy, obs, generator(1))
     p = np.bincount(actions, minlength=n) / n_samples
     q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
     return StrategyStats(player, p, q)
+
+
+def _check_estimate_budget(partition: Partition, player: str, n_samples: int, acting: float):
+    """Refuse, before anything is drawn, a sampled estimate of ``player``'s
+    statistics whose n_samples rows of the columns it draws (those up to
+    the end of the player's private block) and of the ``acting`` columns
+    that acting holds beside them
+    (:func:`~congames.strategies._acting_columns`) exceed the up-front
+    budget.  The one statement of the rule:
+    :func:`estimate_stats` asks it, and so does the spec of a worst-case DPP
+    sweep, whose evaluation estimates A's stats of a T-row mixture where A
+    observes a resource (a mixture of a player who observes none is exact).
+    """
+    held = partition.private_set(player)[-1] + 1 + acting
+    check_upfront_budget("estimate_stats", n_samples, partition.n, held / partition.n, rows="n_samples")
 
 
 def _threshold_stats(values, private, obs, n):

@@ -21,37 +21,36 @@ continuous laws of the catalog (exponential and uniform).  Only those two
 answer quantile and tail-mean queries: the frontier, and with it the
 threshold construction, refuses a point mass or a discrete law up front.
 
-Unlike :func:`congames.md.run_md_batch`, :func:`solve_a1` steps one run at
-a time, on Python floats, like the drift-plus-penalty loop: its T rounds
-are one straight-line function, generated from the integers n and b alone
-and compiled once per (n, b) (``_round_kernel``, registered with
-:mod:`linecache` as ``<a1 round kernel n=3 b=1>`` and so on).  Each
-iterate entry and running total is a local float, the argmax of
-x * omega and the shift of the exponents are chains of comparisons, and
-the gradient (scaled by the frontier slope on resource 0), the
-multiplicative-weights step of :func:`congames.md.mw_update` and the
-projection are written out per entry, because a local costs less than a
-list subscript at n = 3.  The exponents off the argmax, w_k / alpha, are
-computed once before the loop, and so are those at the argmax wherever
-omega_k is the constant w_k: everywhere but B's block, resource 0
-included.
-Every bit is what the numpy update gives: each exponential is one
-``np.exp`` call on a Python float, which runs the ufunc loop an array
-would (``math.exp`` differs from it in the last bit on some inputs), save
-that an exponent of exactly 0, the shift's own among them, is taken as 1,
-which is what ``np.exp(0.0)`` gives; and the normalizer and the
-projection's sum are added in numpy's order (left to right below 8
-entries, numpy's own sum of the list from 8 on; see ``_sum``).  A round
-writes q(p0) and the central difference of :meth:`TailFrontier.slope` out
-in place, from three scalar ``tail_mean`` calls on ``math`` (``np.log1p``,
-which a batch would need, differs from ``math.log1p`` in the last bit on
-some inputs), and reads B's omega columns, the random ones and the only
-ones :func:`~congames.game.sample_omega` draws, as lists
-:data:`~congames.game.DRAW_CHUNK` rows at a time.  So at n = 3 a round
-with finite exponents makes at most two ``np.exp`` calls, none building an
-array, and three Python-level calls, all to the law's ``tail_mean``.  Like
-the other solvers it refuses, before sampling, a run whose T x b omega
-draws, with the column being drawn, exceed
+:func:`solve_a1` steps one run at a time, on Python floats, like the
+mirror-descent and drift-plus-penalty loops: its T rounds are one
+straight-line function, generated from the integers n and b alone and
+compiled once per (n, b) (``_round_kernel``, registered with
+:mod:`linecache` as ``<a1 round kernel n=3 b=1>`` and so on).  Each iterate
+entry and running total is a local float, the argmax of x * omega and the
+shift of the exponents are chains of comparisons, and the gradient (scaled
+by the frontier slope on resource 0), the multiplicative-weights step
+(:func:`~congames.game.mw_source`, which mirror descent's round writes too)
+and the projection are written out per entry, because a local costs less
+than a list subscript at n = 3.  The exponents off the argmax, w_k / alpha,
+are computed once before the loop, and so are those at the argmax wherever
+omega_k is the constant w_k: everywhere but B's block, resource 0 included.
+Every bit is what the numpy update gives: each exponential is one ``np.exp``
+call on a Python float, which runs the ufunc loop an array would
+(``math.exp`` differs from it in the last bit on some inputs), save that an
+exponent of exactly 0, the shift's own among them, is taken as 1, which is
+what ``np.exp(0.0)`` gives; and the normalizer and the projection's sum are
+added in numpy's order (left to right below 8 entries, numpy's own sum of
+the list from 8 on; see :func:`~congames.game._sum`).  A round writes q(p0)
+and the central difference of :meth:`TailFrontier.slope` out in place, from
+three scalar ``tail_mean`` calls on ``math`` (``np.log1p``, which a batch
+would need, differs from ``math.log1p`` in the last bit on some inputs), and
+reads B's omega columns, the random ones and the only ones
+:func:`~congames.game.sample_omega` draws, as lists
+:data:`~congames.game.DRAW_CHUNK` rows at a time.  So at n = 3 a round with
+finite exponents makes at most two ``np.exp`` calls, none building an array,
+and three Python-level calls, all to the law's ``tail_mean``.  Like the
+other solvers it refuses, before sampling, a run whose T x b omega draws,
+with the column being drawn, exceed
 :data:`congames.game.UPFRONT_BUDGET_BYTES`; it also refuses there an
 ``n_samples`` that its evaluation would refuse.  The draws are freed before
 the evaluation samples its own.
@@ -68,11 +67,13 @@ from .distributions import RewardDistribution
 from .game import (
     DRAW_CHUNK,
     GameInstance,
+    _sum,
     argmax_chain,
     check_upfront_budget,
     chunk_loop,
     compile_kernel,
     kernel_columns,
+    mw_source,
     sample_omega,
 )
 from .md import MdConfig, require_positive
@@ -201,20 +202,6 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     return p_avg, value, stderr
 
 
-def _sum(terms: list[str]) -> str:
-    """Source adding ``terms`` in the order numpy sums a contiguous float64
-    row.
-
-    Left to right from 0.0 below 8 terms, where numpy's order is that too
-    and a chain costs less than building an array; from 8 terms on, numpy's
-    own sum of the list.  (The builtin ``sum`` is left to right only before
-    Python 3.12.)
-    """
-    if len(terms) >= 8:
-        return f"float(np.sum([{', '.join(terms)}]))"
-    return " + ".join(["0.0", *terms])
-
-
 @functools.lru_cache
 def _round_kernel(n: int, b: int):
     """The T rounds of :func:`solve_a1` for n resources, the b after
@@ -226,8 +213,8 @@ def _round_kernel(n: int, b: int):
     (:func:`~congames.game.argmax_chain`), the shift one of
     ``if c > shift`` (as ``max`` takes it), each exponential one scalar
     ``np.exp`` call, skipped where the exponent is 0, and each sum is
-    written out in numpy's order (:func:`_sum`), so below 8 resources a
-    round builds no list and no array.
+    written out in numpy's order (:func:`~congames.game._sum`), so below 8
+    resources a round builds no list and no array.
     It starts with q(p0) and its central difference, as
     :class:`TailFrontier` gives them, from three calls of the law's
     ``tail_mean``: the value enters the argmax and the difference scales
@@ -276,21 +263,7 @@ def _round_kernel(n: int, b: int):
         "            # resource 0's; the argmax loses half its omega weight",
         f"            {c[0]} = {t[0]} * dq / alpha if top == 0 else {w[0]} * dq / alpha",
         *(f"            {c[k]} = {at_top[k]} if top == {k} else {s[k]}" for k in range(1, n)),
-        "            # a value-invariant shift against overflow",
-        f"            shift = {c[0]}",
-    ]
-    for k in range(1, n):
-        lines += [f"            if {c[k]} > shift:", f"                shift = {c[k]}"]
-    lines += [
-        "            # exp(0) is exactly 1, and the shift's own exponent is exactly 0",
-        *(
-            f"            {e[k]} = {P[k]} if (d := {c[k]} - shift) == 0.0 else float(exp(d)) * {P[k]}"
-            for k in range(n)
-        ),
-        f"            norm = {_sum(e)}",
-        "            if norm == 0.0:  # every weight underflowed",
-        f"                require_positive([{', '.join(e)}])",
-        *(f"            {P[k]} = {e[k]} / norm" for k in range(n)),
+        *mw_source(c, e, P),
         f"            if not {P[0]} >= delta:  # NaN fails the comparison, so it lands here too",
         "                # a zero or NaN entry is absorbing; stop before the frontier sees it",
         f"                require_positive([{', '.join(rest)}])",

@@ -18,6 +18,11 @@ OMEGA_STREAM = 1
 ACTION_A_STREAM = 2
 ACTION_B_STREAM = 3
 
+# rows that a solver's round kernel converts to Python floats at a time (at
+# most n floats a row, under 160 KiB at n = 3, less than a short run's
+# draws), and that a discrete law draws its uniforms for at a time
+DRAW_CHUNK = 1024
+
 
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer.  A bool is not,

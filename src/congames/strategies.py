@@ -223,10 +223,18 @@ def _acting_columns(strategy: Strategy, n: int) -> float:
     its uniform draws beside the actions, a threshold its mask and the
     tail's uniform draws and indices, a mixture of two or more rows its
     component draws and n scores, and a one-row mixture its threshold split
-    (:func:`_split_columns`)."""
+    (:func:`_mixture_columns`)."""
     if isinstance(strategy, Mixture):
-        return n + 2 if len(strategy) > 1 else _split_columns(strategy.private.size)
+        return _mixture_columns(len(strategy), strategy.private.size, n)
     return 2 if isinstance(strategy, Simplex) else 3.125
+
+
+def _mixture_columns(rows: int, size: int, n: int) -> float:
+    """:func:`_acting_columns` of a mixture of ``rows`` score rows over a
+    private block of ``size`` resources, which a caller can ask before the
+    mixture exists: n scores and the component draws from two rows on, the
+    threshold split (:func:`_split_columns`) of one row."""
+    return n + 2 if rows > 1 else _split_columns(size)
 
 
 def _split_columns(size: int) -> float:

@@ -10,7 +10,9 @@ run's worlds, with the threshold split an estimate builds beside them), so
 the largest of them bounds the call.  The games have exponential rewards,
 a and b in {0, 1, 2} and one shared resource, and the strategies are
 one-row and multi-row mixtures, with simplex and threshold strategies where
-their player can play them.
+their player can play them.  A discrete law on B's block, whose draw
+searches chunks of uniforms, runs through the solvers that draw B's omega
+and a one-row estimate of B's stats.
 """
 
 import tracemalloc
@@ -26,10 +28,14 @@ import congames.nash
 import congames.quantile
 import congames.worstcase
 from congames import (
+    Discrete,
     DppConfig,
+    Exponential,
+    GameInstance,
     MdConfig,
     Mixture,
     NashConfig,
+    Partition,
     QuantileThreshold,
     Simplex,
     estimate_stats,
@@ -38,7 +44,7 @@ from congames import (
     solve_a1,
 )
 from congames.dpp import run as run_dpp
-from congames.md import omega_sup_sq_mean, run_md_batch
+from congames.md import omega_sup_sq_mean, run_md
 from congames.worstcase import omega_max_mean
 from conftest import exp_game
 
@@ -46,8 +52,8 @@ from conftest import exp_game
 # them is 512 KiB
 ROWS = 2**16
 # what no budget counts and what does not grow with the rows: vectors of
-# length n, numpy's 64 KiB buffers, MD's ROUND_BLOCK_BYTES block and a round
-# kernel's lists of one DRAW_CHUNK of rows (up to about 400 KiB at n = 5,
+# length n, numpy's 64 KiB buffers and a round kernel's lists of one
+# DRAW_CHUNK of rows (up to about 400 KiB at n = 5,
 # which DPP's count of the column being drawn, freed before the rounds,
 # leaves room for at these rows).  Half a column, so one uncounted column of
 # the rows fails.
@@ -65,6 +71,12 @@ BUDGETED_MODULES = (
 
 def game(a, b):
     return exp_game([1.5] * a + [1.0] * b + [1.2], (a, b, 1, 0))
+
+
+def discrete_game(a, b):
+    """:func:`game` with a three-atom discrete law on each of B's resources."""
+    laws = [Exponential(1.0 / 1.5)] * a + [Discrete((0.5, 1.0, 2.0), (0.3, 0.4, 0.3))] * b + [Exponential(1.0 / 1.2)]
+    return GameInstance(Partition(a, b, 1, 0), tuple(laws))
 
 
 def strategy(g, player, kind):
@@ -88,7 +100,7 @@ def budgeted_calls():
             if a == 1:
                 calls[f"solve_a1-{ab}"] = lambda r, g=g: solve_a1(g, MdConfig(T=r), 0, r)
             if a == 0:
-                calls[f"run_md_batch-{ab}"] = lambda r, g=g: run_md_batch([g], MdConfig(T=r), [0])
+                calls[f"run_md-{ab}"] = lambda r, g=g: run_md(g, MdConfig(T=r), 0)
             if b:  # the max term is exact, and counts nothing, when b == 0
                 calls[f"omega_max_mean-{ab}"] = lambda r, g=g: omega_max_mean(np.full(g.n, 1.0 / g.n), g, r, 0)
             if b == 2:  # and omega_sup_sq_mean's is exact when b <= 1
@@ -108,6 +120,14 @@ def budgeted_calls():
                 calls[f"simulate_payoff-{kind_a}-{kind_b}-{ab}"] = lambda r, g=g, sa=sa, sb=sb: simulate_payoff(
                     sa, sb, g, r, 0
                 )
+    for a in (0, 1):
+        for b in (1, 2):
+            g, ab = discrete_game(a, b), f"a{a}b{b}-discrete"
+            calls[f"{'run_md' if a == 0 else 'solve_a1'}-{ab}"] = lambda r, g=g, a=a: (
+                run_md(g, MdConfig(T=r), 0) if a == 0 else solve_a1(g, MdConfig(T=r), 0, r)
+            )
+            s = strategy(g, "B", "one-row")
+            calls[f"estimate_stats-B-one-row-{ab}"] = lambda r, g=g, s=s: estimate_stats(s, g, "B", r, 0)
     return calls
 
 

@@ -118,11 +118,11 @@ def test_a_preset_with_nothing_private_runs_each_point_once(capsys, monkeypatch)
     # worst-case rows have stderr exactly 0
     runs = {}
 
-    def spy(name, count=lambda *args: 1):
+    def spy(name):
         original = getattr(congames.experiments, name)
 
         def counted(*args, **kwargs):
-            runs[name] = runs.get(name, 0) + count(*args)
+            runs[name] = runs.get(name, 0) + 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(congames.experiments, name, counted)
@@ -130,11 +130,11 @@ def test_a_preset_with_nothing_private_runs_each_point_once(capsys, monkeypatch)
     spy("run_dpp")
     spy("iterate_best_response")
     spy("explicit_solution")
-    spy("run_md_batch", count=lambda games, config, seeds: len(seeds))
+    spy("run_md")
     grid = ("--scenario", "1", "--e1-min", "0.5", "--e1-max", "1.5", "--e1-step", "0.5", "--reps", "5")
     for argv, name in (
         (["worst", "dpp", "--T", "2000"], "run_dpp"),
-        (["worst", "md", "--T", "2000"], "run_md_batch"),
+        (["worst", "md", "--T", "2000"], "run_md"),
         (["worst", "explicit"], "explicit_solution"),
         (["nash"], "iterate_best_response"),
     ):
@@ -168,7 +168,7 @@ def test_a_preset_with_nothing_private_runs_each_point_once(capsys, monkeypatch)
 def test_a_max_term_the_samples_cannot_hold_is_refused_before_any_solver_runs(capsys, monkeypatch):
     # the spec asks the max term's one check, so a worst-case sweep refuses
     # --samples whose max-term vectors exceed the budget before any run
-    for name in ("run_dpp", "run_md_batch", "solve_a1"):
+    for name in ("run_dpp", "run_md", "solve_a1"):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
     for argv, need in (
         (["worst", "md", "--scenario", "2", "--T", "200000", "--samples", "300000000"], "6866"),
@@ -300,7 +300,7 @@ def test_one_sample_is_refused_where_the_max_term_is_sampled(capsys, monkeypatch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with monkeypatch.context() as patched:
-            for solver in ("run_md_batch", "run_dpp"):
+            for solver in ("run_md", "run_dpp"):
                 patched.setattr(f"congames.experiments.{solver}", not_called)
             for argv in (["worst", "md", "--scenario", "2"], ["worst", "dpp", "--scenario", "3", "--T", "100"]):
                 code, out, err = run_cli(capsys, *argv, "--samples", "1")
@@ -310,6 +310,28 @@ def test_one_sample_is_refused_where_the_max_term_is_sampled(capsys, monkeypatch
             code, out, err = run_cli(capsys, *argv, "--samples", "1")
             assert code == 0, err
             assert "nan" not in out
+
+
+def test_samples_a_dpp_evaluation_cannot_hold_are_refused_before_any_run(capsys, monkeypatch):
+    # DPP's evaluation estimates A's stats of the run's T-row mixture, which
+    # holds A's world column, n scores and two more columns (6 at n = 3), more
+    # than the max term's b + 2; the spec asks the estimate's own rule
+    def not_called(*args, **kwargs):
+        raise AssertionError("a DPP run started before the spec was checked")
+
+    monkeypatch.setattr("congames.experiments.run_dpp", not_called)
+    for samples, need in (("22369622", "1024"), ("44739242", "2048")):
+        code, out, err = run_cli(
+            capsys, "worst", "dpp", "--scenario", "3", "--T", "1000", "--samples", samples, "--e1-min", "1", "--e1-max", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: estimate_stats run with n_samples={samples}, n=3 needs {need} MiB up front")
+    # one row less than the budget is accepted, and so is a one-row mixture
+    # (T = 1), which holds its threshold split, and scenario 2, where A
+    # observes nothing and the estimate is exact
+    ScenarioSpec(3, "worst-dpp", [1.0], config=DppConfig(T=1000), n_samples=22369621)
+    ScenarioSpec(3, "worst-dpp", [1.0], config=DppConfig(T=1), n_samples=22369622)
+    ScenarioSpec(2, "worst-dpp", [1.0], config=DppConfig(T=1000), n_samples=22369622)
 
 
 def test_evaluate_parse_error_exit_code(tmp_path, capsys):
@@ -411,7 +433,7 @@ def test_non_integer_counts_are_refused_before_any_solver_runs(monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("a solver ran before the count was checked")
 
-    for solver in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response"):
+    for solver in ("run_dpp", "run_md", "solve_a1", "iterate_best_response"):
         monkeypatch.setattr(f"congames.experiments.{solver}", not_called)
     monkeypatch.setattr("congames.montecarlo.sample_world", not_called)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
@@ -590,7 +612,7 @@ def test_settings_must_be_positive_and_finite(capsys, monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("a solver ran before the spec was checked")
 
-    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response"):
+    for name in ("run_dpp", "run_md", "solve_a1", "iterate_best_response"):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
     refused = [
         (["nash", "--scenario", "1", "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
@@ -660,7 +682,7 @@ def test_each_command_offers_only_the_settings_its_solver_reads(capsys, solver):
 
 
 def test_a_foreign_config_is_refused_before_any_solver_runs(monkeypatch):
-    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
+    for name in ("run_dpp", "run_md", "solve_a1", "iterate_best_response", "explicit_solution"):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
     for solver in SOLVER_CONFIGS:
         for config in foreign_configs(solver):
@@ -676,7 +698,7 @@ def test_samples_below_one_are_refused_before_any_solver_runs(capsys, monkeypatc
     def not_called(*args, **kwargs):
         raise AssertionError("a solver ran before the spec was checked")
 
-    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
+    for name in ("run_dpp", "run_md", "solve_a1", "iterate_best_response", "explicit_solution"):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
     for solver in SETTINGS_READ:
         for samples in ("0", "-5"):
@@ -714,7 +736,7 @@ def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch):
 
 
 def test_oversized_repetitions_are_refused_before_any_solver_runs(capsys, monkeypatch):
-    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
+    for name in ("run_dpp", "run_md", "solve_a1", "iterate_best_response", "explicit_solution"):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
     # 2 points x 166 reps x n = 3 float64 results fit 8000 bytes; 167 reps do
     # not (two samples keep the max term's 3 vectors within the budget too)
@@ -760,7 +782,7 @@ def test_bool_seed_is_refused():
 def test_negative_seed_is_refused_before_any_solver_runs(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
         ScenarioSpec(3, "nash", [1.0], seed=-1)
-    for name in ("run_dpp", "run_md_batch", "solve_a1", "iterate_best_response", "explicit_solution"):
+    for name in ("run_dpp", "run_md", "solve_a1", "iterate_best_response", "explicit_solution"):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
     for name in ("load_game", "load_strategy", "evaluate_report"):
         monkeypatch.setattr(f"congames.cli.{name}", not_called)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from congames.distributions import Discrete, Exponential, PointMass, Uniform
+from congames.rng import DRAW_CHUNK
 from conftest import FRONTIER_LAWS, over_tail_fractions
 
 ALL_KINDS = [
@@ -111,6 +112,22 @@ def test_sampler_determinism():
         a = np.asarray(dist.sample(np.random.default_rng(123), size=50))
         b = np.asarray(dist.sample(np.random.default_rng(123), size=50))
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("size", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK, 5000, (3, 700)])
+def test_discrete_draws_in_chunks_are_the_one_call_draws(size):
+    # a discrete law fills its output DRAW_CHUNK uniforms at a time, which
+    # takes the generator's stream of one call: the atoms are those of all
+    # the uniforms drawn at once, bit for bit, at and around the chunk
+    # boundaries (5000 = 4 x 1024 + 904) and for a 2-D size
+    dist = Discrete((3.0, 0.5, 1.0, 0.0), (0.3, 0.2, 0.4, 0.1))
+    uniforms = np.random.default_rng(7).random(size)
+    atoms = dist._sorted_values.take(np.searchsorted(dist._cum_probs, uniforms, side="left"), mode="clip")
+    drawn = dist.sample(np.random.default_rng(7), size=size)
+    assert drawn.shape == atoms.shape and drawn.tobytes() == atoms.tobytes()
+    # one draw without a size is a float, the first of the stream's atoms
+    first = dist.sample(np.random.default_rng(7))
+    assert type(first) is float and first == atoms.flat[0]
 
 
 def test_validation_errors():

@@ -1,7 +1,5 @@
 import math
 import traceback
-import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,24 +26,28 @@ from congames import (
     solve_a1,
     worst_case_objective,
 )
-from congames.md import mw_update, omega_sup_sq_mean, require_positive, run_md_batch
+from congames.game import DRAW_CHUNK
+from congames.md import omega_sup_sq_mean, require_positive
 from congames.quantile import DEFAULT_DELTA, FD_WIDTH
 from congames.rng import OMEGA_STREAM, as_generator
-from conftest import LAWS, exp_game, full_omega, md_preset_optimum
+from conftest import LAWS, exp_game, full_omega, kernel_calls, md_preset_optimum
 
 
-def test_step_shift_invariance_and_hand_value():
-    # the update takes the exponents, the gradient over alpha, and steps in place
-    p = np.array([0.3, 0.7])
-    expo = np.array([-5.0, -5.0]) / 2.0
-    out = mw_update(p, expo)
-    assert out is expo
-    np.testing.assert_allclose(out, p)
-    out = mw_update(np.array([0.5, 0.5]), np.array([0.0, math.log(2.0)]))
-    np.testing.assert_allclose(out, [1 / 3, 2 / 3], atol=1e-12)
+def test_two_rounds_hand_value():
+    # weights (1, 3): the first round's argmax is resource 1, whose exponent
+    # loses half its weight, 1.5 / alpha against 1 / alpha; at
+    # alpha = 1 / (2 ln 2) the second iterate is (1/3, 2/3), and the average
+    # of the two is (5/12, 7/12)
+    game = exp_game([1.0, 3.0], (0, 0, 2, 0))
+    p = run_md(game, MdConfig(alpha=0.5 / math.log(2.0), T=2))
+    np.testing.assert_allclose(p, [5 / 12, 7 / 12], atol=1e-12)
+    # equal exponents leave the iterate where it is: weights (1, 2) give the
+    # argmax the exponent 1 / alpha, the other resource's
+    p = run_md(exp_game([1.0, 2.0], (0, 0, 2, 0)), MdConfig(alpha=0.3, T=5))
+    np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-15)
     # vanishing step size
-    out = mw_update(np.array([0.5, 0.5]), np.array([-0.3, 1.0]) / 1e12)
-    np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-9)
+    p = run_md(game, MdConfig(alpha=1e12, T=50))
+    np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-9)
 
 
 def test_step_rejects_boundary():
@@ -205,19 +207,11 @@ def test_list_step_raises_where_the_array_update_gives_nan():
 @example(np.full(9, -0.0))
 @settings(max_examples=300, deadline=None)
 def test_kernel_sums_add_in_numpys_order(xs):
-    # the A1 kernel's sums are the source quantile._sum writes: a chain from
-    # 0.0 below 8 terms, numpy's own sum of the list from 8 on
+    # the MD and A1 kernels' sums are the source game._sum writes: a chain
+    # from 0.0 below 8 terms, numpy's own sum of the list from 8 on
     names = [f"x{k}" for k in range(xs.size)]
-    total = eval(congames.quantile._sum(names), {"np": np, **dict(zip(names, xs.tolist()))})
+    total = eval(congames.game._sum(names), {"np": np, **dict(zip(names, xs.tolist()))})
     assert np.float64(total).tobytes() == xs.sum().tobytes()
-
-
-def test_step_preserves_simplex(rng):
-    p = np.full(4, 0.25)
-    for _ in range(200):
-        p = mw_update(p, -rng.normal(size=4) / 5.0)
-        require_positive(p)
-        assert abs(p.sum() - 1.0) <= 1e-12
 
 
 def test_error_bound_example():
@@ -347,11 +341,9 @@ def test_run_with_random_omega_meets_guarantee():
 
 
 @pytest.mark.parametrize("scenario, solver", [(2, "worst-md"), (3, "worst-a1")])
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_tiny_alpha_fails_with_md_error(scenario, solver):
     # the step size underflows an iterate entry to zero within a few rounds;
-    # the array update of mirror descent turns the zeros into NaN (numpy
-    # warns), the list update of A1 raises, and both report the same error
+    # both generated rounds raise, with the same error
     from congames import solve_a1
     from congames.experiments import ScenarioSpec, scenario_game
 
@@ -361,129 +353,154 @@ def test_tiny_alpha_fails_with_md_error(scenario, solver):
         solve(game, MdConfig(alpha=1e-3, T=2000))
 
 
-# -- the batched loop ------------------------------------------------------
+# -- the generated round ---------------------------------------------------
 
 def lone_md(game, config, seed):
-    """The one-run loop as it stood before batching: the array gradient and
-    a 1-D update, the oracle the batch must match bit for bit."""
+    """The mirror-descent loop as array formulas: the gradient, a max shift
+    and a 1-D update a round, on the full omega.  Returns the average
+    iterate, or the error the loop raises (a last iterate with a zero or
+    NaN entry), and whether some round's weights all underflowed."""
     n = game.n
     omegas = full_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)
     p = np.full(n, 1.0 / n)
     total = np.zeros(n)
-    for omega in omegas:
-        total += p
-        grad = game.means.copy()
-        top = int(np.argmax(p * omega))
-        grad[top] -= 0.5 * omega[top]
-        expo = grad / config.alpha
-        expo -= expo.max()
-        w = p * np.exp(expo)
-        p = w / w.sum()
-    return total / config.T
+    underflowed = False
+    with np.errstate(invalid="ignore", over="ignore"):
+        for omega in omegas:
+            total += p
+            grad = game.means.copy()
+            top = int(np.argmax(p * omega))
+            grad[top] -= 0.5 * omega[top]
+            expo = grad / config.alpha
+            expo -= expo.max()
+            w = p * np.exp(expo)
+            underflowed |= w.sum() == 0.0
+            p = w / w.sum()
+    try:
+        require_positive(p)
+    except ValueError as error:
+        return str(error), underflowed
+    return (total / config.T).tobytes(), underflowed
+
+
+def md_outcome(game, config, seed):
+    try:
+        return run_md(game, config, seed).tobytes()
+    except ValueError as error:
+        return str(error)
 
 
 @st.composite
-def md_batches(draw):
-    """Games sharing n in [2, 10], each with its own a = 0 partition, laws
-    and distinct seed; the first game has a non-empty AB block."""
-    n = draw(st.integers(min_value=2, max_value=10))
-    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=5, unique=True))
-    games = []
-    for r in range(len(seeds)):
-        b = draw(st.integers(0, n - 1 if r == 0 else n))
-        d = draw(st.integers(1 if r == 0 else 0, n - b))
-        laws = draw(st.lists(st.sampled_from(sorted(LAWS)), min_size=n, max_size=n))
-        means = draw(st.lists(st.floats(0.2, 3.0), min_size=n, max_size=n))
-        z = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
-        dists = tuple(LAWS[law](m) for law, m in zip(laws, means))
-        games.append(GameInstance(Partition(0, b, n - b - d, d), dists, z=np.array(z)))
-    alpha = draw(st.floats(1.0, 100.0))
-    T = draw(st.integers(1, 60))
-    return games, MdConfig(alpha=alpha, T=T), seeds
+def md_runs(draw):
+    """a = 0 games with n from 1 to 10, each law, ties among the weights,
+    and step sizes down to those that underflow an iterate entry."""
+    n = draw(st.integers(1, 10))
+    b = draw(st.integers(0, n))
+    d = draw(st.integers(0, n - b))
+    laws = draw(st.lists(st.sampled_from(sorted(LAWS)), min_size=n, max_size=n))
+    mean = st.one_of(st.floats(0.2, 3.0), st.sampled_from([0.5, 1.0, 2.0]))
+    means = draw(st.lists(mean, min_size=n, max_size=n))
+    z = draw(st.lists(st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 1.0])), min_size=d, max_size=d))
+    dists = tuple(LAWS[law](m) for law, m in zip(laws, means))
+    game = GameInstance(Partition(0, b, n - b - d, d), dists, z=np.array(z))
+    alpha = draw(st.one_of(st.floats(0.001, 0.05), st.floats(1.0, 100.0)))
+    return game, MdConfig(alpha=alpha, T=draw(st.integers(1, 80))), draw(st.integers(0, 2**32))
 
 
-@given(md_batches())
-@settings(max_examples=60, deadline=None)
-def test_batch_matches_each_run_alone(batch):
-    games, config, seeds = batch
-    ps = run_md_batch(games, config, seeds)
-    assert ps.shape == (len(games), games[0].n)
-    for row, game, seed in zip(ps, games, seeds):
-        assert row.tobytes() == run_md(game, config, seed).tobytes()
-        assert row.tobytes() == lone_md(game, config, seed).tobytes()
+# weights (1, 2, 1): resource 1, constant, has the unique largest weight, so
+# a round whose argmax it is takes the exponentials of the shift path
+UNIQUE_CONSTANT_MD = (exp_game([1.0, 2.0, 1.0], (0, 1, 2, 0)), MdConfig(alpha=5.0, T=300), 2)
+# all weights tied: every round is shifted by the same largest exponent
+TIED_MD = (exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)), MdConfig(alpha=5.0, T=300), 3)
+# B observes nothing (the kernel reads no omega column, past one DRAW_CHUNK
+# of rounds), or everything
+NO_OMEGA_MD = (exp_game([0.6, 1.2, 1.0], (0, 0, 3, 0)), MdConfig(alpha=2.0, T=DRAW_CHUNK + 476), 2)
+ALL_OMEGA_MD = (exp_game([1.1, 0.9, 1.4], (0, 3, 0, 0)), MdConfig(alpha=2.0, T=2 * DRAW_CHUNK + 1), 5)
+# n = 9, where the normalizer's 9 entries are past numpy's left-to-right range
+WIDE_MD = (
+    GameInstance(
+        Partition(0, 4, 3, 2),
+        tuple(
+            LAWS[law](m) for law, m in zip(
+                ["uniform", "discrete", "pointmass", "exponential", "uniform", "exponential", "discrete", "exponential", "pointmass"],
+                [1.0, 1.4, 0.8, 1.2, 0.9, 1.1, 1.3, 0.7, 1.0],
+            )
+        ),
+        z=np.array([0.7, 1.4]),
+    ),
+    MdConfig(alpha=3.0, T=200),
+    3,
+)
+# one round; and a step size that underflows every weight of some round
+ONE_ROUND_MD = (exp_game([1.3, 0.7, 1.0], (0, 1, 2, 0)), MdConfig(alpha=50.0, T=1), 1)
+UNDERFLOW_MD = (exp_game([0.5, 0.5, 1.0], (0, 3, 0, 0)), MdConfig(alpha=1e-3, T=200), 0)
 
 
-def _sweep_like_batch():
-    games = [exp_game([e1, 1.0, 1.0], (0, 1, 2, 0)) for e1 in (0.4, 0.9, 1.5, 2.2, 1.0)]
-    return games, MdConfig(alpha=50.0, T=300), [3, 1, 4, 15, 9]
+@given(md_runs())
+@example(UNIQUE_CONSTANT_MD)
+@example(TIED_MD)
+@example(NO_OMEGA_MD)
+@example(ALL_OMEGA_MD)
+@example(WIDE_MD)
+@example(ONE_ROUND_MD)
+@example(UNDERFLOW_MD)
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_the_array_loop(run):
+    # the generated round keeps the bits of the array formulas, and raises
+    # the error the array loop ends in
+    game, config, seed = run
+    expected, _ = lone_md(game, config, seed)
+    assert md_outcome(game, config, seed) == expected
 
 
-@pytest.mark.parametrize("runs_per_chunk, chunks", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1]), (0.5, [1, 1, 1, 1, 1])])
-def test_chunked_batch_matches_unchunked(monkeypatch, runs_per_chunk, chunks):
-    # a chunk holds at least one run, even one whose draws exceed the chunk size
-    games, config, seeds = _sweep_like_batch()
-    whole = run_md_batch(games, config, seeds)
-    monkeypatch.setattr(congames.md, "BATCH_DRAW_BYTES", int(runs_per_chunk * 300 * 3 * 8))
-    sizes = []
-    run_chunk = congames.md._run_chunk
-
-    def counted(chunk_games, *args):
-        sizes.append(len(chunk_games))
-        return run_chunk(chunk_games, *args)
-
-    monkeypatch.setattr(congames.md, "_run_chunk", counted)
-    assert run_md_batch(games, config, seeds).tobytes() == whole.tobytes()
-    assert sizes == chunks
+def test_kernel_raises_where_every_weight_underflows():
+    # the array loop divides 0 by 0 in some round and ends on NaN; the
+    # kernel raises in that round, from a line of its generated source,
+    # rather than dividing by a zero normalizer
+    expected, underflowed = lone_md(*UNDERFLOW_MD)
+    assert underflowed and expected == "mirror-descent iterates must be strictly positive"
+    with pytest.raises(ValueError) as caught:
+        run_md(*UNDERFLOW_MD)
+    lines = [frame.line for frame in traceback.extract_tb(caught.tb) if frame.filename == "<md round kernel n=3 b=3>"]
+    assert lines == ["require_positive([e0, e1, e2])"]
 
 
-def test_batch_holds_its_draws_and_one_block():
-    # the batch holds its T x R x n draws; besides them, first the column
-    # being drawn into them, then one block of exponents at the argmax (and
-    # numpy's 64 KiB broadcast buffer), never a second draw-sized array
-    R, T, n = 24, 10_000, 3
-    games = [exp_game([0.3 + 0.1 * r, 1.0, 1.0], (0, 1, 2, 0)) for r in range(R)]
-    run_md_batch(games, MdConfig(alpha=50.0, T=10), list(range(R)))  # leave numpy's one-time allocations out
-    tracemalloc.start()
-    try:
-        run_md_batch(games, MdConfig(alpha=50.0, T=T), list(range(R)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    extra = max(T * 8, congames.md.ROUND_BLOCK_BYTES + 64 * 1024)
-    assert peak <= T * R * n * 8 + extra + 32 * 1024
+def test_a_folded_round_calls_no_exp(monkeypatch):
+    # with no random omega and tied weights every argmax is a constant
+    # resource other than a unique largest weight, so every round takes its
+    # factors from the one exp call before the loop, and makes no other
+    # call; np.exp, a ufunc, is wrapped in a Python function to be counted
+    def exp(x):
+        return np.exp(x)
 
-
-def test_batch_rejects_mixed_runs():
-    # one config serves the whole batch, so only n can differ between runs
-    games, config, seeds = _sweep_like_batch()
-    with pytest.raises(ValueError, match="must share n"):
-        run_md_batch(games[:-1] + [exp_game([1.0, 1.0], (0, 1, 1, 0))], config, seeds)
-    with pytest.raises(ValueError, match="no private block"):
-        run_md_batch(games[:-1] + [exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))], config, seeds)
-    with pytest.raises(ValueError, match="one seed per game"):
-        run_md_batch(games, config, seeds[:-1])
-    with pytest.raises(ValueError, match="at least one run"):
-        run_md_batch([], config, [])
-
-
-@given(md_batches(), st.integers(1, 70), st.integers(1, 5))
-@example(_sweep_like_batch(), 7, 2)  # the chunk split above, 300 rounds in blocks of 3 and 7
-@example(_sweep_like_batch(), 2000, 5)  # T below one block
-@example((_sweep_like_batch()[0], MdConfig(alpha=50.0, T=1), [3, 1, 4, 15, 9]), 1, 1)
-@settings(max_examples=60, deadline=None)
-def test_row_subgradients_match_the_list_kernel(batch, block_rounds, chunk_runs):
-    # the batched round reads its exponents at the argmax from a per-block
-    # precompute; every row keeps the bits of the list-kernel loop, with T = 1,
-    # T below one block and T not a multiple of it, whatever the chunk split
-    games, config, seeds = batch
-    n = games[0].n
-    with (
-        mock.patch.object(congames.md, "ROUND_BLOCK_BYTES", block_rounds * n * 8),
-        mock.patch.object(congames.md, "BATCH_DRAW_BYTES", chunk_runs * config.T * n * 8),
+    T = 2500
+    for game, filename, chunks in (
+        (exp_game([1.0, 1.0, 1.0, 1.0], (0, 0, 4, 0)), "<md round kernel n=4 b=0>", 0),
+        # B's column drawn, with a mean so small that it wins no argmax; the
+        # kernel reads it DRAW_CHUNK rows at a time
+        (exp_game([0.1, 1.0, 1.0], (0, 1, 2, 0)), "<md round kernel n=3 b=1>", -(-T // DRAW_CHUNK)),
     ):
-        ps = run_md_batch(games, config, seeds)
-    for row, game, seed in zip(ps, games, seeds):
-        assert row.tobytes() == lone_md(game, config, seed).tobytes()
+        kernel = congames.md._round_kernel(game.n, game.partition.b)
+        monkeypatch.setitem(kernel.__globals__, "exp", exp)
+        python, c = kernel_calls(filename, lambda: run_md(game, MdConfig(T=T)))
+        assert python == {"exp": 1}
+        assert c == {"max": 1, "count": 1, "tolist": 1 + chunks}
+
+
+def test_the_kernel_reads_only_the_drawn_omega_columns(monkeypatch):
+    # a run draws only B's T x b block of omega, b = 0 included
+    shapes = []
+
+    def spy(game, rng, size):
+        omegas = congames.game.sample_omega(game, rng, size)
+        shapes.append(omegas.shape)
+        return omegas
+
+    monkeypatch.setattr(congames.md, "sample_omega", spy)
+    for run in (TIED_MD, NO_OMEGA_MD, ALL_OMEGA_MD, WIDE_MD):
+        game, config, seed = run
+        assert md_outcome(game, config, seed) == lone_md(game, config, seed)[0]
+        assert shapes.pop() == (config.T, game.partition.b)
 
 
 def test_oversized_runs_fail_before_sampling(monkeypatch):
@@ -493,8 +510,8 @@ def test_oversized_runs_fail_before_sampling(monkeypatch):
     monkeypatch.setattr(congames.md, "sample_omega", no_draws)
     monkeypatch.setattr(congames.quantile, "sample_omega", no_draws)
     config = MdConfig(alpha=50.0, T=10**8)
-    # MD holds one run's T x n draws and the column being drawn into them
-    with pytest.raises(ValueError, match=r"md run with T=100000000, n=3 needs 3052 MiB"):
+    # MD holds B's one omega column and the column being drawn
+    with pytest.raises(ValueError, match=r"md run with T=100000000, n=3 needs 1526 MiB"):
         run_md(exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)), config)
     # A1 holds B's one omega column and the column being drawn
     with pytest.raises(ValueError, match=r"a1 run with T=100000000, n=3 needs 1526 MiB"):

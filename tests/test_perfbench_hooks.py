@@ -3,6 +3,7 @@ by module and name, and its hooks read some of their parameters by name.  A
 renamed function or parameter would only print one stderr line there, and
 its per-layer metrics would read 0, so these checks keep the two in step."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -49,3 +50,15 @@ def test_tracer_finds_every_layer_and_hook_parameter():
     for name, needed in HOOK_PARAMETERS.items():
         missing = set(needed) - set(found["parameters"][name])
         assert not missing, f"{name} lost {sorted(missing)}"
+
+
+def test_the_tracer_counts_mirror_descent_rounds():
+    # a sweep calls md.run_md once a run, so the traced smoke worst-md-s2
+    # sweep reads its 8 runs of 500 rounds and their time
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    result = run.measure("worst-md-s2", 0, 0, trace=True, smoke=True)["result"]
+    assert result["correct"]
+    assert result["metrics"]["md.rounds"]["value"] == 8 * 500
+    assert result["metrics"]["md.run_md.s"]["value"] > 0

@@ -24,7 +24,6 @@ from congames import (
     worst_case_utility,
 )
 from congames.experiments import evaluate_report
-from congames.md import run_md_batch
 
 SUBMODULES = sorted(
     path.stem for path in Path(congames.__file__).parent.glob("*.py") if path.stem != "__init__"
@@ -39,7 +38,9 @@ REMOVED = {
     "congames.dpp": ["_base_weights", "gamma_step", "queue_step", "config_for_epsilon"],
     "congames.montecarlo": ["McConfig"],
     "congames.worstcase": ["row_max", "sampled_subgradients", "sampled_subgradient"],
-    "congames.md": ["row_max", "mw_step", "pairwise_sum"],
+    "congames.md": [
+        "row_max", "mw_step", "pairwise_sum", "run_md_batch", "mw_update", "BATCH_DRAW_BYTES", "ROUND_BLOCK_BYTES",
+    ],
 }
 
 
@@ -90,7 +91,7 @@ def test_removed_methods_and_parameters_are_gone():
 
 def test_solver_configs_hold_settings_only():
     # a config holds a solver's settings; the seed and the sample count are
-    # arguments of the run, and one config serves a whole batch
+    # arguments of the run
     # each config declares its settings and their defaults, once
     defaults = {
         config_type: [(field.name, field.default) for field in fields(config_type)]
@@ -103,7 +104,6 @@ def test_solver_configs_hold_settings_only():
     }
     assert list(inspect.signature(run_dpp).parameters) == ["game", "config", "seed"]
     assert list(inspect.signature(run_md).parameters) == ["game", "config", "seed"]
-    assert list(inspect.signature(run_md_batch).parameters) == ["games", "config", "seeds"]
     assert list(inspect.signature(solve_a1).parameters) == ["game", "config", "seed", "n_samples"]
     assert list(inspect.signature(md_error_bound).parameters) == ["game", "config"]
     for config in (NashConfig(), DppConfig(V=1.0, alpha=1.0, T=1), MdConfig(alpha=1.0, T=1)):
