@@ -108,7 +108,9 @@ class Uniform:
     @property
     def second_moment(self) -> float:
         lo, hi = self.lo, self.hi
-        return (hi**3 - lo**3) / (3.0 * (hi - lo)) if hi > lo else lo**2
+        # mean^2 + variance: non-negative terms, so a narrow support cancels
+        # no digits and the result is never below mean^2
+        return self.mean**2 + (hi - lo) ** 2 / 12.0 if hi > lo else lo**2
 
     @property
     def is_continuous(self) -> bool:
@@ -133,7 +135,9 @@ class Uniform:
             return self.second_moment
         if m >= hi:
             return m**2
-        return (m**2 * (m - lo) + (hi**3 - m**3) / 3.0) / (hi - lo)
+        # m^2 plus its excess, a product of non-negative terms, so a narrow
+        # support cancels no digits and the result is never below m^2
+        return m**2 + (hi - m) ** 2 * (hi + 2.0 * m) / (3.0 * (hi - lo))
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.lo, self.hi, size=size)

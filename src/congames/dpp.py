@@ -24,9 +24,10 @@ local Python float, each argmax a chain of ``if s > best`` (the first of
 equal values wins), and each resource's step is written out, so a round
 builds no tuple and takes no subscript: at n = 3 a numpy call costs more in
 dispatch than in arithmetic, and a list subscript more than a local.  The
-source is registered with :mod:`linecache` under a name such as
-``<dpp round kernel n=3 a=1 b=1>``, so tracebacks, ``pdb`` and profilers
-show its lines.  Each comparison is written so that a -0.0 comes out as
+source is compiled by :func:`~congames.game.compile_kernel`, whose kernel
+namespace supplies every name it reads, and registered with
+:mod:`linecache` under a name such as ``<dpp round kernel n=3 a=1 b=1>``,
+so tracebacks, ``pdb`` and profilers show its lines.  Each comparison is written so that a -0.0 comes out as
 +0.0, which gives the bits of numpy's clip and maximum; queues and targets
 never fall below +0.0, so only the drained queue needs its floor.  Each
 stream's T draws are still sampled in one call, and only the random ones
@@ -55,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (
-    DRAW_CHUNK,
     GameInstance,
     check_count,
     check_setting,
@@ -154,7 +154,9 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
 
     Raises ValueError, before drawing anything, when the run's draws and
     queue history, which the mixture keeps, would exceed
-    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.  This count is DPP's own;
+    mirror descent and A1 count theirs once, in the run they share
+    (:func:`congames.md._mw_run`).
     """
     n = game.n
     a, b = game.partition.a, game.partition.b
@@ -194,11 +196,6 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     return Mixture(q_history, game.partition.set_a), diagnostics
 
 
-def _unpack(names: list[str]) -> str:
-    """An assignment target for a row of ``len(names)`` floats."""
-    return f"({', '.join(names)},)" if names else "()"
-
-
 @functools.lru_cache
 def _round_kernel(n: int, a: int, b: int):
     """The T rounds of :func:`run` for n resources, the first a private to
@@ -226,8 +223,8 @@ def _round_kernel(n: int, a: int, b: int):
     omega = [o[j] if j in drawn else v[j] for j in range(n)]
     lines = [
         "def dpp_rounds(omegas, worlds, T, V, two_alpha, u, v, history):",
-        f"    {_unpack(u)} = u",
-        f"    {_unpack(v)} = v",
+        f"    ({', '.join(u)},) = u",
+        f"    ({', '.join(v)},) = v",
         *(f"    V{v[j]} = V * {v[j]}" for j in range(n)),
         "    # the gradient term at the argmax, V (v - omega / 2), where omega is constant",
         *(f"    Vt{j} = V * ({v[j]} - 0.5 * {v[j]})" for j in range(n) if j not in drawn),
@@ -269,7 +266,7 @@ def _round_kernel(n: int, a: int, b: int):
         f"    return [{', '.join(Q)}], [{', '.join(G)}], [{', '.join(R)}]",
     ]
     filename = f"<dpp round kernel n={n} a={a} b={b}>"
-    return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds", {"DRAW_CHUNK": DRAW_CHUNK})
+    return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds")
 
 
 def bound_constants(game: GameInstance, config: DppConfig) -> BoundConstants:

@@ -18,6 +18,15 @@ weights resource k by omega_k, a fresh reward draw on the B block and the
 constant :attr:`GameInstance.weights` elsewhere, so :func:`sample_omega`
 draws only B's columns; every solver reads the constant entries from the
 weights.
+
+The module also hosts the toolkit of the generated round kernels of the
+drift-plus-penalty, mirror-descent and A1 solvers: :func:`compile_kernel`,
+whose one namespace supplies every name a generated round calls (``np``,
+``exp``, :func:`require_positive` and :data:`DRAW_CHUNK`), the source
+builders (:func:`chunk_loop`, :func:`argmax_chain`, :func:`mw_source` and
+:func:`_sum`), :func:`kernel_columns`, and the up-front budget rule
+(:func:`check_upfront_budget`) that every solver run and Monte Carlo
+estimate checks before it draws.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import RewardDistribution
-# the round kernels read DRAW_CHUNK from here, beside their other helpers
+# the kernel namespace of compile_kernel supplies DRAW_CHUNK
 from .rng import DRAW_CHUNK, as_generator, is_integer
 
 __all__ = [
@@ -39,6 +48,7 @@ __all__ = [
     "sample_omega",
     "compile_kernel",
     "argmax_chain",
+    "require_positive",
     "UPFRONT_BUDGET_BYTES",
     "check_upfront_budget",
     "check_setting",
@@ -185,10 +195,9 @@ def sample_world(game: GameInstance, rng, size: int, columns: int | None = None)
     return out
 
 
-def sample_omega(game: GameInstance, rng, size: int, out: np.ndarray | None = None) -> np.ndarray:
+def sample_omega(game: GameInstance, rng, size: int) -> np.ndarray:
     """Draw ``size`` rows of the adversary's random weights, shape
-    ``(size, b)``: the columns of B's block, in order, written into ``out``
-    (a new array when None) and returned.
+    ``(size, b)``: the columns of B's block, in order.
 
     The adversary weight vector omega is a fresh reward draw on the B block
     and :attr:`GameInstance.weights` elsewhere: 1 on the A block (the
@@ -199,19 +208,24 @@ def sample_omega(game: GameInstance, rng, size: int, out: np.ndarray | None = No
     generator.
     """
     gen = as_generator(rng)
-    out = np.empty((size, game.partition.b)) if out is None else out
+    out = np.empty((size, game.partition.b))
     for column, k in zip(out.T, game.partition.set_b):
         column[:] = game.distributions[k].sample(gen, size=size)
     return out
 
 
-def compile_kernel(source: str, filename: str, name: str, namespace: dict):
-    """Compile the generated ``source`` under ``filename``, run it with
-    ``namespace`` as its globals and return the function ``name`` it defines.
+def compile_kernel(source: str, filename: str, name: str, **constants):
+    """Compile the generated ``source`` under ``filename`` and return the
+    function ``name`` it defines.
 
-    The source's lines are registered in :mod:`linecache` under
-    ``filename``, so tracebacks, ``pdb`` and profilers show them.
+    Its globals are the kernel namespace, every name a generated round
+    calls or reads (``np``, ``exp``, which is ``np.exp``,
+    :func:`require_positive` and :data:`DRAW_CHUNK`), with a generator's
+    own ``constants`` beside them.  The source's lines are registered in
+    :mod:`linecache` under ``filename``, so tracebacks, ``pdb`` and
+    profilers show them.
     """
+    namespace = {"np": np, "exp": np.exp, "require_positive": require_positive, "DRAW_CHUNK": DRAW_CHUNK, **constants}
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
@@ -273,6 +287,12 @@ def _sum(terms: list[str]) -> str:
     if len(terms) >= 8:
         return f"float(np.sum([{', '.join(terms)}]))"
     return " + ".join(["0.0", *terms])
+
+
+def require_positive(p):
+    """Reject an iterate (an array or a list) with a zero or NaN entry."""
+    if not np.all(np.asarray(p) > 0):
+        raise ValueError("mirror-descent iterates must be strictly positive")
 
 
 def mw_source(c: list[str], e: list[str], P: list[str], pad: str = "            ") -> list[str]:

@@ -48,12 +48,14 @@ the normalizer is added in numpy's order (:func:`~congames.game._sum`).
 A round whose every weight underflows to 0 raises at once; otherwise the
 iterate's positivity is checked once, after the last round: a zero or NaN
 entry is absorbing under the update (0 * exp(.) stays 0, NaN spreads
-through the normalization), so it would still be there.  A run holds B's
-T x b omega draws and the column being drawn, which it counts against the
-up-front budget.
+through the normalization), so it would still be there.
 
 :func:`congames.quantile.solve_a1` writes the same update out in its own
-generated round, with the frontier in place of resource 0.
+generated round, with the frontier in place of resource 0, and both
+solvers share one run, :func:`_mw_run`, which states the part they have in
+common once: the up-front budget (B's T x b omega draws and the column
+being drawn), the draws on :data:`~congames.rng.OMEGA_STREAM`, the kernel
+call, the positivity check and the average.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (
-    DRAW_CHUNK,
     GameInstance,
     argmax_chain,
     check_count,
@@ -75,6 +76,7 @@ from .game import (
     compile_kernel,
     kernel_columns,
     mw_source,
+    require_positive,
     sample_omega,
 )
 from .rng import OMEGA_STREAM, as_generator
@@ -82,7 +84,6 @@ from .worstcase import _check_max_term, omega_maxima
 
 __all__ = [
     "MdConfig",
-    "require_positive",
     "run_md",
     "md_error_bound",
     "omega_sup_sq_mean",
@@ -106,27 +107,37 @@ class MdConfig:
         check_count("T", self.T)
 
 
-def require_positive(p):
-    """Reject an iterate (an array or a list) with a zero or NaN entry."""
-    if not np.all(np.asarray(p) > 0):
-        raise ValueError("mirror-descent iterates must be strictly positive")
-
-
 def run_md(game: GameInstance, config: MdConfig, seed: int = 0) -> np.ndarray:
     """Average mirror-descent iterate after T rounds (uniform start
     included), with the omega draws of ``seed``.
 
-    Needs a == 0.  Raises ValueError, before drawing anything, when B's
-    T x b omega draws and the column being drawn exceed
-    :data:`~congames.game.UPFRONT_BUDGET_BYTES`.
+    Needs a == 0.  Raises ValueError, before drawing anything, when the
+    shared run (:func:`_mw_run`) refuses its budget.
     """
     if game.partition.a != 0:
         raise ValueError("mirror descent applies only when player A has no private block")
-    n, b, T = game.n, game.partition.b, config.T
+    return _mw_run("md", _round_kernel, game, config.T, seed, game.weights.tolist(), config.alpha)
+
+
+def _mw_run(name: str, round_kernel, game: GameInstance, T: int, seed: int, *args) -> np.ndarray:
+    """The average of the T iterates of a multiplicative-weights round
+    kernel (uniform start included), with the omega draws of ``seed``.
+
+    The run of :func:`run_md` and :func:`congames.quantile.solve_a1`.  It
+    raises ValueError naming ``name``, before compiling or drawing
+    anything, when B's T x b omega draws and the column being drawn exceed
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES`; then it draws them on
+    :data:`~congames.rng.OMEGA_STREAM`, calls the kernel
+    ``round_kernel(n, b)`` as ``kernel(omegas, T, *args)`` and rejects a
+    last iterate with a zero or NaN entry
+    (:func:`~congames.game.require_positive`).  The draws are freed when it
+    returns.
+    """
+    n, b = game.n, game.partition.b
     # B's T x b omega draws and the column being drawn
-    check_upfront_budget("md", T, n, (b + 1) / n)
-    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), size=T)
-    p, total = _round_kernel(n, b)(kernel_columns(omegas), T, game.weights.tolist(), config.alpha)
+    check_upfront_budget(name, T, n, (b + 1) / n)
+    omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), T)
+    p, total = round_kernel(n, b)(kernel_columns(omegas), T, *args)
     require_positive(p)
     return np.array(total) / T
 
@@ -182,8 +193,7 @@ def _round_kernel(n: int, b: int):
         *mw_source(c, e, P, pad="                "),
         f"    return [{', '.join(P)}], [{', '.join(S)}]",
     ]
-    namespace = {"np": np, "exp": np.exp, "require_positive": require_positive, "DRAW_CHUNK": DRAW_CHUNK}
-    return compile_kernel("\n".join(lines) + "\n", f"<md round kernel n={n} b={b}>", "md_rounds", namespace)
+    return compile_kernel("\n".join(lines) + "\n", f"<md round kernel n={n} b={b}>", "md_rounds")
 
 
 def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):

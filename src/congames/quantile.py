@@ -48,12 +48,13 @@ reads B's omega columns, the random ones and the only ones
 :func:`~congames.game.sample_omega` draws, as lists
 :data:`~congames.game.DRAW_CHUNK` rows at a time.  So at n = 3 a round with
 finite exponents makes at most two ``np.exp`` calls, none building an array,
-and three Python-level calls, all to the law's ``tail_mean``.  Like the
-other solvers it refuses, before sampling, a run whose T x b omega draws,
-with the column being drawn, exceed
-:data:`congames.game.UPFRONT_BUDGET_BYTES`; it also refuses there an
-``n_samples`` that its evaluation would refuse.  The draws are freed before
-the evaluation samples its own.
+and three Python-level calls, all to the law's ``tail_mean``.  The kernel
+runs in mirror descent's run (:func:`congames.md._mw_run`), which refuses,
+before sampling, a run whose T x b omega draws, with the column being
+drawn, exceed :data:`congames.game.UPFRONT_BUDGET_BYTES`, draws them, checks
+the last iterate's positivity and averages the iterates; :func:`solve_a1`
+refuses before it an ``n_samples`` that its evaluation would refuse.  The
+draws are freed before the evaluation samples its own.
 """
 
 from __future__ import annotations
@@ -64,21 +65,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import RewardDistribution
-from .game import (
-    DRAW_CHUNK,
-    GameInstance,
-    _sum,
-    argmax_chain,
-    check_upfront_budget,
-    chunk_loop,
-    compile_kernel,
-    kernel_columns,
-    mw_source,
-    sample_omega,
-)
-from .md import MdConfig, require_positive
+from .game import GameInstance, _sum, argmax_chain, chunk_loop, compile_kernel, mw_source
+from .md import MdConfig, _mw_run
 from .montecarlo import DEFAULT_SAMPLES
-from .rng import OMEGA_STREAM, as_generator
 from .strategies import QuantileThreshold, _check_simplex
 from .worstcase import _check_max_term, worst_case_objective
 
@@ -171,30 +160,24 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     utility g(q(p0), p[1:]) of p evaluated with ``n_samples`` draws when
     randomness remains, and the standard error of that value (0 when exact).
     Raises ValueError, before drawing anything, when DEFAULT_DELTA >= 1/n
-    (n >= 1000), when B's T x b omega draws, with the column being drawn,
-    exceed :data:`~congames.game.UPFRONT_BUDGET_BYTES`, or when the evaluation
-    would refuse ``n_samples`` (fewer than 2, or over its budget, where
-    player B observes a resource).
+    (n >= 1000), when the evaluation would refuse ``n_samples`` (fewer than
+    2, or over its budget, where player B observes a resource), or when B's
+    T x b omega draws, with the column being drawn, exceed
+    :data:`~congames.game.UPFRONT_BUDGET_BYTES` (the budget of the run it
+    shares with mirror descent, :func:`congames.md._mw_run`).
     """
     if game.partition.a != 1:
         raise ValueError("solve_a1 needs exactly one privately observed resource")
     if not DEFAULT_DELTA < 1.0 / game.n:
         raise ValueError(f"solve_a1 keeps p0 >= {DEFAULT_DELTA:g}, which needs n < {1 / DEFAULT_DELTA:g}")
     frontier = TailFrontier(game.distributions[0])
-    n, alpha = game.n, config.alpha
-    b = game.partition.b
-    # B's T x b omega draws and the column being drawn
-    check_upfront_budget("a1", config.T, n, (b + 1) / n)
     _check_max_term(game.partition, n_samples)
     # the weights are the gross gain per unit of x: 1 for the rate q(p0), E_k
-    # for the other picks; the draws are freed with the call, before the
+    # for the other picks; the draws are freed with the run, before the
     # evaluation samples its own
-    p, total = _round_kernel(n, b)(
-        kernel_columns(sample_omega(game, as_generator(seed, OMEGA_STREAM), size=config.T)),
-        config.T, frontier.dist.tail_mean, game.weights.tolist(), alpha,
+    p_avg = _mw_run(
+        "a1", _round_kernel, game, config.T, seed, frontier.dist.tail_mean, game.weights.tolist(), config.alpha
     )
-    require_positive(p)
-    p_avg = np.array(total) / config.T
 
     x = p_avg.copy()
     x[0] = frontier.q(p_avg[0])
@@ -273,7 +256,7 @@ def _round_kernel(n: int, b: int):
         *(f"                {P[k]} = {P[k]} * scale" for k in range(1, n)),
         f"    return [{', '.join(P)}], [{', '.join(S)}]",
     ]
-    namespace = {"np": np, "exp": np.exp, "require_positive": require_positive}
-    namespace.update(DRAW_CHUNK=DRAW_CHUNK, FD_WIDTH=FD_WIDTH, DEFAULT_DELTA=DEFAULT_DELTA)
     filename = f"<a1 round kernel n={n} b={b}>"
-    return compile_kernel("\n".join(lines) + "\n", filename, "a1_rounds", namespace)
+    return compile_kernel(
+        "\n".join(lines) + "\n", filename, "a1_rounds", FD_WIDTH=FD_WIDTH, DEFAULT_DELTA=DEFAULT_DELTA
+    )

@@ -25,7 +25,6 @@ import congames.game
 import congames.md
 import congames.montecarlo
 import congames.nash
-import congames.quantile
 import congames.worstcase
 from congames import (
     Discrete,
@@ -64,7 +63,6 @@ BUDGETED_MODULES = (
     congames.md,
     congames.montecarlo,
     congames.nash,
-    congames.quantile,
     congames.worstcase,
 )
 

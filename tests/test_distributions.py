@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from congames.distributions import Discrete, Exponential, PointMass, Uniform
 from congames.rng import DRAW_CHUNK
@@ -62,6 +65,46 @@ def test_uniform_moments_and_tail():
     assert d.second_moment == pytest.approx(4.0 / 3.0)
     assert d.tail_mean(0.5) == pytest.approx(1.5)
     assert d.tail_mean(1.0) == pytest.approx(d.mean)
+
+
+@st.composite
+def uniform_laws(draw):
+    """Uniform laws from a point up to ten times max(lo, 1) wide, most of
+    them narrow: a few ulps, or 1e-16 to 1 times max(lo, 1)."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1e8)))
+    scale = max(lo, 1.0)
+    if draw(st.booleans()):
+        return Uniform(lo, lo + draw(st.integers(0, 4)) * math.ulp(scale))
+    return Uniform(lo, lo + draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-16, 0)) * scale)
+
+
+def relative_error(value, exact):
+    return abs(Fraction(value) - exact) / exact if exact else abs(value)
+
+
+@given(law=uniform_laws(), at=st.floats(-0.5, 1.5))
+@example(law=Uniform(1e8, 1e8 + 1e-6), at=0.5)
+@example(law=Uniform(3.0, 3.0), at=0.0)
+def test_uniform_moments_hold_on_narrow_supports(law, at):
+    # the closed forms against exact rational arithmetic, and the bounds a
+    # second moment and a squared max obey: a narrow support must not
+    # cancel its digits away
+    lo, hi = Fraction(law.lo), Fraction(law.hi)
+    m = max(0.0, law.lo + at * (law.hi - law.lo))  # in, below or above the support
+    M = Fraction(m)
+    second = (hi**3 - lo**3) / (3 * (hi - lo)) if hi > lo else lo**2
+    if M <= lo:
+        sq_max = second
+    elif M >= hi:
+        sq_max = M**2
+    else:
+        sq_max = (M**2 * (M - lo) + (hi**3 - M**3) / 3) / (hi - lo)
+    assert relative_error(law.second_moment, second) <= 1e-12
+    assert relative_error(law.expected_sq_max_with(m), sq_max) <= 1e-12
+    assert law.mean**2 <= law.second_moment <= law.hi**2
+    assert max(m, law.lo) ** 2 <= law.expected_sq_max_with(m) <= max(m, law.hi) ** 2
+    if law.lo == law.hi:
+        assert law.second_moment == law.lo**2
 
 
 def test_point_mass_and_discrete_basics():

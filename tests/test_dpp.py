@@ -510,7 +510,8 @@ def test_kernel_makes_no_python_call():
     T = 2500
     chunks = -(-T // congames.game.DRAW_CHUNK)
     game = exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0))
-    python, c = kernel_calls("<dpp round kernel n=3 a=1 b=1>", lambda: run_dpp(game, DppConfig(T=T)))
+    kernel = congames.dpp._round_kernel(3, 1, 1)
+    python, c = kernel_calls(kernel, lambda: run_dpp(game, DppConfig(T=T)))
     assert python == {}
     assert c == {"append": 3 * T, "fromlist": chunks, "tolist": 2 * chunks}
 

@@ -1,6 +1,13 @@
+import builtins
+import dis
+import types
+
 import numpy as np
 import pytest
 
+import congames.dpp
+import congames.md
+import congames.quantile
 from congames import (
     Exponential,
     GameInstance,
@@ -179,3 +186,36 @@ def test_weights_are_one_on_a_and_the_mean_elsewhere():
     omegas = full_omega(g, 5, size=100)
     np.testing.assert_array_equal(omegas[:, [0, 2, 3]], np.tile([1.0, 0.5, 3.0], (100, 1)))
     assert np.all(omegas[:, 1] >= 0) and len(set(omegas[:, 1])) > 1
+
+
+def loaded_globals(code) -> set:
+    """The names ``code`` and the code nested in it load as globals."""
+    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= loaded_globals(const)
+    return names
+
+
+# (round kernel builder, shape): b = 0, n = 1, and n >= 8, where a sum is
+# numpy's (game._sum)
+KERNEL_SHAPES = [
+    *((congames.dpp._round_kernel, shape) for shape in [
+        (1, 0, 0), (1, 1, 0), (1, 0, 1), (3, 1, 1), (8, 0, 0), (9, 2, 3)
+    ]),
+    *((congames.md._round_kernel, shape) for shape in [(1, 0), (1, 1), (3, 0), (3, 1), (8, 0), (9, 4)]),
+    *((congames.quantile._round_kernel, shape) for shape in [(1, 0), (2, 1), (3, 0), (3, 1), (8, 0), (9, 3)]),
+]
+
+
+@pytest.mark.parametrize("build, shape", KERNEL_SHAPES, ids=lambda x: getattr(x, "__module__", str(x)))
+def test_generated_rounds_find_every_global_they_load(build, shape):
+    # compile_kernel's namespace supplies every name a generated round
+    # loads, those only a rare branch reaches (the all-underflow
+    # require_positive, numpy's sum of 8 terms) among them
+    kernel = build(*shape)
+    loaded = loaded_globals(kernel.__code__)
+    assert loaded - set(kernel.__globals__) - set(vars(builtins)) == set()
+    if build is not congames.dpp._round_kernel:
+        assert "require_positive" in loaded
+        assert ("np" in loaded) == (shape[0] >= 8)

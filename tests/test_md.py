@@ -26,8 +26,8 @@ from congames import (
     solve_a1,
     worst_case_objective,
 )
-from congames.game import DRAW_CHUNK
-from congames.md import omega_sup_sq_mean, require_positive
+from congames.game import DRAW_CHUNK, require_positive
+from congames.md import omega_sup_sq_mean
 from congames.quantile import DEFAULT_DELTA, FD_WIDTH
 from congames.rng import OMEGA_STREAM, as_generator
 from conftest import LAWS, exp_game, full_omega, kernel_calls, md_preset_optimum
@@ -465,24 +465,20 @@ def test_kernel_raises_where_every_weight_underflows():
     assert lines == ["require_positive([e0, e1, e2])"]
 
 
-def test_a_folded_round_calls_no_exp(monkeypatch):
+def test_a_folded_round_calls_no_exp():
     # with no random omega and tied weights every argmax is a constant
     # resource other than a unique largest weight, so every round takes its
     # factors from the one exp call before the loop, and makes no other
-    # call; np.exp, a ufunc, is wrapped in a Python function to be counted
-    def exp(x):
-        return np.exp(x)
-
+    # call
     T = 2500
-    for game, filename, chunks in (
-        (exp_game([1.0, 1.0, 1.0, 1.0], (0, 0, 4, 0)), "<md round kernel n=4 b=0>", 0),
+    for game, chunks in (
+        (exp_game([1.0, 1.0, 1.0, 1.0], (0, 0, 4, 0)), 0),
         # B's column drawn, with a mean so small that it wins no argmax; the
         # kernel reads it DRAW_CHUNK rows at a time
-        (exp_game([0.1, 1.0, 1.0], (0, 1, 2, 0)), "<md round kernel n=3 b=1>", -(-T // DRAW_CHUNK)),
+        (exp_game([0.1, 1.0, 1.0], (0, 1, 2, 0)), -(-T // DRAW_CHUNK)),
     ):
         kernel = congames.md._round_kernel(game.n, game.partition.b)
-        monkeypatch.setitem(kernel.__globals__, "exp", exp)
-        python, c = kernel_calls(filename, lambda: run_md(game, MdConfig(T=T)))
+        python, c = kernel_calls(kernel, lambda: run_md(game, MdConfig(T=T)))
         assert python == {"exp": 1}
         assert c == {"max": 1, "count": 1, "tolist": 1 + chunks}
 
@@ -507,8 +503,8 @@ def test_oversized_runs_fail_before_sampling(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("the run sampled before checking its budget")
 
+    # both solvers draw in mirror descent's shared run
     monkeypatch.setattr(congames.md, "sample_omega", no_draws)
-    monkeypatch.setattr(congames.quantile, "sample_omega", no_draws)
     config = MdConfig(alpha=50.0, T=10**8)
     # MD holds B's one omega column and the column being drawn
     with pytest.raises(ValueError, match=r"md run with T=100000000, n=3 needs 1526 MiB"):

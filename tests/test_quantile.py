@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import congames.md
 import congames.quantile
 from congames import (
     Discrete,
@@ -246,13 +247,15 @@ def test_solve_a1_calls_tail_mean_three_times_a_round(monkeypatch):
 
 
 def test_a1_kernel_calls_only_tail_mean():
-    # a round's only Python-level calls are the three tail_mean calls, and
-    # the kernel reads B's omega column DRAW_CHUNK rows at a time with one
-    # tolist
+    # a round's only Python-level calls are the three tail_mean calls and
+    # at most n - 1 exp calls, as the shift's own exponent is 0: on this
+    # seed no other exponent is 0, so every round makes n - 1; the kernel
+    # reads B's omega column DRAW_CHUNK rows at a time with one tolist
     T = 2500
     game = exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0))
-    python, c = kernel_calls("<a1 round kernel n=3 b=1>", lambda: solve_a1(game, MdConfig(T=T), n_samples=2000))
-    assert python == {"tail_mean": 3 * T}
+    kernel = congames.quantile._round_kernel(3, 1)
+    python, c = kernel_calls(kernel, lambda: solve_a1(game, MdConfig(T=T), n_samples=2000))
+    assert python == {"tail_mean": 3 * T, "exp": 2 * T}
     assert c == {"tolist": -(-T // DRAW_CHUNK)}
 
 
@@ -277,7 +280,7 @@ def test_a1_kernel_reads_only_the_drawn_omega_columns(monkeypatch):
         exp_game([0.9, 1.3, 1.0], (1, 0, 2, 0)),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(congames.quantile, "sample_omega", spy)
+            patch.setattr(congames.md, "sample_omega", spy)
             p, _, _ = solve_a1(game, config, seed=5, n_samples=3000)
         assert shapes.pop() == (config.T, game.partition.b)
         expected, _ = numpy_a1(game, config, seed=5)
@@ -354,6 +357,6 @@ def test_solve_a1_refuses_a_bad_sample_count_before_sampling(monkeypatch, n_samp
     def no_draws(*args, **kwargs):
         raise AssertionError("solve_a1 sampled before checking its evaluation's sample count")
 
-    monkeypatch.setattr(congames.quantile, "sample_omega", no_draws)
+    monkeypatch.setattr(congames.md, "sample_omega", no_draws)
     with pytest.raises(ValueError, match=message):
         solve_a1(exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0)), MdConfig(alpha=50.0, T=50_000), n_samples=n_samples)
