@@ -21,6 +21,15 @@ Both refuse an argument outside [0, 1], NaN included.  ``tail_mean`` checks
 its own range and writes ``quantile(1 - p)`` out in place, with the same
 operations, because each round of :func:`congames.quantile.solve_a1` calls
 it three times.
+
+A law whose parameters give no finite second moment (``Exponential(1e-200)``,
+``Uniform(0, 1e200)``) is refused when it is built, so every guarantee
+constant computed from the moments is a float.  Each law draws through one
+primitive, ``fill(rng, out)``, which writes one whole draw of the stream
+into a C-contiguous float64 array in place, the bits and the generator state
+of ``sample(rng, out.shape)``; ``sample`` allocates its array and calls it,
+so there is one drawing path, and the samplers of :mod:`congames.game` fill
+each column of their draws where it is read.
 """
 
 from __future__ import annotations
@@ -41,8 +50,28 @@ __all__ = [
 ]
 
 
+class _Law:
+    """What every catalog law shares: the refusal of parameters without a
+    finite second moment, and ``sample``, written by the law's ``fill``."""
+
+    def _check_second_moment(self):
+        try:
+            with np.errstate(over="ignore"):
+                finite = math.isfinite(self.second_moment)
+        except (OverflowError, ZeroDivisionError):  # a square or 2 / rate**2 out of range
+            finite = False
+        if not finite:
+            raise ValueError(f"{self!r} is out of range: its second moment is not a finite float")
+
+    def sample(self, rng: np.random.Generator, size=None):
+        """``size`` draws (one float when None), written by ``fill``."""
+        out = np.empty(() if size is None else size)
+        self.fill(rng, out)
+        return out if size is not None else float(out)
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Law):
     """Exponential with rate ``rate`` (mean ``1/rate``)."""
 
     rate: float
@@ -50,6 +79,7 @@ class Exponential:
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+        self._check_second_moment()
 
     @property
     def mean(self) -> float:
@@ -86,12 +116,14 @@ class Exponential:
         tail = math.exp(-lam * m) * (m**2 + 2 * m / lam + 2 / lam**2)
         return m**2 * (1.0 - math.exp(-lam * m)) + tail
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
+    def fill(self, rng: np.random.Generator, out: np.ndarray):
+        # exponential(scale) draws scale * standard_exponential: these bits
+        rng.standard_exponential(out=out)
+        out *= 1.0 / self.rate
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Law):
     """Uniform on [lo, hi] with 0 <= lo <= hi."""
 
     lo: float
@@ -100,6 +132,7 @@ class Uniform:
     def __post_init__(self):
         if not (0 <= self.lo <= self.hi < math.inf):
             raise ValueError(f"need 0 <= lo <= hi < inf, got [{self.lo}, {self.hi}]")
+        self._check_second_moment()
 
     @property
     def mean(self) -> float:
@@ -136,15 +169,19 @@ class Uniform:
         if m >= hi:
             return m**2
         # m^2 plus its excess, a product of non-negative terms, so a narrow
-        # support cancels no digits and the result is never below m^2
-        return m**2 + (hi - m) ** 2 * (hi + 2.0 * m) / (3.0 * (hi - lo))
+        # support cancels no digits and the result is never below m^2; the
+        # ratio is taken first, so a wide support does not overflow hi^3
+        return m**2 + (hi - m) ** 2 * ((hi + 2.0 * m) / (3.0 * (hi - lo)))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.uniform(self.lo, self.hi, size=size)
+    def fill(self, rng: np.random.Generator, out: np.ndarray):
+        # uniform(lo, hi) draws lo + (hi - lo) * random: these bits
+        rng.random(out=out)
+        out *= self.hi - self.lo
+        out += self.lo
 
 
 @dataclass(frozen=True)
-class PointMass:
+class PointMass(_Law):
     """Degenerate law concentrated at ``value``."""
 
     value: float
@@ -152,6 +189,7 @@ class PointMass:
     def __post_init__(self):
         if not 0 <= self.value < math.inf:  # also rejects NaN
             raise ValueError(f"support must be finite and non-negative, got {self.value}")
+        self._check_second_moment()
 
     @property
     def mean(self) -> float:
@@ -168,12 +206,12 @@ class PointMass:
     def expected_sq_max_with(self, m: float) -> float:
         return max(self.value, m) ** 2
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return np.full(size, self.value) if size is not None else self.value
+    def fill(self, rng: np.random.Generator, out: np.ndarray):
+        out.fill(self.value)  # draws nothing from rng
 
 
 @dataclass(frozen=True)
-class Discrete:
+class Discrete(_Law):
     """Finite discrete law with atoms `values` and probabilities `probs`."""
 
     values: tuple[float, ...]
@@ -195,6 +233,7 @@ class Discrete:
         order = np.argsort(vals, kind="stable")
         object.__setattr__(self, "_sorted_values", vals[order])
         object.__setattr__(self, "_cum_probs", np.cumsum(pr[order]))
+        self._check_second_moment()
 
     @property
     def mean(self) -> float:
@@ -212,15 +251,13 @@ class Discrete:
         vals = np.maximum(np.asarray(self.values, dtype=float), m)
         return float(np.dot(np.square(vals), self.probs))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        # the output is filled DRAW_CHUNK uniforms at a time, which draws the
-        # stream of one call, so a draw holds one draw-sized array; take's
+    def fill(self, rng: np.random.Generator, out: np.ndarray):
+        # out is filled DRAW_CHUNK uniforms at a time, which draws the stream
+        # of one call, so a draw holds no second draw-sized array; take's
         # clip folds a uniform past the last cumulative probability onto the
         # last atom
-        out = np.empty(() if size is None else size)
         for chunk in np.split(out.reshape(-1), range(DRAW_CHUNK, out.size, DRAW_CHUNK)):
             self._sorted_values.take(np.searchsorted(self._cum_probs, rng.random(chunk.size)), mode="clip", out=chunk)
-        return out if size is not None else float(out)
 
 
 RewardDistribution = Exponential | Uniform | PointMass | Discrete

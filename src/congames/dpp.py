@@ -162,7 +162,9 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     a, b = game.partition.a, game.partition.b
     V, alpha, T = config.V, config.alpha, config.T
     # the T x n queue history (the mixture keeps it without a copy), T x a
-    # world draws, B's T x b omega draws and the column being drawn
+    # world draws and B's T x b omega draws, each column filled in place,
+    # and one column's room for what the rounds hold beside them: the
+    # history buffer's growth (a 16th of it) and a chunk's rows as lists
     check_upfront_budget("dpp", T, n, (n + a + b + 1) / n)
 
     world_gen, omega_gen = stream_generators(seed, (WORLD_STREAM, OMEGA_STREAM))

@@ -110,8 +110,8 @@ class ScenarioSpec:
     :data:`~congames.game.UPFRONT_BUDGET_BYTES`.  A worst-case sweep whose
     preset lets B observe a resource samples its max term, so its
     ``n_samples`` must also pass that term's one check
-    (:func:`~congames.worstcase._check_max_term`: at least 2, and b + 2
-    vectors within the budget), and a worst-case DPP sweep's must pass the
+    (:func:`~congames.worstcase._check_max_term`: at least 2, and B's b
+    columns within the budget), and a worst-case DPP sweep's must pass the
     check of the estimate that evaluates each run's T-row mixture
     (:func:`~congames.montecarlo._check_estimate_budget`).  All are checked
     here, before any solver runs, so a count of 2.5 or NaN is refused here

@@ -31,6 +31,7 @@ estimate checks before it draws.
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 from dataclasses import dataclass, field
@@ -60,6 +61,11 @@ __all__ = [
 UPFRONT_BUDGET_BYTES = 2**30
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class Partition:
     """Sizes (a, b, c, d) of the four observation blocks."""
@@ -81,36 +87,38 @@ class Partition:
     def n(self) -> int:
         return self.a + self.b + self.c + self.d
 
-    @property
+    # the index sets are built once per partition, read-only, as every
+    # turn and evaluation reads them
+    @functools.cached_property
     def set_a(self) -> np.ndarray:
-        return np.arange(0, self.a)
+        return _read_only(np.arange(0, self.a))
 
-    @property
+    @functools.cached_property
     def set_b(self) -> np.ndarray:
-        return np.arange(self.a, self.a + self.b)
+        return _read_only(np.arange(self.a, self.a + self.b))
 
-    @property
+    @functools.cached_property
     def set_c(self) -> np.ndarray:
-        return np.arange(self.a + self.b, self.a + self.b + self.c)
+        return _read_only(np.arange(self.a + self.b, self.a + self.b + self.c))
 
-    @property
+    @functools.cached_property
     def set_ab(self) -> np.ndarray:
-        return np.arange(self.a + self.b + self.c, self.n)
+        return _read_only(np.arange(self.a + self.b + self.c, self.n))
 
-    @property
+    @functools.cached_property
     def shared(self) -> np.ndarray:
         """The C and AB blocks, which both players see alike."""
-        return np.arange(self.a + self.b, self.n)
+        return _read_only(np.arange(self.a + self.b, self.n))
 
-    @property
+    @functools.cached_property
     def a_comp(self) -> np.ndarray:
         """Everything player A does not privately observe."""
-        return np.arange(self.a, self.n)
+        return _read_only(np.arange(self.a, self.n))
 
-    @property
+    @functools.cached_property
     def b_comp(self) -> np.ndarray:
         """Everything player B does not privately observe."""
-        return np.concatenate([np.arange(0, self.a), np.arange(self.a + self.b, self.n)])
+        return _read_only(np.concatenate([np.arange(0, self.a), np.arange(self.a + self.b, self.n)]))
 
     def private_set(self, player: str) -> np.ndarray:
         if player == "A":
@@ -178,20 +186,22 @@ def sample_world(game: GameInstance, rng, size: int, columns: int | None = None)
     """Draw ``size`` reward realizations of the first ``columns`` resources
     (all n when None), shape ``(size, columns)``; AB-block entries stay
     fixed at ``z``.  The columns are drawn in order from one generator, so
-    they are the leading columns of the full draw, bit for bit.  Raises
-    ValueError unless ``columns`` is an integer in 0..n."""
+    they are the leading columns of the full draw, bit for bit.  The array
+    is column-major: each column is contiguous, and each law writes its
+    draw into its column in place (``fill``).  Raises ValueError unless
+    ``columns`` is an integer in 0..n."""
     if columns is None:
         columns = game.n
     elif not (is_integer(columns) and 0 <= columns <= game.n):
         raise ValueError(f"columns must be an integer in 0..n={game.n}, got {columns!r}")
     gen = as_generator(rng)
-    out = np.empty((size, columns))
+    out = np.empty((columns, size)).T
     ab_start = game.partition.a + game.partition.b + game.partition.c
-    for k, dist in enumerate(game.distributions[:columns]):
+    for k, (column, dist) in enumerate(zip(out.T, game.distributions)):
         if k >= ab_start:
-            out[:, k] = game.z[k - ab_start]
+            column.fill(game.z[k - ab_start])
         else:
-            out[:, k] = dist.sample(gen, size=size)
+            dist.fill(gen, column)
     return out
 
 
@@ -205,12 +215,13 @@ def sample_omega(game: GameInstance, rng, size: int) -> np.ndarray:
     reward-weighted pick rates) and the conditional mean on the rest.  Only
     the B block is random, so only it is drawn; column j is resource a + j.
     Each column is one whole draw of its law, taken in order from one
-    generator.
+    generator and written in place into the column-major array, whose
+    columns are contiguous.
     """
     gen = as_generator(rng)
-    out = np.empty((size, game.partition.b))
+    out = np.empty((game.partition.b, size)).T
     for column, k in zip(out.T, game.partition.set_b):
-        column[:] = game.distributions[k].sample(gen, size=size)
+        game.distributions[k].fill(gen, column)
     return out
 
 

@@ -53,9 +53,9 @@ through the normalization), so it would still be there.
 :func:`congames.quantile.solve_a1` writes the same update out in its own
 generated round, with the frontier in place of resource 0, and both
 solvers share one run, :func:`_mw_run`, which states the part they have in
-common once: the up-front budget (B's T x b omega draws and the column
-being drawn), the draws on :data:`~congames.rng.OMEGA_STREAM`, the kernel
-call, the positivity check and the average.
+common once: the up-front budget (B's T x b omega draws), the draws on
+:data:`~congames.rng.OMEGA_STREAM`, the kernel call, the positivity check
+and the average.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ from .game import (
     require_positive,
     sample_omega,
 )
+from .montecarlo import _mean_and_stderr
 from .rng import OMEGA_STREAM, as_generator
 from .worstcase import _check_max_term, omega_maxima
 
@@ -125,7 +126,7 @@ def _mw_run(name: str, round_kernel, game: GameInstance, T: int, seed: int, *arg
 
     The run of :func:`run_md` and :func:`congames.quantile.solve_a1`.  It
     raises ValueError naming ``name``, before compiling or drawing
-    anything, when B's T x b omega draws and the column being drawn exceed
+    anything, when B's T x b omega draws exceed
     :data:`~congames.game.UPFRONT_BUDGET_BYTES`; then it draws them on
     :data:`~congames.rng.OMEGA_STREAM`, calls the kernel
     ``round_kernel(n, b)`` as ``kernel(omegas, T, *args)`` and rejects a
@@ -134,8 +135,8 @@ def _mw_run(name: str, round_kernel, game: GameInstance, T: int, seed: int, *arg
     returns.
     """
     n, b = game.n, game.partition.b
-    # B's T x b omega draws and the column being drawn
-    check_upfront_budget(name, T, n, (b + 1) / n)
+    # B's T x b omega draws, each column filled in place
+    check_upfront_budget(name, T, n, b / n)
     omegas = sample_omega(game, as_generator(seed, OMEGA_STREAM), T)
     p, total = round_kernel(n, b)(kernel_columns(omegas), T, *args)
     require_positive(p)
@@ -203,8 +204,8 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     maximum is then max(W, m) with m the largest constant entry, whose
     second moment is closed-form for every catalog distribution.  With two
     or more random coordinates it is Monte Carlo estimated
-    (:func:`congames.worstcase.omega_maxima` at x = 1), and raises
-    ValueError before sampling when the max term's check
+    (:func:`congames.worstcase.omega_maxima` at x = 1, squared in place),
+    and raises ValueError before sampling when the max term's check
     (:func:`congames.worstcase._check_max_term`) refuses ``n_samples``.
     """
     part = game.partition
@@ -217,8 +218,8 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
         m = float(const.max()) if game.n > 1 else 0.0
         return float(game.distributions[k].expected_sq_max_with(m)), 0.0
     _check_max_term(part, n_samples)
-    sq = omega_maxima(np.ones(game.n), game, n_samples, rng) ** 2
-    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(n_samples))
+    maxima = omega_maxima(np.ones(game.n), game, n_samples, rng)
+    return _mean_and_stderr(np.square(maxima, out=maxima))
 
 
 def md_error_bound(game: GameInstance, config: MdConfig) -> float:

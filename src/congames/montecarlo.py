@@ -203,19 +203,33 @@ def _check_estimate_budget(partition: Partition, player: str, n_samples: int, ac
 def _threshold_stats(values, private, obs, n):
     """(p, q) of a one-row mixture from its threshold masks: the mask of
     private resource k is exactly ``actions == k``, so the counts and the
-    products averaged into q are those of the action array, bit for bit."""
+    products averaged into q are those of the action array, bit for bit.
+    The products are written into one buffer, one resource after another."""
     j, take, top = _threshold_split(values, private, obs)
     rows = len(obs)
     counts = np.zeros(n, dtype=np.int64)
     q = np.empty(private.size)
+    product = np.empty(rows)
     for i, k in enumerate(private):
         mask = take if private.size == 1 else take & (top == k)
         if k == j:  # every resource is private: rows that do not take pick j
             mask = mask | ~take
         counts[k] = np.count_nonzero(mask)
-        q[i] = np.mean(obs[:, i] * mask)
+        q[i] = np.mean(np.multiply(obs[:, i], mask, out=product))
     counts[j] += rows - counts.sum()  # j takes every other row
     return counts / rows, q
+
+
+def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """(``values.mean()``, ``values.std(ddof=1) / sqrt(len)``) of a 1-D
+    contiguous array, bit for bit, overwriting ``values``: the steps of
+    numpy's own mean and variance (the sum over N, the deviations, their
+    squares, their sum over N - 1, the root), each done in place."""
+    n = len(values)
+    mean = np.add.reduce(values) / n
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    return float(mean), float(np.sqrt(np.add.reduce(values) / (n - 1)) / np.sqrt(n))
 
 
 def collision_term(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance) -> float:
@@ -285,6 +299,4 @@ def simulate_payoff(
     # is exactly 1 or 1/2, so the bits are those of multiplying by it
     rewards = worlds[np.arange(n_samples), act_a]
     np.multiply(rewards, 0.5, out=rewards, where=collide)
-    mean = float(rewards.mean())
-    stderr = float(rewards.std(ddof=1) / np.sqrt(n_samples))
-    return mean, stderr
+    return _mean_and_stderr(rewards)

@@ -162,7 +162,7 @@ def solve_a1(game: GameInstance, config: MdConfig, seed: int = 0, n_samples: int
     Raises ValueError, before drawing anything, when DEFAULT_DELTA >= 1/n
     (n >= 1000), when the evaluation would refuse ``n_samples`` (fewer than
     2, or over its budget, where player B observes a resource), or when B's
-    T x b omega draws, with the column being drawn, exceed
+    T x b omega draws exceed
     :data:`~congames.game.UPFRONT_BUDGET_BYTES` (the budget of the run it
     shares with mirror descent, :func:`congames.md._mw_run`).
     """

@@ -18,8 +18,9 @@ entry-wise non-decreasing, and Lipschitz with weights 3/2 on the A block
 and 3/2 E_k elsewhere.  The max term is exact when the B block is empty and
 Monte Carlo estimated otherwise, by :func:`omega_maxima`, which takes B's
 columns from :func:`congames.game.sample_omega` (the others are constant)
-and never builds the (samples, n) product.  Its sample rules, at least 2
-draws and b + 2 vectors of them within the up-front budget, are stated
+and folds the products and their running maximum into them in place, never
+building the (samples, n) product.  Its sample rules, at least 2 draws and
+B's b columns of them within the up-front budget, are stated
 once, by :func:`_check_max_term`, which the estimates here,
 :func:`congames.md.omega_sup_sq_mean`, :func:`congames.quantile.solve_a1`
 and every worst-case :class:`~congames.experiments.ScenarioSpec` ask.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameInstance, Partition, check_count, check_upfront_budget, sample_omega
-from .montecarlo import DEFAULT_SAMPLES, StrategyStats, estimate_stats
+from .montecarlo import DEFAULT_SAMPLES, StrategyStats, _mean_and_stderr, estimate_stats
 from .rng import OMEGA_STREAM, as_generator
 from .strategies import Mixture, Strategy
 
@@ -94,8 +95,7 @@ def omega_max_mean(x, game: GameInstance, n_samples: int = DEFAULT_SAMPLES, rng=
     if game.partition.b == 0:
         return float(np.max(game.weights * x)), 0.0
     _check_max_term(game.partition, n_samples)
-    maxima = omega_maxima(x, game, n_samples, rng)
-    return float(maxima.mean()), float(maxima.std(ddof=1) / np.sqrt(n_samples))
+    return _mean_and_stderr(omega_maxima(x, game, n_samples, rng))
 
 
 def _check_max_term(partition: Partition, n_samples: int):
@@ -108,8 +108,9 @@ def _check_max_term(partition: Partition, n_samples: int):
     if partition.b == 0:
         return
     check_count("n_samples", n_samples, 2, " when player B observes a resource")
-    # omega_maxima holds b + 2 n_samples vectors
-    check_upfront_budget("omega_max_mean", n_samples, partition.n, (partition.b + 2) / partition.n, rows="n_samples")
+    # omega_maxima holds B's b n_samples columns, and the estimates fold
+    # everything else into them
+    check_upfront_budget("omega_max_mean", n_samples, partition.n, partition.b / partition.n, rows="n_samples")
 
 
 def omega_maxima(x: np.ndarray, game: GameInstance, n_samples: int, rng) -> np.ndarray:
@@ -118,16 +119,24 @@ def omega_maxima(x: np.ndarray, game: GameInstance, n_samples: int, rng) -> np.n
     B's columns come from ``sample_omega(game, as_generator(rng,
     OMEGA_STREAM), n_samples)``; each constant column enters as the scalar
     ``weights[k] * x[k]``, and the running maximum takes the columns
-    0 ... n-1 in turn, as numpy's row maximum of the full omega times x
-    does, so a tie of +0.0 and -0.0 resolves the same way.  Holds B's
-    n_samples x b draws, the running maximum and one column's product.
+    0 ... n-1 in turn, each as the second argument, as numpy's row maximum
+    of the full omega times x does, so a tie of +0.0 and -0.0 and a NaN
+    resolve the same way.  The products and the running maximum are
+    written into B's drawn columns in place, the maximum into the first,
+    which is returned: the call holds B's n_samples x b draws and nothing
+    else of their size (one vector of the constant maximum when b == 0).
     """
-    a = game.partition.a
+    a, b = game.partition.a, game.partition.b
     drawn = sample_omega(game, as_generator(rng, OMEGA_STREAM), n_samples)
-    maxima = np.full(n_samples, -np.inf)
-    for k, column in enumerate(game.weights * x):
-        if a <= k < a + drawn.shape[1]:
-            column = drawn[:, k - a] * x[k]
+    products = game.weights * x
+    lead = -np.inf  # the maximum of the constant columns before B's block
+    for column in products[:a]:
+        lead = np.maximum(lead, column)
+    maxima = drawn[:, 0] if b else np.full(n_samples, lead)
+    for j, column in enumerate(drawn.T):
+        np.multiply(column, x[a + j], out=column)
+        np.maximum(maxima if j else lead, column, out=maxima)
+    for column in products[a + b :]:
         np.maximum(maxima, column, out=maxima)
     return maxima
 

@@ -53,8 +53,8 @@ ROWS = 2**16
 # what no budget counts and what does not grow with the rows: vectors of
 # length n, numpy's 64 KiB buffers and a round kernel's lists of one
 # DRAW_CHUNK of rows (up to about 400 KiB at n = 5,
-# which DPP's count of the column being drawn, freed before the rounds,
-# leaves room for at these rows).  Half a column, so one uncounted column of
+# which DPP's count of one column's room for its rounds leaves room for at
+# these rows).  Half a column, so one uncounted column of
 # the rows fails.
 SLACK = 256 * 2**10
 

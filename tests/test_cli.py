@@ -167,13 +167,14 @@ def test_a_preset_with_nothing_private_runs_each_point_once(capsys, monkeypatch)
 
 def test_a_max_term_the_samples_cannot_hold_is_refused_before_any_solver_runs(capsys, monkeypatch):
     # the spec asks the max term's one check, so a worst-case sweep refuses
-    # --samples whose max-term vectors exceed the budget before any run
+    # --samples whose max-term columns (B's one drawn column here) exceed
+    # the budget before any run
     for name in ("run_dpp", "run_md", "solve_a1"):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
     for argv, need in (
-        (["worst", "md", "--scenario", "2", "--T", "200000", "--samples", "300000000"], "6866"),
-        (["worst", "dpp", "--scenario", "3", "--samples", "50000000"], "1144"),
-        (["worst", "a1", "--scenario", "3", "--samples", "50000000"], "1144"),
+        (["worst", "md", "--scenario", "2", "--T", "200000", "--samples", "300000000"], "2289"),
+        (["worst", "dpp", "--scenario", "3", "--samples", "150000000"], "1144"),
+        (["worst", "a1", "--scenario", "3", "--samples", "150000000"], "1144"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -315,7 +316,7 @@ def test_one_sample_is_refused_where_the_max_term_is_sampled(capsys, monkeypatch
 def test_samples_a_dpp_evaluation_cannot_hold_are_refused_before_any_run(capsys, monkeypatch):
     # DPP's evaluation estimates A's stats of the run's T-row mixture, which
     # holds A's world column, n scores and two more columns (6 at n = 3), more
-    # than the max term's b + 2; the spec asks the estimate's own rule
+    # than the max term's b; the spec asks the estimate's own rule
     def not_called(*args, **kwargs):
         raise AssertionError("a DPP run started before the spec was checked")
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
+from congames import DppConfig, GameInstance, MdConfig, Partition, bound_constants, md_error_bound
 from congames.distributions import Discrete, Exponential, PointMass, Uniform
 from congames.rng import DRAW_CHUNK
 from conftest import FRONTIER_LAWS, over_tail_fractions
@@ -199,3 +200,111 @@ def test_validation_errors():
         Discrete((1.0, 2.0), (math.nan, 1.0))
     with pytest.raises(ValueError):
         Exponential(1.0).quantile(1.5)
+
+
+def one_call_draw(law, rng, size):
+    """The draw of one numpy call that defines each law's stream."""
+    if isinstance(law, Exponential):
+        return rng.exponential(1.0 / law.rate, size=size)
+    if isinstance(law, Uniform):
+        return rng.uniform(law.lo, law.hi, size=size)
+    if isinstance(law, PointMass):
+        return np.full(size, float(law.value))
+    return law._sorted_values.take(np.searchsorted(law._cum_probs, rng.random(size)), mode="clip")
+
+
+# catalog laws near the ends of what each kind accepts, narrow and
+# degenerate supports among them
+EXTREME_LAWS = [
+    Exponential(1.0),
+    Exponential(3.7e-7),
+    Exponential(1e-150),
+    Exponential(1e150),
+    Uniform(0.0, 1.0),
+    Uniform(0.0, 1e150),
+    Uniform(1e8, 1e8 + 1e-6),
+    Uniform(2.5, 2.5),
+    Uniform(1e-300, 3e-300),
+    PointMass(0.0),
+    PointMass(1e150),
+    Discrete((0.0, 1e150, 1e-300), (0.25, 0.5, 0.25)),
+    Discrete((2.0,), (1.0,)),
+]
+
+
+@pytest.mark.parametrize("law", EXTREME_LAWS, ids=repr)
+@pytest.mark.parametrize("size", [0, 1, DRAW_CHUNK - 1, DRAW_CHUNK + 1, 100_003])
+def test_fill_writes_the_one_call_draw_into_a_column(law, size):
+    # fill into a (strided-array) column of a column-major array writes the
+    # bits of the one numpy call that defines the law's stream, and leaves
+    # the generator where that call does; sample, built on fill, too
+    gen, sample_gen, whole_gen = (np.random.default_rng(11) for _ in range(3))
+    columns = np.empty((3, size)).T
+    law.fill(gen, columns[:, 1])
+    expected = one_call_draw(law, whole_gen, size)
+    assert columns[:, 1].tobytes() == expected.tobytes()
+    assert law.sample(sample_gen, size).tobytes() == expected.tobytes()
+    assert gen.bit_generator.state == whole_gen.bit_generator.state == sample_gen.bit_generator.state
+    # one draw without a size is the float of the stream's first draw
+    first = law.sample(np.random.default_rng(11))
+    assert type(first) is float and first == one_call_draw(law, np.random.default_rng(11), 1)[0]
+
+
+@pytest.mark.parametrize(
+    "law, args",
+    [
+        (Exponential, (1e-200,)),  # 2 / rate**2 divides by zero
+        (Exponential, (1e200,)),  # rate**2 overflows
+        (Uniform, (0.0, 1e200)),  # hi**2 overflows
+        (Uniform, (1e160, 1e160)),
+        (PointMass, (1e200,)),
+        (Discrete, ((1.0, 1e200), (0.5, 0.5))),
+    ],
+)
+def test_laws_without_a_finite_second_moment_are_refused(law, args):
+    # the guarantee constants are built from the second moments, so a law
+    # whose second moment is not a finite float is refused where it is made
+    message = rf"^{law.__name__}\(.*\) is out of range: its second moment is not a finite float$"
+    with pytest.raises(ValueError, match=message):
+        law(*args)
+
+
+# every positive float, subnormals and the largest included
+WIDE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def accepted_laws(draw):
+    """A catalog law with parameters drawn from the whole float range, of
+    those its kind accepts."""
+    kind = draw(st.sampled_from(["exponential", "uniform", "pointmass", "discrete"]))
+    x, y = draw(WIDE), draw(WIDE)
+    try:
+        if kind == "exponential":
+            return Exponential(x)
+        if kind == "uniform":
+            return Uniform(min(x, y), max(x, y))
+        if kind == "pointmass":
+            return PointMass(x)
+        return Discrete((x, y), (0.5, 0.5))
+    except ValueError:
+        reject()
+
+
+@given(law=accepted_laws(), position=st.integers(0, 2))
+@example(law=Exponential(1e-150), position=1)
+@example(law=Uniform(0.0, 1e150), position=1)
+def test_guarantee_constants_of_accepted_laws_are_finite(law, position):
+    # the law on A's, B's or the shared resource of a three-resource game,
+    # beside unit-mean exponentials: both guarantee constants are floats,
+    # finite while the second moment leaves room for the constants' sums
+    # of a few squared means and second moments (below 1e300); past it,
+    # they may overflow to inf but never raise or give NaN
+    laws = [Exponential(1.0)] * 3
+    laws[position] = law
+    game = GameInstance(Partition(1, 1, 1, 0), tuple(laws))
+    with np.errstate(over="ignore" if law.second_moment > 1e300 else "raise"):
+        bounds = [md_error_bound(game, MdConfig()), bound_constants(game, DppConfig()).error_bound]
+    assert all(type(bound) is float and not math.isnan(bound) for bound in bounds)
+    if law.second_moment <= 1e300:
+        assert all(math.isfinite(bound) for bound in bounds)

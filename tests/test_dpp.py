@@ -428,7 +428,8 @@ def test_oversized_run_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(congames.dpp, "sample_world", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     # T x (n + a + b + 1) floats: the history (the mixture keeps it
-    # uncopied), one world column, B's omega column and the column being drawn
+    # uncopied), one world column, B's omega column and one column's room
+    # for the rounds' chunk lists and the history's growth
     with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 4578 MiB"):
         run_dpp(g, DppConfig(V=1e4, alpha=1e8, T=10**8))
 
@@ -436,8 +437,8 @@ def test_oversized_run_fails_before_sampling(monkeypatch):
 def test_budget_counts_only_the_world_columns_drawn(monkeypatch):
     # a wide game with one resource private to each player holds
     # T x (n + a + b + 1) = 100 x 15 floats (12 000 bytes): the history, the
-    # world and omega columns drawn and the column being drawn, not three
-    # T x n arrays (28 800 bytes)
+    # world and omega columns drawn and one column's room for the rounds,
+    # not three T x n arrays (28 800 bytes)
     g = exp_game([1.0] * 12, (1, 1, 10, 0))
     config = DppConfig(V=10.0, alpha=100.0, T=100)
     monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 12_000)
@@ -452,7 +453,7 @@ def test_run_holds_its_draws_and_history_and_little_more():
     # beside its T x (a + b) draws and the T x n queue history, a run holds
     # at most 512 KiB: one DRAW_CHUNK of B's and A's draws as Python floats,
     # the list of that chunk's queue rows, the diagnostics and the mixture;
-    # the bound allows T x (n + a) draws, room for the column being drawn
+    # the bound allows T x (n + a) draws, a column more than are drawn
     T, n, a = 20_000, 3, 1
     game = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     run_dpp(game, DppConfig(T=10))  # leave the kernel and numpy's one-time allocations out

@@ -167,6 +167,27 @@ def test_sample_omega_draws_in_chunks_the_bits_of_whole_columns(law, size):
     assert gen.random() == whole_gen.random()
 
 
+@pytest.mark.parametrize("columns", [None, 0, 3])
+def test_every_sampled_column_is_contiguous(columns):
+    # the samplers fill a column-major array, one law's draw into each
+    # column in place, so every column they return is contiguous
+    game = GameInstance(
+        Partition(1, 2, 1, 1),
+        (Exponential(1.0), Uniform(0.0, 2.0), LAWS["discrete"](1.0), PointMass(0.5), Exponential(2.0)),
+        z=[0.7],
+    )
+    for drawn in (sample_world(game, 3, 1000, columns), sample_omega(game, 3, 1000)):
+        assert all(drawn[:, k].flags.c_contiguous for k in range(drawn.shape[1]))
+
+
+def test_partition_index_sets_are_built_once_and_read_only():
+    part = Partition(1, 2, 1, 1)
+    for name in ("set_a", "set_b", "set_c", "set_ab", "shared", "a_comp", "b_comp"):
+        first = getattr(part, name)
+        assert getattr(part, name) is first and not first.flags.writeable
+    assert part == Partition(1, 2, 1, 1) and hash(part) == hash(Partition(1, 2, 1, 1))
+
+
 def test_means_are_read_only():
     g = exp_game([1.0, 2.0], (0, 0, 2, 0))
     with pytest.raises(ValueError):

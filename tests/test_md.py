@@ -280,11 +280,11 @@ def test_oversized_sup_sq_estimate_fails_before_sampling(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("the estimate sampled before checking its budget")
 
-    monkeypatch.setattr(Exponential, "sample", no_draws)
+    monkeypatch.setattr(Exponential, "fill", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (0, 2, 1, 0))
-    # b + 2 = 4 vectors: B's two omega columns, the maximum and a product,
-    # refused by the max term's one check
-    need = r"omega_max_mean run with n_samples=100000000, n=3 needs 3052 MiB up front"
+    # b = 2 vectors: B's two omega columns, which the products, the maximum
+    # and its square are written into, refused by the max term's one check
+    need = r"omega_max_mean run with n_samples=100000000, n=3 needs 1526 MiB up front"
     with pytest.raises(ValueError, match=need):
         omega_sup_sq_mean(g, n_samples=10**8)
     with pytest.raises(ValueError, match="n_samples must be >= 2"):
@@ -505,10 +505,10 @@ def test_oversized_runs_fail_before_sampling(monkeypatch):
 
     # both solvers draw in mirror descent's shared run
     monkeypatch.setattr(congames.md, "sample_omega", no_draws)
-    config = MdConfig(alpha=50.0, T=10**8)
-    # MD holds B's one omega column and the column being drawn
-    with pytest.raises(ValueError, match=r"md run with T=100000000, n=3 needs 1526 MiB"):
+    config = MdConfig(alpha=50.0, T=2 * 10**8)
+    # MD holds B's one omega column, filled in place
+    with pytest.raises(ValueError, match=r"md run with T=200000000, n=3 needs 1526 MiB"):
         run_md(exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)), config)
-    # A1 holds B's one omega column and the column being drawn
-    with pytest.raises(ValueError, match=r"a1 run with T=100000000, n=3 needs 1526 MiB"):
+    # A1 holds B's one omega column, filled in place
+    with pytest.raises(ValueError, match=r"a1 run with T=200000000, n=3 needs 1526 MiB"):
         solve_a1(exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0)), config)

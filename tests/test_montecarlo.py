@@ -25,7 +25,7 @@ from congames import (
     simulate_payoff,
 )
 from congames.cli import main
-from congames.montecarlo import _action_stream
+from congames.montecarlo import _action_stream, _mean_and_stderr
 from congames.rng import WORLD_STREAM, stream_generators
 from congames.strategies import batch_actions
 from congames.md import omega_sup_sq_mean
@@ -162,15 +162,15 @@ def test_strategy_stats_validation():
 
 
 def test_max_term_budget_does_not_grow_with_n(monkeypatch):
-    # the sampled max term holds b + 2 n_samples vectors whatever n is: at
-    # b = 2, 1000 samples need 32 000 bytes at n = 12, not 1000 x 12 draws
+    # the sampled max term holds B's b n_samples columns whatever n is: at
+    # b = 2, 1000 samples need 16 000 bytes at n = 12, not 1000 x 12 draws
     # (96 000); both estimates refuse with the max term's one check
     g = exp_game([1.0] * 12, (0, 2, 10, 0))
     x = np.full(12, 1.0 / 12)
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 32_000)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 16_000)
     assert omega_max_mean(x, g, n_samples=1000, rng=1)[1] > 0
     assert omega_sup_sq_mean(g, n_samples=1000, rng=1)[1] > 0
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 31_999)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 15_999)
     need = "run with n_samples=1000, n=12 needs 0 MiB up front"
     with pytest.raises(ValueError, match="omega_max_mean " + need):
         omega_max_mean(x, g, n_samples=1000, rng=1)
@@ -183,7 +183,7 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
 
     for module in (congames.montecarlo, congames.nash):
         monkeypatch.setattr(module, "sample_world", no_draws)
-    monkeypatch.setattr(Exponential, "sample", no_draws)
+    monkeypatch.setattr(Exponential, "fill", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
     score = Mixture([[1.0, 0.5, 0.5]], private=[0])
     # a one-row mixture of A holds its one drawn column and its threshold
@@ -199,10 +199,11 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     # split, B's uniform draws beside its actions) and the rewards
     with pytest.raises(ValueError, match="simulate_payoff run with n_samples=100000000, n=3 needs 5722 MiB up front"):
         simulate_payoff(score, Simplex([0.0, 1.0, 0.0]), g, n_samples=10**8)
-    # B's omega column, the running maximum and a product
-    need = r"run with n_samples=100000000, n=3 needs 2289 MiB up front"
+    # B's omega column, which the product and the running maximum are
+    # written into
+    need = r"run with n_samples=200000000, n=3 needs 1526 MiB up front"
     with pytest.raises(ValueError, match="omega_max_mean " + need):
-        omega_max_mean(np.full(3, 1.0 / 3.0), g, n_samples=10**8)
+        omega_max_mean(np.full(3, 1.0 / 3.0), g, n_samples=2 * 10**8)
     # exact statistics and a deterministic max allocate nothing, so pass
     assert estimate_stats(Simplex([1.0, 0.0, 0.0]), g, "A", n_samples=10**8).p[0] == 1.0
     g0 = exp_game([1.0, 1.0, 1.0], (1, 0, 2, 0))
@@ -412,3 +413,21 @@ def test_nash_turns_on_cached_worlds_build_no_generator(monkeypatch):
     # an estimate that draws its own worlds builds the world stream alone
     estimate_stats(report.strategy_a, game, "A", n_samples=2000, rng=3)
     assert calls == [(3, (WORLD_STREAM,))]
+
+
+@pytest.mark.parametrize("size", [2, 7, 8, 9, 127, 128, 129, 1000, 100_003])
+def test_in_place_moments_are_numpys_bits(size):
+    # the payoff simulation and the max-term estimates take the mean and
+    # std(ddof=1) in place, with numpy's own steps: the bits of mean() and
+    # std(ddof=1) / sqrt(N), across numpy's pairwise-sum block sizes, on
+    # spread values, half-collided payoffs and a constant column with zeros
+    rng = np.random.default_rng(size)
+    cases = [
+        rng.exponential(1.7, size),
+        np.where(rng.random(size) < 0.3, 0.5, 1.0) * rng.uniform(0.0, 3.0, size),
+        np.full(size, 0.3),
+        np.where(rng.random(size) < 0.5, -0.0, 0.0),
+    ]
+    for values in cases:
+        expected = np.array([values.mean(), values.std(ddof=1) / np.sqrt(size)])
+        assert np.array(_mean_and_stderr(values.copy())).tobytes() == expected.tobytes()

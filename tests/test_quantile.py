@@ -211,7 +211,7 @@ def test_solve_a1_stderr_matches_its_evaluation():
 
 
 def test_solve_a1_holds_no_round_history():
-    # beside B's T x b omega draws, and the column being drawn, the run
+    # beside B's T x b omega draws, filled in place, the run
     # holds one DRAW_CHUNK of them as Python floats (about 32 KiB at b = 1,
     # under 256 KiB), and never a T x n record of its iterates; the bound
     # allows T x n draws
@@ -349,7 +349,7 @@ def test_scalar_exp_is_the_array_exp(xs):
         (1, "^n_samples must be >= 2 when player B observes a resource$"),
         (0, "^n_samples must be >= 2 when player B observes a resource$"),
         (2.5, "^n_samples must be an integer, got 2.5$"),
-        (10**10, "^omega_max_mean run with n_samples=10000000000, n=3 needs 228882 MiB up front"),
+        (10**10, "^omega_max_mean run with n_samples=10000000000, n=3 needs 76294 MiB up front"),
     ],
 )
 def test_solve_a1_refuses_a_bad_sample_count_before_sampling(monkeypatch, n_samples, message):

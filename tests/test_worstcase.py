@@ -212,10 +212,10 @@ def test_sampled_max_terms_keep_their_bytes(case):
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
-def test_sampled_max_term_holds_three_vectors(law):
-    # the up-front budget of a sampled max term counts b + 2 n_samples
-    # vectors, three at b = 1: B's drawn column, the running maximum and
-    # the column's product with x
+def test_sampled_max_term_holds_one_vector(law):
+    # the up-front budget of a sampled max term counts B's b n_samples
+    # columns, one at b = 1: B's drawn column, which the column's product
+    # with x and the running maximum are written into
     n_samples = 200_000
     game = GameInstance(Partition(0, 1, 2, 0), (LAWS[law](1.0), Exponential(1.0), Exponential(1.0)))
     x = np.array([0.5, 0.3, 0.2])
@@ -226,7 +226,35 @@ def test_sampled_max_term_holds_three_vectors(law):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * n_samples * 8 + 64 * 1024
+    assert peak <= 1 * n_samples * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_in_place_max_terms_keep_the_reference_bits(seed):
+    # omega_maxima folds the products and the running maximum into B's
+    # drawn columns, and the estimates take the mean and std in place: the
+    # bits of the row maximum of the full omega times x, its mean() and
+    # std(ddof=1), over 100 003 draws (past numpy's vector and pairwise-sum
+    # blocks) on random partitions, with signed zeros in x, point masses and
+    # discrete laws making ties common; every third case has two or more
+    # columns of B's block last and an x of signed zeros only, ending in
+    # +0.0, -0.0, where the order of maximum's arguments decides the sign of
+    # every row (numpy's maximum returns its second argument on a tie)
+    rng = np.random.default_rng(seed)
+    zeros = seed % 3 == 0
+    a, b, c = int(rng.integers(0, 3)), int(rng.integers(2 if zeros else 1, 4)), 0 if zeros else int(rng.integers(0, 3))
+    n = a + b + c
+    kinds = rng.choice(sorted(LAWS), n)
+    game = GameInstance(Partition(a, b, c, 0), tuple(LAWS[k](m) for k, m in zip(kinds, rng.choice([0.5, 1.0, 2.0], n))))
+    x = np.append(rng.choice([0.0, -0.0], n - 2), [0.0, -0.0]) if zeros else rng.choice([0.0, -0.0, 0.5, 1.0], n)
+    n_samples = 100_003
+    expected = reference_maxima(x, game, n_samples, seed)
+    assert omega_maxima(x, game, n_samples, seed).tobytes() == expected.tobytes()
+    value = np.array(omega_max_mean(x, game, n_samples, seed))
+    assert value.tobytes() == mean_and_stderr(expected).tobytes()
+    if b >= 2:
+        sq = reference_maxima(np.ones(n), game, n_samples, seed) ** 2
+        assert np.array(omega_sup_sq_mean(game, n_samples, seed)).tobytes() == mean_and_stderr(sq).tobytes()
 
 
 @pytest.mark.parametrize("partition", [(0, 0, 3, 0), (0, 1, 2, 0), (1, 1, 1, 0)])
