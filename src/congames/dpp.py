@@ -67,7 +67,7 @@ from .game import (
     sample_omega,
     sample_world,
 )
-from .rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
+from .rng import DRAW_CHUNK, OMEGA_STREAM, WORLD_STREAM, stream_generators
 from .strategies import Mixture
 
 __all__ = [
@@ -161,11 +161,14 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     n = game.n
     a, b = game.partition.a, game.partition.b
     V, alpha, T = config.V, config.alpha, config.T
-    # the T x n queue history (the mixture keeps it without a copy), T x a
-    # world draws and B's T x b omega draws, each column filled in place,
-    # and one column's room for what the rounds hold beside them: the
-    # history buffer's growth (a 16th of it) and a chunk's rows as lists
-    check_upfront_budget("dpp", T, n, (n + a + b + 1) / n)
+    # in T x n float64 arrays: the T x n queue history (the mixture keeps
+    # it without a copy) and the buffer's growth, a 16th of it; T x a world
+    # draws and B's T x b omega draws, each column filled in place; the
+    # T x n mask the violations are counted on, a byte an entry; and a
+    # chunk's queue rows and draws as lists, up to 56 bytes (7 floats) an
+    # entry of their min(T, DRAW_CHUNK) rows
+    listed = 7 * (n + a + b) * min(T, DRAW_CHUNK) / T
+    check_upfront_budget("dpp", T, n, (n + n / 16 + a + b + n / 8 + listed) / n)
 
     world_gen, omega_gen = stream_generators(seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T, columns=a)
@@ -271,8 +274,13 @@ def _round_kernel(n: int, a: int, b: int):
     return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds")
 
 
+@np.errstate(over="ignore")
 def bound_constants(game: GameInstance, config: DppConfig) -> BoundConstants:
-    """Exact guarantee constants; second moments come from the catalog."""
+    """Exact guarantee constants; second moments come from the catalog.
+
+    A law whose second moment is near the top of the float range makes a
+    constant overflow: it is then inf, an honest if useless bound, with no
+    numpy warning."""
     part = game.partition
     means = game.means
     e_a = means[part.set_a]

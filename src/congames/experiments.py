@@ -71,6 +71,9 @@ __all__ = [
 ]
 
 SCENARIO_PARTITIONS = {1: (0, 0, 3, 0), 2: (0, 1, 2, 0), 3: (1, 1, 1, 0)}
+# one Partition per preset, so that every point of a sweep shares the
+# index sets it caches
+_PRESETS = {scenario: Partition(*sizes) for scenario, sizes in SCENARIO_PARTITIONS.items()}
 
 # the config type of each solver's settings (the closed form reads none); a
 # spec refuses a config of another type, and the CLI offers each command
@@ -157,7 +160,8 @@ class ScenarioSpec:
 
     @property
     def partition(self) -> Partition:
-        return Partition(*SCENARIO_PARTITIONS[self.scenario])
+        """The preset's partition, one object per preset."""
+        return _PRESETS[self.scenario]
 
 
 @dataclass(frozen=True)

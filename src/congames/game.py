@@ -23,10 +23,10 @@ The module also hosts the toolkit of the generated round kernels of the
 drift-plus-penalty, mirror-descent and A1 solvers: :func:`compile_kernel`,
 whose one namespace supplies every name a generated round calls (``np``,
 ``exp``, :func:`require_positive` and :data:`DRAW_CHUNK`), the source
-builders (:func:`chunk_loop`, :func:`argmax_chain`, :func:`mw_source` and
-:func:`_sum`), :func:`kernel_columns`, and the up-front budget rule
-(:func:`check_upfront_budget`) that every solver run and Monte Carlo
-estimate checks before it draws.
+builders (:func:`chunk_loop`, :func:`argmax_chain`, :func:`mw_source`,
+:func:`normalize_source` and :func:`_sum`), :func:`kernel_columns`, and
+the up-front budget rule (:func:`check_upfront_budget`) that every solver
+run and Monte Carlo estimate checks before it draws.
 """
 
 from __future__ import annotations
@@ -306,21 +306,30 @@ def require_positive(p):
         raise ValueError("mirror-descent iterates must be strictly positive")
 
 
-def mw_source(c: list[str], e: list[str], P: list[str], pad: str = "            ") -> list[str]:
-    """Source lines of a kernel round's multiplicative-weights step: the
-    weights ``e`` = ``P`` exp(``c``), shifted by the largest exponent (the
-    first of equal ones, as ``max`` takes it) and indented by ``pad``,
-    then, in the body of the row loop, the iterate ``P`` = ``e`` / their
-    sum (:func:`_sum`), which raises through ``require_positive`` where
-    every weight underflowed.  Each exponential is one scalar ``exp``
+def mw_source(c: list[str], e: list[str], P: list[str]) -> list[str]:
+    """Source lines, indented for the body of a kernel's loop over the rows
+    of a draw chunk, of a round's multiplicative-weights step: the weights
+    ``e`` = ``P`` exp(``c``), shifted by the largest exponent (the first of
+    equal ones, as ``max`` takes it), then the iterate ``P`` = ``e`` / their
+    sum (:func:`normalize_source`).  Each exponential is one scalar ``exp``
     call, skipped where the exponent is exactly 0, as exp(0) is exactly 1.
     """
-    lines = [f"{pad}# a value-invariant shift against overflow", f"{pad}shift = {c[0]}"]
+    lines = ["            # a value-invariant shift against overflow", f"            shift = {c[0]}"]
     for ck in c[1:]:
-        lines += [f"{pad}if {ck} > shift:", f"{pad}    shift = {ck}"]
+        lines += [f"            if {ck} > shift:", f"                shift = {ck}"]
     return lines + [
-        f"{pad}# exp(0) is exactly 1, and the shift's own exponent is exactly 0",
-        *(f"{pad}{ek} = {pk} if (d := {ck} - shift) == 0.0 else float(exp(d)) * {pk}" for ck, ek, pk in zip(c, e, P)),
+        "            # exp(0) is exactly 1, and the shift's own exponent is exactly 0",
+        *(f"            {ek} = {pk} if (d := {ck} - shift) == 0.0 else float(exp(d)) * {pk}" for ck, ek, pk in zip(c, e, P)),
+        *normalize_source(e, P),
+    ]
+
+
+def normalize_source(e: list[str], P: list[str]) -> list[str]:
+    """Source lines, indented for the body of a kernel's loop over the rows
+    of a draw chunk, that set the iterate ``P`` to the weights ``e`` over
+    their sum (:func:`_sum`), and raise through ``require_positive`` where
+    every weight underflowed."""
+    return [
         f"            norm = {_sum(e)}",
         "            if norm == 0.0:  # every weight underflowed",
         f"                require_positive([{', '.join(e)}])",

@@ -28,22 +28,34 @@ float, the argmax of p * omega is a chain of comparisons, and the update
 is written out per entry.  The kernel reads B's omega columns, the random
 ones and the only ones :func:`~congames.game.sample_omega` draws (columns
 0..b-1, as a == 0), as lists :data:`~congames.game.DRAW_CHUNK` rows at a
-time; every other omega entry is the constant weight w_k.
+time, in step with the lists of the factors taken from them; every other
+omega entry is the constant weight w_k.
 
-Most rounds take no exponential.  With s = w / alpha, t = (w - w/2) / alpha
-and M = max s: a round whose argmax k is not the unique largest s has the
-shift M, since its exponent at k is at most s_k and some other s_j equals
-M.  Its exponents off the argmax are the constants s_j, so it multiplies
-each entry there by F_j = exp(s_j - M), taken before the loop; at a
-constant argmax it multiplies by G_k = exp(t_k - M), also taken before
-the loop, and at an argmax in B's block by one scalar ``np.exp`` of its
-exponent less M.  A round whose argmax is the unique largest s shifts its
-exponents by their largest and takes each exponential with one scalar
-``np.exp`` call, skipping an exponent of exactly 0.  Every bit is what the
-array update gives: ``np.exp`` on a Python float runs the ufunc loop an
-array would (``math.exp`` differs from it in the last bit on some inputs,
-which would change every later iterate), ``exp(0.0)`` is exactly 1, and
-the normalizer is added in numpy's order (:func:`~congames.game._sum`).
+No round takes an exponential: each factor a round multiplies its
+iterate by depends on its omega draw and on constants only, never on the
+iterate, so all of them are taken before the rounds that read them.  With
+s = w / alpha, t = (w - w/2) / alpha and M = max s: a round whose argmax k
+is not ``unique``, the resource with the unique largest s, has the shift
+M, since its exponent at k is at most s_k and some other s_j equals M.  Its
+exponents off the argmax are the constants s_j, so it multiplies each entry
+there by F_j = exp(s_j - M), taken before the loop; at a constant argmax it
+multiplies by G_k = exp(t_k - M), also taken before the loop, and at an
+argmax in B's block by X_k = exp((w_k - omega_k/2) / alpha - M), taken for
+every row of a :data:`~congames.game.DRAW_CHUNK` of draws by one array
+``np.exp``.  A round at ``unique`` shifts its exponents by their largest
+and multiplies by H_k = exp(c_k - shift): at a constant ``unique`` every
+exponent is a constant, so H is taken before the loop; at a ``unique`` u
+in B's block a row's shift is the larger of c_u = (w_u - omega_u/2) / alpha
+and the other s, and H, one value a row and resource, is taken once a
+chunk.  Every bit is what the array update gives: an array ``np.exp`` runs
+the ufunc loop the update's does (``math.exp`` differs from it in the last
+bit on some inputs, which would change every later iterate), ``exp(0.0)``
+is exactly 1, float64 arithmetic on arrays rounds as it does on Python
+floats, the largest of the exponents has the value of their chain of
+comparisons (none is NaN), and the normalizer is added in numpy's order
+(:func:`~congames.game._sum`).  A chunk's array arithmetic raises no
+warning where the rounds' float arithmetic would raise none (inf - inf
+where alpha is so small that w / alpha overflows).
 
 A round whose every weight underflows to 0 raises at once; otherwise the
 iterate's positivity is checked once, after the last round: a zero or NaN
@@ -51,7 +63,8 @@ entry is absorbing under the update (0 * exp(.) stays 0, NaN spreads
 through the normalization), so it would still be there.
 
 :func:`congames.quantile.solve_a1` writes the same update out in its own
-generated round, with the frontier in place of resource 0, and both
+generated round, with the frontier in place of resource 0, whose exponent,
+scaled by the frontier's slope at the iterate, it takes in the round.  Both
 solvers share one run, :func:`_mw_run`, which states the part they have in
 common once: the up-front budget (B's T x b omega draws), the draws on
 :data:`~congames.rng.OMEGA_STREAM`, the kernel call, the positivity check
@@ -75,7 +88,7 @@ from .game import (
     chunk_loop,
     compile_kernel,
     kernel_columns,
-    mw_source,
+    normalize_source,
     require_positive,
     sample_omega,
 )
@@ -154,19 +167,30 @@ def _round_kernel(n: int, b: int):
     numpy's order (:func:`~congames.game._sum`).  Only the integers n and b
     enter the source.  The function takes a view of B's T x b omega columns
     (:func:`~congames.game.kernel_columns`), T, the weights and alpha, and
-    returns the last iterate and the iterates' sums as lists.  A round
-    whose argmax ``top`` is not ``unique``, the resource with the unique
-    largest s (-1 when the largest is tied), is shifted by M: it takes its
-    factors from F, and from G at a constant argmax (all taken by one
-    ``np.exp`` call before the loop), and one ``np.exp`` call at an argmax
-    in B's block.  A round at ``unique`` shifts its
-    exponents by their largest, as ``max`` would, and takes each
-    exponential with one ``np.exp`` call, skipped where the exponent is 0.
+    returns the last iterate and the iterates' sums as lists.  Its rounds
+    call nothing: every factor a round multiplies by is read from a local
+    or from the lists of the draw chunk, whose rows the loop reads in step.
+    A round whose argmax ``top`` is not ``unique``, the resource with the
+    unique largest s (-1 when the largest is tied), is shifted by M: it
+    takes its factors from F, from G at a constant argmax and from X, one
+    per row and drawn column, at an argmax in B's block.  A round at
+    ``unique`` takes H, its exponents shifted by their largest, as ``max``
+    would: constants at a constant ``unique``, one per row and resource at
+    one in B's block.  F and G are taken by one ``np.exp`` call before the
+    loop and the constant H by another, X and the drawn H by one each a
+    chunk.
     """
-    o, w, s, t, c, e, F, G, P, S = ([f"{name}{k}" for k in range(n)] for name in "owstceFGPS")
-    at_top = [f"({w[k]} - 0.5 * {o[k]}) / alpha" if k < b else t[k] for k in range(n)]
-    # the factor at the argmax of a round shifted by M
-    folded = [f"float(exp({at_top[k]} - M))" if k < b else G[k] for k in range(n)]
+    o, w, s, t, c, e, F, G, H, X, P, S = ([f"{name}{k}" for k in range(n)] for name in "owstceFGHXPS")
+    body = [
+        *(f"            {S[k]} += {P[k]}" for k in range(n)),
+        "            # the argmax of p * omega",
+        *argmax_chain("top", [f"{P[k]} * {o[k] if k < b else w[k]}" for k in range(n)]),
+        "            if top != unique:",
+        *(f"                {e[k]} = ({X[k] if k < b else G[k]} if top == {k} else {F[k]}) * {P[k]}" for k in range(n)),
+        "            else:",
+        *(f"                {e[k]} = {H[k]} * {P[k]}" for k in range(n)),
+        *normalize_source(e, P),
+    ]
     lines = [
         "def md_rounds(omegas, T, w, alpha):",
         f"    ({', '.join(w)},) = w",
@@ -178,22 +202,48 @@ def _round_kernel(n: int, b: int):
         "    unique = ss.index(M) if ss.count(M) == 1 else -1",
         "    # the factors of a round whose argmax is not the unique largest s",
         f"    {', '.join(F + G[b:])}, = exp([{', '.join(f'{x} - M' for x in s + t[b:])}]).tolist()",
+        "    # the factors of a round at a constant unique, whose exponents are all constant",
+        *(f"    {c[k]} = {t[k]} if unique == {k} else {s[k]}" for k in range(b, n)),
+        f"    shift = max([{', '.join(s[:b] + c[b:])}])",
+        f"    {', '.join(H)}, = exp([{', '.join(f'{x} - shift' for x in s[:b] + c[b:])}]).tolist()",
+    ]
+    if b:
+        lines += [
+            "    # at a unique in B's block, a row is shifted by its exponent there or the largest other s",
+            f"    drawn_unique = 0 <= unique < {b}",
+            "    rest = max(ss[:unique] + ss[unique + 1 :], default=-np.inf)",
+            f"    wb = np.array([{', '.join(f'[{x}]' for x in w[:b])}])",
+        ]
+    lines += [
         f"    {' = '.join(P)} = 1.0 / {n}",
         f"    {' = '.join(S)} = 0.0",
         "    for start in range(0, T, DRAW_CHUNK):",
         "        stop = start + DRAW_CHUNK",
-        chunk_loop({"omegas": o[:b]}),
-        *(f"            {S[k]} += {P[k]}" for k in range(n)),
-        "            # the argmax of p * omega",
-        *argmax_chain("top", [f"{P[k]} * {o[k] if k < b else w[k]}" for k in range(n)]),
-        "            if top != unique:",
-        *(f"                {e[k]} = ({folded[k]} if top == {k} else {F[k]}) * {P[k]}" for k in range(n)),
-        "            else:",
-        "                # the exponents, the ascent gradient over alpha: the argmax loses half its omega",
-        *(f"                {c[k]} = {at_top[k]} if top == {k} else {s[k]}" for k in range(n)),
-        *mw_source(c, e, P, pad="                "),
-        f"    return [{', '.join(P)}], [{', '.join(S)}]",
     ]
+    if not b:
+        lines += [chunk_loop({}), *body]
+    else:
+        lines += [
+            # B's columns of the chunk as a b-row array
+            f"        o = {'omegas[None, start:stop]' if b == 1 else 'omegas[start:stop].T'}",
+            "        # as the rounds' float arithmetic, which raises no warning",
+            "        with np.errstate(over='ignore', invalid='ignore'):",
+            "            # each row's exponents at an argmax in B's block, and its factors shifted by M",
+            "            cb = (wb - 0.5 * o) / alpha",
+            "            X = exp(cb - M).tolist()",
+            "            if drawn_unique:",
+            "                shift = np.maximum(cb[unique], rest)",
+            "                h = np.subtract.outer(ss, shift)",
+            "                h[unique] = cb[unique] - shift",
+            "                hs = exp(h).tolist()",
+            "        if drawn_unique:",
+            f"            for {', '.join(o[:b] + X[:b] + H)} in zip(*o.tolist(), *X, *hs):",
+            *("    " + line for line in body),
+            "        else:",
+            f"            for {', '.join(o[:b] + X[:b])} in zip(*o.tolist(), *X):",
+            *("    " + line for line in body),
+        ]
+    lines.append(f"    return [{', '.join(P)}], [{', '.join(S)}]")
     return compile_kernel("\n".join(lines) + "\n", f"<md round kernel n={n} b={b}>", "md_rounds")
 
 
@@ -224,7 +274,13 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
 
 def md_error_bound(game: GameInstance, config: MdConfig) -> float:
     """Guaranteed expected gap C/(2 alpha) + alpha ln(n) / T of a run under
-    ``config``."""
-    sup_sq, _ = omega_sup_sq_mean(game)
+    ``config``.
+
+    Laws whose second moments are near the top of the float range make C
+    overflow: the bound is then inf, with no numpy warning, even where the
+    sampled mean of max_k omega_k squared (and so its stderr, which is not
+    read) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup_sq, _ = omega_sup_sq_mean(game)
     c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * sup_sq
     return c / (2.0 * config.alpha) + config.alpha * math.log(game.n) / config.T

@@ -29,9 +29,10 @@ compiled once per (n, b) (``_round_kernel``, registered with
 entry and running total is a local float, the argmax of x * omega and the
 shift of the exponents are chains of comparisons, and the gradient (scaled
 by the frontier slope on resource 0), the multiplicative-weights step
-(:func:`~congames.game.mw_source`, which mirror descent's round writes too)
-and the projection are written out per entry, because a local costs less
-than a list subscript at n = 3.  The exponents off the argmax, w_k / alpha,
+(:func:`~congames.game.mw_source`) and the projection are written out per
+entry, because a local costs less than a list subscript at n = 3.  Unlike
+mirror descent's, its exponents cannot be taken before the loop: the one
+at resource 0 is scaled by the frontier's slope at the iterate's p0.  The exponents off the argmax, w_k / alpha,
 are computed once before the loop, and so are those at the argmax wherever
 omega_k is the constant w_k: everywhere but B's block, resource 0 included.
 Every bit is what the numpy update gives: each exponential is one ``np.exp``

@@ -19,8 +19,9 @@ ACTION_A_STREAM = 2
 ACTION_B_STREAM = 3
 
 # rows that a solver's round kernel converts to Python floats at a time (at
-# most n floats a row, under 160 KiB at n = 3, less than a short run's
-# draws), and that a discrete law draws its uniforms for at a time
+# most n + 2b floats a row, MD's draws and factors, about 160 KiB at n = 3
+# and b = 1, less than a short run's draws), and that a discrete law draws
+# its uniforms for at a time
 DRAW_CHUNK = 1024
 
 

@@ -3,7 +3,10 @@ import hashlib
 import io
 import linecache
 import math
+import sys
 import tracemalloc
+import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from congames import (
     GameInstance,
     MdConfig,
     Partition,
+    PointMass,
     bound_constants,
+    md_error_bound,
     queue_bound,
     run_dpp,
     run_md,
@@ -28,7 +33,7 @@ import congames.game
 from congames.cli import main
 from congames.dpp import box_upper
 from congames.experiments import ScenarioSpec, run_scenario, scenario_game
-from congames.game import sample_omega, sample_world
+from congames.game import DRAW_CHUNK, sample_omega, sample_world
 from congames.rng import OMEGA_STREAM, WORLD_STREAM, stream_generators
 from conftest import a1_preset_optimum, exp_game, full_omega, kernel_calls, simplex_grid
 
@@ -341,6 +346,21 @@ def test_bound_constants_examples():
     assert bc.subgrad_sq_bound == pytest.approx(4.0 + omega_sq + 4.0 * 2.0)
 
 
+def test_bounds_near_the_float_range_end_are_inf_without_warning():
+    # a point mass whose second moment, 1.44e308, is finite: the DPP
+    # constants and the MD bound overflow to inf, and numpy says nothing
+    big = PointMass(1.2e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = GameInstance(Partition(1, 1, 1, 0), (Exponential(1.0), big, Exponential(1.0)))
+        assert bound_constants(g, DppConfig()).error_bound == math.inf
+        # one drawn column (exact) and two (sampled, whose mean overflows)
+        for sizes, laws in (((0, 1, 2, 0), (big, Exponential(1.0), Exponential(1.0))), ((0, 2, 1, 0), (big, big, Exponential(1.0)))):
+            g = GameInstance(Partition(*sizes), laws)
+            assert bound_constants(g, DppConfig()).error_bound == math.inf
+            assert md_error_bound(g, MdConfig()) == math.inf
+
+
 def test_error_bound_formula_value():
     g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
     cfg = DppConfig(V=200.0, alpha=4.0e4, T=100_000)
@@ -427,26 +447,50 @@ def test_oversized_run_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(congames.dpp, "sample_omega", no_draws)
     monkeypatch.setattr(congames.dpp, "sample_world", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
-    # T x (n + a + b + 1) floats: the history (the mixture keeps it
-    # uncopied), one world column, B's omega column and one column's room
-    # for the rounds' chunk lists and the history's growth
-    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 4578 MiB"):
+    # T x (n + n/16 + a + b + n/8) floats: the history (the mixture keeps
+    # it uncopied) and its growth, one world column, B's omega column and
+    # the mask the violations are counted on, with a chunk's lists beside
+    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 4244 MiB"):
         run_dpp(g, DppConfig(V=1e4, alpha=1e8, T=10**8))
 
 
 def test_budget_counts_only_the_world_columns_drawn(monkeypatch):
-    # a wide game with one resource private to each player holds
-    # T x (n + a + b + 1) = 100 x 15 floats (12 000 bytes): the history, the
-    # world and omega columns drawn and one column's room for the rounds,
-    # not three T x n arrays (28 800 bytes)
+    # a wide game with one resource private to each player counts
+    # T x (n + n/16 + a + b + n/8) = 100 x 16.25 floats (13 000 bytes): the
+    # history and its growth, the world and omega columns drawn and the
+    # violations' mask; and its 100 rows of n + a + b = 14 entries as lists,
+    # 7 floats an entry (78 400 bytes); n world columns would count more
     g = exp_game([1.0] * 12, (1, 1, 10, 0))
     config = DppConfig(V=10.0, alpha=100.0, T=100)
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 12_000)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 91_400)
     mixture, _ = run_dpp(g, config)
     assert len(mixture) == 100
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 11_999)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 91_399)
     with pytest.raises(ValueError, match="dpp run with T=100, n=12 needs 0 MiB up front"):
         run_dpp(g, config)
+
+
+def test_budget_counts_the_history_growth_of_a_wide_game(monkeypatch):
+    # past 16 resources the history buffer's growth, a 16th of it, is more
+    # than one column; the count holds the buffer as it grew and the T x n
+    # mask the violations are counted on, neither of which a count of one
+    # column beside the history held
+    counts, buffers = [], []
+
+    def spy_budget(solver, T, n, arrays=1, rows="T"):
+        counts.append(T * n * 8 * arrays)
+
+    def spy_array(typecode):
+        buffers.append(array(typecode))
+        return buffers[-1]
+
+    monkeypatch.setattr(congames.dpp, "check_upfront_budget", spy_budget)
+    monkeypatch.setattr(congames.dpp, "array", spy_array)
+    T, n = 5000, 20
+    run_dpp(exp_game([1.0] * n, (0, 0, n, 0)), DppConfig(T=T))
+    grown = sys.getsizeof(buffers[0]) - sys.getsizeof(array("d"))
+    assert grown > T * n * 8 + T * 8
+    assert counts == [pytest.approx(grown + T * n + 7 * 8 * n * DRAW_CHUNK, rel=1e-4)]
 
 
 def test_run_holds_its_draws_and_history_and_little_more():

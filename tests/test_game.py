@@ -17,6 +17,7 @@ from congames import (
     sample_omega,
     sample_world,
 )
+from congames.experiments import ScenarioSpec, scenario_game
 from conftest import LAWS, exp_game, full_omega
 
 
@@ -188,6 +189,16 @@ def test_partition_index_sets_are_built_once_and_read_only():
     assert part == Partition(1, 2, 1, 1) and hash(part) == hash(Partition(1, 2, 1, 1))
 
 
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_the_points_of_a_sweep_share_their_preset_partition(scenario):
+    # so a sweep builds each index set once, not once a point
+    spec = ScenarioSpec(scenario, "nash", [0.5, 2.0])
+    first, second = (scenario_game(spec, e1) for e1 in spec.e1_values)
+    assert first.partition is second.partition is spec.partition
+    assert first.partition.shared is second.partition.shared
+    assert spec.partition is ScenarioSpec(scenario, "nash", [1.0]).partition
+
+
 def test_means_are_read_only():
     g = exp_game([1.0, 2.0], (0, 0, 2, 0))
     with pytest.raises(ValueError):
@@ -239,4 +250,6 @@ def test_generated_rounds_find_every_global_they_load(build, shape):
     assert loaded - set(kernel.__globals__) - set(vars(builtins)) == set()
     if build is not congames.dpp._round_kernel:
         assert "require_positive" in loaded
-        assert ("np" in loaded) == (shape[0] >= 8)
+        # numpy's sum of 8 terms, and the drawn exponentials an MD chunk takes
+        drawn_exponents = build is congames.md._round_kernel and shape[1] > 0
+        assert ("np" in loaded) == (shape[0] >= 8 or drawn_exponents)

@@ -1,5 +1,6 @@
 import math
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,14 @@ WIDE_MD = (
 # one round; and a step size that underflows every weight of some round
 ONE_ROUND_MD = (exp_game([1.3, 0.7, 1.0], (0, 1, 2, 0)), MdConfig(alpha=50.0, T=1), 1)
 UNDERFLOW_MD = (exp_game([0.5, 0.5, 1.0], (0, 3, 0, 0)), MdConfig(alpha=1e-3, T=200), 0)
+# weights (2, 1, 1): resource 0, B's drawn column, has the unique largest
+# weight, so a round at it takes the factors each row's shift gives
+UNIQUE_DRAWN_MD = (exp_game([2.0, 1.0, 1.0], (0, 1, 2, 0)), MdConfig(alpha=5.0, T=300), 2)
+# the same on B's second drawn column, past two DRAW_CHUNKs
+SECOND_DRAWN_MD = (exp_game([1.0, 2.0, 1.0], (0, 2, 1, 0)), MdConfig(alpha=5.0, T=2 * DRAW_CHUNK + 300), 4)
+# an alpha so small that 2 / alpha overflows to inf and 1 / alpha does not:
+# the unique largest s is inf, on B's drawn column, and inf - inf is NaN
+OVERFLOW_MD = (exp_game([2.0, 1.0, 1.0], (0, 1, 2, 0)), MdConfig(alpha=8e-309, T=50), 1)
 
 
 @given(md_runs())
@@ -444,6 +453,9 @@ UNDERFLOW_MD = (exp_game([0.5, 0.5, 1.0], (0, 3, 0, 0)), MdConfig(alpha=1e-3, T=
 @example(WIDE_MD)
 @example(ONE_ROUND_MD)
 @example(UNDERFLOW_MD)
+@example(UNIQUE_DRAWN_MD)
+@example(SECOND_DRAWN_MD)
+@example(OVERFLOW_MD)
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_the_array_loop(run):
     # the generated round keeps the bits of the array formulas, and raises
@@ -465,22 +477,43 @@ def test_kernel_raises_where_every_weight_underflows():
     assert lines == ["require_positive([e0, e1, e2])"]
 
 
-def test_a_folded_round_calls_no_exp():
-    # with no random omega and tied weights every argmax is a constant
-    # resource other than a unique largest weight, so every round takes its
-    # factors from the one exp call before the loop, and makes no other
-    # call
-    T = 2500
-    for game, chunks in (
-        (exp_game([1.0, 1.0, 1.0, 1.0], (0, 0, 4, 0)), 0),
-        # B's column drawn, with a mean so small that it wins no argmax; the
-        # kernel reads it DRAW_CHUNK rows at a time
-        (exp_game([0.1, 1.0, 1.0], (0, 1, 2, 0)), -(-T // DRAW_CHUNK)),
+def test_no_round_calls_anything():
+    # every call the kernel makes comes before its loop or once a draw
+    # chunk: runs of as many chunks make the same calls, however many of
+    # their rounds there are or put their argmax in B's block, and each
+    # further chunk adds its fixed share (a chunk's exponentials are one
+    # exp call, and one more for the factors at a unique in B's block,
+    # under one np.errstate)
+    chunk = {"exp": 1, "__init__": 1, "__enter__": 1, "__exit__": 1}
+    for game, per_chunk in (
+        # no random omega and tied weights: nothing to draw
+        (exp_game([1.0, 1.0, 1.0, 1.0], (0, 0, 4, 0)), ({}, {})),
+        # B's column drawn, with a mean so small that it wins no argmax
+        (exp_game([0.1, 1.0, 1.0], (0, 1, 2, 0)), (chunk, {"tolist": 2})),
+        # a constant unique largest weight
+        (exp_game([1.0, 2.0, 1.0], (0, 1, 2, 0)), (chunk, {"tolist": 2})),
+        # the unique largest weight on B's column, the argmax of most rounds
+        (UNIQUE_DRAWN_MD[0], ({**chunk, "exp": 2}, {"tolist": 3, "outer": 1})),
+        (SECOND_DRAWN_MD[0], ({**chunk, "exp": 2}, {"tolist": 3, "outer": 1})),
     ):
         kernel = congames.md._round_kernel(game.n, game.partition.b)
-        python, c = kernel_calls(kernel, lambda: run_md(game, MdConfig(T=T)))
-        assert python == {"exp": 1}
-        assert c == {"max": 1, "count": 1, "tolist": 1 + chunks}
+        calls = {
+            T: kernel_calls(kernel, lambda: run_md(game, MdConfig(T=T)))
+            for T in (1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK, 2 * DRAW_CHUNK + 1)
+        }
+        assert calls[1] == calls[DRAW_CHUNK] and calls[DRAW_CHUNK + 1] == calls[2 * DRAW_CHUNK]
+        for more, fewer in ((DRAW_CHUNK + 1, DRAW_CHUNK), (2 * DRAW_CHUNK + 1, 2 * DRAW_CHUNK)):
+            assert tuple(calls[more][i] - calls[fewer][i] for i in (0, 1)) == per_chunk
+        # before the loop: exp for F and G and for the constant factors at unique
+        assert calls[1][0]["exp"] == 2 + per_chunk[0].get("exp", 0)
+
+
+def test_kernel_raises_no_warning_where_an_exponent_is_infinite():
+    # the chunk's numpy takes inf - inf as the rounds' float arithmetic
+    # does, without a warning, and ends in the array loop's error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert md_outcome(*OVERFLOW_MD) == lone_md(*OVERFLOW_MD)[0] == "mirror-descent iterates must be strictly positive"
 
 
 def test_the_kernel_reads_only_the_drawn_omega_columns(monkeypatch):
