@@ -20,7 +20,8 @@ answer the tail queries of the quantile-threshold frontier
 Both refuse an argument outside [0, 1], NaN included.  ``tail_mean`` checks
 its own range and writes ``quantile(1 - p)`` out in place, with the same
 operations, because each round of :func:`congames.quantile.solve_a1` calls
-it three times.
+it three times; the exponential's adds its mean 1/rate, a double taken
+once when the law is built.
 
 A law whose parameters give no finite second moment (``Exponential(1e-200)``,
 ``Uniform(0, 1e200)``) is refused when it is built, so every guarantee
@@ -80,10 +81,13 @@ class Exponential(_Law):
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
         self._check_second_moment()
+        # the scale 1/rate, taken once: the mean, the tail mean's offset and
+        # the draws' factor read it
+        object.__setattr__(self, "_scale", 1.0 / self.rate)
 
     @property
     def mean(self) -> float:
-        return 1.0 / self.rate
+        return self._scale
 
     @property
     def second_moment(self) -> float:
@@ -107,7 +111,7 @@ class Exponential(_Law):
         u = 1.0 - p
         if u == 1.0:
             return math.inf  # p == 0, or p too small to move 1 - p
-        return -math.log1p(-u) / self.rate + 1.0 / self.rate
+        return -math.log1p(-u) / self.rate + self._scale
 
     def expected_sq_max_with(self, m: float) -> float:
         if m <= 0:
@@ -119,7 +123,7 @@ class Exponential(_Law):
     def fill(self, rng: np.random.Generator, out: np.ndarray):
         # exponential(scale) draws scale * standard_exponential: these bits
         rng.standard_exponential(out=out)
-        out *= 1.0 / self.rate
+        out *= self._scale
 
 
 @dataclass(frozen=True)

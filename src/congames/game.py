@@ -232,7 +232,8 @@ def compile_kernel(source: str, filename: str, name: str, **constants):
     Its globals are the kernel namespace, every name a generated round
     calls or reads (``np``, ``exp``, which is ``np.exp``,
     :func:`require_positive` and :data:`DRAW_CHUNK`), with a generator's
-    own ``constants`` beside them.  The source's lines are registered in
+    own ``constants`` beside them, which override it: the A1 kernel passes
+    ``exp=math.exp``.  The source's lines are registered in
     :mod:`linecache` under ``filename``, so tracebacks, ``pdb`` and
     profilers show them.
     """
@@ -312,14 +313,16 @@ def mw_source(c: list[str], e: list[str], P: list[str]) -> list[str]:
     ``e`` = ``P`` exp(``c``), shifted by the largest exponent (the first of
     equal ones, as ``max`` takes it), then the iterate ``P`` = ``e`` / their
     sum (:func:`normalize_source`).  Each exponential is one scalar ``exp``
-    call, skipped where the exponent is exactly 0, as exp(0) is exactly 1.
+    call on a Python float, which must return a float (``math.exp``, as
+    the A1 kernel compiles it), skipped where the exponent is exactly 0,
+    as exp(0) is exactly 1.
     """
     lines = ["            # a value-invariant shift against overflow", f"            shift = {c[0]}"]
     for ck in c[1:]:
         lines += [f"            if {ck} > shift:", f"                shift = {ck}"]
     return lines + [
         "            # exp(0) is exactly 1, and the shift's own exponent is exactly 0",
-        *(f"            {ek} = {pk} if (d := {ck} - shift) == 0.0 else float(exp(d)) * {pk}" for ck, ek, pk in zip(c, e, P)),
+        *(f"            {ek} = {pk} if (d := {ck} - shift) == 0.0 else exp(d) * {pk}" for ck, ek, pk in zip(c, e, P)),
         *normalize_source(e, P),
     ]
 

@@ -257,6 +257,8 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
     (:func:`congames.worstcase.omega_maxima` at x = 1, squared in place),
     and raises ValueError before sampling when the max term's check
     (:func:`congames.worstcase._check_max_term`) refuses ``n_samples``.
+    Where the squares or their sum pass the float range, the mean is inf,
+    with no numpy warning, and the stderr inf or NaN.
     """
     part = game.partition
     if part.b == 0:
@@ -269,7 +271,9 @@ def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
         return float(game.distributions[k].expected_sq_max_with(m)), 0.0
     _check_max_term(part, n_samples)
     maxima = omega_maxima(np.ones(game.n), game, n_samples, rng)
-    return _mean_and_stderr(np.square(maxima, out=maxima))
+    # squares or a sum past the float range, and then inf - inf in the deviations
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _mean_and_stderr(np.square(maxima, out=maxima))
 
 
 def md_error_bound(game: GameInstance, config: MdConfig) -> float:
@@ -278,9 +282,7 @@ def md_error_bound(game: GameInstance, config: MdConfig) -> float:
 
     Laws whose second moments are near the top of the float range make C
     overflow: the bound is then inf, with no numpy warning, even where the
-    sampled mean of max_k omega_k squared (and so its stderr, which is not
-    read) overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sup_sq, _ = omega_sup_sq_mean(game)
+    sampled mean of max_k omega_k squared overflows."""
+    sup_sq, _ = omega_sup_sq_mean(game)
     c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * sup_sq
     return c / (2.0 * config.alpha) + config.alpha * math.log(game.n) / config.T

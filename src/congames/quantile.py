@@ -35,21 +35,22 @@ mirror descent's, its exponents cannot be taken before the loop: the one
 at resource 0 is scaled by the frontier's slope at the iterate's p0.  The exponents off the argmax, w_k / alpha,
 are computed once before the loop, and so are those at the argmax wherever
 omega_k is the constant w_k: everywhere but B's block, resource 0 included.
-Every bit is what the numpy update gives: each exponential is one ``np.exp``
-call on a Python float, which runs the ufunc loop an array would
-(``math.exp`` differs from it in the last bit on some inputs), save that an
-exponent of exactly 0, the shift's own among them, is taken as 1, which is
-what ``np.exp(0.0)`` gives; and the normalizer and the projection's sum are
-added in numpy's order (left to right below 8 entries, numpy's own sum of
-the list from 8 on; see :func:`~congames.game._sum`).  A round writes q(p0)
-and the central difference of :meth:`TailFrontier.slope` out in place, from
+Each exponential is one ``math.exp`` call, libm's ``exp``, on a Python
+float, save that an exponent of exactly 0, the shift's own among them, is
+taken as 1, which ``exp(0.0)`` gives; so the iterates' bits depend on the
+libm, not on the SIMD code numpy dispatches its ``np.exp`` to.  Every bit
+is what the array update gives with that exponential taken on each entry:
+the normalizer and the projection's sum are added in numpy's order (left
+to right below 8 entries, numpy's own sum of the list from 8 on; see
+:func:`~congames.game._sum`).  A round writes q(p0) and the central
+difference of :meth:`TailFrontier.slope` out in place, from
 three scalar ``tail_mean`` calls on ``math`` (``np.log1p``, which a batch
 would need, differs from ``math.log1p`` in the last bit on some inputs), and
 reads B's omega columns, the random ones and the only ones
 :func:`~congames.game.sample_omega` draws, as lists
 :data:`~congames.game.DRAW_CHUNK` rows at a time.  So at n = 3 a round with
-finite exponents makes at most two ``np.exp`` calls, none building an array,
-and three Python-level calls, all to the law's ``tail_mean``.  The kernel
+finite exponents makes at most two ``math.exp`` calls and three Python-level
+calls, all to the law's ``tail_mean``, and builds no array.  The kernel
 runs in mirror descent's run (:func:`congames.md._mw_run`), which refuses,
 before sampling, a run whose T x b omega draws, with the column being
 drawn, exceed :data:`congames.game.UPFRONT_BUDGET_BYTES`, draws them, checks
@@ -61,6 +62,7 @@ draws are freed before the evaluation samples its own.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,8 +197,8 @@ def _round_kernel(n: int, b: int):
     Each iterate entry and running total is a local float (``P0``, ``S0``,
     ...), the argmax is a chain of ``if s > best``
     (:func:`~congames.game.argmax_chain`), the shift one of
-    ``if c > shift`` (as ``max`` takes it), each exponential one scalar
-    ``np.exp`` call, skipped where the exponent is 0, and each sum is
+    ``if c > shift`` (as ``max`` takes it), each exponential one
+    ``math.exp`` call, skipped where the exponent is 0, and each sum is
     written out in numpy's order (:func:`~congames.game._sum`), so below 8
     resources a round builds no list and no array.
     It starts with q(p0) and its central difference, as
@@ -259,5 +261,5 @@ def _round_kernel(n: int, b: int):
     ]
     filename = f"<a1 round kernel n={n} b={b}>"
     return compile_kernel(
-        "\n".join(lines) + "\n", filename, "a1_rounds", FD_WIDTH=FD_WIDTH, DEFAULT_DELTA=DEFAULT_DELTA
+        "\n".join(lines) + "\n", filename, "a1_rounds", exp=math.exp, FD_WIDTH=FD_WIDTH, DEFAULT_DELTA=DEFAULT_DELTA
     )

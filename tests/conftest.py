@@ -60,11 +60,12 @@ def over_tail_fractions(test):
 def kernel_calls(kernel, run):
     """Run ``run()`` under :func:`sys.setprofile` and count, by name, the
     Python functions and the C functions called straight from frames of the
-    generated ``kernel``.  The kernel's ``exp`` is ``np.exp``, a ufunc, whose
-    calls the profiler does not report, so it is swapped in the kernel's
-    globals meanwhile for a Python function ``exp`` that calls it, which
-    counts it.  The garbage collector is paused meanwhile, as its callbacks
-    would run from whichever frame allocates."""
+    generated ``kernel``.  Where the kernel's ``exp`` is ``np.exp``, a
+    ufunc, whose calls the profiler does not report, it is swapped in the
+    kernel's globals meanwhile for a Python function ``exp`` that calls it,
+    which counts it; the A1 kernel's ``math.exp`` is counted as a C call.
+    The garbage collector is paused meanwhile, as its callbacks would run
+    from whichever frame allocates."""
     filename = kernel.__code__.co_filename
     namespace = kernel.__globals__
     python, c = Counter(), Counter()
@@ -79,7 +80,9 @@ def kernel_calls(kernel, run):
             c[arg.__name__] += 1
 
     collecting = gc.isenabled()
-    saved, namespace["exp"] = namespace["exp"], exp
+    saved = namespace["exp"]
+    if saved is np.exp:
+        namespace["exp"] = exp
     gc.disable()
     sys.setprofile(profile)
     try:

@@ -3,10 +3,13 @@ import hashlib
 import io
 import linecache
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -606,7 +609,10 @@ def _sha256(*parts):
 
 # Output bits of the three step solvers at T = 2000, recorded before their
 # kernels moved from numpy arrays to Python floats; a solver change must keep
-# them.  The last DPP case has alpha < V^2 and breaks the queue cap.
+# them.  The last DPP case has alpha < V^2 and breaks the queue cap.  The MD
+# digests hold where numpy dispatches np.exp to its AVX-512 code; the A1
+# digests were recorded again when A1's exponentials moved to math.exp, and
+# equal what its np.exp kernel gave with that dispatch off.
 GOLDEN_DPP = [
     # partition, means, z, V, alpha, seed, sha256, violations
     ((0, 1, 2, 0), [1.3, 1.0, 1.0], (), 50.0, 2500.0, 1,
@@ -626,30 +632,75 @@ GOLDEN_MD = [
 ]
 GOLDEN_A1 = [
     ((1, 1, 1, 0), [1.5, 1.0, 1.0], (), 6,
-     "ed390610a2ed64f847405d15c9d544c454e9fc43e085e585c69673ee2a8deab0"),
+     "c674353ed00aaf95619a9135960a977e4713fd8bfe0fb7a18792f44b87bde932"),
     ((1, 2, 1, 0), [1.2, 0.8, 1.0, 1.1], (), 7,
-     "5206bf5f7926e76a7a6f742ba22ed5ea1c9d43f18e089e7eb49c6542bb8f70ca"),
+     "76c64e76f7417e2197a6b844c7580aaba8befbc00cfc09087606a9899e3b6bfc"),
     # n = 9: the normalizer sums 9 entries and the projection 8, past numpy's
     # left-to-right range; the second game pins p0 at DEFAULT_DELTA in 1407
     # of its 2000 rounds, the first in none
     ((1, 3, 4, 1), [0.4, 1.1, 0.9, 1.3, 1.0, 1.2, 0.8, 1.0, 0.7], (0.7,), 8,
-     "13e258b336427565b6c7a81e92a71a2613d3e9bb3b9125ad8d42e3aab70e0d9b"),
+     "ba04d96a4875e58e446100740f398eebeddaa991695e418ed1ab3a60e1f9633c"),
     ((1, 3, 4, 1), [0.1, 1.1, 0.9, 1.3, 1.0, 1.2, 0.8, 1.0, 0.7], (0.7,), 8,
-     "88aee99dca2b8640f478c42f7f5bc71d16ad49a46ab696d80468f8be40914403"),
+     "37518787686f949ac32400203463eb96d35e8a9ebcab1a2d4c61f525622a2837"),
 ]
 
 
-def test_solver_outputs_keep_their_bits():
+def test_dpp_outputs_keep_their_bits():
     for partition, means, z, V, alpha, seed, expected, violations in GOLDEN_DPP:
         config = DppConfig(V=V, alpha=alpha, T=2000)
         mixture, diag = run_dpp(_game(partition, means, z), config, seed)
         digest = _sha256(mixture.values, diag.final_queues, diag.final_gamma, diag.avg_realized)
         assert (digest, diag.violations) == (expected, violations), partition
+
+
+def test_md_outputs_keep_their_bits():
     for partition, means, z, seed, expected in GOLDEN_MD:
         p = run_md(_game(partition, means, z), MdConfig(alpha=50.0, T=2000), seed)
         assert _sha256(p) == expected, partition
+
+
+def test_a1_outputs_keep_their_bits():
     for partition, means, z, seed, expected in GOLDEN_A1:
         p, value, stderr = solve_a1(
             _game(partition, means, z), MdConfig(alpha=50.0, T=2000), seed, n_samples=5000
         )
         assert _sha256(p, [value, stderr]) == expected, partition
+
+
+# numpy's dispatch targets that run its AVX-512 code
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# run with those targets disabled: the A1 digests and the seed-0 smoke CSV of
+# the benchmark's worst-a1-s3 workload keep their bits
+NO_AVX512_CHILD = """
+import contextlib, hashlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from congames.cli import main
+import test_dpp
+
+disabled = sys.argv[1:]
+assert not any(__cpu_features__[target] for target in disabled), disabled
+test_dpp.test_a1_outputs_keep_their_bits()
+with open("perfbench/workloads.json") as f:
+    workloads = json.load(f)
+spec = workloads["workloads"]["worst-a1-s3"]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(spec["argv"] + spec["smoke_argv"] + ["--seed", "0"]) == 0
+digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+assert digest == workloads["smoke_csv_sha256_seed0"]["worst-a1-s3"], digest
+"""
+
+
+def test_a1_bits_hold_without_avx512_dispatch():
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [t for t in AVX512_TARGETS if t in umath.__cpu_dispatch__ and umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip(f"this host runs none of numpy's AVX-512 dispatch targets {', '.join(AVX512_TARGETS)}")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_AVX512_CHILD, *targets], cwd=root, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

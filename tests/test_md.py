@@ -16,6 +16,7 @@ from congames import (
     GameInstance,
     MdConfig,
     Partition,
+    PointMass,
     ScenarioSpec,
     TailFrontier,
     Uniform,
@@ -66,7 +67,8 @@ def test_step_rejects_boundary():
 def numpy_a1(game, config, seed):
     """solve_a1's rounds as a loop of the array formulas: the gradient of g
     at x = (q(p0), p[1:]), its first entry scaled by the frontier slope, the
-    1-D update and the projection onto p0 >= DEFAULT_DELTA.  Returns the
+    1-D update, with ``math.exp`` taken on each entry as the kernel takes
+    it, and the projection onto p0 >= DEFAULT_DELTA.  Returns the
     average iterate, or the error the loop raises, and which of the
     projection, a zero normalizer and the slope's clamp at 1 some round
     reached."""
@@ -87,7 +89,7 @@ def numpy_a1(game, config, seed):
             grad[0] *= frontier.slope(p[0])
             expo = grad / config.alpha
             expo -= expo.max()
-            weights = p * np.exp(expo)
+            weights = p * np.array([math.exp(v) for v in expo])
             if weights.sum() == 0.0:
                 hits.add("zero normalizer")
             with np.errstate(invalid="ignore"):
@@ -275,6 +277,18 @@ def test_omega_sup_sq_mc_b2():
     assert err > 0
     # crude sanity: between the b=0 floor and the sum of second moments
     assert 1.0 < value < 2.0 + 2.0 + 1.0 + 1.0
+
+
+def test_sup_sq_mean_past_the_float_range_is_inf_without_warning():
+    # two drawn columns: the sum of the squares overflows (point masses of
+    # square 1.44e308), or some squares do too (exponential draws of mean
+    # 9.1e153); the mean is inf and numpy says nothing
+    big, wide = PointMass(1.2e154), Exponential(1.1e-154)
+    for laws in ((big, big, Exponential(1.0)), (wide, wide, Exponential(1.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, _ = omega_sup_sq_mean(GameInstance(Partition(0, 2, 1, 0), laws), n_samples=2000)
+        assert mean == math.inf
 
 
 def test_oversized_sup_sq_estimate_fails_before_sampling(monkeypatch):

@@ -247,16 +247,18 @@ def test_solve_a1_calls_tail_mean_three_times_a_round(monkeypatch):
 
 
 def test_a1_kernel_calls_only_tail_mean():
-    # a round's only Python-level calls are the three tail_mean calls and
-    # at most n - 1 exp calls, as the shift's own exponent is 0: on this
-    # seed no other exponent is 0, so every round makes n - 1; the kernel
-    # reads B's omega column DRAW_CHUNK rows at a time with one tolist
+    # a round's only Python-level calls are the three tail_mean calls; its
+    # C calls are at most n - 1 math.exp calls, as the shift's own exponent
+    # is 0: on this seed no other exponent is 0, so every round makes n - 1;
+    # the kernel reads B's omega column DRAW_CHUNK rows at a time with one
+    # tolist
     T = 2500
     game = exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0))
     kernel = congames.quantile._round_kernel(3, 1)
+    assert kernel.__globals__["exp"] is math.exp
     python, c = kernel_calls(kernel, lambda: solve_a1(game, MdConfig(T=T), n_samples=2000))
-    assert python == {"tail_mean": 3 * T, "exp": 2 * T}
-    assert c == {"tolist": -(-T // DRAW_CHUNK)}
+    assert python == {"tail_mean": 3 * T}
+    assert c == {"exp": 2 * T, "tolist": -(-T // DRAW_CHUNK)}
 
 
 def test_a1_kernel_reads_only_the_drawn_omega_columns(monkeypatch):
@@ -305,16 +307,20 @@ def test_preset_optimum_bounds_a_grid_of_the_objective():
     assert a1_preset_optimum(2.0) == pytest.approx(1.0 + math.exp(-1.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("e1", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("e1", [0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1, 2.4])
 def test_sweep_value_lies_near_the_preset_optimum(e1):
-    # `worst a1 --scenario 3 --e1-min e1 --e1-max e1`, default T and seed 0:
-    # the printed value, an estimate of g at the returned p, lies at most
-    # 3 stderr above g* and at most 2e-3 below it
+    # `worst a1 --scenario 3 --e1-min e1 --e1-max e1` at the benchmark's
+    # eight grid points, default T and seed 0: the printed value, an
+    # estimate of g at the returned p, lies at most 3 stderr above g* and at
+    # most 1e-3 below it.  Measured at seed 0: every value lies below g*, by
+    # 5.4e-4 at most (e1 = 0.9), 4.4e-4 at e1 = 1.2 and under 2.1e-4
+    # elsewhere; the ceiling leaves 4.6e-4 of margin.  Seeds 0-19 gave gaps
+    # up to 1.0e-3 (seed 5, e1 = 0.3, where the stderr is 4.8e-4).
     (row,) = run_scenario(ScenarioSpec(3, "worst-a1", [e1], seed=0)).rows
     value, stderr = row[1], row[2]
     g_star = a1_preset_optimum(e1)
     assert value <= g_star + 3 * stderr + 1e-12
-    assert g_star - value <= 2e-3
+    assert g_star - value <= 1e-3
 
 
 def test_default_sweep_builds_one_kernel():
@@ -327,20 +333,19 @@ def test_default_sweep_builds_one_kernel():
     assert (info.misses, info.hits) == (1, 23)  # the default grid's 24 points
 
 
-@given(st.lists(st.floats(-745.0, 0.0), min_size=3, max_size=3))
+@given(st.lists(st.floats(-800.0, 0.0), min_size=3, max_size=3))
 @example([0.0, -math.inf, -745.0])
 @example([-math.inf, -1e-300, 0.0])
-@example([-0.0, -1.0, 0.0])
+@example([-0.0, -1.0, math.nan])
 @settings(max_examples=300)
-def test_scalar_exp_is_the_array_exp(xs):
-    # the A1 round takes each exponential with one np.exp call on a Python
-    # float, where the array update makes one call on the n exponents: it
-    # is the same ufunc loop, so the same bits.  math.exp is not used
-    # because it differs from np.exp in the last bit on some arguments.
-    whole = np.exp(np.array(xs))
-    assert [float(np.exp(x)).hex() for x in xs] == [v.hex() for v in whole.tolist()]
+def test_math_exp_takes_every_shifted_exponent(xs):
+    # the A1 round takes each exponential with one math.exp call on an
+    # exponent less its largest: at most 0, or NaN, where math.exp returns
+    # a float in [0, 1] or NaN and never raises, underflow included
+    values = [math.exp(x) for x in xs]
+    assert all(0.0 <= v <= 1.0 or (math.isnan(x) and math.isnan(v)) for x, v in zip(xs, values))
     # and exp(+-0) is exactly 1, which the round writes in place of the call
-    assert all(v == 1.0 for x, v in zip(xs, whole.tolist()) if x == 0.0)
+    assert all(v == 1.0 for x, v in zip(xs, values) if x == 0.0)
 
 
 @pytest.mark.parametrize(
