@@ -6,8 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import congames.md
 import congames.quantile
@@ -331,21 +329,6 @@ def test_default_sweep_builds_one_kernel():
         assert main(argv) == 0
     info = congames.quantile._round_kernel.cache_info()
     assert (info.misses, info.hits) == (1, 23)  # the default grid's 24 points
-
-
-@given(st.lists(st.floats(-800.0, 0.0), min_size=3, max_size=3))
-@example([0.0, -math.inf, -745.0])
-@example([-math.inf, -1e-300, 0.0])
-@example([-0.0, -1.0, math.nan])
-@settings(max_examples=300)
-def test_math_exp_takes_every_shifted_exponent(xs):
-    # the A1 round takes each exponential with one math.exp call on an
-    # exponent less its largest: at most 0, or NaN, where math.exp returns
-    # a float in [0, 1] or NaN and never raises, underflow included
-    values = [math.exp(x) for x in xs]
-    assert all(0.0 <= v <= 1.0 or (math.isnan(x) and math.isnan(v)) for x, v in zip(xs, values))
-    # and exp(+-0) is exactly 1, which the round writes in place of the call
-    assert all(v == 1.0 for x, v in zip(xs, values) if x == 0.0)
 
 
 @pytest.mark.parametrize(
