@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import congames.md
 import congames.quantile
@@ -329,6 +331,38 @@ def test_default_sweep_builds_one_kernel():
         assert main(argv) == 0
     info = congames.quantile._round_kernel.cache_info()
     assert (info.misses, info.hits) == (1, 23)  # the default grid's 24 points
+
+
+@given(st.lists(st.floats(-745.0, 0.0), min_size=3, max_size=3))
+@example([0.0, -math.inf, -745.0])
+@example([-math.inf, -1e-300, 0.0])
+@example([-0.0, -1.0, 0.0])
+@settings(max_examples=300)
+def test_scalar_exp_is_the_array_exp(xs):
+    # mirror descent takes a chunk's exponentials with one np.exp call over
+    # DRAW_CHUNK rows (fewer in the last chunk, and b rows of them where B
+    # observes b resources), where the array update makes one call on the n
+    # exponents of a round: each entry must get the same bits whatever the
+    # array's length, shape or the entry's position in it
+    whole = [v.hex() for v in np.exp(np.array(xs)).tolist()]
+    for size in (DRAW_CHUNK, DRAW_CHUNK - 1):
+        for offset in range(3):
+            chunk = np.resize(np.roll(xs, offset), size)
+            got = np.exp(chunk).tolist()
+            assert [v.hex() for v in got] == [whole[(i - offset) % 3] for i in range(size)]
+    rows = np.exp(np.resize(xs, (3, DRAW_CHUNK))).tolist()
+    assert [[v.hex() for v in row] for row in rows] == [
+        [whole[(r * DRAW_CHUNK + i) % 3] for i in range(DRAW_CHUNK)] for r in range(3)
+    ]
+    # exp(+-0) is exactly 1 and exp(-inf) exactly 0 in numpy, which mirror
+    # descent's rounds write in place of the call, and in libm, where the
+    # A1 round skips the call at the shift's own exponent and its reference
+    # takes math.exp at every entry
+    for x, v in zip(xs, np.exp(np.array(xs)).tolist()):
+        if x == 0.0:
+            assert v == 1.0 and math.exp(x) == 1.0
+        if x == -math.inf:
+            assert v == 0.0 and math.exp(x) == 0.0
 
 
 @pytest.mark.parametrize(
