@@ -18,10 +18,14 @@ answer the tail queries of the quantile-threshold frontier
   ``E[W | W >= quantile(1 - p)]``, with ``tail_mean(1) == mean``.
 
 Both refuse an argument outside [0, 1], NaN included.  ``tail_mean`` checks
-its own range and writes ``quantile(1 - p)`` out in place, with the same
-operations, because each round of :func:`congames.quantile.solve_a1` calls
+its own range and writes ``quantile(1 - p)`` out in place, to its bits,
+because each round of :func:`congames.quantile.solve_a1` calls
 it three times; the exponential's adds its mean 1/rate, a double taken
-once when the law is built.
+once when the law is built.  The exponential's takes its common case
+first: it forms t = p - 1, exactly -(1 - p) under round-to-nearest, and
+when t is not -1 and p lies in [0, 1] returns ``-log1p(t) / rate + 1/rate``
+at once; only then does it refuse p, or return inf where p is 0 or too
+small to move 1 - p, with the values and messages of the range check.
 
 A law whose parameters give no finite second moment (``Exponential(1e-200)``,
 ``Uniform(0, 1e200)``) is refused when it is built, so every guarantee
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import log1p
 
 import numpy as np
 
@@ -105,13 +110,14 @@ class Exponential(_Law):
         return -math.log1p(-u) / self.rate
 
     def tail_mean(self, p: float) -> float:
+        # memorylessness: E[W | W >= t] = t + 1/rate, t = quantile(1 - p);
+        # p - 1 is exactly -(1 - p), as round-to-nearest is symmetric
+        t = p - 1.0
+        if t != -1.0 and 0.0 <= p <= 1.0:
+            return -log1p(t) / self.rate + self._scale
         if not 0.0 <= p <= 1.0:  # also refuses NaN
             raise ValueError(f"tail fraction must be in [0,1], got {p}")
-        # memorylessness: E[W | W >= t] = t + 1/rate, t = quantile(1 - p)
-        u = 1.0 - p
-        if u == 1.0:
-            return math.inf  # p == 0, or p too small to move 1 - p
-        return -math.log1p(-u) / self.rate + self._scale
+        return math.inf  # p == 0, or p too small to move 1 - p
 
     def expected_sq_max_with(self, m: float) -> float:
         if m <= 0:

@@ -36,8 +36,12 @@ world columns, which the kernel reads as lists
 :data:`~congames.game.DRAW_CHUNK` rows at a time.  Every other omega entry
 is the constant weight v_j, so its terms are computed once, before the
 loop.  A round appends its queues to a list of the chunk's rows, and one
-``fromlist`` call a chunk stores them in a compact float buffer, which the
-mixture takes over read-only, without a copy.  The emitted strategy is the
+``struct.pack_into`` call a chunk writes them, in place, into the chunk's
+rows of the T x n float64 history, allocated once at that size, which the
+mixture takes over read-only, without a copy.  A run's up-front budget is
+therefore T x (n + a + b) floats, the history and the draws, and one
+chunk's lists; the violations are counted DRAW_CHUNK rows of the history
+at a time, so no T x n mask is held.  The emitted strategy is the
 equiprobable :class:`~congames.strategies.Mixture` of the T queue-score
 rows (the all-zero first one included); the queue cap and its violation
 count, the average realized x, and the final queues and targets are
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,13 +166,11 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     a, b = game.partition.a, game.partition.b
     V, alpha, T = config.V, config.alpha, config.T
     # in T x n float64 arrays: the T x n queue history (the mixture keeps
-    # it without a copy) and the buffer's growth, a 16th of it; T x a world
-    # draws and B's T x b omega draws, each column filled in place; the
-    # T x n mask the violations are counted on, a byte an entry; and a
-    # chunk's queue rows and draws as lists, up to 56 bytes (7 floats) an
-    # entry of their min(T, DRAW_CHUNK) rows
+    # it without a copy); T x a world draws and B's T x b omega draws, each
+    # column filled in place; and a chunk's queue rows and draws as lists,
+    # up to 56 bytes (7 floats) an entry of their min(T, DRAW_CHUNK) rows
     listed = 7 * (n + a + b) * min(T, DRAW_CHUNK) / T
-    check_upfront_budget("dpp", T, n, (n + n / 16 + a + b + n / 8 + listed) / n)
+    check_upfront_budget("dpp", T, n, (n + a + b + listed) / n)
 
     world_gen, omega_gen = stream_generators(seed, (WORLD_STREAM, OMEGA_STREAM))
     x_draws = sample_world(game, world_gen, size=T, columns=a)
@@ -178,22 +180,21 @@ def run(game: GameInstance, config: DppConfig, seed: int = 0) -> tuple[Mixture, 
     v = game.weights.tolist()
     bound = queue_bound(game, alpha)
 
-    history = array("d")
+    q_history = np.empty((T, n))
     queues, gamma, realized_sum = _round_kernel(n, a, b)(
-        kernel_columns(omega_draws), kernel_columns(x_draws), T, V, 2.0 * alpha, u, v, history
+        kernel_columns(omega_draws), kernel_columns(x_draws), T, V, 2.0 * alpha, u, v, q_history
     )
-
-    q_history = np.frombuffer(history, dtype=float).reshape(T, n)
     q_history.setflags(write=False)  # so the mixture keeps it uncopied
     final_queues = np.array(queues)
-    # the queues after round t are the history row of round t + 1
+    # the queues after round t are the history row of round t + 1, counted
+    # DRAW_CHUNK rows at a time so that no T x n mask is held
     limit = bound + QUEUE_BOUND_TOL
-    violations = int(
-        np.count_nonzero(q_history[1:] > limit) + np.count_nonzero(final_queues > limit)
-    )
+    violations = np.count_nonzero(final_queues > limit)
+    for start in range(1, T, DRAW_CHUNK):
+        violations += np.count_nonzero(q_history[start : start + DRAW_CHUNK] > limit)
     diagnostics = DppDiagnostics(
         queue_bound=bound,
-        violations=violations,
+        violations=int(violations),
         avg_realized=np.array(realized_sum) / T,
         final_queues=final_queues,
         final_gamma=np.array(gamma),
@@ -214,13 +215,15 @@ def _round_kernel(n: int, a: int, b: int):
     the source.  The function takes views of B's T x b omega columns and
     of the T x a world draws (:func:`~congames.game.kernel_columns`), which
     it reads as lists :data:`~congames.game.DRAW_CHUNK` rows at a time, T,
-    V, 2 alpha, u, v and the history buffer, and returns the final queues,
-    targets and realized sums as lists.  Every other omega entry is the
-    constant v_j, so its product with gamma reads v_j and its gradient term
-    V (v_j - v_j / 2) is computed once, before the loop: the same float
-    operations on the same floats as on the drawn row.  Each round appends
+    V, 2 alpha, u, v and the C-contiguous T x n float64 history, and
+    returns the final queues, targets and realized sums as lists.  Every
+    other omega entry is the constant v_j, so its product with gamma reads
+    v_j and its gradient term V (v_j - v_j / 2) is computed once, before
+    the loop: the same float operations on the same floats as on the drawn
+    row.  Each round appends
     its queues, before they move, to a list of the chunk's rows, which one
-    ``fromlist`` call stores in the history buffer at the chunk's end.
+    ``struct.pack_into`` call writes into the chunk's rows of the history,
+    in place, at the chunk's end; the history never grows or moves.
     """
     n, a, b = int(n), int(a), int(b)
     o, x, u, v, Q, G, R = ([f"{name}{j}" for j in range(n)] for name in "oxuvQGR")
@@ -267,11 +270,11 @@ def _round_kernel(n: int, a: int, b: int):
             f"                {R[j]} += {drain}",
         ]
     lines += [
-        "        history.fromlist(rows)",
+        f"        pack_into(f'{{len(rows)}}d', history, {8 * n} * start, *rows)",
         f"    return [{', '.join(Q)}], [{', '.join(G)}], [{', '.join(R)}]",
     ]
     filename = f"<dpp round kernel n={n} a={a} b={b}>"
-    return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds")
+    return compile_kernel("\n".join(lines) + "\n", filename, "dpp_rounds", pack_into=struct.pack_into)
 
 
 @np.errstate(over="ignore")

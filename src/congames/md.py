@@ -42,12 +42,13 @@ there by F_j = exp(s_j - M), taken before the loop; at a constant argmax it
 multiplies by G_k = exp(t_k - M), also taken before the loop, and at an
 argmax in B's block by X_k = exp((w_k - omega_k/2) / alpha - M), taken for
 every row of a :data:`~congames.game.DRAW_CHUNK` of draws by one array
-``np.exp``.  A round at ``unique`` shifts its exponents by their largest
-and multiplies by H_k = exp(c_k - shift): at a constant ``unique`` every
-exponent is a constant, so H is taken before the loop; at a ``unique`` u
-in B's block a row's shift is the larger of c_u = (w_u - omega_u/2) / alpha
-and the other s, and H, one value a row and resource, is taken once a
-chunk.  Every bit is what the array update gives: an array ``np.exp`` runs
+``np.exp`` (none where b = 1 and ``unique`` is drawn: B's only column is
+then ``unique``, so no round reads X).  A round at ``unique`` shifts its
+exponents by their largest and multiplies by H_k = exp(c_k - shift): at a
+constant ``unique`` every exponent is a constant, so H is taken before the
+loop; at a ``unique`` u in B's block a row's shift is the larger of
+c_u = (w_u - omega_u/2) / alpha and the other s, and H, one value a row and
+resource, is taken once a chunk.  Every bit is what the array update gives: an array ``np.exp`` runs
 the ufunc loop the update's does (``math.exp`` differs from it in the last
 bit on some inputs, which would change every later iterate), ``exp(0.0)``
 is exactly 1, float64 arithmetic on arrays rounds as it does on Python
@@ -178,7 +179,8 @@ def _round_kernel(n: int, b: int):
     would: constants at a constant ``unique``, one per row and resource at
     one in B's block.  F and G are taken by one ``np.exp`` call before the
     loop and the constant H by another, X and the drawn H by one each a
-    chunk.
+    chunk; at b = 1 a chunk takes X only where ``unique`` is not drawn, as
+    B's only column is otherwise ``unique`` and no round reads X.
     """
     o, w, s, t, c, e, F, G, H, X, P, S = ([f"{name}{k}" for k in range(n)] for name in "owstceFGHXPS")
     body = [
@@ -223,6 +225,9 @@ def _round_kernel(n: int, b: int):
     if not b:
         lines += [chunk_loop({}), *body]
     else:
+        # at b = 1 a drawn unique is B's only column, so no round reads X
+        read_x = b > 1
+        x_factors = "X = exp(cb - M).tolist()"
         lines += [
             # B's columns of the chunk as a b-row array
             f"        o = {'omegas[None, start:stop]' if b == 1 else 'omegas[start:stop].T'}",
@@ -230,14 +235,15 @@ def _round_kernel(n: int, b: int):
             "        with np.errstate(over='ignore', invalid='ignore'):",
             "            # each row's exponents at an argmax in B's block, and its factors shifted by M",
             "            cb = (wb - 0.5 * o) / alpha",
-            "            X = exp(cb - M).tolist()",
+            *([f"            {x_factors}"] if read_x else []),
             "            if drawn_unique:",
             "                shift = np.maximum(cb[unique], rest)",
             "                h = np.subtract.outer(ss, shift)",
             "                h[unique] = cb[unique] - shift",
             "                hs = exp(h).tolist()",
+            *([] if read_x else ["            else:", f"                {x_factors}"]),
             "        if drawn_unique:",
-            f"            for {', '.join(o[:b] + X[:b] + H)} in zip(*o.tolist(), *X, *hs):",
+            f"            for {', '.join(o[:b] + X[:b] * read_x + H)} in zip(*o.tolist(), {'*X, ' * read_x}*hs):",
             *("    " + line for line in body),
             "        else:",
             f"            for {', '.join(o[:b] + X[:b])} in zip(*o.tolist(), *X):",

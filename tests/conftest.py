@@ -51,8 +51,12 @@ def over_tail_fractions(test):
     """Run ``test`` on hypothesis tail fractions ``p`` in [0, 1], and on the
     points where the frontier's central difference changes regime: both
     ends, half the difference width on either side (where one end is
-    clamped) and the A1 solver's floor on p0."""
-    for p in (0.0, FD_WIDTH / 2, DEFAULT_DELTA, 1.0 - FD_WIDTH / 2, 1.0):
+    clamped) and the A1 solver's floor on p0; and where the exponential
+    tail mean's fast path starts and ends: at -0.0, 5e-324 and 2**-54,
+    where 1 - p rounds to 1 (an infinite tail mean), and at 2**-53 and
+    1 - 2**-53, the nearest fractions to 0 and 1 that 1 - p tells apart."""
+    edges = (-0.0, 5e-324, 2**-54, 2**-53, 1.0 - 2**-53)
+    for p in (0.0, FD_WIDTH / 2, DEFAULT_DELTA, 1.0 - FD_WIDTH / 2, 1.0, *edges):
         test = example(p=p)(test)
     return given(p=st.floats(0.0, 1.0))(test)
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -450,50 +449,47 @@ def test_oversized_run_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(congames.dpp, "sample_omega", no_draws)
     monkeypatch.setattr(congames.dpp, "sample_world", no_draws)
     g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
-    # T x (n + n/16 + a + b + n/8) floats: the history (the mixture keeps
-    # it uncopied) and its growth, one world column, B's omega column and
-    # the mask the violations are counted on, with a chunk's lists beside
-    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 4244 MiB"):
+    # T x (n + a + b) floats: the history (the mixture keeps it uncopied),
+    # one world column and B's omega column, with a chunk's lists beside
+    with pytest.raises(ValueError, match=r"T=100000000, n=3 needs 3815 MiB"):
         run_dpp(g, DppConfig(V=1e4, alpha=1e8, T=10**8))
 
 
 def test_budget_counts_only_the_world_columns_drawn(monkeypatch):
     # a wide game with one resource private to each player counts
-    # T x (n + n/16 + a + b + n/8) = 100 x 16.25 floats (13 000 bytes): the
-    # history and its growth, the world and omega columns drawn and the
-    # violations' mask; and its 100 rows of n + a + b = 14 entries as lists,
-    # 7 floats an entry (78 400 bytes); n world columns would count more
+    # T x (n + a + b) = 100 x 14 floats (11 200 bytes): the history and the
+    # world and omega columns drawn; and its 100 rows of n + a + b = 14
+    # entries as lists, 7 floats an entry (78 400 bytes); n world columns
+    # would count more
     g = exp_game([1.0] * 12, (1, 1, 10, 0))
     config = DppConfig(V=10.0, alpha=100.0, T=100)
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 91_400)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 89_600)
     mixture, _ = run_dpp(g, config)
     assert len(mixture) == 100
-    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 91_399)
+    monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 89_599)
     with pytest.raises(ValueError, match="dpp run with T=100, n=12 needs 0 MiB up front"):
         run_dpp(g, config)
 
 
-def test_budget_counts_the_history_growth_of_a_wide_game(monkeypatch):
-    # past 16 resources the history buffer's growth, a 16th of it, is more
-    # than one column; the count holds the buffer as it grew and the T x n
-    # mask the violations are counted on, neither of which a count of one
-    # column beside the history held
-    counts, buffers = [], []
+def test_history_of_a_wide_game_is_exactly_its_rows(monkeypatch):
+    # the history is allocated once at its size and written in place: the
+    # mixture keeps that T x n float64 array, C-contiguous, read-only and
+    # owning its data, so no larger buffer stands behind it, and the count
+    # is that array and a chunk's lists, 7 floats an entry
+    counts = []
 
     def spy_budget(solver, T, n, arrays=1, rows="T"):
         counts.append(T * n * 8 * arrays)
 
-    def spy_array(typecode):
-        buffers.append(array(typecode))
-        return buffers[-1]
-
     monkeypatch.setattr(congames.dpp, "check_upfront_budget", spy_budget)
-    monkeypatch.setattr(congames.dpp, "array", spy_array)
     T, n = 5000, 20
-    run_dpp(exp_game([1.0] * n, (0, 0, n, 0)), DppConfig(T=T))
-    grown = sys.getsizeof(buffers[0]) - sys.getsizeof(array("d"))
-    assert grown > T * n * 8 + T * 8
-    assert counts == [pytest.approx(grown + T * n + 7 * 8 * n * DRAW_CHUNK, rel=1e-4)]
+    mixture, _ = run_dpp(exp_game([1.0] * n, (0, 0, n, 0)), DppConfig(T=T))
+    history = mixture.values
+    assert history.shape == (T, n) and history.dtype == np.float64
+    assert history.flags.c_contiguous and not history.flags.writeable
+    assert history.flags.owndata and history.base is None
+    assert sys.getsizeof(history) - sys.getsizeof(np.empty((0, n))) == history.nbytes == T * n * 8
+    assert counts == [pytest.approx(history.nbytes + 7 * 8 * n * DRAW_CHUNK, rel=1e-12)]
 
 
 def test_run_holds_its_draws_and_history_and_little_more():
@@ -553,15 +549,16 @@ def test_default_sweep_builds_one_kernel():
 def test_kernel_makes_no_python_call():
     # a round's only calls are the appends of its n queues to the chunk's
     # rows, a C method; the kernel reads B's omega column and A's world
-    # column DRAW_CHUNK rows at a time with one tolist each, and stores
-    # each chunk's rows in the history with one fromlist
+    # column DRAW_CHUNK rows at a time with one tolist each, and writes
+    # each chunk's rows into the history with one pack_into, whose format
+    # reads the rows' len
     T = 2500
     chunks = -(-T // congames.game.DRAW_CHUNK)
     game = exp_game([1.0, 1.5, 1.0], (1, 1, 1, 0))
     kernel = congames.dpp._round_kernel(3, 1, 1)
     python, c = kernel_calls(kernel, lambda: run_dpp(game, DppConfig(T=T)))
     assert python == {}
-    assert c == {"append": 3 * T, "fromlist": chunks, "tolist": 2 * chunks}
+    assert c == {"append": 3 * T, "len": chunks, "pack_into": chunks, "tolist": 2 * chunks}
 
 
 def test_kernel_reads_only_the_drawn_omega_columns(monkeypatch):

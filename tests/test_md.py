@@ -497,7 +497,9 @@ def test_no_round_calls_anything():
     # their rounds there are or put their argmax in B's block, and each
     # further chunk adds its fixed share (a chunk's exponentials are one
     # exp call, and one more for the factors at a unique in B's block,
-    # under one np.errstate)
+    # under one np.errstate; at b = 1 that unique is B's only column, so
+    # no round reads the first call's factors and the chunk takes only the
+    # second)
     chunk = {"exp": 1, "__init__": 1, "__enter__": 1, "__exit__": 1}
     for game, per_chunk in (
         # no random omega and tied weights: nothing to draw
@@ -507,7 +509,7 @@ def test_no_round_calls_anything():
         # a constant unique largest weight
         (exp_game([1.0, 2.0, 1.0], (0, 1, 2, 0)), (chunk, {"tolist": 2})),
         # the unique largest weight on B's column, the argmax of most rounds
-        (UNIQUE_DRAWN_MD[0], ({**chunk, "exp": 2}, {"tolist": 3, "outer": 1})),
+        (UNIQUE_DRAWN_MD[0], (chunk, {"tolist": 2, "outer": 1})),
         (SECOND_DRAWN_MD[0], ({**chunk, "exp": 2}, {"tolist": 3, "outer": 1})),
     ):
         kernel = congames.md._round_kernel(game.n, game.partition.b)
