@@ -233,7 +233,8 @@ def compile_kernel(source: str, filename: str, name: str, **constants):
     calls or reads (``np``, ``exp``, which is ``np.exp``,
     :func:`require_positive` and :data:`DRAW_CHUNK`), with a generator's
     own ``constants`` beside them, which override it: the A1 kernel passes
-    ``exp=math.exp``.  The source's lines are registered in
+    ``exp=math.exp``, and the DPP kernel ``pack_into``, which writes each
+    draw chunk's queue rows into its history.  The source's lines are registered in
     :mod:`linecache` under ``filename``, so tracebacks, ``pdb`` and
     profilers show them.
     """
