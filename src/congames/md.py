@@ -48,15 +48,16 @@ exponents by their largest and multiplies by H_k = exp(c_k - shift): at a
 constant ``unique`` every exponent is a constant, so H is taken before the
 loop; at a ``unique`` u in B's block a row's shift is the larger of
 c_u = (w_u - omega_u/2) / alpha and the other s, and H, one value a row and
-resource, is taken once a chunk.  Every bit is what the array update gives: an array ``np.exp`` runs
-the ufunc loop the update's does (``math.exp`` differs from it in the last
-bit on some inputs, which would change every later iterate), ``exp(0.0)``
-is exactly 1, float64 arithmetic on arrays rounds as it does on Python
-floats, the largest of the exponents has the value of their chain of
-comparisons (none is NaN), and the normalizer is added in numpy's order
-(:func:`~congames.game._sum`).  A chunk's array arithmetic raises no
-warning where the rounds' float arithmetic would raise none (inf - inf
-where alpha is so small that w / alpha overflows).
+resource, is taken once a chunk.  Every bit is what the array update
+gives: an array ``np.exp`` runs the ufunc loop the update's does
+(``math.exp`` differs from it in the last bit on some inputs, which would
+change every later iterate), ``exp(0.0)`` is exactly 1, float64 arithmetic
+on arrays rounds as it does on Python floats, the largest of the
+exponents has the value of their chain of comparisons (none is NaN), and
+the normalizer is added in numpy's order (:func:`~congames.game._sum`).
+A chunk's array arithmetic raises no warning where the rounds' float
+arithmetic would raise none (inf - inf where alpha is so small that
+w / alpha overflows).
 
 A round whose every weight underflows to 0 raises at once; otherwise the
 iterate's positivity is checked once, after the last round: a zero or NaN

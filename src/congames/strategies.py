@@ -89,7 +89,9 @@ class Mixture:
 
     A read-only float64 ``values`` array is kept as given (drift-plus-penalty
     hands over its T-row queue history this way); anything writable is
-    copied, so later writes to the source leave the mixture alone.
+    copied, so later writes to the source leave the mixture alone.  The
+    entries are checked by their minimum and maximum, so a long history
+    is checked without a mask of its size.
     """
 
     values: np.ndarray  # shape (m, n)
@@ -99,7 +101,9 @@ class Mixture:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] == 0:
             raise ValueError("mixture needs at least one component row")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
+        # a minimum and a maximum, so that a T-row history is checked without
+        # a T x n mask; a NaN carries through both and fails the comparisons
+        if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
             raise ValueError("score values must be finite and non-negative")
         # integers, or floats of integral value; a bool, NaN or fraction is refused
         entries = np.asarray(self.private, dtype=object).reshape(-1).tolist()

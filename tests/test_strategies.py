@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +120,29 @@ def test_every_simplex_check_refuses_nan():
     assert no_info_objective([-1e-7, 0.5, 0.5 + 2e-7], [1.0, 1.0, 1.0]) == pytest.approx(0.75)
     with pytest.raises(ValueError, match="within 1e-09"):
         build_strategy_a1([0.2, 0.4, 0.4 + 1e-8], g)
+
+def test_mixture_refuses_scores_that_are_not_finite_and_non_negative():
+    for bad in (np.nan, np.inf, -np.inf, -1e-300):
+        with pytest.raises(ValueError, match="^score values must be finite and non-negative$"):
+            Mixture([[1.0, 0.5], [bad, 0.5]], private=[0])
+    assert Mixture([[-0.0, 0.5]], private=[]).values[0, 0] == 0.0
+    assert Mixture(np.empty((2, 0)), private=[]).values.shape == (2, 0)
+
+
+def test_mixture_checks_a_long_history_without_a_mask():
+    # a drift-plus-penalty history of 2**16 rows is kept uncopied, and its
+    # checks hold no 2**16 x n mask (128 KiB at n = 2)
+    values = np.ones((2**16, 2))
+    values.setflags(write=False)
+    Mixture(values, private=[0])
+    tracemalloc.start()
+    try:
+        assert Mixture(values, private=[0]).values is values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10
+
 
 def test_mixture_components_and_uniform_choice():
     mix = Mixture([[1.0, 0.0], [0.0, 1.0]], private=[])
