@@ -22,7 +22,11 @@ the columns read.  Iterative best response does, so each of its runs samples
 its worlds at most once.  A one-row mixture (every best response) is counted
 from the threshold masks of :func:`congames.strategies._threshold_split`,
 with no action array; the counts and the averaged products are those of the
-action array, so every bit is the same.  A call that would sample is refused
+action array, so every bit is the same.  Each rate q is summed on a float
+copy of its mask, multiplied in place by the reward column: the 0.0 and 1.0
+that numpy casts a boolean to before it multiplies, without the cast's
+buffered pass; other sampled strategies sum their action masks the same
+way.  A call that would sample is refused
 up front (:func:`_check_estimate_budget`, which a worst-case DPP sweep's
 spec asks too) when what it holds exceeds the budget: the n_samples rows of
 the columns it draws and what acting holds at its peak
@@ -77,14 +81,13 @@ class StrategyStats:
     def __post_init__(self):
         if self.player not in ("A", "B"):
             raise ValueError(f"player must be 'A' or 'B', got {self.player!r}")
-        p = np.asarray(self.p, dtype=float).reshape(-1)
-        q = np.asarray(self.q, dtype=float).reshape(-1)
+        # copies, so later writes to the sources leave the stats alone
+        p = np.array(self.p, dtype=float).reshape(-1)
+        q = np.array(self.q, dtype=float).reshape(-1)
         _check_simplex(p, "p", STATS_SIMPLEX_TOL, -STATS_SIMPLEX_TOL)
-        if not np.all(q >= 0):  # NaN fails the comparison too
+        if not (q >= 0).all():  # NaN fails the comparison too
             raise ValueError("q entries must be non-negative")
-        p = p.copy()
         p.setflags(write=False)
-        q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -108,7 +111,8 @@ def _check_strategy_player(strategy: Strategy, game: GameInstance, player: str):
         return private
     if strategy.values.shape[-1] != game.n:
         raise ValueError("score vector length does not match the game")
-    if not np.array_equal(strategy.private, private):
+    # a best response keeps the partition's own index set
+    if strategy.private is not private and not np.array_equal(strategy.private, private):
         raise ValueError(
             f"strategy private block {strategy.private} does not match player {player}'s {private}"
         )
@@ -181,7 +185,8 @@ def estimate_stats(
         return StrategyStats(player, p, q)
     actions = batch_actions(strategy, obs, generator(1))
     p = np.bincount(actions, minlength=n) / n_samples
-    q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
+    product = np.empty(n_samples)
+    q = np.array([_masked_mean(drawn[:, k], actions == k, product) for k in private])
     return StrategyStats(player, p, q)
 
 
@@ -204,7 +209,9 @@ def _threshold_stats(values, private, obs, n):
     """(p, q) of a one-row mixture from its threshold masks: the mask of
     private resource k is exactly ``actions == k``, so the counts and the
     products averaged into q are those of the action array, bit for bit.
-    The products are written into one buffer, one resource after another."""
+    Each mask is copied into one float buffer as the 0.0 and 1.0 that numpy
+    casts a boolean to before it multiplies, the column multiplies it in
+    place, and its sum over the rows is ``np.mean``'s."""
     j, take, top = _threshold_split(values, private, obs)
     rows = len(obs)
     counts = np.zeros(n, dtype=np.int64)
@@ -215,9 +222,18 @@ def _threshold_stats(values, private, obs, n):
         if k == j:  # every resource is private: rows that do not take pick j
             mask = mask | ~take
         counts[k] = np.count_nonzero(mask)
-        q[i] = np.mean(np.multiply(obs[:, i], mask, out=product))
+        q[i] = _masked_mean(obs[:, i], mask, product)
     counts[j] += rows - counts.sum()  # j takes every other row
     return counts / rows, q
+
+
+def _masked_mean(column, mask, product):
+    """``np.mean(column * mask)``, bit for bit, through the float buffer
+    ``product``: the boolean mask becomes the 0.0 and 1.0 numpy would cast
+    it to, without the cast's buffered pass."""
+    np.copyto(product, mask)
+    np.multiply(column, product, out=product)
+    return np.add.reduce(product) / len(product)
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -234,13 +250,13 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 
 def collision_term(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance) -> float:
     """Expected reward lost to collisions (before the 1/2 discount)."""
-    part = game.partition
-    means = game.means
-    shared = part.shared
+    # the blocks are ranges, so slices read what the index sets would
+    a, ab = game.partition.a, game.partition.a + game.partition.b
+    p_a, p_b = stats_a.p, stats_b.p
     return float(
-        np.dot(stats_a.q, stats_b.p[part.set_a])
-        + np.dot(stats_a.p[part.set_b], stats_b.q)
-        + np.sum(means[shared] * stats_a.p[shared] * stats_b.p[shared])
+        np.dot(stats_a.q, p_b[:a])
+        + np.dot(p_a[a:ab], stats_b.q)
+        + (game.means[ab:] * p_a[ab:] * p_b[ab:]).sum()
     )
 
 
@@ -253,15 +269,15 @@ def expected_utility(
     """Closed-form conditional expected utility of ``player`` given both stats."""
     if stats_self.player != player or stats_opp.player == player:
         raise ValueError("stats do not match the requested player assignment")
-    stats = {stats_self.player: stats_self, stats_opp.player: stats_opp}
-    a_stats, b_stats = stats["A"], stats["B"]
-    part = game.partition
     means = game.means
-
     if player == "A":
-        own = a_stats.q.sum() + np.dot(means[part.a_comp], a_stats.p[part.a_comp])
+        a_stats, b_stats = stats_self, stats_opp
+        a = game.partition.a  # A's complement is the range from a on
+        own = a_stats.q.sum() + np.dot(means[a:], a_stats.p[a:])
     else:
-        own = b_stats.q.sum() + np.dot(means[part.b_comp], b_stats.p[part.b_comp])
+        a_stats, b_stats = stats_opp, stats_self
+        b_comp = game.partition.b_comp
+        own = b_stats.q.sum() + np.dot(means[b_comp], b_stats.p[b_comp])
     return float(own - 0.5 * collision_term(a_stats, b_stats, game))
 
 

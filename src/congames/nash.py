@@ -23,6 +23,13 @@ and pick the argmax, lowest index on ties.
 Every statistic of one run is estimated on the same seeded worlds, so a run
 draws them once: the first turn that samples draws them, and every later
 turn reuses the array.  Runs whose turns are all exact draw nothing.
+
+A turn estimates the mover's best response on those worlds (for a
+one-resource private block, one comparison of its column with a threshold
+and one float mask summed for q) and takes two utilities: the mover's after
+the turn and the opponent's at the new statistics.  The mover's utility
+before the turn is the one the last trace point holds, the same function of
+the same statistics, so the trace keeps its bits.
 """
 
 from __future__ import annotations
@@ -99,20 +106,22 @@ def best_response(player: str, opp_stats: StrategyStats, game: GameInstance) -> 
     # the exact q never exceeds the mean, so this is at least mean / 2; the
     # floor keeps a few-sample estimate of q from making it negative
     values[opp] = np.maximum(means[opp] - 0.5 * opp_stats.q, 0.0)
-    return Mixture(values[np.newaxis], own)
+    values = values[np.newaxis]
+    values.setflags(write=False)  # so the mixture keeps this row uncopied
+    return Mixture(values, own)
 
 
 def potential(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance) -> float:
     """The exact potential H; bounded above by 2 * sum of mean rewards."""
-    part = game.partition
-    means = game.means
-    shared = part.shared
+    # the blocks are ranges, so slices read what the index sets would
+    a, ab = game.partition.a, game.partition.a + game.partition.b
+    means, p_a, p_b = game.means, stats_a.p, stats_b.p
     gross = (
         stats_a.q.sum()
-        + np.dot(means[part.set_a], stats_b.p[part.set_a])
+        + np.dot(means[:a], p_b[:a])
         + stats_b.q.sum()
-        + np.dot(means[part.set_b], stats_a.p[part.set_b])
-        + np.dot(means[shared], stats_a.p[shared] + stats_b.p[shared])
+        + np.dot(means[a:ab], p_a[a:ab])
+        + np.dot(means[ab:], p_a[ab:] + p_b[ab:])
     )
     return float(gross - 0.5 * collision_term(stats_a, stats_b, game))
 
@@ -168,6 +177,9 @@ def iterate_best_response(
     stats = {"A": stats_of(uniform, "A"), "B": stats_of(uniform, "B")}
 
     trace: list[TracePoint] = []
+    # each player's utility at the current stats: the mover's is its
+    # utility before the turn, and the turn's trace point holds both after it
+    utility = {"A": expected_utility(stats["A"], stats["B"], game, "A")}
     quiet_turns = 0
     converged = False
     iterations = 0
@@ -176,18 +188,19 @@ def iterate_best_response(
         opponent = "B" if player == "A" else "A"
         candidate = best_response(player, stats[opponent], game)
         cand_stats = stats_of(candidate, player)
-        before = expected_utility(stats[player], stats[opponent], game, player)
         after = expected_utility(cand_stats, stats[opponent], game, player)
-        improvement = after - before
+        improvement = after - utility[player]
         iterations += 1
         strat[player] = candidate
         stats[player] = cand_stats
+        utility[player] = after
+        utility[opponent] = expected_utility(stats[opponent], cand_stats, game, opponent)
         quiet_turns = 0 if improvement > config.epsilon else quiet_turns + 1
         trace.append(
             TracePoint(
                 potential=potential(stats["A"], stats["B"], game),
-                utility_a=expected_utility(stats["A"], stats["B"], game, "A"),
-                utility_b=expected_utility(stats["B"], stats["A"], game, "B"),
+                utility_a=utility["A"],
+                utility_b=utility["B"],
                 improvement=improvement,
             )
         )

@@ -27,6 +27,7 @@ and reward-weighted rates from its masks without building actions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ SIMPLEX_TOL = 1e-9
 def _check_simplex(p: np.ndarray, what: str, tol: float = SIMPLEX_TOL, floor: float = 0.0):
     """Refuse ``p`` unless its entries are >= ``floor`` and sum to 1 within
     ``tol``; a NaN entry fails both comparisons."""
-    if not (np.all(p >= floor) and abs(p.sum() - 1.0) <= tol):
+    if not ((p >= floor).all() and abs(p.sum() - 1.0) <= tol):
         raise ValueError(f"{what} must be a probability vector (sum 1 within {tol:g})")
 
 
@@ -88,8 +89,10 @@ class Mixture:
     ``values[:, private]`` multiply the observed rewards.
 
     A read-only float64 ``values`` array is kept as given (drift-plus-penalty
-    hands over its T-row queue history this way); anything writable is
-    copied, so later writes to the source leave the mixture alone.  The
+    hands over its T-row queue history this way, and a best response its
+    one row), as is a read-only int ``private`` array (a partition's index
+    set); anything writable is copied, so later writes to the source leave
+    the mixture alone.  The
     entries are checked by their minimum and maximum, so a long history
     is checked without a mask of its size.
     """
@@ -105,15 +108,17 @@ class Mixture:
         # a T x n mask; a NaN carries through both and fails the comparisons
         if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
             raise ValueError("score values must be finite and non-negative")
-        # integers, or floats of integral value; a bool, NaN or fraction is refused
-        entries = np.asarray(self.private, dtype=object).reshape(-1).tolist()
-        if not all(is_integer(i) or isinstance(i, float) and i.is_integer() for i in entries):
-            raise ValueError("private indices must be integers")
-        given = np.array(entries, dtype=float)
-        if given.size and (given.min() < 0 or given.max() >= values.shape[1]):
+        private = self.private
+        if not (isinstance(private, np.ndarray) and private.dtype.kind in "iu" and private.ndim == 1):
+            # integers, or floats of integral value; a bool, NaN or fraction is refused
+            entries = np.asarray(private, dtype=object).reshape(-1).tolist()
+            if not all(is_integer(i) or isinstance(i, float) and i.is_integer() for i in entries):
+                raise ValueError("private indices must be integers")
+            private = np.array(entries, dtype=float)
+        if private.size and (private.min() < 0 or private.max() >= values.shape[1]):
             raise ValueError("private indices out of range")
-        private = given.astype(int)
-        if np.any(np.diff(private) <= 0):
+        private = private.astype(int, copy=private.flags.writeable)
+        if private.size > 1 and (private[1:] <= private[:-1]).any():
             raise ValueError("private indices must be strictly increasing")
         if values.flags.writeable:
             values = values.copy()
@@ -200,7 +205,15 @@ def _threshold_split(values: np.ndarray, private: np.ndarray, obs: np.ndarray):
     resource ``top`` where the product beats c, or ties it at an index
     below j, and picks j otherwise.  ``top`` is one index when the private
     block has one column, else an index per row.  When every resource is
-    private, c is -inf and j is the first private index.
+    private, c is -inf and j is the first private index.  A row with a NaN
+    product takes nothing: NaN clears no comparison, and from two columns
+    on it carries through the running maximum.
+
+    A one-column block compares its observations with the least float t
+    whose product with the score clears c (:func:`_least_clearing`), which
+    gives the products' mask without forming them; where t is not found
+    (a zero score, all resources private, products among subnormals) the
+    products are formed and compared.
     """
     const = values.copy()
     const[private] = -np.inf  # every product beats this when all are private
@@ -209,15 +222,49 @@ def _threshold_split(values: np.ndarray, private: np.ndarray, obs: np.ndarray):
     if not private.size:
         return j, np.zeros(obs.shape[0], dtype=bool), j
     top = private[0]
-    best = obs[:, 0] * values[top]
     if private.size == 1:  # the tie rule is fixed, so one comparison decides
+        t = _least_clearing(float(values[top]), float(c), strict=top > j)
+        if t is not None:
+            return j, obs[:, 0] >= t, top
+        best = obs[:, 0] * values[top]
         return j, (best >= c if top < j else best > c), top
+    best = obs[:, 0] * values[top]
     top, prod = np.full(len(obs), top), np.empty_like(best)
     for col in range(1, private.size):  # ascending, so a tie keeps the lower index
         np.multiply(obs[:, col], values[private[col]], out=prod)
         np.copyto(top, private[col], where=prod > best)
         np.maximum(best, prod, out=best)
     return j, (best > c) | ((best == c) & (top < j)), top
+
+
+# steps of the search for a least clearing float; the quotient c / v is
+# rounded once, so the answer lies a step or two from it when it is normal
+_CLEARING_STEPS = 4
+
+
+def _least_clearing(v: float, c: float, strict: bool):
+    """The least float t whose product with ``v`` clears ``c`` (``t * v > c``
+    when ``strict``, else ``>=``), or None where it is not found.
+
+    For v > 0, rounding keeps x * v non-decreasing in x, so the products of
+    a column that clear c are exactly the entries >= t (NaN clears neither
+    way).  t is searched by ``nextafter`` from c / v, at most
+    :data:`_CLEARING_STEPS` steps, and is returned only where a step
+    crosses from clearing to not, so it is exact.  None (take the products
+    instead) where v is 0 or c is not finite, or where the search does not
+    settle: among subnormals, or near -0.0, to which a small v rounds the
+    products of many negative floats."""
+    if not (v > 0.0 and -math.inf < c < math.inf):
+        return None
+    t = c / v
+    clears = t * v > c if strict else t * v >= c
+    for _ in range(_CLEARING_STEPS):
+        step = math.nextafter(t, -math.inf if clears else math.inf)
+        step_clears = step * v > c if strict else step * v >= c
+        if step_clears != clears:
+            return t if clears else step
+        t = step
+    return None
 
 
 def _acting_columns(strategy: Strategy, n: int) -> float:
@@ -244,8 +291,11 @@ def _mixture_columns(rows: int, size: int, n: int) -> float:
 def _split_columns(size: int) -> float:
     """The columns that :func:`_threshold_split` of a private block of
     ``size`` resources, and what is built from its masks, hold at their
-    peak: the best product, with the product compared and the index of the
-    best from two resources on, and up to four boolean masks."""
+    peak: up to four boolean masks, and one column (the actions or the
+    float mask that a reward-weighted rate is summed on, or for one
+    resource without a threshold the products) or, from two resources on,
+    three (the best product, the product compared and the index of the
+    best)."""
     return (1 if size < 2 else 3) + 0.5
 
 

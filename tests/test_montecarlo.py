@@ -1,4 +1,6 @@
 import math
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,9 +27,9 @@ from congames import (
     simulate_payoff,
 )
 from congames.cli import main
-from congames.montecarlo import _action_stream, _mean_and_stderr
+from congames.montecarlo import _action_stream, _mean_and_stderr, _threshold_stats
 from congames.rng import WORLD_STREAM, stream_generators
-from congames.strategies import batch_actions
+from congames.strategies import _least_clearing, batch_actions
 from congames.md import omega_sup_sq_mean
 from congames.worstcase import omega_max_mean
 from conftest import exp_game, random_strategy, spy_on_sample_world
@@ -259,6 +261,20 @@ def test_simulation_budget_counts_what_the_simulation_holds(monkeypatch):
             simulate_payoff(strategy_a, strategy_b, g, n_samples=1000)
 
 
+def argmax_of_scores(strategy, obs):
+    """A one-row mixture's picks from its full (rows, n) scores: each row's
+    argmax, lowest index on ties, except that a row with a NaN score picks
+    the best constant, as a NaN product clears no comparison."""
+    private = strategy.private
+    scores = np.repeat(strategy.values, len(obs), axis=0)
+    scores[:, private] *= obs
+    picks = np.argmax(scores, axis=1)
+    const = strategy.values[0].copy()
+    const[private] = -np.inf
+    picks[np.isnan(scores).any(axis=1)] = np.argmax(const)
+    return picks
+
+
 def reference_stats(strategy, game, player, drawn, seed):
     """The action-array formula: act every row with ``batch_actions``, count
     the picks with ``np.bincount``, and average ``W_k * (actions == k)``."""
@@ -266,20 +282,94 @@ def reference_stats(strategy, game, player, drawn, seed):
     (act_gen,) = stream_generators(seed, (_action_stream(player),))
     obs = drawn[:, private]
     actions = batch_actions(strategy, obs, act_gen)
-    if len(strategy) == 1:  # and check them against the plain argmax
-        scores = np.repeat(strategy.values, len(drawn), axis=0)
-        scores[:, private] *= obs
-        np.testing.assert_array_equal(actions, np.argmax(scores, axis=1))
+    if len(strategy) == 1:  # and check them against the full scores
+        np.testing.assert_array_equal(actions, argmax_of_scores(strategy, obs))
     p = np.bincount(actions, minlength=game.n) / len(drawn)
     q = np.array([np.mean(drawn[:, k] * (actions == k)) for k in private])
     return p, q
 
 
-# scores and rewards on these atoms tie often: 0.5 * 2 == 1 * 1 == 1
-ATOMS = (0.0, 0.5, 1.0, 2.0)
+def least_clearing_oracle(v, c, strict):
+    """The least float x with ``x * v > c`` (``strict``) or ``>= c``, by
+    bisection over every float64 in order, for v > 0; None if none does."""
+
+    def clears(x):
+        return x * v > c if strict else x * v >= c
+
+    def value(key):  # keys order the floats: -inf < ... < -0.0 == 0.0 < ... < inf
+        bits = key if key >= 0 else -key | 1 << 63
+        return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+    lo, hi = -0x7FF0000000000000, 0x7FF0000000000000  # -inf and inf
+    if clears(value(lo)):
+        return -math.inf
+    if not clears(value(hi)):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if clears(value(mid)) else (mid, hi)
+    return value(hi)
 
 
 @given(
+    v=st.floats(min_value=0.0, allow_infinity=False),
+    c=st.floats(allow_nan=False),
+    strict=st.booleans(),
+)
+@example(v=0.7, c=1.0, strict=False)
+@example(v=0.7, c=1.0, strict=True)
+@example(v=1.0, c=-math.inf, strict=False)  # every resource private
+@example(v=0.0, c=1.0, strict=False)  # a zero score
+@example(v=0.5, c=5e-324, strict=False)  # a subnormal quotient
+@example(v=1e10, c=1e-300, strict=True)  # a subnormal quotient of normal floats
+@example(v=1e-10, c=0.0, strict=False)  # negatives near -0.0 round to it
+@example(v=1e-300, c=1e300, strict=True)  # the quotient overflows
+@example(v=5e-324, c=-1.0, strict=False)
+@settings(max_examples=500, deadline=None)
+def test_least_clearing_float_is_the_least_whose_product_clears(v, c, strict):
+    t = _least_clearing(v, c, strict)
+    if v == 0.0 or math.isinf(c):
+        assert t is None  # these take the products
+        return
+    if t is None:  # the search gives up only where c, v or c / v is not normal
+        assert not all(sys.float_info.min <= abs(x) <= sys.float_info.max for x in (v, c, c / v))
+        return
+    assert t == least_clearing_oracle(v, c, strict)
+
+
+# observations that a one-column threshold must treat as the products do:
+# the least float whose product clears the best constant and the float
+# below it, the infinities, NaN, and zero and the least subnormal below it
+EDGES = ("t", "below t", "inf", "-inf", "nan", "-0.0", "-tiny")
+
+
+def place_edges(worlds, values, private, edges):
+    """Overwrite the first private column of successive rows of ``worlds``
+    with the observations named by ``edges``; t is that of the mixture row
+    ``values`` (any float, 1.0, where its score is 0)."""
+    const = np.array(values, dtype=float)
+    const[private] = -np.inf
+    j = int(np.argmax(const))
+    v = float(values[private[0]])
+    t = least_clearing_oracle(v, float(const[j]), private[0] > j) if v > 0 else 1.0
+    t = math.inf if t is None else t
+    table = {
+        "t": t,
+        "below t": math.nextafter(t, -math.inf),
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "nan": math.nan,
+        "-0.0": -0.0,
+        "-tiny": -5e-324,
+    }
+    for i, edge in enumerate(edges):
+        worlds[i % len(worlds), private[0]] = table[edge]
+
+
+# scores and rewards on these atoms tie often: 0.5 * 2 == 1 * 1 == 1
+ATOMS = (0.0, 0.5, 1.0, 2.0)
+
+THRESHOLD_CASES = dict(
     sizes=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)).filter(
         lambda s: s[0] + s[1] > 0
     ),
@@ -288,14 +378,42 @@ ATOMS = (0.0, 0.5, 1.0, 2.0)
     z=st.lists(st.sampled_from(ATOMS), min_size=2, max_size=2),
     n_samples=st.integers(min_value=1, max_value=300),
     seed=st.integers(min_value=0, max_value=2**32),
+    edges=st.lists(st.sampled_from(EDGES), max_size=4),
 )
-@example(sizes=(2, 0, 0, 0), player_b=False, rows=[[0.0] * 10], z=[0.0] * 2, n_samples=50, seed=1)
-@example(sizes=(0, 3, 0, 0), player_b=True, rows=[[1.0, 0.5, 2.0] + [0.0] * 7], z=[0.0] * 2, n_samples=80, seed=2)
-@example(sizes=(1, 0, 0, 0), player_b=False, rows=[[0.5] * 10], z=[0.0] * 2, n_samples=40, seed=3)
-@example(sizes=(1, 1, 1, 0), player_b=False, rows=[[0.5, 1.0, 1.0] + [0.0] * 7], z=[0.0] * 2, n_samples=60, seed=4)
-@example(sizes=(1, 2, 0, 1), player_b=True, rows=[[1.0, 0.5, 1.0, 1.0] + [0.0] * 6], z=[1.0, 0.0], n_samples=60, seed=5)
-@settings(max_examples=150, deadline=None)
-def test_threshold_mask_stats_match_the_action_array_formula(sizes, player_b, rows, z, n_samples, seed):
+THRESHOLD_EXAMPLES = [
+    dict(sizes=(2, 0, 0, 0), player_b=False, rows=[[0.0] * 10], n_samples=50, seed=1),
+    dict(sizes=(0, 3, 0, 0), player_b=True, rows=[[1.0, 0.5, 2.0] + [0.0] * 7], n_samples=80, seed=2),
+    dict(sizes=(1, 0, 0, 0), player_b=False, rows=[[0.5] * 10], n_samples=40, seed=3),
+    dict(sizes=(1, 1, 1, 0), player_b=False, rows=[[0.5, 1.0, 1.0] + [0.0] * 7], n_samples=60, seed=4),
+    dict(sizes=(1, 2, 0, 1), player_b=True, rows=[[1.0, 0.5, 1.0, 1.0] + [0.0] * 6], z=[1.0, 0.0], n_samples=60, seed=5),
+    # every resource private, so c = -inf
+    dict(sizes=(1, 0, 0, 0), player_b=False, rows=[[1.0] * 10], n_samples=20, seed=6, edges=["t", "below t", "-inf"]),
+    # a zero score on the private column: an infinite reward gives NaN
+    dict(sizes=(1, 1, 1, 0), player_b=False, rows=[[0.0, 1.0, 0.5] + [0.0] * 7], n_samples=20, seed=7, edges=["inf", "-0.0"]),
+    # observations at t and one ulp below it, private index below j (>= c)
+    dict(sizes=(1, 1, 1, 0), player_b=False, rows=[[0.7, 1.0, 0.3] + [0.0] * 7], n_samples=20, seed=8, edges=["t", "below t"]),
+    # and above j (> c)
+    dict(sizes=(1, 1, 1, 0), player_b=True, rows=[[1.0, 0.7, 0.3] + [0.0] * 7], n_samples=20, seed=9, edges=["t", "below t"]),
+    # a subnormal c / v
+    dict(sizes=(1, 1, 1, 0), player_b=False, rows=[[0.5, 5e-324, 0.0] + [0.0] * 7], n_samples=20, seed=10, edges=["t", "below t", "-tiny"]),
+    # infinite, NaN and signed-zero observations
+    dict(sizes=(1, 1, 1, 0), player_b=False, rows=[[1.0, 0.5, 0.5] + [0.0] * 7], n_samples=20, seed=11, edges=["inf", "-inf", "nan", "-0.0"]),
+    # c = 0: a small score rounds many negative subnormals to -0.0, which ties c
+    dict(sizes=(1, 1, 1, 0), player_b=False, rows=[[1e-10, 0.0, 0.0] + [0.0] * 7], n_samples=20, seed=12, edges=["-tiny", "-0.0", "below t", "t"]),
+    dict(sizes=(1, 1, 1, 0), player_b=True, rows=[[0.0, 1e-10, 0.0] + [0.0] * 7], n_samples=20, seed=13, edges=["-tiny", "-0.0", "below t", "t"]),
+]
+
+
+def threshold_cases(test):
+    """Run ``test`` on random one-row and two-row mixtures and edge
+    observations, and on every case of :data:`THRESHOLD_EXAMPLES`."""
+    for case in THRESHOLD_EXAMPLES:
+        test = example(**{"z": [0.0] * 2, "edges": [], **case})(test)
+    return given(**THRESHOLD_CASES)(settings(max_examples=150, deadline=None)(test))
+
+
+def threshold_game(sizes, player_b, rows, z, n_samples, seed, edges):
+    """The game, player, mixture and n worlds of one threshold case."""
     a, b, c, d = sizes
     n = a + b + c + d
     player = "B" if (player_b and b) or not a else "A"
@@ -305,13 +423,41 @@ def test_threshold_mask_stats_match_the_action_array_formula(sizes, player_b, ro
     strategy = Mixture(np.array(rows)[:, :n], private)
     (world_gen,) = stream_generators(seed, (WORLD_STREAM,))
     full = sample_world(g, world_gen, size=n_samples)
+    place_edges(full, strategy.values[0], private, edges)
+    return g, player, strategy, full
+
+
+@threshold_cases
+def test_threshold_mask_stats_match_the_action_array_formula(sizes, player_b, rows, z, n_samples, seed, edges):
+    g, player, strategy, full = threshold_game(sizes, player_b, rows, z, n_samples, seed, edges)
+    private = strategy.private
     read = np.ascontiguousarray(full[:, : private[-1] + 1])
-    want_p, want_q = reference_stats(strategy, g, player, full, seed)
-    # worlds holding exactly the columns read, all n, or drawn by the estimate
-    for worlds in (lambda: read, lambda: full, None):
-        got = estimate_stats(strategy, g, player, n_samples=n_samples, rng=seed, worlds=worlds)
-        assert got.p.tobytes() == want_p.tobytes()
-        assert got.q.tobytes() == want_q.tobytes()
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN
+        want_p, want_q = reference_stats(strategy, g, player, full, seed)
+        if len(strategy) == 1:  # the masks' stats, NaN rates included
+            p, q = _threshold_stats(strategy.values[0], private, full[:, private], g.n)
+            assert (p.tobytes(), q.tobytes()) == (want_p.tobytes(), want_q.tobytes())
+        # worlds holding exactly the columns read, all n, or drawn by the
+        # estimate (which are the sampled ones only where no edge was placed)
+        for worlds in (lambda: read, lambda: full) + (None,) * (not edges):
+            if not (want_q >= 0).all():  # a negative or NaN reward, or inf * 0
+                with pytest.raises(ValueError, match="^q entries must be non-negative$"):
+                    estimate_stats(strategy, g, player, n_samples=n_samples, rng=seed, worlds=worlds)
+                continue
+            got = estimate_stats(strategy, g, player, n_samples=n_samples, rng=seed, worlds=worlds)
+            assert got.p.tobytes() == want_p.tobytes()
+            assert got.q.tobytes() == want_q.tobytes()
+
+
+@threshold_cases
+def test_threshold_actions_match_the_argmax_of_the_scores(sizes, player_b, rows, z, n_samples, seed, edges):
+    _, _, strategy, full = threshold_game(sizes, player_b, rows[:1], z, n_samples, seed, edges)
+    obs = full[:, strategy.private]
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN
+        actions = batch_actions(strategy, obs)
+        want = argmax_of_scores(strategy, obs)
+    assert actions.dtype == want.dtype
+    np.testing.assert_array_equal(actions, want)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -359,14 +505,16 @@ def test_worlds_with_too_few_rows_or_columns_are_refused():
     assert estimate_stats(score_b, g, "B", n_samples=100, worlds=lambda: np.ones((100, 2))).p[1] == 1.0
 
 
-def test_best_response_estimate_peaks_under_12_bytes_per_sample():
-    # a one-row mixture on given worlds holds one product vector and one
-    # mask at a time: no action array, no copy of the private block
+def test_best_response_estimate_peaks_at_one_column_and_one_mask():
+    # a one-column best response on given worlds holds one float column (the
+    # mask q is summed on) and one boolean mask: no product column, no
+    # action array, no copy of the private block and no cast buffer
     n_samples = 100_000
-    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    g = exp_game([1.5, 1.0, 1.2], (1, 1, 1, 0))
     drawn = sample_world(g, 0, size=n_samples, columns=2)
-    scores = {"A": Mixture([[1.0, 0.5, 0.7]], private=[0]), "B": Mixture([[0.6, 1.0, 0.7]], private=[1])}
-    for player, score in scores.items():
+    opponents = {"A": StrategyStats("B", [0.2, 0.5, 0.3], [0.3]), "B": StrategyStats("A", [0.3, 0.3, 0.4], [0.2])}
+    for player, opp in opponents.items():
+        score = congames.nash.best_response(player, opp, g)
         estimate_stats(score, g, player, n_samples=n_samples, worlds=lambda: drawn)  # warm caches
         tracemalloc.start()
         try:
@@ -375,7 +523,7 @@ def test_best_response_estimate_peaks_under_12_bytes_per_sample():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / n_samples < 12, f"player {player} peaked at {peak / n_samples:.1f} bytes per sample"
+        assert peak <= n_samples * 9 + 32 * 2**10, f"player {player} peaked at {peak / 2**10:.0f} KiB"
 
 
 def test_a_generator_is_split_on_every_sampling_call():

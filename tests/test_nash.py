@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import congames.nash
@@ -12,15 +12,19 @@ from congames import (
     Mixture,
     NashConfig,
     Partition,
+    Simplex,
     StrategyStats,
     best_response,
     estimate_stats,
     expected_utility,
     iterate_best_response,
+    parse_game,
     potential,
+    sample_world,
 )
 from congames.experiments import SCENARIO_PARTITIONS
 from congames.nash import iteration_cap
+from congames.rng import WORLD_STREAM, stream_generators
 from conftest import exp_game, random_stats, spy_on_sample_world
 
 
@@ -203,3 +207,76 @@ def test_one_world_draw_matches_redrawing_every_turn(partition, means, seed):
         mp.setattr(congames.nash, "estimate_stats", redraw_every_turn)
         oracle = iterate_best_response(g, NashConfig(1e-3), n_samples=2000, seed=seed)
     assert_same_report(report, oracle)
+
+
+LAWS = (
+    "exponential rate={:g}",
+    "uniform lo=0 hi={:g}",
+    "pointmass value={:g}",
+    "discrete values=0,{:g} probs=0.5,0.5",
+)
+
+
+@st.composite
+def two_column_game_files(draw):
+    """Game-file text whose A or B block (or both) has two columns, with
+    exponential, uniform, point-mass and two-atom laws."""
+    a, b = draw(st.sampled_from([(2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]))
+    c, d = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    lines = [f"n: {a + b + c + d}", f"partition: {a} {b} {c} {d}"]
+    scale = st.sampled_from([0.5, 0.8, 1.0, 1.25, 2.0])
+    for k in range(1, a + b + c + d + 1):
+        lines.append(f"dist {k}: " + draw(st.sampled_from(LAWS)).format(draw(scale)))
+    if d:
+        lines.append(f"z: {draw(scale):g}")
+    return "\n".join(lines) + "\n"
+
+
+def four_call_trace(game, config, n_samples, seed):
+    """The trace of a run whose every turn takes the mover's utility before
+    and after its best response, then both utilities of the trace point:
+    four ``expected_utility`` calls a turn, on the run's one world draw."""
+    part = game.partition
+    (gen,) = stream_generators(seed, (WORLD_STREAM,))
+    drawn = sample_world(game, gen, size=n_samples, columns=part.a + part.b)
+
+    def stats_of(strategy, player):
+        return estimate_stats(strategy, game, player, n_samples=n_samples, rng=seed, worlds=lambda: drawn)
+
+    uniform = Simplex(np.full(game.n, 1.0 / game.n))
+    stats = {"A": stats_of(uniform, "A"), "B": stats_of(uniform, "B")}
+    trace, quiet = [], 0
+    for turn in range(iteration_cap(game, config.epsilon)):
+        player, opponent = ("A", "B") if turn % 2 == 0 else ("B", "A")
+        cand = stats_of(best_response(player, stats[opponent], game), player)
+        before = expected_utility(stats[player], stats[opponent], game, player)
+        after = expected_utility(cand, stats[opponent], game, player)
+        stats[player] = cand
+        trace.append(
+            (
+                potential(stats["A"], stats["B"], game),
+                expected_utility(stats["A"], stats["B"], game, "A"),
+                expected_utility(stats["B"], stats["A"], game, "B"),
+                after - before,
+            )
+        )
+        quiet = 0 if after - before > config.epsilon else quiet + 1
+        if quiet >= 2:
+            break
+    return trace
+
+
+@given(two_column_game_files(), st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32))
+@example("n: 3\npartition: 2 1 0 0\ndist 1: exponential rate=1\ndist 2: exponential rate=2\n"
+         "dist 3: uniform lo=0 hi=2\n", 1, 0)
+@example("n: 4\npartition: 0 2 1 1\ndist 1: pointmass value=1\ndist 2: exponential rate=1\n"
+         "dist 3: exponential rate=0.5\ndist 4: uniform lo=0 hi=1\nz: 0.8\n", 5, 3)
+@settings(max_examples=40, deadline=None)
+def test_trace_utilities_are_those_of_a_four_call_trace(text, n_samples, seed):
+    game = parse_game(text)
+    config = NashConfig(1e-3)
+    report = iterate_best_response(game, config, n_samples=n_samples, seed=seed)
+    want = four_call_trace(game, config, n_samples, seed)
+    got = [(p.potential, p.utility_a, p.utility_b, p.improvement) for p in report.trace]
+    # bit for bit: float.hex tells -0.0 from 0.0
+    assert [tuple(map(float.hex, point)) for point in got] == [tuple(map(float.hex, point)) for point in want]

@@ -70,6 +70,33 @@ def test_mixture_refuses_bool_private_indices():
     assert Mixture(np.ones((1, 3)), np.array([0.0, 2.0])).private.tolist() == [0, 2]
 
 
+def test_mixture_checks_integer_arrays_by_the_list_rules():
+    # an int array skips the per-entry check, but not the range and order
+    # rules, which give the list's messages
+    for bad, message in (
+        (np.array([-1]), "private indices out of range"),
+        (np.array([3], dtype=np.uint8), "private indices out of range"),
+        (np.array([1, 0]), "private indices must be strictly increasing"),
+        (np.array([[1, 1]]), "private indices must be strictly increasing"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Mixture(np.ones((1, 3)), bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Mixture(np.ones((1, 3)), bad.tolist())
+    assert Mixture(np.ones((1, 3)), np.array([[0, 2]])).private.tolist() == [0, 2]
+    # a read-only int array is kept as given, a writable one copied
+    given = np.arange(1, 3)
+    given.setflags(write=False)
+    assert Mixture(np.ones((1, 3)), given).private is given
+    writable = np.arange(1, 3)
+    kept = Mixture(np.ones((1, 3)), writable).private
+    writable[0] = 0
+    assert kept.tolist() == [1, 2] and not kept.flags.writeable
+    small = np.array([0, 2], dtype=np.int32)
+    small.setflags(write=False)
+    assert Mixture(np.ones((1, 3)), small).private.dtype == np.dtype(int)
+
+
 def test_simplex_validation():
     with pytest.raises(ValueError):
         Simplex([0.5, 0.6])
