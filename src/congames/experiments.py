@@ -53,7 +53,7 @@ from .dpp import run as run_dpp
 from .explicit import explicit_solution
 from .game import GameInstance, Partition, check_count, check_setting, check_upfront_budget
 from .md import MdConfig, run_md
-from .montecarlo import DEFAULT_SAMPLES, _check_estimate_budget, estimate_stats, expected_utility, simulate_payoff
+from .montecarlo import DEFAULT_SAMPLES, _check_estimate_budget, _payoffs, estimate_stats, simulate_payoff
 from .nash import NashConfig, iterate_best_response
 from .quantile import solve_a1
 from .rng import check_seed
@@ -334,9 +334,10 @@ def evaluate_report(
         stats_a = estimate_stats(strategy, game, "A", n_samples=n_samples, rng=seed)
         stats_b = estimate_stats(opponent, game, "B", n_samples=n_samples, rng=seed)
         mean, stderr = simulate_payoff(strategy, opponent, game, n_samples=n_samples, rng=seed)
+        utility_a, utility_b, _ = _payoffs(stats_a, stats_b, game)
         return {
-            "utility_a": expected_utility(stats_a, stats_b, game, "A"),
-            "utility_b": expected_utility(stats_b, stats_a, game, "B"),
+            "utility_a": utility_a,
+            "utility_b": utility_b,
             "simulated_a_mean": mean,
             "simulated_a_stderr": stderr,
         }

@@ -10,6 +10,11 @@ matchup:
     utility(A) = sum_A q_A + sum_{A^c} E p_A
                  - 1/2 (sum_A q_A p_B + sum_B p_A q_B + sum_{C+AB} E p_A p_B)
 
+B's utility and the potential of :mod:`congames.nash` share that collision
+term, so one function, :func:`_payoffs`, checks whose statistics are whose,
+takes the term once and returns all three values; :func:`expected_utility`
+and :func:`congames.nash.potential` read one entry of it.
+
 Simplex strategies ignore the world, and a score mixture of a player with no
 private resources picks each row's constant argmax, so both get exact
 statistics without sampling; everything else is averaged over seeded world
@@ -144,6 +149,9 @@ def estimate_stats(
     masks; other strategies act through :func:`batch_actions`.  Raises
     ValueError before sampling when the drawn columns and what acting holds
     (a one-row mixture's threshold split) exceed the up-front budget.
+    ``worlds`` must be finite: a caller's NaN or infinite rewards can make
+    a one-row and a multi-row mixture act differently (see
+    :mod:`congames.strategies`), and nothing here checks them.
     """
     check_count("n_samples", n_samples)
     private = _check_strategy_player(strategy, game, player)
@@ -248,15 +256,32 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(np.add.reduce(values) / (n - 1)) / np.sqrt(n))
 
 
-def collision_term(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance) -> float:
-    """Expected reward lost to collisions (before the 1/2 discount)."""
+def _payoffs(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance) -> tuple[float, float, float]:
+    """(utility of A, utility of B, potential H) at A's and B's statistics:
+    each player's own terms, and H's terms of both, less half of the one
+    collision term they share.  The one check of which stats belong to
+    which player."""
+    if stats_a.player != "A" or stats_b.player != "B":
+        raise ValueError("stats do not match the requested player assignment")
     # the blocks are ranges, so slices read what the index sets would
     a, ab = game.partition.a, game.partition.a + game.partition.b
-    p_a, p_b = stats_a.p, stats_b.p
-    return float(
-        np.dot(stats_a.q, p_b[:a])
-        + np.dot(p_a[a:ab], stats_b.q)
-        + (game.means[ab:] * p_a[ab:] * p_b[ab:]).sum()
+    b_comp = game.partition.b_comp
+    means, p_a, p_b, q_a, q_b = game.means, stats_a.p, stats_b.p, stats_a.q, stats_b.q
+    # half the collision term: the expected reward lost to collisions
+    half = 0.5 * float(
+        np.dot(q_a, p_b[:a]) + np.dot(p_a[a:ab], q_b) + (means[ab:] * p_a[ab:] * p_b[ab:]).sum()
+    )
+    return (
+        float(q_a.sum() + np.dot(means[a:], p_a[a:]) - half),
+        float(q_b.sum() + np.dot(means[b_comp], p_b[b_comp]) - half),
+        float(
+            q_a.sum()
+            + np.dot(means[:a], p_b[:a])
+            + q_b.sum()
+            + np.dot(means[a:ab], p_a[a:ab])
+            + np.dot(means[ab:], p_a[ab:] + p_b[ab:])
+            - half
+        ),
     )
 
 
@@ -267,18 +292,11 @@ def expected_utility(
     player: str,
 ) -> float:
     """Closed-form conditional expected utility of ``player`` given both stats."""
-    if stats_self.player != player or stats_opp.player == player:
-        raise ValueError("stats do not match the requested player assignment")
-    means = game.means
     if player == "A":
-        a_stats, b_stats = stats_self, stats_opp
-        a = game.partition.a  # A's complement is the range from a on
-        own = a_stats.q.sum() + np.dot(means[a:], a_stats.p[a:])
-    else:
-        a_stats, b_stats = stats_opp, stats_self
-        b_comp = game.partition.b_comp
-        own = b_stats.q.sum() + np.dot(means[b_comp], b_stats.p[b_comp])
-    return float(own - 0.5 * collision_term(a_stats, b_stats, game))
+        return _payoffs(stats_self, stats_opp, game)[0]
+    if player == "B":
+        return _payoffs(stats_opp, stats_self, game)[1]
+    raise ValueError("stats do not match the requested player assignment")
 
 
 def simulate_payoff(

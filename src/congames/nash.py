@@ -26,10 +26,12 @@ turn reuses the array.  Runs whose turns are all exact draw nothing.
 
 A turn estimates the mover's best response on those worlds (for a
 one-resource private block, one comparison of its column with a threshold
-and one float mask summed for q) and takes two utilities: the mover's after
-the turn and the opponent's at the new statistics.  The mover's utility
-before the turn is the one the last trace point holds, the same function of
-the same statistics, so the trace keeps its bits.
+and one float mask summed for q) and evaluates the payoffs once
+(:func:`congames.montecarlo._payoffs`): both utilities and the potential at
+the new statistics, from one collision term.  The turn's gain is the
+mover's utility there less its utility at the last evaluation, the same
+function of the same statistics, so the trace keeps its bits; a run
+evaluates the payoffs once per turn and once at the start.
 """
 
 from __future__ import annotations
@@ -41,15 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameInstance, check_setting, check_upfront_budget, sample_world
-from .montecarlo import (
-    DEFAULT_SAMPLES,
-    StrategyStats,
-    collision_term,
-    estimate_stats,
-    expected_utility,
-)
+from .montecarlo import DEFAULT_SAMPLES, StrategyStats, _payoffs, estimate_stats
 from .rng import WORLD_STREAM, stream_generators
-from .strategies import Mixture, Simplex, Strategy, _split_columns
+from .strategies import Mixture, Simplex, Strategy, _mixture_columns
 
 __all__ = [
     "NashConfig",
@@ -101,29 +97,19 @@ def best_response(player: str, opp_stats: StrategyStats, game: GameInstance) -> 
     means = game.means
     own, opp = (part.set_a, part.set_b) if player == "A" else (part.set_b, part.set_a)
 
-    values = means * (1.0 - 0.5 * opp_stats.p)
-    values[own] = 1.0 - 0.5 * opp_stats.p[own]  # coefficient on the observed reward
+    # one owning row, so that once read-only the mixture keeps it uncopied
+    values = means * (1.0 - 0.5 * opp_stats.p[np.newaxis])
+    values[0, own] = 1.0 - 0.5 * opp_stats.p[own]  # coefficient on the observed reward
     # the exact q never exceeds the mean, so this is at least mean / 2; the
     # floor keeps a few-sample estimate of q from making it negative
-    values[opp] = np.maximum(means[opp] - 0.5 * opp_stats.q, 0.0)
-    values = values[np.newaxis]
-    values.setflags(write=False)  # so the mixture keeps this row uncopied
+    values[0, opp] = np.maximum(means[opp] - 0.5 * opp_stats.q, 0.0)
+    values.setflags(write=False)
     return Mixture(values, own)
 
 
 def potential(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance) -> float:
     """The exact potential H; bounded above by 2 * sum of mean rewards."""
-    # the blocks are ranges, so slices read what the index sets would
-    a, ab = game.partition.a, game.partition.a + game.partition.b
-    means, p_a, p_b = game.means, stats_a.p, stats_b.p
-    gross = (
-        stats_a.q.sum()
-        + np.dot(means[:a], p_b[:a])
-        + stats_b.q.sum()
-        + np.dot(means[a:ab], p_a[a:ab])
-        + np.dot(means[ab:], p_a[ab:] + p_b[ab:])
-    )
-    return float(gross - 0.5 * collision_term(stats_a, stats_b, game))
+    return _payoffs(stats_a, stats_b, game)[2]
 
 
 def iteration_cap(game: GameInstance, epsilon: float) -> int:
@@ -163,7 +149,7 @@ def iterate_best_response(
         part = game.partition
         # the a + b columns and what an estimate on them holds besides: a
         # best response's threshold split, the larger one for the larger block
-        held = part.a + part.b + _split_columns(max(part.a, part.b))
+        held = part.a + part.b + _mixture_columns(1, max(part.a, part.b), game.n)
         check_upfront_budget("nash", n_samples, game.n, held / game.n, rows="n_samples")
         drawn = sample_world(game, world_gen, size=n_samples, columns=part.a + part.b)
         drawn.setflags(write=False)
@@ -177,33 +163,24 @@ def iterate_best_response(
     stats = {"A": stats_of(uniform, "A"), "B": stats_of(uniform, "B")}
 
     trace: list[TracePoint] = []
-    # each player's utility at the current stats: the mover's is its
-    # utility before the turn, and the turn's trace point holds both after it
-    utility = {"A": expected_utility(stats["A"], stats["B"], game, "A")}
+    # (utility of A, utility of B, potential) at the current stats: a turn's
+    # gain is the mover's entry after it less the same entry before it
+    payoffs = _payoffs(stats["A"], stats["B"], game)
     quiet_turns = 0
     converged = False
     iterations = 0
     while iterations < cap:
-        player = "A" if iterations % 2 == 0 else "B"
-        opponent = "B" if player == "A" else "A"
+        mover = iterations % 2  # A moves first, and A's entries come first
+        player, opponent = "AB"[mover], "BA"[mover]
         candidate = best_response(player, stats[opponent], game)
-        cand_stats = stats_of(candidate, player)
-        after = expected_utility(cand_stats, stats[opponent], game, player)
-        improvement = after - utility[player]
-        iterations += 1
         strat[player] = candidate
-        stats[player] = cand_stats
-        utility[player] = after
-        utility[opponent] = expected_utility(stats[opponent], cand_stats, game, opponent)
+        stats[player] = stats_of(candidate, player)
+        before, payoffs = payoffs, _payoffs(stats["A"], stats["B"], game)
+        improvement = payoffs[mover] - before[mover]
+        iterations += 1
         quiet_turns = 0 if improvement > config.epsilon else quiet_turns + 1
-        trace.append(
-            TracePoint(
-                potential=potential(stats["A"], stats["B"], game),
-                utility_a=utility["A"],
-                utility_b=utility["B"],
-                improvement=improvement,
-            )
-        )
+        utility_a, utility_b, h = payoffs
+        trace.append(TracePoint(potential=h, utility_a=utility_a, utility_b=utility_b, improvement=improvement))
         if quiet_turns >= 2:
             converged = True
             break

@@ -18,8 +18,14 @@ Three strategy forms cover everything the solvers produce:
 A one-row mixture acts by threshold rather than through a (samples, n) score
 matrix: its best constant resource is the same in every row, so a row picks
 its best private product where that beats the best constant, or ties it at a
-lower index, and the constant otherwise.  This picks the same resource as
-the argmax, bit for bit.  One threshold split serves both consumers:
+lower index, and the constant otherwise.  On finite observations this
+picks the same resource as the argmax, bit for bit.  A NaN or infinite
+observation can make a NaN product (infinity times a zero score): the
+threshold split takes no private resource there and picks the best
+constant, while a mixture of two or more rows takes ``np.argmax`` of its
+scores, which picks the NaN's index.  :func:`act` refuses such an
+observation; :func:`batch_actions` acts on what it is given, and sampled
+worlds are finite.  One threshold split serves both consumers:
 :func:`batch_actions` turns it into action indices, and
 :func:`congames.montecarlo.estimate_stats` counts a one-row mixture's picks
 and reward-weighted rates from its masks without building actions.
@@ -88,13 +94,13 @@ class Mixture:
     """Equiprobable mixture of argmax strategies, one score row per component;
     ``values[:, private]`` multiply the observed rewards.
 
-    A read-only float64 ``values`` array is kept as given (drift-plus-penalty
-    hands over its T-row queue history this way, and a best response its
-    one row), as is a read-only int ``private`` array (a partition's index
-    set); anything writable is copied, so later writes to the source leave
-    the mixture alone.  The
-    entries are checked by their minimum and maximum, so a long history
-    is checked without a mask of its size.
+    A read-only float64 ``values`` array that owns its memory is kept as
+    given (drift-plus-penalty hands over its T-row queue history this way,
+    and a best response its one row), as is such an int ``private`` array
+    (a partition's index set); anything else, a read-only view of writable
+    memory too, is copied, so later writes to the source leave the mixture
+    alone.  The entries are checked by their minimum and maximum, so a long
+    history is checked without a mask of its size.
     """
 
     values: np.ndarray  # shape (m, n)
@@ -117,10 +123,12 @@ class Mixture:
             private = np.array(entries, dtype=float)
         if private.size and (private.min() < 0 or private.max() >= values.shape[1]):
             raise ValueError("private indices out of range")
-        private = private.astype(int, copy=private.flags.writeable)
+        # only a read-only array that owns its memory is kept as given: a
+        # read-only view may look at memory that its source still writes
+        private = private.astype(int, copy=private.flags.writeable or not private.flags.owndata)
         if private.size > 1 and (private[1:] <= private[:-1]).any():
             raise ValueError("private indices must be strictly increasing")
-        if values.flags.writeable:
+        if values.flags.writeable or not values.flags.owndata:
             values = values.copy()
             values.setflags(write=False)
         private.setflags(write=False)
@@ -283,23 +291,22 @@ def _acting_columns(strategy: Strategy, n: int) -> float:
 def _mixture_columns(rows: int, size: int, n: int) -> float:
     """:func:`_acting_columns` of a mixture of ``rows`` score rows over a
     private block of ``size`` resources, which a caller can ask before the
-    mixture exists: n scores and the component draws from two rows on, the
-    threshold split (:func:`_split_columns`) of one row."""
-    return n + 2 if rows > 1 else _split_columns(size)
-
-
-def _split_columns(size: int) -> float:
-    """The columns that :func:`_threshold_split` of a private block of
-    ``size`` resources, and what is built from its masks, hold at their
-    peak: up to four boolean masks, and one column (the actions or the
-    float mask that a reward-weighted rate is summed on, or for one
-    resource without a threshold the products) or, from two resources on,
-    three (the best product, the product compared and the index of the
-    best)."""
+    mixture exists.  From two rows on: n scores and the component draws.
+    One row: what :func:`_threshold_split`, and what is built from its
+    masks, hold at their peak: up to four boolean masks, and one column
+    (the actions or the float mask that a reward-weighted rate is summed
+    on, or for one resource without a threshold the products) or, from two
+    resources on, three (the best product, the product compared and the
+    index of the best)."""
+    if rows > 1:
+        return n + 2
     return (1 if size < 2 else 3) + 0.5
 
 
 def act(strategy: Strategy, observed_private_rewards, rng=None) -> int:
-    """Choose one resource given the acting player's private observations."""
+    """Choose one resource given the acting player's private observations,
+    which must be finite."""
     obs = np.asarray(observed_private_rewards, dtype=float).reshape(1, -1)
+    if not np.isfinite(obs).all():
+        raise ValueError("observed rewards must be finite")
     return int(batch_actions(strategy, obs, rng)[0])

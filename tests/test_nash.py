@@ -65,6 +65,19 @@ def test_potential_uniform_example():
     assert potential(sa, sb, g) == pytest.approx(1.75)
 
 
+def test_payoffs_refuse_swapped_or_mislabelled_stats():
+    g = exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0))
+    sa = StrategyStats("A", [0.5, 0.25, 0.25], [0.25])
+    sb = StrategyStats("B", [0.25, 0.5, 0.25], [0.25])
+    message = "^stats do not match the requested player assignment$"
+    for first, second in ((sb, sa), (sa, sa), (sb, sb)):
+        with pytest.raises(ValueError, match=message):
+            potential(first, second, g)
+    for own, opp, player in ((sb, sa, "A"), (sa, sa, "A"), (sa, sb, "B"), (sb, sb, "B"), (sa, sb, "C")):
+        with pytest.raises(ValueError, match=message):
+            expected_utility(own, opp, g, player)
+
+
 def test_potential_identity_and_bound(rng):
     # H equals either player's utility plus the other's standalone terms
     g = exp_game([1.3, 0.8, 2.1], (1, 1, 1, 0))
@@ -186,6 +199,20 @@ def test_each_run_draws_its_worlds_once(monkeypatch, scenario, draws):
         report = iterate_best_response(g, NashConfig(1e-3), n_samples=2000, seed=5)
         assert calls[before:] == [(2000, a + b)] * draws  # only the private columns
         assert report.iterations > 1  # so later turns reused the one draw
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_a_run_evaluates_the_payoffs_once_a_turn_and_once_at_the_start(monkeypatch, scenario):
+    calls, original = [], congames.nash._payoffs
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(congames.nash, "_payoffs", spy)
+    g = exp_game([1.0, 1.0, 1.0], SCENARIO_PARTITIONS[scenario])
+    report = iterate_best_response(g, NashConfig(1e-3), n_samples=2000, seed=5)
+    assert len(calls) == report.iterations + 1
 
 
 @given(

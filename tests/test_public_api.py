@@ -36,7 +36,7 @@ REMOVED = {
     "congames.quantile": ["tail_weighted_mean", "_require_continuous"],
     "congames.game": ["deterministic_omega", "draw_rows"],
     "congames.dpp": ["_base_weights", "gamma_step", "queue_step", "config_for_epsilon"],
-    "congames.montecarlo": ["McConfig"],
+    "congames.montecarlo": ["McConfig", "collision_term"],
     "congames.worstcase": ["row_max", "sampled_subgradients", "sampled_subgradient"],
     "congames.md": [
         "row_max", "mw_step", "pairwise_sum", "run_md_batch", "mw_update", "BATCH_DRAW_BYTES", "ROUND_BLOCK_BYTES",

@@ -23,6 +23,14 @@ def test_mixture_copies_writable_values_and_keeps_read_only_ones():
     frozen = np.array([[1.0, 2.0], [3.0, 4.0]])
     frozen.setflags(write=False)
     assert np.shares_memory(Mixture(frozen, private=[0]).values, frozen)
+    # a read-only view of writable memory is copied too: its source can write
+    src = np.array([[1.0, 0.5, 0.5]])
+    for view in (src.view(), src[:, :], src[0][np.newaxis]):
+        view.setflags(write=False)
+        mixture = Mixture(view, private=[0])
+        src[0, 1] = 9.0
+        assert mixture.values.tolist() == [[1.0, 0.5, 0.5]]
+        src[0, 1] = 0.5
 
 
 def test_score_constant_argmax():
@@ -62,6 +70,14 @@ def test_observation_length_mismatch():
         act(QuantileThreshold(1.0, [1.0]), [])
 
 
+def test_act_refuses_observations_that_are_not_finite():
+    # a NaN product splits the one-row threshold rule from a multi-row argmax
+    for strategy in (Mixture([[0.0, 1.0]], private=[0]), Mixture([[1.0, 2.0], [2.0, 1.0]], private=[0])):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^observed rewards must be finite$"):
+                act(strategy, [bad], rng=0)
+
+
 def test_mixture_refuses_bool_private_indices():
     # True would read as resource 1, and a boolean mask is not an index list
     for private in ([True], [True, 2], np.array([False, True])):
@@ -92,6 +108,14 @@ def test_mixture_checks_integer_arrays_by_the_list_rules():
     kept = Mixture(np.ones((1, 3)), writable).private
     writable[0] = 0
     assert kept.tolist() == [1, 2] and not kept.flags.writeable
+    # a read-only view of writable memory is copied, so a later write to its
+    # source cannot move the block past the range and order checks
+    source = np.array([0, 1])
+    view = source[:1]
+    view.setflags(write=False)
+    kept = Mixture(np.ones((1, 3)), view).private
+    source[0] = 2
+    assert kept.tolist() == [0] and not np.shares_memory(kept, source)
     small = np.array([0, 2], dtype=np.int32)
     small.setflags(write=False)
     assert Mixture(np.ones((1, 3)), small).private.dtype == np.dtype(int)
