@@ -15,7 +15,7 @@ default: ``--epsilon`` for nash (``NashConfig``), ``--V``, ``--alpha`` and
 them.  ``--scenario`` defaults to the lowest preset the solver solves (3
 for a1, 1 for the others).  ``worst`` takes its method first, so its flags
 follow the method.  ``evaluate`` reads ``--opponent`` in vs-strategy mode
-only, and ``--player`` in the other modes only.  Sweeps print a CSV table
+only, and ``--player`` in stats mode only.  Sweeps print a CSV table
 (or write it with ``--out``); reruns with the same flags and seed are
 byte-identical.  Exit status is 0 on success and 2 on any usage, file, or
 configuration error, including a flag the command's solver or
@@ -36,10 +36,11 @@ from .montecarlo import DEFAULT_SAMPLES
 from .rng import check_seed
 
 # the evaluate modes that read each optional flag (vs-strategy plays the
-# strategy as A against the opponent as B); another mode refuses the flag
+# strategy as A against the opponent as B, and vs-worst-case plays it as A
+# against the worst case); another mode refuses the flag
 EVALUATE_FLAG_MODES = {
     "opponent": ("vs-strategy",),
-    "player": ("stats", "vs-worst-case"),
+    "player": ("stats",),
 }
 
 SETTING_HELP = {
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--strategy", required=True, help="strategy file")
     ev.add_argument("--mode", choices=["stats", "vs-worst-case", "vs-strategy"], default="stats")
     ev.add_argument("--opponent", help="opponent strategy file (vs-strategy only)")
-    ev.add_argument("--player", choices=["A", "B"], help="player of the strategy (default A; not vs-strategy)")
+    ev.add_argument("--player", choices=["A", "B"], help="player of the strategy (default A; stats only)")
     _opt(ev, "samples", int, DEFAULT_SAMPLES, "Monte Carlo samples")
     _opt(ev, "seed", int, 0, "seed")
     return parser

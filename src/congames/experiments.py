@@ -54,7 +54,7 @@ from .explicit import explicit_solution
 from .game import GameInstance, Partition, check_count, check_setting, check_upfront_budget
 from .md import MdConfig, run_md
 from .montecarlo import DEFAULT_SAMPLES, _check_estimate_budget, _payoffs, estimate_stats, simulate_payoff
-from .nash import NashConfig, iterate_best_response
+from .nash import NashConfig, iterate_best_response, iteration_cap
 from .quantile import solve_a1
 from .rng import check_seed
 from .strategies import Strategy, _mixture_columns
@@ -116,7 +116,9 @@ class ScenarioSpec:
     (:func:`~congames.worstcase._check_max_term`: at least 2, and B's b
     columns within the budget), and a worst-case DPP sweep's must pass the
     check of the estimate that evaluates each run's T-row mixture
-    (:func:`~congames.montecarlo._check_estimate_budget`).  All are checked
+    (:func:`~congames.montecarlo._check_estimate_budget`).  A nash sweep's
+    epsilon must give a finite iteration cap at the grid's largest mean
+    (:func:`~congames.nash.iteration_cap`).  All are checked
     here, before any solver runs, so a count of 2.5 or NaN is refused here
     too.
     """
@@ -152,7 +154,9 @@ class ScenarioSpec:
         check_seed(self.seed)
         if reason := _unsolvable(self.solver, self.scenario):
             raise ValueError(reason)
-        if self.solver != "nash":
+        if self.solver == "nash":  # the iteration cap grows with the means
+            iteration_cap(scenario_game(self, max(e1_values)), self.config.epsilon)
+        else:
             _check_max_term(self.partition, self.n_samples)
         if self.solver == "worst-dpp" and self.partition.a:  # the evaluation samples A's T-row mixture
             acting = _mixture_columns(self.config.T, self.partition.a, self.partition.n)

@@ -40,6 +40,8 @@ lines is checked last.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .distributions import Discrete, Exponential, PointMass, RewardDistribution, Uniform
@@ -169,7 +171,11 @@ def parse_game(text: str, rng=None) -> GameInstance:
         raise GameFileError("missing required key 'partition'")
     if partition.n != n:
         raise GameFileError(f"partition sizes sum to {partition.n}, but n is {n}")
-    missing = [k for k in range(1, n + 1) if k not in dists]
+    # the count and the first ten, never a list of size n
+    absent = n - sum(k <= n for k in dists)
+    missing = list(itertools.islice((k for k in range(1, n + 1) if k not in dists), 10))
+    if absent > 10:
+        raise GameFileError(f"missing distributions for {absent} resources, the first ten {missing}")
     if missing:
         raise GameFileError(f"missing distributions for resources {missing}")
     extra = [k for k in dists if k > n]

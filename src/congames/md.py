@@ -16,7 +16,12 @@ entropy-geometry update p_k <- p_k exp(grad_k / alpha), renormalized
 returned vector is the average of the iterates including the uniform
 start; its expected suboptimality is at most
 
-    C / (2 alpha) + alpha ln(n) / T,    C = 2 max(E)^2 + E[max_k omega_k^2]/2.
+    C / (2 alpha) + alpha ln(n) / T,    C = 2 max(E)^2 + E[max_k omega_k^2]/2
+
+(:func:`md_error_bound`).  E[max_k omega_k^2] is taken from the laws'
+closed forms, never sampled (:func:`omega_sup_sq_bound`): exactly where B
+observes at most one resource, and otherwise bounded above by the
+constant maximum's square plus each drawn entry's excess over it.
 
 The T rounds of :func:`run_md` are one straight-line function, generated
 from the integers n and b alone and compiled once per (n, b)
@@ -94,15 +99,13 @@ from .game import (
     require_positive,
     sample_omega,
 )
-from .montecarlo import _mean_and_stderr
 from .rng import OMEGA_STREAM, as_generator
-from .worstcase import _check_max_term, omega_maxima
 
 __all__ = [
     "MdConfig",
     "run_md",
     "md_error_bound",
-    "omega_sup_sq_mean",
+    "omega_sup_sq_bound",
 ]
 
 
@@ -254,42 +257,31 @@ def _round_kernel(n: int, b: int):
     return compile_kernel("\n".join(lines) + "\n", f"<md round kernel n={n} b={b}>", "md_rounds")
 
 
-def omega_sup_sq_mean(game: GameInstance, n_samples: int = 1_000_000, rng=0):
-    """(mean, stderr) of max_k omega_k squared.
+def omega_sup_sq_bound(game: GameInstance) -> float:
+    """An upper bound on E[max_k omega_k^2], from the laws' closed forms.
 
-    Exact (stderr 0) when at most one coordinate of omega is random: the
-    maximum is then max(W, m) with m the largest constant entry, whose
-    second moment is closed-form for every catalog distribution.  With two
-    or more random coordinates it is Monte Carlo estimated
-    (:func:`congames.worstcase.omega_maxima` at x = 1, squared in place),
-    and raises ValueError before sampling when the max term's check
-    (:func:`congames.worstcase._check_max_term`) refuses ``n_samples``.
-    Where the squares or their sum pass the float range, the mean is inf,
-    with no numpy warning, and the stderr inf or NaN.
+    With m the largest constant entry of omega (0 if there is none), it is
+    m^2 + sum over B's block of (E[max(W_k, m)^2] - m^2): every omega_k is
+    non-negative, so the square of the maximum is at most m^2 plus each
+    drawn entry's excess over it.  The sum starts at its first term, so
+    where at most one entry is drawn the bound is the exact second moment:
+    m^2 when b == 0, E[max(W, m)^2] when b == 1.  Where the sum passes the
+    float range the bound is inf, with no warning.
     """
-    part = game.partition
-    if part.b == 0:
-        return float(np.max(game.weights) ** 2), 0.0
-    if part.b == 1:
-        const = game.weights.copy()
-        k = int(part.set_b[0])
-        const[k] = 0.0
-        m = float(const.max()) if game.n > 1 else 0.0
-        return float(game.distributions[k].expected_sq_max_with(m)), 0.0
-    _check_max_term(part, n_samples)
-    maxima = omega_maxima(np.ones(game.n), game, n_samples, rng)
-    # squares or a sum past the float range, and then inf - inf in the deviations
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _mean_and_stderr(np.square(maxima, out=maxima))
+    m = float(np.delete(game.weights, game.partition.set_b).max(initial=0.0))
+    squares = [game.distributions[k].expected_sq_max_with(m) for k in game.partition.set_b]
+    bound, *rest = squares or [m**2]
+    for sq in rest:
+        bound += sq - m**2
+    return bound
 
 
 def md_error_bound(game: GameInstance, config: MdConfig) -> float:
     """Guaranteed expected gap C/(2 alpha) + alpha ln(n) / T of a run under
-    ``config``.
+    ``config``, with C = 2 max(E)^2 + 1/2 :func:`omega_sup_sq_bound`.
 
-    Laws whose second moments are near the top of the float range make C
-    overflow: the bound is then inf, with no numpy warning, even where the
-    sampled mean of max_k omega_k squared overflows."""
-    sup_sq, _ = omega_sup_sq_mean(game)
-    c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * sup_sq
+    It draws nothing.  Laws whose second moments are near the top of the
+    float range make C overflow: the bound is then inf, with no numpy
+    warning."""
+    c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * omega_sup_sq_bound(game)
     return c / (2.0 * config.alpha) + config.alpha * math.log(game.n) / config.T

@@ -113,8 +113,14 @@ def potential(stats_a: StrategyStats, stats_b: StrategyStats, game: GameInstance
 
 
 def iteration_cap(game: GameInstance, epsilon: float) -> int:
-    """Hard iteration budget: ceil(2 * sum(E) / epsilon) + 1."""
-    return int(math.ceil(2.0 * game.means.sum() / epsilon)) + 1
+    """Hard iteration budget: ceil(2 * sum(E) / epsilon) + 1.
+
+    Raises ValueError, naming ``epsilon``, when 2 * sum(E) / epsilon is not
+    a finite float."""
+    steps = 2.0 * float(game.means.sum()) / float(epsilon)
+    if not math.isfinite(steps):
+        raise ValueError(f"epsilon={epsilon!r} is too small: 2 * sum(E) / epsilon is not finite")
+    return int(math.ceil(steps)) + 1
 
 
 def iterate_best_response(

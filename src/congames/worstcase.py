@@ -21,9 +21,9 @@ columns from :func:`congames.game.sample_omega` (the others are constant)
 and folds the products and their running maximum into them in place, never
 building the (samples, n) product.  Its sample rules, at least 2 draws and
 B's b columns of them within the up-front budget, are stated
-once, by :func:`_check_max_term`, which the estimates here,
-:func:`congames.md.omega_sup_sq_mean`, :func:`congames.quantile.solve_a1`
-and every worst-case :class:`~congames.experiments.ScenarioSpec` ask.
+once, by :func:`_check_max_term`, which :func:`omega_max_mean`,
+:func:`congames.quantile.solve_a1` and every worst-case
+:class:`~congames.experiments.ScenarioSpec` ask.
 
 Every worst-case solver ends in one evaluation of g: at x itself
 (:func:`worst_case_objective`), or at the x of a strategy's estimated
@@ -103,7 +103,7 @@ def _check_max_term(partition: Partition, n_samples: int):
     before anything is drawn: fewer than 2 (no standard error), or
     :func:`omega_maxima`'s vectors over the up-front budget.  The term is
     exact, so nothing is checked, when the B block is empty.  The one
-    statement of these rules: the max term's estimates, the A1 solver and
+    statement of these rules: :func:`omega_max_mean`, the A1 solver and
     every worst-case sweep's spec ask it."""
     if partition.b == 0:
         return

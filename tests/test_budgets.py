@@ -43,7 +43,7 @@ from congames import (
     solve_a1,
 )
 from congames.dpp import run as run_dpp
-from congames.md import omega_sup_sq_mean, run_md
+from congames.md import run_md
 from congames.worstcase import omega_max_mean
 from conftest import exp_game
 
@@ -101,8 +101,6 @@ def budgeted_calls():
                 calls[f"run_md-{ab}"] = lambda r, g=g: run_md(g, MdConfig(T=r), 0)
             if b:  # the max term is exact, and counts nothing, when b == 0
                 calls[f"omega_max_mean-{ab}"] = lambda r, g=g: omega_max_mean(np.full(g.n, 1.0 / g.n), g, r, 0)
-            if b == 2:  # and omega_sup_sq_mean's is exact when b <= 1
-                calls[f"omega_sup_sq_mean-{ab}"] = lambda r, g=g: omega_sup_sq_mean(g, r, 0)
             if a + b:
                 calls[f"iterate_best_response-{ab}"] = lambda r, g=g: iterate_best_response(g, NashConfig(), r, 0)
             for player, size in (("A", a), ("B", b)):

@@ -10,7 +10,7 @@ import congames.experiments
 import congames.game
 from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, estimate_stats, explicit_solution
 from congames.cli import SETTING_HELP, main
-from congames.experiments import SOLVER_CONFIGS, ScenarioSpec, run_scenario
+from congames.experiments import SOLVER_CONFIGS, ScenarioSpec, evaluate_report, run_scenario
 from congames.rng import as_generator, stream_generators
 from conftest import exp_game
 
@@ -252,6 +252,8 @@ def test_evaluate_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
         (("--mode", "stats", "--opponent", str(strat)), "--mode stats does not read --opponent"),
         (("--opponent", str(strat)), "--mode stats does not read --opponent"),  # stats is the default
         (("--mode", "vs-worst-case", "--opponent", str(strat)), "--mode vs-worst-case does not read --opponent"),
+        (("--mode", "vs-worst-case", "--player", "B"), "--mode vs-worst-case does not read --player"),
+        (("--mode", "vs-worst-case", "--player", "A"), "--mode vs-worst-case does not read --player"),
         (("--mode", "vs-strategy", "--opponent", str(strat), "--player", "B"), "--mode vs-strategy does not read --player"),
         (("--mode", "vs-strategy", "--opponent", str(strat), "--player", "A"), "--mode vs-strategy does not read --player"),
     ]
@@ -262,8 +264,10 @@ def test_evaluate_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
     # each flag still works in the modes that read it
     code, out, _ = run_cli(capsys, *base, "--mode", "stats", "--player", "B")
     assert code == 0 and out.startswith("p: ")
-    code, _, err = run_cli(capsys, *base, "--mode", "vs-worst-case", "--player", "B")
-    assert code == 2 and "defined for player A" in err
+    # the library refuses player B's worst case
+    game_b = exp_game([1.0, 1.0], (0, 1, 1, 0))
+    with pytest.raises(ValueError, match="^worst-case evaluation is defined for player A$"):
+        evaluate_report(Mixture([[1.0, 0.5]], [0]), game_b, "vs-worst-case", n_samples=2000, player="B")
     code, out, _ = run_cli(capsys, *base, "--mode", "vs-strategy", "--opponent", str(strat))
     assert code == 0 and out.startswith("utility_a: ")
 
@@ -617,6 +621,10 @@ def test_settings_must_be_positive_and_finite(capsys, monkeypatch):
         monkeypatch.setattr(f"congames.experiments.{name}", not_called)
     refused = [
         (["nash", "--scenario", "1", "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+        (
+            ["nash", "--epsilon", "1e-308", "--e1-min", "1", "--e1-max", "1"],
+            "epsilon=1e-308 is too small: 2 * sum(E) / epsilon is not finite",
+        ),
         (["worst", "md", "--scenario", "1", "--alpha", "inf", "--T", "100"], "alpha must be positive and finite, got inf"),
         (["worst", "dpp", "--scenario", "1", "--V", "inf", "--T", "100"], "V must be positive and finite, got inf"),
         (["worst", "dpp", "--scenario", "3", "--alpha=-inf"], "alpha must be positive and finite, got -inf"),

@@ -356,7 +356,7 @@ def test_bounds_near_the_float_range_end_are_inf_without_warning():
         warnings.simplefilter("error")
         g = GameInstance(Partition(1, 1, 1, 0), (Exponential(1.0), big, Exponential(1.0)))
         assert bound_constants(g, DppConfig()).error_bound == math.inf
-        # one drawn column (exact) and two (sampled, whose mean overflows)
+        # one drawn column (exact) and two (bounded, whose sum overflows)
         for sizes, laws in (((0, 1, 2, 0), (big, Exponential(1.0), Exponential(1.0))), ((0, 2, 1, 0), (big, big, Exponential(1.0)))):
             g = GameInstance(Partition(*sizes), laws)
             assert bound_constants(g, DppConfig()).error_bound == math.inf

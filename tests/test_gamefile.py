@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import congames
 from congames import (
     Discrete,
     Exponential,
@@ -55,6 +61,42 @@ def test_missing_z_sampled_with_rng():
     g1 = parse_game(text, rng=5)
     g2 = parse_game(text, rng=5)
     np.testing.assert_array_equal(g1.z, g2.z)
+
+
+def test_missing_distributions_are_counted_past_ten():
+    # ten or fewer missing resources are listed; more are counted, with the
+    # first ten listed
+    def message(n, present):
+        dists = "".join(f"dist {k}: pointmass value=1\n" for k in present)
+        with pytest.raises(GameFileError) as err:
+            parse_game(f"n: {n}\npartition: {n} 0 0 0\n{dists}")
+        return str(err.value)
+
+    assert message(3, [2]) == "missing distributions for resources [1, 3]"
+    assert message(11, [2]) == "missing distributions for resources [1, 3, 4, 5, 6, 7, 8, 9, 10, 11]"
+    assert message(13, [2, 5]) == "missing distributions for 11 resources, the first ten [1, 3, 4, 6, 7, 8, 9, 10, 11, 12]"
+
+
+def test_a_game_of_a_hundred_million_missing_resources_exits_2(tmp_path):
+    # run in a child whose address space is capped at 1 GiB, so that a
+    # loader building a list of the 10^8 missing numbers fails there
+    game, strategy = tmp_path / "game.txt", tmp_path / "strategy.txt"
+    game.write_text("n: 100000000\npartition: 100000000 0 0 0\n")
+    strategy.write_text("kind: simplex\np: 1\n")
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from congames.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, "PYTHONPATH": str(Path(congames.__file__).parents[1])}
+    argv = ["evaluate", "--game", str(game), "--strategy", str(strategy)]
+    result = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, timeout=300)
+    first_ten = list(range(1, 11))
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr[-2000:]
+    assert result.stderr == f"error: missing distributions for 100000000 resources, the first ten {first_ten}\n"
+    assert len(result.stderr) < 1024
 
 
 @pytest.mark.parametrize(

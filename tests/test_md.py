@@ -29,7 +29,7 @@ from congames import (
     worst_case_objective,
 )
 from congames.game import DRAW_CHUNK, require_positive
-from congames.md import omega_sup_sq_mean
+from congames.md import omega_sup_sq_bound
 from congames.quantile import DEFAULT_DELTA, FD_WIDTH
 from congames.rng import OMEGA_STREAM, as_generator
 from conftest import LAWS, exp_game, full_omega, kernel_calls, md_preset_optimum
@@ -264,50 +264,59 @@ def test_error_bound_rejects_bad_alpha_and_rounds():
 
 def test_omega_sup_sq_exact_b1_matches_samples():
     g = exp_game([1.0, 1.5, 1.0], (0, 1, 2, 0))
-    exact, err = omega_sup_sq_mean(g)
-    assert err == 0.0
+    exact = omega_sup_sq_bound(g)
     om = full_omega(g, 5, size=400_000)
     sq = np.max(om, axis=1) ** 2
     assert exact == pytest.approx(sq.mean(), abs=5 * sq.std() / math.sqrt(sq.size))
 
 
-def test_omega_sup_sq_mc_b2():
-    g = exp_game([1.0, 1.0, 1.0, 1.0], (0, 2, 2, 0))
-    value, err = omega_sup_sq_mean(g, n_samples=200_000, rng=1)
-    assert err > 0
-    # crude sanity: between the b=0 floor and the sum of second moments
-    assert 1.0 < value < 2.0 + 2.0 + 1.0 + 1.0
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_sup_sq_bound_is_exact_where_at_most_one_entry_is_drawn(law):
+    # b = 0: the constant maximum's square; b = 1: the law's closed form at
+    # the largest constant weight m (0 when B holds the only resource), the
+    # bits of both
+    for weights in ([0.7, 1.3, 1.1], [2.0]):
+        g = GameInstance(Partition(1, 0, len(weights) - 1, 0), tuple(LAWS[law](w) for w in weights))
+        assert omega_sup_sq_bound(g) == max(g.weights) ** 2
+    for laws, m in (((LAWS[law](1.3), Exponential(1 / 0.7), Uniform(0.0, 2.2)), 1.1), ((LAWS[law](1.3),), 0.0)):
+        g = GameInstance(Partition(0, 1, len(laws) - 1, 0), laws)
+        assert omega_sup_sq_bound(g) == LAWS[law](1.3).expected_sq_max_with(m)
 
 
-def test_sup_sq_mean_past_the_float_range_is_inf_without_warning():
+@pytest.mark.parametrize("b", [2, 3])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_sup_sq_bound_holds_where_two_or_more_entries_are_drawn(law, b):
+    # the bound is at least a 200 000-draw estimate of E[max_k omega_k^2],
+    # less three standard errors, beside a constant weight of 1
+    laws = tuple(LAWS[law](mean) for mean in (1.0, 0.6, 1.5)[:b]) + (Exponential(1.0),)
+    g = GameInstance(Partition(0, b, 1, 0), laws)
+    sq = np.max(full_omega(g, 7, size=200_000), axis=1) ** 2
+    assert omega_sup_sq_bound(g) >= sq.mean() - 3 * sq.std(ddof=1) / math.sqrt(sq.size)
+
+
+def test_sup_sq_bound_past_the_float_range_is_inf_without_warning():
     # two drawn columns: the sum of the squares overflows (point masses of
-    # square 1.44e308), or some squares do too (exponential draws of mean
-    # 9.1e153); the mean is inf and numpy says nothing
+    # square 1.44e308, or exponentials of second moment 1.65e308); the
+    # bound is inf and numpy says nothing
     big, wide = PointMass(1.2e154), Exponential(1.1e-154)
     for laws in ((big, big, Exponential(1.0)), (wide, wide, Exponential(1.0))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mean, _ = omega_sup_sq_mean(GameInstance(Partition(0, 2, 1, 0), laws), n_samples=2000)
-        assert mean == math.inf
+            bound = omega_sup_sq_bound(GameInstance(Partition(0, 2, 1, 0), laws))
+        assert bound == math.inf
 
 
-def test_oversized_sup_sq_estimate_fails_before_sampling(monkeypatch):
+def test_error_bound_draws_nothing(monkeypatch):
     def no_draws(*args, **kwargs):
-        raise AssertionError("the estimate sampled before checking its budget")
+        raise AssertionError("the bound drew rewards")
 
-    monkeypatch.setattr(Exponential, "fill", no_draws)
+    for law in {type(make(1.0)) for make in LAWS.values()}:
+        monkeypatch.setattr(law, "fill", no_draws)
+    for law in sorted(LAWS):
+        g = GameInstance(Partition(0, 2, 1, 0), (LAWS[law](1.0), LAWS[law](0.5), Exponential(1.0)))
+        assert math.isfinite(md_error_bound(g, MdConfig()))
     g = exp_game([1.0, 1.0, 1.0], (0, 2, 1, 0))
-    # b = 2 vectors: B's two omega columns, which the products, the maximum
-    # and its square are written into, refused by the max term's one check
-    need = r"omega_max_mean run with n_samples=100000000, n=3 needs 1526 MiB up front"
-    with pytest.raises(ValueError, match=need):
-        omega_sup_sq_mean(g, n_samples=10**8)
-    with pytest.raises(ValueError, match="n_samples must be >= 2"):
-        omega_sup_sq_mean(g, n_samples=1)
-    # at most one random coordinate: exact, so nothing is drawn
-    for partition in ((0, 0, 3, 0), (0, 1, 2, 0)):
-        _, err = omega_sup_sq_mean(exp_game([1.0, 1.0, 1.0], partition), n_samples=10**8)
-        assert err == 0.0
+    assert md_error_bound(g, MdConfig()) == pytest.approx(0.0452, abs=1e-4)
 
 
 def test_run_single_resource():

@@ -30,7 +30,6 @@ from congames.cli import main
 from congames.montecarlo import _action_stream, _mean_and_stderr, _threshold_stats
 from congames.rng import WORLD_STREAM, stream_generators
 from congames.strategies import _least_clearing, batch_actions
-from congames.md import omega_sup_sq_mean
 from congames.worstcase import omega_max_mean
 from conftest import exp_game, random_strategy, spy_on_sample_world
 
@@ -166,18 +165,15 @@ def test_strategy_stats_validation():
 def test_max_term_budget_does_not_grow_with_n(monkeypatch):
     # the sampled max term holds B's b n_samples columns whatever n is: at
     # b = 2, 1000 samples need 16 000 bytes at n = 12, not 1000 x 12 draws
-    # (96 000); both estimates refuse with the max term's one check
+    # (96 000); the estimate refuses with the max term's one check
     g = exp_game([1.0] * 12, (0, 2, 10, 0))
     x = np.full(12, 1.0 / 12)
     monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 16_000)
     assert omega_max_mean(x, g, n_samples=1000, rng=1)[1] > 0
-    assert omega_sup_sq_mean(g, n_samples=1000, rng=1)[1] > 0
     monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 15_999)
     need = "run with n_samples=1000, n=12 needs 0 MiB up front"
     with pytest.raises(ValueError, match="omega_max_mean " + need):
         omega_max_mean(x, g, n_samples=1000, rng=1)
-    with pytest.raises(ValueError, match="omega_max_mean " + need):
-        omega_sup_sq_mean(g, n_samples=1000, rng=1)
 
 def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     def no_draws(*args, **kwargs):

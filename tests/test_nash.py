@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from congames import (
     potential,
     sample_world,
 )
-from congames.experiments import SCENARIO_PARTITIONS
+from congames.experiments import SCENARIO_PARTITIONS, ScenarioSpec
 from congames.nash import iteration_cap
 from congames.rng import WORLD_STREAM, stream_generators
 from conftest import exp_game, random_stats, spy_on_sample_world
@@ -167,6 +168,21 @@ def test_rejects_non_finite_epsilon():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^epsilon must be positive and finite, got {bad!r}$"):
             NashConfig(bad)
+
+
+def test_iteration_cap_refuses_an_epsilon_it_cannot_count_to():
+    # 2 * sum(E) / epsilon past the float range: refused, naming epsilon,
+    # with no numpy warning (which the test settings make an error)
+    g = exp_game([1.0, 1.0, 1.0], (0, 0, 3, 0))
+    for eps in (1e-308, np.float64(1e-308), 5e-324):
+        message = re.escape(f"epsilon={eps!r} is too small: 2 * sum(E) / epsilon is not finite")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            iteration_cap(g, eps)
+    # a sweep asks it at the grid's largest mean, where it is largest
+    with pytest.raises(ValueError, match="^epsilon=1e-308 is too small"):
+        ScenarioSpec(1, "nash", [0.5, 1.0], NashConfig(1e-308))
+    assert iteration_cap(g, 1e-307) == math.ceil(6.0 / 1e-307) + 1
+    assert iteration_cap(g, 0.5) == 13
 
 
 def assert_same_report(got, want):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 from dataclasses import fields
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import congames
+import congames.md
 from congames import (
     Discrete,
     DppConfig,
@@ -40,6 +42,7 @@ REMOVED = {
     "congames.worstcase": ["row_max", "sampled_subgradients", "sampled_subgradient"],
     "congames.md": [
         "row_max", "mw_step", "pairwise_sum", "run_md_batch", "mw_update", "BATCH_DRAW_BYTES", "ROUND_BLOCK_BYTES",
+        "omega_sup_sq_mean",
     ],
 }
 
@@ -63,6 +66,14 @@ def test_removed_names_are_gone(module_name):
     for name in REMOVED[module_name]:
         assert not hasattr(module, name)
         assert name not in getattr(module, "__all__", [])
+
+
+def test_md_imports_no_evaluation_module():
+    # mirror descent's bound is closed-form, so md reads neither the Monte
+    # Carlo estimates nor the worst-case evaluation
+    tree = ast.parse(Path(inspect.getfile(congames.md)).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert not {"montecarlo", "worstcase"} & imported
 
 
 def test_removed_methods_and_parameters_are_gone():

@@ -18,7 +18,6 @@ from congames import (
 )
 from congames.strategies import act
 from congames.game import GameInstance, Partition
-from congames.md import omega_sup_sq_mean
 from congames.rng import OMEGA_STREAM, as_generator
 from congames.worstcase import omega_max_mean, omega_maxima
 from conftest import LAWS, exp_game, full_omega, random_simplex, random_strategy
@@ -205,10 +204,6 @@ def test_sampled_max_terms_keep_their_bytes(case):
     if game.partition.b >= 1:
         value = np.array(omega_max_mean(x, game, n_samples, seed))
         assert value.tobytes() == mean_and_stderr(expected).tobytes()
-    if game.partition.b >= 2:
-        sq = reference_maxima(np.ones(game.n), game, n_samples, seed) ** 2
-        value = np.array(omega_sup_sq_mean(game, n_samples, seed))
-        assert value.tobytes() == mean_and_stderr(sq).tobytes()
 
 
 @pytest.mark.parametrize("law", sorted(LAWS))
@@ -252,9 +247,6 @@ def test_in_place_max_terms_keep_the_reference_bits(seed):
     assert omega_maxima(x, game, n_samples, seed).tobytes() == expected.tobytes()
     value = np.array(omega_max_mean(x, game, n_samples, seed))
     assert value.tobytes() == mean_and_stderr(expected).tobytes()
-    if b >= 2:
-        sq = reference_maxima(np.ones(n), game, n_samples, seed) ** 2
-        assert np.array(omega_sup_sq_mean(game, n_samples, seed)).tobytes() == mean_and_stderr(sq).tobytes()
 
 
 @pytest.mark.parametrize("partition", [(0, 0, 3, 0), (0, 1, 2, 0), (1, 1, 1, 0)])
