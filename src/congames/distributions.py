@@ -3,15 +3,22 @@
 Every resource reward is a non-negative random variable with finite mean and
 second moment.  The catalog is fixed to four kinds -- exponential, uniform,
 point mass, and finite discrete -- which cover all simulation scenarios while
-keeping every moment used by the solvers available in closed form:
+keeping every moment used by the solvers available in closed form.  Each
+law states two formulas:
 
-* ``mean`` and ``second_moment``;
+* ``mean``;
 * ``expected_sq_max_with(m)``, ``E[max(W, m)^2]``, needed for the exact
   gradient-norm constants of the mirror-descent error bound.
 
-The two continuous kinds (``is_continuous``), exponential and uniform, also
-answer the tail queries of the quantile-threshold frontier
-(:class:`congames.quantile.TailFrontier`), which refuses the other two:
+The catalog's base class derives the rest from them, once for all four
+kinds: ``second_moment`` is ``expected_sq_max_with(0)``, which is E[W^2] as
+rewards are non-negative, and ``is_continuous`` holds where the law has a
+``quantile`` function whose range is more than one point.
+
+The exponential and the uniform also answer the tail queries of the
+quantile-threshold frontier (:class:`congames.quantile.TailFrontier`),
+which takes only a continuous law, so it refuses a point mass, a discrete
+law and a uniform of one point:
 
 * ``quantile(u)``, the inverse CDF;
 * ``tail_mean(p)``, the conditional mean of the upper p-fraction,
@@ -29,12 +36,14 @@ small to move 1 - p, with the values and messages of the range check.
 
 A law whose parameters give no finite second moment (``Exponential(1e-200)``,
 ``Uniform(0, 1e200)``) is refused when it is built, so every guarantee
-constant computed from the moments is a float.  Each law draws through one
-primitive, ``fill(rng, out)``, which writes one whole draw of the stream
-into a C-contiguous float64 array in place, the bits and the generator state
-of ``sample(rng, out.shape)``; ``sample`` allocates its array and calls it,
-so there is one drawing path, and the samplers of :mod:`congames.game` fill
-each column of their draws where it is read.
+constant computed from the moments is a float; so is an exponential whose
+rate is not positive and finite (an infinite rate would be a point mass at
+0).  Each law draws through one primitive, ``fill(rng, out)``, which
+writes one whole draw of the stream into a C-contiguous float64 array in
+place, the bits and the generator state of ``sample(rng, out.shape)``;
+``sample`` allocates its array and calls it, so there is one drawing path,
+and the samplers of :mod:`congames.game` fill each column of their draws
+where it is read.
 """
 
 from __future__ import annotations
@@ -57,12 +66,26 @@ __all__ = [
 
 
 class _Law:
-    """What every catalog law shares: the refusal of parameters without a
-    finite second moment, and ``sample``, written by the law's ``fill``."""
+    """What every catalog law shares: the second moment and continuity,
+    derived from the law's own formulas; the refusal of parameters without
+    a finite second moment; and ``sample``, written by the law's ``fill``."""
+
+    @property
+    def second_moment(self) -> float:
+        """E[W^2], which is E[max(W, 0)^2] as rewards are non-negative."""
+        return self.expected_sq_max_with(0.0)
+
+    @property
+    def is_continuous(self) -> bool:
+        """Whether the law has a quantile function whose range is more
+        than one point."""
+        return hasattr(self, "quantile") and self.quantile(0.0) < self.quantile(1.0)
 
     def _check_second_moment(self):
         try:
-            with np.errstate(over="ignore"):
+            # a discrete atom of probability 0 whose square overflows
+            # gives inf * 0, NaN, which is refused with no warning too
+            with np.errstate(over="ignore", invalid="ignore"):
                 finite = math.isfinite(self.second_moment)
         except (OverflowError, ZeroDivisionError):  # a square or 2 / rate**2 out of range
             finite = False
@@ -83,8 +106,8 @@ class Exponential(_Law):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:  # also refuses NaN
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
         self._check_second_moment()
         # the scale 1/rate, taken once: the mean, the tail mean's offset and
         # the draws' factor read it
@@ -93,14 +116,6 @@ class Exponential(_Law):
     @property
     def mean(self) -> float:
         return self._scale
-
-    @property
-    def second_moment(self) -> float:
-        return 2.0 / self.rate**2
-
-    @property
-    def is_continuous(self) -> bool:
-        return True
 
     def quantile(self, u: float) -> float:
         if not 0.0 <= u <= 1.0:
@@ -120,11 +135,14 @@ class Exponential(_Law):
         return math.inf  # p == 0, or p too small to move 1 - p
 
     def expected_sq_max_with(self, m: float) -> float:
-        if m <= 0:
-            return self.second_moment
         lam = self.rate
-        tail = math.exp(-lam * m) * (m**2 + 2 * m / lam + 2 / lam**2)
-        return m**2 * (1.0 - math.exp(-lam * m)) + tail
+        if m <= 0:
+            return 2.0 / lam**2
+        # where exp(-lam * m) underflows to 0 the tail is 0, even where
+        # its bracket passes the float range (0 * inf would be NaN)
+        decay = math.exp(-lam * m)
+        tail = decay * (m**2 + 2 * m / lam + 2 / lam**2) if decay else 0.0
+        return m**2 * (1.0 - decay) + tail
 
     def fill(self, rng: np.random.Generator, out: np.ndarray):
         # exponential(scale) draws scale * standard_exponential: these bits
@@ -148,17 +166,6 @@ class Uniform(_Law):
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def second_moment(self) -> float:
-        lo, hi = self.lo, self.hi
-        # mean^2 + variance: non-negative terms, so a narrow support cancels
-        # no digits and the result is never below mean^2
-        return self.mean**2 + (hi - lo) ** 2 / 12.0 if hi > lo else lo**2
-
-    @property
-    def is_continuous(self) -> bool:
-        return self.hi > self.lo
-
     def quantile(self, u: float) -> float:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"quantile argument must be in [0,1], got {u}")
@@ -175,7 +182,9 @@ class Uniform(_Law):
     def expected_sq_max_with(self, m: float) -> float:
         lo, hi = self.lo, self.hi
         if m <= lo:
-            return self.second_moment
+            # mean^2 + variance: non-negative terms, so a narrow support
+            # cancels no digits and the result is never below mean^2
+            return self.mean**2 + (hi - lo) ** 2 / 12.0 if hi > lo else lo**2
         if m >= hi:
             return m**2
         # m^2 plus its excess, a product of non-negative terms, so a narrow
@@ -204,14 +213,6 @@ class PointMass(_Law):
     @property
     def mean(self) -> float:
         return self.value
-
-    @property
-    def second_moment(self) -> float:
-        return self.value**2
-
-    @property
-    def is_continuous(self) -> bool:
-        return False
 
     def expected_sq_max_with(self, m: float) -> float:
         return max(self.value, m) ** 2
@@ -248,14 +249,6 @@ class Discrete(_Law):
     @property
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
-
-    @property
-    def second_moment(self) -> float:
-        return float(np.dot(np.square(self.values), self.probs))
-
-    @property
-    def is_continuous(self) -> bool:
-        return False
 
     def expected_sq_max_with(self, m: float) -> float:
         vals = np.maximum(np.asarray(self.values, dtype=float), m)

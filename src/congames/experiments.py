@@ -104,9 +104,11 @@ class ScenarioSpec:
     """One sweep: preset scenario, solver, grid of resource 1's mean.
 
     ``e1_values`` is stored as a tuple of floats and must hold positive,
-    finite means.  ``config`` holds the solver's settings: an instance of
-    its type in :data:`SOLVER_CONFIGS`, which has checked them already, or
-    None for that type's defaults (worst-explicit takes none).
+    finite means, each of which gives resource 1 a law the catalog accepts
+    (``Exponential(1 / e1)``: a subnormal e1 has no finite rate).
+    ``config`` holds the solver's settings: an instance of its type in
+    :data:`SOLVER_CONFIGS`, which has checked them already, or None for
+    that type's defaults (worst-explicit takes none).
     ``repetitions`` must be an integer of at least 1, ``n_samples`` an
     integer of at least 1, and ``seed`` a non-negative integer.  Points x
     repetitions x n float64 results must fit
@@ -146,6 +148,7 @@ class ScenarioSpec:
             raise ValueError("sweep grid must be non-empty")
         for v in e1_values:
             check_setting("swept mean", v)
+            Exponential(1.0 / v)  # resource 1's law: refuses a rate 1/e1 out of its range
         object.__setattr__(self, "e1_values", e1_values)
         check_count("repetitions", self.repetitions)
         # the sweep holds one length-n result per (point, rep) pair

@@ -257,6 +257,7 @@ def _round_kernel(n: int, b: int):
     return compile_kernel("\n".join(lines) + "\n", f"<md round kernel n={n} b={b}>", "md_rounds")
 
 
+@np.errstate(over="ignore")  # a discrete law's dot product may pass the float range
 def omega_sup_sq_bound(game: GameInstance) -> float:
     """An upper bound on E[max_k omega_k^2], from the laws' closed forms.
 
@@ -265,14 +266,18 @@ def omega_sup_sq_bound(game: GameInstance) -> float:
     non-negative, so the square of the maximum is at most m^2 plus each
     drawn entry's excess over it.  The sum starts at its first term, so
     where at most one entry is drawn the bound is the exact second moment:
-    m^2 when b == 0, E[max(W, m)^2] when b == 1.  Where the sum passes the
-    float range the bound is inf, with no warning.
+    m^2 when b == 0, E[max(W, m)^2] when b == 1.  Where m^2 or the sum
+    passes the float range the bound is inf, with no error or warning.
     """
     m = float(np.delete(game.weights, game.partition.set_b).max(initial=0.0))
+    try:
+        m_sq = m**2
+    except OverflowError:  # the bound is at least m^2
+        return math.inf
     squares = [game.distributions[k].expected_sq_max_with(m) for k in game.partition.set_b]
-    bound, *rest = squares or [m**2]
+    bound, *rest = squares or [m_sq]
     for sq in rest:
-        bound += sq - m**2
+        bound += sq - m_sq
     return bound
 
 
@@ -280,8 +285,11 @@ def md_error_bound(game: GameInstance, config: MdConfig) -> float:
     """Guaranteed expected gap C/(2 alpha) + alpha ln(n) / T of a run under
     ``config``, with C = 2 max(E)^2 + 1/2 :func:`omega_sup_sq_bound`.
 
-    It draws nothing.  Laws whose second moments are near the top of the
-    float range make C overflow: the bound is then inf, with no numpy
+    It draws nothing.  Means or second moments near the top of the float
+    range make C overflow: the bound is then inf, with no error or
     warning."""
-    c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * omega_sup_sq_bound(game)
+    try:
+        c = 2.0 * float(np.max(game.means)) ** 2 + 0.5 * omega_sup_sq_bound(game)
+    except OverflowError:  # the largest mean's square passes the float range
+        c = math.inf
     return c / (2.0 * config.alpha) + config.alpha * math.log(game.n) / config.T

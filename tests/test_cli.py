@@ -8,9 +8,9 @@ import pytest
 
 import congames.experiments
 import congames.game
-from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, estimate_stats, explicit_solution
+from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, Simplex, estimate_stats, explicit_solution
 from congames.cli import SETTING_HELP, main
-from congames.experiments import SOLVER_CONFIGS, ScenarioSpec, evaluate_report, run_scenario
+from congames.experiments import SOLVER_CONFIGS, ScenarioSpec, SweepTable, evaluate_report, run_scenario
 from congames.rng import as_generator, stream_generators
 from conftest import exp_game
 
@@ -734,6 +734,16 @@ def test_grid_bounds_and_step_must_be_finite(capsys, monkeypatch):
     assert err.startswith("error: sweep run with grid points=inf, n=1 needs inf MiB up front")
 
 
+def test_a_swept_mean_without_a_finite_rate_is_refused_before_any_solver_runs(capsys, monkeypatch):
+    # resource 1's law is Exponential(1 / e1), and 1 / e1 of a subnormal e1 is inf
+    for name in ("run_dpp", "run_md", "solve_a1", "iterate_best_response", "explicit_solution"):
+        monkeypatch.setattr(f"congames.experiments.{name}", not_called)
+    with pytest.raises(ValueError, match=r"^rate must be positive and finite, got inf$"):
+        ScenarioSpec(3, "worst-a1", [1.0, 1e-320])
+    code, out, err = run_cli(capsys, "worst", "a1", "--e1-min", "1e-320", "--e1-max", "1e-320")
+    assert (code, out, err) == (2, "", "error: rate must be positive and finite, got inf\n")
+
+
 def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch):
     monkeypatch.setattr("congames.experiments.explicit_solution", not_called)
     monkeypatch.setattr(congames.game, "UPFRONT_BUDGET_BYTES", 8 * 1000)
@@ -805,3 +815,21 @@ def test_negative_seed_is_refused_before_any_solver_runs(tmp_path, capsys, monke
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert (code, out) == (2, ""), argv
         assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SweepTable(("e1", "value"), np.zeros((2, 3))), "rows must be 2-D with one column per header entry"),
+        (lambda: SweepTable(("e1",), np.zeros(2)), "rows must be 2-D with one column per header entry"),
+        (
+            lambda: evaluate_report(Simplex([1.0]), exp_game([1.0], (0, 0, 1, 0)), "vs-strategy"),
+            "vs-strategy mode needs an opponent strategy",
+        ),
+        (lambda: evaluate_report(Simplex([1.0]), exp_game([1.0], (0, 0, 1, 0)), "bogus"), "unknown mode 'bogus'"),
+    ],
+)
+def test_experiments_refusals(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,8 @@ def test_point_mass_and_discrete_basics():
     assert d.mean == pytest.approx(1.5)
     assert d.second_moment == pytest.approx(0.75 + 0.25 * 9)
     assert not d.is_continuous
+    # integer atoms are squared as floats: 2**32 squared does not wrap to 0
+    assert Discrete((2**32, 1), (0.5, 0.5)).second_moment == 2.0**63 + 0.5
     # a zero-probability atom is never drawn
     zero_top = Discrete((1.0, 2.0), (1.0, 0.0))
     assert np.all(zero_top.sample(np.random.default_rng(1), size=1000) == 1.0)
@@ -259,6 +262,7 @@ def test_fill_writes_the_one_call_draw_into_a_column(law, size):
         (Uniform, (1e160, 1e160)),
         (PointMass, (1e200,)),
         (Discrete, ((1.0, 1e200), (0.5, 0.5))),
+        (Discrete, ((1e200, 1.0), (0.0, 1.0))),  # inf * 0 is NaN, refused with no warning
     ],
 )
 def test_laws_without_a_finite_second_moment_are_refused(law, args):
@@ -275,20 +279,82 @@ WIDE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
 
 @st.composite
 def accepted_laws(draw):
-    """A catalog law with parameters drawn from the whole float range, of
-    those its kind accepts."""
+    """A catalog law with parameters drawn from the whole float range and
+    both signed zeros, of those its kind accepts: degenerate uniforms and
+    discrete atoms of probability 0 among them."""
     kind = draw(st.sampled_from(["exponential", "uniform", "pointmass", "discrete"]))
-    x, y = draw(WIDE), draw(WIDE)
+    x, y = (draw(st.one_of(st.sampled_from([0.0, -0.0]), WIDE)) for _ in range(2))
     try:
         if kind == "exponential":
             return Exponential(x)
         if kind == "uniform":
-            return Uniform(min(x, y), max(x, y))
+            return Uniform(x, x) if draw(st.booleans()) else Uniform(min(x, y), max(x, y))
         if kind == "pointmass":
             return PointMass(x)
-        return Discrete((x, y), (0.5, 0.5))
+        return Discrete((x, y), draw(st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.25, 0.75)])))
     except ValueError:
         reject()
+
+
+def per_law_second_moment(law):
+    """Each kind's second moment as the kind once stated it in its own
+    body: the oracle of the one derived in the catalog's base class."""
+    if isinstance(law, Exponential):
+        return 2.0 / law.rate**2
+    if isinstance(law, Uniform):
+        lo, hi = law.lo, law.hi
+        return law.mean**2 + (hi - lo) ** 2 / 12.0 if hi > lo else lo**2
+    if isinstance(law, PointMass):
+        return law.value**2
+    return float(np.dot(np.square(law.values), law.probs))
+
+
+def per_law_is_continuous(law):
+    """Each kind's continuity as the kind once stated it in its own body."""
+    return isinstance(law, Exponential) or (isinstance(law, Uniform) and law.hi > law.lo)
+
+
+@given(law=accepted_laws())
+@example(law=Uniform(-0.0, -0.0))
+@example(law=Uniform(-0.0, 5e-324))
+@example(law=Uniform(0.0, 1.3407807929942596e154))
+@example(law=Uniform(1e154, 1e154))
+@example(law=Exponential(1.06e-154))
+@example(law=Exponential(1.3407807929942596e154))
+@example(law=Exponential(1.055e-154))
+@example(law=PointMass(-0.0))
+@example(law=PointMass(1.3407807929942596e154))
+@example(law=Discrete((-0.0, 1.3407807929942596e154), (0.5, 0.5)))
+@example(law=Discrete((1e154, 1.0), (0.0, 1.0)))
+def test_derived_moment_and_continuity_keep_the_per_law_bits(law):
+    # the base class's second moment, expected_sq_max_with(0), and its
+    # continuity, a quantile function over more than one point, give each
+    # kind's own formulas to the bit, and raise no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.second_moment.hex() == per_law_second_moment(law).hex()
+        assert law.is_continuous is per_law_is_continuous(law)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
+def test_exponential_refuses_a_rate_that_is_not_positive_and_finite(rate):
+    # an infinite rate would be a point mass at 0 passing for a continuous law
+    with pytest.raises(ValueError, match=rf"^rate must be positive and finite, got {rate}$"):
+        Exponential(rate)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Uniform(0.0, 1.0).quantile(1.5), r"quantile argument must be in \[0,1\], got 1.5"),
+        (lambda: Uniform(0.0, 1.0).quantile(math.nan), r"quantile argument must be in \[0,1\], got nan"),
+        (lambda: Discrete((), ()), "values and probs must be equal-length and non-empty"),
+        (lambda: Discrete((1.0,), (0.5, 0.5)), "values and probs must be equal-length and non-empty"),
+    ],
+)
+def test_distribution_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @given(law=accepted_laws(), position=st.integers(0, 2))

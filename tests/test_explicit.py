@@ -98,3 +98,9 @@ def test_grid_oracle_small():
         loads = grid * means
         grid_best = float(np.max(loads.sum(axis=1) - 0.5 * loads.max(axis=1)))
         assert sol.value >= grid_best - 2e-2
+
+
+@pytest.mark.parametrize("means", [[], [[1.0, 2.0]], 1.0])
+def test_explicit_refusals(means):
+    with pytest.raises(ValueError, match=r"^means must be a non-empty 1-D vector$"):
+        explicit_solution(means)

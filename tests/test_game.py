@@ -253,3 +253,23 @@ def test_generated_rounds_find_every_global_they_load(build, shape):
         # numpy's sum of 8 terms, and the drawn exponentials an MD chunk takes
         drawn_exponents = build is congames.md._round_kernel and shape[1] > 0
         assert ("np" in loaded) == (shape[0] >= 8 or drawn_exponents)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Partition(1, 1, 0, 0).private_set("C"), "player must be 'A' or 'B', got 'C'"),
+        (
+            lambda: GameInstance(Partition(0, 0, 0, 1), (Exponential(1.0),), z=[np.inf]),
+            "conditional means must be finite and non-negative",
+        ),
+        (
+            lambda: GameInstance(Partition(0, 0, 0, 1), (Exponential(1.0),), z=[np.nan]),
+            "conditional means must be finite and non-negative",
+        ),
+    ],
+)
+def test_game_refusals(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -20,6 +20,7 @@ from congames import (
     parse_game,
     parse_strategy,
 )
+from congames.cli import main
 
 GAME_TEXT = """
 # three resources, A sees 1, B sees 2
@@ -122,6 +123,39 @@ def test_parse_game_errors(mutation, fragment):
         text = base + mutation + "\n"
     with pytest.raises(GameFileError, match=fragment):
         parse_game(text)
+
+
+TWO = "n: 2\npartition: 0 0 2 0\ndist 1: exponential rate=1.0\ndist 2: exponential rate=1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (TWO + "no colon\n", "line 5: expected 'key: value', got 'no colon'"),
+        (TWO.replace("dist 2: exponential rate=1.0", "dist 2:"), "line 4: missing distribution kind"),
+        (TWO.replace("rate=1.0\ndist 2", "rate\ndist 2"), "line 3: expected name=value, got 'rate'"),
+        (TWO + "dist x: pointmass value=1\n", "line 5: resource number must be a positive integer, got 'x'"),
+        (TWO + "dist 0: pointmass value=1\n", "line 5: resource number must be a positive integer, got '0'"),
+        (TWO.replace("n: 2\n", ""), "missing required key 'n'"),
+        (TWO.replace("partition: 0 0 2 0\n", ""), "missing required key 'partition'"),
+        (TWO + "z: 1.0\n", "z must have length d=0, got 1"),
+        (TWO.replace("0 0 2 0", "0 0 1 1") + "z: inf\n", "conditional means must be finite and non-negative"),
+        (TWO.replace("0 0 2 0", "0 0 1 1") + "z: nan\n", "conditional means must be finite and non-negative"),
+    ],
+)
+def test_game_file_refusals(text, message):
+    with pytest.raises(GameFileError) as caught:
+        parse_game(text)
+    assert str(caught.value) == message
+
+
+def test_a_game_file_with_an_infinite_rate_exits_2_naming_its_line(tmp_path, capsys):
+    # an infinite rate would load as a point mass at 0
+    game, strategy = tmp_path / "game.txt", tmp_path / "strategy.txt"
+    game.write_text("n: 1\npartition: 0 0 1 0\ndist 1: exponential rate=inf\n")
+    strategy.write_text("kind: simplex\np: 1\n")
+    assert main(["evaluate", "--game", str(game), "--strategy", str(strategy)]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: rate must be positive and finite, got inf\n")
 
 
 def test_error_reports_line_number():

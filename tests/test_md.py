@@ -12,6 +12,7 @@ import congames.game
 import congames.md
 import congames.quantile
 from congames import (
+    Discrete,
     Exponential,
     GameInstance,
     MdConfig,
@@ -304,6 +305,33 @@ def test_sup_sq_bound_past_the_float_range_is_inf_without_warning():
             warnings.simplefilter("error")
             bound = omega_sup_sq_bound(GameInstance(Partition(0, 2, 1, 0), laws))
         assert bound == math.inf
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_bounds_past_the_float_range_of_a_constant_weight_are_inf_without_error(law):
+    # a realized shared reward of 1e200 is a constant weight whose square
+    # passes the float range: both bounds are inf, with no error or warning
+    g = GameInstance(Partition(0, 1, 0, 1), (LAWS[law](1.0), Exponential(1.0)), z=[1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert omega_sup_sq_bound(g) == md_error_bound(g, MdConfig()) == math.inf
+
+
+def test_bounds_near_the_float_range_end_are_finite_or_inf_never_nan():
+    m = math.sqrt(1.7976931348623157e308)  # its square is the largest below the range's end
+    # with no drawn column the error bound's 2 max(E)^2 overflows
+    games = [GameInstance(Partition(0, 0, 1, 1), (Exponential(1.0), Exponential(1.0)), z=[1e200])]
+    # a tail whose decay underflows to 0 adds 0, though its bracket overflows
+    games.append(GameInstance(Partition(0, 1, 0, 1), (Exponential(1e-145), Exponential(1.0)), z=[m]))
+    # a discrete law's dot product of probabilities summing past 1 overflows
+    wide = Discrete((1.3e154, 1.3e154), (0.5, 0.5 + 1e-10))
+    games.append(GameInstance(Partition(0, 2, 0, 1), (wide, wide, Exponential(1.0)), z=[m]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sup_sq = [omega_sup_sq_bound(g) for g in games]
+        errors = [md_error_bound(g, MdConfig()) for g in games]
+    assert sup_sq == [math.inf, m**2, math.inf]
+    assert errors == [math.inf] * 3
 
 
 def test_error_bound_draws_nothing(monkeypatch):

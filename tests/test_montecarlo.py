@@ -575,3 +575,26 @@ def test_in_place_moments_are_numpys_bits(size):
     for values in cases:
         expected = np.array([values.mean(), values.std(ddof=1) / np.sqrt(size)])
         assert np.array(_mean_and_stderr(values.copy())).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "strategy, partition, player, message",
+    [
+        (Simplex([0.5, 0.5]), (1, 1, 1, 0), "A", "Simplex strategy has 2 entries, game has 3"),
+        (
+            QuantileThreshold(1.0, [0.5, 0.5]), (1, 1, 1, 0), "B",
+            "QuantileThreshold requires player A with exactly one private resource",
+        ),
+        (
+            QuantileThreshold(1.0, [0.5, 0.5]), (2, 0, 1, 0), "A",
+            "QuantileThreshold requires player A with exactly one private resource",
+        ),
+        (QuantileThreshold(1.0, [1.0]), (1, 1, 1, 0), "A", "QuantileThreshold tail must cover resources 1..n-1"),
+        (Mixture(np.ones((1, 2)), private=[0]), (1, 1, 1, 0), "A", "score vector length does not match the game"),
+    ],
+)
+def test_montecarlo_refusals(strategy, partition, player, message):
+    game = exp_game([1.0] * sum(partition), partition)
+    with pytest.raises(ValueError) as caught:
+        estimate_stats(strategy, game, player, n_samples=10)
+    assert str(caught.value) == message

@@ -11,6 +11,7 @@ import congames.md
 from congames import (
     Discrete,
     DppConfig,
+    Exponential,
     ExplicitSolution,
     MdConfig,
     NashConfig,
@@ -18,6 +19,7 @@ from congames import (
     ScenarioSpec,
     SweepTable,
     TailFrontier,
+    Uniform,
     iterate_best_response,
     md_error_bound,
     run_dpp,
@@ -98,6 +100,13 @@ def test_removed_methods_and_parameters_are_gone():
     spec_fields = list(inspect.signature(ScenarioSpec).parameters)
     assert spec_fields == ["scenario", "solver", "e1_values", "config", "n_samples", "seed", "repetitions"]
     assert not {"epsilon", "V", "alpha", "T"} & set(spec_fields)
+
+
+def test_laws_derive_their_second_moment_and_continuity():
+    # the catalog's base class states both once, from each law's
+    # expected_sq_max_with and quantile
+    for cls in (Exponential, Uniform, PointMass, Discrete):
+        assert not {"second_moment", "is_continuous"} & set(vars(cls)), cls.__name__
 
 
 def test_solver_configs_hold_settings_only():

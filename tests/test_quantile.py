@@ -382,3 +382,10 @@ def test_solve_a1_refuses_a_bad_sample_count_before_sampling(monkeypatch, n_samp
     monkeypatch.setattr(congames.md, "sample_omega", no_draws)
     with pytest.raises(ValueError, match=message):
         solve_a1(exp_game([1.0, 1.0, 1.0], (1, 1, 1, 0)), MdConfig(alpha=50.0, T=50_000), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("p", [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25]])
+def test_quantile_refusals(p):
+    game = GameInstance(Partition(1, 1, 1, 0), (Exponential(1.0),) * 3)
+    with pytest.raises(ValueError, match=r"^p must have length 3$"):
+        build_strategy_a1(p, game)

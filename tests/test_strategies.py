@@ -279,3 +279,16 @@ def test_one_row_threshold_rule_matches_argmax(case):
     expected = argmax_oracle(values, private, obs)
     assert actions.dtype == expected.dtype
     np.testing.assert_array_equal(actions, expected)
+
+
+@pytest.mark.parametrize(
+    "strategy, obs, error, message",
+    [
+        (Simplex([1.0]), np.zeros(3), ValueError, r"obs must be 2-D \(samples, private block size\)"),
+        (QuantileThreshold(1.0, []), np.zeros((2, 1)), ValueError, "threshold not met but the tail simplex is empty"),
+        (object(), np.zeros((1, 1)), TypeError, "unknown strategy type object"),
+    ],
+)
+def test_strategies_refusals(strategy, obs, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        batch_actions(strategy, obs, rng=0)

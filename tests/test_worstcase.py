@@ -263,3 +263,9 @@ def test_simulation_against_adversary_matches_value(partition, rng):
         ev = worst_case_utility(sa, g, n_samples=150_000, rng=5)
         mean, stderr = simulate_payoff(sa, adversary, g, n_samples=150_000, rng=5)
         assert mean == pytest.approx(ev.value, abs=4 * (stderr + ev.stderr) + 2e-3)
+
+
+@pytest.mark.parametrize("x", [[1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0])
+def test_worstcase_refusals(x):
+    with pytest.raises(ValueError, match=r"^x must have shape \(3,\)$"):
+        worst_case_objective(x, exp_game([1.0, 1.0, 1.0], (0, 1, 2, 0)))
