@@ -38,12 +38,17 @@ A law whose parameters give no finite second moment (``Exponential(1e-200)``,
 ``Uniform(0, 1e200)``) is refused when it is built, so every guarantee
 constant computed from the moments is a float; so is an exponential whose
 rate is not positive and finite (an infinite rate would be a point mass at
-0).  Each law draws through one primitive, ``fill(rng, out)``, which
-writes one whole draw of the stream into a C-contiguous float64 array in
-place, the bits and the generator state of ``sample(rng, out.shape)``;
-``sample`` allocates its array and calls it, so there is one drawing path,
-and the samplers of :mod:`congames.game` fill each column of their draws
-where it is read.
+0).  A rate whose square passes the float range is accepted: its second
+moment 2 / rate**2 is tiny, or 0 (``Exponential(1e200)``).  Where
+E[max(W, m)^2] itself passes the float range, ``expected_sq_max_with(m)``
+is inf, with no error or numpy warning; finite results keep their bits.
+
+Each law draws through one primitive, ``fill(rng, out)``, which writes one
+whole draw of the stream into a C-contiguous float64 array in place, the
+bits and the generator state of ``sample(rng, out.shape)``; ``sample``
+allocates its array and calls it, so there is one drawing path, and the
+samplers of :mod:`congames.game` fill each column of their draws where it
+is read.
 """
 
 from __future__ import annotations
@@ -65,6 +70,14 @@ __all__ = [
 ]
 
 
+def _sq(x: float) -> float:
+    """``x**2``, or inf where the square passes the float range."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 class _Law:
     """What every catalog law shares: the second moment and continuity,
     derived from the law's own formulas; the refusal of parameters without
@@ -82,14 +95,7 @@ class _Law:
         return hasattr(self, "quantile") and self.quantile(0.0) < self.quantile(1.0)
 
     def _check_second_moment(self):
-        try:
-            # a discrete atom of probability 0 whose square overflows
-            # gives inf * 0, NaN, which is refused with no warning too
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = math.isfinite(self.second_moment)
-        except (OverflowError, ZeroDivisionError):  # a square or 2 / rate**2 out of range
-            finite = False
-        if not finite:
+        if not math.isfinite(self.second_moment):
             raise ValueError(f"{self!r} is out of range: its second moment is not a finite float")
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -136,13 +142,18 @@ class Exponential(_Law):
 
     def expected_sq_max_with(self, m: float) -> float:
         lam = self.rate
+        # E[W^2] = 2 / rate**2; where rate**2 underflows to 0 or passes the
+        # float range, two divisions take the quotient: inf, or tiny
+        lam_sq = _sq(lam)
+        second = 2.0 / lam_sq if 0.0 < lam_sq < math.inf else 2.0 / lam / lam
         if m <= 0:
-            return 2.0 / lam**2
+            return second
         # where exp(-lam * m) underflows to 0 the tail is 0, even where
         # its bracket passes the float range (0 * inf would be NaN)
         decay = math.exp(-lam * m)
-        tail = decay * (m**2 + 2 * m / lam + 2 / lam**2) if decay else 0.0
-        return m**2 * (1.0 - decay) + tail
+        m_sq = _sq(m)
+        tail = decay * (m_sq + 2 * m / lam + second) if decay else 0.0
+        return m_sq * (1.0 - decay) + tail
 
     def fill(self, rng: np.random.Generator, out: np.ndarray):
         # exponential(scale) draws scale * standard_exponential: these bits
@@ -184,13 +195,13 @@ class Uniform(_Law):
         if m <= lo:
             # mean^2 + variance: non-negative terms, so a narrow support
             # cancels no digits and the result is never below mean^2
-            return self.mean**2 + (hi - lo) ** 2 / 12.0 if hi > lo else lo**2
+            return _sq(self.mean) + _sq(hi - lo) / 12.0 if hi > lo else _sq(lo)
         if m >= hi:
-            return m**2
+            return _sq(m)
         # m^2 plus its excess, a product of non-negative terms, so a narrow
         # support cancels no digits and the result is never below m^2; the
         # ratio is taken first, so a wide support does not overflow hi^3
-        return m**2 + (hi - m) ** 2 * ((hi + 2.0 * m) / (3.0 * (hi - lo)))
+        return _sq(m) + _sq(hi - m) * ((hi + 2.0 * m) / (3.0 * (hi - lo)))
 
     def fill(self, rng: np.random.Generator, out: np.ndarray):
         # uniform(lo, hi) draws lo + (hi - lo) * random: these bits
@@ -215,7 +226,7 @@ class PointMass(_Law):
         return self.value
 
     def expected_sq_max_with(self, m: float) -> float:
-        return max(self.value, m) ** 2
+        return _sq(max(self.value, m))
 
     def fill(self, rng: np.random.Generator, out: np.ndarray):
         out.fill(self.value)  # draws nothing from rng
@@ -251,8 +262,13 @@ class Discrete(_Law):
         return float(np.dot(self.values, self.probs))
 
     def expected_sq_max_with(self, m: float) -> float:
+        if _sq(m) == math.inf:  # the result is at least m^2
+            return math.inf
         vals = np.maximum(np.asarray(self.values, dtype=float), m)
-        return float(np.dot(np.square(vals), self.probs))
+        # a square past the float range is inf; an atom of probability 0
+        # there adds inf * 0, NaN, so the law is refused where it is built
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.dot(np.square(vals), self.probs))
 
     def fill(self, rng: np.random.Generator, out: np.ndarray):
         # out is filled DRAW_CHUNK uniforms at a time, which draws the stream

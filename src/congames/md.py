@@ -257,7 +257,6 @@ def _round_kernel(n: int, b: int):
     return compile_kernel("\n".join(lines) + "\n", f"<md round kernel n={n} b={b}>", "md_rounds")
 
 
-@np.errstate(over="ignore")  # a discrete law's dot product may pass the float range
 def omega_sup_sq_bound(game: GameInstance) -> float:
     """An upper bound on E[max_k omega_k^2], from the laws' closed forms.
 

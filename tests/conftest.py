@@ -1,7 +1,9 @@
 import gc
+import importlib.util
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,17 @@ from congames import (
     StrategyStats,
     Uniform,
 )
+
+
+def load_benchmark():
+    """``perfbench/run.py`` as a module: its ``WORKLOADS`` table holds each
+    benchmark sweep and its seed-0 sha256 pins, and ``sweep_argv`` builds
+    the sweep's command line."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
 
 
 def pytest_runtest_logreport(report):

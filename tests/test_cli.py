@@ -2,6 +2,7 @@ import hashlib
 import re
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from congames import DppConfig, MdConfig, Mixture, NashConfig, Partition, Simple
 from congames.cli import SETTING_HELP, main
 from congames.experiments import SOLVER_CONFIGS, ScenarioSpec, SweepTable, evaluate_report, run_scenario
 from congames.rng import as_generator, stream_generators
-from conftest import exp_game
+from conftest import exp_game, load_benchmark
 
 GAME_FILE = """
 n: 2
@@ -392,7 +393,7 @@ def test_dpp_sweep_warns_on_queue_cap_violations(capsys):
         "1,1.03507762,0.000122317464,0.26135,0.21907,0.51958,1.03507762,1.03507762",
     ]
     # at alpha >= V^2 (the default) the cap holds and no note is added
-    code, out, _ = run_cli(capsys, *SMOKE_SWEEPS["worst-dpp-s3"][0], "--seed", "0")
+    code, out, _ = run_cli(capsys, *BENCHMARK.sweep_argv("worst-dpp-s3", 0, True))
     assert code == 0 and "WARNING" not in out
 
 
@@ -489,53 +490,45 @@ def test_solvers_agree_on_symmetric_scenario():
     np.testing.assert_allclose(md.rows[:, 1], explicit.rows[:, 1], atol=0.05)
 
 
-# sha256 of the CSV each benchmark smoke sweep prints at seed 0, recorded at
-# the commit that defined the benchmark; any solver refactor must keep them
-SMOKE_SWEEPS = {
-    "worst-dpp-s3": (
-        ["worst", "dpp", "--scenario", "3", "--e1-min", "1.0", "--e1-max", "1.0",
-         "--T", "2000", "--samples", "2000"],
-        "0522a2bca23f4a548f9fc791a52934f88f653026319825086804827cd26e3d49",
-    ),
-    "nash-s3": (
-        ["nash", "--scenario", "3", "--e1-min", "0.5", "--e1-max", "1.5", "--e1-step", "0.5",
-         "--samples", "2000"],
-        "1b76d153de5b1168b8aeda646915a09013006ab7bfd0b5eff6ddf53fb4855276",
-    ),
-    "worst-md-s2": (
-        ["worst", "md", "--scenario", "2", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3",
-         "--T", "500", "--samples", "2000"],
-        "4d956de6db80f2b4e76322b5ee626c1cd028fd5672edb77936ae3803ede0dbe8",
-    ),
-    "worst-a1-s3": (
-        ["worst", "a1", "--scenario", "3", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3",
-         "--T", "500", "--samples", "2000"],
-        "51dbb81817dac7d0f52414033f5695332f96ef0b9de1fe15862c29c639288e2b",
-    ),
-}
+# the benchmark's sweeps, full size and smoke, with the sha256 of the CSV
+# each prints at seed 0, read from perfbench/workloads.json; any solver
+# refactor must keep them
+BENCHMARK = load_benchmark()
+PINS = {False: BENCHMARK.WORKLOADS["csv_sha256_seed0"], True: BENCHMARK.WORKLOADS["smoke_csv_sha256_seed0"]}
 
 
-@pytest.mark.parametrize("workload", sorted(SMOKE_SWEEPS))
-def test_smoke_sweep_csv_is_byte_identical(capsys, workload):
-    argv, expected = SMOKE_SWEEPS[workload]
-    code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+@pytest.mark.parametrize("workload", sorted(BENCHMARK.WORKLOADS["workloads"]))
+def test_benchmark_sweep_csv_is_byte_identical(capsys, workload, smoke):
+    code, out, _ = run_cli(capsys, *BENCHMARK.sweep_argv(workload, 0, smoke))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == PINS[smoke][workload]
+
+
+def test_no_benchmark_pin_is_copied_into_the_tests():
+    # the pins have one home, so a re-baseline edits one file
+    pins = [sha.encode() for table in PINS.values() for sha in table.values()]
+    tests = Path(__file__).resolve().parent
+    for path in tests.rglob("*"):
+        if path.is_file() and "__pycache__" not in path.parts:
+            text = path.read_bytes()
+            assert not [sha for sha in pins if sha in text], path
 
 
 # sha256 of --reps 3 smoke sweeps at seed 0: the value, its spread over the
 # repetitions as stderr, the mean p and the min/max of each point's folds
 MULTI_REP_SWEEPS = {
     "worst-md-s2": (
-        SMOKE_SWEEPS["worst-md-s2"][0],
+        BENCHMARK.sweep_argv("worst-md-s2", 0, True),
         "10129053d095cc460292f70a4ad6c51090c7f314fbb7ece168bde6e9ae31cad7",
     ),
     "worst-a1-s3": (
-        SMOKE_SWEEPS["worst-a1-s3"][0],
+        BENCHMARK.sweep_argv("worst-a1-s3", 0, True),
         "5d4d8f102b45063fb992f6d8f2d001759e1a39fae496ce8057ae8ff209ad0f71",
     ),
     "worst-explicit-s1": (
-        ["worst", "explicit", "--scenario", "1", "--e1-min", "0.5", "--e1-max", "1.5", "--e1-step", "0.5"],
+        ["worst", "explicit", "--scenario", "1", "--e1-min", "0.5", "--e1-max", "1.5", "--e1-step", "0.5",
+         "--seed", "0"],
         "a0915ae5e6328e7229461455b733600efa0023dd183ad60a26a4e755d6fea5dd",
     ),
 }
@@ -544,45 +537,7 @@ MULTI_REP_SWEEPS = {
 @pytest.mark.parametrize("workload", sorted(MULTI_REP_SWEEPS))
 def test_multi_rep_sweep_csv_is_byte_identical(capsys, workload):
     argv, expected = MULTI_REP_SWEEPS[workload]
-    code, out, _ = run_cli(capsys, *argv, "--reps", "3", "--seed", "0")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == expected
-
-def test_full_size_dpp_sweep_csv_is_byte_identical(capsys):
-    # the benchmark's worst-dpp-s3 sweep at default flags (T = 100 000); sha256
-    # copied from its csv_sha256_seed0 entry
-    code, out, _ = run_cli(
-        capsys, "worst", "dpp", "--scenario", "3", "--e1-min", "1.0", "--e1-max", "1.0",
-        "--seed", "0",
-    )
-    assert code == 0
-    expected = "c53d3952b0b1c8db4b2f9b9986ac6650450e8e16a0314edf6144c01da2da1cc0"
-    assert hashlib.sha256(out.encode()).hexdigest() == expected
-
-
-# the benchmark's nash, md and a1 sweeps at default flags (nash: 24 points,
-# 100 000 samples; md and a1: T = 10 000, 8 points); sha256 copied from their
-# csv_sha256_seed0 entries
-FULL_SWEEPS = {
-    "nash-s3": (
-        ["nash", "--scenario", "3"],
-        "b07a61f11ac060626d520e9aa37a4515b276950f82a91d5f1bd257d1c0448fbf",
-    ),
-    "worst-md-s2": (
-        ["worst", "md", "--scenario", "2", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3"],
-        "5b41db7333d10a96c81046dc70a12060f465a64a370e804dcc373c7dae970b4d",
-    ),
-    "worst-a1-s3": (
-        ["worst", "a1", "--scenario", "3", "--e1-min", "0.3", "--e1-max", "2.4", "--e1-step", "0.3"],
-        "2ecc61f5744c69116bedcb88eb939e57f868e5a07eb477e64fc6673135c51575",
-    ),
-}
-
-
-@pytest.mark.parametrize("workload", sorted(FULL_SWEEPS))
-def test_full_size_sweep_csv_is_byte_identical(capsys, workload):
-    argv, expected = FULL_SWEEPS[workload]
-    code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+    code, out, _ = run_cli(capsys, *argv, "--reps", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 

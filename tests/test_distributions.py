@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from congames import DppConfig, GameInstance, MdConfig, Partition, bound_constants, md_error_bound
 from congames.distributions import Discrete, Exponential, PointMass, Uniform
 from congames.rng import DRAW_CHUNK
-from conftest import FRONTIER_LAWS, over_tail_fractions
+from conftest import FRONTIER_LAWS, LAWS, over_tail_fractions
 
 ALL_KINDS = [
     Exponential(1.0),
@@ -256,8 +256,7 @@ def test_fill_writes_the_one_call_draw_into_a_column(law, size):
 @pytest.mark.parametrize(
     "law, args",
     [
-        (Exponential, (1e-200,)),  # 2 / rate**2 divides by zero
-        (Exponential, (1e200,)),  # rate**2 overflows
+        (Exponential, (1e-200,)),  # 2 / rate**2 passes the float range
         (Uniform, (0.0, 1e200)),  # hi**2 overflows
         (Uniform, (1e160, 1e160)),
         (PointMass, (1e200,)),
@@ -271,6 +270,33 @@ def test_laws_without_a_finite_second_moment_are_refused(law, args):
     message = rf"^{law.__name__}\(.*\) is out of range: its second moment is not a finite float$"
     with pytest.raises(ValueError, match=message):
         law(*args)
+
+
+def test_an_exponential_whose_rate_squared_passes_the_float_range_is_accepted():
+    # rate**2 overflows, but 2 / rate**2 underflows toward 0: every moment
+    # and tail query is a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = Exponential(1e200)
+        assert law.mean == 1e-200 and law.second_moment == 0.0 and law.is_continuous
+        assert law.expected_sq_max_with(1e-200) == 0.0  # about 2.5e-400
+        assert law.quantile(0.5) == pytest.approx(math.log(2.0) * 1e-200)
+        assert law.tail_mean(0.5) == pytest.approx((1.0 + math.log(2.0)) * 1e-200)
+        assert law.tail_mean(1.0) == law.mean and law.tail_mean(0.0) == math.inf
+        # just past the square's range end, the second moment is subnormal
+        edge = Exponential(1.3407807929942597e154)
+        assert edge.second_moment == pytest.approx(1.1125369292536007e-308, abs=5e-324)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("m", [1e200, math.inf])
+def test_expected_sq_max_with_past_the_float_range_is_inf_without_warning(law, m):
+    # E[max(W, m)^2] is at least m^2, which passes the float range; a
+    # discrete atom of probability 0 adds no NaN there
+    laws = [LAWS[law](1.0)] + ([Discrete((1.0, 2.0), (1.0, 0.0))] if law == "discrete" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [dist.expected_sq_max_with(m) for dist in laws] == [math.inf] * len(laws)
 
 
 # every positive float, subnormals and the largest included
@@ -300,7 +326,10 @@ def per_law_second_moment(law):
     """Each kind's second moment as the kind once stated it in its own
     body: the oracle of the one derived in the catalog's base class."""
     if isinstance(law, Exponential):
-        return 2.0 / law.rate**2
+        try:
+            return 2.0 / law.rate**2
+        except OverflowError:  # such rates were refused then; two divisions
+            return 2.0 / law.rate / law.rate
     if isinstance(law, Uniform):
         lo, hi = law.lo, law.hi
         return law.mean**2 + (hi - lo) ** 2 / 12.0 if hi > lo else lo**2
