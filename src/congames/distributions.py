@@ -39,7 +39,11 @@ A law whose parameters give no finite second moment (``Exponential(1e-200)``,
 constant computed from the moments is a float; so is an exponential whose
 rate is not positive and finite (an infinite rate would be a point mass at
 0).  A rate whose square passes the float range is accepted: its second
-moment 2 / rate**2 is tiny, or 0 (``Exponential(1e200)``).  Where
+moment 2 / rate**2 is tiny, or 0 (``Exponential(1e200)``).  So is a
+uniform whose width squared passes the float range while its second moment
+does not (``Uniform(0, 1.5e154)``, E[W^2] = 7.5e307): a uniform takes such
+a square one factor at a time, as ``w * (w / 12.0)``, and keeps every
+finite square's bits.  Where
 E[max(W, m)^2] itself passes the float range, ``expected_sq_max_with(m)``
 is inf, with no error or numpy warning; finite results keep their bits.
 
@@ -193,15 +197,22 @@ class Uniform(_Law):
     def expected_sq_max_with(self, m: float) -> float:
         lo, hi = self.lo, self.hi
         if m <= lo:
+            if hi == lo:
+                return _sq(lo)
             # mean^2 + variance: non-negative terms, so a narrow support
             # cancels no digits and the result is never below mean^2
-            return _sq(self.mean) + _sq(hi - lo) / 12.0 if hi > lo else _sq(lo)
+            width = hi - lo
+            width_sq = _sq(width)
+            return _sq(self.mean) + (width_sq / 12.0 if width_sq < math.inf else width * (width / 12.0))
         if m >= hi:
             return _sq(m)
         # m^2 plus its excess, a product of non-negative terms, so a narrow
         # support cancels no digits and the result is never below m^2; the
         # ratio is taken first, so a wide support does not overflow hi^3
-        return _sq(m) + _sq(hi - m) * ((hi + 2.0 * m) / (3.0 * (hi - lo)))
+        ratio = (hi + 2.0 * m) / (3.0 * (hi - lo))
+        rest = hi - m
+        rest_sq = _sq(rest)
+        return _sq(m) + (rest_sq * ratio if rest_sq < math.inf else rest * (rest * ratio))
 
     def fill(self, rng: np.random.Generator, out: np.ndarray):
         # uniform(lo, hi) draws lo + (hi - lo) * random: these bits

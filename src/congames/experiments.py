@@ -162,7 +162,7 @@ class ScenarioSpec:
         else:
             _check_max_term(self.partition, self.n_samples)
         if self.solver == "worst-dpp" and self.partition.a:  # the evaluation samples A's T-row mixture
-            acting = _mixture_columns(self.config.T, self.partition.a, self.partition.n)
+            acting = _mixture_columns(self.config.T, self.partition.a, self.partition.n, self.n_samples)
             _check_estimate_budget(self.partition, "A", self.n_samples, acting)
 
     @property

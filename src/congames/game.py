@@ -98,10 +98,6 @@ class Partition:
         return _read_only(np.arange(self.a, self.a + self.b))
 
     @functools.cached_property
-    def set_c(self) -> np.ndarray:
-        return _read_only(np.arange(self.a + self.b, self.a + self.b + self.c))
-
-    @functools.cached_property
     def set_ab(self) -> np.ndarray:
         return _read_only(np.arange(self.a + self.b + self.c, self.n))
 

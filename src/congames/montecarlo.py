@@ -30,17 +30,19 @@ with no action array; the counts and the averaged products are those of the
 action array, so every bit is the same.  Each rate q is summed on a float
 copy of its mask, multiplied in place by the reward column: the 0.0 and 1.0
 that numpy casts a boolean to before it multiplies, without the cast's
-buffered pass; other sampled strategies sum their action masks the same
-way.  A call that would sample is refused
-up front (:func:`_check_estimate_budget`, which a worst-case DPP sweep's
-spec asks too) when what it holds exceeds the budget: the n_samples rows of
-the columns it draws and what acting holds at its peak
-(:func:`congames.strategies._acting_columns`): a simplex's uniform draws
-beside its actions, a threshold's mask and tail draws, a multi-row mixture's
-component draws and n_samples x n scores, and a one-row mixture's threshold
-split, which also serves its masks.  :func:`simulate_payoff` counts by the
-same rule, for all n world columns, what both players' acting holds and the
-reward vector, which it halves in place where the players collide.
+buffered pass; other sampled strategies compare their actions straight
+into that float buffer, so no mask is held beside it.  A call that would
+sample is refused up front (:func:`_check_estimate_budget`, which a
+worst-case DPP sweep's spec asks too) when what it holds exceeds the
+budget: the n_samples rows of the columns it draws and what acting holds
+at its peak (:func:`congames.strategies._acting_columns`): a simplex's
+uniform draws beside its actions, a threshold's mask and tail draws, a
+multi-row mixture's component draws, its actions and one block of scores
+(:data:`~congames.strategies.MIXTURE_BLOCK` rows of n, whatever n_samples
+is), and a one-row mixture's threshold split, which also serves its masks.
+:func:`simulate_payoff` counts by the same rule, for all n world columns,
+what both players' acting holds and the reward vector, which it halves in
+place where the players collide.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def estimate_stats(
         return StrategyStats(player, p, np.zeros(0))
 
     columns = private[-1] + 1  # the private block is a range ending here
-    _check_estimate_budget(game.partition, player, n_samples, _acting_columns(strategy, n))
+    _check_estimate_budget(game.partition, player, n_samples, _acting_columns(strategy, n, n_samples))
     streams = (WORLD_STREAM, _action_stream(player))
     # an int seed's streams are built only where read; a Generator is split
     # on every sampling call, so its later spawns stay where they were, and
@@ -194,7 +196,9 @@ def estimate_stats(
     actions = batch_actions(strategy, obs, generator(1))
     p = np.bincount(actions, minlength=n) / n_samples
     product = np.empty(n_samples)
-    q = np.array([_masked_mean(drawn[:, k], actions == k, product) for k in private])
+    # each action mask is compared straight into the float buffer, so no
+    # boolean mask is held beside the actions and the buffer
+    q = np.array([_masked_mean(drawn[:, k], np.equal(actions, k, out=product)) for k in private])
     return StrategyStats(player, p, q)
 
 
@@ -230,16 +234,16 @@ def _threshold_stats(values, private, obs, n):
         if k == j:  # every resource is private: rows that do not take pick j
             mask = mask | ~take
         counts[k] = np.count_nonzero(mask)
-        q[i] = _masked_mean(obs[:, i], mask, product)
+        np.copyto(product, mask)
+        q[i] = _masked_mean(obs[:, i], product)
     counts[j] += rows - counts.sum()  # j takes every other row
     return counts / rows, q
 
 
-def _masked_mean(column, mask, product):
-    """``np.mean(column * mask)``, bit for bit, through the float buffer
-    ``product``: the boolean mask becomes the 0.0 and 1.0 numpy would cast
-    it to, without the cast's buffered pass."""
-    np.copyto(product, mask)
+def _masked_mean(column, product):
+    """``np.mean(column * mask)``, bit for bit, where the float buffer
+    ``product`` holds the boolean mask as the 0.0 and 1.0 numpy would cast
+    it to; ``product`` is overwritten."""
     np.multiply(column, product, out=product)
     return np.add.reduce(product) / len(product)
 
@@ -319,7 +323,8 @@ def simulate_payoff(
     _check_strategy_player(strategy_a, game, "A")
     _check_strategy_player(strategy_b, game, "B")
     # the n world columns, what each player's acting holds, and the rewards
-    held = game.n + _acting_columns(strategy_a, game.n) + _acting_columns(strategy_b, game.n) + 1
+    acting = _acting_columns(strategy_a, game.n, n_samples) + _acting_columns(strategy_b, game.n, n_samples)
+    held = game.n + acting + 1
     check_upfront_budget("simulate_payoff", n_samples, game.n, held / game.n, rows="n_samples")
     world_gen, a_gen, b_gen = stream_generators(
         rng, (WORLD_STREAM, ACTION_A_STREAM, ACTION_B_STREAM)

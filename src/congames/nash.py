@@ -155,7 +155,7 @@ def iterate_best_response(
         part = game.partition
         # the a + b columns and what an estimate on them holds besides: a
         # best response's threshold split, the larger one for the larger block
-        held = part.a + part.b + _mixture_columns(1, max(part.a, part.b), game.n)
+        held = part.a + part.b + _mixture_columns(1, max(part.a, part.b), game.n, n_samples)
         check_upfront_budget("nash", n_samples, game.n, held / game.n, rows="n_samples")
         drawn = sample_world(game, world_gen, size=n_samples, columns=part.a + part.b)
         drawn.setflags(write=False)

@@ -15,7 +15,14 @@ Three strategy forms cover everything the solvers produce:
   the worst-case opponent take that form, and drift-plus-penalty emits the
   T-row mixture of its virtual-queue strategies.
 
-A one-row mixture acts by threshold rather than through a (samples, n) score
+A mixture of two or more rows draws its component indices in one call,
+so the draw's bits do not depend on the blocks, and then scores and acts
+:data:`MIXTURE_BLOCK` observation rows at a time, each block's argmax
+written into one action array: it holds the draws, the actions and one
+block of scores, never the (samples, n) scores, and each row picks what
+the argmax of all the scores picks.
+
+A one-row mixture acts by threshold rather than through a score
 matrix: its best constant resource is the same in every row, so a row picks
 its best private product where that beats the best constant, or ties it at a
 lower index, and the constant otherwise.  On finite observations this
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator, is_integer
+from .rng import DRAW_CHUNK, as_generator, is_integer
 
 __all__ = [
     "Simplex",
@@ -49,6 +56,8 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-9
+# the observation rows a mixture of two or more rows scores at a time
+MIXTURE_BLOCK = 16 * DRAW_CHUNK
 
 
 def _check_simplex(p: np.ndarray, what: str, tol: float = SIMPLEX_TOL, floor: float = 0.0):
@@ -195,11 +204,20 @@ def batch_actions(strategy: Strategy, obs: np.ndarray, rng=None) -> np.ndarray:
             actions = take * (top - j)
             actions += j
             return actions
+        # one integers call: a split call could move the bounded draw's bits
         comp = _need_generator(rng, strategy).integers(len(strategy), size=rows)
-        scores = np.take(strategy.values, comp, axis=0)
-        for col, k in enumerate(strategy.private):  # in place, column by column
-            scores[:, k] *= obs[:, col]
-        return np.argmax(scores, axis=1)
+        actions = np.empty(rows, dtype=np.intp)
+        scores = np.empty((min(rows, MIXTURE_BLOCK), strategy.values.shape[1]))
+        for start in range(0, rows, MIXTURE_BLOCK):
+            stop = min(start + MIXTURE_BLOCK, rows)
+            block = scores[: stop - start]
+            # the draws are in range; "clip" takes straight into the block,
+            # where the default "raise" would take into a buffered copy
+            np.take(strategy.values, comp[start:stop], axis=0, out=block, mode="clip")
+            for col, k in enumerate(strategy.private):  # in place, column by column
+                block[:, k] *= obs[start:stop, col]
+            np.argmax(block, axis=1, out=actions[start:stop])
+        return actions
     raise TypeError(f"unknown strategy type {type(strategy).__name__}")
 
 
@@ -275,31 +293,35 @@ def _least_clearing(v: float, c: float, strict: bool):
     return None
 
 
-def _acting_columns(strategy: Strategy, n: int) -> float:
+def _acting_columns(strategy: Strategy, n: int, samples: int) -> float:
     """The float64 columns, one entry per observation row, that
-    :func:`batch_actions` holds at its peak while ``strategy`` acts, the
-    actions among them; a boolean mask is 1/8 of a column.  A simplex holds
-    its uniform draws beside the actions, a threshold its mask and the
-    tail's uniform draws and indices, a mixture of two or more rows its
-    component draws and n scores, and a one-row mixture its threshold split
-    (:func:`_mixture_columns`)."""
+    :func:`batch_actions` holds at its peak while ``strategy`` acts on
+    ``samples`` rows, the actions among them; a boolean mask is 1/8 of a
+    column.  A simplex holds its uniform draws beside the actions, a
+    threshold its mask and the tail's uniform draws and indices, and a
+    mixture what :func:`_mixture_columns` states: from two rows on its
+    component draws, the actions and one block of scores, and for one row
+    its threshold split."""
     if isinstance(strategy, Mixture):
-        return _mixture_columns(len(strategy), strategy.private.size, n)
+        return _mixture_columns(len(strategy), strategy.private.size, n, samples)
     return 2 if isinstance(strategy, Simplex) else 3.125
 
 
-def _mixture_columns(rows: int, size: int, n: int) -> float:
+def _mixture_columns(rows: int, size: int, n: int, samples: int) -> float:
     """:func:`_acting_columns` of a mixture of ``rows`` score rows over a
-    private block of ``size`` resources, which a caller can ask before the
-    mixture exists.  From two rows on: n scores and the component draws.
-    One row: what :func:`_threshold_split`, and what is built from its
-    masks, hold at their peak: up to four boolean masks, and one column
-    (the actions or the float mask that a reward-weighted rate is summed
-    on, or for one resource without a threshold the products) or, from two
-    resources on, three (the best product, the product compared and the
-    index of the best)."""
+    private block of ``size`` resources acting on ``samples`` rows, which a
+    caller can ask before the mixture exists.  From two rows on: the
+    component draws and the actions, two columns, and one block of scores,
+    :data:`MIXTURE_BLOCK` rows of n (fewer where ``samples`` is fewer),
+    which is n x MIXTURE_BLOCK / samples columns.  One row: what
+    :func:`_threshold_split`, and what is built from its masks, hold at
+    their peak: up to four boolean masks, and one column (the actions or
+    the float mask that a reward-weighted rate is summed on, or for one
+    resource without a threshold the products) or, from two resources on,
+    three (the best product, the product compared and the index of the
+    best)."""
     if rows > 1:
-        return n + 2
+        return 2 + min(samples, MIXTURE_BLOCK) * n / samples
     return (1 if size < 2 else 3) + 0.5
 
 

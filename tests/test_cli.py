@@ -320,13 +320,14 @@ def test_one_sample_is_refused_where_the_max_term_is_sampled(capsys, monkeypatch
 
 def test_samples_a_dpp_evaluation_cannot_hold_are_refused_before_any_run(capsys, monkeypatch):
     # DPP's evaluation estimates A's stats of the run's T-row mixture, which
-    # holds A's world column, n scores and two more columns (6 at n = 3), more
-    # than the max term's b; the spec asks the estimate's own rule
+    # holds A's world column, the component draws, the actions and one block
+    # of n scores, more than the max term's b; the spec asks the estimate's
+    # own rule: 8 * (3 * n_samples + MIXTURE_BLOCK * 3) bytes at n = 3
     def not_called(*args, **kwargs):
         raise AssertionError("a DPP run started before the spec was checked")
 
     monkeypatch.setattr("congames.experiments.run_dpp", not_called)
-    for samples, need in (("22369622", "1024"), ("44739242", "2048")):
+    for samples, need in (("44722859", "1024"), ("89478485", "2048")):
         code, out, err = run_cli(
             capsys, "worst", "dpp", "--scenario", "3", "--T", "1000", "--samples", samples, "--e1-min", "1", "--e1-max", "1"
         )
@@ -335,9 +336,11 @@ def test_samples_a_dpp_evaluation_cannot_hold_are_refused_before_any_run(capsys,
     # one row less than the budget is accepted, and so is a one-row mixture
     # (T = 1), which holds its threshold split, and scenario 2, where A
     # observes nothing and the estimate is exact
-    ScenarioSpec(3, "worst-dpp", [1.0], config=DppConfig(T=1000), n_samples=22369621)
-    ScenarioSpec(3, "worst-dpp", [1.0], config=DppConfig(T=1), n_samples=22369622)
-    ScenarioSpec(2, "worst-dpp", [1.0], config=DppConfig(T=1000), n_samples=22369622)
+    ScenarioSpec(3, "worst-dpp", [1.0], config=DppConfig(T=1000), n_samples=44722858)
+    ScenarioSpec(3, "worst-dpp", [1.0], config=DppConfig(T=1), n_samples=44722859)
+    ScenarioSpec(2, "worst-dpp", [1.0], config=DppConfig(T=1000), n_samples=44722859)
+    # the ceiling of a mixture that gathered all n_samples x n scores at once
+    ScenarioSpec(3, "worst-dpp", (1.0,), n_samples=22369622)
 
 
 def test_evaluate_parse_error_exit_code(tmp_path, capsys):

@@ -288,6 +288,25 @@ def test_an_exponential_whose_rate_squared_passes_the_float_range_is_accepted():
         assert edge.second_moment == pytest.approx(1.1125369292536007e-308, abs=5e-324)
 
 
+def test_a_uniform_whose_width_squared_passes_the_float_range_is_accepted():
+    # (hi - lo)**2 overflows, but E[W^2] = hi^2 / 3 is a float; so is
+    # E[max(W, m)^2] for m inside the support, where (hi - m)**2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = Uniform(0.0, 1.5e154)
+        hi = Fraction(law.hi)
+        assert relative_error(law.second_moment, hi**2 / 3) <= 1e-15
+        assert law.mean == 7.5e153 and law.is_continuous
+        m = Fraction(1e150)
+        exact = (m**3 + (hi**3 - m**3) / 3) / hi
+        assert relative_error(law.expected_sq_max_with(1e150), exact) <= 1e-15
+        assert law.expected_sq_max_with(1.4e154) == math.inf  # at least m^2, which passes the range
+        # the widest such laws end near sqrt(3) x 1.34e154; past that, refused
+        assert relative_error(Uniform(0.0, 2.3e154).second_moment, Fraction(2.3e154) ** 2 / 3) <= 1e-15
+    with pytest.raises(ValueError, match="second moment is not a finite float"):
+        Uniform(0.0, 2.33e154)
+
+
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("m", [1e200, math.inf])
 def test_expected_sq_max_with_past_the_float_range_is_inf_without_warning(law, m):
@@ -332,7 +351,10 @@ def per_law_second_moment(law):
             return 2.0 / law.rate / law.rate
     if isinstance(law, Uniform):
         lo, hi = law.lo, law.hi
-        return law.mean**2 + (hi - lo) ** 2 / 12.0 if hi > lo else lo**2
+        try:
+            return law.mean**2 + (hi - lo) ** 2 / 12.0 if hi > lo else lo**2
+        except OverflowError:  # such widths were refused then; a scaled square
+            return law.mean**2 + (hi - lo) * ((hi - lo) / 12.0)
     if isinstance(law, PointMass):
         return law.value**2
     return float(np.dot(np.square(law.values), law.probs))
@@ -348,6 +370,7 @@ def per_law_is_continuous(law):
 @example(law=Uniform(-0.0, 5e-324))
 @example(law=Uniform(0.0, 1.3407807929942596e154))
 @example(law=Uniform(1e154, 1e154))
+@example(law=Uniform(0.0, 1.5e154))
 @example(law=Exponential(1.06e-154))
 @example(law=Exponential(1.3407807929942596e154))
 @example(law=Exponential(1.055e-154))

@@ -26,7 +26,7 @@ def test_partition_layout_and_class_of():
     assert part.n == 5
     np.testing.assert_array_equal(part.set_a, [0])
     np.testing.assert_array_equal(part.set_b, [1, 2])
-    np.testing.assert_array_equal(part.set_c, [3])
+    np.testing.assert_array_equal(part.shared, [3, 4])
     np.testing.assert_array_equal(part.set_ab, [4])
     np.testing.assert_array_equal(part.a_comp, [1, 2, 3, 4])
     np.testing.assert_array_equal(part.b_comp, [0, 3, 4])
@@ -48,7 +48,8 @@ def test_partition_refuses_bool_sizes():
 @pytest.mark.parametrize("sizes", [(1, 2, 1, 1), (0, 0, 3, 0), (1, 1, 0, 0), (0, 0, 0, 2)])
 def test_shared_is_the_c_then_ab_block(sizes):
     part = Partition(*sizes)
-    joined = np.concatenate([part.set_c, part.set_ab])
+    c_block = np.arange(part.a + part.b, part.a + part.b + part.c)
+    joined = np.concatenate([c_block, part.set_ab])
     assert part.shared.dtype == joined.dtype
     np.testing.assert_array_equal(part.shared, joined)
 
@@ -183,7 +184,7 @@ def test_every_sampled_column_is_contiguous(columns):
 
 def test_partition_index_sets_are_built_once_and_read_only():
     part = Partition(1, 2, 1, 1)
-    for name in ("set_a", "set_b", "set_c", "set_ab", "shared", "a_comp", "b_comp"):
+    for name in ("set_a", "set_b", "set_ab", "shared", "a_comp", "b_comp"):
         first = getattr(part, name)
         assert getattr(part, name) is first and not first.flags.writeable
     assert part == Partition(1, 2, 1, 1) and hash(part) == hash(Partition(1, 2, 1, 1))

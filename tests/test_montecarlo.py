@@ -189,9 +189,9 @@ def test_oversized_estimates_fail_before_sampling(monkeypatch, capsys):
     with pytest.raises(ValueError, match="estimate_stats run with n_samples=200000000, n=3 needs 3815 MiB up front"):
         estimate_stats(score, g, "A", n_samples=2 * 10**8)
     # B's two-row mixture: two drawn columns, the component draws, the
-    # 3 columns of scores and the actions
+    # actions and one block of scores, MIXTURE_BLOCK rows of 3
     mixture = Mixture([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]], private=[1])
-    with pytest.raises(ValueError, match="estimate_stats run with n_samples=100000000, n=3 needs 5341 MiB up front"):
+    with pytest.raises(ValueError, match="estimate_stats run with n_samples=100000000, n=3 needs 3052 MiB up front"):
         estimate_stats(mixture, g, "B", n_samples=10**8)
     # the n world columns, what each player's acting holds (A's threshold
     # split, B's uniform draws beside its actions) and the rewards

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from congames import Mixture, Partition, QuantileThreshold, Simplex, act
 from congames.explicit import no_info_objective
 from congames.montecarlo import StrategyStats
 from congames.quantile import build_strategy_a1
-from congames.strategies import batch_actions
+from congames.strategies import MIXTURE_BLOCK, _mixture_columns, batch_actions
 from conftest import exp_game
 
 
@@ -279,6 +280,74 @@ def test_one_row_threshold_rule_matches_argmax(case):
     expected = argmax_oracle(values, private, obs)
     assert actions.dtype == expected.dtype
     np.testing.assert_array_equal(actions, expected)
+
+
+# observation entries: ties on the grid, both signed zeros, and the inf and
+# NaN that sampled worlds never hold (inf times a zero score is NaN too)
+OBS_ENTRIES = [0.0, -0.0, 0.5, 1.0, 2.0, math.inf, math.nan]
+# sample counts below, at and past one and two blocks
+BLOCK_EDGES = [MIXTURE_BLOCK - 1, MIXTURE_BLOCK, MIXTURE_BLOCK + 1, 2 * MIXTURE_BLOCK, 2 * MIXTURE_BLOCK + 7]
+
+
+def gathered_actions(mixture, obs, gen):
+    """A multi-row mixture's actions from the full (rows, n) score matrix."""
+    comp = gen.integers(len(mixture), size=len(obs))
+    scores = np.take(mixture.values, comp, axis=0)
+    scores[:, mixture.private] *= obs
+    return np.argmax(scores, axis=1)
+
+
+@st.composite
+def multi_row_cases(draw):
+    """(mixture, observations, seed): 2 to 5 score rows over 1 to 6
+    resources, a private block anywhere in them, and observation rows drawn
+    from a few entries of :data:`OBS_ENTRIES`."""
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(0, n))
+    start = draw(st.integers(0, n - size))
+    values = draw(hnp.arrays(float, (draw(st.integers(2, 5)), n), elements=st.sampled_from(GRID)))
+    samples = draw(st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(1, 40)))
+    pool = np.array(draw(st.lists(st.sampled_from(OBS_ENTRIES), min_size=1, max_size=4)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    obs = pool[np.random.default_rng(seed).integers(pool.size, size=(samples, size))]
+    return Mixture(values, np.arange(start, start + size)), obs, seed
+
+
+@given(multi_row_cases())
+@example((Mixture([[1.0, 1.0], [0.0, 1.0]], [0]), np.array([[math.nan], [math.inf], [1.0]]), 0))
+@settings(max_examples=150, deadline=None)
+def test_a_multi_row_mixture_acts_as_its_gathered_scores(case):
+    # acting a block of rows at a time picks what the argmax of all the
+    # scores picks, a NaN's index included, from the same one draw
+    mixture, obs, seed = case
+    gen, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(invalid="ignore"):  # inf times a zero score
+        actions = batch_actions(mixture, obs, gen)
+        expected = gathered_actions(mixture, obs, reference)
+    assert actions.dtype == expected.dtype
+    np.testing.assert_array_equal(actions, expected)
+    assert gen.bit_generator.state == reference.bit_generator.state
+
+
+def test_a_multi_row_mixture_holds_one_block_of_scores():
+    # the component draws, the actions and MIXTURE_BLOCK rows of n scores,
+    # not the n_samples x n scores: at n = 20 under a third of those
+    n, rows = 20, 2**16
+    mixture = Mixture(np.random.default_rng(2).random((3, n)), np.arange(4))
+    obs = np.random.default_rng(3).random((rows, 4))
+    batch_actions(mixture, obs[:16], rng=0)  # leave numpy's one-time allocations out
+    tracemalloc.start()
+    try:
+        batch_actions(mixture, obs, rng=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = rows * 8
+    counted = _mixture_columns(len(mixture), 4, n, rows) * column
+    assert counted == 2 * column + MIXTURE_BLOCK * n * 8
+    # within the few KiB of the loop's views and Python objects
+    assert peak <= counted + 16 * 2**10, f"peak {peak / 2**10:.0f} KiB, counted {counted / 2**10:.0f} KiB"
+    assert peak < (n + 2) * column / 3
 
 
 @pytest.mark.parametrize(
