@@ -27,9 +27,15 @@ dispatch than in arithmetic, and a list subscript more than a local.  The
 source is compiled by :func:`~congames.game.compile_kernel`, whose kernel
 namespace supplies every name it reads, and registered with
 :mod:`linecache` under a name such as ``<dpp round kernel n=3 a=1 b=1>``,
-so tracebacks, ``pdb`` and profilers show its lines.  Each comparison is written so that a -0.0 comes out as
-+0.0, which gives the bits of numpy's clip and maximum; queues and targets
-never fall below +0.0, so only the drained queue needs its floor.  Each
+so tracebacks, ``pdb`` and profilers show its lines.  Gamma's clip is a
+branch: a step above 0 is capped at u_j, and any other (-0.0 and NaN
+included) takes Z_j = clip(0, 0, u_j), computed once before the loop; a
+drained queue is floored in place where it is not above 0.  So a -0.0
+comes out as +0.0 (as u_j where u_j is a zero), which gives the bits of
+numpy's clip and maximum; queues and targets never fall below +0.0, so
+only the drained queue needs its floor.  A's omega entries are its
+weights, exactly 1.0, so the argmax of gamma * omega reads A's gamma_j
+alone, as g * 1.0 is g.  Each
 stream's T draws are still sampled in one call, and only the random ones
 are drawn, B's omega columns (:func:`~congames.game.sample_omega`) and A's
 world columns, which the kernel reads as lists
@@ -220,10 +226,17 @@ def _round_kernel(n: int, a: int, b: int):
     other omega entry is the constant v_j, so its product with gamma reads
     v_j and its gradient term V (v_j - v_j / 2) is computed once, before
     the loop: the same float operations on the same floats as on the drawn
-    row.  Each round appends
-    its queues, before they move, to a list of the chunk's rows, which one
-    ``struct.pack_into`` call writes into the chunk's rows of the history,
-    in place, at the chunk's end; the history never grows or moves.
+    row.  On A's block v_j is 1.0 (:attr:`~congames.game.GameInstance.weights`)
+    and the product is read as ``G_j`` alone, since g * 1.0 is exactly g.
+    Gamma's step is clipped by a branch, ``if y > 0.0`` to the least of y
+    and u_j and otherwise to ``Z_j`` = clip(0, 0, u_j), taken once before
+    the loop, and the drained queue floored in place by
+    ``if not Q_j > 0.0``: no temporary is stored and read back, and every
+    value, NaN and signed zeros included, is the two-step clip's.  Each
+    round appends its queues, before they move, to a list of the chunk's
+    rows, which one ``struct.pack_into`` call writes into the chunk's rows
+    of the history, in place, at the chunk's end; the history never grows
+    or moves.
     """
     n, a, b = int(n), int(a), int(b)
     o, x, u, v, Q, G, R = ([f"{name}{j}" for j in range(n)] for name in "oxuvQGR")
@@ -236,13 +249,15 @@ def _round_kernel(n: int, a: int, b: int):
         *(f"    V{v[j]} = V * {v[j]}" for j in range(n)),
         "    # the gradient term at the argmax, V (v - omega / 2), where omega is constant",
         *(f"    Vt{j} = V * ({v[j]} - 0.5 * {v[j]})" for j in range(n) if j not in drawn),
+        "    # gamma's clip of a step that is not above 0 (-0.0 and NaN included)",
+        *(f"    Z{j} = 0.0 if 0.0 < {u[j]} else {u[j]}" for j in range(n)),
         f"    {' = '.join(Q + G + R)} = 0.0",
         "    for start in range(0, T, DRAW_CHUNK):",
         "        stop = start + DRAW_CHUNK",
         "        rows = []",
         chunk_loop({"omegas": o[a : a + b], "worlds": x[:a]}),
-        "            # the argmax of gamma * omega: its resource's gradient is v - omega / 2",
-        *argmax_chain("top", [f"{G[j]} * {omega[j]}" for j in range(n)]),
+        "            # the argmax of gamma * omega, omega 1.0 on A's block: its resource's gradient is v - omega / 2",
+        *argmax_chain("top", [G[j] if j < a else f"{G[j]} * {omega[j]}" for j in range(n)]),
         "            # the queue-score action: Q_j x_j on A's block, Q_j elsewhere",
         *argmax_chain("act", [f"{Q[j]} * {x[j]}" if j < a else Q[j] for j in range(n)]),
         *(f"            rows.append({Q[j]})" for j in range(n)),
@@ -252,8 +267,10 @@ def _round_kernel(n: int, a: int, b: int):
         at_top = f"V * ({v[j]} - 0.5 * {o[j]})" if j in drawn else f"Vt{j}"
         lines += [
             f"            y = {G[j]} - ({Q[j]} - ({at_top} if top == {j} else V{v[j]})) / two_alpha",
-            "            y = y if y > 0.0 else 0.0",
-            f"            {G[j]} = y if y < {u[j]} else {u[j]}",
+            "            if y > 0.0:",
+            f"                {G[j]} = y if y < {u[j]} else {u[j]}",
+            "            else:",
+            f"                {G[j]} = Z{j}",
             f"            {Q[j]} = {Q[j]} + {G[j]}",
         ]
     lines.append("            # the action's drain: its world draw on A's block, 1 elsewhere")
@@ -265,8 +282,9 @@ def _round_kernel(n: int, a: int, b: int):
         head = "else" if 0 < j == last else f"{'elif' if j % ELIF_RUN else 'if'} act == {j}"
         lines += [
             f"            {head}:",
-            f"                y = {Q[j]} - {drain}",
-            f"                {Q[j]} = y if y > 0.0 else 0.0",
+            f"                {Q[j]} = {Q[j]} - {drain}",
+            f"                if not {Q[j]} > 0.0:",
+            f"                    {Q[j]} = 0.0",
             f"                {R[j]} += {drain}",
         ]
     lines += [

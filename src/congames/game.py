@@ -270,16 +270,19 @@ def argmax_chain(index: str, values: list[str]) -> list[str]:
     rows of a draw chunk, that set ``index`` to the position of the first
     largest of the expressions ``values``, as ``values.index(max(values))``
     would: a chain of ``if s > best``, which keeps the earlier of equal
-    values (-0.0 and 0.0 among them)."""
+    values (-0.0 and 0.0 among them).  An expression that is not a name is
+    stored in ``s`` where ``best`` may take it, and the last one, which
+    ``best`` never takes, is compared as it is."""
     lines = [f"            {index} = 0"]
     if len(values) > 1:
         lines.append(f"            best = {values[0]}")
     for j, value in enumerate(values[1:], 1):
-        if not value.isidentifier():
+        last = j == len(values) - 1
+        if not (last or value.isidentifier()):
             lines.append(f"            s = {value}")
             value = "s"
         lines += [f"            if {value} > best:", f"                {index} = {j}"]
-        if j < len(values) - 1:
+        if not last:
             lines.append(f"                best = {value}")
     return lines
 

@@ -169,8 +169,9 @@ def assert_queues_match_numpy(run, reference):
     assert diag.violations == violations
 
 
-def _game(partition, means, z=()):
-    dists = tuple(Exponential(1.0 / m) for m in means)
+def _game(partition, laws, z=()):
+    # each of laws is a law, or a number: the mean of an exponential law
+    dists = tuple(Exponential(1.0 / m) if isinstance(m, (int, float)) else m for m in laws)
     return GameInstance(Partition(*partition), dists, z=np.asarray(z, dtype=float))
 
 
@@ -212,9 +213,18 @@ NO_WORLD_DPP = (_game((0, 2, 1, 0), [1.3, 0.7, 1.0]), DppConfig(V=5.0, alpha=4.0
 NO_OMEGA_DPP = (_game((2, 0, 1, 1), [0.8, 1.7, 1.0, 1.2], [1.2]), DppConfig(V=5.0, alpha=4.0, T=200), 4)
 NO_DRAWS_DPP = (_game((0, 0, 2, 1), [1.0, 1.4, 0.9], [0.9]), DppConfig(V=5.0, alpha=4.0, T=1500), 2)
 
+# point masses at 0.0 and -0.0 on A's block make u_j = +-0.0, and both
+# games run past one DRAW_CHUNK: in the first, gamma's step on them is
+# capped at u_j while the other resources reach both clamps and the floor;
+# in the second every step underflows to a zero, so every clip takes
+# Z_j = clip(0, 0, u_j), a -0.0 where u_j is one
+ZERO_BOX_GAME = _game((3, 1, 0, 1), [PointMass(0.0), PointMass(-0.0), 0.8, 1.0, 1.0], [1.2])
+ZERO_BOX_DPP = (ZERO_BOX_GAME, DppConfig(V=5.0, alpha=4.0, T=1500), 3)
+ZERO_STEP_DPP = (ZERO_BOX_GAME, DppConfig(V=1e-200, alpha=1e150, T=1100), 3)
+
 
 def dpp_twin_examples(test):
-    for case in (WIDE_DPP, NO_WORLD_DPP, NO_OMEGA_DPP, NO_DRAWS_DPP):
+    for case in (WIDE_DPP, NO_WORLD_DPP, NO_OMEGA_DPP, NO_DRAWS_DPP, ZERO_BOX_DPP, ZERO_STEP_DPP):
         test = example(case)(test)
     return test
 
